@@ -5,7 +5,7 @@ type Experiment = fn(&parj_bench::Args) -> (Vec<parj_bench::Table>, serde_json::
 
 fn main() {
     let base = parj_bench::Args::parse(0);
-    let experiments: [(&str, Experiment); 16] = [
+    let experiments: [(&str, Experiment); 15] = [
         ("table2", parj_bench::experiments::table2),
         ("table3", parj_bench::experiments::table3),
         ("table4", parj_bench::experiments::table4),
@@ -21,7 +21,6 @@ fn main() {
         ("serve", parj_bench::serve::serve),
         ("pool", parj_bench::serve::pool),
         ("locks", parj_bench::locks::locks),
-        ("compress", parj_bench::compress::compress),
     ];
     for (name, f) in experiments {
         let mut args = base.clone();

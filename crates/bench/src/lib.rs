@@ -18,7 +18,6 @@
 //! | `serve` | closed-loop HTTP serving: qps/p50/p99 vs client count + overload (not a paper artifact) |
 //! | `pool` | persistent-pool vs spawn-per-query dispatch at 8 clients (not a paper artifact) |
 //! | `locks` | ordered-lock wrapper overhead guardrail + per-level lock-wait profile (not a paper artifact) |
-//! | `compress` | replica block-compression: bytes/triple + probe throughput, raw vs packed (not a paper artifact) |
 //! | `run_all`| everything above, with outputs under `results/` |
 //!
 //! Every binary accepts `--scale N` (dataset size), `--runs N`
@@ -31,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod compress;
 pub mod experiments;
 pub mod locks;
 pub mod report;
@@ -71,11 +69,6 @@ pub fn default_scale(experiment: &str) -> usize {
         // closed-loop phase only needs enough data to exercise the
         // pool locks.
         "locks" => 4,
-        // Replica compression: the memory claim needs a ~1 M-triple
-        // base (60 universities ≈ 17 k triples each) so block and
-        // skip-table overheads are measured at a realistic run-length
-        // distribution, not on toy runs.
-        "compress" => 60,
         // WatDiv scales are ~2.5 k-triple units.
         "table3" => 40,
         "table4" => 20,

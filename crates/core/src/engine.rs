@@ -110,8 +110,8 @@ pub struct EngineConfig {
     /// smaller resident store. Default: `true`.
     pub compress_replicas: bool,
     /// Size threshold for [`EngineConfig::compress_replicas`]: replicas
-    /// below this many values always stay raw (short runs gain nothing
-    /// and the skip-table overhead would dominate). Default: 4096.
+    /// below this many values always stay raw (too small for the saving to
+    /// matter). Default: 4096.
     pub compress_min_values: usize,
 }
 

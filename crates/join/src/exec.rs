@@ -500,7 +500,7 @@ fn group_contains(group: &[Id], value: Id, stats: &mut SearchStats) -> bool {
 }
 
 /// [`group_contains`] over either value representation: binary search
-/// on raw groups, skip-table block pick + decoded-block scan on
+/// on raw groups, start compare plus early-exit delta prefix sum on
 /// block-compressed ones.
 #[inline]
 fn group_probe(group: Group<'_>, value: Id, stats: &mut SearchStats) -> bool {

@@ -47,12 +47,7 @@
 //! assert_eq!(so.num_triples(), 3);
 //! ```
 
-// `deny` rather than `forbid`: the block codec in `codec.rs` carries the
-// workspace's single audited `unsafe` exception (std::arch SIMD behind
-// runtime feature detection), opted in via a module-local
-// `#![allow(unsafe_code)]`. `cargo xtask lint` polices that the
-// exception never widens beyond that one file.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

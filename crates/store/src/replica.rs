@@ -21,8 +21,8 @@ use crate::idpos::IdPosIndex;
 enum ValuesRepr {
     /// Plain contiguous `u32` values (the seed representation).
     Raw(Vec<Id>),
-    /// Block-compressed encoding (frame-of-reference + bitpacked
-    /// deltas); see [`crate::codec`].
+    /// Block-compressed encoding (frame-of-reference run starts +
+    /// bitpacked deltas); see [`crate::codec`].
     Packed(PackedValues),
 }
 
@@ -69,8 +69,8 @@ impl<'a> Group<'a> {
         }
     }
 
-    /// Sorted membership probe: binary search on raw groups, skip-table
-    /// block pick plus a decoded-block scan on packed ones.
+    /// Sorted membership probe: binary search on raw groups, start
+    /// compare plus early-exit delta prefix sum on packed ones.
     #[inline]
     pub fn contains(&self, v: Id) -> bool {
         match self {
@@ -123,14 +123,11 @@ impl<'a> IntoIterator for Group<'a> {
 }
 
 /// Iterator over a [`Group`]'s values.
-// The packed variant embeds its 128-value decode buffer; boxing it
-// would trade one stack copy for a heap allocation per probed group.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum GroupIter<'a> {
     /// Raw-slice cursor.
     Raw(std::slice::Iter<'a, Id>),
-    /// Block-buffered packed-run cursor.
+    /// Streaming bit cursor over a packed run.
     Packed(PackedRunIter<'a>),
 }
 
@@ -783,6 +780,64 @@ mod tests {
         zip.build_idpos(64, 64);
         assert_eq!(zip.check_invariants(), Ok(()));
         assert_eq!(zip.group_for_key(11).to_vec(), raw.values_for_key(11));
+    }
+
+    /// `keys` singleton groups, or (when `mixed`) the LUBM-60 shape the
+    /// codec was sized on: 85 % singletons, short runs of 2–8 values,
+    /// and a few runs of a thousand dense ids.
+    fn shaped(keys: u32, mixed: bool) -> Replica {
+        let mut pairs = Vec::new();
+        for k in 0..keys {
+            let start = k * 5 + k.wrapping_mul(2654435761) % 997;
+            let len = match (mixed, k % 20, k % 5000) {
+                (false, _, _) | (true, 0..=16, 1..) => 1,
+                (true, _, 0) => 1000,
+                _ => 2 + k % 7,
+            };
+            pairs.extend((0..len).map(|j| (k, start + j * (1 + k % 3))));
+        }
+        ReplicaBuilder::from_sorted_unique(pairs)
+    }
+
+    /// The mechanism behind the probe speed-up is that a run costs no
+    /// stored header — only its values' bits plus a side-table entry per
+    /// 128 of them. A per-run header of even one byte breaks both
+    /// ceilings, whatever it does to any timing.
+    #[test]
+    #[cfg_attr(miri, ignore)] // 100 k keys are too slow interpreted
+    fn packed_bytes_per_value_stay_under_fixed_ceilings() {
+        for (mixed, ceiling) in [(false, 1.55), (true, 1.05)] {
+            let mut r = shaped(100_000, mixed);
+            assert!(r.compress(1));
+            let per_value = r.value_bytes() as f64 / r.num_triples() as f64;
+            assert!(per_value <= ceiling, "mixed={mixed}: {per_value:.3} bytes/value");
+        }
+    }
+
+    proptest::proptest! {
+        /// `compress` then `decompress` is the identity on arbitrary
+        /// replicas, and the packed form in between is logically equal.
+        #[test]
+        fn compress_decompress_roundtrips(
+            pairs in proptest::collection::vec((0u32..300, proptest::arbitrary::any::<u32>()), 0..600),
+            dense in proptest::collection::vec((300u32..310, 0u32..400), 0..600),
+        ) {
+            let mut b = ReplicaBuilder::new();
+            for (k, v) in pairs.into_iter().chain(dense) {
+                b.push(k, v);
+            }
+            let raw = b.finish();
+            let mut zip = raw.clone();
+            zip.compress(1);
+            proptest::prop_assert_eq!(zip.check_invariants(), Ok(()));
+            proptest::prop_assert_eq!(&zip, &raw);
+            for pos in 0..raw.num_keys() {
+                proptest::prop_assert_eq!(zip.group_at(pos).to_vec(), raw.values_at(pos));
+            }
+            zip.decompress();
+            proptest::prop_assert!(!zip.is_compressed());
+            proptest::prop_assert_eq!(zip.values(), raw.values());
+        }
     }
 
     #[test]

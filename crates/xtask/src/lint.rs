@@ -14,9 +14,9 @@
 //!    `Mutex`/`RwLock`/`Condvar` types in favour of the level-carrying
 //!    ordered wrappers.
 //! 3. `hot-path-no-panic` — the join hot path (executor, search, rows,
-//!    and the delta-store merge iterators it probes through) never
-//!    calls `unwrap`/`expect`/`panic!`-family macros; failures flow
-//!    through `ExecFailure`.
+//!    the delta-store merge iterators and the block codec it probes
+//!    through) never calls `unwrap`/`expect`/`panic!`-family macros;
+//!    failures flow through `ExecFailure`.
 //! 4. `dead-code-reason` — `#[allow(dead_code)]` requires an adjacent
 //!    comment saying why.
 //! 5. `generation-boundary` — the cache's store-generation protocol
@@ -24,12 +24,10 @@
 //!    `crates/cache` and `crates/core`; any other crate reading or
 //!    bumping it could serve stale answers past the invalidation
 //!    boundary.
-//! 6. `unsafe-confined` — `unsafe` and `std::arch` live only in the
-//!    audited SIMD codec module (`crates/store/src/codec.rs`), where
-//!    every `unsafe fn` is a `#[target_feature]` kernel and every
-//!    `unsafe {}` call site sits right after a runtime feature
-//!    detection check. The workspace stays `deny(unsafe_code)`
-//!    everywhere else.
+//! 6. `no-unsafe` — no `unsafe` and no `std::arch` anywhere under
+//!    `crates/`. Every crate is `forbid(unsafe_code)`; this rule keeps
+//!    an `allow` from quietly reopening the exception the SIMD codec
+//!    once held.
 
 use std::path::{Path, PathBuf};
 
@@ -363,12 +361,15 @@ pub fn check_no_raw_sync(rel: &Path, s: &Stripped, out: &mut Vec<Violation>) {
 /// Join hot-path files: per-row code where a panic would tear down a
 /// worker instead of producing an `ExecFailure`. The delta store's
 /// merge iterators qualify since PR 8: `_view` executor variants probe
-/// through them on every morsel.
-const HOT_PATH: [&str; 4] = [
+/// through them on every morsel. The block codec qualifies because
+/// compression is on by default: every group probe and scan of a
+/// packed replica runs through it.
+const HOT_PATH: [&str; 5] = [
     "crates/join/src/exec.rs",
     "crates/join/src/search.rs",
     "crates/join/src/rows.rs",
     "crates/store/src/delta.rs",
+    "crates/store/src/codec.rs",
 ];
 
 const PANICKY: [&str; 6] = [
@@ -464,18 +465,6 @@ pub fn check_generation_boundary(rel: &Path, s: &Stripped, out: &mut Vec<Violati
     }
 }
 
-/// The single file allowed to contain `unsafe` and `std::arch`: the
-/// block codec's SIMD kernels. Everything else in the workspace is
-/// `deny(unsafe_code)` and must stay that way.
-const UNSAFE_ALLOWED: &str = "crates/store/src/codec.rs";
-
-/// Runtime feature-detection macros that justify an intrinsic call.
-const DETECTION_MACROS: [&str; 2] = ["is_x86_feature_detected!", "is_aarch64_feature_detected!"];
-
-/// How many lines above an `unsafe {}` call site a detection macro
-/// still counts as guarding it (detection, SAFETY comment, call).
-const DETECT_LOOKBACK: usize = 4;
-
 /// True when `line` contains `unsafe` as a standalone keyword (not as a
 /// fragment of an identifier like `unsafe_code`).
 fn has_unsafe_keyword(line: &str) -> bool {
@@ -495,91 +484,27 @@ fn has_unsafe_keyword(line: &str) -> bool {
     false
 }
 
-/// Rule 6: `unsafe` / `std::arch` are confined to the codec module, and
-/// inside it every `unsafe fn` must be a `#[target_feature]` kernel and
-/// every `unsafe {}` call site must follow a runtime feature-detection
-/// check within the preceding few lines.
-pub fn check_unsafe_confined(rel: &Path, s: &Stripped, out: &mut Vec<Violation>) {
+/// Rule 6: no `unsafe` and no `std::arch` in non-test code.
+pub fn check_no_unsafe(rel: &Path, s: &Stripped, out: &mut Vec<Violation>) {
     // The linter names the tokens it bans.
     if rel.starts_with("crates/xtask") {
         return;
     }
-    let in_codec = rel.to_string_lossy() == UNSAFE_ALLOWED;
     for (ln, line) in s.code.iter().enumerate() {
         if s.in_test[ln] {
             continue;
         }
-        if !in_codec {
-            if has_unsafe_keyword(line) {
-                out.push(Violation {
-                    file: rel.to_path_buf(),
-                    line: ln + 1,
-                    rule: "unsafe-confined",
-                    msg: format!(
-                        "`unsafe` outside the audited SIMD codec module ({UNSAFE_ALLOWED}); \
-                         the workspace is deny(unsafe_code)"
-                    ),
-                });
-            }
-            for needle in ["std::arch", "core::arch"] {
-                if line.contains(needle) {
-                    out.push(Violation {
-                        file: rel.to_path_buf(),
-                        line: ln + 1,
-                        rule: "unsafe-confined",
-                        msg: format!(
-                            "`{needle}` outside the audited SIMD codec module ({UNSAFE_ALLOWED})"
-                        ),
-                    });
-                }
-            }
-            continue;
-        }
-        if !has_unsafe_keyword(line) {
-            continue;
-        }
-        if line.contains("unsafe fn") {
-            // Kernel definitions: must be `#[target_feature]`-gated so
-            // the compiler ties the intrinsics to the detected feature.
-            let lo = ln.saturating_sub(3);
-            let gated = (lo..ln).any(|k| s.code[k].contains("#[target_feature(enable"));
-            if !gated {
-                out.push(Violation {
-                    file: rel.to_path_buf(),
-                    line: ln + 1,
-                    rule: "unsafe-confined",
-                    msg: "`unsafe fn` in the codec module without a `#[target_feature(enable` \
-                          attribute in the preceding 3 lines"
-                        .into(),
-                });
-            }
-        } else if line.contains("unsafe {") {
-            // Call sites: runtime feature detection must sit right
-            // above (same `if` arm) so the kernel never runs on a
-            // machine that lacks the instruction set.
-            let lo = ln.saturating_sub(DETECT_LOOKBACK);
-            let detected =
-                (lo..=ln).any(|k| DETECTION_MACROS.iter().any(|m| s.code[k].contains(m)));
-            if !detected {
-                out.push(Violation {
-                    file: rel.to_path_buf(),
-                    line: ln + 1,
-                    rule: "unsafe-confined",
-                    msg: format!(
-                        "`unsafe {{}}` call site without a runtime feature-detection macro \
-                         within the preceding {DETECT_LOOKBACK} lines"
-                    ),
-                });
-            }
-        } else if !line.contains("allow(unsafe_code)") {
+        let found = if has_unsafe_keyword(line) {
+            Some("unsafe")
+        } else {
+            ["std::arch", "core::arch"].into_iter().find(|n| line.contains(n))
+        };
+        if let Some(needle) = found {
             out.push(Violation {
                 file: rel.to_path_buf(),
                 line: ln + 1,
-                rule: "unsafe-confined",
-                msg: "unexpected `unsafe` form in the codec module; only `#[target_feature]` \
-                      `unsafe fn` kernels and detection-guarded `unsafe {}` call sites are \
-                      allowed"
-                    .into(),
+                rule: "no-unsafe",
+                msg: format!("`{needle}` in the workspace; every crate is forbid(unsafe_code)"),
             });
         }
     }
@@ -594,7 +519,7 @@ pub fn check_file(rel: &Path, src: &str) -> Vec<Violation> {
     check_hot_path_no_panic(rel, &s, &mut out);
     check_dead_code_reason(rel, &s, &mut out);
     check_generation_boundary(rel, &s, &mut out);
-    check_unsafe_confined(rel, &s, &mut out);
+    check_no_unsafe(rel, &s, &mut out);
     out
 }
 
@@ -796,6 +721,16 @@ mod tests {
         );
         assert_eq!(delta.len(), 1, "{delta:?}");
         assert_eq!(delta[0].rule, "hot-path-no-panic");
+
+        // So is the block codec: with compression on by default every
+        // packed group probe runs through it. (`assert!` in `pack` is
+        // not a probe-path call and is not in the pattern set.)
+        let codec = check_file(
+            Path::new("crates/store/src/codec.rs"),
+            "fn f(b: &[u8]) -> [u8; 8] { b[..8].try_into().unwrap() }\nfn g(n: usize) { assert!(n > 0); }",
+        );
+        assert_eq!(codec.len(), 1, "{codec:?}");
+        assert_eq!((codec[0].rule, codec[0].line), ("hot-path-no-panic", 1));
     }
 
     #[test]
@@ -844,18 +779,18 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_is_confined_to_the_codec_module() {
-        // `unsafe` anywhere else is flagged, keyword-precisely: the
-        // `deny(unsafe_code)` attribute itself must not trip the rule.
-        let bad = check_file(
-            Path::new("crates/join/src/exec.rs"),
-            "fn f(p: *const u32) -> u32 { unsafe { *p } }",
-        );
-        assert!(bad.iter().any(|v| v.rule == "unsafe-confined"), "{bad:?}");
+    fn unsafe_is_flagged_everywhere() {
+        // Keyword-precisely: the `forbid(unsafe_code)` attribute itself
+        // must not trip the rule. The codec, once the audited
+        // exception, is held to it like any other file.
+        for file in ["crates/join/src/exec.rs", "crates/store/src/codec.rs"] {
+            let bad = check_file(Path::new(file), "fn f(p: *const u32) -> u32 { unsafe { *p } }");
+            assert!(bad.iter().any(|v| v.rule == "no-unsafe"), "{bad:?}");
+        }
 
         let attr = check_file(
             Path::new("crates/store/src/lib.rs"),
-            "#![deny(unsafe_code)]\nfn f() {}",
+            "#![forbid(unsafe_code)]\nfn f() {}",
         );
         assert!(attr.is_empty(), "{attr:?}");
 
@@ -863,44 +798,7 @@ mod tests {
             Path::new("crates/join/src/search.rs"),
             "fn f() { let _ = std::arch::is_x86_feature_detected!(\"sse2\"); }",
         );
-        assert!(arch.iter().any(|v| v.rule == "unsafe-confined"), "{arch:?}");
-    }
-
-    #[test]
-    fn codec_unsafe_needs_target_feature_and_detection() {
-        let codec = Path::new("crates/store/src/codec.rs");
-        // A properly gated kernel + detected call site is clean.
-        let good = check_file(
-            codec,
-            "#[cfg(target_arch = \"x86_64\")]\n\
-             #[target_feature(enable = \"sse2\")]\n\
-             unsafe fn kern(x: &mut [u32]) {}\n\
-             fn call(x: &mut [u32]) {\n\
-                 if is_x86_feature_detected!(\"sse2\") {\n\
-                     // SAFETY: sse2 verified above\n\
-                     unsafe { kern(x) };\n\
-                 }\n\
-             }\n",
-        );
-        assert!(good.is_empty(), "{good:?}");
-
-        // Kernel without #[target_feature] is flagged.
-        let bare_fn = check_file(codec, "unsafe fn kern(x: &mut [u32]) {}\n");
-        assert_eq!(bare_fn.len(), 1, "{bare_fn:?}");
-        assert_eq!(bare_fn[0].rule, "unsafe-confined");
-
-        // Call site without a nearby detection macro is flagged.
-        let bare_call = check_file(
-            codec,
-            "fn call(x: &mut [u32]) {\n    unsafe { kern(x) };\n}\n",
-        );
-        assert_eq!(bare_call.len(), 1, "{bare_call:?}");
-        assert_eq!(bare_call[0].rule, "unsafe-confined");
-        assert_eq!(bare_call[0].line, 2);
-
-        // Any other unsafe form (e.g. `unsafe impl`) is flagged too.
-        let other = check_file(codec, "unsafe impl Send for X {}\n");
-        assert_eq!(other.len(), 1, "{other:?}");
+        assert!(arch.iter().any(|v| v.rule == "no-unsafe"), "{arch:?}");
     }
 
     #[test]

@@ -432,6 +432,15 @@ fn compressed_replicas(store: &parj::TripleStore) -> usize {
         .count()
 }
 
+/// Value-area bytes across a store's partitions, as physically held.
+fn value_bytes(store: &parj::TripleStore) -> usize {
+    store
+        .partitions()
+        .iter()
+        .flat_map(|p| [parj::SortOrder::SO, parj::SortOrder::OS].map(|o| p.replica(o).value_bytes()))
+        .sum()
+}
+
 #[test]
 fn compressed_rows_identical_to_uncompressed_across_combos() {
     // Block compression is a physical-layout choice; the contract is
@@ -456,6 +465,13 @@ fn compressed_rows_identical_to_uncompressed_across_combos() {
     assert!(
         compressed_replicas(pooled.store()) > 0,
         "threshold 4 must compress some replicas"
+    );
+    // The codec's reason to exist: the value store — what it packs —
+    // at least halves, on the very stores whose rows are compared below.
+    let (raw_bytes, packed_bytes) = (value_bytes(raw.store()), value_bytes(pooled.store()));
+    assert!(
+        raw_bytes >= 2 * packed_bytes,
+        "value store {raw_bytes} -> {packed_bytes} bytes is below the 2x bar"
     );
 
     for q in lubm::queries() {
