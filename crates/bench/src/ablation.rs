@@ -16,10 +16,12 @@
 //!   shows the optimizer's sensitivity to statistics quality (§4.3
 //!   "estimates based on such histograms may not be accurate").
 
+use std::sync::Arc;
+
 use parj_core::{Parj, RunOverrides};
 use parj_datagen::lubm;
 use parj_join::{
-    execute_count_with, CalibrationResult, ExecOptions, ProbeStrategy, ThresholdTable,
+    execute_count, CalibrationResult, ExecOptions, ExecSource, ProbeStrategy, ThresholdTable,
 };
 use parj_optimizer::{optimize, Stats};
 use parj_store::{SortOrder, StoreBuilder, StoreOptions};
@@ -43,7 +45,7 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
 
     // ---- A1: adaptive window sweep -----------------------------------
     {
-        let store = lubm::generate_store(&cfg);
+        let store = Arc::new(lubm::generate_store(&cfg));
         let stats = Stats::build(&store);
         let mut engine_for_encoding = lubm_engine(args.scale, args.engine_config());
         // Optimize each query once (plans are window-independent).
@@ -66,7 +68,12 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
                 iterations_binary: 0,
                 iterations_index: 0,
             };
-            let thresholds = ThresholdTable::from_calibration(&store, &cal);
+            let thresholds = Arc::new(ThresholdTable::from_calibration(&store, &cal));
+            let src = ExecSource {
+                store: &store,
+                delta: None,
+                thresholds: &thresholds,
+            };
             let opts = ExecOptions::builder()
                 .strategy(ProbeStrategy::AdaptiveBinary)
                 .build()
@@ -77,7 +84,7 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
                 seq = 0;
                 bin = 0;
                 for plan in &plans {
-                    let (_, s) = execute_count_with(&store, plan, &opts, &thresholds).expect("runs");
+                    let (_, s) = execute_count(src, plan, &opts, None).expect("runs");
                     seq += s.sequential_searches;
                     bin += s.binary_searches;
                 }
@@ -104,11 +111,11 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
             lubm::generate(&cfg, |s, p, o| {
                 builder.add_term_triple(&s, &p, &o);
             });
-            let store = builder.build_with(StoreOptions {
+            let store = Arc::new(builder.build_with(StoreOptions {
                 build_idpos: true,
                 idpos_interval: interval,
                 ..StoreOptions::default()
-            });
+            }));
             let index_bytes: usize = store
                 .partitions()
                 .iter()
@@ -126,14 +133,22 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
                     optimize(&stats, &patterns, num_vars, vec![]).ok()
                 })
                 .collect();
-            let thresholds = ThresholdTable::from_calibration(&store, &CalibrationResult::paper_defaults());
+            let thresholds = Arc::new(ThresholdTable::from_calibration(
+                &store,
+                &CalibrationResult::paper_defaults(),
+            ));
+            let src = ExecSource {
+                store: &store,
+                delta: None,
+                thresholds: &thresholds,
+            };
             let opts = ExecOptions::builder()
                 .strategy(ProbeStrategy::AlwaysIndex)
                 .build()
                 .expect("valid options");
             let m = measure_ms(args.runs, || {
                 for plan in &plans {
-                    execute_count_with(&store, plan, &opts, &thresholds).expect("runs");
+                    execute_count(src, plan, &opts, None).expect("runs");
                 }
             });
             let mib = index_bytes as f64 / (1 << 20) as f64;

@@ -5,7 +5,7 @@ type Experiment = fn(&parj_bench::Args) -> (Vec<parj_bench::Table>, serde_json::
 
 fn main() {
     let base = parj_bench::Args::parse(0);
-    let experiments: [(&str, Experiment); 15] = [
+    let experiments: [(&str, Experiment); 14] = [
         ("table2", parj_bench::experiments::table2),
         ("table3", parj_bench::experiments::table3),
         ("table4", parj_bench::experiments::table4),
@@ -19,7 +19,6 @@ fn main() {
         ("cache_effect", parj_bench::experiments::cache_effect),
         ("delta", parj_bench::experiments::delta),
         ("serve", parj_bench::serve::serve),
-        ("pool", parj_bench::serve::pool),
         ("locks", parj_bench::locks::locks),
     ];
     for (name, f) in experiments {

@@ -16,7 +16,6 @@
 //! | `delta` | write throughput: `mutate()` delta batches vs rebuild-per-batch (not a paper artifact) |
 //! | `metrics_overhead` | observability-registry recording cost, on vs off (not a paper artifact) |
 //! | `serve` | closed-loop HTTP serving: qps/p50/p99 vs client count + overload (not a paper artifact) |
-//! | `pool` | persistent-pool vs spawn-per-query dispatch at 8 clients (not a paper artifact) |
 //! | `locks` | ordered-lock wrapper overhead guardrail + per-level lock-wait profile (not a paper artifact) |
 //! | `run_all`| everything above, with outputs under `results/` |
 //!
@@ -62,9 +61,6 @@ pub fn default_scale(experiment: &str) -> usize {
         // HTTP closed-loop serving sweep: a small store keeps the
         // per-request work bounded while clients stack up.
         "serve" => 4,
-        // Pool-vs-spawn dispatch on selective queries: same small
-        // store; per-request overhead is the measured quantity.
-        "pool" => 4,
         // Lock-overhead guardrail: the microbench dominates; the
         // closed-loop phase only needs enough data to exercise the
         // pool locks.

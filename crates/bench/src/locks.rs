@@ -11,11 +11,11 @@
 //!    change that accidentally puts clock reads or bookkeeping on the
 //!    uncontended fast path fails the run instead of shipping a
 //!    hot-path regression.
-//! 2. **Closed-loop pooled phase.** The selective-query pool workload
-//!    from the `pool` bench, run in-process on a pooled engine, then
-//!    the engine's own `parj_lock_wait_micros{level}` family is read
-//!    off the metrics snapshot — the same numbers an operator sees —
-//!    and reported per hierarchy level next to total wall time.
+//! 2. **Closed-loop pooled phase.** A selective-query workload run
+//!    in-process on a pooled engine, then the engine's own
+//!    `parj_lock_wait_micros{level}` family is read off the metrics
+//!    snapshot — the same numbers an operator sees — and reported per
+//!    hierarchy level next to total wall time.
 //!
 //! [`OrderedMutex`]: parj_sync::OrderedMutex
 
@@ -37,8 +37,8 @@ const MICRO_ITERS: usize = 2_000_000;
 /// shared runner only ever adds time).
 const MICRO_RUNS: usize = 3;
 
-/// Selective LUBM queries (mirrors the `pool` bench mix) and how many
-/// closed-loop passes to drive through the pooled engine.
+/// Selective LUBM queries and how many closed-loop passes to drive
+/// through the pooled engine.
 const QUERY_MIX: [&str; 4] = ["LUBM1", "LUBM4", "LUBM5", "LUBM6"];
 const MIX_PASSES: usize = 24;
 
@@ -127,12 +127,9 @@ pub fn locks(args: &Args) -> (Vec<Table>, serde_json::Value) {
     let mut cfg = args.engine_config();
     cfg.threads = 2;
     cfg.cache = false;
-    cfg.use_pool = true;
-    // Same tuning as the `pool` bench: small morsels and no
-    // small-query short-circuit keep the selective queries genuinely
+    // Small morsels keep the selective queries genuinely
     // multi-worker, i.e. actually contending on the pool locks.
     cfg.morsel_size = 64;
-    cfg.small_query_threshold = 0;
     let mut engine = lubm_engine(args.scale, cfg);
 
     let queries: Vec<_> = lubm::queries()

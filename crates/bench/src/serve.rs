@@ -11,10 +11,6 @@
 //!    cache bypass, verifying the load-shedding contract under
 //!    saturation: every request answers 200 or 429, and the in-flight
 //!    gauge drains to zero afterwards.
-//!
-//! A third entry point, [`pool`], reuses the same closed-loop harness
-//! to compare the engine's persistent worker pool against
-//! spawn-per-query dispatch on a selective-query mix.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -269,169 +265,6 @@ pub fn serve(args: &Args) -> (Vec<Table>, serde_json::Value) {
                 "inflight_after": inflight,
                 "leaked": report.leaked,
             },
-        }),
-    )
-}
-
-/// Selective LUBM queries (few-ms answers) for the pool dispatch bench:
-/// small enough that per-query thread churn is a visible fraction of
-/// the work.
-const POOL_MIX: [&str; 4] = ["LUBM1", "LUBM4", "LUBM5", "LUBM6"];
-
-/// Clients for the pool dispatch comparison (the ISSUE's 8-client
-/// closed loop).
-const POOL_CLIENTS: usize = 8;
-
-/// Scrapes one `parj_pool_*`/`parj_exec_*` counter off `/metrics`.
-fn scrape_counter(addr: SocketAddr, family: &str) -> Option<u64> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream
-        .write_all(b"GET /metrics HTTP/1.1\r\nHost: bench\r\n\r\n")
-        .ok()?;
-    let mut body = String::new();
-    let _ = stream.read_to_string(&mut body);
-    body.lines()
-        .find(|l| l.starts_with(family) && l.as_bytes().get(family.len()) == Some(&b' '))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-}
-
-/// Sums every labelled sample of `family` off `/metrics` (e.g.
-/// `parj_lock_wait_micros{level="pool_state"} 12`).
-fn scrape_labelled_sum(addr: SocketAddr, family: &str) -> u64 {
-    let Ok(mut stream) = TcpStream::connect(addr) else {
-        return 0;
-    };
-    if stream
-        .write_all(b"GET /metrics HTTP/1.1\r\nHost: bench\r\n\r\n")
-        .is_err()
-    {
-        return 0;
-    }
-    let mut body = String::new();
-    let _ = stream.read_to_string(&mut body);
-    body.lines()
-        .filter(|l| l.starts_with(family) && l.as_bytes().get(family.len()) == Some(&b'{'))
-        .filter_map(|l| l.rsplit(' ').next())
-        .filter_map(|v| v.parse::<u64>().ok())
-        .sum()
-}
-
-/// Pool dispatch benchmark: the same selective-query closed loop run
-/// twice — once against an engine whose queries submit to the
-/// persistent worker pool, once against one that spawns fresh scoped
-/// threads per query. Both engines use 2 worker threads per query, a
-/// small morsel size (so multi-worker dispatch actually engages on
-/// selective queries), and no cache, so the only difference is how
-/// worker threads are provisioned.
-pub fn pool(args: &Args) -> (Vec<Table>, serde_json::Value) {
-    let queries = lubm::queries();
-    let paths: Vec<String> = queries
-        .iter()
-        .filter(|q| POOL_MIX.contains(&q.name.as_str()))
-        .map(|q| format!("/sparql?query={}", urlencode(&q.sparql)))
-        .collect();
-    assert_eq!(paths.len(), POOL_MIX.len(), "pool mix names must resolve");
-
-    let mut table = Table::new(
-        format!(
-            "Pool dispatch — {POOL_CLIENTS} clients × {} selective LUBM queries (U={}, \
-             2 threads/query, morsel size 64, cache off)",
-            REQUESTS_PER_CLIENT, args.scale
-        ),
-        &["qps", "p50 (ms)", "p99 (ms)", "pool jobs", "helper joins", "lock wait (µs)"],
-    );
-
-    let mut rows = serde_json::Map::new();
-    let mut qps_by_mode = [0.0f64; 2];
-    for (i, pooled) in [true, false].into_iter().enumerate() {
-        let mut cfg = args.engine_config();
-        cfg.threads = 2;
-        cfg.cache = false;
-        cfg.use_pool = pooled;
-        // Selective queries have small driver domains: a small morsel
-        // and a zero small-query threshold keep both dispatch paths
-        // genuinely multi-worker instead of collapsing to inline
-        // single-thread runs.
-        cfg.morsel_size = 64;
-        cfg.small_query_threshold = 0;
-        let engine = Arc::new(SharedParj::new(lubm_engine(args.scale, cfg)));
-        let mut server = ParjServer::spawn(
-            Arc::clone(&engine),
-            ServerConfig {
-                permits: POOL_CLIENTS,
-                max_connections: 4 * POOL_CLIENTS,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind ephemeral bench port");
-        let addr = server.addr();
-        for p in &paths {
-            assert_eq!(http_get(addr, p), 200, "warm-up must succeed");
-        }
-        let (qps, p50, p99, statuses) = run_clients(addr, POOL_CLIENTS, &paths);
-        assert!(statuses.iter().all(|&s| s == 200), "pool bench never sheds");
-        let jobs = scrape_counter(addr, "parj_pool_jobs_total").unwrap_or(0);
-        let helper_joins = scrape_counter(addr, "parj_pool_helper_joins_total").unwrap_or(0);
-        // Cross-level sum of parj_lock_wait_micros{level}: the ordered
-        // wrappers' contention, observed through the same exposition an
-        // operator would scrape (the `locks` bench breaks it down).
-        let lock_wait = scrape_labelled_sum(addr, "parj_lock_wait_micros");
-        let report = server.shutdown();
-        assert_eq!(report.leaked, 0, "bench server must drain clean");
-        if pooled {
-            assert!(jobs > 0, "pooled mode must actually submit pool jobs");
-        }
-        qps_by_mode[i] = qps;
-        table.row(
-            if pooled { "pooled" } else { "spawn-per-query" },
-            vec![
-                format!("{qps:.0}"),
-                fmt_ms(p50),
-                fmt_ms(p99),
-                jobs.to_string(),
-                helper_joins.to_string(),
-                lock_wait.to_string(),
-            ],
-        );
-        rows.insert(
-            if pooled { "pooled" } else { "spawn" }.to_string(),
-            json!({
-                "qps": qps, "p50_ms": p50, "p99_ms": p99,
-                "requests": POOL_CLIENTS * REQUESTS_PER_CLIENT,
-                "pool_jobs": jobs, "helper_joins": helper_joins,
-                "lock_wait_micros": lock_wait,
-            }),
-        );
-    }
-    let speedup = qps_by_mode[0] / qps_by_mode[1].max(f64::MIN_POSITIVE);
-    table.row("speedup (pooled/spawn)", vec![
-        format!("{speedup:.2}x"),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-    ]);
-
-    (
-        vec![table],
-        json!({
-            "experiment": "pool", "dataset": "lubm", "scale": args.scale,
-            "clients": POOL_CLIENTS,
-            "requests_per_client": REQUESTS_PER_CLIENT,
-            "query_mix": POOL_MIX,
-            "threads_per_query": 2,
-            "morsel_size": 64,
-            "modes": serde_json::Value::Object(rows),
-            "qps_speedup_pooled_over_spawn": speedup,
-            "hardware_note": format!(
-                "run on a {}-core host; the paper-shaped ≥2x pooled-dispatch gain \
-                 needs a multicore machine where spawn-per-query thread churn \
-                 contends with query work — on a single-CPU container the two \
-                 modes converge",
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            ),
         }),
     )
 }

@@ -81,8 +81,6 @@ FLAGS:
   --threads N      worker threads per query (default: all cores)
   --morsel-size N  driver keys per work morsel pulled by each worker
                    (default 16384; results are identical at any value)
-  --no-pool        spawn fresh query threads instead of using the
-                   engine's persistent worker pool
   --stats          print a per-query EXPLAIN ANALYZE report to stderr
                    (query/count): annotated plan, phase timings, search mix
   --prometheus     (stats) expose the metrics registry as Prometheus text
@@ -123,7 +121,6 @@ struct Cli {
     positional: Vec<String>,
     threads: Option<usize>,
     morsel_size: Option<usize>,
-    no_pool: bool,
     load_threads: Option<usize>,
     strategy: Option<ProbeStrategy>,
     reasoning: bool,
@@ -150,7 +147,6 @@ fn parse_cli() -> Result<Cli, String> {
         positional: Vec::new(),
         threads: None,
         morsel_size: None,
-        no_pool: false,
         load_threads: None,
         strategy: None,
         reasoning: false,
@@ -191,7 +187,6 @@ fn parse_cli() -> Result<Cli, String> {
                 }
                 cli.morsel_size = Some(n);
             }
-            "--no-pool" => cli.no_pool = true,
             "--load-threads" => {
                 cli.load_threads = Some(
                     it.next()
@@ -310,9 +305,6 @@ impl Cli {
         if let Some(m) = self.morsel_size {
             cfg.morsel_size = m;
         }
-        if self.no_pool {
-            cfg.use_pool = false;
-        }
         if let Some(t) = self.load_threads {
             cfg.load_threads = t.max(1);
         }
@@ -428,7 +420,15 @@ fn run() -> Result<(), Failure> {
                     println!("{}", engine.explain(&query).map_err(fail)?);
                 }
                 "profile" => {
-                    println!("{}", engine.profile(&query).map_err(fail)?);
+                    // EXPLAIN ANALYZE of a real single-threaded run.
+                    let out = engine
+                        .request(&query)
+                        .threads(1)
+                        .explain(true)
+                        .count_only()
+                        .run()
+                        .map_err(fail)?;
+                    println!("{}", out.profile.unwrap_or_default());
                 }
                 "count" => {
                     let mut req = engine.request(&query).count_only().explain(cli.show_stats);

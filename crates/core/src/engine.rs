@@ -7,10 +7,9 @@ use parj_sync::Arc;
 
 use parj_dict::{DictView, Id, Term};
 use parj_join::{
-    calibrate, execute_pooled_view, execute_view, CalibrationConfig, CalibrationResult,
-    CancelToken, CollectSink, CountSink, ExecFailure, ExecFailureKind, ExecOptions, PhysicalPlan,
-    ProbeStrategy, QueryGuard, RowBatch, SearchStats, ThresholdTable, WorkerPool,
-    DEFAULT_MORSEL_SIZE,
+    calibrate, execute, CalibrationConfig, CalibrationResult, CancelToken, CollectSink, CountSink,
+    ExecFailure, ExecFailureKind, ExecOptions, ExecSource, PhysicalPlan, ProbeStrategy, QueryGuard,
+    RowBatch, SearchStats, ThresholdTable, WorkerPool, DEFAULT_MORSEL_SIZE,
 };
 use parj_cache::{CachedResult, PlanEntry, QueryCache, ResultEntry};
 use parj_obs::{CacheKind, EngineMetrics, MetricsSnapshot, QueryOutcomeClass, QueryPhase, SearchTotals};
@@ -23,15 +22,19 @@ use crate::error::ParjError;
 use crate::fingerprint::{canonicalize_query, query_fingerprint};
 use crate::hierarchy::Hierarchy;
 use crate::request::{QueryOutcome, RunMode, RunSpec};
-use crate::result::{CacheStatus, PhaseTimings, QueryResult, QueryRunStats};
+use crate::result::{CacheStatus, PhaseTimings, QueryRunStats};
 use crate::translate::{translate, Translation};
 
 /// Engine configuration (fixed at build; per-query aspects can be
 /// overridden with [`RunOverrides`]).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Worker threads per query. The paper's optimum was 2× physical
-    /// cores (hyper-threading); default: `available_parallelism`.
+    /// Worker threads per query, and the engine's parallelism ceiling:
+    /// the engine owns a pool of `threads − 1` workers that join the
+    /// submitting thread, so a request can lower the count for its run
+    /// ([`RunOverrides::threads`]) but never seat more participants
+    /// than this. The paper's optimum was 2× physical cores
+    /// (hyper-threading); default: `available_parallelism`.
     pub threads: usize,
     /// Worker threads for bulk loads (chunked parsing + sharded
     /// dictionary encode + pair routing). The loaded dictionary and
@@ -43,10 +46,10 @@ pub struct EngineConfig {
     /// cursor. Smaller morsels smooth skew at slightly higher cursor
     /// traffic. Default: [`DEFAULT_MORSEL_SIZE`].
     pub morsel_size: usize,
-    /// Dispatch multi-threaded queries onto the engine-owned persistent
-    /// [`WorkerPool`] instead of spawning scoped threads per query.
-    /// Results are identical either way; the pool removes per-query
-    /// thread churn (§5.2.3's spawn overhead). Default: `true`.
+    /// Own a persistent [`WorkerPool`] whose workers join multi-morsel
+    /// queries. `false`: the engine owns no pool and every query runs
+    /// on the calling thread, whatever `threads` says. Results are
+    /// identical either way. Default: `true`.
     pub use_pool: bool,
     /// Probe strategy; PARJ's default is the adaptive binary/sequential
     /// switch of Algorithm 1.
@@ -66,11 +69,6 @@ pub struct EngineConfig {
     /// unioning partitions during the pipelined execution — the paper's
     /// §6 extension. Results are deduplicated to entailment semantics.
     pub reasoning: bool,
-    /// Run plans whose driver domain is below this many entries on a
-    /// single thread, regardless of the configured thread count — the
-    /// §3-suggested extension "such that very simple and selective
-    /// queries could be executed with fewer resources". `0` disables.
-    pub small_query_threshold: usize,
     /// Wall-clock deadline applied to every query (measured from the
     /// start of the run, covering prepare + execution). `None` means
     /// unlimited. Per-run [`RunOverrides::timeout`] wins when set.
@@ -128,7 +126,6 @@ impl Default for EngineConfig {
             calibration: CalibrationConfig::default(),
             histogram_buckets: 64,
             reasoning: false,
-            small_query_threshold: 2048,
             timeout: None,
             max_result_rows: None,
             record_metrics: true,
@@ -182,25 +179,6 @@ impl ParjBuilder {
         self
     }
 
-    /// Dispatch multi-threaded queries on the persistent worker pool
-    /// (see [`EngineConfig::use_pool`]).
-    pub fn use_pool(mut self, on: bool) -> Self {
-        self.config.use_pool = on;
-        self
-    }
-
-    /// Driver shards per thread (legacy knob). Static sharding was
-    /// replaced by morsel-driven dispatch; `n` shards per thread map
-    /// onto a morsel size of `DEFAULT_MORSEL_SIZE / n` (floored at 1).
-    #[deprecated(
-        since = "0.1.0",
-        note = "static sharding was replaced by morsel-driven dispatch; use `morsel_size`"
-    )]
-    pub fn shards_per_thread(mut self, n: usize) -> Self {
-        self.config.morsel_size = (DEFAULT_MORSEL_SIZE / n.max(1)).max(1);
-        self
-    }
-
     /// Probe strategy.
     pub fn strategy(mut self, s: ProbeStrategy) -> Self {
         self.config.strategy = s;
@@ -234,13 +212,6 @@ impl ParjBuilder {
     /// Histogram resolution.
     pub fn histogram_buckets(mut self, buckets: usize) -> Self {
         self.config.histogram_buckets = buckets.max(1);
-        self
-    }
-
-    /// Driver-domain size below which plans run single-threaded (0
-    /// disables the heuristic).
-    pub fn small_query_threshold(mut self, entries: usize) -> Self {
-        self.config.small_query_threshold = entries;
         self
     }
 
@@ -328,7 +299,8 @@ impl ParjBuilder {
 /// cancellation token).
 #[derive(Debug, Default, Clone)]
 pub struct RunOverrides {
-    /// Override worker threads.
+    /// Override worker threads. [`EngineConfig::threads`] is the
+    /// ceiling: a larger value seats no extra participants.
     pub threads: Option<usize>,
     /// Override the driver morsel size (load-balancing granularity).
     pub morsel_size: Option<usize>,
@@ -341,7 +313,7 @@ pub struct RunOverrides {
     /// [`EngineConfig::max_result_rows`]).
     pub max_rows: Option<u64>,
     /// Cancellation token polled by the workers of this run; trip it
-    /// from any thread to stop the query. See [`Parj::query_handle`].
+    /// from any thread to stop the query.
     pub cancel: Option<CancelToken>,
 }
 
@@ -407,9 +379,9 @@ impl RunOverrides {
 /// (`None` when a constant is absent and the result is trivially empty).
 type Prepared = Option<(crate::translate::TranslatedQuery, Vec<PhysicalPlan>)>;
 
-/// Finalized query-ready state. Store and thresholds live behind
-/// `Arc`s so pooled execution can hand `'static` clones to persistent
-/// workers; borrow-based callers are unaffected (auto-deref).
+/// Finalized query-ready state. Store, delta and thresholds live
+/// behind `Arc`s so multi-morsel runs can hand `'static` clones to the
+/// pool's workers; inline runs only borrow them.
 struct Ready {
     store: Arc<TripleStore>,
     /// Pending mutations since the last full rebuild: per-predicate
@@ -444,10 +416,14 @@ impl Ready {
         DictView::with_delta(self.store.dict(), self.delta.dict())
     }
 
-    /// The delta to thread into the executor, or `None` when clean (the
-    /// clean path is byte-for-byte the pre-delta executor).
-    fn exec_delta(&self) -> Option<&Arc<DeltaOverlay>> {
-        (!self.delta.is_clean()).then_some(&self.delta)
+    /// What the executor probes: the delta is threaded in only when
+    /// dirty (the clean path is byte-for-byte the pre-delta executor).
+    fn exec_source(&self) -> ExecSource<'_> {
+        ExecSource {
+            store: &self.store,
+            delta: (!self.delta.is_clean()).then_some(&self.delta),
+            thresholds: &self.thresholds,
+        }
     }
 
     /// Triples visible to queries (base adjusted by the delta).
@@ -470,8 +446,8 @@ pub struct Parj {
     /// Persistent worker pool for morsel dispatch, created once per
     /// engine when [`EngineConfig::use_pool`] is on and more than one
     /// thread is configured. Workers park between queries and are
-    /// joined when the engine (and any outstanding handles) drops.
-    pool: Option<Arc<WorkerPool>>,
+    /// joined when the engine drops.
+    pool: Option<WorkerPool>,
 }
 
 impl Parj {
@@ -488,25 +464,6 @@ impl Parj {
     /// The active configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Adds one triple. On a staged engine this appends to the loading
-    /// builder; on a finalized engine it is now a shim over
-    /// [`Parj::mutate`] — the triple lands in the mutation delta and is
-    /// visible to the next query without a store rebuild.
-    #[deprecated(note = "use `engine.mutate().insert(s, p, o).run()`")]
-    pub fn add_triple(&mut self, s: &Term, p: &Term, o: &Term) {
-        if let Some(staged) = self.staged.as_mut() {
-            staged.add_term_triple(s, p, o);
-        } else {
-            // Inserts into a finalized engine cannot fail (the only
-            // mutate errors are executor-level); keep the historic
-            // infallible signature.
-            let _ = self
-                .mutate()
-                .insert(s.clone(), p.clone(), o.clone())
-                .run();
-        }
     }
 
     /// Parses and loads N-Triples text; returns the number of statements
@@ -873,78 +830,46 @@ impl Parj {
             .map_err(|e| ParjError::InvalidOptions(e.to_string()))
     }
 
-    /// §3's small-query extension: a plan driving a tiny domain runs on
-    /// one thread; the thread-spawn overhead the paper discusses in
-    /// §5.2.3 would otherwise dominate it.
-    fn opts_for_plan(
-        config: &EngineConfig,
-        ready: &Ready,
-        base: &ExecOptions,
-        explicit_threads: bool,
-        plan: &PhysicalPlan,
-    ) -> ExecOptions {
-        // An explicit per-run thread override (benchmark sweeps) always
-        // wins over the heuristic.
-        if !explicit_threads
-            && config.small_query_threshold > 0
-            && base.threads > 1
-            && parj_join::driver_domain_view(
-                &ready.store,
-                ready.exec_delta().map(|d| d.as_ref()),
-                plan,
-                base,
-            ) < config.small_query_threshold
-        {
-            ExecOptions {
-                threads: 1,
-                ..base.clone()
-            }
-        } else {
-            base.clone()
-        }
+    /// The executed plan(s) as text, one block per union expansion.
+    fn plan_text(plans: &[PhysicalPlan]) -> String {
+        plans
+            .iter()
+            .map(PhysicalPlan::explain)
+            .collect::<Vec<_>>()
+            .join("\n---\n")
     }
 
-    /// Dispatches one plan: multi-threaded runs go to the persistent
-    /// pool when the engine owns one (no per-query thread churn);
-    /// single-threaded runs and pool-less engines use the scoped
-    /// executor. Both paths produce byte-identical morsel-ordered
-    /// results.
-    fn exec_plan<S, F>(
-        pool: Option<&Arc<WorkerPool>>,
+    /// Runs every plan of one request through the executor — the one
+    /// dispatch point of the engine. Each plan's morsel-ordered sinks
+    /// go to `consume` as soon as that plan finishes; a failure stops
+    /// the run and carries the partial progress made so far. Returns
+    /// the merged search counters and the execution wall time.
+    fn run_plans<S>(
+        &self,
         ready: &Ready,
-        plan: &PhysicalPlan,
+        plans: &[PhysicalPlan],
         opts: &ExecOptions,
-        factory: F,
-    ) -> parj_join::ExecResult<(Vec<S>, SearchStats)>
+        phases: PhaseTimings,
+        factory: fn() -> S,
+        mut consume: impl FnMut(usize, Vec<S>),
+    ) -> Result<(SearchStats, u64), ParjError>
     where
         S: parj_join::Sink + Send + 'static,
-        F: Fn() -> S + Send + Sync + 'static,
     {
-        match pool {
-            Some(pool) if opts.threads > 1 => {
-                // The plan is tiny (a few steps + projection); cloning
-                // it into an Arc is what lets pool workers outlive the
-                // borrow without unsafe.
-                let plan = Arc::new(plan.clone());
-                execute_pooled_view(
-                    pool,
-                    &ready.store,
-                    ready.exec_delta(),
-                    &plan,
-                    opts,
-                    &ready.thresholds,
-                    factory,
-                )
+        let started = Instant::now();
+        let mut search = SearchStats::default();
+        for (idx, plan) in plans.iter().enumerate() {
+            match execute(ready.exec_source(), plan, opts, self.pool.as_ref(), factory) {
+                Ok((sinks, s)) => {
+                    search.merge(&s);
+                    consume(idx, sinks);
+                }
+                Err(failure) => {
+                    return Err(Self::failure_to_error(*failure, phases, started, search, plans));
+                }
             }
-            _ => execute_view(
-                &ready.store,
-                ready.exec_delta().map(|d| d.as_ref()),
-                plan,
-                opts,
-                &ready.thresholds,
-                factory,
-            ),
         }
+        Ok((search, started.elapsed().as_micros() as u64))
     }
 
     /// Folds an executor failure into a [`ParjError`] carrying
@@ -964,11 +889,7 @@ impl Parj {
             decode_micros: 0,
             search,
             rows: failure.rows,
-            plan: plans
-                .iter()
-                .map(PhysicalPlan::explain)
-                .collect::<Vec<_>>()
-                .join("\n---\n"),
+            plan: Self::plan_text(plans),
             cache: CacheStatus::Off,
         });
         match failure.kind {
@@ -984,29 +905,6 @@ impl Parj {
         }
     }
 
-    /// Creates a cancellation handle for a query run: a token another
-    /// thread can trip, plus overrides already carrying it.
-    ///
-    /// ```no_run
-    /// # let mut engine = parj_core::Parj::new();
-    /// let (token, over) = engine.query_handle();
-    /// std::thread::spawn(move || token.cancel());
-    /// let run = engine
-    ///     .request("SELECT ?s WHERE { ?s ?p ?o }")
-    ///     .overrides(&over)
-    ///     .count_only()
-    ///     .run();
-    /// match run {
-    ///     Err(parj_core::ParjError::Cancelled { .. }) => {}
-    ///     other => println!("finished first: {other:?}"),
-    /// }
-    /// ```
-    pub fn query_handle(&self) -> (CancelToken, RunOverrides) {
-        let token = CancelToken::new();
-        let over = RunOverrides::default().with_cancel(token.clone());
-        (token, over)
-    }
-
     /// Parses, translates and optimizes `query` against finalized state;
     /// returns the plans (one per union expansion), translation
     /// metadata, and per-phase wall timings.
@@ -1014,8 +912,8 @@ impl Parj {
     /// `canonical` applies the cache's variable/pattern
     /// canonicalization before optimizing — passed as
     /// [`EngineConfig::cache`] by the introspection entry points so
-    /// [`Parj::explain`]/[`Parj::profile`] render exactly the plans the
-    /// cached request path executes. With caching off nothing is
+    /// [`Parj::explain`] renders exactly the plans the cached request
+    /// path executes. With caching off nothing is
     /// renumbered and the output is identical to previous releases.
     fn prepare_on(
         ready: &Ready,
@@ -1451,140 +1349,103 @@ impl Parj {
                 built
             }
         };
-        let names = tq.proj_names.clone();
-        let limit = tq.limit;
-        let prepare_micros = phases.total();
-        let explicit_threads = over.threads.is_some();
-        let mut outcome = if silent {
-            // Silent mode (the paper's primary measurement): count
-            // without materialization.
-            let offset = tq.offset.unwrap_or(0) as u64;
-            let t1 = Instant::now();
+        // Execute. Silent mode (the paper's primary measurement) counts
+        // without materialization; every other shape collects id rows
+        // and post-processes them. Both are the cache's pre-decode
+        // representation of the answer.
+        let (value, search, exec_micros, mut decode_micros) = if silent {
             let mut count = 0u64;
-            let mut search = SearchStats::default();
-            for plan in plans.iter() {
-                let plan_opts =
-                    Self::opts_for_plan(&self.config, ready, &opts, explicit_threads, plan);
-                let (sinks, s) = match Self::exec_plan(
-                    self.pool.as_ref(),
-                    ready,
-                    plan,
-                    &plan_opts,
-                    CountSink::default,
-                ) {
-                    Ok(r) => r,
-                    Err(failure) => {
-                        return Err(Self::failure_to_error(
-                            *failure,
-                            phases,
-                            t1,
-                            std::mem::take(&mut search),
-                            &plans,
-                        ));
-                    }
-                };
-                count += sinks.iter().map(|s| s.count).sum::<u64>();
-                search.merge(&s);
-            }
-            let exec_micros = t1.elapsed().as_micros() as u64;
+            let (search, exec_micros) =
+                self.run_plans(ready, &plans, &opts, phases, CountSink::default, |_, sinks| {
+                    count += sinks.iter().map(|s| s.count).sum::<u64>();
+                })?;
             // OFFSET/LIMIT arithmetic (ordering does not change a count;
             // this mirrors the materializing path's `drop_front` +
             // `truncate`, so both modes report the same count).
-            count = count.saturating_sub(offset);
-            if let Some(l) = limit {
+            count = count.saturating_sub(tq.offset.unwrap_or(0) as u64);
+            if let Some(l) = tq.limit {
                 count = count.min(l as u64);
             }
-            if let Some(fp) = &fingerprint {
-                let entry = ResultEntry {
-                    value: CachedResult::Count(count),
-                    exec_micros,
-                };
-                let cost = entry.cost();
-                let key = Self::result_key(fp, true, tq.limit, tq.offset);
-                let evicted = self.cache.results().insert(key, entry, cost, generation, epoch_sum);
-                if let Some(m) = metrics {
-                    m.record_cache_evictions(CacheKind::Result, evicted);
-                    m.set_cache_resident(CacheKind::Result, self.cache.results().resident_bytes());
-                }
-            }
-            QueryOutcome {
-                vars: names,
-                count,
-                rows: None,
-                ids: None,
-                stats: QueryRunStats {
-                    prepare_micros,
-                    phases,
-                    exec_micros,
-                    decode_micros: 0,
-                    search,
-                    rows: count,
-                    plan: plans
-                        .iter()
-                        .map(PhysicalPlan::explain)
-                        .collect::<Vec<_>>()
-                        .join("\n---\n"),
-                    cache: cache_status,
-                },
-                profile: None,
-            }
+            (CachedResult::Count(count), search, exec_micros, 0)
         } else {
-            let (batch, mut stats) = Self::run_ids_on(
-                &self.config,
-                self.pool.as_ref(),
-                ready,
-                opts,
-                explicit_threads,
-                &tq,
-                &plans,
-                phases,
-            )?;
-            stats.cache = cache_status;
-            let count = batch.len() as u64;
+            // Full-width plans (hierarchy dedup / ORDER BY a
+            // non-projected variable) carry every binding.
+            let arity = if tq.full_rows {
+                tq.num_vars
+            } else {
+                tq.projection.len()
+            };
+            // Rows grouped per UNION branch: hierarchy dedup must not
+            // merge duplicate solutions coming from *different*
+            // branches (those are legitimate SPARQL multiset results).
+            // Worker sink buffers are already flat and row-aligned;
+            // they are concatenated into per-branch batches wholesale,
+            // never exploded per row.
+            let n_branches = tq.set_branch.iter().copied().max().map_or(1, |m| m + 1);
+            let mut branch_rows: Vec<RowBatch> =
+                (0..n_branches).map(|_| RowBatch::new(arity)).collect();
+            let (search, exec_micros) =
+                self.run_plans(ready, &plans, &opts, phases, CollectSink::default, |idx, sinks| {
+                    let rows = &mut branch_rows[tq.set_branch.get(idx).copied().unwrap_or(0)];
+                    for sink in &sinks {
+                        if arity == 0 {
+                            // Zero-arity plans (`ASK`-style bodies)
+                            // produce no id payload; carry the match
+                            // count explicitly so offset/limit/count
+                            // see the real row total.
+                            rows.extend_rows(sink.rows as usize);
+                        } else {
+                            rows.extend_flat(&sink.data);
+                        }
+                    }
+                })?;
+            let t = Instant::now();
+            let batch = Self::shape_rows(ready, &tq, branch_rows)?;
             // Both `ids` and `rows` requests decode from the same
             // id-row entry, so the batch is shared with the cache.
-            let batch = Arc::new(batch);
-            if let Some(fp) = &fingerprint {
-                let entry = ResultEntry {
-                    value: CachedResult::Rows(Arc::clone(&batch)),
-                    exec_micros: stats.exec_micros,
-                };
-                let cost = entry.cost();
-                let key = Self::result_key(fp, false, tq.limit, tq.offset);
-                let evicted = self.cache.results().insert(key, entry, cost, generation, epoch_sum);
-                if let Some(m) = metrics {
-                    m.record_cache_evictions(CacheKind::Result, evicted);
-                    m.set_cache_resident(CacheKind::Result, self.cache.results().resident_bytes());
-                }
-            }
-            let (rows, ids) = match spec.mode {
-                RunMode::Count => (None, None),
-                RunMode::Ids => (None, Some(batch.rows().map(<[Id]>::to_vec).collect())),
-                RunMode::Rows => {
-                    // Full result handling: decode ids to terms.
-                    let t2 = Instant::now();
-                    let rows = Self::decode_batch(ready, &batch)?;
-                    stats.decode_micros += t2.elapsed().as_micros() as u64;
-                    (Some(rows), None)
-                }
-            };
-            QueryOutcome {
-                vars: names,
-                count,
-                rows,
-                ids,
-                stats,
-                profile: None,
-            }
+            let value = CachedResult::Rows(Arc::new(batch));
+            (value, search, exec_micros, t.elapsed().as_micros() as u64)
         };
-        if spec.explain {
+        if let Some(fp) = &fingerprint {
+            let entry = ResultEntry {
+                value: value.clone(),
+                exec_micros,
+            };
+            let cost = entry.cost();
+            let key = Self::result_key(fp, silent, tq.limit, tq.offset);
+            let evicted = self.cache.results().insert(key, entry, cost, generation, epoch_sum);
+            if let Some(m) = metrics {
+                m.record_cache_evictions(CacheKind::Result, evicted);
+                m.set_cache_resident(CacheKind::Result, self.cache.results().resident_bytes());
+            }
+        }
+        let t = Instant::now();
+        let (count, rows, ids) = Self::shape_outcome(ready, spec.mode, &value)?;
+        decode_micros += t.elapsed().as_micros() as u64;
+        let profile = spec.explain.then(|| {
             let profiles = recorder
                 .as_ref()
                 .and_then(|r| r.profiles.as_ref())
                 .map_or_else(Vec::new, |p| std::mem::take(&mut p.lock()));
-            outcome.profile = Some(Self::render_annotated(&plans, &profiles));
-        }
-        Ok(outcome)
+            Self::render_annotated(&plans, &profiles)
+        });
+        Ok(QueryOutcome {
+            vars: tq.proj_names,
+            count,
+            rows,
+            ids,
+            stats: QueryRunStats {
+                prepare_micros: phases.total(),
+                phases,
+                exec_micros,
+                decode_micros,
+                search,
+                rows: count,
+                plan: Self::plan_text(&plans),
+                cache: cache_status,
+            },
+            profile,
+        })
     }
 
     /// Cache key for a finished result: the query fingerprint plus the
@@ -1622,17 +1483,7 @@ impl Parj {
         phases: PhaseTimings,
     ) -> Result<QueryOutcome, ParjError> {
         let t = Instant::now();
-        let (count, rows, ids) = match &entry.value {
-            CachedResult::Count(n) => (*n, None, None),
-            CachedResult::Rows(batch) => {
-                let count = batch.len() as u64;
-                match mode {
-                    RunMode::Count => (count, None, None),
-                    RunMode::Ids => (count, None, Some(batch.rows().map(<[Id]>::to_vec).collect())),
-                    RunMode::Rows => (count, Some(Self::decode_batch(ready, batch)?), None),
-                }
-            }
-        };
+        let (count, rows, ids) = Self::shape_outcome(ready, mode, &entry.value)?;
         let decode_micros = t.elapsed().as_micros() as u64;
         Ok(QueryOutcome {
             vars: tq.proj_names.clone(),
@@ -1650,6 +1501,28 @@ impl Parj {
                 cache: CacheStatus::ResultHit,
             },
             profile: None,
+        })
+    }
+
+    /// The caller-facing shape of an answer: the count, plus decoded
+    /// term rows or copied id rows when the request asked for them.
+    #[allow(clippy::type_complexity)]
+    fn shape_outcome(
+        ready: &Ready,
+        mode: RunMode,
+        value: &CachedResult,
+    ) -> Result<(u64, Option<Vec<Vec<Term>>>, Option<Vec<Vec<Id>>>), ParjError> {
+        Ok(match value {
+            CachedResult::Count(n) => (*n, None, None),
+            CachedResult::Rows(batch) => {
+                let count = batch.len() as u64;
+                match mode {
+                    RunMode::Count => (count, None, None),
+                    RunMode::Ids => (count, None, Some(batch.rows().map(<[Id]>::to_vec).collect())),
+                    // Full result handling: decode ids to terms.
+                    RunMode::Rows => (count, Some(Self::decode_batch(ready, batch)?), None),
+                }
+            }
         })
     }
 
@@ -1674,100 +1547,14 @@ impl Parj {
         Ok(rows)
     }
 
-    /// Silent-mode execution (the paper's primary measurement): count
-    /// result rows without dictionary lookups or row materialization.
-    ///
-    /// `DISTINCT` queries still require materializing ids to
-    /// deduplicate; `LIMIT` caps the reported count.
-    #[deprecated(note = "use `engine.request(query).count_only().run()`")]
-    pub fn query_count(&mut self, query: &str) -> Result<(u64, QueryRunStats), ParjError> {
-        self.request(query).count_only().run().map(QueryOutcome::into_count)
-    }
-
-    /// [`Parj::query_count`] with per-run overrides.
-    #[deprecated(note = "use `engine.request(query).overrides(over).count_only().run()`")]
-    pub fn query_count_with(
-        &mut self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<(u64, QueryRunStats), ParjError> {
-        self.request(query).overrides(over).count_only().run().map(QueryOutcome::into_count)
-    }
-
-    /// `&self` variant of [`Parj::query_count_with`]: requires a
-    /// finalized engine (see [`crate::SharedParj`] for concurrent use).
-    #[deprecated(note = "use `engine.request_ref(query).overrides(over).count_only().run()`")]
-    pub fn query_count_ref(
-        &self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<(u64, QueryRunStats), ParjError> {
-        self.request_ref(query).overrides(over).count_only().run().map(QueryOutcome::into_count)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_ids_on(
-        config: &EngineConfig,
-        pool: Option<&Arc<WorkerPool>>,
+    /// Post-processes the collected per-branch id rows into the final
+    /// answer: entailment dedup, `ORDER BY`, projection, `DISTINCT`,
+    /// `OFFSET`/`LIMIT`.
+    fn shape_rows(
         ready: &Ready,
-        opts: ExecOptions,
-        explicit_threads: bool,
         tq: &crate::translate::TranslatedQuery,
-        plans: &[PhysicalPlan],
-        phases: PhaseTimings,
-    ) -> Result<(RowBatch, QueryRunStats), ParjError> {
-        // Full-width plans (hierarchy dedup / ORDER BY a non-projected
-        // variable) carry every binding; see prepare.
-        let arity = if tq.full_rows {
-            tq.num_vars
-        } else {
-            tq.projection.len()
-        };
-        let t1 = Instant::now();
-        // Rows grouped per UNION branch: hierarchy dedup must not merge
-        // duplicate solutions coming from *different* branches (those
-        // are legitimate SPARQL multiset results). Worker sink buffers
-        // are already flat and row-aligned; they are concatenated into
-        // per-branch batches wholesale, never exploded per row.
-        let n_branches = tq.set_branch.iter().copied().max().map_or(1, |m| m + 1);
-        let mut branch_rows: Vec<RowBatch> =
-            (0..n_branches).map(|_| RowBatch::new(arity)).collect();
-        let mut search = SearchStats::default();
-        for (idx, plan) in plans.iter().enumerate() {
-            let branch = tq.set_branch.get(idx).copied().unwrap_or(0);
-            let plan_opts = Self::opts_for_plan(config, ready, &opts, explicit_threads, plan);
-            let (sinks, s) = match Self::exec_plan(
-                pool,
-                ready,
-                plan,
-                &plan_opts,
-                CollectSink::default,
-            ) {
-                Ok(r) => r,
-                Err(failure) => {
-                    return Err(Self::failure_to_error(
-                        *failure,
-                        phases,
-                        t1,
-                        std::mem::take(&mut search),
-                        plans,
-                    ));
-                }
-            };
-            search.merge(&s);
-            for sink in &sinks {
-                if arity == 0 {
-                    // Zero-arity plans (`ASK`-style bodies) produce no
-                    // id payload; carry the match count explicitly so
-                    // offset/limit/count below see the real row total.
-                    branch_rows[branch].extend_rows(sink.rows as usize);
-                } else {
-                    branch_rows[branch].extend_flat(&sink.data);
-                }
-            }
-        }
-        let exec_micros = t1.elapsed().as_micros() as u64;
-        let t2 = Instant::now();
+        mut branch_rows: Vec<RowBatch>,
+    ) -> Result<RowBatch, ParjError> {
         if tq.dedup_full {
             // Entailment semantics: one row per distinct solution
             // mapping *within each branch* (projection applied below).
@@ -1778,7 +1565,7 @@ impl Parj {
         }
         let mut rows = {
             let mut it = branch_rows.into_iter();
-            let mut merged = it.next().unwrap_or_else(|| RowBatch::new(arity));
+            let mut merged = it.next().expect("at least one branch batch");
             for b in it {
                 merged.append(&b);
             }
@@ -1857,25 +1644,7 @@ impl Parj {
         if let Some(l) = tq.limit {
             rows.truncate(l);
         }
-        let decode_micros = t2.elapsed().as_micros() as u64;
-        let n = rows.len() as u64;
-        Ok((
-            rows,
-            QueryRunStats {
-                prepare_micros: phases.total(),
-                phases,
-                exec_micros,
-                decode_micros,
-                search,
-                rows: n,
-                plan: plans
-                    .iter()
-                    .map(PhysicalPlan::explain)
-                    .collect::<Vec<_>>()
-                    .join("\n---\n"),
-                cache: CacheStatus::Off,
-            },
-        ))
+        Ok(rows)
     }
 
     /// Returns, per plan of the query, the **work units** (result rows
@@ -1903,83 +1672,10 @@ impl Parj {
         plans
             .iter()
             .map(|plan| {
-                parj_join::morsel_loads_view(
-                    &ready.store,
-                    ready.exec_delta().map(|d| d.as_ref()),
-                    plan,
-                    &opts,
-                    &ready.thresholds,
-                )
-                .map_err(|e| ParjError::InvalidOptions(e.to_string()))
+                parj_join::morsel_loads(ready.exec_source(), plan, &opts)
+                    .map_err(|e| ParjError::InvalidOptions(e.to_string()))
             })
             .collect()
-    }
-
-    /// Legacy name for [`Parj::morsel_loads`], kept for callers of the
-    /// static-sharding era. The returned chunks are now morsels.
-    #[deprecated(
-        since = "0.1.0",
-        note = "static sharding was replaced by morsel-driven dispatch; use `morsel_loads`"
-    )]
-    pub fn shard_loads(
-        &mut self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<Vec<Vec<u64>>, ParjError> {
-        self.morsel_loads(query, over)
-    }
-
-    /// Materialized execution returning dictionary ids (no term decode).
-    #[deprecated(note = "use `engine.request(query).ids_only().run()`")]
-    pub fn query_ids(&mut self, query: &str) -> Result<(Vec<Vec<Id>>, QueryRunStats), ParjError> {
-        self.request(query).ids_only().run().map(QueryOutcome::into_ids)
-    }
-
-    /// [`Parj::query_ids`] with overrides.
-    #[deprecated(note = "use `engine.request(query).overrides(over).ids_only().run()`")]
-    pub fn query_ids_with(
-        &mut self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<(Vec<Vec<Id>>, QueryRunStats), ParjError> {
-        self.request(query).overrides(over).ids_only().run().map(QueryOutcome::into_ids)
-    }
-
-    /// `&self` variant of [`Parj::query_ids_with`] (finalized engines).
-    #[deprecated(note = "use `engine.request_ref(query).overrides(over).ids_only().run()`")]
-    pub fn query_ids_ref(
-        &self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<(Vec<Vec<Id>>, QueryRunStats), ParjError> {
-        self.request_ref(query).overrides(over).ids_only().run().map(QueryOutcome::into_ids)
-    }
-
-    /// Full result handling (the paper's non-silent mode): rows decoded
-    /// through the dictionary into terms.
-    #[deprecated(note = "use `engine.request(query).run()`")]
-    pub fn query(&mut self, query: &str) -> Result<QueryResult, ParjError> {
-        self.request(query).run().map(QueryOutcome::into_result)
-    }
-
-    /// [`Parj::query`] with overrides.
-    #[deprecated(note = "use `engine.request(query).overrides(over).run()`")]
-    pub fn query_with(
-        &mut self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<QueryResult, ParjError> {
-        self.request(query).overrides(over).run().map(QueryOutcome::into_result)
-    }
-
-    /// `&self` variant of [`Parj::query_with`] (finalized engines).
-    #[deprecated(note = "use `engine.request_ref(query).overrides(over).run()`")]
-    pub fn query_ref(
-        &self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<QueryResult, ParjError> {
-        self.request_ref(query).overrides(over).run().map(QueryOutcome::into_result)
     }
 
     /// Renders the optimized plan(s) for a query without executing it.
@@ -1989,52 +1685,12 @@ impl Parj {
         let (prepared, _, _, _) = Self::prepare_on(ready, query, self.config.cache)?;
         Ok(match prepared {
             None => "<empty: constant absent from data>".to_string(),
-            Some((_, plans)) => plans
-                .iter()
-                .map(PhysicalPlan::explain)
-                .collect::<Vec<_>>()
-                .join("\n---\n"),
+            Some((_, plans)) => Self::plan_text(&plans),
         })
     }
 
-    /// Executes the query single-threaded and renders an annotated plan:
-    /// per pipeline stage, the tuples that entered it and the search
-    /// decisions it made — the `EXPLAIN ANALYZE` counterpart of
-    /// [`Parj::explain`]. For the same report from a real parallel run,
-    /// use `engine.request(query).explain(true).run()`.
-    pub fn profile(&mut self, query: &str) -> Result<String, ParjError> {
-        self.finalize();
-        let ready = self.ready_or_err()?;
-        let (prepared, _, _, _) = Self::prepare_on(ready, query, self.config.cache)?;
-        let Some((_tq, plans)) = prepared else {
-            return Ok("<empty: constant absent from data>".to_string());
-        };
-        let opts = ExecOptions {
-            threads: 1,
-            ..Self::exec_options(&self.config, &RunOverrides::default(), None)?
-        };
-        let profiles: Vec<CapturedProfile> = plans
-            .iter()
-            .map(|plan| {
-                let prof = parj_join::execute_profiled_view(
-                    &ready.store,
-                    ready.exec_delta().map(|d| d.as_ref()),
-                    plan,
-                    &opts,
-                    &ready.thresholds,
-                );
-                CapturedProfile {
-                    rows: prof.rows,
-                    step_search: prof.step_search,
-                    driver: prof.driver,
-                }
-            })
-            .collect();
-        Ok(Self::render_annotated(&plans, &profiles))
-    }
-
-    /// Renders the annotated-plan report shared by [`Parj::profile`] and
-    /// the request API's `explain(true)` mode.
+    /// Renders the annotated-plan report of the request API's
+    /// `explain(true)` mode.
     fn render_annotated(plans: &[PhysicalPlan], profiles: &[CapturedProfile]) -> String {
         use std::fmt::Write;
         let fallback = CapturedProfile::default();
@@ -2139,9 +1795,8 @@ impl Parj {
     /// Spawns the engine-owned persistent pool when configured: pool
     /// workers serve as the extra participants beyond the submitting
     /// thread, so single-threaded engines need none.
-    fn make_pool(config: &EngineConfig) -> Option<Arc<WorkerPool>> {
-        (config.use_pool && config.threads > 1)
-            .then(|| Arc::new(WorkerPool::new(config.threads - 1)))
+    fn make_pool(config: &EngineConfig) -> Option<WorkerPool> {
+        (config.use_pool && config.threads > 1).then(|| WorkerPool::new(config.threads - 1))
     }
 
     /// Live statistics of the persistent worker pool, when one exists.
@@ -2150,9 +1805,8 @@ impl Parj {
     }
 }
 
-/// Per-plan step counters captured for the annotated-plan report
-/// (mirrors [`parj_join::PlanProfile`], but buildable from an
-/// [`parj_join::ExecRecord`] of a parallel run).
+/// Per-plan step counters captured from the [`parj_join::ExecRecord`]
+/// of a real run for the annotated-plan report.
 #[derive(Default)]
 struct CapturedProfile {
     rows: Vec<u64>,
@@ -2221,6 +1875,7 @@ impl std::fmt::Debug for Parj {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::result::QueryResult;
 
     const DATA: &str = r#"
 <http://e/ProfA> <http://e/teaches> <http://e/Math> .
@@ -2380,15 +2035,17 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // pins the legacy shim's observable behaviour
     fn incremental_load_after_finalize() {
         let mut e = engine();
         assert_eq!(e.num_triples(), 8);
-        e.add_triple(
-            &Term::iri("http://e/ProfD"),
-            &Term::iri("http://e/worksFor"),
-            &Term::iri("http://e/U1"),
-        );
+        e.mutate()
+            .insert(
+                Term::iri("http://e/ProfD"),
+                Term::iri("http://e/worksFor"),
+                Term::iri("http://e/U1"),
+            )
+            .run()
+            .unwrap();
         let (count, _) = run_count(&mut e, "SELECT ?x WHERE { ?x <http://e/worksFor> ?u }").unwrap();
         assert_eq!(count, 4);
         assert_eq!(e.num_triples(), 9);
@@ -2421,25 +2078,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_annotates_the_plan() {
-        let mut e = engine();
-        let text = e
-            .profile("SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> <http://e/U2> }")
-            .unwrap();
-        // Driver row count, probe search counts and the result total all
-        // appear.
-        assert!(text.contains("→ 2 rows"), "{text}");
-        assert!(text.contains("probes ("), "{text}");
-        assert!(text.contains("= 2 result rows"), "{text}");
-        // Union plans are labelled per branch.
-        let text = e
-            .profile("SELECT ?x WHERE { { ?x <http://e/teaches> ?y } UNION { ?x <http://e/worksFor> ?y } }")
-            .unwrap();
-        assert!(text.contains("union branch plan 0"), "{text}");
-        assert!(text.contains("union branch plan 1"), "{text}");
-    }
-
-    #[test]
     fn request_explain_attaches_annotated_plan() {
         let mut e = engine();
         let out = e
@@ -2448,9 +2086,22 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(out.count, 2);
+        // Driver row count, probe search counts and the result total all
+        // appear.
         let profile = out.profile.as_deref().expect("explain attaches a profile");
+        assert!(profile.contains("→ 2 rows"), "{profile}");
         assert!(profile.contains("probes ("), "{profile}");
         assert!(profile.contains("= 2 result rows"), "{profile}");
+        // Union plans are labelled per branch.
+        let union = e
+            .request("SELECT ?x WHERE { { ?x <http://e/teaches> ?y } UNION { ?x <http://e/worksFor> ?y } }")
+            .explain(true)
+            .count_only()
+            .run()
+            .unwrap();
+        let profile = union.profile.as_deref().expect("explain attaches a profile");
+        assert!(profile.contains("union branch plan 0"), "{profile}");
+        assert!(profile.contains("union branch plan 1"), "{profile}");
         // The full report stitches the annotated plan and the phase
         // summary together.
         let report = out.report();
@@ -2812,16 +2463,16 @@ mod tests {
     fn cancelled_token_stops_query_and_resets() {
         let mut e = engine();
         let q = "SELECT ?x WHERE { ?x <http://e/teaches> ?z }";
-        let (token, over) = e.query_handle();
+        let token = CancelToken::new();
         token.cancel();
-        match e.request(q).overrides(&over).count_only().run() {
+        match e.request(q).cancel(token.clone()).count_only().run() {
             Err(ParjError::Cancelled { partial }) => assert_eq!(partial.rows, 0),
             other => panic!("expected cancellation, got {other:?}"),
         }
         // The engine survives and the token re-arms.
         token.reset();
         assert_eq!(
-            e.request(q).overrides(&over).count_only().run().unwrap().count,
+            e.request(q).cancel(token).count_only().run().unwrap().count,
             4
         );
     }

@@ -17,8 +17,8 @@
 //!
 //! 1. build an engine ([`Parj::builder`]) — thread count, probe
 //!    strategy, index options;
-//! 2. load data ([`Parj::load_ntriples_str`], [`Parj::add_triple`], or a
-//!    snapshot);
+//! 2. load data ([`Parj::load_ntriples_str`], [`Parj::load_turtle_str`],
+//!    or a snapshot);
 //! 3. [`Parj::finalize`] — builds partitions, statistics, and runs the
 //!    calibration of Algorithm 2 (or adopts the paper's default
 //!    windows);
@@ -50,7 +50,7 @@
 //!
 //! Every engine owns a lock-light [`EngineMetrics`] registry
 //! ([`Parj::metrics`]): query outcomes and phase timings, executor
-//! internals (search-kind mix, probe volume, shard-load imbalance),
+//! internals (search-kind mix, probe volume, morsel-load imbalance),
 //! load-pipeline throughput, and store/dictionary memory gauges.
 //! [`Parj::metrics_snapshot`] yields Prometheus-text or JSON
 //! exposition; `request(..).explain(true)` attaches a per-query

@@ -1,8 +1,7 @@
-//! The unified query API: one builder replacing the nine `query*`
-//! method variants that accreted on [`Parj`] (and four on
-//! [`SharedParj`]).
+//! The query API: one builder, the only way to run a query on
+//! [`Parj`] or [`SharedParj`].
 //!
-//! Every axis the old methods hard-coded is a builder knob here:
+//! Every axis of a run is a builder knob:
 //!
 //! * **result shape** — decoded rows (default), dictionary ids
 //!   ([`QueryRequest::ids_only`]), or a silent-mode count
@@ -118,7 +117,8 @@ impl<'e> QueryRequest<'e> {
         self
     }
 
-    /// Overrides the worker thread count for this run. Zero is
+    /// Overrides the worker thread count for this run
+    /// ([`crate::EngineConfig::threads`] is the ceiling). Zero is
     /// rejected at [`run`](QueryRequest::run) with
     /// [`ParjError::InvalidOptions`].
     pub fn threads(mut self, n: usize) -> Self {
@@ -261,10 +261,6 @@ impl QueryOutcome {
 impl Parj {
     /// Starts a query request with exclusive engine access; staged data
     /// is finalized when the request runs.
-    ///
-    /// This is the single entry point replacing `query`, `query_with`,
-    /// `query_count`, `query_count_with`, `query_ids` and
-    /// `query_ids_with`.
     pub fn request<'e>(&'e mut self, query: &str) -> QueryRequest<'e> {
         QueryRequest::new(Target::Mut(self), query)
     }

@@ -10,20 +10,16 @@
 //! synchronization; the lock only fences out rebuilds).
 //!
 //! Concurrent requests all submit to the engine's one persistent
-//! [`parj_join::WorkerPool`] rather than spawning per-query threads:
-//! each query's calling thread drives its own job while idle pool
-//! workers pull morsels as helpers, so a serving process churns no
-//! threads under load (see `EngineConfig::use_pool`).
+//! [`parj_join::WorkerPool`]: each query's calling thread drives its
+//! own job while idle pool workers pull morsels as helpers, so a
+//! serving process creates no threads under load.
 
 use parj_sync::{LockLevel, OrderedRwLock};
 
-use parj_dict::Term;
 use parj_obs::MetricsSnapshot;
 
-use crate::engine::{Parj, RunOverrides};
+use crate::engine::Parj;
 use crate::error::ParjError;
-use crate::request::QueryOutcome;
-use crate::result::{QueryResult, QueryRunStats};
 
 /// Thread-safe, shareable engine handle. Cheap to share by reference
 /// (`&SharedParj` is `Send + Sync`); clone an `Arc<SharedParj>` to share
@@ -51,90 +47,16 @@ impl SharedParj {
     }
 
     /// Runs `f` against the engine under the write lock (the mutation
-    /// API's shared execution path). Unlike [`SharedParj::update`] this
-    /// does not wrap `f` in a finalize-on-drop guard: mutation batches
-    /// never un-finalize the engine, so there is nothing to repair.
+    /// API's shared execution path). Mutation batches never un-finalize
+    /// the engine, so readers never observe it un-finalized.
     pub(crate) fn with_write<R>(&self, f: impl FnOnce(&mut Parj) -> R) -> R {
         f(&mut self.inner.write())
-    }
-
-    /// Full result handling under a read lock: any number of callers
-    /// run concurrently.
-    #[deprecated(note = "use `shared.request(query).run()`")]
-    pub fn query(&self, query: &str) -> Result<QueryResult, ParjError> {
-        self.request(query).run().map(QueryOutcome::into_result)
-    }
-
-    /// Silent-mode count under a read lock.
-    #[deprecated(note = "use `shared.request(query).count_only().run()`")]
-    pub fn query_count(&self, query: &str) -> Result<(u64, QueryRunStats), ParjError> {
-        self.request(query).count_only().run().map(QueryOutcome::into_count)
-    }
-
-    /// Full result handling with overrides, under a read lock. Pass
-    /// overrides from [`Parj::query_handle`] to make the run
-    /// cancellable from another thread (e.g. a server's connection
-    /// handler): the read lock is held for the duration, but the
-    /// cancel token stops the workers without needing the lock.
-    #[deprecated(note = "use `shared.request(query).overrides(over).run()`")]
-    pub fn query_with(
-        &self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<QueryResult, ParjError> {
-        self.request(query).overrides(over).run().map(QueryOutcome::into_result)
-    }
-
-    /// Silent-mode count with overrides, under a read lock.
-    #[deprecated(note = "use `shared.request(query).overrides(over).count_only().run()`")]
-    pub fn query_count_with(
-        &self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<(u64, QueryRunStats), ParjError> {
-        self.request(query).overrides(over).count_only().run().map(QueryOutcome::into_count)
-    }
-
-    /// Applies updates (triple additions) under the write lock; the
-    /// store rebuilds before the lock is released so readers never
-    /// observe an un-finalized engine — even when `f` panics
-    /// mid-update (the rebuild runs during unwinding; without it, one
-    /// panicking closure would poison every later query with
-    /// [`ParjError::NotFinalized`]).
-    ///
-    /// Deprecated: for triple insertions and deletions use
-    /// [`SharedParj::mutate`], which lands the batch in the delta
-    /// overlay instead of forcing an `O(dataset)` rebuild under the
-    /// write lock. `update` remains for closures that genuinely need
-    /// `&mut Parj` (bulk loads, snapshot restores).
-    #[deprecated(note = "use `shared.mutate().insert(..).run()` for triple changes")]
-    pub fn update<R>(&self, f: impl FnOnce(&mut Parj) -> R) -> R {
-        let mut guard = self.inner.write();
-        struct FinalizeOnDrop<'a>(&'a mut Parj);
-        impl Drop for FinalizeOnDrop<'_> {
-            fn drop(&mut self) {
-                self.0.finalize();
-            }
-        }
-        let fin = FinalizeOnDrop(&mut guard);
-        f(&mut *fin.0)
-        // `fin` drops here (normal return *and* unwind), finalizing
-        // before the write lock is released.
     }
 
     /// A point-in-time snapshot of the wrapped engine's metrics
     /// registry (read lock; concurrent with queries).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.inner.read().metrics_snapshot()
-    }
-
-    /// Adds a triple through the delta overlay.
-    #[deprecated(note = "use `shared.mutate().insert(s, p, o).run()`")]
-    pub fn add_triple(&self, s: &Term, p: &Term, o: &Term) {
-        let _ = self
-            .mutate()
-            .insert(s.clone(), p.clone(), o.clone())
-            .run();
     }
 
     /// Number of stored triples.
@@ -180,6 +102,7 @@ impl SharedParj {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parj_dict::Term;
     use std::sync::Arc;
 
     fn engine() -> Parj {
@@ -213,42 +136,22 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // pins the legacy shim's observable behaviour
     fn interleaved_updates_and_queries() {
         let shared = SharedParj::new(engine());
         let q = "SELECT ?x WHERE { ?x <http://e/p> ?y }";
         assert_eq!(count(&shared, q), 2);
-        shared.add_triple(
-            &Term::iri("http://e/c"),
-            &Term::iri("http://e/p"),
-            &Term::iri("http://e/a"),
-        );
+        shared
+            .mutate()
+            .insert(
+                Term::iri("http://e/c"),
+                Term::iri("http://e/p"),
+                Term::iri("http://e/a"),
+            )
+            .run()
+            .unwrap();
         assert_eq!(count(&shared, q), 3);
         assert_eq!(shared.num_triples(), 3);
         let inner = shared.into_inner();
         assert!(inner.is_finalized());
-    }
-
-    #[test]
-    #[allow(deprecated)] // pins the legacy shim's panic-safety contract
-    fn update_panic_leaves_engine_finalized() {
-        let shared = SharedParj::new(engine());
-        let q = "SELECT ?x WHERE { ?x <http://e/p> ?y }";
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.update(|e| {
-                e.add_triple(
-                    &Term::iri("http://e/c"),
-                    &Term::iri("http://e/p"),
-                    &Term::iri("http://e/a"),
-                );
-                panic!("boom mid-update");
-            })
-        }));
-        assert!(panicked.is_err());
-        // The half-applied update was finalized during unwinding:
-        // queries keep working (and see the added triple) instead of
-        // failing with NotFinalized forever after.
-        assert_eq!(count(&shared, q), 3);
-        assert_eq!(shared.num_triples(), 3);
     }
 }

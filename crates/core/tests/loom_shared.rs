@@ -1,16 +1,12 @@
-//! Loom model of `SharedParj` update-vs-read publication.
+//! Loom model of `SharedParj` mutate-vs-read publication.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"`. Readers run count
-//! queries under the read lock while a writer applies an update (and,
-//! in the second model, panics mid-update); on every schedule readers
-//! must see a finalized engine — either the pre-update or post-update
-//! triple count, never `ParjError::NotFinalized` and never a torn
-//! state. The third model checks the same atomicity for the delta
-//! write path: a `mutate()` batch publishes all-or-nothing.
+//! queries under the read lock while a writer applies a `mutate()`
+//! batch; on every schedule readers must see a finalized engine —
+//! either the pre-batch or post-batch triple count, never
+//! `ParjError::NotFinalized` and never a torn state. The second model
+//! checks that a multi-op batch publishes all-or-nothing.
 #![cfg(loom)]
-// The first two models deliberately drive the deprecated shims: their
-// publication contract must hold for as long as the shims exist.
-#![allow(deprecated)]
 
 use parj_core::{Parj, ParjError, SharedParj, Term};
 use parj_sync::thread;
@@ -41,46 +37,20 @@ fn loom_readers_never_see_unfinalized_updates() {
                 let sh = Arc::clone(&shared);
                 s.spawn(move || count(&sh).expect("reader must never fail"))
             };
-            shared.add_triple(
-                &Term::iri("http://e/c"),
-                &Term::iri("http://e/p"),
-                &Term::iri("http://e/a"),
-            );
+            shared
+                .mutate()
+                .insert(
+                    Term::iri("http://e/c"),
+                    Term::iri("http://e/p"),
+                    Term::iri("http://e/a"),
+                )
+                .run()
+                .expect("mutation");
             let seen = reader.join().unwrap();
-            // The read either preceded or followed the update; both
+            // The read either preceded or followed the batch; both
             // counts are valid, anything else is a torn publication.
             assert!(seen == 2 || seen == 3, "torn read: {seen}");
         });
-        assert_eq!(count(&shared).unwrap(), 3);
-    });
-}
-
-#[test]
-fn loom_panicking_update_still_finalizes() {
-    loom::model(|| {
-        let shared = Arc::new(SharedParj::new(engine()));
-        thread::scope(|s| {
-            let reader = {
-                let sh = Arc::clone(&shared);
-                s.spawn(move || count(&sh).expect("reader must never fail"))
-            };
-            // The drop guard inside `update` must finalize during
-            // unwinding, on every interleaving with the reader.
-            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                shared.update(|e| {
-                    e.add_triple(
-                        &Term::iri("http://e/c"),
-                        &Term::iri("http://e/p"),
-                        &Term::iri("http://e/a"),
-                    );
-                    panic!("boom mid-update");
-                })
-            }));
-            assert!(panicked.is_err());
-            let seen = reader.join().unwrap();
-            assert!(seen == 2 || seen == 3, "torn read: {seen}");
-        });
-        // The half-applied update was finalized during unwinding.
         assert_eq!(count(&shared).unwrap(), 3);
     });
 }

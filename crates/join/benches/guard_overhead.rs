@@ -16,7 +16,8 @@ use std::time::Duration;
 
 use parj_dict::Term;
 use parj_join::{
-    execute_count, Atom, CancelToken, ExecOptions, PhysicalPlan, PlanStep, QueryGuard,
+    execute_count, Atom, CalibrationResult, CancelToken, ExecOptions, ExecSource, PhysicalPlan,
+    PlanStep, QueryGuard, ThresholdTable, WorkerPool,
 };
 use parj_store::{SortOrder, StoreBuilder, TripleStore};
 
@@ -70,8 +71,19 @@ fn chain_plan(s: &TripleStore) -> PhysicalPlan {
 }
 
 fn bench_guard_overhead(c: &mut Criterion) {
-    let s = store();
+    let s = Arc::new(store());
     let plan = chain_plan(&s);
+    let thresholds = Arc::new(ThresholdTable::from_calibration(
+        &s,
+        &CalibrationResult::paper_defaults(),
+    ));
+    let src = ExecSource {
+        store: &s,
+        delta: None,
+        thresholds: &thresholds,
+    };
+    // Seats for the 4-thread rung's helpers.
+    let pool = WorkerPool::new(3);
     let mut group = c.benchmark_group("guard_overhead");
 
     for threads in [1usize, 4] {
@@ -83,7 +95,7 @@ fn bench_guard_overhead(c: &mut Criterion) {
         };
         group.bench_function(format!("unguarded/{threads}t"), |b| {
             b.iter(|| {
-                let (count, _) = execute_count(&s, &plan, &unguarded).expect("runs");
+                let (count, _) = execute_count(src, &plan, &unguarded, Some(&pool)).expect("runs");
                 black_box(count)
             });
         });
@@ -95,7 +107,7 @@ fn bench_guard_overhead(c: &mut Criterion) {
                     guard: Some(Arc::new(QueryGuard::unlimited())),
                     ..base.clone()
                 };
-                let (count, _) = execute_count(&s, &plan, &opts).expect("runs");
+                let (count, _) = execute_count(src, &plan, &opts, Some(&pool)).expect("runs");
                 black_box(count)
             });
         });
@@ -110,7 +122,7 @@ fn bench_guard_overhead(c: &mut Criterion) {
                     ))),
                     ..base.clone()
                 };
-                let (count, _) = execute_count(&s, &plan, &opts).expect("runs");
+                let (count, _) = execute_count(src, &plan, &opts, Some(&pool)).expect("runs");
                 black_box(count)
             });
         });

@@ -16,7 +16,8 @@ use std::sync::Arc;
 
 use parj_dict::Term;
 use parj_join::{
-    execute_count, Atom, ExecOptions, ExecRecord, PhysicalPlan, PlanStep, Recorder,
+    execute_count, Atom, CalibrationResult, ExecOptions, ExecRecord, ExecSource, PhysicalPlan,
+    PlanStep, Recorder, ThresholdTable, WorkerPool,
 };
 use parj_obs::EngineMetrics;
 use parj_store::{SortOrder, StoreBuilder, TripleStore};
@@ -86,15 +87,26 @@ impl Recorder for MetricsRecorder {
 }
 
 fn bench_recorder_overhead(c: &mut Criterion) {
-    let s = store();
+    let s = Arc::new(store());
     let plan = chain_plan(&s);
+    let thresholds = Arc::new(ThresholdTable::from_calibration(
+        &s,
+        &CalibrationResult::paper_defaults(),
+    ));
+    let src = ExecSource {
+        store: &s,
+        delta: None,
+        thresholds: &thresholds,
+    };
+    // Seats for the 4-thread rung's helpers.
+    let pool = WorkerPool::new(3);
     let mut group = c.benchmark_group("recorder_overhead");
 
     for threads in [1usize, 4] {
         let bare = ExecOptions::with_threads(threads);
         group.bench_function(format!("unrecorded/{threads}t"), |b| {
             b.iter(|| {
-                let (count, _) = execute_count(&s, &plan, &bare).expect("runs");
+                let (count, _) = execute_count(src, &plan, &bare, Some(&pool)).expect("runs");
                 black_box(count)
             });
         });
@@ -107,7 +119,7 @@ fn bench_recorder_overhead(c: &mut Criterion) {
             .expect("valid options");
         group.bench_function(format!("recorded/{threads}t"), |b| {
             b.iter(|| {
-                let (count, _) = execute_count(&s, &plan, &recorded).expect("runs");
+                let (count, _) = execute_count(src, &plan, &recorded, Some(&pool)).expect("runs");
                 black_box(count)
             });
         });

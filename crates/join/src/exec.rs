@@ -10,16 +10,18 @@
 //! protocol ("parallel execution without any form of communication or
 //! synchronization between the workers"). Morsel-driven dispatch
 //! (fixed [`ExecOptions::morsel_size`], default 16 384 driver keys)
-//! replaces the original static `threads × shards_per_thread` split:
-//! skewed key ranges no longer pin one worker while its siblings idle,
-//! because the next chunk always goes to whichever worker frees up
-//! first.
+//! means skewed key ranges never pin one worker while its siblings
+//! idle: the next chunk always goes to whichever worker frees up first.
 //!
-//! Workers come from two places: an engine-owned persistent
-//! [`WorkerPool`](crate::WorkerPool) (via [`execute_pooled`] — no
-//! thread churn per query, the submitting thread participates and idle
-//! pool workers join it), or per-query scoped threads (via [`execute`],
-//! the fallback when no pool is attached).
+//! There is one way in, [`execute`], and one dispatch rule: the
+//! submitting thread resolves the plan once and always participates;
+//! when the caller hands over a [`WorkerPool`](crate::WorkerPool) and
+//! the driver spans more than one morsel, up to
+//! `min(threads − 1, morsels − 1)` idle pool workers join it on the
+//! same cursor. Everything else — no pool, one thread, one morsel —
+//! runs inline on the calling thread with plain borrowed data: no
+//! `Arc` clone, no mutex, no pool touch. No threads are created per
+//! query.
 //!
 //! Results are **deterministic**: each participant keeps one sink per
 //! morsel it ran, and the coordinator concatenates sinks in morsel
@@ -39,7 +41,6 @@ use parj_sync::Arc;
 use parj_dict::Id;
 use parj_store::{DeltaOverlay, Group, Replica, ReplicaView, StoreView, TripleStore};
 
-use crate::calibrate::CalibrationResult;
 use crate::guard::{GuardTrip, QueryGuard, GUARD_BATCH};
 use crate::pool::WorkerPool;
 use crate::plan::{CompiledStep, DriverMode, DriverValue, KeyMode, PhysicalPlan, ValueMode, VarId};
@@ -99,10 +100,6 @@ pub const DEFAULT_MORSEL_SIZE: usize = 16_384;
 pub enum ExecOptionsError {
     /// `threads` was zero — the executor needs at least one worker.
     ZeroThreads,
-    /// The deprecated `shards_per_thread` knob was zero — the driver
-    /// cannot be split into zero shards. Only produced by the
-    /// deprecated [`ExecOptionsBuilder::shards_per_thread`] shim.
-    ZeroShardsPerThread,
     /// `morsel_size` was zero — workers cannot pull empty morsels.
     ZeroMorselSize,
 }
@@ -111,9 +108,6 @@ impl std::fmt::Display for ExecOptionsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecOptionsError::ZeroThreads => write!(f, "threads must be at least 1"),
-            ExecOptionsError::ZeroShardsPerThread => {
-                write!(f, "shards_per_thread must be at least 1")
-            }
             ExecOptionsError::ZeroMorselSize => {
                 write!(f, "morsel_size must be at least 1")
             }
@@ -126,10 +120,13 @@ impl std::error::Error for ExecOptionsError {}
 /// Execution options.
 #[derive(Clone)]
 pub struct ExecOptions {
-    /// Worker threads. In the paper "each worker corresponds exactly to
-    /// one thread"; the optimum on their machine was 2× the core count
-    /// (hyper-threading, §5.1). Must be ≥ 1; use [`ExecOptions::builder`]
-    /// to get that checked at construction.
+    /// Participants wanted: the submitting thread plus up to
+    /// `threads − 1` helpers from the [`WorkerPool`](crate::WorkerPool)
+    /// handed to [`execute`] (without a pool every run is inline). In
+    /// the paper "each worker corresponds exactly to one thread"; the
+    /// optimum on their machine was 2× the core count (hyper-threading,
+    /// §5.1). Must be ≥ 1; use [`ExecOptions::builder`] to get that
+    /// checked at construction.
     pub threads: usize,
     /// Driver keys per morsel. Workers pull fixed-size contiguous
     /// chunks of this many driver keys off a shared atomic cursor;
@@ -188,7 +185,6 @@ impl ExecOptions {
     pub fn builder() -> ExecOptionsBuilder {
         ExecOptionsBuilder {
             opts: ExecOptions::default(),
-            legacy_zero_shards: false,
         }
     }
 
@@ -208,9 +204,6 @@ impl ExecOptions {
 #[derive(Debug, Clone)]
 pub struct ExecOptionsBuilder {
     opts: ExecOptions,
-    /// The deprecated `shards_per_thread(0)` shim must keep reporting
-    /// its historical error variant; remembered until `build`.
-    legacy_zero_shards: bool,
 }
 
 impl ExecOptionsBuilder {
@@ -223,23 +216,6 @@ impl ExecOptionsBuilder {
     /// Sets the driver-morsel size in keys (validated ≥ 1 at build).
     pub fn morsel_size(mut self, morsel_size: usize) -> Self {
         self.opts.morsel_size = morsel_size;
-        self
-    }
-
-    /// Maps the pre-morsel over-subscription knob onto an equivalent
-    /// morsel size: `shards_per_thread = n` used to split the driver
-    /// into finer static shards, so higher `n` now buys smaller
-    /// morsels (`DEFAULT_MORSEL_SIZE / n`, floored at 1). Zero is
-    /// rejected at build with the historical error.
-    #[deprecated(
-        since = "0.1.0",
-        note = "static sharding was replaced by morsel-driven dispatch; use `morsel_size`"
-    )]
-    pub fn shards_per_thread(mut self, shards: usize) -> Self {
-        match DEFAULT_MORSEL_SIZE.checked_div(shards) {
-            None => self.legacy_zero_shards = true,
-            Some(size) => self.opts.morsel_size = size.max(1),
-        }
         self
     }
 
@@ -263,9 +239,6 @@ impl ExecOptionsBuilder {
 
     /// Validates and returns the options.
     pub fn build(self) -> Result<ExecOptions, ExecOptionsError> {
-        if self.legacy_zero_shards {
-            return Err(ExecOptionsError::ZeroShardsPerThread);
-        }
         self.opts.validate()?;
         Ok(self.opts)
     }
@@ -293,8 +266,8 @@ pub enum ExecFailureKind {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// The supplied [`ExecOptions`] were invalid (e.g. zero threads or
-    /// shards). Raised instead of panicking when options bypass
+    /// The supplied [`ExecOptions`] were invalid (zero threads or
+    /// morsel size). Raised instead of panicking when options bypass
     /// [`ExecOptions::builder`]'s validation.
     InvalidOptions {
         /// What was wrong with the options.
@@ -414,16 +387,6 @@ impl Sink for CollectSink {
     }
 }
 
-/// Adapts a closure into a [`Sink`] (streaming result handling).
-pub struct FnSink<F: FnMut(&[Id])>(pub F);
-
-impl<F: FnMut(&[Id])> Sink for FnSink<F> {
-    #[inline]
-    fn push(&mut self, row: &[Id]) {
-        (self.0)(row);
-    }
-}
-
 /// Per-step resolved context shared read-only by all workers.
 struct StepCtx<'a> {
     /// Probe source: the untouched/compacted CSR replica (the
@@ -460,8 +423,9 @@ enum ResolvedDriver<'a> {
         value: DriverValue,
     },
     /// Key scan over a delta-dirtied predicate: the distinct key union
-    /// of base and add runs, materialized once on the submitting
-    /// thread so the morsel grid is identical for every participant.
+    /// of base and add runs, materialized when the plan is resolved
+    /// (deterministically, so every participant derives the identical
+    /// morsel grid).
     /// Keys whose whole group was tombstoned still appear — their
     /// merged group is empty, so they emit nothing and only pad the
     /// scan domain.
@@ -593,6 +557,28 @@ struct Worker<'a, S> {
 }
 
 impl<'a, S: Sink> Worker<'a, S> {
+    /// A worker at the start of its run: zeroed bindings, cursors and
+    /// counters, a full poll batch ahead of it.
+    fn new(shape: &RunShape<'a>, guard: &'a QueryGuard, sink: S) -> Self {
+        let steps = shape.ctxs.len();
+        Worker {
+            ctxs: shape.ctxs,
+            strategy: shape.strategy,
+            projection: &shape.plan.projection,
+            bindings: vec![0; shape.plan.num_vars],
+            cursors: vec![0; steps],
+            rowbuf: Vec::with_capacity(shape.plan.projection.len()),
+            step_stats: vec![SearchStats::default(); steps + 2],
+            step_rows: vec![0; steps + 1],
+            sink,
+            guard,
+            countdown: GUARD_BATCH,
+            pending_rows: 0,
+            stop: false,
+            trip: None,
+        }
+    }
+
     /// All counters merged (the executor's aggregate view).
     fn total_stats(&self) -> SearchStats {
         let mut total = SearchStats::default();
@@ -909,30 +895,43 @@ impl<'a, S: Sink> Worker<'a, S> {
     }
 }
 
-/// A [`StoreView`] over `store` plus an optional delta overlay — the
-/// executor's uniform entry shape for clean and dirty stores.
-fn make_view<'a>(
-    store: &'a TripleStore,
-    delta: Option<&'a DeltaOverlay>,
-) -> StoreView<'a> {
-    match delta {
-        Some(d) => StoreView::with_delta(store, d),
-        None => StoreView::base_only(store),
-    }
+/// The read-only data one execution probes: the base store, the
+/// resident mutation delta (`None` when clean — every probe then takes
+/// the zero-overhead CSR path) and the per-replica search thresholds.
+/// Borrowed `Arc`s: an inline run only dereferences them, a pooled run
+/// clones them across the `'static` job boundary.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecSource<'a> {
+    /// The finalized base store.
+    pub store: &'a Arc<TripleStore>,
+    /// Pending add/delete runs that probes on touched predicates merge
+    /// on the fly. The merged iteration order equals a compacted
+    /// store's replica order, so results stay byte-identical to a full
+    /// rebuild at any threads × morsel-size combination.
+    pub delta: Option<&'a Arc<DeltaOverlay>>,
+    /// Adaptive-search thresholds per replica (Algorithm 2's output).
+    pub thresholds: &'a Arc<ThresholdTable>,
 }
 
 /// Resolves replicas and the driver; `None` when a referenced predicate
 /// has no partition (empty result).
 fn prepare_exec<'a>(
-    view: StoreView<'a>,
+    src: ExecSource<'a>,
     plan: &PhysicalPlan,
     opts: &ExecOptions,
-    thresholds: &ThresholdTable,
 ) -> Option<(Vec<StepCtx<'a>>, ResolvedDriver<'a>)> {
+    #[cfg(test)]
+    tests::PREPARE_CALLS.with(|c| c.set(c.get() + 1));
+    // Base replicas, overlaid by the delta when one is resident
+    // (`base_only` is the zero-cost clean path).
+    let view = match src.delta {
+        Some(d) => StoreView::with_delta(src.store, d),
+        None => StoreView::base_only(src.store),
+    };
     let mut ctxs: Vec<StepCtx<'a>> = Vec::with_capacity(plan.compiled.len());
     for (step, mode) in plan.steps.iter().skip(1).zip(&plan.compiled) {
         let source = view.replica(step.predicate, step.order)?;
-        let t = thresholds.get(step.predicate, step.order);
+        let t = src.thresholds.get(step.predicate, step.order);
         let threshold = match opts.strategy {
             ProbeStrategy::AdaptiveIndex => t.index,
             _ => t.binary,
@@ -964,8 +963,8 @@ fn prepare_exec<'a>(
         DriverMode::ScanGroup { key, bind_value } => match driver_source {
             ReplicaView::Clean(replica) => {
                 // Morsel sharding slices the driver domain by range, so
-                // a block-compressed group is materialized once here on
-                // the submitting thread (raw groups stay borrowed).
+                // a block-compressed group is materialized once per
+                // resolution (raw groups stay borrowed).
                 let g = replica.group_for_key(key);
                 let group = match g.as_raw() {
                     Some(s) => GroupRef::Borrowed(s),
@@ -989,6 +988,35 @@ fn prepare_exec<'a>(
     Some((ctxs, driver))
 }
 
+/// Immutable per-run shape every participant shares: resolved probe
+/// contexts, the driver, and the morsel grid.
+struct RunShape<'a> {
+    ctxs: &'a [StepCtx<'a>],
+    driver: &'a ResolvedDriver<'a>,
+    plan: &'a PhysicalPlan,
+    strategy: ProbeStrategy,
+    morsel_size: usize,
+    domain: usize,
+}
+
+impl<'a> RunShape<'a> {
+    fn new(
+        ctxs: &'a [StepCtx<'a>],
+        driver: &'a ResolvedDriver<'a>,
+        plan: &'a PhysicalPlan,
+        opts: &ExecOptions,
+    ) -> Self {
+        RunShape {
+            ctxs,
+            driver,
+            plan,
+            strategy: opts.strategy,
+            morsel_size: opts.morsel_size,
+            domain: driver.domain(),
+        }
+    }
+}
+
 /// Runs the plan single-threaded over the morsel grid that parallel
 /// workers would pull from, returning each morsel's **work units**
 /// (rows emitted + array words touched).
@@ -1006,51 +1034,22 @@ fn prepare_exec<'a>(
 /// unanswerable plan (`Ok(vec![])`). This diagnostic helper never
 /// panics.
 pub fn morsel_loads(
-    store: &TripleStore,
+    src: ExecSource<'_>,
     plan: &PhysicalPlan,
     opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-) -> Result<Vec<u64>, ExecOptionsError> {
-    morsel_loads_view(store, None, plan, opts, thresholds)
-}
-
-/// [`morsel_loads`] over a store plus an optional delta overlay.
-pub fn morsel_loads_view(
-    store: &TripleStore,
-    delta: Option<&DeltaOverlay>,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
 ) -> Result<Vec<u64>, ExecOptionsError> {
     opts.validate()?;
-    let view = make_view(store, delta);
-    let Some((ctxs, driver)) = prepare_exec(view, plan, opts, thresholds) else {
+    let Some((ctxs, driver)) = prepare_exec(src, plan, opts) else {
         return Ok(Vec::new());
     };
-    let domain = driver.domain();
-    let shard_size = opts.morsel_size;
+    let shape = RunShape::new(&ctxs, &driver, plan, opts);
     let guard = QueryGuard::unlimited();
-    let mut worker = Worker {
-        ctxs: &ctxs,
-        strategy: opts.strategy,
-        projection: &plan.projection,
-        bindings: vec![0; plan.num_vars],
-        cursors: vec![0; ctxs.len()],
-        rowbuf: Vec::with_capacity(plan.projection.len()),
-        step_stats: vec![SearchStats::default(); ctxs.len() + 2],
-        step_rows: vec![0; ctxs.len() + 1],
-        sink: CountSink::default(),
-        guard: &guard,
-        countdown: GUARD_BATCH,
-        pending_rows: 0,
-        stop: false,
-        trip: None,
-    };
+    let mut worker = Worker::new(&shape, &guard, CountSink::default());
     let mut loads = Vec::new();
     let mut prev = 0u64;
     let mut lo = 0usize;
-    while lo < domain {
-        let hi = (lo + shard_size).min(domain);
+    while lo < shape.domain {
+        let hi = (lo + shape.morsel_size).min(shape.domain);
         worker.run_range(&driver, lo, hi);
         let now = worker.sink.count + worker.total_stats().words_touched();
         loads.push(now - prev);
@@ -1058,127 +1057,6 @@ pub fn morsel_loads_view(
         lo = hi;
     }
     Ok(loads)
-}
-
-/// Pre-morsel name for [`morsel_loads`]; the chunk grid is now the
-/// morsel grid rather than `threads × shards_per_thread` static shards.
-#[deprecated(
-    since = "0.1.0",
-    note = "static sharding was replaced by morsel-driven dispatch; use `morsel_loads`"
-)]
-pub fn shard_loads(
-    store: &TripleStore,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-) -> Result<Vec<u64>, ExecOptionsError> {
-    morsel_loads(store, plan, opts, thresholds)
-}
-
-/// Size of the driver domain `plan` would scan — the number of keys of
-/// the first replica, or the group length of a constant key (Example
-/// 3.2). The engine uses this to implement §3's suggested extension
-/// that "very simple and selective queries could be executed with fewer
-/// resources": when the domain is tiny, spawning a full thread
-/// complement costs more than the query itself.
-pub fn driver_domain(store: &TripleStore, plan: &PhysicalPlan, opts: &ExecOptions) -> usize {
-    driver_domain_view(store, None, plan, opts)
-}
-
-/// [`driver_domain`] over a store plus an optional delta overlay (a
-/// dirty driver predicate scans the union of base and add keys).
-pub fn driver_domain_view(
-    store: &TripleStore,
-    delta: Option<&DeltaOverlay>,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-) -> usize {
-    let thresholds = ThresholdTable::default();
-    match prepare_exec(make_view(store, delta), plan, opts, &thresholds) {
-        Some((_, driver)) => driver.domain(),
-        None => 0,
-    }
-}
-
-/// Per-step execution profile of one plan (an `EXPLAIN ANALYZE`).
-#[derive(Debug, Clone, Default)]
-pub struct PlanProfile {
-    /// `rows[d]` = binding tuples entering probe step `d`
-    /// (`rows[num_probe_steps]` = result rows emitted).
-    pub rows: Vec<u64>,
-    /// Search counters per probe step (parallel to the plan's probe
-    /// steps; driver-side group checks are in `driver`).
-    pub step_search: Vec<SearchStats>,
-    /// Driver-side counters (group membership checks of Example 3.2
-    /// style drivers).
-    pub driver: SearchStats,
-}
-
-impl PlanProfile {
-    /// Result rows the plan emitted.
-    pub fn results(&self) -> u64 {
-        self.rows.last().copied().unwrap_or(0)
-    }
-}
-
-/// Runs the plan single-threaded and returns its per-step profile —
-/// rows flowing between pipeline stages and the search decisions each
-/// probe step made. The diagnostics counterpart of `explain`.
-pub fn execute_profiled(
-    store: &TripleStore,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-) -> PlanProfile {
-    execute_profiled_view(store, None, plan, opts, thresholds)
-}
-
-/// [`execute_profiled`] over a store plus an optional delta overlay.
-pub fn execute_profiled_view(
-    store: &TripleStore,
-    delta: Option<&DeltaOverlay>,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-) -> PlanProfile {
-    let view = make_view(store, delta);
-    let Some((ctxs, driver)) = prepare_exec(view, plan, opts, thresholds) else {
-        return PlanProfile::default();
-    };
-    let guard = QueryGuard::unlimited();
-    let mut worker = Worker {
-        ctxs: &ctxs,
-        strategy: opts.strategy,
-        projection: &plan.projection,
-        bindings: vec![0; plan.num_vars],
-        cursors: vec![0; ctxs.len()],
-        rowbuf: Vec::with_capacity(plan.projection.len()),
-        step_stats: vec![SearchStats::default(); ctxs.len() + 2],
-        step_rows: vec![0; ctxs.len() + 1],
-        sink: CountSink::default(),
-        guard: &guard,
-        countdown: GUARD_BATCH,
-        pending_rows: 0,
-        stop: false,
-        trip: None,
-    };
-    worker.run_range(&driver, 0, driver.domain());
-    PlanProfile {
-        rows: worker.step_rows,
-        step_search: worker.step_stats[..ctxs.len()].to_vec(),
-        driver: worker.step_stats[ctxs.len() + 1],
-    }
-}
-
-/// Immutable per-run shape every participant shares: resolved probe
-/// contexts, the driver, and the morsel grid.
-struct RunShape<'a> {
-    ctxs: &'a [StepCtx<'a>],
-    driver: &'a ResolvedDriver<'a>,
-    plan: &'a PhysicalPlan,
-    strategy: ProbeStrategy,
-    morsel_size: usize,
-    domain: usize,
 }
 
 /// Everything one finished participant hands back to the coordinator:
@@ -1207,22 +1085,7 @@ where
     S: Sink,
     F: Fn() -> S,
 {
-    let mut w = Worker {
-        ctxs: shape.ctxs,
-        strategy: shape.strategy,
-        projection: &shape.plan.projection,
-        bindings: vec![0; shape.plan.num_vars],
-        cursors: vec![0; shape.ctxs.len()],
-        rowbuf: Vec::with_capacity(shape.plan.projection.len()),
-        step_stats: vec![SearchStats::default(); shape.ctxs.len() + 2],
-        step_rows: vec![0; shape.ctxs.len() + 1],
-        sink: factory(),
-        guard,
-        countdown: GUARD_BATCH,
-        pending_rows: 0,
-        stop: false,
-        trip: None,
-    };
+    let mut w = Worker::new(shape, guard, factory());
     // Check limits once up front so pre-cancelled tokens and
     // already-expired deadlines stop even queries too small to reach a
     // poll boundary.
@@ -1359,134 +1222,6 @@ fn invalid_options(e: ExecOptionsError) -> Box<ExecFailure> {
     })
 }
 
-/// Executes `plan` against `store` with per-query scoped threads (or
-/// inline when `opts.threads == 1`), creating sinks via `factory`, and
-/// returns the morsel-ordered sinks plus merged search counters.
-///
-/// Concatenating the returned sinks yields rows in driver-domain
-/// order — deterministic across thread counts and morsel sizes. This
-/// is the pool-less fallback path; engines with a persistent
-/// [`WorkerPool`](crate::WorkerPool) use [`execute_pooled`] instead.
-pub fn execute<S, F>(
-    store: &TripleStore,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-    factory: F,
-) -> ExecResult<(Vec<S>, SearchStats)>
-where
-    S: Sink + Send,
-    F: Fn() -> S + Sync,
-{
-    execute_view(store, None, plan, opts, thresholds, factory)
-}
-
-/// [`execute`] over a store plus an optional delta overlay: probes on
-/// delta-touched predicates merge the resident add/del runs on the
-/// fly; untouched predicates keep the zero-overhead clean path. The
-/// merged iteration order equals a compacted store's replica order, so
-/// results stay byte-identical to a full rebuild at any threads ×
-/// morsel-size combination.
-pub fn execute_view<S, F>(
-    store: &TripleStore,
-    delta: Option<&DeltaOverlay>,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-    factory: F,
-) -> ExecResult<(Vec<S>, SearchStats)>
-where
-    S: Sink + Send,
-    F: Fn() -> S + Sync,
-{
-    if let Err(e) = opts.validate() {
-        return Err(invalid_options(e));
-    }
-    let view = make_view(store, delta);
-    let Some((ctxs, driver)) = prepare_exec(view, plan, opts, thresholds) else {
-        record_empty(opts);
-        return Ok((Vec::new(), SearchStats::default()));
-    };
-
-    // Every run is guarded: callers without limits get a private
-    // unlimited guard so a panicking worker can still cancel siblings.
-    let own_guard;
-    let guard: &QueryGuard = match &opts.guard {
-        Some(g) => g,
-        None => {
-            own_guard = QueryGuard::unlimited();
-            &own_guard
-        }
-    };
-
-    let domain = driver.domain();
-    let shape = RunShape {
-        ctxs: &ctxs,
-        driver: &driver,
-        plan,
-        strategy: opts.strategy,
-        morsel_size: opts.morsel_size,
-        domain,
-    };
-    let cursor = AtomicUsize::new(0);
-    // Workers beyond the morsel count would only spin the cursor once
-    // and exit; don't spawn them.
-    let num_morsels = domain.div_ceil(opts.morsel_size).max(1);
-    let threads = opts.threads.min(num_morsels);
-
-    let mut parts: Vec<ParticipantOutput<S>> = Vec::with_capacity(threads);
-    let mut panicked: Option<String> = None;
-    if threads <= 1 {
-        // A panic is contained, trips the guard, and surfaces as
-        // `WorkerPanicked` instead of aborting the process. The store
-        // is read-only during execution, so it stays usable.
-        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_participant(&shape, guard, &cursor, &factory)
-        })) {
-            Ok(p) => parts.push(p),
-            Err(payload) => {
-                guard.cancel();
-                panicked = Some(panic_message(payload.as_ref()));
-            }
-        }
-    } else {
-        parj_sync::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let shape = &shape;
-                    let factory = &factory;
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        // Contained per worker: a panic trips the
-                        // shared guard so siblings stop at their next
-                        // poll, then surfaces as `WorkerPanicked`.
-                        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            run_participant(shape, guard, cursor, factory)
-                        }));
-                        if result.is_err() {
-                            guard.cancel();
-                        }
-                        result
-                    })
-                })
-                .collect();
-            for h in handles {
-                // A panic inside the closure is already caught; a join
-                // error can only carry a payload from the thread
-                // runtime itself — fold it into the same per-worker
-                // Err path instead of panicking here.
-                match h.join().unwrap_or_else(Err) {
-                    Ok(p) => parts.push(p),
-                    Err(payload) => {
-                        panicked = Some(panic_message(payload.as_ref()));
-                    }
-                }
-            }
-        });
-    }
-    merge_participants(parts, panicked, opts, guard, ctxs.len())
-}
-
 /// Shared mutable state of one pooled job, behind a mutex: finished
 /// participants push their outputs; the submitter drains it after the
 /// pool rendezvous guarantees no participant is still running.
@@ -1495,44 +1230,30 @@ struct PooledOutput<S> {
     panicked: Option<String>,
 }
 
-/// Executes `plan` on an engine-owned persistent [`WorkerPool`]: the
-/// calling thread participates immediately and up to `threads − 1`
-/// idle pool workers join it, pulling morsels off the query's shared
-/// cursor. No threads are created or destroyed per query.
+/// Executes `plan` over `src`, creating sinks via `factory`, and
+/// returns the morsel-ordered sinks plus merged search counters.
+/// Concatenating the returned sinks yields rows in driver-domain
+/// order — deterministic across thread counts and morsel sizes.
 ///
-/// Participants are `'static` jobs, so the execution context arrives
-/// as `Arc`s; each participant re-derives the read-only probe contexts
-/// from them (cheap replica lookups). Results are identical to
-/// [`execute`] — the same morsel-ordered deterministic merge — and a
-/// participant panic fails only this query: the pool worker catches
-/// it, cancels the query's guard, and returns to service.
-pub fn execute_pooled<S, F>(
-    pool: &WorkerPool,
-    store: &Arc<TripleStore>,
-    plan: &Arc<PhysicalPlan>,
+/// The calling thread resolves the plan once and always participates.
+/// With a `pool` and a driver spanning several morsels, up to
+/// `min(threads − 1, morsels − 1)` idle pool workers join it, pulling
+/// morsels off the query's shared cursor; otherwise the run is inline
+/// on borrowed data and never touches the pool. No threads are created
+/// or destroyed per query.
+///
+/// Pool participants are `'static` jobs, so the execution context
+/// reaches them as `Arc` clones and each re-derives the read-only
+/// probe contexts (cheap replica lookups). A participant panic fails
+/// only this query: it is caught, cancels the query's guard so
+/// siblings stop at their next poll, and surfaces as
+/// [`ExecFailureKind::WorkerPanicked`]; the store is read-only during
+/// execution and the pool worker returns to service.
+pub fn execute<S, F>(
+    src: ExecSource<'_>,
+    plan: &PhysicalPlan,
     opts: &ExecOptions,
-    thresholds: &Arc<ThresholdTable>,
-    factory: F,
-) -> ExecResult<(Vec<S>, SearchStats)>
-where
-    S: Sink + Send + 'static,
-    F: Fn() -> S + Send + Sync + 'static,
-{
-    execute_pooled_view(pool, store, None, plan, opts, thresholds, factory)
-}
-
-/// [`execute_pooled`] over a store plus an optional delta overlay. The
-/// overlay crosses the `'static` job boundary as an `Arc` clone; each
-/// participant re-derives the same merged probe view, so pooled and
-/// spawned dirty runs stay byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_pooled_view<S, F>(
-    pool: &WorkerPool,
-    store: &Arc<TripleStore>,
-    delta: Option<&Arc<DeltaOverlay>>,
-    plan: &Arc<PhysicalPlan>,
-    opts: &ExecOptions,
-    thresholds: &Arc<ThresholdTable>,
+    pool: Option<&WorkerPool>,
     factory: F,
 ) -> ExecResult<(Vec<S>, SearchStats)>
 where
@@ -1542,35 +1263,44 @@ where
     if let Err(e) = opts.validate() {
         return Err(invalid_options(e));
     }
-    // Pre-flight on the submitting thread: unanswerable plans
-    // short-circuit without touching the pool, and the driver domain
-    // sizes the helper request.
-    let preview = make_view(store, delta.map(|d| d.as_ref()));
-    let (n_ctxs, domain) = match prepare_exec(preview, plan, opts, thresholds) {
-        Some((ctxs, driver)) => (ctxs.len(), driver.domain()),
-        None => {
-            record_empty(opts);
-            return Ok((Vec::new(), SearchStats::default()));
-        }
+    let Some((ctxs, driver)) = prepare_exec(src, plan, opts) else {
+        record_empty(opts);
+        return Ok((Vec::new(), SearchStats::default()));
     };
-    let num_morsels = domain.div_ceil(opts.morsel_size).max(1);
-    let helpers = opts.threads.saturating_sub(1).min(num_morsels - 1);
-    if helpers == 0 {
-        // Single-participant queries never touch the pool: run inline
-        // on the calling thread with plain borrowed data.
-        let inline = ExecOptions {
-            threads: 1,
-            ..opts.clone()
+    let shape = RunShape::new(&ctxs, &driver, plan, opts);
+    // Helpers beyond the morsel count would only spin the cursor once
+    // and exit; don't seat them. This clamp is also the small-query
+    // rule: a driver that fits one morsel runs on the calling thread.
+    let num_morsels = shape.domain.div_ceil(opts.morsel_size).max(1);
+    let helpers = pool.map_or(0, |_| opts.threads.saturating_sub(1).min(num_morsels - 1));
+    let Some(pool) = pool.filter(|_| helpers > 0) else {
+        // Every run is guarded: callers without limits get a private
+        // unlimited guard so panic handling is uniform.
+        let own_guard;
+        let guard: &QueryGuard = match &opts.guard {
+            Some(g) => g,
+            None => {
+                own_guard = QueryGuard::unlimited();
+                &own_guard
+            }
         };
-        return execute_view(
-            store,
-            delta.map(|d| d.as_ref()),
-            plan,
-            &inline,
-            thresholds,
-            factory,
-        );
-    }
+        let cursor = AtomicUsize::new(0);
+        let (parts, panicked) = match std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_participant(&shape, guard, &cursor, &factory)
+        })) {
+            Ok(p) => (vec![p], None),
+            Err(payload) => {
+                guard.cancel();
+                (Vec::new(), Some(panic_message(payload.as_ref())))
+            }
+        };
+        return merge_participants(parts, panicked, opts, guard, ctxs.len());
+    };
+    // The submitter resolves again as a participant of its own job;
+    // don't keep a second copy of a merged key domain or materialized
+    // group alive meanwhile.
+    let n_ctxs = ctxs.len();
+    drop((ctxs, driver));
 
     let guard: Arc<QueryGuard> = match &opts.guard {
         Some(g) => Arc::clone(g),
@@ -1584,18 +1314,18 @@ where
             panicked: None,
         },
     ));
-    let cursor = Arc::new(AtomicUsize::new(0));
     let body: crate::pool::Participant = {
-        let store = Arc::clone(store);
-        let delta: Option<Arc<DeltaOverlay>> = delta.map(Arc::clone);
-        let plan = Arc::clone(plan);
-        let thresholds = Arc::clone(thresholds);
+        let store = Arc::clone(src.store);
+        let delta = src.delta.map(Arc::clone);
+        let thresholds = Arc::clone(src.thresholds);
+        // The plan is tiny (a few steps + projection); cloning it is
+        // what lets pool workers outlive the borrow without unsafe.
+        let plan = plan.clone();
         let guard = Arc::clone(&guard);
         let output = Arc::clone(&output);
-        let cursor = Arc::clone(&cursor);
-        let factory = Arc::new(factory);
-        // Threshold selection in prepare_exec depends only on the
-        // strategy; strip the non-'static-irrelevant extras.
+        let cursor = AtomicUsize::new(0);
+        // Probe-context resolution depends only on strategy and morsel
+        // size; the guard and recorder stay with the submitter.
         let probe_opts = ExecOptions {
             guard: None,
             recorder: None,
@@ -1605,27 +1335,18 @@ where
             // Each participant re-derives the read-only probe contexts
             // from its own Arcs — nothing borrowed crosses the
             // 'static job boundary.
-            let view = make_view(&store, delta.as_deref());
-            let Some((ctxs, driver)) = prepare_exec(view, &plan, &probe_opts, &thresholds)
-            else {
+            let src = ExecSource {
+                store: &store,
+                delta: delta.as_ref(),
+                thresholds: &thresholds,
+            };
+            let Some((ctxs, driver)) = prepare_exec(src, &plan, &probe_opts) else {
                 return;
             };
-            let shape = RunShape {
-                ctxs: &ctxs,
-                driver: &driver,
-                plan: &plan,
-                strategy: probe_opts.strategy,
-                morsel_size: probe_opts.morsel_size,
-                domain: shape_domain(&driver),
-            };
-            // Contained per participant: a panic trips the shared
-            // guard (stopping siblings at their next poll), is
-            // recorded for the submitter's merge, and never unwinds
-            // the pool worker.
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_participant(&shape, &guard, &cursor, factory.as_ref())
-            }));
-            match result {
+            let shape = RunShape::new(&ctxs, &driver, &plan, &probe_opts);
+            match std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_participant(&shape, &guard, &cursor, &factory)
+            })) {
                 Ok(p) => output.lock().parts.push(p),
                 Err(payload) => {
                     guard.cancel();
@@ -1648,51 +1369,31 @@ where
     merge_participants(parts, panicked, opts, &guard, n_ctxs)
 }
 
-fn shape_domain(driver: &ResolvedDriver<'_>) -> usize {
-    driver.domain()
-}
-
-/// Builds a threshold table from the paper's default calibration windows
-/// (used when the caller has not run [`crate::calibrate`]).
-pub fn default_thresholds(store: &TripleStore) -> ThresholdTable {
-    ThresholdTable::from_calibration(store, &CalibrationResult::paper_defaults())
-}
-
 /// Silent-mode execution: returns only the result count (and counters).
 pub fn execute_count(
-    store: &TripleStore,
+    src: ExecSource<'_>,
     plan: &PhysicalPlan,
     opts: &ExecOptions,
+    pool: Option<&WorkerPool>,
 ) -> ExecResult<(u64, SearchStats)> {
-    let thresholds = default_thresholds(store);
-    execute_count_with(store, plan, opts, &thresholds)
-}
-
-/// Silent-mode execution with caller-supplied thresholds.
-pub fn execute_count_with(
-    store: &TripleStore,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-) -> ExecResult<(u64, SearchStats)> {
-    let (sinks, stats) = execute(store, plan, opts, thresholds, CountSink::default)?;
+    let (sinks, stats) = execute(src, plan, opts, pool, CountSink::default)?;
     Ok((sinks.iter().map(|s| s.count).sum(), stats))
 }
 
-/// Materializing execution: collects all result rows (order unspecified
-/// across workers) into one flat [`crate::RowBatch`] — worker sink buffers are
+/// Materializing execution: collects all result rows, in driver-domain
+/// order, into one flat [`crate::RowBatch`] — worker sink buffers are
 /// concatenated wholesale, never exploded into per-row allocations.
 ///
 /// Zero-arity plans (pure existence) carry no id payload; the batch
 /// still reports the real match count through its explicit zero-arity
 /// row counter.
 pub fn execute_collect(
-    store: &TripleStore,
+    src: ExecSource<'_>,
     plan: &PhysicalPlan,
     opts: &ExecOptions,
+    pool: Option<&WorkerPool>,
 ) -> ExecResult<(crate::RowBatch, SearchStats)> {
-    let thresholds = default_thresholds(store);
-    let (sinks, stats) = execute(store, plan, opts, &thresholds, CollectSink::default)?;
+    let (sinks, stats) = execute(src, plan, opts, pool, CollectSink::default)?;
     let arity = plan.projection.len();
     let mut rows = crate::RowBatch::new(arity);
     for sink in &sinks {
@@ -1708,13 +1409,70 @@ pub fn execute_collect(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calibrate::CalibrationResult;
     use crate::plan::{Atom, PlanStep};
     use parj_dict::Term;
     use parj_store::{SortOrder, StoreBuilder};
 
+    thread_local! {
+        /// `prepare_exec` calls made on this thread (tests run one per
+        /// thread, so the count is private to the test reading it).
+        pub(super) static PREPARE_CALLS: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    /// Paper-default thresholds for `store`.
+    fn thresholds(store: &TripleStore) -> Arc<ThresholdTable> {
+        Arc::new(ThresholdTable::from_calibration(
+            store,
+            &CalibrationResult::paper_defaults(),
+        ))
+    }
+
+    /// One pool for the whole module: without it every `threads > 1`
+    /// below would silently run inline.
+    fn pool() -> &'static WorkerPool {
+        static POOL: std::sync::OnceLock<WorkerPool> = std::sync::OnceLock::new();
+        POOL.get_or_init(|| WorkerPool::new(3))
+    }
+
+    /// Counts `plan`'s results over a clean `store` on the module pool.
+    fn run_count(
+        store: &Arc<TripleStore>,
+        plan: &PhysicalPlan,
+        opts: &ExecOptions,
+    ) -> ExecResult<(u64, SearchStats)> {
+        let thresholds = thresholds(store);
+        let src = ExecSource {
+            store,
+            delta: None,
+            thresholds: &thresholds,
+        };
+        execute_count(src, plan, opts, Some(pool()))
+    }
+
+    /// Flattened rows of `plan` in emission order (no sort): `pool`
+    /// `None` is the inline run every parallel run must reproduce.
+    fn collect_flat(
+        store: &Arc<TripleStore>,
+        delta: Option<&Arc<DeltaOverlay>>,
+        plan: &PhysicalPlan,
+        opts: &ExecOptions,
+        pool: Option<&WorkerPool>,
+    ) -> ExecResult<Vec<Id>> {
+        let thresholds = thresholds(store);
+        let src = ExecSource {
+            store,
+            delta,
+            thresholds: &thresholds,
+        };
+        let (sinks, _) = execute(src, plan, opts, pool, CollectSink::default)?;
+        Ok(sinks.iter().flat_map(|s| s.data.iter().copied()).collect())
+    }
+
     /// A small university graph: professors teach courses and work for
     /// universities; students take courses and are advised by profs.
-    fn store() -> TripleStore {
+    fn store() -> Arc<TripleStore> {
         let mut b = StoreBuilder::new();
         let mut add = |s: &str, p: &str, o: &str| {
             b.add_term_triple(&Term::iri(s), &Term::iri(p), &Term::iri(o));
@@ -1742,7 +1500,7 @@ mod tests {
         for (stud, prof) in [("Stud1", "ProfA"), ("Stud2", "ProfA"), ("Stud3", "ProfC")] {
             add(stud, "advisor", prof);
         }
-        b.build()
+        Arc::new(b.build())
     }
 
     fn pid(store: &TripleStore, name: &str) -> Id {
@@ -1796,7 +1554,7 @@ mod tests {
     }
 
     fn check_plan_against_oracle(
-        store: &TripleStore,
+        store: &Arc<TripleStore>,
         steps: Vec<PlanStep>,
         num_vars: usize,
         patterns: &[(Atom, Id, Atom)],
@@ -1819,12 +1577,11 @@ mod tests {
                     guard: None,
                     recorder: None,
                 };
-                let (mut batch, _) = execute_collect(store, &plan, &opts).expect("runs");
-                batch.sort_unstable();
-                batch.dedup();
+                let mut rows = collect_rows(store, None, &plan, &opts);
+                rows.sort_unstable();
+                rows.dedup();
                 assert_eq!(
-                    batch.into_rows(),
-                    expected,
+                    rows, expected,
                     "strategy {strategy} threads {threads} disagreed with oracle"
                 );
             }
@@ -1863,9 +1620,9 @@ mod tests {
 
     /// Builds an overlay with mutations and a from-scratch rebuilt
     /// store holding the same visible triples (same dictionary ids).
-    fn dirty_and_rebuilt() -> (TripleStore, parj_store::DeltaOverlay, TripleStore) {
+    fn dirty_and_rebuilt() -> (Arc<TripleStore>, Arc<DeltaOverlay>, Arc<TripleStore>) {
         let base = store();
-        let mut ov = parj_store::DeltaOverlay::new(&base);
+        let mut ov = DeltaOverlay::new(&base);
         let teaches = pid(&base, "teaches");
         let works = pid(&base, "worksFor");
         // ProfB stops teaching Chem and starts teaching Math + Lit;
@@ -1886,27 +1643,21 @@ mod tests {
         }
         let rebuilt = b.build();
         assert_eq!(rebuilt.num_triples(), ov.visible_triples(&base));
-        (base, ov, rebuilt)
+        (base, Arc::new(ov), Arc::new(rebuilt))
     }
 
     fn collect_rows(
-        store: &TripleStore,
-        delta: Option<&parj_store::DeltaOverlay>,
+        store: &Arc<TripleStore>,
+        delta: Option<&Arc<DeltaOverlay>>,
         plan: &PhysicalPlan,
         opts: &ExecOptions,
     ) -> Vec<Vec<Id>> {
-        let thresholds = default_thresholds(store);
-        let (sinks, _) =
-            execute_view(store, delta, plan, opts, &thresholds, CollectSink::default)
-                .expect("runs");
         let arity = plan.projection.len().max(1);
-        let mut rows = Vec::new();
-        for sink in &sinks {
-            for row in sink.data.chunks(arity) {
-                rows.push(row.to_vec());
-            }
-        }
-        rows
+        collect_flat(store, delta, plan, opts, Some(pool()))
+            .expect("runs")
+            .chunks(arity)
+            .map(<[Id]>::to_vec)
+            .collect()
     }
 
     #[test]
@@ -1928,10 +1679,10 @@ mod tests {
                     &Term::iri(format!("t{}", (i * 7) % 90)),
                 );
             }
-            b.build_with(parj_store::StoreOptions {
+            Arc::new(b.build_with(parj_store::StoreOptions {
                 compress_min_values: compress,
                 ..Default::default()
-            })
+            }))
         };
         let raw = build(None);
         let zip = build(Some(16));
@@ -2084,17 +1835,14 @@ mod tests {
                 vec![],
             )
             .unwrap();
-            let thresholds = default_thresholds(&base);
-            let (sinks, _) = execute_view(
-                &base,
-                Some(&ov),
-                &plan,
-                &ExecOptions::with_threads(1),
-                &thresholds,
-                CountSink::default,
-            )
-            .expect("runs");
-            let count: u64 = sinks.iter().map(|s| s.count).sum();
+            let thresholds = thresholds(&base);
+            let src = ExecSource {
+                store: &base,
+                delta: Some(&ov),
+                thresholds: &thresholds,
+            };
+            let (count, _) =
+                execute_count(src, &plan, &ExecOptions::default(), None).expect("runs");
             assert_eq!(count > 0, expect, "existence of ({s},{o})");
         }
     }
@@ -2218,7 +1966,7 @@ mod tests {
             vec![],
         )
         .unwrap();
-        let (count, _) = execute_count(&s, &plan, &ExecOptions::with_threads(4)).expect("runs");
+        let (count, _) = run_count(&s, &plan, &ExecOptions::with_threads(4)).expect("runs");
         assert_eq!(count, 1);
         // Absent triple.
         let u2 = rid(&s, "U2");
@@ -2233,7 +1981,7 @@ mod tests {
             vec![],
         )
         .unwrap();
-        let (count, _) = execute_count(&s, &plan, &ExecOptions::default()).expect("runs");
+        let (count, _) = run_count(&s, &plan, &ExecOptions::default()).expect("runs");
         assert_eq!(count, 0);
     }
 
@@ -2251,7 +1999,7 @@ mod tests {
             vec![0, 1],
         )
         .unwrap();
-        let (count, _) = execute_count(&s, &plan, &ExecOptions::default()).expect("runs");
+        let (count, _) = run_count(&s, &plan, &ExecOptions::default()).expect("runs");
         assert_eq!(count, 0);
     }
 
@@ -2283,7 +2031,7 @@ mod tests {
             strategy: ProbeStrategy::AlwaysBinary,
             ..Default::default()
         };
-        let (_, stats) = execute_count(&s, &plan, &opts).expect("runs");
+        let (_, stats) = run_count(&s, &plan, &opts).expect("runs");
         // 4 teaches tuples → 4 probes of worksFor.
         assert_eq!(stats.binary_searches, 4);
         assert_eq!(stats.sequential_searches, 0);
@@ -2291,7 +2039,7 @@ mod tests {
             strategy: ProbeStrategy::AlwaysSequential,
             ..Default::default()
         };
-        let (_, stats) = execute_count(&s, &plan, &opts).expect("runs");
+        let (_, stats) = run_count(&s, &plan, &opts).expect("runs");
         assert_eq!(stats.sequential_searches, 4);
         assert_eq!(stats.binary_searches, 0);
     }
@@ -2313,7 +2061,7 @@ mod tests {
             vec![0, 1],
         )
         .unwrap();
-        let (count, _) = execute_count(
+        let (count, _) = run_count(
             &s,
             &plan,
             &ExecOptions {
@@ -2357,7 +2105,7 @@ mod tests {
             vec![0, 1],
         )
         .unwrap();
-        let (count, stats) = execute_count(&s, &plan, &ExecOptions::default()).expect("runs");
+        let (count, stats) = run_count(&s, &plan, &ExecOptions::default()).expect("runs");
         assert_eq!(count, 2); // ProfB/Chem, ProfC/Lit
         // 4 driver tuples → 4 probes of the constant key.
         assert_eq!(stats.total_searches(), 4);
@@ -2394,8 +2142,13 @@ mod tests {
         let plan = teaches_plan(&s);
         for threads in [1, 4] {
             let opts = ExecOptions::with_threads(threads);
-            let thresholds = default_thresholds(&s);
-            let err = execute(&s, &plan, &opts, &thresholds, || PanicSink)
+            let thresholds = thresholds(&s);
+            let src = ExecSource {
+                store: &s,
+                delta: None,
+                thresholds: &thresholds,
+            };
+            let err = execute(src, &plan, &opts, Some(pool()), || PanicSink)
                 .expect_err("sink panic must surface as an error");
             match &err.kind {
                 ExecFailureKind::WorkerPanicked { message } => {
@@ -2405,7 +2158,7 @@ mod tests {
             }
         }
         // The store is read-only during execution: it stays usable.
-        let (count, _) = execute_count(&s, &plan, &ExecOptions::with_threads(4)).expect("runs");
+        let (count, _) = run_count(&s, &plan, &ExecOptions::with_threads(4)).expect("runs");
         assert_eq!(count, 4);
     }
 
@@ -2419,7 +2172,7 @@ mod tests {
             guard: Some(Arc::clone(&guard)),
             ..ExecOptions::with_threads(2)
         };
-        let err = execute_count(&s, &plan, &opts).expect_err("cancelled before start");
+        let err = run_count(&s, &plan, &opts).expect_err("cancelled before start");
         assert_eq!(err.kind, ExecFailureKind::Cancelled);
         assert_eq!(err.rows, 0);
     }
@@ -2435,7 +2188,7 @@ mod tests {
             guard: Some(guard),
             ..ExecOptions::default()
         };
-        let err = execute_count(&s, &plan, &opts).expect_err("budget of 2 rows");
+        let err = run_count(&s, &plan, &opts).expect_err("budget of 2 rows");
         match err.kind {
             ExecFailureKind::BudgetExceeded { rows } => assert_eq!(rows, 4),
             other => panic!("expected BudgetExceeded, got {other:?}"),
@@ -2455,7 +2208,7 @@ mod tests {
             guard: Some(guard),
             ..ExecOptions::with_threads(2)
         };
-        let err = execute_count(&s, &plan, &opts).expect_err("deadline already passed");
+        let err = run_count(&s, &plan, &opts).expect_err("deadline already passed");
         assert!(
             matches!(err.kind, ExecFailureKind::DeadlineExceeded { .. }),
             "got {:?}",
@@ -2474,11 +2227,11 @@ mod tests {
             guard: Some(Arc::clone(&guard)),
             ..ExecOptions::default()
         };
-        let (count, _) = execute_count(&s, &plan, &opts).expect("runs");
+        let (count, _) = run_count(&s, &plan, &opts).expect("runs");
         assert_eq!(count, 4);
         guard.cancel();
         let opts = ExecOptions::default();
-        let (count, _) = execute_count(&s, &plan, &opts).expect("fresh guard unaffected");
+        let (count, _) = run_count(&s, &plan, &opts).expect("fresh guard unaffected");
         assert_eq!(count, 4);
     }
 
@@ -2501,28 +2254,6 @@ mod tests {
         assert_eq!(opts.threads, 3);
         assert_eq!(opts.morsel_size, 2);
         assert_eq!(opts.strategy, ProbeStrategy::AlwaysBinary);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shards_per_thread_shim() {
-        // The PR-3-style shim: the legacy knob maps onto the morsel
-        // grid (`DEFAULT_MORSEL_SIZE / shards`, floored at 1) and zero
-        // still fails with the legacy error.
-        assert_eq!(
-            ExecOptions::builder().shards_per_thread(0).build().unwrap_err(),
-            ExecOptionsError::ZeroShardsPerThread
-        );
-        let opts = ExecOptions::builder()
-            .shards_per_thread(2)
-            .build()
-            .expect("valid");
-        assert_eq!(opts.morsel_size, DEFAULT_MORSEL_SIZE / 2);
-        let opts = ExecOptions::builder()
-            .shards_per_thread(usize::MAX)
-            .build()
-            .expect("valid");
-        assert_eq!(opts.morsel_size, 1, "huge shard counts floor at 1");
     }
 
     /// Owned copy of an [`ExecRecord`]: (result_rows, step_rows,
@@ -2580,8 +2311,9 @@ mod tests {
             vec![0, 1, 2],
         )
         .unwrap();
-        // With morsel_size 1 each distinct driver key is one morsel.
-        let domain = driver_domain(&s, &plan, &ExecOptions::default());
+        // With morsel_size 1 each distinct driver key is one morsel:
+        // ProfA, ProfB and ProfC teach.
+        let domain = 3usize;
         for threads in [1usize, 4] {
             let rec = Arc::new(CaptureRecorder::default());
             let opts = ExecOptions::builder()
@@ -2590,7 +2322,7 @@ mod tests {
                 .recorder(Some(Arc::clone(&rec) as Arc<dyn Recorder>))
                 .build()
                 .unwrap();
-            let (count, total) = execute_count(&s, &plan, &opts).expect("runs");
+            let (count, total) = run_count(&s, &plan, &opts).expect("runs");
             assert_eq!(count, 4);
             let seen = rec.seen.lock().unwrap();
             assert_eq!(seen.len(), 1, "exactly one record per execution");
@@ -2600,11 +2332,13 @@ mod tests {
             assert_eq!(step_rows, &vec![4, 4]);
             assert_eq!(step_search.len(), 1);
             assert_eq!(*rec_total, total);
-            // The executor clamps participants to the morsel count.
-            assert_eq!(
-                units.len(),
-                threads.min(domain),
-                "one unit entry per participant"
+            // One unit entry per participant: the submitter, plus
+            // however many of the (morsel-count-clamped) helper seats
+            // pool workers claimed before the cursor drained.
+            assert!(
+                (1..=threads.min(domain)).contains(&units.len()),
+                "{} participants at threads {threads}",
+                units.len()
             );
             assert_eq!(
                 *morsels, domain as u64,
@@ -2626,7 +2360,7 @@ mod tests {
             .recorder(Some(Arc::clone(&rec) as Arc<dyn Recorder>))
             .build()
             .unwrap();
-        execute_count(&s, &plan, &opts).expect_err("budget of 2 rows");
+        run_count(&s, &plan, &opts).expect_err("budget of 2 rows");
         assert_eq!(rec.seen.lock().unwrap().len(), 1);
     }
 
@@ -2646,60 +2380,72 @@ mod tests {
             vec![],
         )
         .unwrap();
-        let (count, _) = execute_count(&s, &plan, &ExecOptions::default()).expect("runs");
+        let (count, _) = run_count(&s, &plan, &ExecOptions::default()).expect("runs");
         assert_eq!(count, 4);
     }
 
-    /// Runs `execute_pooled` with collect sinks and flattens the
-    /// morsel-ordered sinks into one row vector.
-    fn collect_pooled(
-        pool: &WorkerPool,
-        store: &Arc<TripleStore>,
-        plan: &Arc<PhysicalPlan>,
-        opts: &ExecOptions,
-    ) -> ExecResult<Vec<Id>> {
-        let thresholds = Arc::new(default_thresholds(store));
-        let (sinks, _) =
-            execute_pooled(pool, store, plan, opts, &thresholds, CollectSink::default)?;
-        let mut flat = Vec::new();
-        for s in &sinks {
-            flat.extend_from_slice(&s.data);
+    /// Collect sink whose first row waits until a *second* participant
+    /// has produced one too: a run through it is provably parallel
+    /// before its rows are compared (the submitter blocks inside its
+    /// first push, so the second arrival can only be a pool helper).
+    struct GatedSink {
+        inner: CollectSink,
+        arrived: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Sink for GatedSink {
+        fn push(&mut self, row: &[Id]) {
+            use std::sync::atomic::Ordering::SeqCst;
+            if self.inner.rows == 0 {
+                self.arrived.fetch_add(1, SeqCst);
+                let waited = std::time::Instant::now();
+                while self.arrived.load(SeqCst) < 2
+                    && waited.elapsed() < std::time::Duration::from_secs(10)
+                {
+                    std::thread::yield_now();
+                }
+            }
+            self.inner.push(row);
         }
-        Ok(flat)
+    }
+
+    /// The failure class of a guarded run (`None` = completed).
+    fn failure_class(r: ExecResult<Vec<Id>>) -> Option<std::mem::Discriminant<ExecFailureKind>> {
+        r.err().map(|e| std::mem::discriminant(&e.kind))
     }
 
     #[test]
-    fn pooled_matches_scoped_byte_identical() {
-        // The same query through the persistent pool and through
-        // scoped threads must produce identical flattened rows — the
-        // morsel-order merge makes both equal to the threads=1 run.
-        let s = Arc::new(store());
+    fn pooled_matches_inline_rows_and_guard_classes() {
+        // The same query with k pool helpers and inline on the calling
+        // thread must produce identical flattened rows — the
+        // morsel-order merge makes every shape equal to the one-thread
+        // run — and must end in the same failure class under every
+        // guard (cancel / deadline / budget / panic).
+        let s = store();
         let teaches = pid(&s, "teaches");
         let works = pid(&s, "worksFor");
-        let plan = Arc::new(
-            PhysicalPlan::new(
-                vec![
-                    PlanStep {
-                        predicate: teaches,
-                        order: SortOrder::SO,
-                        key: Atom::Var(0),
-                        value: Atom::Var(1),
-                    },
-                    PlanStep {
-                        predicate: works,
-                        order: SortOrder::SO,
-                        key: Atom::Var(0),
-                        value: Atom::Var(2),
-                    },
-                ],
-                3,
-                vec![0, 1, 2],
-            )
-            .unwrap(),
-        );
+        let plan = PhysicalPlan::new(
+            vec![
+                PlanStep {
+                    predicate: teaches,
+                    order: SortOrder::SO,
+                    key: Atom::Var(0),
+                    value: Atom::Var(1),
+                },
+                PlanStep {
+                    predicate: works,
+                    order: SortOrder::SO,
+                    key: Atom::Var(0),
+                    value: Atom::Var(2),
+                },
+            ],
+            3,
+            vec![0, 1, 2],
+        )
+        .unwrap();
         let pool = WorkerPool::new(3);
-        let thresholds = default_thresholds(&s);
-        let mut baseline: Option<Vec<Id>> = None;
+        let inline = collect_flat(&s, None, &plan, &ExecOptions::default(), None).expect("runs");
+        assert_eq!(inline.len(), 4 * 3);
         for threads in [1usize, 2, 4, 9] {
             for morsel_size in [1usize, 2, 16384] {
                 let opts = ExecOptions {
@@ -2707,40 +2453,143 @@ mod tests {
                     morsel_size,
                     ..ExecOptions::default()
                 };
-                let pooled = collect_pooled(&pool, &s, &plan, &opts).expect("pooled runs");
-                let (sinks, _) = execute(&s, &plan, &opts, &thresholds, CollectSink::default)
-                    .expect("scoped runs");
-                let mut scoped = Vec::new();
-                for sk in &sinks {
-                    scoped.extend_from_slice(&sk.data);
-                }
+                let pooled = collect_flat(&s, None, &plan, &opts, Some(&pool)).expect("runs");
                 assert_eq!(
-                    pooled, scoped,
-                    "pooled vs scoped diverged at threads {threads} morsel {morsel_size}"
+                    pooled, inline,
+                    "rows changed at threads {threads} morsel {morsel_size}"
                 );
-                match &baseline {
-                    None => baseline = Some(pooled),
-                    Some(b) => assert_eq!(
-                        &pooled, b,
-                        "row order changed at threads {threads} morsel {morsel_size}"
-                    ),
-                }
             }
         }
         assert!(pool.stats().jobs > 0, "multi-morsel runs must use the pool");
+
+        // A run that cannot finish until a helper has joined it.
+        let thresholds = thresholds(&s);
+        let src = ExecSource {
+            store: &s,
+            delta: None,
+            thresholds: &thresholds,
+        };
+        let wide = ExecOptions {
+            threads: 3,
+            morsel_size: 1,
+            ..ExecOptions::default()
+        };
+        let arrived = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let joins_before = pool.stats().helper_joins;
+        let (sinks, _) = execute(src, &plan, &wide, Some(&pool), move || GatedSink {
+            inner: CollectSink::default(),
+            arrived: Arc::clone(&arrived),
+        })
+        .expect("runs");
+        let gated: Vec<Id> = sinks.iter().flat_map(|g| g.inner.data.iter().copied()).collect();
+        assert_eq!(gated, inline, "a run with helpers reorders nothing");
+        assert!(
+            pool.stats().helper_joins > joins_before,
+            "the gated run must have seated a pool helper"
+        );
+
+        // Guard classes: helpers requested (3 morsels, 3 threads) vs
+        // inline, same trip.
+        type MakeGuard = fn() -> Arc<QueryGuard>;
+        let guards: [(&str, MakeGuard); 4] = [
+            ("cancel", || {
+                let g = Arc::new(QueryGuard::unlimited());
+                g.cancel();
+                g
+            }),
+            ("deadline", || {
+                let g = Arc::new(QueryGuard::with_limits(
+                    Some(std::time::Duration::ZERO),
+                    None,
+                ));
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                g
+            }),
+            ("budget", || Arc::new(QueryGuard::with_limits(None, Some(2)))),
+            ("none", || Arc::new(QueryGuard::unlimited())),
+        ];
+        for (name, make) in guards {
+            let opts = |guard| ExecOptions {
+                guard: Some(guard),
+                ..wide.clone()
+            };
+            let pooled = collect_flat(&s, None, &plan, &opts(make()), Some(&pool));
+            let alone = collect_flat(&s, None, &plan, &opts(make()), None);
+            assert_eq!(
+                pooled.is_err(),
+                name != "none",
+                "{name}: unexpected outcome {pooled:?}"
+            );
+            assert_eq!(failure_class(pooled), failure_class(alone), "{name}");
+        }
+        let panic_class = |pool| {
+            let err = execute(src, &plan, &wide, pool, || PanicSink).expect_err("sink panics");
+            assert!(
+                matches!(err.kind, ExecFailureKind::WorkerPanicked { .. }),
+                "got {:?}",
+                err.kind
+            );
+            std::mem::discriminant(&err.kind)
+        };
+        assert_eq!(panic_class(Some(&pool)), panic_class(None));
+        // The pool stays usable after every early exit.
+        let rows = collect_flat(&s, None, &plan, &wide, Some(&pool)).expect("pool still serves");
+        assert_eq!(rows, inline);
+    }
+
+    #[test]
+    fn one_morsel_run_on_a_pooled_engine_stays_inline() {
+        // The small-query rule: a domain that fits one morsel never
+        // touches the pool, however many threads were asked for, and
+        // resolves the plan exactly once. The dirty driver makes that
+        // one resolution the expensive kind (merged key domain).
+        let (base, ov, rebuilt) = dirty_and_rebuilt();
+        let teaches = pid(&base, "teaches");
+        let plan = PhysicalPlan::new(
+            vec![PlanStep {
+                predicate: teaches,
+                order: SortOrder::SO,
+                key: Atom::Var(0),
+                value: Atom::Var(1),
+            }],
+            2,
+            vec![0, 1],
+        )
+        .unwrap();
+        let pool = WorkerPool::new(2);
+        let opts = ExecOptions::with_threads(3);
+        let before = PREPARE_CALLS.with(std::cell::Cell::get);
+        let dirty = collect_flat(&base, Some(&ov), &plan, &opts, Some(&pool)).expect("runs");
+        assert_eq!(PREPARE_CALLS.with(std::cell::Cell::get) - before, 1);
+        assert_eq!(pool.stats().jobs, 0, "one morsel: nothing to share");
+        let clean = collect_flat(&rebuilt, None, &plan, &opts, None).expect("runs");
+        assert_eq!(dirty, clean);
+
+        // The same request over several morsels is what submits a job.
+        let split = ExecOptions {
+            morsel_size: 1,
+            ..opts
+        };
+        let dirty = collect_flat(&base, Some(&ov), &plan, &split, Some(&pool)).expect("runs");
+        assert_eq!(pool.stats().jobs, 1);
+        assert_eq!(dirty, clean);
     }
 
     #[test]
     fn pooled_panic_fails_only_owner_and_pool_survives() {
-        // Satellite regression: a panicking query on the pool surfaces
-        // as WorkerPanicked, the worker returns to service, and 100
-        // subsequent queries on the same pool succeed with no thread
-        // growth or loss.
-        let s = Arc::new(store());
-        let plan = Arc::new(teaches_plan(&s));
+        // A panicking query on the pool surfaces as WorkerPanicked, the
+        // worker returns to service, and 100 subsequent queries on the
+        // same pool succeed with no thread growth or loss.
+        let s = store();
+        let plan = teaches_plan(&s);
         let pool = WorkerPool::new(2);
         let workers_before = pool.workers();
-        let thresholds = Arc::new(default_thresholds(&s));
+        let thresholds = thresholds(&s);
+        let src = ExecSource {
+            store: &s,
+            delta: None,
+            thresholds: &thresholds,
+        };
         // morsel_size 1 → multiple morsels → helpers requested → the
         // panic happens inside pool workers, not only the submitter.
         let opts = ExecOptions {
@@ -2748,7 +2597,7 @@ mod tests {
             morsel_size: 1,
             ..ExecOptions::default()
         };
-        let err = execute_pooled(&pool, &s, &plan, &opts, &thresholds, || PanicSink)
+        let err = execute(src, &plan, &opts, Some(&pool), || PanicSink)
             .expect_err("sink panic must surface as an error");
         match &err.kind {
             ExecFailureKind::WorkerPanicked { message } => {
@@ -2757,41 +2606,10 @@ mod tests {
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
         for _ in 0..100 {
-            let rows = collect_pooled(&pool, &s, &plan, &opts).expect("pool still serves");
+            let rows =
+                collect_flat(&s, None, &plan, &opts, Some(&pool)).expect("pool still serves");
             assert_eq!(rows.len(), 8, "4 rows × arity 2");
         }
         assert_eq!(pool.workers(), workers_before, "no pool thread leak");
-    }
-
-    #[test]
-    fn pooled_guard_paths_match_scoped() {
-        // Early-exit paths behave identically through the pool: the
-        // same failure kind, no hang, and the pool stays usable.
-        let s = Arc::new(store());
-        let plan = Arc::new(teaches_plan(&s));
-        let pool = WorkerPool::new(2);
-        let opts = |guard: Arc<QueryGuard>| ExecOptions {
-            threads: 3,
-            morsel_size: 1,
-            guard: Some(guard),
-            ..ExecOptions::default()
-        };
-
-        let cancelled = Arc::new(QueryGuard::unlimited());
-        cancelled.cancel();
-        let err = collect_pooled(&pool, &s, &plan, &opts(cancelled)).expect_err("cancelled");
-        assert_eq!(err.kind, ExecFailureKind::Cancelled);
-
-        let budget = Arc::new(QueryGuard::with_limits(None, Some(2)));
-        let err = collect_pooled(&pool, &s, &plan, &opts(budget)).expect_err("over budget");
-        assert!(
-            matches!(err.kind, ExecFailureKind::BudgetExceeded { .. }),
-            "expected BudgetExceeded, got {:?}",
-            err.kind
-        );
-
-        let fine = Arc::new(QueryGuard::unlimited());
-        let rows = collect_pooled(&pool, &s, &plan, &opts(fine)).expect("pool still serves");
-        assert_eq!(rows.len(), 8);
     }
 }

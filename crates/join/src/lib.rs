@@ -21,16 +21,21 @@
 //! fixed-size **morsels**; workers draw morsel indexes from one atomic
 //! cursor and run the **entire pipeline** on read-only shared data — no
 //! exchange, no rehashing, no synchronization, no graph partitioning.
-//! Engines own a persistent [`WorkerPool`]; [`execute_pooled`] submits a
-//! query's morsels to it so no threads are created per query, while
-//! [`execute`] remains the scoped-thread fallback. Both merge per-morsel
-//! sinks in morsel order, so results are byte-identical regardless of
-//! thread count, morsel size, or interleaving.
+//! There is one entry point, [`execute`]: the calling thread always
+//! participates, and when it is handed an engine's persistent
+//! [`WorkerPool`] idle workers join it on the same cursor — no threads
+//! are created per query. Per-morsel sinks are merged in morsel order,
+//! so results are byte-identical regardless of thread count, morsel
+//! size, or interleaving.
 //!
 //! ```
 //! use parj_dict::Term;
 //! use parj_store::{SortOrder, StoreBuilder};
-//! use parj_join::{Atom, ExecOptions, PhysicalPlan, PlanStep, execute_count};
+//! use parj_join::{
+//!     execute_count, Atom, CalibrationResult, ExecOptions, ExecSource, PhysicalPlan, PlanStep,
+//!     ThresholdTable,
+//! };
+//! use std::sync::Arc;
 //!
 //! // ?x teaches ?z . ?x worksFor ?y   (Example 3.1 of the paper)
 //! let mut b = StoreBuilder::new();
@@ -38,7 +43,11 @@
 //!                   ("A", "worksFor", "U1"), ("B", "worksFor", "U2")] {
 //!     b.add_term_triple(&Term::iri(s), &Term::iri(p), &Term::iri(o));
 //! }
-//! let store = b.build();
+//! let store = Arc::new(b.build());
+//! let thresholds = Arc::new(ThresholdTable::from_calibration(
+//!     &store,
+//!     &CalibrationResult::paper_defaults(),
+//! ));
 //! let teaches = store.dict().predicate_id(&Term::iri("teaches")).unwrap();
 //! let works_for = store.dict().predicate_id(&Term::iri("worksFor")).unwrap();
 //! let plan = PhysicalPlan::new(
@@ -51,7 +60,9 @@
 //!     3,
 //!     vec![0, 1, 2],
 //! ).unwrap();
-//! let (count, _stats) = execute_count(&store, &plan, &ExecOptions::default()).unwrap();
+//! let src = ExecSource { store: &store, delta: None, thresholds: &thresholds };
+//! // No pool: the whole pipeline runs inline on this thread.
+//! let (count, _stats) = execute_count(src, &plan, &ExecOptions::default(), None).unwrap();
 //! assert_eq!(count, 2);
 //! ```
 //!
@@ -77,16 +88,10 @@ mod stats;
 mod threshold;
 
 pub use calibrate::{calibrate, CalibrationConfig, CalibrationResult};
-#[allow(deprecated)]
-pub use exec::shard_loads;
 pub use exec::{
-    driver_domain, driver_domain_view, execute, execute_collect, execute_count,
-    execute_count_with, execute_pooled, execute_pooled_view, execute_profiled,
-    execute_profiled_view, execute_view, morsel_loads, morsel_loads_view, PlanProfile,
-    DEFAULT_MORSEL_SIZE,
-    CollectSink, CountSink,
-    ExecFailure, ExecFailureKind, ExecOptions, ExecOptionsBuilder, ExecOptionsError, ExecRecord,
-    ExecResult, FnSink, Recorder, Sink,
+    execute, execute_collect, execute_count, morsel_loads, CollectSink, CountSink, ExecFailure,
+    ExecFailureKind, ExecOptions, ExecOptionsBuilder, ExecOptionsError, ExecRecord, ExecResult,
+    ExecSource, Recorder, Sink, DEFAULT_MORSEL_SIZE,
 };
 pub use pool::{Participant, PoolStats, WorkerPool};
 pub use guard::{CancelToken, GuardTrip, QueryGuard, GUARD_BATCH};

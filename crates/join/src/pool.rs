@@ -1,8 +1,8 @@
 //! Engine-owned persistent worker pool for morsel-driven execution.
 //!
-//! Queries no longer spawn scoped threads per run; instead an engine
-//! creates one [`WorkerPool`] up front (sized by its thread budget) and
-//! every parallel execution *submits a job* onto it. A job is a single
+//! Queries never create threads; an engine creates one [`WorkerPool`]
+//! up front (sized by its thread budget) and every parallel execution
+//! *submits a job* onto it. A job is a single
 //! participant body — a closure that joins the query's shared morsel
 //! cursor and pulls fixed-size driver morsels until the cursor drains
 //! (see `exec.rs`). The submitting thread always runs one participant
@@ -344,19 +344,22 @@ mod tests {
     #[test]
     fn concurrent_submitters_share_the_pool() {
         let pool = Arc::new(WorkerPool::new(2));
-        parj_sync::thread::scope(|s| {
-            for _ in 0..4 {
+        let submitters: Vec<_> = (0..4)
+            .map(|_| {
                 let pool = Arc::clone(&pool);
-                s.spawn(move || {
+                parj_sync::thread::spawn(move || {
                     for _ in 0..25 {
                         let cursor = Arc::new(AtomicUsize::new(0));
                         let hits = Arc::new(AtomicUsize::new(0));
                         pool.run(2, counting_participant(&cursor, &hits, 9));
                         assert_eq!(hits.load(Ordering::Relaxed), 9);
                     }
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for h in submitters {
+            h.join().expect("submitter finished");
+        }
         let stats = pool.stats();
         assert_eq!(stats.jobs, 100);
         assert_eq!(stats.queue_depth, 0);
@@ -368,16 +371,15 @@ mod tests {
         // A raw panicking participant exercises the pool's backstop
         // handler (the executor's participants catch their own).
         // The submitter's own invocation must not panic, so the body
-        // panics only on helper calls.
-        let first = AtomicUsize::new(0);
-        let body: Participant = {
-            let first = Arc::new(first);
-            Arc::new(move || {
-                if first.fetch_add(1, Ordering::Relaxed) > 0 {
-                    panic!("helper dies");
-                }
-            })
-        };
+        // panics only on pool-worker threads (a helper can reach the
+        // body before the submitter does, so call order cannot tell
+        // them apart).
+        let submitter = std::thread::current().id();
+        let body: Participant = Arc::new(move || {
+            if std::thread::current().id() != submitter {
+                panic!("helper dies");
+            }
+        });
         pool.run(2, body);
         let contained = pool.stats().panics_contained;
         // Helpers may or may not have claimed before the job closed.

@@ -4,10 +4,19 @@ use proptest::prelude::*;
 
 use parj_dict::{Id, Term};
 use parj_join::{
-    adaptive_search, binary_search_cursor, execute_collect, sequential_search, Atom, ExecOptions,
-    PhysicalPlan, PlanStep, ProbeStrategy, SearchStats,
+    adaptive_search, binary_search_cursor, execute_collect, sequential_search, Atom,
+    CalibrationResult, ExecOptions, ExecSource, PhysicalPlan, PlanStep, ProbeStrategy,
+    SearchStats, ThresholdTable, WorkerPool,
 };
 use parj_store::{IdPosIndex, SortOrder, StoreBuilder};
+use std::sync::{Arc, OnceLock};
+
+/// The pool every executor case submits to: as many workers as the
+/// widest `threads` rung can seat.
+fn pool() -> &'static WorkerPool {
+    static POOL: OnceLock<WorkerPool> = OnceLock::new();
+    POOL.get_or_init(|| WorkerPool::new(4))
+}
 
 fn sorted_unique(mut xs: Vec<Id>) -> Vec<Id> {
     xs.sort_unstable();
@@ -85,11 +94,14 @@ proptest! {
         prop_assert!(stats.binary_steps <= per_probe_cap * probes.len() as u64);
     }
 
+}
+
+proptest! {
     /// A two-step join over random data returns the same multiset under
     /// every strategy / thread count / morsel granularity, equal to a
-    /// nested-loop oracle computed here.
-    #[test]
-    fn executor_invariant_under_configuration(
+    /// nested-loop oracle computed here. Not a `#[test]` itself: the
+    /// wrapper below also checks the sweep really ran in parallel.
+    fn executor_cases(
         edges_a in proptest::collection::vec((0u32..30, 0u32..30), 1..80),
         edges_b in proptest::collection::vec((0u32..30, 0u32..30), 1..80),
         threads in 1usize..6,
@@ -109,7 +121,12 @@ proptest! {
         for &(s, o) in &edges_b {
             b.add_encoded(parj_dict::EncodedTriple::new(s, 1, o));
         }
-        let store = b.build();
+        let store = Arc::new(b.build());
+        let thresholds = Arc::new(ThresholdTable::from_calibration(
+            &store,
+            &CalibrationResult::paper_defaults(),
+        ));
+        let src = ExecSource { store: &store, delta: None, thresholds: &thresholds };
 
         // ?x pa ?y . ?y pb ?z  (object-subject chain)
         let plan = PhysicalPlan::new(
@@ -146,7 +163,7 @@ proptest! {
                 .strategy(strategy)
                 .build()
                 .expect("valid options");
-            let (batch, _) = execute_collect(&store, &plan, &opts).expect("runs");
+            let (batch, _) = execute_collect(src, &plan, &opts, Some(pool())).expect("runs");
             // Determinism: the *unsorted* row order must already be
             // identical across strategies (and, by the morsel-order
             // merge, across thread counts — the driver-domain order).
@@ -163,4 +180,14 @@ proptest! {
                 strategy, threads, morsel_size);
         }
     }
+}
+
+#[test]
+fn executor_invariant_under_configuration() {
+    executor_cases();
+    let stats = pool().stats();
+    assert!(
+        stats.helper_joins > 0,
+        "no pool helper ever joined a case ({stats:?}): the threads > 1 rungs ran inline"
+    );
 }

@@ -675,7 +675,7 @@ mod tests {
 
         // Integration tests under tests/ are exempt.
         let test_file = check_file(
-            Path::new("crates/core/tests/shim_equivalence.rs"),
+            Path::new("crates/core/tests/parallel_load.rs"),
             "use std::sync::Arc;",
         );
         assert!(test_file.is_empty(), "{test_file:?}");

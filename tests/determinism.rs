@@ -1,9 +1,9 @@
 //! Determinism suite for morsel-driven pooled execution.
 //!
 //! The executor's contract is that results are **byte-identical**
-//! regardless of how the driver domain is carved into morsels, how
-//! many workers pull them, and whether those workers are persistent
-//! pool threads or per-query scoped spawns. This suite pins that
+//! regardless of how the driver domain is carved into morsels and how
+//! many pool workers join the submitting thread (the `threads = 1`
+//! rung is the inline run). This suite pins that
 //! contract end-to-end through the facade on both benchmark dataset
 //! shapes, including the guarded early-exit paths (cancel, deadline,
 //! row budget), the cache-fingerprint consequences (a result computed
@@ -37,10 +37,9 @@ fn watdiv_store() -> parj::TripleStore {
 
 /// Base config for the suite: enough configured threads that the
 /// engine's pool (threads − 1 workers) covers the whole ladder.
-fn config(use_pool: bool) -> EngineConfig {
+fn config() -> EngineConfig {
     EngineConfig {
         threads: 9,
-        use_pool,
         ..EngineConfig::default()
     }
 }
@@ -74,9 +73,8 @@ fn assert_all_combos_match(
 }
 
 #[test]
-fn lubm_rows_identical_across_threads_morsels_and_dispatch() {
-    let mut pooled = Parj::from_store(lubm_store(), config(true));
-    let mut spawned = Parj::from_store(lubm_store(), config(false));
+fn lubm_rows_identical_across_threads_and_morsels() {
+    let mut pooled = Parj::from_store(lubm_store(), config());
     for q in lubm::queries() {
         let baseline = pooled
             .request(&q.sparql)
@@ -87,18 +85,19 @@ fn lubm_rows_identical_across_threads_morsels_and_dispatch() {
             .ids
             .expect("ids mode returns ids");
         assert_all_combos_match(&mut pooled, &q.sparql, &q.name, &baseline);
-        assert_all_combos_match(&mut spawned, &q.sparql, &q.name, &baseline);
     }
+    // Without this the whole ladder could run inline and every
+    // comparison above would pass vacuously.
     assert!(
-        pooled.pool_stats().is_some_and(|s| s.jobs > 0),
-        "multi-thread runs must actually go through the pool"
+        pooled.pool_stats().is_some_and(|s| s.helper_joins > 0),
+        "multi-thread runs must actually seat pool helpers: {:?}",
+        pooled.pool_stats()
     );
 }
 
 #[test]
-fn watdiv_rows_identical_across_threads_morsels_and_dispatch() {
-    let mut pooled = Parj::from_store(watdiv_store(), config(true));
-    let mut spawned = Parj::from_store(watdiv_store(), config(false));
+fn watdiv_rows_identical_across_threads_and_morsels() {
+    let mut pooled = Parj::from_store(watdiv_store(), config());
     // One query per WatDiv shape class keeps the suite fast while
     // still covering linear, star, snowflake and complex pipelines.
     let picks = ["L2", "S3", "F3", "C2"];
@@ -118,7 +117,6 @@ fn watdiv_rows_identical_across_threads_morsels_and_dispatch() {
             .expect("ids mode returns ids");
         assert!(!baseline.is_empty(), "{} must produce rows", q.name);
         assert_all_combos_match(&mut pooled, &q.sparql, &q.name, &baseline);
-        assert_all_combos_match(&mut spawned, &q.sparql, &q.name, &baseline);
     }
 }
 
@@ -158,7 +156,7 @@ fn delta_rows_identical_to_compacted_store_across_combos() {
     // compacted inline (threshold 1 = always compact), and one fully
     // rebuilt from scratch via snapshot round-trip. The byte-identity
     // contract: probing resident runs must be indistinguishable — same
-    // rows, same order, every threads × morsels × dispatch combo —
+    // rows, same order, every threads × morsels combo —
     // from probing the fully compacted partitions. The rebuilt engine
     // is compared as a sorted multiset instead: a rebuild refreshes
     // the optimizer's statistics (histograms, pair cardinalities),
@@ -173,24 +171,17 @@ fn delta_rows_identical_to_compacted_store_across_combos() {
         lubm_store(),
         EngineConfig {
             delta_compaction_threshold: 0,
-            ..config(true)
+            ..config()
         },
     );
     let mut compacted = Parj::from_store(
         lubm_store(),
         EngineConfig {
             delta_compaction_threshold: 1,
-            ..config(true)
+            ..config()
         },
     );
-    let mut spawned_resident = Parj::from_store(
-        lubm_store(),
-        EngineConfig {
-            delta_compaction_threshold: 0,
-            ..config(false)
-        },
-    );
-    for engine in [&mut resident, &mut compacted, &mut spawned_resident] {
+    for engine in [&mut resident, &mut compacted] {
         let out = engine
             .mutate()
             .insert_all(inserts.iter().cloned())
@@ -217,7 +208,7 @@ fn delta_rows_identical_to_compacted_store_across_combos() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("folded.parj");
     {
-        let mut oracle = Parj::from_store(lubm_store(), config(true));
+        let mut oracle = Parj::from_store(lubm_store(), config());
         oracle
             .mutate()
             .insert_all(inserts.iter().cloned())
@@ -226,7 +217,7 @@ fn delta_rows_identical_to_compacted_store_across_combos() {
             .expect("oracle batch");
         oracle.save_snapshot(&path).expect("snapshot");
     }
-    let mut folded = Parj::load_snapshot(&path, config(true)).expect("reload");
+    let mut folded = Parj::load_snapshot(&path, config()).expect("reload");
     std::fs::remove_dir_all(&dir).ok();
 
     for q in lubm::queries() {
@@ -240,7 +231,6 @@ fn delta_rows_identical_to_compacted_store_across_combos() {
             .expect("ids mode returns ids");
         assert_all_combos_match(&mut resident, &q.sparql, &q.name, &baseline);
         assert_all_combos_match(&mut compacted, &q.sparql, &q.name, &baseline);
-        assert_all_combos_match(&mut spawned_resident, &q.sparql, &q.name, &baseline);
 
         // Rebuilt-from-scratch agreement, order-insensitive.
         let mut from_rebuild = folded
@@ -271,7 +261,7 @@ fn cache_fingerprint_hits_across_thread_and_morsel_combos() {
         lubm_store(),
         EngineConfig {
             cache: true,
-            ..config(true)
+            ..config()
         },
     );
     let q = &lubm::queries()[0].sparql;
@@ -314,53 +304,47 @@ fn early_exit_paths_agree_across_combos() {
     // LUBM1 is the widest join in the mix: plenty of rows for the
     // budget to trip on, plenty of work for deadline polls.
     let q = &lubm::queries()[0].sparql;
-    for use_pool in [true, false] {
-        let mut engine = Parj::from_store(
-            parj::TripleStore::from_snapshot_bytes(&store.to_snapshot_bytes())
-                .expect("snapshot round-trip"),
-            config(use_pool),
-        );
-        for threads in THREADS {
-            for morsel in MORSELS {
-                fn base<'e>(
-                    e: &'e mut Parj,
-                    q: &str,
-                    threads: usize,
-                    morsel: usize,
-                ) -> parj::QueryRequest<'e> {
-                    e.request(q).threads(threads).morsel_size(morsel).count_only()
-                }
-
-                let token = CancelToken::new();
-                token.cancel();
-                let err = base(&mut engine, q, threads, morsel)
-                    .cancel(token)
-                    .run()
-                    .unwrap_err();
-                assert!(
-                    matches!(err, ParjError::Cancelled { .. }),
-                    "pool={use_pool} t={threads} m={morsel}: {err}"
-                );
-
-                let err = base(&mut engine, q, threads, morsel)
-                    .timeout(Duration::ZERO)
-                    .run()
-                    .unwrap_err();
-                assert!(
-                    matches!(err, ParjError::DeadlineExceeded { .. }),
-                    "pool={use_pool} t={threads} m={morsel}: {err}"
-                );
-
-                let err = base(&mut engine, q, threads, morsel).max_rows(1).run().unwrap_err();
-                assert!(
-                    matches!(err, ParjError::BudgetExceeded { .. }),
-                    "pool={use_pool} t={threads} m={morsel}: {err}"
-                );
-
-                // And the same request unguarded still answers.
-                let ok = base(&mut engine, q, threads, morsel).run().expect("unguarded runs");
-                assert!(ok.count > 1, "budget test needs multiple rows");
+    let mut engine = Parj::from_store(store, config());
+    for threads in THREADS {
+        for morsel in MORSELS {
+            fn base<'e>(
+                e: &'e mut Parj,
+                q: &str,
+                threads: usize,
+                morsel: usize,
+            ) -> parj::QueryRequest<'e> {
+                e.request(q).threads(threads).morsel_size(morsel).count_only()
             }
+
+            let token = CancelToken::new();
+            token.cancel();
+            let err = base(&mut engine, q, threads, morsel)
+                .cancel(token)
+                .run()
+                .unwrap_err();
+            assert!(
+                matches!(err, ParjError::Cancelled { .. }),
+                "t={threads} m={morsel}: {err}"
+            );
+
+            let err = base(&mut engine, q, threads, morsel)
+                .timeout(Duration::ZERO)
+                .run()
+                .unwrap_err();
+            assert!(
+                matches!(err, ParjError::DeadlineExceeded { .. }),
+                "t={threads} m={morsel}: {err}"
+            );
+
+            let err = base(&mut engine, q, threads, morsel).max_rows(1).run().unwrap_err();
+            assert!(
+                matches!(err, ParjError::BudgetExceeded { .. }),
+                "t={threads} m={morsel}: {err}"
+            );
+
+            // And the same request unguarded still answers.
+            let ok = base(&mut engine, q, threads, morsel).run().expect("unguarded runs");
+            assert!(ok.count > 1, "budget test needs multiple rows");
         }
     }
 }
@@ -376,7 +360,7 @@ fn morsel_imbalance_never_exceeds_static_shard_imbalance() {
     // morsels in cursor order onto the least-loaded worker, which is
     // exactly what pulling off a shared cursor does when load is
     // proportional to time.
-    let mut engine = Parj::from_store(watdiv_store(), config(true));
+    let mut engine = Parj::from_store(watdiv_store(), config());
     // C2 is the skewed complex shape: a handful of hub keys carry
     // most of the probe work.
     let q = watdiv::basic_workload()
@@ -444,23 +428,22 @@ fn value_bytes(store: &parj::TripleStore) -> usize {
 #[test]
 fn compressed_rows_identical_to_uncompressed_across_combos() {
     // Block compression is a physical-layout choice; the contract is
-    // that it is invisible in results. Every threads × morsels ×
-    // pooled/spawned combination over a compressed store must return
-    // the exact rows — same order — of the uncompressed engine.
+    // that it is invisible in results. Every threads × morsels
+    // combination over a compressed store must return the exact rows —
+    // same order — of the uncompressed engine.
     let mut raw = Parj::from_store(
         lubm_store(),
         EngineConfig {
             compress_replicas: false,
-            ..config(true)
+            ..config()
         },
     );
-    let small = |use_pool: bool| EngineConfig {
+    let small = EngineConfig {
         // Threshold low enough that most LUBM-1 runs compress.
         compress_min_values: 4,
-        ..config(use_pool)
+        ..config()
     };
-    let mut pooled = Parj::from_store(lubm_store(), small(true));
-    let mut spawned = Parj::from_store(lubm_store(), small(false));
+    let mut pooled = Parj::from_store(lubm_store(), small);
     assert_eq!(compressed_replicas(raw.store()), 0);
     assert!(
         compressed_replicas(pooled.store()) > 0,
@@ -484,7 +467,6 @@ fn compressed_rows_identical_to_uncompressed_across_combos() {
             .ids
             .expect("ids mode returns ids");
         assert_all_combos_match(&mut pooled, &q.sparql, &q.name, &baseline);
-        assert_all_combos_match(&mut spawned, &q.sparql, &q.name, &baseline);
     }
 }
 
@@ -501,7 +483,7 @@ fn compressed_delta_rows_identical_to_uncompressed_across_combos() {
         EngineConfig {
             delta_compaction_threshold: 0,
             compress_replicas: false,
-            ..config(true)
+            ..config()
         },
     );
     let mut packed_resident = Parj::from_store(
@@ -509,7 +491,7 @@ fn compressed_delta_rows_identical_to_uncompressed_across_combos() {
         EngineConfig {
             delta_compaction_threshold: 0,
             compress_min_values: 4,
-            ..config(true)
+            ..config()
         },
     );
     let mut packed_compacted = Parj::from_store(
@@ -517,7 +499,7 @@ fn compressed_delta_rows_identical_to_uncompressed_across_combos() {
         EngineConfig {
             delta_compaction_threshold: 1,
             compress_min_values: 4,
-            ..config(false)
+            ..config()
         },
     );
     for engine in [&mut raw_resident, &mut packed_resident, &mut packed_compacted] {

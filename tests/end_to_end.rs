@@ -44,8 +44,31 @@ fn encode_patterns(
     Some((patterns, names.len()))
 }
 
+/// Threads of the engines [`consistent_count`] sweeps: a request can
+/// lower an engine's thread count but not raise it, so the engine is
+/// built at the sweep's maximum (whatever the host's core count).
+const SWEEP_THREADS: usize = 4;
+
+fn sweep_config() -> parj::EngineConfig {
+    parj::EngineConfig {
+        threads: SWEEP_THREADS,
+        ..parj::EngineConfig::default()
+    }
+}
+
+/// Fails a sweep whose parallel rung silently ran inline.
+fn assert_helpers_joined(engine: &Parj) {
+    let pool = engine.pool_stats();
+    assert!(
+        pool.is_some_and(|s| s.helper_joins > 0),
+        "no pool helper joined any swept query: {pool:?}"
+    );
+}
+
 /// Runs a query under every strategy × thread combination and checks
-/// all counts agree; returns the count.
+/// all counts agree; returns the count. The swept runs use morsels far
+/// smaller than the test stores' driver domains, so the
+/// `SWEEP_THREADS` rung really shares its morsels with pool helpers.
 fn consistent_count(engine: &mut Parj, sparql: &str) -> u64 {
     let base = engine
         .request(sparql)
@@ -55,10 +78,11 @@ fn consistent_count(engine: &mut Parj, sparql: &str) -> u64 {
         .unwrap()
         .count;
     for strategy in ProbeStrategy::TABLE5 {
-        for threads in [1, 4] {
+        for threads in [1, SWEEP_THREADS] {
             let got = engine
                 .request(sparql)
                 .threads(threads)
+                .morsel_size(64)
                 .strategy(strategy)
                 .count_only()
                 .run()
@@ -79,7 +103,7 @@ fn lubm_queries_consistent_and_match_oracle() {
         universities: 1,
         seed: 11,
     });
-    let mut engine = Parj::from_store(store, parj::EngineConfig::default());
+    let mut engine = Parj::from_store(store, sweep_config());
     for q in lubm::queries() {
         let count = consistent_count(&mut engine, &q.sparql);
         // Oracle check (brute force is quadratic; 1 university is fine).
@@ -101,6 +125,7 @@ fn lubm_queries_consistent_and_match_oracle() {
             );
         }
     }
+    assert_helpers_joined(&engine);
 }
 
 #[test]
@@ -137,7 +162,7 @@ fn lubm_selectivity_profile() {
 #[test]
 fn watdiv_queries_consistent_and_match_oracle() {
     let store = watdiv::generate_store(&watdiv::WatDivConfig { scale: 1, seed: 5 });
-    let mut engine = Parj::from_store(store, parj::EngineConfig::default());
+    let mut engine = Parj::from_store(store, sweep_config());
     for q in watdiv::all_queries() {
         let count = consistent_count(&mut engine, &q.sparql);
         if let Some((patterns, num_vars)) = encode_patterns(&mut engine, &q.sparql) {
@@ -145,6 +170,7 @@ fn watdiv_queries_consistent_and_match_oracle() {
             assert_eq!(count, expected, "{} disagrees with oracle", q.name);
         }
     }
+    assert_helpers_joined(&engine);
 }
 
 #[test]

@@ -8,6 +8,11 @@ use proptest::prelude::*;
 
 use parj::baseline::{reference_eval, BaselineEngine, HashJoinEngine, MergeJoinEngine};
 use parj::{EngineConfig, Parj, ParjError, ProbeStrategy, Term};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Pool helpers seated across every case of `engine_cases` (each case
+/// builds its own engine, so the suite-level count is summed here).
+static HELPER_JOINS: AtomicU64 = AtomicU64::new(0);
 
 const RESOURCES: u32 = 20;
 const PREDICATES: u32 = 4;
@@ -61,7 +66,10 @@ fn slot_sparql(s: Slot) -> String {
 /// case. Every resource/predicate id is pre-seeded into the dictionary
 /// so constants always resolve and ids equal the raw numbers.
 fn build(case: &Case) -> (Parj, String, Vec<parj_optimizer::Pattern>, usize) {
-    let mut engine = Parj::builder().threads(1).build();
+    // Built at the sweep's maximum thread count (a request can only
+    // lower it), with morsels small enough that these ≤ 20-key driver
+    // domains span several — otherwise every case would run inline.
+    let mut engine = Parj::builder().threads(4).morsel_size(2).build();
     // Seed dense dictionaries (generation order = id order).
     let mut nt = String::new();
     for r in 0..RESOURCES {
@@ -132,8 +140,9 @@ proptest! {
 
     /// Engine count == oracle count == baseline counts, under all
     /// strategies and 1/4 threads; materialized rows match as multisets.
-    #[test]
-    fn engine_matches_oracle(case in arb_case()) {
+    /// Not a `#[test]` itself: the wrapper below also checks that the
+    /// sweep really ran in parallel.
+    fn engine_cases(case in arb_case()) {
         let (mut engine, sparql, mut patterns, num_vars) = build(&case);
         // Fix up predicate ids via the dictionary (seed predicate is 0).
         let dict = engine.store().dict();
@@ -198,6 +207,8 @@ proptest! {
             oracle_rows.sort_unstable();
             prop_assert_eq!(rows, oracle_rows, "rows for {}", sparql);
         }
+        let joined = engine.pool_stats().map_or(0, |s| s.helper_joins);
+        HELPER_JOINS.fetch_add(joined, Ordering::Relaxed);
     }
 
     /// Snapshots preserve query results for arbitrary graphs.
@@ -217,4 +228,13 @@ proptest! {
         let restored_count = restored.request(&sparql).count_only().run().unwrap().count;
         prop_assert_eq!(restored_count, count);
     }
+}
+
+#[test]
+fn engine_matches_oracle() {
+    engine_cases();
+    assert!(
+        HELPER_JOINS.load(Ordering::Relaxed) > 0,
+        "no pool helper joined any case: the 4-thread rung ran inline"
+    );
 }

@@ -23,7 +23,16 @@ fn lubm_at_scale() {
     store.check_invariants().expect("invariants at scale");
 
     let bytes = store.to_snapshot_bytes();
-    let mut engine = Parj::from_store(store, EngineConfig::default());
+    // Built at the sweep's thread count: a request can lower an
+    // engine's threads but not raise them (single-CPU runners default
+    // to 1, which would make the `threads(4)` pass below inline).
+    let mut engine = Parj::from_store(
+        store,
+        EngineConfig {
+            threads: 4,
+            ..EngineConfig::default()
+        },
+    );
 
     // Strategy-invariance of every query at scale.
     let mut baseline_counts = Vec::new();
@@ -50,6 +59,11 @@ fn lubm_at_scale() {
             assert_eq!(count, expected, "{} under {strategy}", q.name);
         }
     }
+    let pool = engine.pool_stats();
+    assert!(
+        pool.is_some_and(|s| s.helper_joins > 0),
+        "the threads(4) pass never seated a pool helper: {pool:?}"
+    );
 
     // Snapshot round-trip at size.
     let restored = parj::TripleStore::from_snapshot_bytes(&bytes).expect("snapshot decodes");
