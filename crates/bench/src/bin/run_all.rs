@@ -5,7 +5,7 @@ type Experiment = fn(&parj_bench::Args) -> (Vec<parj_bench::Table>, serde_json::
 
 fn main() {
     let base = parj_bench::Args::parse(0);
-    let experiments: [(&str, Experiment); 14] = [
+    let experiments: [(&str, Experiment); 13] = [
         ("table2", parj_bench::experiments::table2),
         ("table3", parj_bench::experiments::table3),
         ("table4", parj_bench::experiments::table4),
@@ -14,7 +14,6 @@ fn main() {
         ("fig2", parj_bench::experiments::fig2),
         ("fig3", parj_bench::experiments::fig3),
         ("ablation", parj_bench::ablation::ablation),
-        ("load_throughput", parj_bench::experiments::load_throughput),
         ("metrics_overhead", parj_bench::experiments::metrics_overhead),
         ("cache_effect", parj_bench::experiments::cache_effect),
         ("delta", parj_bench::experiments::delta),

@@ -698,82 +698,6 @@ pub fn cache_effect(args: &Args) -> (Vec<Table>, serde_json::Value) {
     )
 }
 
-/// Bulk-load throughput: parses and stages a pre-generated LUBM
-/// N-Triples document through the staged parallel pipeline at a
-/// 1–8 thread ladder, reporting triples/second and speedup over the
-/// single-thread run. The loaded store is byte-identical at every
-/// thread count (asserted here), so the ladder measures pure pipeline
-/// scaling.
-pub fn load_throughput(args: &Args) -> (Vec<Table>, serde_json::Value) {
-    let cfg = lubm::LubmConfig {
-        universities: args.scale,
-        seed: lubm::LubmConfig::default().seed,
-    };
-    let mut bytes = Vec::new();
-    lubm::write_ntriples(&cfg, &mut bytes).expect("in-memory write cannot fail");
-    let text = String::from_utf8(bytes).expect("generator emits UTF-8");
-    let n_triples = text.lines().filter(|l| !l.trim().is_empty()).count();
-
-    let mut ladder: Vec<usize> = vec![1, 2, 4, 8];
-    if !ladder.contains(&args.threads) {
-        ladder.push(args.threads);
-        ladder.sort_unstable();
-    }
-
-    let mut table = Table::new(
-        format!("Bulk-load throughput — LUBM U={} ({} triples)", args.scale, n_triples),
-        &["avg ms", "Mtriples/s", "speedup vs 1T"],
-    );
-    let mut json_rows = Vec::new();
-    let mut base_ms = 0.0;
-    let mut baseline_snapshot: Option<Vec<u8>> = None;
-    for &threads in &ladder {
-        let mut loaded = 0;
-        let mut last: Option<Parj> = None;
-        let m = measure_ms(args.runs, || {
-            let mut engine = Parj::builder().load_threads(threads).build();
-            loaded = engine
-                .load_ntriples_str(&text)
-                .expect("generated dataset parses");
-            last = Some(engine);
-        });
-        let mut engine = last.expect("at least one run");
-        let snapshot = engine.store().to_snapshot_bytes();
-        match &baseline_snapshot {
-            None => baseline_snapshot = Some(snapshot),
-            Some(base) => assert_eq!(
-                *base, snapshot,
-                "store bytes diverged at {threads} load threads"
-            ),
-        }
-        if threads == 1 {
-            base_ms = m.avg_ms;
-        }
-        let mtps = loaded as f64 / (m.avg_ms / 1000.0) / 1.0e6;
-        let speedup = if base_ms > 0.0 { base_ms / m.avg_ms } else { 1.0 };
-        table.row(
-            format!("{threads} thread(s)"),
-            vec![fmt_ms(m.avg_ms), format!("{mtps:.2}"), format!("{speedup:.2}x")],
-        );
-        json_rows.push(json!({
-            "threads": threads, "avg_ms": m.avg_ms, "min_ms": m.min_ms,
-            "triples_per_sec": loaded as f64 / (m.avg_ms / 1000.0),
-            "speedup_vs_1t": speedup, "loaded": loaded,
-        }));
-    }
-    (
-        vec![table],
-        json!({
-            "experiment": "load_throughput", "dataset": "lubm",
-            "scale_universities": args.scale, "triples": n_triples,
-            "runs": args.runs,
-            "hardware_available_parallelism":
-                std::thread::available_parallelism().map_or(1, |n| n.get()),
-            "rows": json_rows,
-        }),
-    )
-}
-
 /// Write throughput of the delta store: small `mutate()` batches landing
 /// in the per-predicate delta overlay vs the legacy rebuild-per-batch
 /// path (re-stage the whole store, then rebuild CSR replicas and

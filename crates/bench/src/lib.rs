@@ -12,7 +12,6 @@
 //! | `table6` | Table 6 — search counts and memory-work counters, binary vs index |
 //! | `fig2`   | Figure 2 — LUBM execution time vs thread count |
 //! | `fig3`   | Figure 3 — execution time vs dataset size |
-//! | `load_throughput` | bulk-load pipeline scaling across load threads (not a paper artifact) |
 //! | `delta` | write throughput: `mutate()` delta batches vs rebuild-per-batch (not a paper artifact) |
 //! | `metrics_overhead` | observability-registry recording cost, on vs off (not a paper artifact) |
 //! | `serve` | closed-loop HTTP serving: qps/p50/p99 vs client count + overload (not a paper artifact) |
@@ -50,8 +49,6 @@ pub fn default_scale(experiment: &str) -> usize {
         "fig2" => 10,
         "fig3" => 16, // ladder 2, 4, 8, 16
         "ablation" => 4,
-        // ~17 k triples per university: 60 ≈ a 1 M-triple load.
-        "load_throughput" => 60,
         // Write batches against a >1 M-triple base (66 universities ≈
         // 1.0 M triples); rebuild-per-batch dominates the runtime, so
         // the sweep caps its repetitions.

@@ -1,27 +1,27 @@
 //! The staged parallel bulk-load pipeline.
 //!
-//! Wires the three parallel stages together for [`crate::Parj`]'s
-//! text-based load APIs:
+//! Wires the stages together for [`crate::Parj`]'s text-based load
+//! APIs. For N-Triples:
 //!
 //! ```text
-//!  input text ──► chunk split ──► parse ×N ──► policy drain ──► encode+route ×N
-//!                 (statement      (parj-rio     (serial, exact    (StoreBuilder::
-//!                  boundaries)     chunks)       LoadReport)       add_triples_parallel)
+//!  input text ──► chunk split ──► scan ×N ──────► policy pass ──► collect/assign/route ×N
+//!                 (line           (borrowed       (serial, over    (StoreBuilder::
+//!                  boundaries)     triples +       per-chunk        add_triples_parallel,
+//!                                  error summary)  outcomes only)   chunks as scanned)
 //! ```
 //!
-//! Every stage is deterministic in its *output*: chunk boundaries and
+//! Terms stay slices of the input from the scanner to the dictionary
+//! probe, which copies only a key it has not seen. Chunk boundaries and
 //! thread counts only change scheduling, never the dictionary, the
-//! store, or the `LoadReport` — the serial path and the parallel path
-//! at any thread count produce byte-identical results.
-//!
-//! For N-Triples the equivalence is by construction: lines parse
-//! independently, and the per-line results are re-assembled in
-//! document order through the same [`drain_triples`] policy machinery
-//! the serial reader path uses, so error positions and lossy skip
-//! counts are exact. For Turtle the chunked path only handles
-//! documents it can parse strictly; any split or parse failure falls
-//! back to the serial parser, which remains the single source of
-//! truth for error positions and lossy recovery.
+//! store, or the `LoadReport`. For N-Triples that holds by
+//! construction: lines scan independently, each chunk records where its
+//! malformed lines sit among its good ones, and those outcomes are
+//! replayed in document order through the same [`drain_triples`] policy
+//! machinery the serial reader path uses; what it did not admit is cut
+//! off the chunk vectors before anything is interned. For Turtle the
+//! chunked path only handles documents it can parse strictly; any split
+//! or parse failure falls back to the serial parser, the single source
+//! of truth for error positions and lossy recovery.
 
 use parj_rio::{drain_triples, LoadReport, OnParseError, ParseError, TermTriple};
 use parj_store::StoreBuilder;
@@ -65,29 +65,22 @@ fn par_map<T: Send, F: Fn(usize) -> T + Sync>(n: usize, threads: usize, f: F) ->
     slots.into_iter().map(|s| s.expect("chunk computed")).collect()
 }
 
-/// Splits an already-drained triple list into even chunks for the
-/// parallel encode+route stage. Chunk count does not affect the
-/// result, only load balance.
+/// Splits a serially parsed triple list (the Turtle fallback) into even
+/// chunks for the encode+route stage; the count only steers load balance.
 fn even_chunks(triples: Vec<TermTriple>, threads: usize) -> Vec<Vec<TermTriple>> {
-    if triples.is_empty() {
-        return Vec::new();
-    }
-    let per = triples.len().div_ceil(threads * CHUNKS_PER_THREAD);
+    let per = triples.len().div_ceil(threads * CHUNKS_PER_THREAD).max(1);
+    let mut it = triples.into_iter().peekable();
     let mut chunks = Vec::new();
-    let mut it = triples.into_iter();
-    loop {
-        let chunk: Vec<TermTriple> = it.by_ref().take(per).collect();
-        if chunk.is_empty() {
-            return chunks;
-        }
-        chunks.push(chunk);
+    while it.peek().is_some() {
+        chunks.push(it.by_ref().take(per).collect());
     }
+    chunks
 }
 
-/// Parses and stages N-Triples text on `threads` workers under
-/// `policy`. Statements drained before an abort remain staged, like
-/// the serial reader path; the returned report (and any error) is
-/// exactly what the serial path would produce.
+/// Scans and stages N-Triples text on `threads` workers under
+/// `policy`. Statements before an abort remain staged and nothing after
+/// it is interned; the returned report (or error) is exactly what the
+/// serial reader path would produce.
 pub(crate) fn load_ntriples_text(
     staged: &mut StoreBuilder,
     text: &str,
@@ -99,11 +92,18 @@ pub(crate) fn load_ntriples_text(
     let parsed = par_map(chunks.len(), threads, |i| {
         parj_rio::parse_ntriples_chunk(text, &chunks[i])
     });
-    // Serial policy drain in document order: loaded/skipped counts and
-    // abort decisions are identical to the serial path by construction.
-    let mut triples = Vec::new();
-    let result = drain_triples(parsed.into_iter().flatten(), policy, |t| triples.push(t));
-    staged.add_triples_parallel(even_chunks(triples, threads), threads);
+    // Serial policy pass in document order over the outcomes alone.
+    let mut admitted = 0usize;
+    let outcomes = parsed.iter().flat_map(|chunk| chunk.outcomes());
+    let result = drain_triples(outcomes, policy, |()| admitted += 1);
+    // Keep the admitted prefix: an abort cuts its chunk short and
+    // empties the later ones. Byte-even chunks are an even split.
+    let mut parts: Vec<_> = parsed.into_iter().map(|chunk| chunk.triples).collect();
+    for part in &mut parts {
+        part.truncate(admitted);
+        admitted -= part.len();
+    }
+    staged.add_triples_parallel(parts, threads);
     result
 }
 

@@ -268,3 +268,186 @@ fn queries_agree_after_parallel_load() {
         assert_eq!(run(threads).unwrap(), base);
     }
 }
+
+// ---- Independent serial oracle -------------------------------------
+//
+// The tests above compare the pipeline with itself at one thread. The
+// ones below compare it with the streaming reader path
+// (`NTriplesParser` + `StoreBuilder::add_term_triple`, owned terms, no
+// chunks), on documents that reach every scanner branch.
+
+const POLICIES: [OnParseError; 5] = [
+    OnParseError::Abort,
+    OnParseError::Skip { max_errors: 0 },
+    OnParseError::Skip { max_errors: 1 },
+    OnParseError::Skip { max_errors: 3 },
+    OnParseError::Skip {
+        max_errors: usize::MAX,
+    },
+];
+
+/// Load outcome, dictionary bytes and snapshot bytes of an engine after
+/// a load attempt.
+fn engine_state(
+    mut engine: Parj,
+    outcome: Result<LoadReport, ParjError>,
+) -> (Result<LoadReport, String>, Vec<u8>, Vec<u8>) {
+    let mut dict = Vec::new();
+    engine.store().dict().encode_into(&mut dict);
+    (
+        outcome.map_err(|e| e.to_string()),
+        dict,
+        engine.store().to_snapshot_bytes(),
+    )
+}
+
+/// Asserts the text pipeline at every thread count equals the streaming
+/// reader path under every policy.
+fn assert_matches_reader_path(doc: &str) {
+    for policy in POLICIES {
+        let mut serial = Parj::new();
+        let outcome = serial.load_ntriples_reader_with(doc.as_bytes(), policy);
+        let oracle = engine_state(serial, outcome);
+        for threads in THREADS {
+            let mut engine = Parj::builder().load_threads(threads).build();
+            let outcome = engine.load_ntriples_str_with(doc, policy);
+            let got = engine_state(engine, outcome);
+            assert_eq!(
+                got.0, oracle.0,
+                "outcome, {threads} threads, {policy:?}\n{doc}"
+            );
+            assert_eq!(
+                got.1, oracle.1,
+                "dictionary, {threads} threads, {policy:?}\n{doc}"
+            );
+            assert_eq!(
+                got.2, oracle.2,
+                "snapshot, {threads} threads, {policy:?}\n{doc}"
+            );
+        }
+    }
+}
+
+/// One line per recipe entry: statements over every term shape (plain,
+/// `@lang` and `^^<datatype>` literals, blank nodes, string escapes,
+/// `\uXXXX`, a surrogate pair, raw multi-byte UTF-8 — with escaped and
+/// raw spellings of the same term), comment and blank lines, trailing
+/// comments, `\r\n` endings, and the four malformed shapes of `nt_doc`.
+fn rich_nt_doc(recipe: &[(u8, u8, u8, u8, u8)]) -> String {
+    let mut doc = String::new();
+    for &(sel, s, p, o, style) in recipe {
+        let line = match sel % 8 {
+            0 => nt_doc(&[Err(o)]).trim_end().to_string(),
+            1 => ["", "# a comment line", "  \t "][o as usize % 3].to_string(),
+            _ => {
+                let subject = match s % 4 {
+                    0 => format!("<http://e/s{}>", s % 23),
+                    1 => format!("<http://e/s\\u00e9{}>", s % 7),
+                    2 => format!("<http://e/sé{}>", s % 7),
+                    _ => format!("_:b{}", s % 5),
+                };
+                let predicate = match p % 3 {
+                    0 => format!("<http://e/\\u0070{}>", p % 5),
+                    _ => format!("<http://e/p{}>", p % 5),
+                };
+                let n = o % 11;
+                let (object, mut end) = match o % 12 {
+                    0 => (format!("<http://e/o{n}>"), " ."),
+                    1 => (format!("<http://e/s{n}>"), "."),
+                    2 => (format!("_:b{}", n % 5), " ."),
+                    3 => (format!("_:b{}", n % 5), "."),
+                    4 => (format!("\"plain {n}\""), " ."),
+                    5 => (format!("\"tagged {n}\"@en-GB"), " ."),
+                    6 => (
+                        format!("\"{n}\"^^<http://www.w3.org/2001/XMLSchema#int>"),
+                        ".",
+                    ),
+                    7 => (format!("\"a\\tb\\nc\\\"d\\\\e {n}\""), " ."),
+                    8 => (format!("\"v\\u00e9 {n}\"@fr"), " ."),
+                    9 => (format!("\"vé {n}\"@fr"), " ."),
+                    10 => (format!("\"\\uD83D\\uDE00 {n}\"^^<http://e/d\\u0074>"), " ."),
+                    _ => (format!("\"😀 {n}\"^^<http://e/dt>"), " ."),
+                };
+                if style & 2 != 0 {
+                    end = " . # trailing comment";
+                }
+                format!("{subject} {predicate} {object}{end}")
+            }
+        };
+        doc.push_str(&line);
+        doc.push_str(if style & 1 == 0 { "\n" } else { "\r\n" });
+    }
+    // Every other document ends without a line terminator.
+    if recipe.len() % 2 == 1 {
+        doc.truncate(doc.trim_end_matches(['\r', '\n']).len());
+    }
+    doc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The chunked text pipeline equals the streaming reader path —
+    /// report or error, dictionary bytes, snapshot bytes — at every
+    /// thread count under every policy.
+    #[test]
+    fn ntriples_text_load_matches_streaming_reader(
+        recipe in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            0..120,
+        ),
+    ) {
+        assert_matches_reader_path(&rich_nt_doc(&recipe));
+    }
+}
+
+#[test]
+fn nothing_after_an_abort_point_is_interned() {
+    use parj_core::Term;
+    // Three blocks with their own subjects, predicate and (escaped)
+    // objects, a malformed line after the first and the second. The
+    // blocks are far longer than a chunk at 9 threads and not a multiple
+    // of any chunk count, so every abort lands mid-chunk.
+    let mut doc = String::new();
+    for block in ["a", "b", "c"] {
+        for i in 0..101 {
+            doc.push_str(&format!(
+                "<http://e/{block}{i}> <http://e/p-{block}> \"{block}\\t{}\" .\n",
+                i % 7
+            ));
+        }
+        doc.push_str("<http://e/bad> <http://e/p-bad> broken\n");
+    }
+    assert_matches_reader_path(&doc);
+    let cases = [
+        (OnParseError::Abort, "a"),
+        (OnParseError::Skip { max_errors: 1 }, "ab"),
+        (OnParseError::Skip { max_errors: 2 }, "abc"),
+    ];
+    for (policy, survivors) in cases {
+        for threads in THREADS {
+            let mut engine = Parj::builder().load_threads(threads).build();
+            let outcome = engine.load_ntriples_str_with(&doc, policy);
+            assert!(outcome.is_err(), "{policy:?} must abort: {outcome:?}");
+            assert_eq!(engine.num_triples(), 101 * survivors.len());
+            let dict = engine.store().dict().clone();
+            for block in ["a", "b", "c"] {
+                let kept = survivors.contains(block);
+                let seen = [
+                    dict.resource_id(&Term::iri(format!("http://e/{block}100")))
+                        .is_some(),
+                    dict.resource_id(&Term::literal(format!("{block}\t3")))
+                        .is_some(),
+                    dict.predicate_id(&Term::iri(format!("http://e/p-{block}")))
+                        .is_some(),
+                ];
+                assert_eq!(
+                    seen, [kept; 3],
+                    "block {block}, {policy:?}, {threads} threads"
+                );
+            }
+            assert_eq!(dict.resource_id(&Term::iri("http://e/bad")), None);
+            assert_eq!(dict.predicate_id(&Term::iri("http://e/p-bad")), None);
+        }
+    }
+}

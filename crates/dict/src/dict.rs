@@ -144,6 +144,9 @@ impl Namespace {
 pub struct Dictionary {
     resources: Namespace,
     predicates: Namespace,
+    /// Canonical-key scratch reused by the encode calls, so encoding a
+    /// term that is already interned allocates nothing.
+    key_buf: String,
 }
 
 /// Errors from decoding a serialized dictionary.
@@ -174,12 +177,16 @@ impl Dictionary {
 
     /// Encodes a term in the resource (subject/object) namespace.
     pub fn encode_resource(&mut self, term: &Term) -> Id {
-        self.resources.encode_key(&term.canonical_key())
+        self.key_buf.clear();
+        term.write_canonical_key(&mut self.key_buf);
+        self.resources.encode_key(&self.key_buf)
     }
 
     /// Encodes a term in the predicate namespace.
     pub fn encode_predicate(&mut self, term: &Term) -> Id {
-        self.predicates.encode_key(&term.canonical_key())
+        self.key_buf.clear();
+        term.write_canonical_key(&mut self.key_buf);
+        self.predicates.encode_key(&self.key_buf)
     }
 
     /// Looks up a resource term without inserting. `None` means the term
@@ -288,6 +295,7 @@ impl Dictionary {
         Ok(Dictionary {
             resources,
             predicates,
+            key_buf: String::new(),
         })
     }
 

@@ -9,6 +9,7 @@
 //! "Hashing" chapter). Implemented inline to keep the workspace free of
 //! extra dependencies.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -72,6 +73,46 @@ impl Hasher for FxHasher {
 
 /// `BuildHasher` for [`FxHasher`]; plug into `HashMap::with_hasher`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+/// Hash-keyed dedup index over keys the caller stores elsewhere and
+/// numbers densely (a candidate batch, a list of first occurrences): it
+/// maps a key's 64-bit hash to the number of the first entry with that
+/// hash and keeps the rare entries whose hash was already taken in a
+/// side list — one `u32` per distinct key, no allocation per key.
+#[derive(Debug, Default)]
+pub struct DedupIndex {
+    first: HashMap<u64, u32, FxBuildHasher>,
+    collided: Vec<u32>,
+}
+
+impl DedupIndex {
+    /// Returns the entry that holds the probed key (`same(i)` tells
+    /// whether entry `i` does). When there is none, registers `next` —
+    /// the number the caller is about to give the key — and returns
+    /// `None`. `hash` must be the key's [`fx_hash_bytes`].
+    pub fn find_or_register(
+        &mut self,
+        hash: u64,
+        next: u32,
+        same: impl Fn(u32) -> bool,
+    ) -> Option<u32> {
+        match self.first.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(next);
+                None
+            }
+            Entry::Occupied(first) => {
+                let hit = Some(*first.get())
+                    .filter(|&i| same(i))
+                    .or_else(|| self.collided.iter().copied().find(|&i| same(i)));
+                if hit.is_none() {
+                    self.collided.push(next);
+                }
+                hit
+            }
+        }
+    }
+}
 
 /// Hash a byte string with FxHash in one call.
 #[inline]

@@ -58,9 +58,9 @@ mod term;
 pub use arena::StringArena;
 pub use delta::{DictDelta, DictView};
 pub use dict::{Dictionary, Namespace};
-pub use hash::{fx_hash_bytes, FxBuildHasher, FxHasher};
+pub use hash::{fx_hash_bytes, DedupIndex, FxBuildHasher, FxHasher};
 pub use sharded::TermBatch;
-pub use term::{Term, TermParseError};
+pub use term::{write_key, CanonicalKey, Term, TermParseError};
 
 /// Dense integer identifier for a dictionary-encoded RDF term.
 ///

@@ -23,22 +23,24 @@
 //! of thread count, shard count and chunk boundaries. That is the
 //! determinism argument the loader's property tests enforce.
 
-use std::collections::HashMap;
-
 use parj_sync::atomic::{AtomicUsize, Ordering};
 use parj_sync::{LockLevel, OrderedMutex};
 
+use crate::arena::StringArena;
 use crate::dict::{Dictionary, Namespace};
-use crate::hash::{fx_hash_bytes, FxBuildHasher};
+use crate::hash::{fx_hash_bytes, DedupIndex};
 use crate::{Id, NO_ID};
 
 /// Candidate terms from one input chunk: canonical keys that were
 /// absent from the namespace when collected, deduplicated within the
 /// chunk, in encounter order, each paired with its precomputed hash.
+///
+/// The keys live in one arena (payload buffer plus offsets), so a batch
+/// costs a handful of allocations however many candidates it holds.
 #[derive(Debug, Default, Clone)]
 pub struct TermBatch {
     hashes: Vec<u64>,
-    keys: Vec<String>,
+    keys: StringArena,
 }
 
 impl TermBatch {
@@ -47,14 +49,13 @@ impl TermBatch {
         Self::default()
     }
 
-    /// Appends a candidate key with its precomputed `fx_hash_bytes`
-    /// hash; returns its position in the batch. The caller is
-    /// responsible for within-batch deduplication.
-    pub fn push(&mut self, hash: u64, key: String) -> u32 {
+    /// Copies a candidate key into the batch with its precomputed
+    /// `fx_hash_bytes` hash; returns its position in the batch. The
+    /// caller is responsible for within-batch deduplication.
+    pub fn push(&mut self, hash: u64, key: &str) -> u32 {
         debug_assert_eq!(hash, fx_hash_bytes(key.as_bytes()));
         self.hashes.push(hash);
-        self.keys.push(key);
-        (self.keys.len() - 1) as u32
+        self.keys.push(key) as u32
     }
 
     /// Number of candidates in the batch.
@@ -74,7 +75,7 @@ impl TermBatch {
 
     /// Key of the `i`-th candidate.
     pub fn key(&self, i: usize) -> &str {
-        &self.keys[i]
+        self.keys.get(i).expect("candidate index in range")
     }
 }
 
@@ -115,7 +116,7 @@ impl Namespace {
         // Cross-chunk dedup, one shard per disjoint hash-space slice.
         let classify = |shard: u64| -> ShardOut {
             let mut out = ShardOut::default();
-            let mut map: HashMap<u64, Vec<u32>, FxBuildHasher> = HashMap::default();
+            let mut index = DedupIndex::default();
             for (c, batch) in batches.iter().enumerate() {
                 for i in 0..batch.len() {
                     let hash = batch.hash(i);
@@ -123,17 +124,13 @@ impl Namespace {
                         continue;
                     }
                     let key = batch.key(i);
-                    let candidates = map.entry(hash).or_default();
-                    let hit = candidates.iter().copied().find(|&f| {
+                    let hit = index.find_or_register(hash, out.firsts.len() as u32, |f| {
                         let (fc, fi) = out.firsts[f as usize];
                         batches[fc as usize].key(fi as usize) == key
                     });
                     match hit {
                         Some(f) => out.dups.push((c as u32, i as u32, f)),
-                        None => {
-                            candidates.push(out.firsts.len() as u32);
-                            out.firsts.push((c as u32, i as u32));
-                        }
+                        None => out.firsts.push((c as u32, i as u32)),
                     }
                 }
             }
@@ -247,7 +244,7 @@ mod tests {
                 continue;
             }
             seen.push(k.to_string());
-            b.push(hash, k.to_string());
+            b.push(hash, k);
         }
         b
     }

@@ -20,6 +20,36 @@ fn split_len_prefixed(rest: &str) -> Option<(&str, &str)> {
     }
 }
 
+/// Appends one canonical key onto `out`: the `tag` (`I` IRI, `B` blank
+/// node, `L` plain / `l` language-tagged / `T` typed literal), for the
+/// two-part literals the length-prefixed `qualifier` (language tag or
+/// datatype IRI), then `body`. This is the one place the key format is
+/// written; every term representation encodes through it.
+pub fn write_key(out: &mut String, tag: char, qualifier: Option<&str>, body: &str) {
+    use fmt::Write;
+    out.push(tag);
+    if let Some(q) = qualifier {
+        // Formatting an integer into a `String` cannot fail.
+        let _ = write!(out, "{}:", q.len());
+        out.push_str(q);
+    }
+    out.push_str(body);
+}
+
+/// A term representation that can write its canonical dictionary key —
+/// what the encode paths need from a term, whether it owns its strings
+/// ([`Term`]) or borrows them from parser input.
+pub trait CanonicalKey {
+    /// Appends the canonical key onto `out`.
+    fn write_canonical_key(&self, out: &mut String);
+}
+
+impl CanonicalKey for Term {
+    fn write_canonical_key(&self, out: &mut String) {
+        Term::write_canonical_key(self, out);
+    }
+}
+
 /// An RDF term: IRI, blank node, or literal.
 ///
 /// Literals carry an optional language tag (for `rdf:langString`) or an
@@ -130,40 +160,19 @@ impl Term {
     /// [`Term::canonical_key`]).
     pub fn write_canonical_key(&self, out: &mut String) {
         match self {
-            Term::Iri(iri) => {
-                out.push('I');
-                out.push_str(iri);
-            }
-            Term::BlankNode(label) => {
-                out.push('B');
-                out.push_str(label);
-            }
+            Term::Iri(iri) => write_key(out, 'I', None, iri),
+            Term::BlankNode(label) => write_key(out, 'B', None, label),
             Term::Literal {
                 lexical,
                 lang: Some(lang),
                 ..
-            } => {
-                out.push('l');
-                out.push_str(&lang.len().to_string());
-                out.push(':');
-                out.push_str(lang);
-                out.push_str(lexical);
-            }
+            } => write_key(out, 'l', Some(lang), lexical),
             Term::Literal {
                 lexical,
                 datatype: Some(dt),
                 ..
-            } => {
-                out.push('T');
-                out.push_str(&dt.len().to_string());
-                out.push(':');
-                out.push_str(dt);
-                out.push_str(lexical);
-            }
-            Term::Literal { lexical, .. } => {
-                out.push('L');
-                out.push_str(lexical);
-            }
+            } => write_key(out, 'T', Some(dt), lexical),
+            Term::Literal { lexical, .. } => write_key(out, 'L', None, lexical),
         }
     }
 

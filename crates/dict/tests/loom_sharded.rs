@@ -18,7 +18,7 @@ fn batch_of(ns: &Namespace, keys: &[&str], seen: &mut Vec<String>) -> TermBatch 
             continue;
         }
         seen.push(k.to_string());
-        b.push(hash, k.to_string());
+        b.push(hash, k);
     }
     b
 }

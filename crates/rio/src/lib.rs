@@ -6,10 +6,13 @@
 //! saved during data import from RDF files", §5); this crate is the
 //! substrate that turns those files into [`parj_dict::Term`] triples.
 //!
-//! The parser is hand-written and allocation-conscious: each line is
-//! scanned once, escape sequences (`\t \b \n \r \f \" \' \\`, `\uXXXX`,
-//! `\UXXXXXXXX`) are decoded in place, and errors carry exact line and
-//! column positions.
+//! The parser is hand-written and allocation-free per term: each line is
+//! scanned once into [`RawTerm`]s whose parts are slices of the line;
+//! only a part holding an escape sequence (`\t \b \n \r \f \" \' \\`,
+//! `\uXXXX`, `\UXXXXXXXX`) is decoded into a buffer of its own. Errors
+//! carry exact line and column positions. The bulk loader encodes the
+//! borrowed terms directly ([`parse_ntriples_chunk`]); the owned
+//! [`TermTriple`] API below is [`RawTerm::to_term`] over the same scan.
 //!
 //! ```
 //! use parj_rio::parse_ntriples_str;
@@ -35,10 +38,10 @@ mod writer;
 
 pub use chunk::{
     finish_turtle_chunks, parse_ntriples_chunk, parse_turtle_chunk, split_ntriples,
-    split_turtle, NtChunk, TurtleChunk,
+    split_turtle, Interleave, NtChunk, ParsedChunk, TurtleChunk,
 };
 pub use error::{ParseError, ParseErrorKind};
 pub use load::{drain_triples, parse_ntriples_str_lossy, LoadReport, OnParseError};
-pub use parser::{parse_ntriples_str, NTriplesParser, TermTriple};
+pub use parser::{parse_ntriples_str, NTriplesParser, RawTerm, RawTriple, TermTriple};
 pub use turtle::{parse_turtle_str, parse_turtle_str_lossy};
 pub use writer::{write_ntriples, write_triple};

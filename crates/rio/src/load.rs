@@ -53,15 +53,15 @@ impl LoadReport {
 }
 
 /// Drains a stream of parse results under `policy`, feeding good
-/// triples to `emit`.
+/// items (triples, or the bulk loader's data-free `()`) to `emit`.
 ///
 /// I/O errors ([`ParseErrorKind::Io`]) are always fatal, even in skip
 /// mode: a broken reader would otherwise error forever without ever
 /// reaching end-of-stream.
-pub fn drain_triples(
-    src: impl Iterator<Item = Result<TermTriple, ParseError>>,
+pub fn drain_triples<T>(
+    src: impl Iterator<Item = Result<T, ParseError>>,
     policy: OnParseError,
-    mut emit: impl FnMut(TermTriple),
+    mut emit: impl FnMut(T),
 ) -> Result<LoadReport, ParseError> {
     let mut report = LoadReport::default();
     for item in src {

@@ -1,13 +1,81 @@
-//! The line-oriented N-Triples parser.
+//! The line-oriented N-Triples scanner and the parsers built on it.
+//!
+//! There is one tokenizer, [`scan_line`]: it validates a statement and
+//! yields its three terms as [`RawTerm`]s that borrow from the line.
+//! The bulk loader encodes those directly; the owned [`TermTriple`] API
+//! ([`parse_ntriples_str`], [`NTriplesParser`]) is [`RawTerm::to_term`]
+//! over the same scan.
 
+use std::borrow::Cow;
 use std::io::BufRead;
 
-use parj_dict::Term;
+use parj_dict::{write_key, CanonicalKey, Term};
 
 use crate::error::{ParseError, ParseErrorKind};
 
 /// A parsed `(subject, predicate, object)` triple of terms.
 pub type TermTriple = (Term, Term, Term);
+
+/// A term as scanned: every part is a slice of the input line. A part
+/// is [`Cow::Owned`] only if it contained a `\u`/`\U` or string escape
+/// and had to be decoded; blank-node labels and language tags have no
+/// escapes and are always slices.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RawTerm<'a> {
+    /// An IRI reference, without the surrounding `<` `>`.
+    Iri(Cow<'a, str>),
+    /// A blank node label, without the leading `_:`.
+    BlankNode(&'a str),
+    /// A plain (`xsd:string`) literal's lexical form.
+    Literal(Cow<'a, str>),
+    /// A language-tagged literal.
+    LangLiteral {
+        /// The lexical form (unescaped).
+        lexical: Cow<'a, str>,
+        /// The language tag, without the `@`.
+        lang: &'a str,
+    },
+    /// A typed literal.
+    TypedLiteral {
+        /// The lexical form (unescaped).
+        lexical: Cow<'a, str>,
+        /// The datatype IRI.
+        datatype: Cow<'a, str>,
+    },
+}
+
+/// A scanned `(subject, predicate, object)` triple borrowing from the
+/// input text.
+pub type RawTriple<'a> = (RawTerm<'a>, RawTerm<'a>, RawTerm<'a>);
+
+impl RawTerm<'_> {
+    /// Copies the term into an owned [`Term`].
+    pub fn to_term(&self) -> Term {
+        match self {
+            RawTerm::Iri(iri) => Term::iri(&**iri),
+            RawTerm::BlankNode(label) => Term::blank(*label),
+            RawTerm::Literal(lexical) => Term::literal(&**lexical),
+            RawTerm::LangLiteral { lexical, lang } => Term::lang_literal(&**lexical, *lang),
+            RawTerm::TypedLiteral { lexical, datatype } => {
+                Term::typed_literal(&**lexical, &**datatype)
+            }
+        }
+    }
+}
+
+impl CanonicalKey for RawTerm<'_> {
+    fn write_canonical_key(&self, out: &mut String) {
+        match self {
+            RawTerm::Iri(iri) => write_key(out, 'I', None, iri),
+            RawTerm::BlankNode(label) => write_key(out, 'B', None, label),
+            RawTerm::Literal(lexical) => write_key(out, 'L', None, lexical),
+            RawTerm::LangLiteral { lexical, lang } => write_key(out, 'l', Some(lang), lexical),
+            RawTerm::TypedLiteral { lexical, datatype } => {
+                write_key(out, 'T', Some(datatype), lexical)
+            }
+        }
+    }
+}
 
 /// Streaming N-Triples parser over any [`BufRead`] source.
 ///
@@ -71,17 +139,30 @@ impl<R: BufRead> Iterator for NTriplesParser<R> {
 /// Parses a whole N-Triples document held in memory, collecting either
 /// all triples or the first error.
 pub fn parse_ntriples_str(input: &str) -> Result<Vec<TermTriple>, ParseError> {
-    let mut out = Vec::new();
-    for (idx, line) in input.lines().enumerate() {
-        if let Some(t) = parse_line(line, idx + 1)? {
-            out.push(t);
-        }
-    }
-    Ok(out)
+    crate::load::parse_ntriples_str_lossy(input, crate::OnParseError::Abort).map(|(t, _)| t)
 }
+
+/// Bytes that end a plain run inside `<…>`: the closing `>`, a
+/// backslash, and the characters the IRI grammar forbids.
+static IRI_STOP: [bool; 256] = {
+    let mut stop = [false; 256];
+    let mut b = 0;
+    while b <= b' ' as usize {
+        stop[b] = true;
+        b += 1;
+    }
+    let marks = b"<>\"{}|^`\\";
+    let mut i = 0;
+    while i < marks.len() {
+        stop[marks[i] as usize] = true;
+        i += 1;
+    }
+    stop
+};
 
 /// Byte-cursor over one line.
 struct Cursor<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     line: usize,
@@ -106,6 +187,16 @@ impl<'a> Cursor<'a> {
         while matches!(self.peek(), Some(b' ') | Some(b'\t')) {
             self.pos += 1;
         }
+    }
+
+    /// Advances to the first byte `stop` accepts (or the line end) and
+    /// returns the bytes passed over. `stop` must either accept or
+    /// reject every non-ASCII byte, so a run never splits a character.
+    fn run(&mut self, stop: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        let rest = &self.bytes[start..];
+        self.pos += rest.iter().position(|&b| stop(b)).unwrap_or(rest.len());
+        &self.text[start..self.pos]
     }
 
     /// Reads exactly `n` hex digits and returns the code they denote.
@@ -167,13 +258,19 @@ impl<'a> Cursor<'a> {
         })
     }
 
-    /// Parses an `<IRI>`; the `<` is already consumed.
-    fn iri_body(&mut self) -> Result<String, ParseError> {
-        let mut out = String::new();
+    /// Parses an `<IRI>`; the `<` is already consumed. Borrows the
+    /// body unless it holds an escape.
+    fn iri_body(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let plain = self.run(|b| IRI_STOP[b as usize]);
+        if self.peek() == Some(b'>') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(plain));
+        }
+        let mut out = String::from(plain);
         loop {
             match self.bump() {
                 None => return Err(self.err(ParseErrorKind::UnclosedIri)),
-                Some(b'>') => return Ok(out),
+                Some(b'>') => return Ok(Cow::Owned(out)),
                 Some(b'\\') => match self.bump() {
                     Some(k @ (b'u' | b'U')) => out.push(self.unicode_escape(k)?),
                     other => {
@@ -183,35 +280,29 @@ impl<'a> Cursor<'a> {
                         ))))
                     }
                 },
-                Some(b) if b < 0x20 || matches!(b, b' ' | b'<' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`') => {
-                    return Err(self.err(ParseErrorKind::BadIriChar(b as char)));
-                }
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Multi-byte UTF-8: copy the full sequence verbatim.
-                    let len = utf8_len(b);
-                    let start = self.pos - 1;
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| self.err(ParseErrorKind::BadIriChar('\u{FFFD}')))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
+                // The other stop bytes are the forbidden (ASCII) ones.
+                Some(b) => return Err(self.err(ParseErrorKind::BadIriChar(b as char))),
             }
+            out.push_str(self.run(|b| IRI_STOP[b as usize]));
         }
     }
 
     /// Parses a `"string"`; the opening quote is already consumed.
-    fn string_body(&mut self) -> Result<String, ParseError> {
-        let mut out = String::new();
+    /// Borrows the body unless it holds an escape.
+    fn string_body(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let stop = |b| b == b'"' || b == b'\\';
+        let plain = self.run(stop);
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(plain));
+        }
+        let mut out = String::from(plain);
         loop {
             match self.bump() {
                 None => return Err(self.err(ParseErrorKind::UnclosedLiteral)),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
+                Some(b'"') => return Ok(Cow::Owned(out)),
+                // A run stops only at a quote or a backslash.
+                Some(_) => match self.bump() {
                     Some(b't') => out.push('\t'),
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'n') => out.push('\n'),
@@ -228,62 +319,38 @@ impl<'a> Cursor<'a> {
                         ))))
                     }
                 },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    let len = utf8_len(b);
-                    let start = self.pos - 1;
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| {
-                            self.err(ParseErrorKind::BadEscape("invalid UTF-8".into()))
-                        })?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
             }
+            out.push_str(self.run(stop));
         }
     }
 
     /// Parses a blank node label; the `_` is already consumed.
-    fn blank_label(&mut self) -> Result<String, ParseError> {
+    fn blank_label(&mut self) -> Result<&'a str, ParseError> {
         if self.bump() != Some(b':') {
             return Err(self.err(ParseErrorKind::BadBlankNode));
         }
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.' || b >= 0x80 {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+        let run = self.run(|b| {
+            !(b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.' || b >= 0x80)
+        });
         // A trailing '.' belongs to the statement terminator, not the label.
-        let mut end = self.pos;
-        while end > start && self.bytes[end - 1] == b'.' {
-            end -= 1;
-            self.pos -= 1;
-        }
-        if end == start {
+        let label = run.trim_end_matches('.');
+        self.pos -= run.len() - label.len();
+        if label.is_empty() {
             return Err(self.err(ParseErrorKind::BadBlankNode));
         }
-        std::str::from_utf8(&self.bytes[start..end])
-            .map(str::to_string)
-            .map_err(|_| self.err(ParseErrorKind::BadBlankNode))
+        Ok(label)
     }
 
     /// Parses one term at the cursor.
-    fn term(&mut self, position: &'static str) -> Result<Term, ParseError> {
+    fn term(&mut self, position: &'static str) -> Result<RawTerm<'a>, ParseError> {
         match self.peek() {
             Some(b'<') => {
                 self.pos += 1;
-                Ok(Term::Iri(self.iri_body()?))
+                Ok(RawTerm::Iri(self.iri_body()?))
             }
             Some(b'_') => {
                 self.pos += 1;
-                Ok(Term::BlankNode(self.blank_label()?))
+                Ok(RawTerm::BlankNode(self.blank_label()?))
             }
             Some(b'"') => {
                 self.pos += 1;
@@ -291,30 +358,21 @@ impl<'a> Cursor<'a> {
                 match self.peek() {
                     Some(b'@') => {
                         self.pos += 1;
-                        let start = self.pos;
-                        while let Some(b) = self.peek() {
-                            if b.is_ascii_alphanumeric() || b == b'-' {
-                                self.pos += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                        if self.pos == start {
+                        let lang = self.run(|b| !(b.is_ascii_alphanumeric() || b == b'-'));
+                        if lang.is_empty() {
                             return Err(self.err(ParseErrorKind::BadLanguageTag));
                         }
-                        let lang =
-                            std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII");
-                        Ok(Term::lang_literal(lexical, lang))
+                        Ok(RawTerm::LangLiteral { lexical, lang })
                     }
                     Some(b'^') => {
                         self.pos += 1;
                         if self.bump() != Some(b'^') || self.bump() != Some(b'<') {
                             return Err(self.err(ParseErrorKind::ExpectedTerm("^^<datatype>")));
                         }
-                        let dt = self.iri_body()?;
-                        Ok(Term::typed_literal(lexical, dt))
+                        let datatype = self.iri_body()?;
+                        Ok(RawTerm::TypedLiteral { lexical, datatype })
                     }
-                    _ => Ok(Term::literal(lexical)),
+                    _ => Ok(RawTerm::Literal(lexical)),
                 }
             }
             _ => Err(self.err(ParseErrorKind::ExpectedTerm(position))),
@@ -322,18 +380,13 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
-/// Parses one line; `Ok(None)` for blank/comment lines.
-pub(crate) fn parse_line(line: &str, line_no: usize) -> Result<Option<TermTriple>, ParseError> {
+/// Scans one line into borrowed terms; `Ok(None)` for blank/comment
+/// lines.
+pub(crate) fn scan_line(line: &str, line_no: usize) -> Result<Option<RawTriple<'_>>, ParseError> {
+    let text = line.trim_end_matches(['\n', '\r']);
     let mut c = Cursor {
-        bytes: line.trim_end_matches(['\n', '\r']).as_bytes(),
+        text,
+        bytes: text.as_bytes(),
         pos: 0,
         line: line_no,
     };
@@ -344,12 +397,12 @@ pub(crate) fn parse_line(line: &str, line_no: usize) -> Result<Option<TermTriple
     }
 
     let subject = c.term("IRI or blank node in subject position")?;
-    if subject.is_literal() {
+    if !matches!(subject, RawTerm::Iri(_) | RawTerm::BlankNode(_)) {
         return Err(c.err(ParseErrorKind::LiteralSubject));
     }
     c.skip_ws();
     let predicate = c.term("IRI in predicate position")?;
-    if predicate.as_iri().is_none() {
+    if !matches!(predicate, RawTerm::Iri(_)) {
         return Err(c.err(ParseErrorKind::NonIriPredicate));
     }
     c.skip_ws();
@@ -363,6 +416,12 @@ pub(crate) fn parse_line(line: &str, line_no: usize) -> Result<Option<TermTriple
         None | Some(b'#') => Ok(Some((subject, predicate, object))),
         Some(_) => Err(c.err(ParseErrorKind::TrailingGarbage)),
     }
+}
+
+/// [`scan_line`] copied into owned terms.
+pub(crate) fn parse_line(line: &str, line_no: usize) -> Result<Option<TermTriple>, ParseError> {
+    let scanned = scan_line(line, line_no)?;
+    Ok(scanned.map(|(s, p, o)| (s.to_term(), p.to_term(), o.to_term())))
 }
 
 #[cfg(test)]
@@ -535,5 +594,88 @@ mod tests {
         let mut p = NTriplesParser::new(src.as_bytes());
         let (s, _, _) = p.next().unwrap().unwrap();
         assert_eq!(s, Term::iri("http://e/a"));
+    }
+
+    /// The string parts of a scanned term, in source order.
+    fn parts<'t, 'a>(t: &'t RawTerm<'a>) -> Vec<&'t Cow<'a, str>> {
+        match t {
+            RawTerm::Iri(p) | RawTerm::Literal(p) => vec![p],
+            RawTerm::BlankNode(_) => vec![],
+            RawTerm::LangLiteral { lexical, .. } => vec![lexical],
+            RawTerm::TypedLiteral { lexical, datatype } => vec![lexical, datatype],
+        }
+    }
+
+    fn lies_within(part: &str, line: &str) -> bool {
+        let (start, end) = (line.as_ptr() as usize, line.as_ptr() as usize + line.len());
+        let at = part.as_ptr() as usize;
+        start <= at && at + part.len() <= end
+    }
+
+    #[test]
+    fn escape_free_terms_borrow_every_part_from_the_line() {
+        let lines = [
+            "<http://e/s> <http://e/p> <http://e/o> .",
+            "_:a.b <http://e/p> _:c. # label directly before the dot",
+            r#"<http://e/café> <http://e/p> "plain é 😀" ."#,
+            r#"_:x <http://e/p> "bonjour"@fr-CA ."#,
+            r#"<http://e/s> <http://e/p> "5"^^<http://www.w3.org/2001/XMLSchema#int> ."#,
+        ];
+        for line in lines {
+            let (s, p, o) = scan_line(line, 1).unwrap().unwrap();
+            for term in [&s, &p, &o] {
+                for part in parts(term) {
+                    assert!(
+                        matches!(part, Cow::Borrowed(_)),
+                        "{line}: {part:?} is owned"
+                    );
+                    assert!(
+                        lies_within(part, line),
+                        "{line}: {part:?} is not a slice of it"
+                    );
+                }
+                match term {
+                    RawTerm::BlankNode(label) => assert!(lies_within(label, line)),
+                    RawTerm::LangLiteral { lang, .. } => assert!(lies_within(lang, line)),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_escaped_part_is_owned() {
+        let line = r#"<http://e/s> <http://e/p> "a\tb"^^<http://e/dt> ."#;
+        let (s, p, o) = scan_line(line, 1).unwrap().unwrap();
+        let RawTerm::TypedLiteral { lexical, datatype } = &o else {
+            panic!("typed literal expected, got {o:?}");
+        };
+        assert_eq!(lexical, &Cow::<str>::Owned("a\tb".into()));
+        assert!(matches!(lexical, Cow::Owned(_)));
+        assert!(matches!(datatype, Cow::Borrowed(d) if lies_within(d, line)));
+        for term in [&s, &p] {
+            assert!(matches!(term, RawTerm::Iri(Cow::Borrowed(i)) if lies_within(i, line)));
+        }
+        // The same goes for an escape inside an IRI.
+        let line = r#"<http://e/\u00e9> <http://e/p> "x" ."#;
+        let (s, _, o) = scan_line(line, 1).unwrap().unwrap();
+        assert_eq!(s, RawTerm::Iri(Cow::Owned("http://e/é".into())));
+        assert!(matches!(s, RawTerm::Iri(Cow::Owned(_))));
+        assert!(matches!(o, RawTerm::Literal(Cow::Borrowed(_))));
+    }
+
+    #[test]
+    fn raw_and_owned_terms_write_the_same_canonical_key() {
+        let line = r#"_:b <http://e/p> "q\"uote"@en ."#;
+        let typed = r#"<http://e/s> <http://e/\u0070> "1"^^<http://e/dt> ."#;
+        for line in [line, typed] {
+            let (s, p, o) = scan_line(line, 1).unwrap().unwrap();
+            for raw in [s, p, o] {
+                let (mut a, mut b) = (String::new(), String::new());
+                CanonicalKey::write_canonical_key(&raw, &mut a);
+                raw.to_term().write_canonical_key(&mut b);
+                assert_eq!(a, b);
+            }
+        }
     }
 }

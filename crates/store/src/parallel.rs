@@ -6,10 +6,14 @@
 //! [`StoreBuilder::add_term_triple`] loop over the same triples in
 //! document order would — same dictionary bytes, same built store:
 //!
-//! 1. **Collect** (parallel per chunk): canonicalize every term, probe
-//!    the existing dictionary, and record each triple as three
-//!    [`TermRef`]s — a known id, or an index into the chunk's
-//!    deduplicated novel-term batch.
+//! 1. **Collect** (parallel per chunk): write every term's canonical
+//!    key into one scratch buffer, hash it, probe the existing
+//!    dictionary and the chunk's own novel terms, and record each
+//!    triple as three [`TermRef`]s — a known id, or an index into the
+//!    chunk's deduplicated novel-term batch. Only a novel key's bytes
+//!    are copied; a repeat costs a hash and a probe. Terms come in any
+//!    representation that can write its key ([`CanonicalKey`]): owned
+//!    [`parj_dict::Term`]s or a parser's borrowed ones.
 //! 2. **Assign** ([`parj_dict::Namespace::extend_batches`]): the
 //!    sharded two-phase encode appends the novel terms in document
 //!    first-occurrence order, so ids are independent of thread count.
@@ -20,12 +24,10 @@
 //!    sorts and dedups every partition, so the finished store is still
 //!    byte-identical at any thread count.
 
-use std::collections::HashMap;
-
 use parj_sync::atomic::{AtomicUsize, Ordering};
 use parj_sync::{LockLevel, OrderedMutex};
 
-use parj_dict::{fx_hash_bytes, FxBuildHasher, Id, Namespace, Term, TermBatch};
+use parj_dict::{fx_hash_bytes, CanonicalKey, DedupIndex, Id, Namespace, TermBatch};
 
 use crate::store::StoreBuilder;
 
@@ -51,7 +53,9 @@ type RefTriple = (TermRef, TermRef, TermRef);
 struct Collector<'a> {
     ns: &'a Namespace,
     batch: TermBatch,
-    dedup: HashMap<u64, Vec<u32>, FxBuildHasher>,
+    dedup: DedupIndex,
+    /// The key of the term being collected.
+    key: String,
 }
 
 impl<'a> Collector<'a> {
@@ -59,33 +63,31 @@ impl<'a> Collector<'a> {
         Self {
             ns,
             batch: TermBatch::new(),
-            dedup: HashMap::default(),
+            dedup: DedupIndex::default(),
+            key: String::new(),
         }
     }
 
-    fn collect(&mut self, term: &Term) -> TermRef {
-        let key = term.canonical_key();
+    fn collect(&mut self, term: &impl CanonicalKey) -> TermRef {
+        self.key.clear();
+        term.write_canonical_key(&mut self.key);
+        let key = self.key.as_str();
         let hash = fx_hash_bytes(key.as_bytes());
-        if let Some(id) = self.ns.get_key_hashed(hash, &key) {
+        if let Some(id) = self.ns.get_key_hashed(hash, key) {
             return TermRef::Known(id);
         }
-        if let Some(cands) = self.dedup.get(&hash) {
-            for &i in cands {
-                if self.batch.key(i as usize) == key {
-                    return TermRef::Novel(i);
-                }
-            }
-        }
-        let i = self.batch.push(hash, key);
-        self.dedup.entry(hash).or_default().push(i);
-        TermRef::Novel(i)
+        let batch = &mut self.batch;
+        let seen = self
+            .dedup
+            .find_or_register(hash, batch.len() as u32, |i| batch.key(i as usize) == key);
+        TermRef::Novel(seen.unwrap_or_else(|| batch.push(hash, key)))
     }
 }
 
-fn collect_chunk(
+fn collect_chunk<T: CanonicalKey>(
     resources: &Namespace,
     predicates: &Namespace,
-    chunk: &[(Term, Term, Term)],
+    chunk: &[(T, T, T)],
 ) -> (TermBatch, TermBatch, Vec<RefTriple>) {
     let mut res = Collector::new(resources);
     let mut pred = Collector::new(predicates);
@@ -108,8 +110,12 @@ impl StoreBuilder {
     /// chunks must be consecutive slices of the input in document
     /// order; the resulting dictionary and built store are identical
     /// to serially adding every triple in that order, for any
-    /// `threads` and any chunk boundaries.
-    pub fn add_triples_parallel(&mut self, chunks: Vec<Vec<(Term, Term, Term)>>, threads: usize) {
+    /// `threads`, any chunk boundaries and either term representation.
+    pub fn add_triples_parallel<T: CanonicalKey + Sync>(
+        &mut self,
+        chunks: Vec<Vec<(T, T, T)>>,
+        threads: usize,
+    ) {
         let threads = threads.max(1);
         let n_chunks = chunks.len();
         if n_chunks == 0 {
@@ -226,6 +232,7 @@ impl StoreBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parj_dict::Term;
 
     fn triples(n: usize) -> Vec<(Term, Term, Term)> {
         (0..n)
@@ -243,14 +250,19 @@ mod tests {
             .collect()
     }
 
+    /// Dictionary bytes and built-store snapshot bytes of a builder.
+    fn staged_bytes(b: StoreBuilder) -> (Vec<u8>, Vec<u8>) {
+        let mut dict_bytes = Vec::new();
+        b.dict().encode_into(&mut dict_bytes);
+        (dict_bytes, b.build().to_snapshot_bytes())
+    }
+
     fn serial_build(data: &[(Term, Term, Term)]) -> (Vec<u8>, Vec<u8>) {
         let mut b = StoreBuilder::new();
         for (s, p, o) in data {
             b.add_term_triple(s, p, o);
         }
-        let mut dict_bytes = Vec::new();
-        b.dict().encode_into(&mut dict_bytes);
-        (dict_bytes, b.build().to_snapshot_bytes())
+        staged_bytes(b)
     }
 
     #[test]
@@ -294,8 +306,99 @@ mod tests {
     #[test]
     fn empty_chunks_are_harmless() {
         let mut b = StoreBuilder::new();
-        b.add_triples_parallel(Vec::new(), 4);
-        b.add_triples_parallel(vec![Vec::new(), Vec::new()], 4);
+        b.add_triples_parallel(Vec::<Vec<(Term, Term, Term)>>::new(), 4);
+        b.add_triples_parallel(vec![Vec::<(Term, Term, Term)>::new(), Vec::new()], 4);
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn borrowed_and_owned_terms_stage_identical_bytes() {
+        // Every term shape, with and without escapes, and enough
+        // repeats that chunk-local and cross-chunk dedup both fire.
+        let doc: String = (0..240)
+            .map(|i| {
+                let object = match i % 6 {
+                    0 => format!("<http://e/s{}>", (i + 7) % 31),
+                    1 => format!("_:b{}", i % 9),
+                    2 => format!("\"v{} é\"", i % 17),
+                    3 => format!("\"tab\\t{}\"@en-GB", i % 4),
+                    4 => format!("\"{}\"^^<http://e/int>", i % 13),
+                    _ => format!("\"\\uD83D\\uDE00 {}\"^^<http://e/\\u0064t>", i % 3),
+                };
+                format!("<http://e/s{}> <http://e/p{}> {object} .\n", i % 23, i % 5)
+            })
+            .collect();
+        let owned = parj_rio::parse_ntriples_str(&doc).unwrap();
+        let oracle = serial_build(&owned);
+        for threads in [1, 2, 4, 9] {
+            for n_chunks in [1, 3, 8] {
+                let cuts = parj_rio::split_ntriples(&doc, n_chunks);
+                let raw: Vec<Vec<_>> = cuts
+                    .iter()
+                    .map(|c| parj_rio::parse_ntriples_chunk(&doc, c).triples)
+                    .collect();
+                let mut at = 0;
+                let terms: Vec<Vec<_>> = raw
+                    .iter()
+                    .map(|c| {
+                        at += c.len();
+                        owned[at - c.len()..at].to_vec()
+                    })
+                    .collect();
+                let mut from_raw = StoreBuilder::new();
+                from_raw.add_triples_parallel(raw, threads);
+                let mut from_terms = StoreBuilder::new();
+                from_terms.add_triples_parallel(terms, threads);
+                let got = staged_bytes(from_raw);
+                let at = format!("{threads} threads / {n_chunks} chunks");
+                assert_eq!(got, staged_bytes(from_terms), "raw vs owned, {at}");
+                assert_eq!(got, oracle, "raw vs serial, {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn terms_with_colliding_hashes_stay_distinct() {
+        // FxHash folds a key's 8-byte words as h = (rotl(h, 5) ^ word) *
+        // SEED from h = 0, so for a 16-byte key the second word can be
+        // solved to cancel any change to the first.
+        const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
+        let fold = |w: &[u8]| word(w).wrapping_mul(SEED).rotate_left(5);
+        let a = "http://e/aaaaaa";
+        let a_key = Term::iri(a).canonical_key();
+        let b = (0u32..)
+            .find_map(|n| {
+                let first = format!("I{n:07}");
+                let second = word(&a_key.as_bytes()[8..])
+                    ^ fold(&a_key.as_bytes()[..8])
+                    ^ fold(first.as_bytes());
+                let second = second.to_le_bytes();
+                second
+                    .is_ascii()
+                    .then(|| format!("{}{}", &first[1..], std::str::from_utf8(&second).unwrap()))
+            })
+            .expect("one first word in 256 leaves an ASCII second word");
+        assert_ne!(a, b);
+        assert_eq!(
+            fx_hash_bytes(a_key.as_bytes()),
+            fx_hash_bytes(Term::iri(&*b).canonical_key().as_bytes())
+        );
+        let p = Term::iri("http://e/p");
+        let data = vec![
+            (Term::iri(a), p.clone(), Term::iri(&*b)),
+            (Term::iri(&*b), p.clone(), Term::iri(a)),
+            (Term::iri(&*b), p, Term::iri(&*b)),
+        ];
+        let serial = serial_build(&data);
+        for chunks in [
+            vec![data.clone()],
+            vec![data[..1].to_vec(), data[1..].to_vec()],
+        ] {
+            let mut builder = StoreBuilder::new();
+            builder.add_triples_parallel(chunks, 2);
+            assert_eq!(builder.dict().num_resources(), 2);
+            assert_eq!(staged_bytes(builder), serial);
+        }
     }
 }
