@@ -319,8 +319,8 @@ impl PlanEntry {
 pub enum CachedResult {
     /// A silent-mode count (the paper's count-only execution).
     Count(u64),
-    /// Materialized id rows (decode to terms happens per-request, so
-    /// `rows` and `ids` requests share one entry).
+    /// Materialized id rows, shared by reference with every outcome
+    /// served from the entry (terms are resolved when it is read).
     Rows(parj_sync::Arc<RowBatch>),
 }
 

@@ -456,18 +456,16 @@ fn run() -> Result<(), Failure> {
                         req = req.bypass_cache();
                     }
                     let out = req.run().map_err(fail)?;
-                    let rows = out.rows.as_ref().map_or(0, Vec::len);
-                    let stats = out.stats.clone();
-                    print!("{}", out.clone().into_result().to_table());
+                    print!("{}", out.to_table().map_err(fail)?);
                     if cli.show_stats {
                         eprint!("{}", out.report());
                     } else {
                         eprintln!(
                             "{} rows in {} µs (prepare {} µs, decode {} µs)",
-                            rows,
-                            stats.total_micros(),
-                            stats.prepare_micros,
-                            stats.decode_micros,
+                            out.count,
+                            out.stats.total_micros(),
+                            out.stats.prepare_micros,
+                            out.stats.decode_micros,
                         );
                     }
                 }

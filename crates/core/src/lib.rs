@@ -22,8 +22,8 @@
 //! 3. [`Parj::finalize`] — builds partitions, statistics, and runs the
 //!    calibration of Algorithm 2 (or adopts the paper's default
 //!    windows);
-//! 4. query through [`Parj::request`]: decoded rows by default,
-//!    [`QueryRequest::ids_only`] for materialized ids,
+//! 4. query through [`Parj::request`]: the answer's rows by default
+//!    (held by reference, read as ids or terms),
 //!    [`QueryRequest::count_only`] for the paper's "silent mode" —
 //!    with per-run deadline / row-budget / cancellation / thread
 //!    knobs on the same builder.
@@ -43,7 +43,7 @@
 //!     "SELECT ?x ?y WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> ?y . }"
 //! ).run().unwrap();
 //! assert_eq!(outcome.count, 2);
-//! assert_eq!(outcome.rows.unwrap().len(), 2);
+//! assert_eq!(outcome.term_rows().unwrap().len(), 2);
 //! ```
 //!
 //! ## Observability
@@ -76,7 +76,7 @@ pub use fingerprint::{canonicalize_query, query_fingerprint};
 pub use hierarchy::{Hierarchy, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, RDF_TYPE};
 pub use mutate::{MutationOutcome, MutationPhases, MutationRequest};
 pub use request::{QueryOutcome, QueryRequest};
-pub use result::{CacheStatus, PhaseTimings, QueryResult, QueryRunStats};
+pub use result::{Answer, CacheStatus, PhaseTimings, QueryRunStats};
 pub use shared::SharedParj;
 pub use translate::{TranslatedQuery, Translation};
 
@@ -94,7 +94,7 @@ pub use parj_obs::{
 
 // Re-export the workspace vocabulary so downstream users need only this
 // crate.
-pub use parj_dict::{Dictionary, EncodedTriple, Id, Term};
+pub use parj_dict::{Dictionary, EncodedTriple, Id, Term, TermRef};
 pub use parj_join::{
     CalibrationConfig, CalibrationResult, CancelToken, ExecOptions, GuardTrip, PhysicalPlan,
     ProbeStrategy, QueryGuard, SearchStats, ThresholdTable, GUARD_BATCH,

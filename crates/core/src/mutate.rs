@@ -311,7 +311,7 @@ mod tests {
             .request("SELECT ?s ?o WHERE { ?s <http://e/brandnew> ?o }")
             .run()
             .unwrap()
-            .rows
+            .term_rows()
             .unwrap();
         assert_eq!(rows, vec![vec![iri("fresh"), iri("alsofresh")]]);
     }

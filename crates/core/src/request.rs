@@ -3,8 +3,8 @@
 //!
 //! Every axis of a run is a builder knob:
 //!
-//! * **result shape** — decoded rows (default), dictionary ids
-//!   ([`QueryRequest::ids_only`]), or a silent-mode count
+//! * **result shape** — the answer's rows (default; held by reference
+//!   as an [`Answer`], read as ids or terms), or a silent-mode count
 //!   ([`QueryRequest::count_only`], the paper's primary measurement);
 //! * **lifecycle limits** — [`QueryRequest::timeout`],
 //!   [`QueryRequest::max_rows`], [`QueryRequest::cancel`];
@@ -34,31 +34,21 @@
 
 use std::time::Duration;
 
-use parj_dict::{Id, Term};
+use parj_dict::{Id, Term, TermRef};
 use parj_join::{CancelToken, ProbeStrategy};
 
 use crate::engine::{Parj, RunOverrides};
 use crate::error::ParjError;
-use crate::result::{QueryResult, QueryRunStats};
+use crate::result::{Answer, QueryRunStats};
 use crate::shared::SharedParj;
-
-/// Result shape a request asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RunMode {
-    /// Silent mode: count only (no materialization unless forced by
-    /// `DISTINCT`/entailment dedup).
-    Count,
-    /// Materialized dictionary ids, no term decode.
-    Ids,
-    /// Fully decoded term rows.
-    Rows,
-}
 
 /// Everything the engine needs to run one request (the builder's
 /// resolved state, minus the target borrow).
 pub(crate) struct RunSpec {
     pub(crate) over: RunOverrides,
-    pub(crate) mode: RunMode,
+    /// Silent mode: count only (no materialization unless forced by
+    /// `DISTINCT`/entailment dedup).
+    pub(crate) count_only: bool,
     pub(crate) explain: bool,
     pub(crate) no_cache: bool,
 }
@@ -88,7 +78,7 @@ impl<'e> QueryRequest<'e> {
             query: query.to_string(),
             spec: RunSpec {
                 over: RunOverrides::default(),
-                mode: RunMode::Rows,
+                count_only: false,
                 explain: false,
                 no_cache: false,
             },
@@ -152,13 +142,7 @@ impl<'e> QueryRequest<'e> {
 
     /// Request only the result count (the paper's silent mode).
     pub fn count_only(mut self) -> Self {
-        self.spec.mode = RunMode::Count;
-        self
-    }
-
-    /// Request materialized dictionary ids without term decoding.
-    pub fn ids_only(mut self) -> Self {
-        self.spec.mode = RunMode::Ids;
+        self.spec.count_only = true;
         self
     }
 
@@ -199,53 +183,70 @@ impl std::fmt::Debug for QueryRequest<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryRequest")
             .field("query", &self.query)
-            .field("mode", &self.spec.mode)
+            .field("count_only", &self.spec.count_only)
             .field("explain", &self.spec.explain)
             .field("overrides", &self.spec.over)
             .finish()
     }
 }
 
-/// The result of one [`QueryRequest::run`]. Which of `rows`/`ids` is
-/// populated depends on the requested shape; `count` and `stats` are
-/// always set.
+/// The result of one [`QueryRequest::run`]. `count` and `stats` are
+/// always set; the rows are held by reference in an [`Answer`] unless
+/// the request was [`QueryRequest::count_only`], and are read as ids or
+/// terms on demand.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// Projected variable names, in output order.
     pub vars: Vec<String>,
     /// Result rows (post `DISTINCT`/`OFFSET`/`LIMIT`).
     pub count: u64,
-    /// Decoded term rows — `Some` for the default (rows) shape.
-    pub rows: Option<Vec<Vec<Term>>>,
-    /// Dictionary-id rows — `Some` under [`QueryRequest::ids_only`].
-    pub ids: Option<Vec<Vec<Id>>>,
     /// Timing, counters and the executed plan text.
     pub stats: QueryRunStats,
     /// Annotated-plan report — `Some` under
     /// [`QueryRequest::explain`]`(true)`.
     pub profile: Option<String>,
+    pub(crate) answer: Option<Answer>,
 }
 
 impl QueryOutcome {
-    /// Converts to the legacy [`QueryResult`] shape (empty rows unless
-    /// the request asked for decoded rows).
-    pub fn into_result(self) -> QueryResult {
-        QueryResult {
-            vars: self.vars,
-            rows: self.rows.unwrap_or_default(),
-            stats: self.stats,
+    /// The answer's rows by reference — `None` under
+    /// [`QueryRequest::count_only`].
+    pub fn answer(&self) -> Option<&Answer> {
+        self.answer.as_ref()
+    }
+
+    /// Copies of the answer's dictionary-id rows (empty under
+    /// [`QueryRequest::count_only`]).
+    pub fn id_rows(&self) -> Vec<Vec<Id>> {
+        self.answer
+            .iter()
+            .flat_map(Answer::rows)
+            .map(<[Id]>::to_vec)
+            .collect()
+    }
+
+    /// The answer's rows decoded to owned terms (empty under
+    /// [`QueryRequest::count_only`]). An id that fails to decode is
+    /// [`ParjError::Internal`].
+    pub fn term_rows(&self) -> Result<Vec<Vec<Term>>, ParjError> {
+        let Some(answer) = &self.answer else {
+            return Ok(Vec::new());
+        };
+        let term = |&id: &Id| answer.term(id).map(TermRef::to_term);
+        answer.rows().map(|row| row.iter().map(term).collect()).collect()
+    }
+
+    /// Renders a compact tab-separated table — variable names, then one
+    /// N-Triples term per cell — for examples and debugging.
+    pub fn to_table(&self) -> Result<String, ParjError> {
+        let mut out = self.vars.join("\t");
+        out.push('\n');
+        for row in self.term_rows()? {
+            let cells: Vec<String> = row.iter().map(Term::to_string).collect();
+            out.push_str(&cells.join("\t"));
+            out.push('\n');
         }
-    }
-
-    /// Converts to the legacy `(count, stats)` pair.
-    pub fn into_count(self) -> (u64, QueryRunStats) {
-        (self.count, self.stats)
-    }
-
-    /// Converts to the legacy `(id rows, stats)` pair (empty unless
-    /// the request asked for ids).
-    pub fn into_ids(self) -> (Vec<Vec<Id>>, QueryRunStats) {
-        (self.ids.unwrap_or_default(), self.stats)
+        Ok(out)
     }
 
     /// The full run report: the annotated plan (when requested) plus

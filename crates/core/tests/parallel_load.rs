@@ -258,7 +258,7 @@ fn queries_agree_after_parallel_load() {
         let mut engine = Parj::builder().load_threads(threads).build();
         engine.load_ntriples_str(&doc)?;
         engine.finalize();
-        let (mut rows, _) = engine.request(query).ids_only().run()?.into_ids();
+        let mut rows = engine.request(query).run()?.id_rows();
         rows.sort_unstable();
         Ok(rows)
     };

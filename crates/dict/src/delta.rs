@@ -22,7 +22,7 @@
 //! base first and falls through to the delta by offset.
 
 use crate::dict::{Dictionary, Namespace};
-use crate::term::{Term, TermParseError};
+use crate::term::{Term, TermParseError, TermRef};
 use crate::Id;
 
 /// New terms introduced by mutations since the last finalize, with ids
@@ -120,14 +120,15 @@ impl DictDelta {
         })
     }
 
-    /// Decodes a resource id, falling through to the delta extension.
-    pub fn decode_resource(
-        &self,
-        base: &Dictionary,
+    /// Decodes a resource id, falling through to the delta extension;
+    /// the term is borrowed from the arena that holds it.
+    pub fn decode_resource_ref<'a>(
+        &'a self,
+        base: &'a Dictionary,
         id: Id,
-    ) -> Result<Term, TermParseError> {
+    ) -> Result<TermRef<'a>, TermParseError> {
         if (id as usize) < self.base_resources {
-            return base.decode_resource(id);
+            return base.decode_resource_ref(id);
         }
         let key = self
             .resources
@@ -135,7 +136,7 @@ impl DictDelta {
             .ok_or_else(|| TermParseError {
                 message: format!("resource id {id} out of range"),
             })?;
-        Term::from_canonical_key(key)
+        TermRef::from_key(key)
     }
 
     /// Decodes a predicate id, falling through to the delta extension.
@@ -236,9 +237,15 @@ impl<'a> DictView<'a> {
 
     /// Decodes a resource id.
     pub fn decode_resource(&self, id: Id) -> Result<Term, TermParseError> {
+        self.decode_resource_ref(id).map(TermRef::to_term)
+    }
+
+    /// Decodes a resource id to a term borrowed from the dictionary
+    /// (no allocation).
+    pub fn decode_resource_ref(&self, id: Id) -> Result<TermRef<'a>, TermParseError> {
         match self.delta {
-            Some(d) => d.decode_resource(self.base, id),
-            None => self.base.decode_resource(id),
+            Some(d) => d.decode_resource_ref(self.base, id),
+            None => self.base.decode_resource_ref(id),
         }
     }
 

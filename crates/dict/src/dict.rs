@@ -6,7 +6,7 @@ use bytes::{Buf, BufMut};
 
 use crate::arena::StringArena;
 use crate::hash::{fx_hash_bytes, FxBuildHasher};
-use crate::term::{Term, TermParseError};
+use crate::term::{Term, TermParseError, TermRef};
 use crate::Id;
 
 /// Value of a hash-index bucket: the common case is a single id per
@@ -203,10 +203,16 @@ impl Dictionary {
 
     /// Decodes a resource id back to a term.
     pub fn decode_resource(&self, id: Id) -> Result<Term, TermParseError> {
+        self.decode_resource_ref(id).map(TermRef::to_term)
+    }
+
+    /// Decodes a resource id to a term borrowed from the dictionary's
+    /// arena (no allocation).
+    pub fn decode_resource_ref(&self, id: Id) -> Result<TermRef<'_>, TermParseError> {
         let key = self.resources.key(id).ok_or_else(|| TermParseError {
             message: format!("resource id {id} out of range"),
         })?;
-        Term::from_canonical_key(key)
+        TermRef::from_key(key)
     }
 
     /// Decodes a predicate id back to a term.

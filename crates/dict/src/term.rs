@@ -176,32 +176,96 @@ impl Term {
         }
     }
 
-    /// Decodes a canonical key produced by [`Term::canonical_key`].
+    /// Decodes a canonical key produced by [`Term::canonical_key`]: the
+    /// owned copy of [`TermRef::from_key`].
     pub fn from_canonical_key(key: &str) -> Result<Self, TermParseError> {
-        let mut chars = key.chars();
-        let tag = chars.next().ok_or_else(|| TermParseError {
-            message: "empty key".to_string(),
-        })?;
-        let rest = chars.as_str();
-        match tag {
-            'I' => Ok(Term::Iri(rest.to_string())),
-            'B' => Ok(Term::BlankNode(rest.to_string())),
-            'L' => Ok(Term::literal(rest)),
-            'l' => {
-                let (lang, lexical) = split_len_prefixed(rest).ok_or_else(|| TermParseError {
-                    message: "lang literal key missing length prefix".to_string(),
-                })?;
-                Ok(Term::lang_literal(lexical, lang))
+        TermRef::from_key(key).map(TermRef::to_term)
+    }
+}
+
+/// A term borrowed from its canonical key: the shape of [`Term`] with
+/// every string a slice of the key, so a decode allocates nothing.
+/// Orders exactly like the [`Term`] it stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum TermRef<'a> {
+    /// An IRI reference, without the surrounding `<` `>`.
+    Iri(&'a str),
+    /// A blank node label, without the leading `_:`.
+    BlankNode(&'a str),
+    /// A literal value.
+    Literal {
+        /// The lexical form (unescaped).
+        lexical: &'a str,
+        /// Language tag, if any (mutually exclusive with `datatype`).
+        lang: Option<&'a str>,
+        /// Datatype IRI, if any.
+        datatype: Option<&'a str>,
+    },
+}
+
+impl<'a> TermRef<'a> {
+    /// Parses a canonical key written by [`write_key`] by slicing it.
+    /// This is the one parser of the key format.
+    pub fn from_key(key: &'a str) -> Result<Self, TermParseError> {
+        let fail = |message: String| TermParseError { message };
+        let literal = |lexical, lang, datatype| TermRef::Literal {
+            lexical,
+            lang,
+            datatype,
+        };
+        // Every tag is one ASCII byte, so `key[1..]` is the rest.
+        let two_part = |what: &str| {
+            split_len_prefixed(&key[1..])
+                .ok_or_else(|| fail(format!("{what} literal key missing length prefix")))
+        };
+        match key.as_bytes().first() {
+            None => Err(fail("empty key".to_string())),
+            Some(b'I') => Ok(TermRef::Iri(&key[1..])),
+            Some(b'B') => Ok(TermRef::BlankNode(&key[1..])),
+            Some(b'L') => Ok(literal(&key[1..], None, None)),
+            Some(b'l') => {
+                two_part("lang").map(|(lang, lexical)| literal(lexical, Some(lang), None))
             }
-            'T' => {
-                let (dt, lexical) = split_len_prefixed(rest).ok_or_else(|| TermParseError {
-                    message: "typed literal key missing length prefix".to_string(),
-                })?;
-                Ok(Term::typed_literal(lexical, dt))
+            Some(b'T') => two_part("typed").map(|(dt, lexical)| literal(lexical, None, Some(dt))),
+            Some(_) => {
+                let other = key.chars().next().unwrap_or_default();
+                Err(fail(format!("unknown tag character {other:?}")))
             }
-            other => Err(TermParseError {
-                message: format!("unknown tag character {other:?}"),
-            }),
+        }
+    }
+
+    /// The owned term.
+    pub fn to_term(self) -> Term {
+        match self {
+            TermRef::Iri(iri) => Term::Iri(iri.to_string()),
+            TermRef::BlankNode(label) => Term::BlankNode(label.to_string()),
+            TermRef::Literal {
+                lexical,
+                lang,
+                datatype,
+            } => Term::Literal {
+                lexical: lexical.to_string(),
+                lang: lang.map(str::to_string),
+                datatype: datatype.map(str::to_string),
+            },
+        }
+    }
+}
+
+impl<'a> From<&'a Term> for TermRef<'a> {
+    fn from(term: &'a Term) -> Self {
+        match term {
+            Term::Iri(iri) => TermRef::Iri(iri),
+            Term::BlankNode(label) => TermRef::BlankNode(label),
+            Term::Literal {
+                lexical,
+                lang,
+                datatype,
+            } => TermRef::Literal {
+                lexical,
+                lang: lang.as_deref(),
+                datatype: datatype.as_deref(),
+            },
         }
     }
 }
@@ -209,25 +273,37 @@ impl Term {
 impl fmt::Display for Term {
     /// Formats the term in N-Triples syntax (with escaping).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Iri(iri) => write!(f, "<{iri}>"),
-            Term::BlankNode(label) => write!(f, "_:{label}"),
-            Term::Literal {
+        TermRef::from(self).fmt(f)
+    }
+}
+
+impl fmt::Display for TermRef<'_> {
+    /// Formats the term in N-Triples syntax (with escaping).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            TermRef::Iri(iri) => write!(f, "<{iri}>"),
+            TermRef::BlankNode(label) => write!(f, "_:{label}"),
+            TermRef::Literal {
                 lexical,
                 lang,
                 datatype,
             } => {
                 f.write_str("\"")?;
-                for c in lexical.chars() {
-                    match c {
-                        '"' => f.write_str("\\\"")?,
-                        '\\' => f.write_str("\\\\")?,
-                        '\n' => f.write_str("\\n")?,
-                        '\r' => f.write_str("\\r")?,
-                        '\t' => f.write_str("\\t")?,
-                        c => write!(f, "{c}")?,
-                    }
+                let mut run = 0;
+                for (i, b) in lexical.bytes().enumerate() {
+                    let escaped = match b {
+                        b'"' => "\\\"",
+                        b'\\' => "\\\\",
+                        b'\n' => "\\n",
+                        b'\r' => "\\r",
+                        b'\t' => "\\t",
+                        _ => continue,
+                    };
+                    f.write_str(&lexical[run..i])?;
+                    f.write_str(escaped)?;
+                    run = i + 1;
                 }
+                f.write_str(&lexical[run..])?;
                 f.write_str("\"")?;
                 if let Some(lang) = lang {
                     write!(f, "@{lang}")?;
@@ -291,6 +367,10 @@ mod tests {
         assert!(Term::from_canonical_key("Zoops").is_err());
         assert!(Term::from_canonical_key("lno-separator").is_err());
         assert!(Term::from_canonical_key("Tno-separator").is_err());
+        // A multi-byte first character is an unknown tag, not a slice
+        // through the middle of a character.
+        assert!(Term::from_canonical_key("éoops").is_err());
+        assert!(Term::from_canonical_key("l9:fr").is_err());
     }
 
     #[test]

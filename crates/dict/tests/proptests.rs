@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use parj_dict::{Dictionary, Term};
+use parj_dict::{Dictionary, Term, TermRef};
 
 /// Strategy producing arbitrary (possibly adversarial) terms, including
 /// strings containing the canonical-key separator and quotes.
@@ -32,6 +32,16 @@ proptest! {
         let key = t.canonical_key();
         let back = Term::from_canonical_key(&key).unwrap();
         prop_assert_eq!(back, t);
+    }
+
+    /// The borrowed view parsed from a key is the term's own view, and
+    /// orders exactly as the owned terms do (ORDER BY compares views).
+    #[test]
+    fn term_ref_views_and_orders_like_term(a in arb_term(), b in arb_term()) {
+        let (ka, kb) = (a.canonical_key(), b.canonical_key());
+        let (ra, rb) = (TermRef::from_key(&ka).unwrap(), TermRef::from_key(&kb).unwrap());
+        prop_assert_eq!(ra, TermRef::from(&a));
+        prop_assert_eq!(ra.cmp(&rb), a.cmp(&b));
     }
 
     /// encode is idempotent and decode inverts it, for every term in an

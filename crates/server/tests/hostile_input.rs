@@ -173,6 +173,51 @@ fn unexpected_bodies_and_content_types_are_rejected() {
     assert_eq!(server.shutdown().leaked, 0);
 }
 
+#[test]
+fn duplicate_query_parameters_answer_400() {
+    let mut server = spawn(small_engine(), hostile_config());
+    let addr = server.addr();
+    let q = urlencode(TEACHES);
+    let form = format!("query={q}");
+    let post = |target: &str, content_type: &str, body: &str| {
+        format!(
+            "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    for request in [
+        // Twice in the query string.
+        format!("GET /sparql?query={q}&query={q} HTTP/1.1\r\nHost: t\r\n\r\n"),
+        // Twice in one form body.
+        post(
+            "/sparql",
+            "application/x-www-form-urlencoded",
+            &format!("{form}&{form}"),
+        ),
+        // Once in the query string, once in the form body.
+        post(
+            &format!("/sparql?{form}"),
+            "application/x-www-form-urlencoded",
+            &form,
+        ),
+        // Once in the query string, once as the raw query body.
+        post(
+            &format!("/sparql?{form}"),
+            "application/sparql-query",
+            TEACHES,
+        ),
+    ] {
+        let resp = send_raw(addr, request.as_bytes()).expect("answered");
+        assert_eq!(resp.status, 400, "for request {request:?}");
+        assert_eq!(
+            resp.body_str(),
+            "bad request: multiple \"query\" parameters\n"
+        );
+    }
+    assert_server_alive(&server);
+    assert_eq!(server.shutdown().leaked, 0);
+}
+
 /// After hostile traffic the server must still answer real queries,
 /// with zero contained panics recorded.
 fn assert_server_alive(server: &parj_server::ServerHandle) {

@@ -91,6 +91,36 @@ fn tsv_via_accept_header_and_format_param() {
 }
 
 #[test]
+fn head_matches_get_and_large_bodies_arrive_intact() {
+    // 65 536 rows: a body of about 6 MB, the size of WatDiv's C1 answer.
+    let engine = fanout_engine(256);
+    let mut server = spawn(Arc::clone(&engine), ServerConfig::default());
+    let addr = server.addr();
+    let direct = sparql::to_sparql_json(&engine.request(FANOUT_QUERY).run().unwrap());
+    assert!(direct.len() > 6_000_000, "body is {} bytes", direct.len());
+
+    let get = sparql_get(addr, FANOUT_QUERY, "");
+    assert_eq!(get.status, 200);
+    assert_eq!(get.body, direct.as_bytes(), "the large body arrives intact");
+    let length = direct.len().to_string();
+    assert_eq!(get.header("content-length"), Some(length.as_str()));
+
+    let head = send_raw(
+        addr,
+        format!(
+            "HEAD /sparql?query={} HTTP/1.1\r\nHost: t\r\n\r\n",
+            urlencode(FANOUT_QUERY)
+        )
+        .as_bytes(),
+    )
+    .unwrap();
+    assert_eq!(head.status, 200);
+    assert_eq!(head.header("content-length"), Some(length.as_str()));
+    assert!(head.body.is_empty(), "HEAD carries no body");
+    assert_eq!(server.shutdown().leaked, 0);
+}
+
+#[test]
 fn error_statuses_are_deterministic() {
     let engine = small_engine();
     let mut server = spawn(engine, ServerConfig::default());

@@ -51,7 +51,11 @@ use crate::imp;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum LockLevel {
-    /// `parj-server`'s live cancel-token registry (`server.live_tokens`).
+    /// `parj-server`'s connection hand-off queue (`server.handoff`, with
+    /// the `server.handoff_ready` and `server.sweep_stop` condvars);
+    /// never held together with another lock.
+    ServerHandoff = 95,
+    /// `parj-server`'s live-query registry (`server.live_tokens`).
     Server = 90,
     /// Per-client token-bucket quota table (`admission.quota_buckets`).
     AdmissionQuota = 85,
@@ -87,7 +91,8 @@ pub enum LockLevel {
 
 impl LockLevel {
     /// Every level, highest (outermost) first.
-    pub const ALL: [LockLevel; 12] = [
+    pub const ALL: [LockLevel; 13] = [
+        LockLevel::ServerHandoff,
         LockLevel::Server,
         LockLevel::AdmissionQuota,
         LockLevel::AdmissionWindow,
@@ -105,6 +110,7 @@ impl LockLevel {
     /// Stable label for metrics and diagnostics.
     pub const fn as_str(self) -> &'static str {
         match self {
+            LockLevel::ServerHandoff => "server_handoff",
             LockLevel::Server => "server",
             LockLevel::AdmissionQuota => "admission_quota",
             LockLevel::AdmissionWindow => "admission_window",
@@ -124,18 +130,19 @@ impl LockLevel {
     /// per-level wait counters).
     const fn index(self) -> usize {
         match self {
-            LockLevel::Server => 0,
-            LockLevel::AdmissionQuota => 1,
-            LockLevel::AdmissionWindow => 2,
-            LockLevel::Engine => 3,
-            LockLevel::CacheEpoch => 4,
-            LockLevel::CacheShard => 5,
-            LockLevel::PoolState => 6,
-            LockLevel::PoolJob => 7,
-            LockLevel::ExecOutput => 8,
-            LockLevel::Profile => 9,
-            LockLevel::Staging => 10,
-            LockLevel::Metrics => 11,
+            LockLevel::ServerHandoff => 0,
+            LockLevel::Server => 1,
+            LockLevel::AdmissionQuota => 2,
+            LockLevel::AdmissionWindow => 3,
+            LockLevel::Engine => 4,
+            LockLevel::CacheEpoch => 5,
+            LockLevel::CacheShard => 6,
+            LockLevel::PoolState => 7,
+            LockLevel::PoolJob => 8,
+            LockLevel::ExecOutput => 9,
+            LockLevel::Profile => 10,
+            LockLevel::Staging => 11,
+            LockLevel::Metrics => 12,
         }
     }
 }

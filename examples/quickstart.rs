@@ -40,10 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                  ?prof u:worksFor ?employer .
              }",
         )
-        .run()?
-        .into_result();
+        .run()?;
     println!("\n?prof ?course ?employer:");
-    print!("{}", result.to_table());
+    print!("{}", result.to_table()?);
 
     // 4. Example 3.2: constant object — the optimizer drives the plan
     //    from the selective pattern using the O-S replica. Silent mode

@@ -50,14 +50,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "store still holds {} triples (nothing materialized)",
         smart.num_triples()
     );
-    let animals = smart.request(animals_q).run()?.into_result();
-    println!("with reasoning: {} animals:", animals.rows.len());
-    for row in &animals.rows {
+    let animals = smart.request(animals_q).run()?.term_rows()?;
+    println!("with reasoning: {} animals:", animals.len());
+    for row in &animals {
         println!("  {}", row[0]);
     }
-    let children = smart.request(children_q).run()?.into_result();
-    println!("\nchild edges (hasPuppy ⊑ hasChild): {}", children.rows.len());
-    for row in &children.rows {
+    let children = smart.request(children_q).run()?.term_rows()?;
+    println!("\nchild edges (hasPuppy ⊑ hasChild): {}", children.len());
+    for row in &children {
         println!("  {} -> {}", row[0], row[1]);
     }
 

@@ -62,9 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              }",
         )
         .run()?
-        .into_result();
+        .term_rows()?;
     println!("\nalice's two-hop reach:");
-    for row in &res.rows {
+    for row in &res {
         println!("  {}", row[0]);
     }
 
@@ -75,9 +75,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              SELECT ?a ?b WHERE { ?a r:follows ?b . ?b r:follows ?a . }",
         )
         .run()?
-        .into_result();
+        .term_rows()?;
     println!("\nmutual follows (includes erin's self-loop):");
-    for row in &res.rows {
+    for row in &res {
         println!("  {} <-> {}", row[0], row[1]);
     }
 
@@ -139,11 +139,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              SELECT DISTINCT ?who WHERE { ?someone r:follows ?who . } LIMIT 3",
         )
         .run()?
-        .into_result();
+        .term_rows()?;
     println!(
         "three people with followers: {}",
-        res.rows
-            .iter()
+        res.iter()
             .map(|r| r[0].to_string())
             .collect::<Vec<_>>()
             .join(", ")

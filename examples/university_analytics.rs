@@ -81,12 +81,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Full result handling: decode the selective star query's rows.
     let lubm4 = lubm::queries().into_iter().nth(3).expect("LUBM4");
-    let full = engine.request(&lubm4.sparql).run()?.into_result();
+    let full = engine.request(&lubm4.sparql).run()?;
+    let rows = full.term_rows()?;
     println!(
         "\nLUBM4 (faculty of u0/d0): {} people; first row:",
-        full.rows.len()
+        rows.len()
     );
-    if let Some(row) = full.rows.first() {
+    if let Some(row) = rows.first() {
         for (var, term) in full.vars.iter().zip(row) {
             println!("  ?{var} = {term}");
         }

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use parj::{CacheStatus, Parj, Term};
+use parj::{CacheStatus, Parj, QueryOutcome, Term};
 
 const RESOURCES: u32 = 16;
 const PREDICATES: u32 = 3;
@@ -110,8 +110,9 @@ fn load(engine: &mut Parj, triples: &[(u32, u32, u32)]) {
         .expect("load");
 }
 
-fn sorted_rows(rows: Option<Vec<Vec<Term>>>) -> Vec<Vec<Term>> {
-    let mut rows = rows.expect("materializing run returns rows");
+fn sorted_rows(outcome: &QueryOutcome) -> Vec<Vec<Term>> {
+    assert!(outcome.answer().is_some(), "materializing run returns rows");
+    let mut rows = outcome.term_rows().expect("engine ids decode");
     rows.sort();
     rows
 }
@@ -156,18 +157,18 @@ proptest! {
                         }
                     };
                     prop_assert_eq!(reference.stats.cache, CacheStatus::Off);
-                    let expect_rows = sorted_rows(reference.rows);
+                    let expect_rows = sorted_rows(&reference);
 
                     let first = cached.request(&q).run().unwrap();
                     prop_assert_ne!(first.stats.cache, CacheStatus::Off);
                     prop_assert_eq!(first.count, reference.count);
-                    prop_assert_eq!(sorted_rows(first.rows), expect_rows.clone());
+                    prop_assert_eq!(sorted_rows(&first), expect_rows.clone());
 
                     // Second run: typically a result hit; whatever the
                     // cache decided, the answer must not change.
                     let second = cached.request(&q).run().unwrap();
                     prop_assert_eq!(second.count, reference.count);
-                    prop_assert_eq!(sorted_rows(second.rows), expect_rows);
+                    prop_assert_eq!(sorted_rows(&second), expect_rows);
 
                     // Counting mode keys a separate entry; it must
                     // agree with the materialized cardinality.
@@ -233,8 +234,8 @@ fn ten_thousand_interleavings_serve_zero_stale() {
             "stale count at iteration {iter} for {q}"
         );
         assert_eq!(
-            sorted_rows(cached.rows),
-            sorted_rows(fresh.rows),
+            sorted_rows(&cached),
+            sorted_rows(&fresh),
             "stale rows at iteration {iter} for {q}"
         );
     }

@@ -59,11 +59,9 @@ fn assert_all_combos_match(
                 .request(sparql)
                 .threads(threads)
                 .morsel_size(morsel)
-                .ids_only()
                 .run()
                 .unwrap_or_else(|e| panic!("{name} t={threads} m={morsel}: {e}"))
-                .ids
-                .expect("ids mode returns ids");
+                .id_rows();
             assert_eq!(
                 got, baseline,
                 "{name}: rows diverged at threads={threads} morsel={morsel}"
@@ -79,11 +77,9 @@ fn lubm_rows_identical_across_threads_and_morsels() {
         let baseline = pooled
             .request(&q.sparql)
             .threads(1)
-            .ids_only()
             .run()
             .expect("baseline runs")
-            .ids
-            .expect("ids mode returns ids");
+            .id_rows();
         assert_all_combos_match(&mut pooled, &q.sparql, &q.name, &baseline);
     }
     // Without this the whole ladder could run inline and every
@@ -110,11 +106,9 @@ fn watdiv_rows_identical_across_threads_and_morsels() {
         let baseline = pooled
             .request(&q.sparql)
             .threads(1)
-            .ids_only()
             .run()
             .expect("baseline runs")
-            .ids
-            .expect("ids mode returns ids");
+            .id_rows();
         assert!(!baseline.is_empty(), "{} must produce rows", q.name);
         assert_all_combos_match(&mut pooled, &q.sparql, &q.name, &baseline);
     }
@@ -224,11 +218,9 @@ fn delta_rows_identical_to_compacted_store_across_combos() {
         let baseline = compacted
             .request(&q.sparql)
             .threads(1)
-            .ids_only()
             .run()
             .expect("baseline runs")
-            .ids
-            .expect("ids mode returns ids");
+            .id_rows();
         assert_all_combos_match(&mut resident, &q.sparql, &q.name, &baseline);
         assert_all_combos_match(&mut compacted, &q.sparql, &q.name, &baseline);
 
@@ -236,11 +228,9 @@ fn delta_rows_identical_to_compacted_store_across_combos() {
         let mut from_rebuild = folded
             .request(&q.sparql)
             .threads(1)
-            .ids_only()
             .run()
             .expect("rebuilt runs")
-            .ids
-            .expect("ids mode returns ids");
+            .id_rows();
         let mut sorted_baseline = baseline;
         from_rebuild.sort_unstable();
         sorted_baseline.sort_unstable();
@@ -461,11 +451,9 @@ fn compressed_rows_identical_to_uncompressed_across_combos() {
         let baseline = raw
             .request(&q.sparql)
             .threads(1)
-            .ids_only()
             .run()
             .expect("uncompressed baseline")
-            .ids
-            .expect("ids mode returns ids");
+            .id_rows();
         assert_all_combos_match(&mut pooled, &q.sparql, &q.name, &baseline);
     }
 }
@@ -524,11 +512,9 @@ fn compressed_delta_rows_identical_to_uncompressed_across_combos() {
         let baseline = raw_resident
             .request(&q.sparql)
             .threads(1)
-            .ids_only()
             .run()
             .expect("uncompressed baseline")
-            .ids
-            .expect("ids mode returns ids");
+            .id_rows();
         assert_all_combos_match(&mut packed_resident, &q.sparql, &q.name, &baseline);
         assert_all_combos_match(&mut packed_compacted, &q.sparql, &q.name, &baseline);
     }

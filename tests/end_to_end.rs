@@ -231,10 +231,11 @@ fn full_result_handling_agrees_with_silent_mode() {
     let mut engine = Parj::from_store(store, parj::EngineConfig::default());
     for q in lubm::queries().iter().take(6) {
         let count = engine.request(&q.sparql).count_only().run().unwrap().count;
-        let full = engine.request(&q.sparql).run().unwrap().into_result();
-        assert_eq!(count, full.rows.len() as u64, "{}", q.name);
+        let full = engine.request(&q.sparql).run().unwrap();
+        let rows = full.term_rows().unwrap();
+        assert_eq!(count, rows.len() as u64, "{}", q.name);
         // Every decoded row has the projection's arity.
-        for row in &full.rows {
+        for row in &rows {
             assert_eq!(row.len(), full.vars.len());
         }
     }

@@ -197,11 +197,9 @@ proptest! {
         if num_vars > 0 {
             let mut rows = engine
                 .request(&sparql)
-                .ids_only()
                 .run()
-                .map(parj::QueryOutcome::into_ids)
                 .unwrap()
-                .0;
+                .id_rows();
             rows.sort_unstable();
             let mut oracle_rows = expected_rows;
             oracle_rows.sort_unstable();

@@ -116,13 +116,13 @@ fn row_budget_stops_runaway_join() {
 #[test]
 fn full_result_path_honors_the_guard() {
     let engine = big_engine();
-    // The materializing path (CollectSink + decode) fails the same way
+    // The materializing path (CollectSink + row shaping) fails the same way
     // silent mode does — no partial result rows leak out.
     match engine.request(QUERY).max_rows(5_000).run() {
         Err(ParjError::BudgetExceeded { rows, .. }) => assert!(rows > 5_000),
         other => panic!(
             "expected budget error from the full-result path, got rows={:?}",
-            other.map(|r| r.rows.map(|rows| rows.len()))
+            other.map(|r| r.count)
         ),
     }
 }
