@@ -109,7 +109,9 @@ pub struct PredApply {
 /// later mutation builds the next version copy-on-write.
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay {
-    dict: DictDelta,
+    /// Behind its own [`Arc`] so a query answer can keep the terms its
+    /// ids decode to without keeping the per-predicate runs alive.
+    dict: Arc<DictDelta>,
     /// Indexed by predicate id; may extend past the base's predicate
     /// range when mutations introduce new predicates.
     preds: Vec<PredDelta>,
@@ -123,7 +125,7 @@ impl DeltaOverlay {
     /// Creates an empty overlay anchored at `base`.
     pub fn new(base: &TripleStore) -> Self {
         DeltaOverlay {
-            dict: DictDelta::new(base.dict()),
+            dict: Arc::new(DictDelta::new(base.dict())),
             preds: Vec::new(),
             net_triples: 0,
             compactions: 0,
@@ -136,11 +138,19 @@ impl DeltaOverlay {
         &self.dict
     }
 
+    /// The dictionary extension as a shared snapshot: the terms of every
+    /// id handed out so far, unaffected by later encodes.
+    #[inline]
+    pub fn shared_dict(&self) -> &Arc<DictDelta> {
+        &self.dict
+    }
+
     /// Mutable access to the dictionary extension (the engine encodes
-    /// batch terms through this before applying pairs).
+    /// batch terms through this before applying pairs). Copies it first
+    /// while a [`DeltaOverlay::shared_dict`] snapshot is alive.
     #[inline]
     pub fn dict_mut(&mut self) -> &mut DictDelta {
-        &mut self.dict
+        Arc::make_mut(&mut self.dict)
     }
 
     /// True if the overlay carries no state at all — no new terms, no
