@@ -18,12 +18,13 @@
 //! malformed lines sit among its good ones, and those outcomes are
 //! replayed in document order through the same [`drain_triples`] policy
 //! machinery the serial reader path uses; what it did not admit is cut
-//! off the chunk vectors before anything is interned. For Turtle the
-//! chunked path only handles documents it can parse strictly; any split
-//! or parse failure falls back to the serial parser, the single source
-//! of truth for error positions and lossy recovery.
+//! off the chunk vectors before anything is interned. Turtle chunks are
+//! borrowed triples too, cut at statement boundaries; the chunked path
+//! only handles documents it can parse strictly, and any split or parse
+//! failure parses the document again as one chunk, the single source of
+//! truth for error positions and lossy recovery.
 
-use parj_rio::{drain_triples, LoadReport, OnParseError, ParseError, TermTriple};
+use parj_rio::{drain_triples, LoadReport, OnParseError, ParseError, RawTriple};
 use parj_store::StoreBuilder;
 
 use parj_sync::atomic::{AtomicUsize, Ordering};
@@ -65,18 +66,6 @@ fn par_map<T: Send, F: Fn(usize) -> T + Sync>(n: usize, threads: usize, f: F) ->
     slots.into_iter().map(|s| s.expect("chunk computed")).collect()
 }
 
-/// Splits a serially parsed triple list (the Turtle fallback) into even
-/// chunks for the encode+route stage; the count only steers load balance.
-fn even_chunks(triples: Vec<TermTriple>, threads: usize) -> Vec<Vec<TermTriple>> {
-    let per = triples.len().div_ceil(threads * CHUNKS_PER_THREAD).max(1);
-    let mut it = triples.into_iter().peekable();
-    let mut chunks = Vec::new();
-    while it.peek().is_some() {
-        chunks.push(it.by_ref().take(per).collect());
-    }
-    chunks
-}
-
 /// Scans and stages N-Triples text on `threads` workers under
 /// `policy`. Statements before an abort remain staged and nothing after
 /// it is interned; the returned report (or error) is exactly what the
@@ -108,17 +97,17 @@ pub(crate) fn load_ntriples_text(
 }
 
 /// Parses Turtle text on `threads` workers, returning chunked triples
-/// ready for [`StoreBuilder::add_triples_parallel`] plus the load
-/// report. Clean documents take the chunked strict path; anything the
-/// splitter or a chunk parser rejects is re-parsed serially under
-/// `policy`, so errors and lossy recovery match the serial parser
-/// exactly. On `Err` nothing should be staged (the serial Turtle path
-/// stages nothing on abort).
+/// borrowing from `text`, ready for [`StoreBuilder::add_triples_parallel`],
+/// plus the load report. Clean documents take the chunked strict path;
+/// anything the splitter or a chunk parser rejects is parsed again as
+/// one chunk under `policy` and handed on as one chunk, so errors and
+/// lossy recovery do not depend on the thread count. On `Err` nothing
+/// should be staged (a Turtle load stages nothing on abort).
 pub(crate) fn parse_turtle_text(
     text: &str,
     policy: OnParseError,
     threads: usize,
-) -> Result<(Vec<Vec<TermTriple>>, LoadReport), ParseError> {
+) -> Result<(Vec<Vec<RawTriple<'_>>>, LoadReport), ParseError> {
     let threads = threads.max(1);
     if let Some(parts) = try_parallel_turtle(text, threads) {
         let report = LoadReport {
@@ -127,18 +116,15 @@ pub(crate) fn parse_turtle_text(
         };
         return Ok((parts, report));
     }
-    let (triples, report) = parj_rio::parse_turtle_str_lossy(text, policy)?;
-    Ok((even_chunks(triples, threads), report))
+    let (triples, report) = parj_rio::parse_turtle_document(text, policy)?;
+    Ok((vec![triples], report))
 }
 
-fn try_parallel_turtle(text: &str, threads: usize) -> Option<Vec<Vec<TermTriple>>> {
+fn try_parallel_turtle(text: &str, threads: usize) -> Option<Vec<Vec<RawTriple<'_>>>> {
     let chunks = parj_rio::split_turtle(text, threads * CHUNKS_PER_THREAD)?;
     let parsed = par_map(chunks.len(), threads, |i| {
         parj_rio::parse_turtle_chunk(text, &chunks[i])
     });
-    let mut parts = Vec::with_capacity(parsed.len());
-    for r in parsed {
-        parts.push(r.ok()?);
-    }
+    let parts = parsed.into_iter().collect::<Result<_, _>>().ok()?;
     Some(parj_rio::finish_turtle_chunks(parts))
 }

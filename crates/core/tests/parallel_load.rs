@@ -451,3 +451,223 @@ fn nothing_after_an_abort_point_is_interned() {
         }
     }
 }
+
+// ---- Turtle against the same oracle --------------------------------
+//
+// Random triples spelled three ways — N-Triples, the same text read as
+// Turtle, and Turtle with prefixes, lists and sugar — must all load to
+// what the streaming N-Triples reader builds from the first spelling.
+
+const XSD: &str = "http://www.w3.org/2001/XMLSchema#";
+const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
+const NS_A: &str = "http://e/";
+const NS_B: &str = "http://f/";
+
+/// A generated term, before it is spelled in either syntax.
+#[derive(Debug, Clone, PartialEq)]
+enum Gen {
+    Iri(String),
+    Blank(String),
+    /// Lexical form, language tag, datatype IRI.
+    Literal(String, Option<&'static str>, Option<String>),
+}
+
+type GenTriple = (Gen, Gen, Gen);
+
+/// One triple per recipe entry, over two namespaces: `rdf:type`, a
+/// dotted local name, blank nodes, and literals with tabs, quotes,
+/// backslashes, line breaks and non-ASCII text, language tags, and the
+/// datatypes Turtle has sugar for.
+fn gen_triples(recipe: &[(u8, u8, u8)]) -> Vec<GenTriple> {
+    let lit = |lexical: String, datatype: Option<String>| Gen::Literal(lexical, None, datatype);
+    let iri = |ns: &str, local: String| Gen::Iri(format!("{ns}{local}"));
+    recipe
+        .iter()
+        .map(|&(s, p, o)| {
+            let subject = match s % 4 {
+                0 => iri(NS_A, format!("s{}", s % 13)),
+                1 => iri(NS_B, format!("s{}", s % 13)),
+                2 => iri(NS_A, format!("sé{}", s % 5)),
+                _ => Gen::Blank(format!("b{}", s % 5)),
+            };
+            let predicate = match p % 4 {
+                0 => Gen::Iri(RDF_TYPE.into()),
+                1 => iri(NS_A, format!("p{}", p % 3)),
+                2 => iri(NS_B, format!("p{}", p % 3)),
+                _ => iri(NS_A, format!("q.r{}", p % 3)),
+            };
+            let n = o % 7;
+            let object = match o % 12 {
+                0 => iri(NS_A, format!("o{n}")),
+                1 => iri(NS_B, format!("o{n}")),
+                2 => Gen::Blank(format!("b{}", n % 5)),
+                3 => lit(format!("plain {n}"), None),
+                4 => lit(format!("tab\there {n}"), None),
+                5 => lit(format!("quote \" back\\slash {n}"), None),
+                6 => lit(format!("two\nlines {n}"), None),
+                7 => Gen::Literal(format!("vé {n}"), Some("en-GB"), None),
+                8 => lit(format!("-{n}"), Some(format!("{XSD}integer"))),
+                9 => lit(format!("{n}.25"), Some(format!("{XSD}decimal"))),
+                10 => lit(
+                    ["true", "false"][n as usize % 2].into(),
+                    Some(format!("{XSD}boolean")),
+                ),
+                _ => lit(format!("v{n}"), Some(format!("{NS_A}dt"))),
+            };
+            (subject, predicate, object)
+        })
+        .collect()
+}
+
+/// `text` with N-Triples string escapes, and `é` as `\u00E9` if `u`.
+fn escaped(text: &str, u: bool) -> String {
+    let mut out = String::new();
+    for c in text.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            'é' if u => out.push_str("\\u00E9"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+fn nt_term(t: &Gen, u: bool) -> String {
+    match t {
+        Gen::Iri(iri) if u => format!("<{}>", iri.replace('é', "\\u00E9")),
+        Gen::Iri(iri) => format!("<{iri}>"),
+        Gen::Blank(label) => format!("_:{label}"),
+        Gen::Literal(lexical, lang, datatype) => {
+            let mut out = format!("\"{}\"", escaped(lexical, u));
+            if let Some(lang) = lang {
+                out += &format!("@{lang}");
+            }
+            if let Some(datatype) = datatype {
+                out += &format!("^^<{datatype}>");
+            }
+            out
+        }
+    }
+}
+
+/// One statement per line; every other line spells `é` as `\u00E9`.
+fn nt_spelling(triples: &[GenTriple]) -> String {
+    let mut doc = String::new();
+    for (i, (s, p, o)) in triples.iter().enumerate() {
+        let u = i % 2 == 1;
+        doc += &format!("{} {} {} .\n", nt_term(s, u), nt_term(p, u), nt_term(o, u));
+    }
+    doc
+}
+
+/// An IRI as Turtle writes it while `x:` stands for `x`.
+fn ttl_iri(iri: &str, x: &str) -> String {
+    if let Some(local) = iri.strip_prefix(x) {
+        format!("x:{local}")
+    } else if let Some(local) = iri.strip_prefix(NS_B) {
+        format!("y:{local}")
+    } else {
+        format!("<{iri}>")
+    }
+}
+
+/// A term as Turtle writes it; `style` picks among the spellings.
+fn ttl_term(t: &Gen, x: &str, style: usize) -> String {
+    match t {
+        Gen::Iri(iri) if iri == RDF_TYPE => "a".into(),
+        Gen::Iri(iri) => ttl_iri(iri, x),
+        Gen::Blank(label) => format!("_:{label}"),
+        Gen::Literal(lexical, lang, datatype) => {
+            let sugared = datatype.as_deref().is_some_and(|dt| dt.starts_with(XSD));
+            if sugared && style.is_multiple_of(2) {
+                return lexical.clone();
+            }
+            let body = if lexical.contains('\n') || style.is_multiple_of(3) {
+                // Raw line breaks and tabs; only `\` and `"` escaped.
+                let raw = lexical.replace('\\', "\\\\").replace('"', "\\\"");
+                format!("\"\"\"{raw}\"\"\"")
+            } else if style.is_multiple_of(5) {
+                format!("'{}'", escaped(lexical, false))
+            } else {
+                format!("\"{}\"", escaped(lexical, style.is_multiple_of(7)))
+            };
+            match (lang, datatype) {
+                (Some(lang), _) => format!("{body}@{lang}"),
+                (_, Some(datatype)) => format!("{body}^^{}", ttl_iri(datatype, x)),
+                _ => body,
+            }
+        }
+    }
+}
+
+/// The triples as Turtle: `@prefix x:` and `PREFIX y:` names, `a`,
+/// `;` and `,` lists over runs of equal subjects and predicates, number
+/// and boolean sugar, long and single-quoted strings, and `x:`
+/// redefined halfway through.
+fn ttl_spelling(triples: &[GenTriple], style: usize) -> String {
+    let mut doc = format!("@prefix x: <{NS_A}> .\nPREFIX y: <{NS_B}>\n");
+    let mut x = NS_A;
+    let mut prev: Option<&GenTriple> = None;
+    for (i, t) in triples.iter().enumerate() {
+        if i == triples.len() / 2 {
+            if prev.take().is_some() {
+                doc += " .\n";
+            }
+            doc += &format!("@prefix x: <{NS_B}> .\n");
+            x = NS_B;
+        }
+        let spell = |t: &Gen| ttl_term(t, x, style + i);
+        let (s, p, o) = t;
+        doc += &match prev {
+            Some((ps, pp, _)) if ps == s && pp == p => format!(" ,\n        {}", spell(o)),
+            Some((ps, _, _)) if ps == s => format!(" ;\n    {} {}", spell(p), spell(o)),
+            Some(_) => format!(" .\n{} {} {}", spell(s), spell(p), spell(o)),
+            None => format!("{} {} {}", spell(s), spell(p), spell(o)),
+        };
+        prev = Some(t);
+    }
+    if prev.is_some() {
+        doc += " .\n";
+    }
+    doc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Turtle loads match the streaming N-Triples reader — report,
+    /// dictionary bytes, snapshot bytes — however the triples are
+    /// spelled, at every thread count under both policies.
+    #[test]
+    fn turtle_text_load_matches_streaming_reader(
+        recipe in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..120),
+        style in any::<u8>(),
+    ) {
+        let triples = gen_triples(&recipe);
+        let nt = nt_spelling(&triples);
+        let ttl = ttl_spelling(&triples, style as usize);
+        let mut serial = Parj::new();
+        let outcome = serial.load_ntriples_reader_with(nt.as_bytes(), OnParseError::Abort);
+        let oracle = engine_state(serial, outcome);
+        assert_eq!(oracle.0.as_ref().map(|r| r.loaded), Ok(triples.len()));
+        for policy in [OnParseError::Abort, lossy()] {
+            for threads in THREADS {
+                for (spelling, doc, turtle) in
+                    [("N-Triples", &nt, false), ("N-Triples as Turtle", &nt, true), ("Turtle", &ttl, true)]
+                {
+                    let mut engine = Parj::builder().load_threads(threads).build();
+                    let outcome = if turtle {
+                        engine.load_turtle_str_with(doc, policy)
+                    } else {
+                        engine.load_ntriples_str_with(doc, policy)
+                    };
+                    let got = engine_state(engine, outcome);
+                    assert_eq!(got, oracle, "{spelling}, {threads} threads, {policy:?}\n{doc}");
+                }
+            }
+        }
+    }
+}

@@ -8,29 +8,30 @@
 //!   boundary, so [`split_ntriples`] just picks line breaks near even
 //!   byte offsets and records the 1-based first line of each chunk so
 //!   per-chunk error positions stay document-exact.
-//! * **Turtle** needs a real scan: [`split_turtle`] runs a lightweight
-//!   boundary scanner (a byte-level twin of the parser's resync
-//!   scanner) that tracks strings, long strings, IRIs, comments and
-//!   bracket depth, and cuts after a `.` at depth 0. A dot followed by
-//!   a name-continuation byte is *not* a terminator — exactly the
-//!   parser's `name`/`number` rule, so `3.25` and dotted local names
-//!   never produce false boundaries. `@prefix`/`PREFIX` directives are
-//!   parsed by the scanner itself (they mutate document-global state)
-//!   and each chunk carries a snapshot of the prefix map in force at
-//!   its start.
+//! * **Turtle** needs a real scan: [`split_turtle`] runs the Turtle
+//!   statement layer over the document, parsing `@prefix`/`PREFIX`
+//!   directives (they change document-global state) and skipping
+//!   triples statements with the same skip that lossy parsing
+//!   resynchronizes with: it steps over strings, IRIs, comments and
+//!   brackets and cuts after a `.` at depth 0 whose run of dots no name
+//!   byte follows, so `3.25` and dotted names never produce false
+//!   boundaries.
+//!   Each chunk carries the prefix map in force at its start.
 //!
-//! The scanner is deliberately fallible: anything it cannot split with
-//! confidence returns `None`, and a chunk that fails to parse makes
-//! the loader fall back to the serial parser — which is the single
-//! source of truth for error positions and lossy-recovery semantics.
-//! Chunk boundaries therefore never change *what* is loaded, only how
-//! much of the work runs in parallel.
+//! The splitter is deliberately fallible: anything it cannot split with
+//! confidence returns `None`, and a chunk that fails to parse makes the
+//! loader parse the document as one chunk instead
+//! ([`crate::parse_turtle_document`]), which is the single source of
+//! error positions and lossy recovery. Chunk boundaries therefore never
+//! change *what* is loaded, only how much of the work runs in parallel.
 
 use std::collections::HashMap;
 use std::ops::Range;
 
 use crate::error::ParseError;
-use crate::parser::{RawTriple, TermTriple};
+use crate::load::OnParseError;
+use crate::parser::RawTriple;
+use crate::turtle::{name_anonymous, Turtle};
 
 /// One chunk of an N-Triples document: a byte range that starts and
 /// ends on line boundaries.
@@ -71,7 +72,7 @@ pub fn split_ntriples(input: &str, target_chunks: usize) -> Vec<NtChunk> {
 /// Counts the `\n` bytes of `bytes`. Summing each 255-byte block into a
 /// `u8` lets the compiler vectorize the loop; `filter(..).count()`
 /// widens every byte to a `usize` and runs eight times slower.
-fn count_newlines(bytes: &[u8]) -> usize {
+pub(crate) fn count_newlines(bytes: &[u8]) -> usize {
     bytes
         .chunks(255)
         .map(|block| block.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>() as usize)
@@ -176,10 +177,11 @@ pub fn parse_ntriples_chunk<'a>(input: &'a str, chunk: &NtChunk) -> ParsedChunk<
 /// isolation.
 #[derive(Debug, Clone)]
 pub struct TurtleChunk {
-    range: Range<usize>,
-    line: usize,
-    col: usize,
-    prefixes: HashMap<String, String>,
+    pub(crate) range: Range<usize>,
+    /// 1-based document line the chunk starts on.
+    pub(crate) line: usize,
+    /// The prefix map in force at the chunk start.
+    pub(crate) prefixes: HashMap<String, String>,
 }
 
 impl TurtleChunk {
@@ -187,397 +189,93 @@ impl TurtleChunk {
     pub fn range(&self) -> Range<usize> {
         self.range.clone()
     }
+
+    /// The whole of `input`, before any directive.
+    pub(crate) fn document(input: &str) -> Self {
+        Self {
+            range: 0..input.len(),
+            line: 1,
+            prefixes: HashMap::new(),
+        }
+    }
 }
 
-/// Scans `input` and cuts it into roughly `target_chunks` chunks at
-/// top-level statement terminators, parsing `@prefix`/`PREFIX`
-/// directives along the way (each chunk snapshots the prefix map in
-/// force at its start). Returns `None` when the document cannot be
-/// split with confidence (malformed directive, unsupported syntax) —
-/// the caller should parse serially instead.
+/// Cuts `input` into roughly `target_chunks` chunks at top-level
+/// statement terminators, parsing `@prefix`/`PREFIX` directives along
+/// the way. Returns `None` when the document cannot be split with
+/// confidence (malformed directive, unbalanced bracket, unsupported
+/// syntax): the caller should parse it as one chunk instead.
 pub fn split_turtle(input: &str, target_chunks: usize) -> Option<Vec<TurtleChunk>> {
     let target = (input.len() / target_chunks.max(1)).max(1);
-    let mut sc = Scanner::new(input);
-    let mut prefixes: HashMap<String, String> = HashMap::new();
+    let mut p = Turtle::new(input, &TurtleChunk::document(input));
     let mut chunks = Vec::new();
-    let mut cur: Option<(usize, usize, usize)> = None;
+    // Start offset and line of the chunk being filled.
+    let mut open: Option<(usize, usize)> = None;
+    let mut cut = |open: &mut Option<(usize, usize)>, p: &Turtle, end: usize| {
+        if let Some((start, line)) = open.take() {
+            chunks.push(TurtleChunk {
+                range: start..end,
+                line,
+                prefixes: p.prefixes.clone(),
+            });
+        }
+    };
     loop {
-        sc.skip_trivia();
-        let Some(b) = sc.peek() else { break };
-        if b == b'@' || sc.keyword_ahead("prefix") || sc.keyword_ahead("base") {
-            if let Some((start, line, col)) = cur.take() {
-                chunks.push(TurtleChunk {
-                    range: start..sc.pos,
-                    line,
-                    col,
-                    prefixes: prefixes.clone(),
-                });
-            }
-            sc.directive(&mut prefixes)?;
+        p.skip_trivia();
+        if p.c.peek().is_none() {
+            break;
+        }
+        let line = p.c.sync_lines();
+        if p.directive_ahead() {
+            cut(&mut open, &p, p.c.pos);
+            p.directive().ok()?;
         } else {
-            let (start, _, _) = *cur.get_or_insert((sc.pos, sc.line, sc.col));
-            sc.skip_statement()?;
-            if sc.pos - start >= target {
-                let (start, line, col) = cur.take().expect("open chunk");
-                chunks.push(TurtleChunk {
-                    range: start..sc.pos,
-                    line,
-                    col,
-                    prefixes: prefixes.clone(),
-                });
+            let (start, _) = *open.get_or_insert((p.c.pos, line));
+            if p.skip_statement().is_some() {
+                return None;
+            }
+            if p.c.pos - start >= target {
+                cut(&mut open, &p, p.c.pos);
             }
         }
     }
-    if let Some((start, line, col)) = cur.take() {
-        chunks.push(TurtleChunk {
-            range: start..input.len(),
-            line,
-            col,
-            prefixes,
-        });
-    }
+    cut(&mut open, &p, input.len());
     Some(chunks)
 }
 
-/// Strictly parses one Turtle chunk. Returns the chunk's triples (with
-/// chunk-local `anon#N` blank labels) and its anonymous-node count;
+/// Strictly parses one Turtle chunk: the statement layer over the
+/// chunk's bytes, starting from the chunk's prefix map. Returns the
+/// triples, borrowing from `input` where they can, with chunk-local
+/// `anon#N` blank node labels, and the chunk's anonymous-node count;
 /// feed all chunks to [`finish_turtle_chunks`] to restore the
 /// document-global labels. Error positions are document-global. Any
-/// error means the caller should fall back to the serial parser.
-pub fn parse_turtle_chunk(
-    input: &str,
+/// error means the caller should parse the document as one chunk
+/// ([`crate::parse_turtle_document`]).
+pub fn parse_turtle_chunk<'a>(
+    input: &'a str,
     chunk: &TurtleChunk,
-) -> Result<(Vec<TermTriple>, usize), ParseError> {
-    crate::turtle::parse_chunk_raw(
-        &input[chunk.range.clone()],
-        chunk.prefixes.clone(),
-        chunk.line,
-        chunk.col,
-    )
+) -> Result<(Vec<RawTriple<'a>>, usize), ParseError> {
+    let mut p = Turtle::new(input, chunk);
+    p.statements(OnParseError::Abort, false)?;
+    Ok(p.finish())
 }
 
-/// Merges per-chunk parse results: renumbers chunk-local anonymous
-/// blank nodes into one document-global sequence (prefix sums over the
-/// per-chunk counts, reproducing the serial parser's numbering) and
-/// applies the same collision-avoiding rename as the serial parser.
-/// The chunk structure is preserved so downstream encoding can stay
-/// parallel; concatenating the returned chunks equals the serial parse.
-pub fn finish_turtle_chunks(parts: Vec<(Vec<TermTriple>, usize)>) -> Vec<Vec<TermTriple>> {
-    use parj_dict::Term;
-    let mut chunks: Vec<Vec<TermTriple>> = Vec::with_capacity(parts.len());
-    let mut offset = 0usize;
-    for (mut triples, anon_count) in parts {
-        if offset > 0 && anon_count > 0 {
-            let renumber = |t: &mut Term| {
-                if let Term::BlankNode(label) = t {
-                    if let Some(n) = label.strip_prefix("anon#") {
-                        if let Ok(k) = n.parse::<usize>() {
-                            *label = format!("anon#{}", k + offset);
-                        }
-                    }
-                }
-            };
-            for (s, _, o) in &mut triples {
-                renumber(s);
-                renumber(o);
-            }
-        }
-        offset += anon_count;
-        chunks.push(triples);
-    }
-    crate::turtle::rename_anonymous_slices(&mut chunks);
-    chunks
-}
-
-/// Byte-level boundary scanner: tracks position, 1-based line and
-/// char-based column (matching the parser's error positions) while
-/// skipping over the token classes that can contain `.` bytes.
-struct Scanner<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-    col: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-            line: 1,
-            col: 1,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn peek_at(&self, off: usize) -> Option<u8> {
-        self.bytes.get(self.pos + off).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else if b & 0xC0 != 0x80 {
-            // Count characters, not UTF-8 continuation bytes.
-            self.col += 1;
-        }
-        Some(b)
-    }
-
-    fn skip_trivia(&mut self) {
-        loop {
-            match self.peek() {
-                Some(b) if b.is_ascii_whitespace() => {
-                    self.bump();
-                }
-                Some(b'#') => {
-                    while let Some(b) = self.peek() {
-                        if b == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn keyword_ahead(&self, kw: &str) -> bool {
-        let mut i = self.pos;
-        for k in kw.bytes() {
-            match self.bytes.get(i) {
-                Some(&b) if b.eq_ignore_ascii_case(&k) => i += 1,
-                _ => return false,
-            }
-        }
-        // Must not continue as a name (non-ASCII treated as continuing).
-        !matches!(self.bytes.get(i),
-            Some(&b) if b.is_ascii_alphanumeric() || b == b'_' || b == b':' || b >= 0x80)
-    }
-
-    /// A name token (prefix label in a directive): ASCII alnum, `_`,
-    /// `-`, plus any non-ASCII character.
-    fn name(&mut self) -> &'a str {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b >= 0x80 {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        &self.text[start..self.pos]
-    }
-
-    fn expect(&mut self, b: u8) -> Option<()> {
-        self.skip_trivia();
-        (self.bump() == Some(b)).then_some(())
-    }
-
-    fn hex_code(&mut self, n: usize) -> Option<u32> {
-        let mut code = 0u32;
-        for _ in 0..n {
-            let d = (self.bump()? as char).to_digit(16)?;
-            code = code * 16 + d;
-        }
-        Some(code)
-    }
-
-    /// Mirrors the serial parser's surrogate handling: `\uXXXX` pairs
-    /// combine, unpaired/inverted surrogates return `None` so the chunk
-    /// is re-parsed serially and gets the canonical line-anchored error
-    /// (this path must never silently produce a corrupt term).
-    fn unicode_escape(&mut self, kind: u8) -> Option<char> {
-        let n = if kind == b'u' { 4 } else { 8 };
-        let code = self.hex_code(n)?;
-        if kind == b'u' && (0xD800..=0xDBFF).contains(&code) {
-            if self.bump()? != b'\\' || self.bump()? != b'u' {
-                return None;
-            }
-            let low = self.hex_code(4)?;
-            if !(0xDC00..=0xDFFF).contains(&low) {
-                return None;
-            }
-            return char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00));
-        }
-        char::from_u32(code)
-    }
-
-    /// An IRI body after `<`, decoding `\u`/`\U` escapes like the
-    /// parser does.
-    fn iri_ref(&mut self) -> Option<String> {
-        let mut buf: Vec<u8> = Vec::new();
-        loop {
-            match self.bump() {
-                None => return None,
-                Some(b'>') => return String::from_utf8(buf).ok(),
-                Some(b) if b.is_ascii_whitespace() => return None,
-                Some(b'\\') => match self.bump() {
-                    Some(k @ (b'u' | b'U')) => {
-                        let c = self.unicode_escape(k)?;
-                        buf.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
-                    }
-                    _ => return None,
-                },
-                Some(b) => buf.push(b),
-            }
-        }
-    }
-
-    /// Parses one `@prefix`/`PREFIX` directive into `prefixes`;
-    /// `@base` and anything unexpected return `None` so the serial
-    /// parser can produce the canonical error.
-    fn directive(&mut self, prefixes: &mut HashMap<String, String>) -> Option<()> {
-        let at_form = self.peek() == Some(b'@');
-        if at_form {
-            self.bump();
-        }
-        if !self.name().eq_ignore_ascii_case("prefix") {
-            return None;
-        }
-        self.skip_trivia();
-        let prefix = self.name().to_string();
-        self.expect(b':')?;
-        self.skip_trivia();
-        if self.bump() != Some(b'<') {
-            return None;
-        }
-        let iri = self.iri_ref()?;
-        prefixes.insert(prefix, iri);
-        if at_form {
-            self.expect(b'.')?;
-        }
-        Some(())
-    }
-
-    /// Skips one triples statement: up to and including the
-    /// terminating `.` at bracket depth 0 outside strings, IRIs and
-    /// comments. A dot followed by a name-continuation byte is part of
-    /// a prefixed name or numeric literal, never a terminator — the
-    /// same rule the parser's `name(allow_dot)`/`number` productions
-    /// apply. Stops silently at end of input (the chunk parser then
-    /// reports the missing terminator).
-    ///
-    /// Returns `None` on a closing `]`/`)` at bracket depth 0: an
-    /// unbalanced bracket means the scanner's notion of "statement
-    /// boundary" can no longer be trusted — silently clamping the depth
-    /// (the old behavior) could resync at a `.` *inside* what the real
-    /// parser treats as one statement, splitting a chunk mid-statement.
-    /// The caller declines to split and the document is parsed
-    /// serially, where the parser reports the malformed statement
-    /// properly.
-    fn skip_statement(&mut self) -> Option<()> {
-        let mut depth = 0usize;
-        while let Some(b) = self.peek() {
-            match b {
-                b'#' => {
-                    while let Some(b) = self.peek() {
-                        if b == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                b'"' | b'\'' => self.skip_string(b),
-                b'<' => self.skip_iri(),
-                b'[' | b'(' => {
-                    depth += 1;
-                    self.bump();
-                }
-                b']' | b')' => {
-                    depth = depth.checked_sub(1)?;
-                    self.bump();
-                }
-                b'.' if depth == 0 => {
-                    self.bump();
-                    let name_continues = matches!(self.peek(),
-                        Some(n) if n.is_ascii_alphanumeric() || n == b'_' || n >= 0x80);
-                    if !name_continues {
-                        return Some(());
-                    }
-                }
-                _ => {
-                    self.bump();
-                }
-            }
-        }
-        Some(())
-    }
-
-    /// Skips `<…>`; stops (without consuming) at whitespace, which the
-    /// parser rejects inside IRIs.
-    fn skip_iri(&mut self) {
-        self.bump();
-        while let Some(b) = self.peek() {
-            match b {
-                b'>' => {
-                    self.bump();
-                    return;
-                }
-                b'\\' => {
-                    self.bump();
-                    self.bump();
-                }
-                b if b.is_ascii_whitespace() => return,
-                _ => {
-                    self.bump();
-                }
-            }
-        }
-    }
-
-    /// Skips a string literal with the *parser's* tokenization (short
-    /// strings run past raw newlines until the closing quote, matching
-    /// `string_body`), so boundaries on parseable documents are exact.
-    fn skip_string(&mut self, quote: u8) {
-        self.bump();
-        if self.peek() == Some(quote) {
-            if self.peek_at(1) == Some(quote) {
-                // Long string: ends at three closing quotes.
-                self.bump();
-                self.bump();
-                while let Some(b) = self.bump() {
-                    if b == b'\\' {
-                        self.bump();
-                    } else if b == quote
-                        && self.peek() == Some(quote)
-                        && self.peek_at(1) == Some(quote)
-                    {
-                        self.bump();
-                        self.bump();
-                        return;
-                    }
-                }
-                return;
-            }
-            self.bump(); // empty short string
-            return;
-        }
-        while let Some(b) = self.bump() {
-            match b {
-                b'\\' => {
-                    self.bump();
-                }
-                b if b == quote => return,
-                _ => {}
-            }
-        }
-    }
+/// Merges per-chunk parse results: numbers the anonymous blank nodes in
+/// one document-global sequence and gives them labels no document label
+/// starts with, exactly as parsing the document as one chunk does. The
+/// chunk structure is kept so that encoding can stay parallel;
+/// concatenating the returned chunks equals the one-chunk parse.
+pub fn finish_turtle_chunks<'a>(
+    mut parts: Vec<(Vec<RawTriple<'a>>, usize)>,
+) -> Vec<Vec<RawTriple<'a>>> {
+    name_anonymous(&mut parts);
+    parts.into_iter().map(|(triples, _)| triples).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_ntriples_str;
+    use crate::parser::{parse_ntriples_str, TermTriple};
     use crate::turtle::parse_turtle_str;
 
     const NT: &str = "<http://e/a> <http://e/p> <http://e/b> .\n\
@@ -698,11 +396,12 @@ mod tests {
 
     fn chunked_turtle(doc: &str, n: usize) -> Vec<TermTriple> {
         let chunks = split_turtle(doc, n).expect("splittable");
-        let parts: Vec<(Vec<TermTriple>, usize)> = chunks
+        let parts: Vec<(Vec<RawTriple>, usize)> = chunks
             .iter()
             .map(|c| parse_turtle_chunk(doc, c).expect("chunk parses"))
             .collect();
-        finish_turtle_chunks(parts).into_iter().flatten().collect()
+        let triples = finish_turtle_chunks(parts).into_iter().flatten();
+        triples.map(crate::parser::owned_triple).collect()
     }
 
     #[test]
@@ -761,5 +460,119 @@ mod tests {
         let doc = "u:x u:p u:o .\n";
         let chunks = split_turtle(doc, 1).unwrap();
         assert!(chunks.iter().any(|c| parse_turtle_chunk(doc, c).is_err()));
+    }
+
+    #[test]
+    fn splitter_and_parser_share_the_name_byte_rule() {
+        // Dots followed by a name byte are inside a prefixed name, so the
+        // parser reads on and the splitter must not cut there; after any
+        // other dot the statement has ended for both.
+        let non_ascii = ['é', '\u{A0}', '→', '😀'];
+        for c in (b'!'..=b'~').map(char::from).chain(non_ascii) {
+            let doc = format!("@prefix e: <http://e/> .\ne:s e:p e:a.{c}b .\ne:s e:p e:o .\n");
+            let in_name = c == '.' || crate::parser::is_name_byte(c.to_string().as_bytes()[0]);
+            let serial = parse_turtle_str(&doc);
+            assert!(serial.is_ok() || !in_name, "{c:?}: {serial:?}");
+            if let Ok(triples) = &serial {
+                let dotted = parj_dict::Term::iri(format!("http://e/a.{c}b"));
+                assert_eq!(triples[0].2 == dotted, in_name, "{c:?}");
+            }
+            let Some(chunks) = split_turtle(&doc, 100) else {
+                continue;
+            };
+            let parts: Result<Vec<_>, _> = chunks
+                .iter()
+                .map(|chunk| parse_turtle_chunk(&doc, chunk))
+                .collect();
+            let chunked = parts.map(|parts| {
+                let triples = finish_turtle_chunks(parts).into_iter().flatten();
+                triples.map(crate::parser::owned_triple).collect::<Vec<_>>()
+            });
+            match serial {
+                Ok(serial) => assert_eq!(chunked, Ok(serial), "{c:?}"),
+                Err(_) => assert!(chunked.is_err(), "{c:?}"),
+            }
+        }
+    }
+
+    /// One piece of a Turtle document per pick: mostly a statement over
+    /// terms that hold dots, quotes, line breaks and brackets, sometimes
+    /// a prefix (re)definition or a fragment that breaks the statement.
+    fn piece((kind, s, p, o): (u8, u8, u8, u8)) -> String {
+        const SUBJECTS: [&str; 6] = [
+            "e:s",
+            "e:a.b",
+            "_:b.c",
+            "_:d",
+            "[ e:p e:o ]",
+            "<http://e/i.j>",
+        ];
+        const VERBS: [&str; 3] = ["a", "e:p", "<http://e/p>"];
+        const OBJECTS: [&str; 11] = [
+            "e:o",
+            "\"x . y\"",
+            "'''l\n. m'''",
+            "\"é\"@en",
+            "3.25",
+            "-7",
+            "1.5e3",
+            "true",
+            "_:b.c",
+            "[ e:q 1 ]",
+            "\"v\"^^e:t",
+        ];
+        const BREAKERS: [&str; 8] = ["(", ")", "]", "\\", "\"", "<x y>", "1.", "é"];
+        let pick = |list: &[&'static str], i: u8| list[i as usize % list.len()];
+        match kind % 10 {
+            0 => format!("@prefix e: <http://{}/> .\n", pick(&["e", "f"], s)),
+            1 => format!("PREFIX e: <http://{}/>\n", pick(&["e", "f"], s)),
+            2 => pick(&BREAKERS, s).to_string(),
+            _ => format!(
+                "{} {} {} , {} ; e:r {} .\n",
+                pick(&SUBJECTS, s),
+                pick(&VERBS, p),
+                pick(&OBJECTS, o),
+                pick(&OBJECTS, o / 16),
+                pick(&OBJECTS, p / 4),
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        /// A document parses chunked exactly when it parses as one
+        /// chunk, to the same triples: a cut may make a malformed
+        /// document fail in another chunk, never change what loads.
+        #[test]
+        fn chunked_turtle_equals_one_chunk(
+            picks in proptest::collection::vec(
+                (0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255),
+                0..30,
+            ),
+            n in 1usize..12,
+        ) {
+            let pieces = picks.into_iter().map(piece);
+            let doc: String = ["@prefix e: <http://e/> .\n".to_string()]
+                .into_iter()
+                .chain(pieces)
+                .collect();
+            let serial = crate::turtle::parse_turtle_str(&doc);
+            let chunked = split_turtle(&doc, n).map(|chunks| {
+                let parts: Result<Vec<_>, _> =
+                    chunks.iter().map(|c| parse_turtle_chunk(&doc, c)).collect();
+                parts.map(|parts| {
+                    let triples = finish_turtle_chunks(parts).into_iter().flatten();
+                    triples.map(crate::parser::owned_triple).collect::<Vec<_>>()
+                })
+            });
+            match (serial, chunked) {
+                (Ok(serial), Some(Ok(chunked))) => {
+                    proptest::prop_assert_eq!(chunked, serial, "{:?}", doc)
+                }
+                (Ok(_), _) => proptest::prop_assert!(false, "not chunked: {:?}", doc),
+                (Err(_), chunked) => {
+                    proptest::prop_assert!(!matches!(chunked, Some(Ok(_))), "{:?}", doc)
+                }
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// What went wrong while parsing a line of N-Triples.
+/// What went wrong while parsing an N-Triples or Turtle statement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseErrorKind {
     /// Expected a term (IRI, blank node, or literal) but found something
@@ -14,6 +14,9 @@ pub enum ParseErrorKind {
     UnclosedLiteral,
     /// An escape sequence was malformed.
     BadEscape(String),
+    /// A Turtle statement broke the grammar outside any single term
+    /// (a missing `.` or `]`, an undeclared prefix, a bad directive).
+    Syntax(String),
     /// A blank node label was empty or malformed.
     BadBlankNode,
     /// A language tag was empty or malformed.
@@ -44,6 +47,7 @@ impl fmt::Display for ParseErrorKind {
             ParseErrorKind::UnclosedIri => write!(f, "IRI reference not closed with '>'"),
             ParseErrorKind::UnclosedLiteral => write!(f, "string literal not closed with '\"'"),
             ParseErrorKind::BadEscape(e) => write!(f, "malformed escape sequence: {e}"),
+            ParseErrorKind::Syntax(e) => write!(f, "{e}"),
             ParseErrorKind::BadBlankNode => write!(f, "malformed blank node label"),
             ParseErrorKind::BadLanguageTag => write!(f, "malformed language tag"),
             ParseErrorKind::MissingDot => write!(f, "statement not terminated with '.'"),
@@ -64,7 +68,8 @@ impl fmt::Display for ParseErrorKind {
 pub struct ParseError {
     /// 1-based line number.
     pub line: usize,
-    /// 1-based byte column within the line.
+    /// 1-based column within the line: counted in bytes for N-Triples
+    /// and in characters for Turtle.
     pub column: usize,
     /// The specific failure.
     pub kind: ParseErrorKind,

@@ -1,18 +1,24 @@
 //! # parj-rio — RDF I/O for PARJ
 //!
-//! A streaming [N-Triples](https://www.w3.org/TR/n-triples/) parser and
-//! serializer. N-Triples is the line-oriented interchange syntax the
-//! PARJ paper's data import consumes ("Disk-based tables are created and
-//! saved during data import from RDF files", §5); this crate is the
-//! substrate that turns those files into [`parj_dict::Term`] triples.
+//! Parsers for [N-Triples](https://www.w3.org/TR/n-triples/) and
+//! [Turtle](https://www.w3.org/TR/turtle/), an N-Triples serializer, and
+//! the statement-boundary chunking the parallel bulk loader runs the
+//! parsers under. RDF files are what the PARJ paper's data import
+//! consumes ("Disk-based tables are created and saved during data import
+//! from RDF files", §5); this crate turns them into [`parj_dict::Term`]
+//! triples, or into borrowed [`RawTerm`] triples for the loader.
 //!
-//! The parser is hand-written and allocation-free per term: each line is
-//! scanned once into [`RawTerm`]s whose parts are slices of the line;
-//! only a part holding an escape sequence (`\t \b \n \r \f \" \' \\`,
-//! `\uXXXX`, `\UXXXXXXXX`) is decoded into a buffer of its own. Errors
-//! carry exact line and column positions. The bulk loader encodes the
-//! borrowed terms directly ([`parse_ntriples_chunk`]); the owned
-//! [`TermTriple`] API below is [`RawTerm::to_term`] over the same scan.
+//! There is one tokenizer, a hand-written byte scanner: a term is found
+//! by table-driven runs and sliced from the input, and only a part that
+//! holds an escape sequence (`\t \b \n \r \f \" \' \\`, `\uXXXX`,
+//! `\UXXXXXXXX`), an expanded Turtle prefixed name or a generated blank
+//! node label owns its bytes. N-Triples runs it a line at a time
+//! ([`parse_ntriples_chunk`]); Turtle adds a statement layer (prefixes,
+//! `;`/`,` lists, `a`, `[ … ]`, numbers, booleans, long strings) and runs
+//! it over chunks cut at statement boundaries ([`split_turtle`],
+//! [`parse_turtle_chunk`]). Errors carry exact line and column
+//! positions. The owned [`TermTriple`] API below is [`RawTerm::to_term`]
+//! over the same scan.
 //!
 //! ```
 //! use parj_rio::parse_ntriples_str;
@@ -43,5 +49,5 @@ pub use chunk::{
 pub use error::{ParseError, ParseErrorKind};
 pub use load::{drain_triples, parse_ntriples_str_lossy, LoadReport, OnParseError};
 pub use parser::{parse_ntriples_str, NTriplesParser, RawTerm, RawTriple, TermTriple};
-pub use turtle::{parse_turtle_str, parse_turtle_str_lossy};
+pub use turtle::{parse_turtle_document, parse_turtle_str, parse_turtle_str_lossy};
 pub use writer::{write_ntriples, write_triple};

@@ -1,31 +1,36 @@
-//! The line-oriented N-Triples scanner and the parsers built on it.
+//! The byte scanner both RDF syntaxes share, and the N-Triples parsers
+//! built on it.
 //!
-//! There is one tokenizer, [`scan_line`]: it validates a statement and
-//! yields its three terms as [`RawTerm`]s that borrow from the line.
-//! The bulk loader encodes those directly; the owned [`TermTriple`] API
-//! ([`parse_ntriples_str`], [`NTriplesParser`]) is [`RawTerm::to_term`]
-//! over the same scan.
+//! [`Cursor`] is the one tokenizer of this crate: IRI references, blank
+//! node labels, quoted strings with every escape and language tags, each
+//! found by table-driven runs and yielded as [`RawTerm`] parts that
+//! borrow from the input. [`scan_line`] runs it over one N-Triples line;
+//! the Turtle statement layer (`turtle.rs`) runs it over a whole chunk.
+//! The bulk loader encodes the borrowed terms directly; the owned
+//! [`TermTriple`] API ([`parse_ntriples_str`], [`NTriplesParser`]) is
+//! [`RawTerm::to_term`] over the same scan.
 
 use std::borrow::Cow;
 use std::io::BufRead;
 
 use parj_dict::{write_key, CanonicalKey, Term};
 
+use crate::chunk::count_newlines;
 use crate::error::{ParseError, ParseErrorKind};
 
 /// A parsed `(subject, predicate, object)` triple of terms.
 pub type TermTriple = (Term, Term, Term);
 
-/// A term as scanned: every part is a slice of the input line. A part
-/// is [`Cow::Owned`] only if it contained a `\u`/`\U` or string escape
-/// and had to be decoded; blank-node labels and language tags have no
-/// escapes and are always slices.
+/// A term as scanned: every part is a slice of the input. A part is
+/// [`Cow::Owned`] only if it contained a `\u`/`\U` or string escape and
+/// had to be decoded, or if Turtle built it: an expanded prefixed name,
+/// a generated blank node label. Language tags are always slices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RawTerm<'a> {
     /// An IRI reference, without the surrounding `<` `>`.
     Iri(Cow<'a, str>),
     /// A blank node label, without the leading `_:`.
-    BlankNode(&'a str),
+    BlankNode(Cow<'a, str>),
     /// A plain (`xsd:string`) literal's lexical form.
     Literal(Cow<'a, str>),
     /// A language-tagged literal.
@@ -53,7 +58,7 @@ impl RawTerm<'_> {
     pub fn to_term(&self) -> Term {
         match self {
             RawTerm::Iri(iri) => Term::iri(&**iri),
-            RawTerm::BlankNode(label) => Term::blank(*label),
+            RawTerm::BlankNode(label) => Term::blank(&**label),
             RawTerm::Literal(lexical) => Term::literal(&**lexical),
             RawTerm::LangLiteral { lexical, lang } => Term::lang_literal(&**lexical, *lang),
             RawTerm::TypedLiteral { lexical, datatype } => {
@@ -61,6 +66,11 @@ impl RawTerm<'_> {
             }
         }
     }
+}
+
+/// Copies a scanned triple into owned terms.
+pub(crate) fn owned_triple((s, p, o): RawTriple<'_>) -> TermTriple {
+    (s.to_term(), p.to_term(), o.to_term())
 }
 
 impl CanonicalKey for RawTerm<'_> {
@@ -160,27 +170,102 @@ static IRI_STOP: [bool; 256] = {
     stop
 };
 
-/// Byte-cursor over one line.
-struct Cursor<'a> {
+/// Whether `b` continues a name — a blank node label, a Turtle prefix or
+/// local name: ASCII letters and digits, `_`, `-`, and every non-ASCII
+/// byte, so a run of name bytes never splits a character. Dots are
+/// [`Cursor::name`]'s business.
+pub(crate) fn is_name_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b >= 0x80
+}
+
+/// Byte cursor over an N-Triples line or a Turtle chunk.
+///
+/// Lines are counted lazily: `line` is the number of the line that
+/// starts at `line_start`, and the newlines between `counted` and `pos`
+/// are counted only when an error is raised or [`Cursor::sync_lines`]
+/// runs.
+pub(crate) struct Cursor<'a> {
     text: &'a str,
     bytes: &'a [u8],
-    pos: usize,
+    pub(crate) pos: usize,
     line: usize,
+    line_start: usize,
+    counted: usize,
+    /// Columns count characters (Turtle) rather than bytes (N-Triples).
+    char_columns: bool,
 }
 
 impl<'a> Cursor<'a> {
-    fn err(&self, kind: ParseErrorKind) -> ParseError {
-        ParseError::new(self.line, self.pos + 1, kind)
+    /// A cursor at byte `pos` of `text`, on line `line`.
+    pub(crate) fn new(text: &'a str, pos: usize, line: usize, char_columns: bool) -> Self {
+        let bytes = text.as_bytes();
+        let line_start = bytes[..pos]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        Self {
+            text,
+            bytes,
+            pos,
+            line,
+            line_start,
+            counted: pos,
+            char_columns,
+        }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The line number and line start at the cursor.
+    fn line_at(&self) -> (usize, usize) {
+        let seen = &self.bytes[self.counted..self.pos];
+        let start = seen
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(self.line_start, |i| self.counted + i + 1);
+        (self.line + count_newlines(seen), start)
+    }
+
+    /// Counts the lines passed so far, so that a later error scans back
+    /// no further than here, and returns the line the cursor is on.
+    pub(crate) fn sync_lines(&mut self) -> usize {
+        (self.line, self.line_start) = self.line_at();
+        self.counted = self.pos;
+        self.line
+    }
+
+    pub(crate) fn err(&self, kind: ParseErrorKind) -> ParseError {
+        let (line, start) = self.line_at();
+        let span = &self.bytes[start..self.pos];
+        let column = if self.char_columns {
+            // Every byte but a UTF-8 continuation byte starts a character.
+            span.iter().filter(|&&b| b & 0xC0 != 0x80).count()
+        } else {
+            span.len()
+        };
+        ParseError::new(line, column + 1, kind)
+    }
+
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<u8> {
+    pub(crate) fn peek_at(&self, offset: usize) -> Option<u8> {
+        self.bytes.get(self.pos + offset).copied()
+    }
+
+    pub(crate) fn bump(&mut self) -> Option<u8> {
         let b = self.peek()?;
         self.pos += 1;
         Some(b)
+    }
+
+    /// The input from the cursor on.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
+    }
+
+    /// The input from byte `start` to the cursor.
+    pub(crate) fn since(&self, start: usize) -> &'a str {
+        &self.text[start..self.pos]
     }
 
     fn skip_ws(&mut self) {
@@ -189,10 +274,10 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Advances to the first byte `stop` accepts (or the line end) and
+    /// Advances to the first byte `stop` accepts (or the end) and
     /// returns the bytes passed over. `stop` must either accept or
     /// reject every non-ASCII byte, so a run never splits a character.
-    fn run(&mut self, stop: impl Fn(u8) -> bool) -> &'a str {
+    pub(crate) fn run(&mut self, stop: impl Fn(u8) -> bool) -> &'a str {
         let start = self.pos;
         let rest = &self.bytes[start..];
         self.pos += rest.iter().position(|&b| stop(b)).unwrap_or(rest.len());
@@ -227,7 +312,7 @@ impl<'a> Cursor<'a> {
         let code = self.hex_escape_code(n)?;
         if kind == b'u' && (0xD800..=0xDBFF).contains(&code) {
             // High surrogate: the low half must follow as `\uXXXX`.
-            if self.peek() == Some(b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u') {
+            if self.peek() == Some(b'\\') && self.peek_at(1) == Some(b'u') {
                 self.pos += 2;
                 let low = self.hex_escape_code(4)?;
                 if (0xDC00..=0xDFFF).contains(&low) {
@@ -260,7 +345,7 @@ impl<'a> Cursor<'a> {
 
     /// Parses an `<IRI>`; the `<` is already consumed. Borrows the
     /// body unless it holds an escape.
-    fn iri_body(&mut self) -> Result<Cow<'a, str>, ParseError> {
+    pub(crate) fn iri_body(&mut self) -> Result<Cow<'a, str>, ParseError> {
         let plain = self.run(|b| IRI_STOP[b as usize]);
         if self.peek() == Some(b'>') {
             self.pos += 1;
@@ -287,41 +372,82 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Parses a `"string"`; the opening quote is already consumed.
-    /// Borrows the body unless it holds an escape.
-    fn string_body(&mut self) -> Result<Cow<'a, str>, ParseError> {
-        let stop = |b| b == b'"' || b == b'\\';
-        let plain = self.run(stop);
-        if self.peek() == Some(b'"') {
-            self.pos += 1;
-            return Ok(Cow::Borrowed(plain));
-        }
-        let mut out = String::from(plain);
+    /// Parses a string body; the opening quote (or three, if `long`) is
+    /// already consumed. A short string may not hold a raw line feed; a
+    /// long one ends at three quotes. Borrows the body unless it holds an
+    /// escape.
+    pub(crate) fn string_body(
+        &mut self,
+        quote: u8,
+        long: bool,
+    ) -> Result<Cow<'a, str>, ParseError> {
+        let mut start = self.pos;
+        let mut decoded: Option<String> = None;
         loop {
-            match self.bump() {
-                None => return Err(self.err(ParseErrorKind::UnclosedLiteral)),
-                Some(b'"') => return Ok(Cow::Owned(out)),
-                // A run stops only at a quote or a backslash.
-                Some(_) => match self.bump() {
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'f') => out.push('\u{C}'),
-                    Some(b'"') => out.push('"'),
-                    Some(b'\'') => out.push('\''),
-                    Some(b'\\') => out.push('\\'),
-                    Some(k @ (b'u' | b'U')) => out.push(self.unicode_escape(k)?),
-                    other => {
-                        return Err(self.err(ParseErrorKind::BadEscape(format!(
-                            "\\{}",
-                            other.map(char::from).unwrap_or(' ')
-                        ))))
-                    }
-                },
+            if long {
+                self.run(|b| b == quote || b == b'\\');
+            } else {
+                self.run(|b| b == quote || b == b'\\' || b == b'\n');
             }
-            out.push_str(self.run(stop));
+            let end = self.pos;
+            match self.peek() {
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let out = decoded.get_or_insert_with(String::new);
+                    out.push_str(&self.text[start..end]);
+                    out.push(self.escape()?);
+                    start = self.pos;
+                }
+                Some(b) if b == quote => {
+                    self.pos += 1;
+                    if long {
+                        if self.peek() != Some(quote) || self.peek_at(1) != Some(quote) {
+                            continue; // a lone quote inside the string
+                        }
+                        self.pos += 2;
+                    }
+                    let plain = &self.text[start..end];
+                    return Ok(match decoded {
+                        None => Cow::Borrowed(plain),
+                        Some(mut out) => {
+                            out.push_str(plain);
+                            Cow::Owned(out)
+                        }
+                    });
+                }
+                _ => return Err(self.err(ParseErrorKind::UnclosedLiteral)),
+            }
         }
+    }
+
+    /// Decodes the string escape after a backslash.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        Ok(match self.bump() {
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b'f') => '\u{C}',
+            Some(b'"') => '"',
+            Some(b'\'') => '\'',
+            Some(b'\\') => '\\',
+            Some(k @ (b'u' | b'U')) => return self.unicode_escape(k),
+            other => {
+                return Err(self.err(ParseErrorKind::BadEscape(format!(
+                    "\\{}",
+                    other.map(char::from).unwrap_or(' ')
+                ))))
+            }
+        })
+    }
+
+    /// Reads a (possibly empty) name. With `dots`, a dot inside the name
+    /// belongs to it; a trailing dot never does: it ends the statement.
+    pub(crate) fn name(&mut self, dots: bool) -> &'a str {
+        let run = self.run(|b| !(is_name_byte(b) || (dots && b == b'.')));
+        let name = run.trim_end_matches('.');
+        self.pos -= run.len() - name.len();
+        name
     }
 
     /// Parses a blank node label; the `_` is already consumed.
@@ -329,20 +455,25 @@ impl<'a> Cursor<'a> {
         if self.bump() != Some(b':') {
             return Err(self.err(ParseErrorKind::BadBlankNode));
         }
-        let run = self.run(|b| {
-            !(b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.' || b >= 0x80)
-        });
-        // A trailing '.' belongs to the statement terminator, not the label.
-        let label = run.trim_end_matches('.');
-        self.pos -= run.len() - label.len();
+        let label = self.name(true);
         if label.is_empty() {
             return Err(self.err(ParseErrorKind::BadBlankNode));
         }
         Ok(label)
     }
 
-    /// Parses one term at the cursor.
-    fn term(&mut self, position: &'static str) -> Result<RawTerm<'a>, ParseError> {
+    /// Parses a language tag; the `@` is already consumed.
+    pub(crate) fn lang_tag(&mut self) -> Result<&'a str, ParseError> {
+        let lang = self.run(|b| !(b.is_ascii_alphanumeric() || b == b'-'));
+        if lang.is_empty() {
+            return Err(self.err(ParseErrorKind::BadLanguageTag));
+        }
+        Ok(lang)
+    }
+
+    /// Parses one N-Triples term at the cursor: an IRI, a blank node or a
+    /// `"…"` literal.
+    pub(crate) fn term(&mut self, position: &'static str) -> Result<RawTerm<'a>, ParseError> {
         match self.peek() {
             Some(b'<') => {
                 self.pos += 1;
@@ -350,18 +481,15 @@ impl<'a> Cursor<'a> {
             }
             Some(b'_') => {
                 self.pos += 1;
-                Ok(RawTerm::BlankNode(self.blank_label()?))
+                Ok(RawTerm::BlankNode(Cow::Borrowed(self.blank_label()?)))
             }
             Some(b'"') => {
                 self.pos += 1;
-                let lexical = self.string_body()?;
+                let lexical = self.string_body(b'"', false)?;
                 match self.peek() {
                     Some(b'@') => {
                         self.pos += 1;
-                        let lang = self.run(|b| !(b.is_ascii_alphanumeric() || b == b'-'));
-                        if lang.is_empty() {
-                            return Err(self.err(ParseErrorKind::BadLanguageTag));
-                        }
+                        let lang = self.lang_tag()?;
                         Ok(RawTerm::LangLiteral { lexical, lang })
                     }
                     Some(b'^') => {
@@ -384,12 +512,7 @@ impl<'a> Cursor<'a> {
 /// lines.
 pub(crate) fn scan_line(line: &str, line_no: usize) -> Result<Option<RawTriple<'_>>, ParseError> {
     let text = line.trim_end_matches(['\n', '\r']);
-    let mut c = Cursor {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-        line: line_no,
-    };
+    let mut c = Cursor::new(text, 0, line_no, false);
     c.skip_ws();
     match c.peek() {
         None | Some(b'#') => return Ok(None),
@@ -420,8 +543,7 @@ pub(crate) fn scan_line(line: &str, line_no: usize) -> Result<Option<RawTriple<'
 
 /// [`scan_line`] copied into owned terms.
 pub(crate) fn parse_line(line: &str, line_no: usize) -> Result<Option<TermTriple>, ParseError> {
-    let scanned = scan_line(line, line_no)?;
-    Ok(scanned.map(|(s, p, o)| (s.to_term(), p.to_term(), o.to_term())))
+    Ok(scan_line(line, line_no)?.map(owned_triple))
 }
 
 #[cfg(test)]

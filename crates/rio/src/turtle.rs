@@ -1,27 +1,34 @@
-//! A Turtle subset parser.
+//! Turtle: a statement layer over the N-Triples term scanner.
 //!
 //! [Turtle](https://www.w3.org/TR/turtle/) is the human-oriented RDF
-//! syntax most published datasets ship in. This parser covers the
-//! subset that real data uses:
+//! syntax most published datasets ship in. Its terms are N-Triples terms
+//! plus some sugar, so this module scans them with the same byte
+//! [`Cursor`] and adds only what Turtle has on top:
 //!
 //! * `@prefix` / `PREFIX` directives and prefixed names,
 //! * the `a` keyword, `;` predicate lists and `,` object lists,
-//! * IRIs, blank node labels, anonymous blank nodes `[ … ]` (with
-//!   nested property lists),
-//! * string literals (single/double quoted and triple-quoted long
-//!   strings) with escapes, language tags and datatypes,
+//! * anonymous blank nodes `[ … ]` (with nested property lists),
+//! * `'…'` strings and `"""…"""` / `'''…'''` long strings,
 //! * numeric literals (`42` → `xsd:integer`, `3.14` → `xsd:decimal`,
 //!   `1e3`-style → `xsd:double`) and booleans,
 //! * comments.
 //!
+//! IRIs, blank node labels, escapes and language tags follow the
+//! N-Triples byte rules; whitespace is the W3C set (space, tab, CR, LF).
+//! Terms borrow from the input; only an expanded prefixed name or a
+//! generated blank node label owns its bytes. Error columns count
+//! characters.
+//!
 //! Out of scope (rejected with a positioned error, never misparsed):
 //! `@base`/relative IRIs and RDF collections `( … )`.
 
-use parj_dict::Term;
+use std::borrow::Cow;
+use std::collections::HashMap;
 
+use crate::chunk::TurtleChunk;
 use crate::error::{ParseError, ParseErrorKind};
 use crate::load::{LoadReport, OnParseError};
-use crate::parser::TermTriple;
+use crate::parser::{is_name_byte, owned_triple, Cursor, RawTerm, RawTriple, TermTriple};
 
 /// `xsd` datatype IRIs for Turtle's sugared literal forms.
 const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
@@ -41,728 +48,470 @@ pub fn parse_turtle_str(input: &str) -> Result<Vec<TermTriple>, ParseError> {
 /// [`parse_turtle_str`] with an error policy. In
 /// [`OnParseError::Skip`] mode a malformed statement is dropped whole
 /// (any triples it had already produced are rolled back), the parser
-/// resynchronizes at the next statement terminator, and the skip is
+/// resynchronizes after the next statement terminator, and the skip is
 /// recorded in the returned [`LoadReport`].
 ///
-/// Recovery is best-effort: a `.` inside a malformed statement (e.g.
-/// in a decimal literal) can end resynchronization early, in which
-/// case the tail of that statement is skipped as a second malformed
-/// statement — counted against `max_errors` like any other.
+/// Recovery is best-effort: it starts where the error was found, so a
+/// quote inside the malformed statement can hide the terminator, in
+/// which case the next statement is skipped with it.
 pub fn parse_turtle_str_lossy(
     input: &str,
     policy: OnParseError,
 ) -> Result<(Vec<TermTriple>, LoadReport), ParseError> {
-    let mut p = Turtle {
-        chars: input.chars().collect(),
-        pos: 0,
-        line: 1,
-        col: 1,
-        prefixes: std::collections::HashMap::new(),
-        out: Vec::new(),
-        next_anon: 0,
-    };
-    let mut report = LoadReport::default();
-    loop {
-        p.skip_trivia();
-        if p.peek().is_none() {
-            break;
-        }
-        let mark = p.out.len();
-        match p.statement() {
-            Ok(()) => {}
-            Err(e) => match policy {
-                OnParseError::Abort => return Err(e),
-                OnParseError::Skip { max_errors } => {
-                    p.out.truncate(mark);
-                    let fatal = report.skipped >= max_errors;
-                    report.note_skip(e.clone());
-                    if fatal {
-                        return Err(e);
-                    }
-                    if let Some(unbalanced) = p.recover() {
-                        // A closing bracket with no opener in the
-                        // skipped region: count it as its own skipped
-                        // defect (against `max_errors`) rather than
-                        // resyncing as if the document were clean.
-                        let fatal = report.skipped >= max_errors;
-                        report.note_skip(unbalanced.clone());
-                        if fatal {
-                            return Err(unbalanced);
-                        }
-                    }
-                }
-            },
-        }
-    }
-    report.loaded = p.out.len();
-    Ok((rename_anonymous(p.out), report))
+    let (triples, report) = parse_turtle_document(input, policy)?;
+    Ok((triples.into_iter().map(owned_triple).collect(), report))
 }
 
-/// During parsing, anonymous nodes get `anon#N` labels — `#` cannot
-/// occur in a parsed label, so they are collision-free but also not
-/// valid N-Triples/Turtle syntax. Rename them to a plain prefix chosen
-/// to avoid every document label, so the output serializes cleanly in
-/// any RDF syntax.
-fn rename_anonymous(mut triples: Vec<TermTriple>) -> Vec<TermTriple> {
-    rename_anonymous_slices(std::slice::from_mut(&mut triples));
-    triples
+/// [`parse_turtle_str_lossy`] without the copy: the statement layer run
+/// over one chunk that spans the document, directives included. The
+/// triples borrow from `input` where they can.
+pub fn parse_turtle_document(
+    input: &str,
+    policy: OnParseError,
+) -> Result<(Vec<RawTriple<'_>>, LoadReport), ParseError> {
+    let mut p = Turtle::new(input, &TurtleChunk::document(input));
+    let report = p.statements(policy, true)?;
+    let mut parts = [p.finish()];
+    name_anonymous(&mut parts);
+    let [(triples, _)] = parts;
+    Ok((triples, report))
 }
 
-/// [`rename_anonymous`] over a document split into chunks: the prefix
-/// is chosen against the labels of *all* chunks, so the result equals
-/// renaming the concatenation.
-pub(crate) fn rename_anonymous_slices(chunks: &mut [Vec<TermTriple>]) {
-    let mut has_generated = false;
-    let mut prefix = String::from("genid");
-    loop {
-        let mut clash = false;
-        for (s, _, o) in chunks.iter().flatten() {
-            for t in [s, o] {
-                if let Term::BlankNode(label) = t {
-                    if label.contains('#') {
-                        has_generated = true;
-                    } else if label.starts_with(&prefix) {
-                        clash = true;
-                    }
-                }
-            }
-        }
-        if !clash {
-            break;
-        }
-        prefix.push('x');
-    }
-    if !has_generated {
+/// Gives the anonymous nodes of a document split into `parts` (each
+/// chunk's triples and anonymous-node count) their final labels. The
+/// parser labels them `anon#N`, numbered from 0 in each chunk: `#`
+/// cannot occur in a parsed label, so those never collide, but they are
+/// not valid syntax either. The final label is `N` plus the anonymous
+/// nodes of the earlier chunks, after a prefix that starts no label of
+/// the document (`genid`, `genidx`, …), so the result serializes in any
+/// RDF syntax and does not depend on the chunking.
+pub(crate) fn name_anonymous(parts: &mut [(Vec<RawTriple<'_>>, usize)]) {
+    if parts.iter().all(|(_, count)| *count == 0) {
         return;
     }
-    let rename = |t: &mut Term| {
-        if let Term::BlankNode(label) = t {
-            if let Some(n) = label.strip_prefix("anon#") {
-                *label = format!("{prefix}{n}");
+    let mut prefix = String::from("genid");
+    let clashes = |prefix: &str, t: &RawTerm| match t {
+        RawTerm::BlankNode(label) => !label.contains('#') && label.starts_with(prefix),
+        _ => false,
+    };
+    while parts
+        .iter()
+        .flat_map(|(triples, _)| triples)
+        .any(|(s, _, o)| clashes(&prefix, s) || clashes(&prefix, o))
+    {
+        prefix.push('x');
+    }
+    let mut offset = 0;
+    for (triples, count) in parts.iter_mut() {
+        for (s, _, o) in triples.iter_mut() {
+            for t in [s, o] {
+                let RawTerm::BlankNode(label) = t else {
+                    continue;
+                };
+                if let Some(n) = label
+                    .strip_prefix("anon#")
+                    .and_then(|n| n.parse::<usize>().ok())
+                {
+                    *label = Cow::Owned(format!("{prefix}{}", n + offset));
+                }
             }
         }
-    };
-    for (s, _, o) in chunks.iter_mut().flatten() {
-        rename(s);
-        rename(o);
+        offset += *count;
     }
 }
 
-/// Strictly parses one chunk of a Turtle document for the parallel
-/// loader: a run of triples statements (no directives — the splitter
-/// keeps those out) starting at document position `line`/`col`, with
-/// the prefix map in force at the chunk start. Returns the chunk's
-/// triples with *raw* chunk-local `anon#N` labels plus the number of
-/// anonymous nodes allocated; [`rename_anonymous_slices`] plus the
-/// renumbering in [`crate::chunk::finish_turtle_chunks`] restore the
-/// document-global labels.
-pub(crate) fn parse_chunk_raw(
-    input: &str,
-    prefixes: std::collections::HashMap<String, String>,
-    line: usize,
-    col: usize,
-) -> Result<(Vec<TermTriple>, usize), ParseError> {
-    let mut p = Turtle {
-        chars: input.chars().collect(),
-        pos: 0,
-        line,
-        col,
-        prefixes,
-        out: Vec::new(),
-        next_anon: 0,
-    };
-    loop {
-        p.skip_trivia();
-        if p.peek().is_none() {
-            break;
-        }
-        if p.peek() == Some('@') || p.keyword_ahead("prefix") || p.keyword_ahead("base") {
-            // The splitter cuts directives out of chunks; seeing one
-            // here means the boundary scan disagreed with the parser.
-            // Fail the chunk so the loader falls back to serial parsing.
-            return Err(p.err_msg("directive inside parallel chunk"));
-        }
-        p.statement()?;
+/// A typed literal with a fixed datatype.
+fn typed<'a>(lexical: &'a str, datatype: &'static str) -> RawTerm<'a> {
+    RawTerm::TypedLiteral {
+        lexical: Cow::Borrowed(lexical),
+        datatype: Cow::Borrowed(datatype),
     }
-    Ok((p.out, p.next_anon))
 }
 
-struct Turtle {
-    chars: Vec<char>,
-    pos: usize,
-    line: usize,
-    col: usize,
-    prefixes: std::collections::HashMap<String, String>,
-    out: Vec<TermTriple>,
+/// Whether `b` can start a prefixed name.
+fn starts_prefixed_name(b: u8) -> bool {
+    b == b':' || b.is_ascii_alphabetic() || b >= 0x80
+}
+
+/// The statement layer: a [`Cursor`] over one chunk plus the prefix
+/// map, the triples parsed so far and the anonymous-node counter.
+pub(crate) struct Turtle<'a> {
+    pub(crate) c: Cursor<'a>,
+    pub(crate) prefixes: HashMap<String, String>,
+    out: Vec<RawTriple<'a>>,
     next_anon: usize,
 }
 
-impl Turtle {
-    fn err(&self, kind: ParseErrorKind) -> ParseError {
-        ParseError::new(self.line, self.col, kind)
-    }
-
-    fn err_msg(&self, msg: impl Into<String>) -> ParseError {
-        self.err(ParseErrorKind::BadEscape(msg.into()))
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<char> {
-        self.chars.get(self.pos + 1).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == '\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+impl<'a> Turtle<'a> {
+    /// A parser over `chunk` of `input`, starting from the chunk's
+    /// prefix map.
+    pub(crate) fn new(input: &'a str, chunk: &TurtleChunk) -> Self {
+        Self {
+            c: Cursor::new(
+                &input[..chunk.range.end],
+                chunk.range.start,
+                chunk.line,
+                true,
+            ),
+            prefixes: chunk.prefixes.clone(),
+            out: Vec::new(),
+            next_anon: 0,
         }
-        Some(c)
     }
 
-    fn skip_trivia(&mut self) {
+    /// Parses the chunk's statements under `policy` and returns the load
+    /// report; [`Turtle::finish`] hands over the triples. `directives` is
+    /// false for a parallel chunk: the splitter keeps directives out of
+    /// those, so one there means the cut points disagree with the parser
+    /// and the chunk fails.
+    pub(crate) fn statements(
+        &mut self,
+        policy: OnParseError,
+        directives: bool,
+    ) -> Result<LoadReport, ParseError> {
+        let mut report = LoadReport::default();
         loop {
-            match self.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
+            self.skip_trivia();
+            if self.c.peek().is_none() {
+                break;
+            }
+            self.c.sync_lines();
+            let mark = self.out.len();
+            let parsed = match self.directive_ahead() {
+                true if !directives => Err(self.syntax("directive inside parallel chunk")),
+                true => self.directive(),
+                false => self.triples(),
+            };
+            let Err(e) = parsed else { continue };
+            let OnParseError::Skip { max_errors } = policy else {
+                return Err(e);
+            };
+            self.out.truncate(mark);
+            // A closing bracket with no opener in the skipped text is
+            // a defect of its own, counted against `max_errors`.
+            let underflow = self.skip_statement();
+            for e in std::iter::once(e).chain(underflow) {
+                let fatal = report.skipped >= max_errors;
+                report.note_skip(e.clone());
+                if fatal {
+                    return Err(e);
                 }
-                Some('#') => {
-                    while let Some(c) = self.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+            }
+        }
+        report.loaded = self.out.len();
+        Ok(report)
+    }
+
+    /// Returns the chunk's triples and its anonymous-node count.
+    pub(crate) fn finish(self) -> (Vec<RawTriple<'a>>, usize) {
+        (self.out, self.next_anon)
+    }
+
+    fn syntax(&self, msg: impl Into<String>) -> ParseError {
+        self.c.err(ParseErrorKind::Syntax(msg.into()))
+    }
+
+    /// Skips whitespace and comments.
+    pub(crate) fn skip_trivia(&mut self) {
+        loop {
+            match self.c.peek() {
+                Some(b' ' | b'\t' | b'\r' | b'\n') => self.c.pos += 1,
+                Some(b'#') => {
+                    self.c.run(|b| b == b'\n');
                 }
-                _ => break,
+                _ => return,
             }
         }
     }
 
-    fn expect(&mut self, c: char) -> Result<(), ParseError> {
+    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
         self.skip_trivia();
-        if self.bump() == Some(c) {
+        if self.c.bump() == Some(b) {
             Ok(())
         } else {
-            Err(self.err_msg(format!("expected {c:?}")))
+            Err(self.syntax(format!("expected {:?}", char::from(b))))
         }
     }
 
+    /// Whether the keyword `kw` (any case) is at the cursor, not
+    /// continued as a name.
     fn keyword_ahead(&self, kw: &str) -> bool {
-        let mut i = self.pos;
-        for k in kw.chars() {
-            match self.chars.get(i) {
-                Some(&c) if c.eq_ignore_ascii_case(&k) => i += 1,
-                _ => return false,
-            }
-        }
-        // Must not continue as a name.
-        !matches!(self.chars.get(i), Some(c) if c.is_alphanumeric() || *c == '_' || *c == ':')
+        let rest = self.c.rest();
+        rest.get(..kw.len())
+            .is_some_and(|word| word.eq_ignore_ascii_case(kw.as_bytes()))
+            && !rest
+                .get(kw.len())
+                .is_some_and(|&b| is_name_byte(b) || b == b':')
     }
 
-    fn take_keyword(&mut self, kw: &str) {
-        for _ in kw.chars() {
-            self.bump();
-        }
+    /// Whether a directive starts at the cursor.
+    pub(crate) fn directive_ahead(&self) -> bool {
+        self.c.peek() == Some(b'@') || self.keyword_ahead("prefix") || self.keyword_ahead("base")
     }
 
-    fn fresh_anon(&mut self) -> Term {
-        // '#' cannot appear in a parsed blank-node label, so generated
-        // labels never collide with document labels.
-        let t = Term::blank(format!("anon#{}", self.next_anon));
-        self.next_anon += 1;
-        t
-    }
-
-    fn name(&mut self, allow_dot: bool) -> String {
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            let ok = c.is_alphanumeric()
-                || c == '_'
-                || c == '-'
-                || (allow_dot
-                    && c == '.'
-                    && matches!(self.peek2(), Some(n) if n.is_alphanumeric() || n == '_'));
-            if ok {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
-            }
+    /// Parses a `@prefix` / `PREFIX` directive into the prefix map.
+    pub(crate) fn directive(&mut self) -> Result<(), ParseError> {
+        let at_form = self.c.peek() == Some(b'@');
+        self.c.pos += usize::from(at_form);
+        let keyword = self.c.name(false);
+        if keyword.eq_ignore_ascii_case("base") {
+            return Err(
+                self.syntax("@base / relative IRIs are outside the supported Turtle subset")
+            );
         }
-        s
-    }
-
-    fn iri_ref(&mut self) -> Result<String, ParseError> {
-        // '<' consumed by caller.
-        let mut iri = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err(ParseErrorKind::UnclosedIri)),
-                Some('>') => return Ok(iri),
-                Some(c) if c.is_whitespace() => {
-                    return Err(self.err(ParseErrorKind::BadIriChar(c)))
-                }
-                Some('\\') => match self.bump() {
-                    Some(k @ ('u' | 'U')) => iri.push(self.unicode_escape(k)?),
-                    other => {
-                        return Err(self.err_msg(format!(
-                            "\\{} not allowed in IRI",
-                            other.unwrap_or(' ')
-                        )))
-                    }
-                },
-                Some(c) => iri.push(c),
-            }
+        if !keyword.eq_ignore_ascii_case("prefix") {
+            return Err(self.syntax(format!("unknown directive @{keyword}")));
         }
-    }
-
-    fn hex_escape_code(&mut self, n: usize) -> Result<u32, ParseError> {
-        let mut code = 0u32;
-        for _ in 0..n {
-            let c = self
-                .bump()
-                .ok_or_else(|| self.err_msg("truncated \\u escape"))?;
-            code = code * 16
-                + c.to_digit(16)
-                    .ok_or_else(|| self.err_msg(format!("bad hex digit {c:?}")))?;
-        }
-        Ok(code)
-    }
-
-    /// `\uXXXX` surrogate handling matches the N-Triples parser: a high
-    /// surrogate pairs with an immediately-following `\uXXXX` low half;
-    /// unpaired/inverted surrogates get a surrogate-specific error.
-    fn unicode_escape(&mut self, kind: char) -> Result<char, ParseError> {
-        let n = if kind == 'u' { 4 } else { 8 };
-        let code = self.hex_escape_code(n)?;
-        if kind == 'u' && (0xD800..=0xDBFF).contains(&code) {
-            if self.peek() == Some('\\') && self.peek2() == Some('u') {
-                self.bump();
-                self.bump();
-                let low = self.hex_escape_code(4)?;
-                if (0xDC00..=0xDFFF).contains(&low) {
-                    let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                    return char::from_u32(combined)
-                        .ok_or_else(|| self.err_msg(format!("U+{combined:X} not a scalar")));
-                }
-                return Err(self.err_msg(format!(
-                    "unpaired high surrogate U+{code:04X}: \\u{low:04X} is not a low surrogate"
-                )));
-            }
-            return Err(self.err_msg(format!(
-                "unpaired high surrogate U+{code:04X}: expected \\uDC00..\\uDFFF to follow"
-            )));
-        }
-        if kind == 'u' && (0xDC00..=0xDFFF).contains(&code) {
-            return Err(self.err_msg(format!(
-                "inverted surrogate pair: lone low surrogate U+{code:04X}"
-            )));
-        }
-        char::from_u32(code).ok_or_else(|| self.err_msg(format!("U+{code:X} not a scalar")))
-    }
-
-    fn expand(&self, prefix: &str, local: &str) -> Result<String, ParseError> {
-        match self.prefixes.get(prefix) {
-            Some(ns) => Ok(format!("{ns}{local}")),
-            None => Err(self.err_msg(format!("undeclared prefix `{prefix}:`"))),
-        }
-    }
-
-    /// A string body; `quote` is the quote char, `long` selects
-    /// triple-quoted parsing (the opening quotes are consumed).
-    fn string_body(&mut self, quote: char, long: bool) -> Result<String, ParseError> {
-        let mut s = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err(ParseErrorKind::UnclosedLiteral)),
-                Some(c) if c == quote => {
-                    if !long {
-                        return Ok(s);
-                    }
-                    // Long string: need three closing quotes.
-                    if self.peek() == Some(quote) && self.peek2() == Some(quote) {
-                        self.bump();
-                        self.bump();
-                        return Ok(s);
-                    }
-                    s.push(c);
-                }
-                Some('\\') => match self.bump() {
-                    Some('t') => s.push('\t'),
-                    Some('b') => s.push('\u{8}'),
-                    Some('n') => s.push('\n'),
-                    Some('r') => s.push('\r'),
-                    Some('f') => s.push('\u{C}'),
-                    Some('"') => s.push('"'),
-                    Some('\'') => s.push('\''),
-                    Some('\\') => s.push('\\'),
-                    Some(k @ ('u' | 'U')) => s.push(self.unicode_escape(k)?),
-                    other => {
-                        return Err(self.err(ParseErrorKind::BadEscape(format!(
-                            "\\{}",
-                            other.unwrap_or(' ')
-                        ))))
-                    }
-                },
-                Some(c) => s.push(c),
-            }
-        }
-    }
-
-    fn literal(&mut self) -> Result<Term, ParseError> {
-        let quote = self.bump().expect("caller saw a quote");
-        let long = self.peek() == Some(quote) && self.peek2() == Some(quote);
-        let lexical = if long {
-            self.bump();
-            self.bump();
-            self.string_body(quote, true)?
-        } else if self.peek() == Some(quote) {
-            // Empty short string: second quote closes immediately.
-            self.bump();
-            String::new()
-        } else {
-            self.string_body(quote, false)?
-        };
-        match self.peek() {
-            Some('@') => {
-                self.bump();
-                let lang = self.name(false);
-                if lang.is_empty() {
-                    return Err(self.err(ParseErrorKind::BadLanguageTag));
-                }
-                Ok(Term::lang_literal(lexical, lang))
-            }
-            Some('^') => {
-                self.bump();
-                if self.bump() != Some('^') {
-                    return Err(self.err_msg("expected ^^ before datatype"));
-                }
-                self.skip_trivia();
-                let dt = match self.peek() {
-                    Some('<') => {
-                        self.bump();
-                        self.iri_ref()?
-                    }
-                    _ => {
-                        let prefix = self.name(false);
-                        if self.bump() != Some(':') {
-                            return Err(self.err_msg("expected datatype IRI or prefixed name"));
-                        }
-                        let local = self.name(true);
-                        self.expand(&prefix, &local)?
-                    }
-                };
-                Ok(Term::typed_literal(lexical, dt))
-            }
-            _ => Ok(Term::literal(lexical)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Term, ParseError> {
-        let mut text = String::new();
-        if matches!(self.peek(), Some('+' | '-')) {
-            text.push(self.bump().expect("sign"));
-        }
-        let mut is_decimal = false;
-        let mut is_double = false;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                text.push(c);
-                self.bump();
-            } else if c == '.'
-                && !is_decimal
-                && matches!(self.peek2(), Some(d) if d.is_ascii_digit())
-            {
-                is_decimal = true;
-                text.push(c);
-                self.bump();
-            } else if matches!(c, 'e' | 'E') {
-                is_double = true;
-                text.push(c);
-                self.bump();
-                if matches!(self.peek(), Some('+' | '-')) {
-                    text.push(self.bump().expect("sign"));
-                }
-            } else {
-                break;
-            }
-        }
-        if text.is_empty() || text.ends_with(['+', '-']) {
-            return Err(self.err_msg("malformed numeric literal"));
-        }
-        let dt = if is_double {
-            XSD_DOUBLE
-        } else if is_decimal {
-            XSD_DECIMAL
-        } else {
-            XSD_INTEGER
-        };
-        Ok(Term::typed_literal(text, dt))
-    }
-
-    /// Parses a subject/object term. `as_subject` restricts literals.
-    fn term(&mut self, as_subject: bool) -> Result<Term, ParseError> {
         self.skip_trivia();
-        match self.peek() {
-            Some('<') => {
-                self.bump();
-                Ok(Term::Iri(self.iri_ref()?))
+        let prefix = self.c.name(false);
+        self.expect(b':')?;
+        self.skip_trivia();
+        if self.c.bump() != Some(b'<') {
+            return Err(self.syntax("expected <iri> in prefix directive"));
+        }
+        let iri = self.c.iri_body()?;
+        self.prefixes.insert(prefix.to_owned(), iri.into_owned());
+        if at_form {
+            self.expect(b'.')?;
+        }
+        Ok(())
+    }
+
+    /// A triples statement with its terminating `.`.
+    fn triples(&mut self) -> Result<(), ParseError> {
+        let subject = self.term(true)?;
+        self.predicate_object_list(&subject)?;
+        self.expect(b'.')
+    }
+
+    /// Parses a subject (no literals) or an object.
+    fn term(&mut self, subject: bool) -> Result<RawTerm<'a>, ParseError> {
+        self.skip_trivia();
+        let what = if subject { "subject" } else { "object" };
+        if !subject {
+            if let Some(kw) = ["true", "false"]
+                .into_iter()
+                .find(|kw| self.keyword_ahead(kw))
+            {
+                self.c.pos += kw.len();
+                return Ok(typed(kw, XSD_BOOLEAN));
             }
-            Some('_') => {
-                self.bump();
-                if self.bump() != Some(':') {
-                    return Err(self.err(ParseErrorKind::BadBlankNode));
-                }
-                let label = self.name(true);
-                if label.is_empty() {
-                    return Err(self.err(ParseErrorKind::BadBlankNode));
-                }
-                Ok(Term::blank(label))
+        }
+        match self.c.peek() {
+            Some(b'<' | b'_') => self.c.term(what),
+            Some(b'"' | b'\'' | b'+' | b'-' | b'0'..=b'9') if subject => {
+                Err(self.c.err(ParseErrorKind::LiteralSubject))
             }
-            Some('[') => {
-                self.bump();
-                let node = self.fresh_anon();
+            Some(quote @ (b'"' | b'\'')) => self.literal(quote),
+            Some(b'+' | b'-' | b'0'..=b'9') => self.number(),
+            Some(b'[') => {
+                self.c.pos += 1;
+                let node = RawTerm::BlankNode(Cow::Owned(format!("anon#{}", self.next_anon)));
+                self.next_anon += 1;
                 self.skip_trivia();
-                if self.peek() == Some(']') {
-                    self.bump();
+                if self.c.peek() == Some(b']') {
+                    self.c.pos += 1;
                 } else {
                     self.predicate_object_list(&node)?;
-                    self.expect(']')?;
+                    self.expect(b']')?;
                 }
                 Ok(node)
             }
-            Some('(') => Err(self.err_msg(
-                "RDF collections `( … )` are outside the supported Turtle subset",
-            )),
-            Some('"') | Some('\'') if !as_subject => self.literal(),
-            Some(c) if (c.is_ascii_digit() || c == '+' || c == '-') && !as_subject => {
-                self.number()
+            Some(b'(') => {
+                Err(self.syntax("RDF collections `( … )` are outside the supported Turtle subset"))
             }
-            Some(c) if c.is_alphabetic() || c == ':' => {
-                if !as_subject && self.keyword_ahead("true") {
-                    self.take_keyword("true");
-                    return Ok(Term::typed_literal("true", XSD_BOOLEAN));
-                }
-                if !as_subject && self.keyword_ahead("false") {
-                    self.take_keyword("false");
-                    return Ok(Term::typed_literal("false", XSD_BOOLEAN));
-                }
-                let prefix = if c == ':' { String::new() } else { self.name(false) };
-                if self.bump() != Some(':') {
-                    return Err(self.err_msg(format!("expected `:` after prefix {prefix:?}")));
-                }
-                let local = self.name(true);
-                Ok(Term::Iri(self.expand(&prefix, &local)?))
-            }
-            other => Err(self.err(ParseErrorKind::ExpectedTerm(if as_subject {
-                "subject"
-            } else {
-                "object"
-            })
-            .clone_with(other))),
+            Some(b) if starts_prefixed_name(b) => Ok(RawTerm::Iri(self.prefixed_name()?)),
+            _ => Err(self.c.err(ParseErrorKind::ExpectedTerm(what))),
         }
     }
 
-    fn verb(&mut self) -> Result<Term, ParseError> {
+    fn verb(&mut self) -> Result<RawTerm<'a>, ParseError> {
         self.skip_trivia();
         if self.keyword_ahead("a") {
-            self.take_keyword("a");
-            return Ok(Term::iri(RDF_TYPE));
+            self.c.pos += 1;
+            return Ok(RawTerm::Iri(Cow::Borrowed(RDF_TYPE)));
         }
-        match self.peek() {
-            Some('<') => {
-                self.bump();
-                Ok(Term::Iri(self.iri_ref()?))
-            }
-            Some(c) if c.is_alphabetic() || c == ':' => {
-                let prefix = if c == ':' { String::new() } else { self.name(false) };
-                if self.bump() != Some(':') {
-                    return Err(self.err_msg("expected prefixed name as predicate"));
-                }
-                let local = self.name(true);
-                Ok(Term::Iri(self.expand(&prefix, &local)?))
-            }
-            _ => Err(self.err(ParseErrorKind::NonIriPredicate)),
+        match self.c.peek() {
+            Some(b'<') => self.c.term("predicate"),
+            Some(b) if starts_prefixed_name(b) => Ok(RawTerm::Iri(self.prefixed_name()?)),
+            _ => Err(self.c.err(ParseErrorKind::NonIriPredicate)),
         }
     }
 
-    fn predicate_object_list(&mut self, subject: &Term) -> Result<(), ParseError> {
+    fn predicate_object_list(&mut self, subject: &RawTerm<'a>) -> Result<(), ParseError> {
         loop {
             let p = self.verb()?;
             loop {
                 let o = self.term(false)?;
                 self.out.push((subject.clone(), p.clone(), o));
                 self.skip_trivia();
-                if self.peek() == Some(',') {
-                    self.bump();
-                    continue;
-                }
-                break;
-            }
-            self.skip_trivia();
-            if self.peek() == Some(';') {
-                self.bump();
-                self.skip_trivia();
-                // Tolerate dangling `;` before `.`/`]`.
-                if matches!(self.peek(), Some('.') | Some(']') | None) {
+                if self.c.peek() != Some(b',') {
                     break;
                 }
-                continue;
+                self.c.pos += 1;
             }
-            break;
+            if self.c.peek() != Some(b';') {
+                return Ok(());
+            }
+            self.c.pos += 1;
+            self.skip_trivia();
+            // Tolerate a dangling `;` before `.`/`]`.
+            if matches!(self.c.peek(), Some(b'.' | b']') | None) {
+                return Ok(());
+            }
         }
-        Ok(())
     }
 
-    fn directive(&mut self) -> Result<(), ParseError> {
-        // `@prefix` / `PREFIX` (the `@`/keyword is detected by caller).
-        let at_form = self.peek() == Some('@');
-        if at_form {
-            self.bump();
-        }
-        let kw = self.name(false).to_ascii_lowercase();
-        match kw.as_str() {
-            "prefix" => {
+    /// A quoted literal, short or long, with its tag or datatype.
+    fn literal(&mut self, quote: u8) -> Result<RawTerm<'a>, ParseError> {
+        let long = self.c.peek_at(1) == Some(quote) && self.c.peek_at(2) == Some(quote);
+        self.c.pos += if long { 3 } else { 1 };
+        let lexical = self.c.string_body(quote, long)?;
+        match self.c.peek() {
+            Some(b'@') => {
+                self.c.pos += 1;
+                let lang = self.c.lang_tag()?;
+                Ok(RawTerm::LangLiteral { lexical, lang })
+            }
+            Some(b'^') => {
+                self.c.pos += 1;
+                if self.c.bump() != Some(b'^') {
+                    return Err(self.syntax("expected ^^ before datatype"));
+                }
                 self.skip_trivia();
-                let prefix = self.name(false);
-                self.expect(':')?;
-                self.skip_trivia();
-                if self.bump() != Some('<') {
-                    return Err(self.err_msg("expected <iri> in prefix directive"));
-                }
-                let iri = self.iri_ref()?;
-                self.prefixes.insert(prefix, iri);
-                if at_form {
-                    self.expect('.')?;
-                }
-                Ok(())
+                let datatype = if self.c.peek() == Some(b'<') {
+                    self.c.pos += 1;
+                    self.c.iri_body()?
+                } else {
+                    self.prefixed_name()?
+                };
+                Ok(RawTerm::TypedLiteral { lexical, datatype })
             }
-            "base" => Err(self.err_msg(
-                "@base / relative IRIs are outside the supported Turtle subset",
-            )),
-            other => Err(self.err_msg(format!("unknown directive @{other}"))),
+            _ => Ok(RawTerm::Literal(lexical)),
         }
     }
 
-    /// One top-level statement: a directive or a triples block with its
-    /// terminating `.` (trivia already skipped, input not exhausted).
-    fn statement(&mut self) -> Result<(), ParseError> {
-        match self.peek() {
-            Some('@') => self.directive(),
-            _ if self.keyword_ahead("prefix") || self.keyword_ahead("base") => self.directive(),
-            _ => {
-                let subject = self.term(true)?;
-                if subject.is_literal() {
-                    return Err(self.err(ParseErrorKind::LiteralSubject));
+    fn number(&mut self) -> Result<RawTerm<'a>, ParseError> {
+        let start = self.c.pos;
+        if matches!(self.c.peek(), Some(b'+' | b'-')) {
+            self.c.pos += 1;
+        }
+        let (mut decimal, mut double) = (false, false);
+        while let Some(b) = self.c.peek() {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' if !decimal && self.c.peek_at(1).is_some_and(|d| d.is_ascii_digit()) => {
+                    decimal = true
                 }
-                self.predicate_object_list(&subject)?;
-                self.expect('.')
+                b'e' | b'E' => {
+                    double = true;
+                    if matches!(self.c.peek_at(1), Some(b'+' | b'-')) {
+                        self.c.pos += 1;
+                    }
+                }
+                _ => break,
             }
+            self.c.pos += 1;
+        }
+        let lexical = self.c.since(start);
+        if lexical.ends_with(['+', '-']) {
+            return Err(self.syntax("malformed numeric literal"));
+        }
+        let datatype = if double {
+            XSD_DOUBLE
+        } else if decimal {
+            XSD_DECIMAL
+        } else {
+            XSD_INTEGER
+        };
+        Ok(typed(lexical, datatype))
+    }
+
+    /// Expands a prefixed name into an IRI that owns its bytes.
+    fn prefixed_name(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let prefix = self.c.name(false);
+        if self.c.bump() != Some(b':') {
+            return Err(self.syntax(format!("expected ':' after prefix {prefix:?}")));
+        }
+        let local = self.c.name(true);
+        match self.prefixes.get(prefix) {
+            Some(ns) => Ok(Cow::Owned(format!("{ns}{local}"))),
+            None => Err(self.syntax(format!("undeclared prefix `{prefix}:`"))),
         }
     }
 
-    /// After a failed statement, resynchronize at the next statement
-    /// boundary: consume up to and including the next `.` at bracket
-    /// depth 0 outside strings and comments (or to end of input).
+    /// Skips to just past the next `.` that ends a statement: at bracket
+    /// depth 0, outside strings, IRIs and comments, and with no name byte
+    /// after its run of dots (such dots are inside a name or a number).
+    /// Stops at the end of the input otherwise. The splitter finds its
+    /// cut points with it, and lossy parsing its resynchronization point.
     ///
-    /// Returns the position of the first closing `]`/`)` seen at depth
-    /// 0, if any. Such a bracket has no opener inside the skipped
-    /// region: resynchronization keeps going past it (it belongs to the
-    /// malformed statement being discarded), but the underflow is
-    /// surfaced so lossy mode can report it instead of silently
-    /// treating an unbalanced document as cleanly resynced.
-    fn recover(&mut self) -> Option<ParseError> {
+    /// Returns an error for the first `]` or `)` at depth 0. Such a
+    /// bracket has no opener in the skipped text: lossy parsing reports
+    /// it, and the splitter declines to cut a document whose statement
+    /// boundaries it cannot trust.
+    pub(crate) fn skip_statement(&mut self) -> Option<ParseError> {
         let mut depth = 0usize;
         let mut underflow = None;
-        while let Some(c) = self.peek() {
-            match c {
-                '#' => {
-                    while let Some(c) = self.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
+        while let Some(b) = self.c.peek() {
+            match b {
+                b'#' => {
+                    self.c.run(|b| b == b'\n');
+                    continue;
+                }
+                b'"' | b'\'' => {
+                    self.skip_string(b);
+                    continue;
+                }
+                b'<' => {
+                    self.c.pos += 1;
+                    self.c.run(|b| b == b'>' || b <= b' ');
+                    continue;
+                }
+                b'[' | b'(' => depth += 1,
+                b']' | b')' if depth == 0 => {
+                    underflow.get_or_insert_with(|| {
+                        self.c.err(ParseErrorKind::UnbalancedBracket(char::from(b)))
+                    });
+                }
+                b']' | b')' => depth -= 1,
+                b'.' if depth == 0 => {
+                    // Dots followed by a name byte are inside a name.
+                    self.c.run(|b| b != b'.');
+                    if !self.c.peek().is_some_and(is_name_byte) {
+                        return underflow;
                     }
+                    continue;
                 }
-                '"' | '\'' => self.skip_string(c),
-                '[' | '(' => {
-                    depth += 1;
-                    self.bump();
-                }
-                ']' | ')' => {
-                    if depth == 0 {
-                        underflow
-                            .get_or_insert_with(|| self.err(ParseErrorKind::UnbalancedBracket(c)));
-                    } else {
-                        depth -= 1;
-                    }
-                    self.bump();
-                }
-                '.' if depth == 0 => {
-                    self.bump();
-                    return underflow;
-                }
-                _ => {
-                    self.bump();
-                }
+                _ => {}
             }
+            self.c.pos += 1;
         }
         underflow
     }
 
-    /// Consumes a quoted section during [`Turtle::recover`]: short or
-    /// long form delimited by `quote`, tolerating escapes. Unterminated
-    /// short strings end at the newline, long ones at end of input.
-    fn skip_string(&mut self, quote: char) {
-        self.bump(); // opening quote
-        if self.peek() == Some(quote) {
-            if self.peek2() == Some(quote) {
-                self.bump();
-                self.bump();
-                let mut run = 0;
-                while let Some(c) = self.bump() {
-                    if c == quote {
-                        run += 1;
-                        if run == 3 {
-                            return;
-                        }
-                    } else {
-                        run = 0;
-                    }
+    /// Skips a string, opening quotes included, as the parser reads it:
+    /// a short string ends at its quote or a line feed, a long one at
+    /// three quotes, and escapes are stepped over.
+    fn skip_string(&mut self, quote: u8) {
+        let long = self.c.peek_at(1) == Some(quote) && self.c.peek_at(2) == Some(quote);
+        self.c.pos += if long { 3 } else { 1 };
+        while let Some(b) = self.c.bump() {
+            match b {
+                b'\\' => {
+                    self.c.bump();
                 }
-                return;
-            }
-            self.bump(); // empty short string
-            return;
-        }
-        while let Some(c) = self.bump() {
-            match c {
-                '\\' => {
-                    self.bump();
+                b'\n' if !long => return,
+                b if b == quote && !long => return,
+                b if b == quote
+                    && self.c.peek() == Some(quote)
+                    && self.c.peek_at(1) == Some(quote) =>
+                {
+                    self.c.pos += 2;
+                    return;
                 }
-                c if c == quote || c == '\n' => return,
                 _ => {}
             }
-        }
-    }
-}
-
-impl ParseErrorKind {
-    /// Annotates an `ExpectedTerm` with what was actually seen.
-    fn clone_with(&self, got: Option<char>) -> ParseErrorKind {
-        match self {
-            ParseErrorKind::ExpectedTerm(what) => ParseErrorKind::BadEscape(format!(
-                "expected {what}, found {:?}",
-                got.map(String::from).unwrap_or_else(|| "end of input".into())
-            )),
-            other => other.clone(),
         }
     }
 }
@@ -770,6 +519,7 @@ impl ParseErrorKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parj_dict::Term;
 
     fn parse(src: &str) -> Vec<TermTriple> {
         parse_turtle_str(src).expect("valid turtle")
@@ -957,5 +707,140 @@ line2 "quoted" inside""" .
         crate::writer::write_ntriples(&mut buf, &triples).unwrap();
         let back = crate::parser::parse_ntriples_str(&String::from_utf8(buf).unwrap()).unwrap();
         assert_eq!(back, triples);
+    }
+
+    /// (line, column) of the first error in malformed documents, as the
+    /// character-based Turtle parser before the shared scanner reported
+    /// them. Multi-byte characters before an error count once, and lines
+    /// inside a long string count.
+    #[test]
+    fn error_positions_are_unchanged() {
+        let table: [(&str, usize, usize); 28] = [
+            ("<http://e/s>\n  <http://e/p> @ .", 2, 16),
+            ("<http://e/é> <http://e/p> @ .", 1, 27),
+            ("@prefix e: <http://e/> .\ne:s e:p \"\"\"multi\nline é\nstring\"\"\" ; e:q @ .", 4, 17),
+            ("@prefix e: <http://e/> .\ne:s e:p \"\"\"a\nb\"\"\" .\nzz:x e:p e:o .", 4, 5),
+            ("ex:undeclared <http://e/p> <http://e/o> .", 1, 14),
+            ("<http://e/s> <http://e/p> <http://e/o>", 1, 39),
+            ("\"literal\" <http://e/p> <http://e/o> .", 1, 1),
+            ("@base <http://e/> .", 1, 6),
+            ("<http://e/s> <http://e/p> (1 2) .", 1, 27),
+            ("<http://e/s> <http://e/p> \"é\" <http://e/o> .", 1, 32),
+            ("<http://e/s> <http://e/p> \"bad \\q\" .", 1, 34),
+            ("<http://e/s> <http://e/p> \"unterminated", 1, 40),
+            ("<http://e/s> <http://e/p> <http://e/unclosed", 1, 45),
+            ("@prefix e: <http://e/> .\ne:s e:p \"x\"^^ .", 2, 16),
+            ("@prefix e: <http://e/> .\ne:s e:p \"x\"@ .", 2, 13),
+            ("@prefix e: <http://e/> .\n_: e:p e:o .", 2, 3),
+            ("@prefix e: <http://e/> .\ne:s e:p [ e:q e:r .", 2, 20),
+            ("@prefix e: <http://e/> .\ne:s e:p \"\\uD800\" .", 2, 16),
+            ("@prefix e <http://e/> .", 1, 12),
+            ("@foo bar .", 1, 5),
+            ("<http://e/s> \"lit\" <http://e/o> .", 1, 14),
+            ("@prefix e: <http://e/> .\ne:s e:p \"😀😀\" , @ .", 2, 16),
+            ("@prefix e: <http://e/> .\ne:s e:p 'x' ; e:q +.", 2, 20),
+            ("@prefix e: <http://e/> .\n  e:s e:p e:o ; e:q é .", 2, 23),
+            ("<http://e/s> <http://e/p> <http://e/a b> .", 1, 39),
+            ("<http://e/s> <http://e/p> '''never closed\n\n", 3, 1),
+            ("@prefix e: <http://e/> .\ne:s e:p e:o ; ; .", 2, 15),
+            ("@prefix e: <http://e/> .\ne:s e:p e:o e:x .", 2, 14),
+        ];
+        for (doc, line, column) in table {
+            let e = parse_turtle_str(doc).unwrap_err();
+            assert_eq!((e.line, e.column), (line, column), "{doc:?}: {e}");
+        }
+    }
+
+    /// Turtle and N-Triples scan terms with one scanner, so a term one
+    /// rejects the other rejects too, and what Turtle accepts writes
+    /// out as N-Triples that parses back.
+    fn rejected_by_both(doc: &str) -> ParseErrorKind {
+        assert!(crate::parser::parse_ntriples_str(doc).is_err(), "{doc:?}");
+        parse_turtle_str(doc).unwrap_err().kind
+    }
+
+    #[test]
+    fn quote_in_iri_is_rejected() {
+        let kind = rejected_by_both("<http://e/a\"b> <http://e/p> <http://e/o> .");
+        assert_eq!(kind, ParseErrorKind::BadIriChar('"'));
+    }
+
+    #[test]
+    fn braces_in_iri_are_rejected() {
+        let kind = rejected_by_both("<http://e/a{b}> <http://e/p> <http://e/o> .");
+        assert_eq!(kind, ParseErrorKind::BadIriChar('{'));
+    }
+
+    #[test]
+    fn underscore_ends_a_language_tag() {
+        rejected_by_both("<http://e/s> <http://e/p> \"x\"@en_US .");
+    }
+
+    #[test]
+    fn blank_label_may_hold_consecutive_dots() {
+        let doc = "_:a..b <http://e/p> _:c.d .";
+        let t = parse(doc);
+        assert_eq!(t, crate::parser::parse_ntriples_str(doc).unwrap());
+        assert_eq!((&t[0].0, &t[0].2), (&Term::blank("a..b"), &Term::blank("c.d")));
+    }
+
+    #[test]
+    fn unicode_whitespace_is_not_a_separator() {
+        for space in ['\u{A0}', '\u{2003}', '\u{3000}'] {
+            rejected_by_both(&format!("<http://e/s>{space}<http://e/p> <http://e/o> ."));
+            let doc = format!("<http://e/s> <http://e/p>{space}<http://e/o> .");
+            assert!(parse_turtle_str(&doc).is_err(), "{doc:?}");
+        }
+        // The W3C set still separates: space, tab, CR, LF.
+        assert_eq!(parse("<http://e/s>\t<http://e/p>\r\n<http://e/o> .").len(), 1);
+    }
+
+    #[test]
+    fn syntax_errors_are_not_escape_errors() {
+        let kind = |doc: &str| parse_turtle_str(doc).unwrap_err().kind;
+        let syntax = |doc: &str| match kind(doc) {
+            ParseErrorKind::Syntax(msg) => msg,
+            other => panic!("{doc:?}: {other:?}"),
+        };
+        let expected_dot = syntax("<http://e/s> <http://e/p> \"é\" <http://e/o> .");
+        assert_eq!(expected_dot, "expected '.'");
+        assert!(syntax("ex:s <http://e/p> <http://e/o> .").contains("undeclared prefix `ex:`"));
+        assert!(syntax("@base <http://e/> .").contains("@base"));
+        let literal_subject = kind("\"s\" <http://e/p> <http://e/o> .");
+        assert_eq!(literal_subject, ParseErrorKind::LiteralSubject);
+        let no_object = kind("<http://e/s> <http://e/p> @ .");
+        assert_eq!(no_object, ParseErrorKind::ExpectedTerm("object"));
+        // A malformed escape still is one.
+        assert!(matches!(
+            kind("<http://e/s> <http://e/p> \"\\q\" ."),
+            ParseErrorKind::BadEscape(_)
+        ));
+    }
+
+    #[test]
+    fn escape_free_terms_borrow_from_the_document() {
+        let doc = "@prefix e: <http://e/> .\n<http://e/s> e:p \"x\"@en , '''long\nstring''' , 4.5 , _:b .";
+        let (triples, _) = parse_turtle_document(doc, OnParseError::Abort).unwrap();
+        let span = doc.as_bytes().as_ptr_range();
+        for (s, p, o) in &triples {
+            assert!(matches!(s, RawTerm::Iri(Cow::Borrowed(i)) if span.contains(&i.as_ptr())));
+            // Prefix expansion is the one part that owns its bytes.
+            assert!(matches!(p, RawTerm::Iri(Cow::Owned(i)) if i == "http://e/p"));
+            let lexical = match o {
+                RawTerm::BlankNode(l) => l,
+                RawTerm::LangLiteral { lexical, .. }
+                | RawTerm::Literal(lexical)
+                | RawTerm::TypedLiteral { lexical, .. } => lexical,
+                RawTerm::Iri(_) => panic!("{o:?}"),
+            };
+            let borrowed = matches!(lexical, Cow::Borrowed(l) if span.contains(&l.as_ptr()));
+            assert!(borrowed, "{o:?}");
+        }
+        assert_eq!(triples.len(), 4);
+    }
+
+    #[test]
+    fn raw_term_stays_48_bytes() {
+        assert_eq!(std::mem::size_of::<RawTerm>(), 48);
     }
 }
