@@ -218,8 +218,8 @@ fn malformed_turtle_is_thread_invariant() {
 #[test]
 fn incremental_loads_compose_across_thread_counts() {
     // A second load over an engine that already holds terms must see
-    // the existing dictionary (TermRef::Known path) and still be
-    // thread-invariant.
+    // the existing dictionary (the staging collector's `Slot::Known`
+    // path) and still be thread-invariant.
     let first: String = (0..80)
         .map(|i| format!("<http://e/s{}> <http://e/p> <http://e/o{}> .\n", i % 11, i % 13))
         .collect();

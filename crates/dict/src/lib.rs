@@ -60,7 +60,7 @@ pub use delta::{DictDelta, DictView};
 pub use dict::{Dictionary, Namespace};
 pub use hash::{fx_hash_bytes, DedupIndex, FxBuildHasher, FxHasher};
 pub use sharded::TermBatch;
-pub use term::{write_key, CanonicalKey, Term, TermParseError, TermRef};
+pub use term::{Term, TermParseError, TermRef};
 
 /// Dense integer identifier for a dictionary-encoded RDF term.
 ///

@@ -1,61 +1,38 @@
 //! RDF term model and its canonical single-string encoding used as the
 //! dictionary key.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Canonical keys for two-part literals are length-prefixed:
 /// `l<len>:<lang><lexical>` / `T<len>:<datatype><lexical>`, where `<len>`
-/// is the decimal byte length of the lang/datatype component. This is
-/// unambiguous for *arbitrary* component content (even content containing
+/// is the decimal byte length of the lang/datatype component, spelled as
+/// the writer spells it: no sign, no leading zero. This is unambiguous
+/// for *arbitrary* component content (even content containing
 /// separators or digits), which matters because the dictionary must
 /// round-trip whatever the parser accepted.
 fn split_len_prefixed(rest: &str) -> Option<(&str, &str)> {
-    let colon = rest.find(':')?;
-    let len: usize = rest[..colon].parse().ok()?;
-    let body = &rest[colon + 1..];
+    let (digits, body) = rest.split_once(':')?;
+    let canonical = match digits.as_bytes() {
+        [b'0'] => true,
+        [b'1'..=b'9', tail @ ..] => tail.iter().all(u8::is_ascii_digit),
+        _ => false,
+    };
+    let len: usize = digits.parse().ok().filter(|_| canonical)?;
     if len <= body.len() && body.is_char_boundary(len) {
-        Some((&body[..len], &body[len..]))
+        Some(body.split_at(len))
     } else {
         None
     }
 }
 
-/// Appends one canonical key onto `out`: the `tag` (`I` IRI, `B` blank
-/// node, `L` plain / `l` language-tagged / `T` typed literal), for the
-/// two-part literals the length-prefixed `qualifier` (language tag or
-/// datatype IRI), then `body`. This is the one place the key format is
-/// written; every term representation encodes through it.
-pub fn write_key(out: &mut String, tag: char, qualifier: Option<&str>, body: &str) {
-    use fmt::Write;
-    out.push(tag);
-    if let Some(q) = qualifier {
-        // Formatting an integer into a `String` cannot fail.
-        let _ = write!(out, "{}:", q.len());
-        out.push_str(q);
-    }
-    out.push_str(body);
-}
-
-/// A term representation that can write its canonical dictionary key —
-/// what the encode paths need from a term, whether it owns its strings
-/// ([`Term`]) or borrows them from parser input.
-pub trait CanonicalKey {
-    /// Appends the canonical key onto `out`.
-    fn write_canonical_key(&self, out: &mut String);
-}
-
-impl CanonicalKey for Term {
-    fn write_canonical_key(&self, out: &mut String) {
-        Term::write_canonical_key(self, out);
-    }
-}
-
-/// An RDF term: IRI, blank node, or literal.
+/// An RDF term that owns its strings: IRI, blank node, or literal.
 ///
 /// Literals carry an optional language tag (for `rdf:langString`) or an
 /// optional datatype IRI; a literal with neither is a plain
-/// `xsd:string`. Terms order lexicographically on their canonical key,
-/// which gives a deterministic total order used by tests and snapshots.
+/// `xsd:string`. Should both be set, the language tag wins and the
+/// datatype is ignored. Terms order as their [`TermRef`] views do.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Term {
     /// An IRI reference, stored without the surrounding `<` `>`.
@@ -159,21 +136,7 @@ impl Term {
     /// Appends the canonical key onto `out` (allocation-reuse variant of
     /// [`Term::canonical_key`]).
     pub fn write_canonical_key(&self, out: &mut String) {
-        match self {
-            Term::Iri(iri) => write_key(out, 'I', None, iri),
-            Term::BlankNode(label) => write_key(out, 'B', None, label),
-            Term::Literal {
-                lexical,
-                lang: Some(lang),
-                ..
-            } => write_key(out, 'l', Some(lang), lexical),
-            Term::Literal {
-                lexical,
-                datatype: Some(dt),
-                ..
-            } => write_key(out, 'T', Some(dt), lexical),
-            Term::Literal { lexical, .. } => write_key(out, 'L', None, lexical),
-        }
+        TermRef::from(self).write_canonical_key(out);
     }
 
     /// Decodes a canonical key produced by [`Term::canonical_key`]: the
@@ -183,50 +146,61 @@ impl Term {
     }
 }
 
-/// A term borrowed from its canonical key: the shape of [`Term`] with
-/// every string a slice of the key, so a decode allocates nothing.
-/// Orders exactly like the [`Term`] it stands for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// An RDF term whose parts may borrow: from a dictionary key
+/// ([`TermRef::from_key`]), from parser input, or from a [`Term`]. A
+/// part is [`Cow::Owned`] only where its bytes had to be built: a
+/// decoded escape, an expanded Turtle prefixed name, a generated blank
+/// node label. There is one variant per canonical key tag, so a literal
+/// cannot carry both a language tag and a datatype.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TermRef<'a> {
-    /// An IRI reference, without the surrounding `<` `>`.
-    Iri(&'a str),
-    /// A blank node label, without the leading `_:`.
-    BlankNode(&'a str),
-    /// A literal value.
-    Literal {
+    /// An IRI reference, without the surrounding `<` `>` (key tag `I`).
+    Iri(Cow<'a, str>),
+    /// A blank node label, without the leading `_:` (key tag `B`).
+    BlankNode(Cow<'a, str>),
+    /// A plain (`xsd:string`) literal's lexical form (key tag `L`).
+    Literal(Cow<'a, str>),
+    /// A language-tagged literal (key tag `l`).
+    LangLiteral {
         /// The lexical form (unescaped).
-        lexical: &'a str,
-        /// Language tag, if any (mutually exclusive with `datatype`).
-        lang: Option<&'a str>,
-        /// Datatype IRI, if any.
-        datatype: Option<&'a str>,
+        lexical: Cow<'a, str>,
+        /// The language tag, without the `@`.
+        lang: &'a str,
+    },
+    /// A typed literal (key tag `T`).
+    TypedLiteral {
+        /// The lexical form (unescaped).
+        lexical: Cow<'a, str>,
+        /// The datatype IRI.
+        datatype: Cow<'a, str>,
     },
 }
 
 impl<'a> TermRef<'a> {
-    /// Parses a canonical key written by [`write_key`] by slicing it.
-    /// This is the one parser of the key format.
+    /// Parses a canonical key written by [`TermRef::write_canonical_key`]
+    /// by slicing it. This is the one parser of the key format, and it
+    /// accepts exactly the keys the writer writes.
     pub fn from_key(key: &'a str) -> Result<Self, TermParseError> {
         let fail = |message: String| TermParseError { message };
-        let literal = |lexical, lang, datatype| TermRef::Literal {
-            lexical,
-            lang,
-            datatype,
-        };
         // Every tag is one ASCII byte, so `key[1..]` is the rest.
+        let rest = || Cow::Borrowed(&key[1..]);
         let two_part = |what: &str| {
             split_len_prefixed(&key[1..])
                 .ok_or_else(|| fail(format!("{what} literal key missing length prefix")))
         };
         match key.as_bytes().first() {
             None => Err(fail("empty key".to_string())),
-            Some(b'I') => Ok(TermRef::Iri(&key[1..])),
-            Some(b'B') => Ok(TermRef::BlankNode(&key[1..])),
-            Some(b'L') => Ok(literal(&key[1..], None, None)),
-            Some(b'l') => {
-                two_part("lang").map(|(lang, lexical)| literal(lexical, Some(lang), None))
-            }
-            Some(b'T') => two_part("typed").map(|(dt, lexical)| literal(lexical, None, Some(dt))),
+            Some(b'I') => Ok(TermRef::Iri(rest())),
+            Some(b'B') => Ok(TermRef::BlankNode(rest())),
+            Some(b'L') => Ok(TermRef::Literal(rest())),
+            Some(b'l') => two_part("lang").map(|(lang, lexical)| TermRef::LangLiteral {
+                lexical: Cow::Borrowed(lexical),
+                lang,
+            }),
+            Some(b'T') => two_part("typed").map(|(datatype, lexical)| TermRef::TypedLiteral {
+                lexical: Cow::Borrowed(lexical),
+                datatype: Cow::Borrowed(datatype),
+            }),
             Some(_) => {
                 let other = key.chars().next().unwrap_or_default();
                 Err(fail(format!("unknown tag character {other:?}")))
@@ -234,20 +208,36 @@ impl<'a> TermRef<'a> {
         }
     }
 
-    /// The owned term.
+    /// Appends the canonical key onto `out`: the tag, for the two-part
+    /// literals the length-prefixed language tag or datatype IRI, then
+    /// the IRI, label or lexical form. This is the one writer of the key
+    /// format.
+    pub fn write_canonical_key(&self, out: &mut String) {
+        use fmt::Write;
+        let (tag, qualifier, body): (char, Option<&str>, &str) = match self {
+            TermRef::Iri(iri) => ('I', None, iri),
+            TermRef::BlankNode(label) => ('B', None, label),
+            TermRef::Literal(lexical) => ('L', None, lexical),
+            TermRef::LangLiteral { lexical, lang } => ('l', Some(lang), lexical),
+            TermRef::TypedLiteral { lexical, datatype } => ('T', Some(datatype), lexical),
+        };
+        out.push(tag);
+        if let Some(q) = qualifier {
+            // Formatting an integer into a `String` cannot fail.
+            let _ = write!(out, "{}:", q.len());
+            out.push_str(q);
+        }
+        out.push_str(body);
+    }
+
+    /// The owned term; owned parts move, borrowed ones are copied.
     pub fn to_term(self) -> Term {
         match self {
-            TermRef::Iri(iri) => Term::Iri(iri.to_string()),
-            TermRef::BlankNode(label) => Term::BlankNode(label.to_string()),
-            TermRef::Literal {
-                lexical,
-                lang,
-                datatype,
-            } => Term::Literal {
-                lexical: lexical.to_string(),
-                lang: lang.map(str::to_string),
-                datatype: datatype.map(str::to_string),
-            },
+            TermRef::Iri(iri) => Term::iri(iri),
+            TermRef::BlankNode(label) => Term::blank(label),
+            TermRef::Literal(lexical) => Term::literal(lexical),
+            TermRef::LangLiteral { lexical, lang } => Term::lang_literal(lexical, lang),
+            TermRef::TypedLiteral { lexical, datatype } => Term::typed_literal(lexical, datatype),
         }
     }
 }
@@ -255,18 +245,53 @@ impl<'a> TermRef<'a> {
 impl<'a> From<&'a Term> for TermRef<'a> {
     fn from(term: &'a Term) -> Self {
         match term {
-            Term::Iri(iri) => TermRef::Iri(iri),
-            Term::BlankNode(label) => TermRef::BlankNode(label),
+            Term::Iri(iri) => TermRef::Iri(iri.into()),
+            Term::BlankNode(label) => TermRef::BlankNode(label.into()),
             Term::Literal {
                 lexical,
+                lang: Some(lang),
+                ..
+            } => TermRef::LangLiteral {
+                lexical: lexical.into(),
                 lang,
-                datatype,
-            } => TermRef::Literal {
-                lexical,
-                lang: lang.as_deref(),
-                datatype: datatype.as_deref(),
             },
+            Term::Literal {
+                lexical,
+                datatype: Some(datatype),
+                ..
+            } => TermRef::TypedLiteral {
+                lexical: lexical.into(),
+                datatype: datatype.into(),
+            },
+            Term::Literal { lexical, .. } => TermRef::Literal(lexical.into()),
         }
+    }
+}
+
+impl Ord for TermRef<'_> {
+    /// IRIs before blank nodes before literals; IRIs and labels by their
+    /// bytes; literals by lexical form, then language tag, then
+    /// datatype, an absent tag or datatype first. So `<z>` < `_:a`, and
+    /// `"x"` < `"x"^^<dt>` < `"x"@en`. This is [`Term`]'s derived order,
+    /// which ORDER BY relies on; it is not the order of the canonical
+    /// keys (`Iz` sorts after `Ba`).
+    fn cmp(&self, other: &Self) -> Ordering {
+        fn project<'t>(t: &'t TermRef<'_>) -> (u8, &'t str, Option<&'t str>, Option<&'t str>) {
+            match t {
+                TermRef::Iri(iri) => (0, iri, None, None),
+                TermRef::BlankNode(label) => (1, label, None, None),
+                TermRef::Literal(lexical) => (2, lexical, None, None),
+                TermRef::LangLiteral { lexical, lang } => (2, lexical, Some(lang), None),
+                TermRef::TypedLiteral { lexical, datatype } => (2, lexical, None, Some(datatype)),
+            }
+        }
+        project(self).cmp(&project(other))
+    }
+}
+
+impl PartialOrd for TermRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -280,38 +305,34 @@ impl fmt::Display for Term {
 impl fmt::Display for TermRef<'_> {
     /// Formats the term in N-Triples syntax (with escaping).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            TermRef::Iri(iri) => write!(f, "<{iri}>"),
-            TermRef::BlankNode(label) => write!(f, "_:{label}"),
-            TermRef::Literal {
-                lexical,
-                lang,
-                datatype,
-            } => {
-                f.write_str("\"")?;
-                let mut run = 0;
-                for (i, b) in lexical.bytes().enumerate() {
-                    let escaped = match b {
-                        b'"' => "\\\"",
-                        b'\\' => "\\\\",
-                        b'\n' => "\\n",
-                        b'\r' => "\\r",
-                        b'\t' => "\\t",
-                        _ => continue,
-                    };
-                    f.write_str(&lexical[run..i])?;
-                    f.write_str(escaped)?;
-                    run = i + 1;
-                }
-                f.write_str(&lexical[run..])?;
-                f.write_str("\"")?;
-                if let Some(lang) = lang {
-                    write!(f, "@{lang}")?;
-                } else if let Some(dt) = datatype {
-                    write!(f, "^^<{dt}>")?;
-                }
-                Ok(())
-            }
+        let lexical = match self {
+            TermRef::Iri(iri) => return write!(f, "<{iri}>"),
+            TermRef::BlankNode(label) => return write!(f, "_:{label}"),
+            TermRef::Literal(lexical)
+            | TermRef::LangLiteral { lexical, .. }
+            | TermRef::TypedLiteral { lexical, .. } => lexical,
+        };
+        f.write_str("\"")?;
+        let mut run = 0;
+        for (i, b) in lexical.bytes().enumerate() {
+            let escaped = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                _ => continue,
+            };
+            f.write_str(&lexical[run..i])?;
+            f.write_str(escaped)?;
+            run = i + 1;
+        }
+        f.write_str(&lexical[run..])?;
+        f.write_str("\"")?;
+        match self {
+            TermRef::LangLiteral { lang, .. } => write!(f, "@{lang}"),
+            TermRef::TypedLiteral { datatype, .. } => write!(f, "^^<{datatype}>"),
+            _ => Ok(()),
         }
     }
 }
@@ -371,6 +392,96 @@ mod tests {
         // through the middle of a character.
         assert!(Term::from_canonical_key("éoops").is_err());
         assert!(Term::from_canonical_key("l9:fr").is_err());
+    }
+
+    #[test]
+    fn length_prefixes_are_spelled_as_the_writer_spells_them() {
+        // Each of these would decode to a term the writer spells
+        // differently, giving one term two keys.
+        for key in [
+            "l02:enx",
+            "l+2:enx",
+            "l0002:enx",
+            "T01:dx",
+            "l:x",
+            "l 2:enx",
+        ] {
+            assert!(TermRef::from_key(key).is_err(), "{key:?} accepted");
+        }
+        for key in ["l2:enx", "l0:x", "T1:dx", "T0:"] {
+            let mut back = String::new();
+            TermRef::from_key(key)
+                .unwrap()
+                .write_canonical_key(&mut back);
+            assert_eq!(back, key);
+        }
+    }
+
+    #[test]
+    fn terms_order_by_variant_then_parts() {
+        let ascending = [
+            Term::iri("z"),
+            Term::blank("a"),
+            Term::literal("x"),
+            Term::typed_literal("x", "dt"),
+            Term::lang_literal("x", "en"),
+        ];
+        for pair in ascending.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            assert!(a < b, "{a} < {b}");
+            assert!(TermRef::from(a) < TermRef::from(b), "{a} < {b} as views");
+        }
+        // Not the order of the canonical keys.
+        assert!(ascending[0].canonical_key() > ascending[1].canonical_key());
+    }
+
+    #[test]
+    fn owned_and_borrowed_parts_make_the_same_term() {
+        let owned = |s: &str| Cow::Owned(s.to_string());
+        let pairs = [
+            (TermRef::Iri(owned("i")), TermRef::Iri("i".into())),
+            (
+                TermRef::BlankNode(owned("b")),
+                TermRef::BlankNode("b".into()),
+            ),
+            (
+                TermRef::Literal(owned("q\"")),
+                TermRef::Literal("q\"".into()),
+            ),
+            (
+                TermRef::LangLiteral {
+                    lexical: owned("x"),
+                    lang: "en",
+                },
+                TermRef::LangLiteral {
+                    lexical: "x".into(),
+                    lang: "en",
+                },
+            ),
+            (
+                TermRef::TypedLiteral {
+                    lexical: owned("1"),
+                    datatype: owned("http://e/dt"),
+                },
+                TermRef::TypedLiteral {
+                    lexical: "1".into(),
+                    datatype: "http://e/dt".into(),
+                },
+            ),
+        ];
+        for (owned, borrowed) in pairs {
+            assert_eq!(owned, borrowed);
+            assert_eq!(owned.cmp(&borrowed), Ordering::Equal);
+            let (mut a, mut b) = (String::new(), String::new());
+            owned.write_canonical_key(&mut a);
+            borrowed.write_canonical_key(&mut b);
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn term_ref_stays_48_bytes() {
+        assert_eq!(std::mem::size_of::<TermRef>(), 48);
     }
 
     #[test]

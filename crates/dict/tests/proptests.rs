@@ -44,6 +44,22 @@ proptest! {
         prop_assert_eq!(ra.cmp(&rb), a.cmp(&b));
     }
 
+    /// The key parser accepts exactly the keys the writer writes: any
+    /// string it decodes writes back to itself. The strings lean on the
+    /// length prefix: a tag, then signs and digits, then maybe a colon.
+    #[test]
+    fn decoded_keys_write_back_to_themselves(
+        key in proptest::string::string_regex(
+            "[lT][0-3+]{1,3}:[ -~é]{0,8}|[IBLlTZé]?[0-9+-]{0,3}:?[ -~é]{0,10}"
+        ).unwrap()
+    ) {
+        if let Ok(term) = TermRef::from_key(&key) {
+            let mut back = String::new();
+            term.write_canonical_key(&mut back);
+            prop_assert_eq!(back, key);
+        }
+    }
+
     /// encode is idempotent and decode inverts it, for every term in an
     /// arbitrary batch; ids are dense 0..n over distinct terms.
     #[test]

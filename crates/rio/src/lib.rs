@@ -6,7 +6,8 @@
 //! parsers under. RDF files are what the PARJ paper's data import
 //! consumes ("Disk-based tables are created and saved during data import
 //! from RDF files", §5); this crate turns them into [`parj_dict::Term`]
-//! triples, or into borrowed [`RawTerm`] triples for the loader.
+//! triples, or into [`parj_dict::TermRef`] triples ([`RawTriple`]) that
+//! borrow from the input, for the loader.
 //!
 //! There is one tokenizer, a hand-written byte scanner: a term is found
 //! by table-driven runs and sliced from the input, and only a part that
@@ -17,8 +18,8 @@
 //! `;`/`,` lists, `a`, `[ … ]`, numbers, booleans, long strings) and runs
 //! it over chunks cut at statement boundaries ([`split_turtle`],
 //! [`parse_turtle_chunk`]). Errors carry exact line and column
-//! positions. The owned [`TermTriple`] API below is [`RawTerm::to_term`]
-//! over the same scan.
+//! positions. The owned [`TermTriple`] API below is
+//! [`TermRef::to_term`](parj_dict::TermRef::to_term) over the same scan.
 //!
 //! ```
 //! use parj_rio::parse_ntriples_str;
@@ -48,6 +49,6 @@ pub use chunk::{
 };
 pub use error::{ParseError, ParseErrorKind};
 pub use load::{drain_triples, parse_ntriples_str_lossy, LoadReport, OnParseError};
-pub use parser::{parse_ntriples_str, NTriplesParser, RawTerm, RawTriple, TermTriple};
+pub use parser::{parse_ntriples_str, NTriplesParser, RawTriple, TermTriple};
 pub use turtle::{parse_turtle_document, parse_turtle_str, parse_turtle_str_lossy};
 pub use writer::{write_ntriples, write_triple};

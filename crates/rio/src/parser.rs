@@ -3,17 +3,17 @@
 //!
 //! [`Cursor`] is the one tokenizer of this crate: IRI references, blank
 //! node labels, quoted strings with every escape and language tags, each
-//! found by table-driven runs and yielded as [`RawTerm`] parts that
+//! found by table-driven runs and yielded as [`TermRef`] parts that
 //! borrow from the input. [`scan_line`] runs it over one N-Triples line;
 //! the Turtle statement layer (`turtle.rs`) runs it over a whole chunk.
 //! The bulk loader encodes the borrowed terms directly; the owned
 //! [`TermTriple`] API ([`parse_ntriples_str`], [`NTriplesParser`]) is
-//! [`RawTerm::to_term`] over the same scan.
+//! [`TermRef::to_term`] over the same scan.
 
 use std::borrow::Cow;
 use std::io::BufRead;
 
-use parj_dict::{write_key, CanonicalKey, Term};
+use parj_dict::{Term, TermRef};
 
 use crate::chunk::count_newlines;
 use crate::error::{ParseError, ParseErrorKind};
@@ -21,70 +21,15 @@ use crate::error::{ParseError, ParseErrorKind};
 /// A parsed `(subject, predicate, object)` triple of terms.
 pub type TermTriple = (Term, Term, Term);
 
-/// A term as scanned: every part is a slice of the input. A part is
-/// [`Cow::Owned`] only if it contained a `\u`/`\U` or string escape and
-/// had to be decoded, or if Turtle built it: an expanded prefixed name,
-/// a generated blank node label. Language tags are always slices.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RawTerm<'a> {
-    /// An IRI reference, without the surrounding `<` `>`.
-    Iri(Cow<'a, str>),
-    /// A blank node label, without the leading `_:`.
-    BlankNode(Cow<'a, str>),
-    /// A plain (`xsd:string`) literal's lexical form.
-    Literal(Cow<'a, str>),
-    /// A language-tagged literal.
-    LangLiteral {
-        /// The lexical form (unescaped).
-        lexical: Cow<'a, str>,
-        /// The language tag, without the `@`.
-        lang: &'a str,
-    },
-    /// A typed literal.
-    TypedLiteral {
-        /// The lexical form (unescaped).
-        lexical: Cow<'a, str>,
-        /// The datatype IRI.
-        datatype: Cow<'a, str>,
-    },
-}
-
 /// A scanned `(subject, predicate, object)` triple borrowing from the
-/// input text.
-pub type RawTriple<'a> = (RawTerm<'a>, RawTerm<'a>, RawTerm<'a>);
-
-impl RawTerm<'_> {
-    /// Copies the term into an owned [`Term`].
-    pub fn to_term(&self) -> Term {
-        match self {
-            RawTerm::Iri(iri) => Term::iri(&**iri),
-            RawTerm::BlankNode(label) => Term::blank(&**label),
-            RawTerm::Literal(lexical) => Term::literal(&**lexical),
-            RawTerm::LangLiteral { lexical, lang } => Term::lang_literal(&**lexical, *lang),
-            RawTerm::TypedLiteral { lexical, datatype } => {
-                Term::typed_literal(&**lexical, &**datatype)
-            }
-        }
-    }
-}
+/// input text. A part is [`Cow::Owned`] only if it held an escape, or if
+/// Turtle built it: an expanded prefixed name, a generated blank node
+/// label.
+pub type RawTriple<'a> = (TermRef<'a>, TermRef<'a>, TermRef<'a>);
 
 /// Copies a scanned triple into owned terms.
 pub(crate) fn owned_triple((s, p, o): RawTriple<'_>) -> TermTriple {
     (s.to_term(), p.to_term(), o.to_term())
-}
-
-impl CanonicalKey for RawTerm<'_> {
-    fn write_canonical_key(&self, out: &mut String) {
-        match self {
-            RawTerm::Iri(iri) => write_key(out, 'I', None, iri),
-            RawTerm::BlankNode(label) => write_key(out, 'B', None, label),
-            RawTerm::Literal(lexical) => write_key(out, 'L', None, lexical),
-            RawTerm::LangLiteral { lexical, lang } => write_key(out, 'l', Some(lang), lexical),
-            RawTerm::TypedLiteral { lexical, datatype } => {
-                write_key(out, 'T', Some(datatype), lexical)
-            }
-        }
-    }
 }
 
 /// Streaming N-Triples parser over any [`BufRead`] source.
@@ -473,15 +418,15 @@ impl<'a> Cursor<'a> {
 
     /// Parses one N-Triples term at the cursor: an IRI, a blank node or a
     /// `"…"` literal.
-    pub(crate) fn term(&mut self, position: &'static str) -> Result<RawTerm<'a>, ParseError> {
+    pub(crate) fn term(&mut self, position: &'static str) -> Result<TermRef<'a>, ParseError> {
         match self.peek() {
             Some(b'<') => {
                 self.pos += 1;
-                Ok(RawTerm::Iri(self.iri_body()?))
+                Ok(TermRef::Iri(self.iri_body()?))
             }
             Some(b'_') => {
                 self.pos += 1;
-                Ok(RawTerm::BlankNode(Cow::Borrowed(self.blank_label()?)))
+                Ok(TermRef::BlankNode(Cow::Borrowed(self.blank_label()?)))
             }
             Some(b'"') => {
                 self.pos += 1;
@@ -490,7 +435,7 @@ impl<'a> Cursor<'a> {
                     Some(b'@') => {
                         self.pos += 1;
                         let lang = self.lang_tag()?;
-                        Ok(RawTerm::LangLiteral { lexical, lang })
+                        Ok(TermRef::LangLiteral { lexical, lang })
                     }
                     Some(b'^') => {
                         self.pos += 1;
@@ -498,9 +443,9 @@ impl<'a> Cursor<'a> {
                             return Err(self.err(ParseErrorKind::ExpectedTerm("^^<datatype>")));
                         }
                         let datatype = self.iri_body()?;
-                        Ok(RawTerm::TypedLiteral { lexical, datatype })
+                        Ok(TermRef::TypedLiteral { lexical, datatype })
                     }
-                    _ => Ok(RawTerm::Literal(lexical)),
+                    _ => Ok(TermRef::Literal(lexical)),
                 }
             }
             _ => Err(self.err(ParseErrorKind::ExpectedTerm(position))),
@@ -520,12 +465,12 @@ pub(crate) fn scan_line(line: &str, line_no: usize) -> Result<Option<RawTriple<'
     }
 
     let subject = c.term("IRI or blank node in subject position")?;
-    if !matches!(subject, RawTerm::Iri(_) | RawTerm::BlankNode(_)) {
+    if !matches!(subject, TermRef::Iri(_) | TermRef::BlankNode(_)) {
         return Err(c.err(ParseErrorKind::LiteralSubject));
     }
     c.skip_ws();
     let predicate = c.term("IRI in predicate position")?;
-    if !matches!(predicate, RawTerm::Iri(_)) {
+    if !matches!(predicate, TermRef::Iri(_)) {
         return Err(c.err(ParseErrorKind::NonIriPredicate));
     }
     c.skip_ws();
@@ -719,12 +664,12 @@ mod tests {
     }
 
     /// The string parts of a scanned term, in source order.
-    fn parts<'t, 'a>(t: &'t RawTerm<'a>) -> Vec<&'t Cow<'a, str>> {
+    fn parts<'t, 'a>(t: &'t TermRef<'a>) -> Vec<&'t Cow<'a, str>> {
         match t {
-            RawTerm::Iri(p) | RawTerm::Literal(p) => vec![p],
-            RawTerm::BlankNode(_) => vec![],
-            RawTerm::LangLiteral { lexical, .. } => vec![lexical],
-            RawTerm::TypedLiteral { lexical, datatype } => vec![lexical, datatype],
+            TermRef::Iri(p) | TermRef::Literal(p) => vec![p],
+            TermRef::BlankNode(_) => vec![],
+            TermRef::LangLiteral { lexical, .. } => vec![lexical],
+            TermRef::TypedLiteral { lexical, datatype } => vec![lexical, datatype],
         }
     }
 
@@ -757,8 +702,8 @@ mod tests {
                     );
                 }
                 match term {
-                    RawTerm::BlankNode(label) => assert!(lies_within(label, line)),
-                    RawTerm::LangLiteral { lang, .. } => assert!(lies_within(lang, line)),
+                    TermRef::BlankNode(label) => assert!(lies_within(label, line)),
+                    TermRef::LangLiteral { lang, .. } => assert!(lies_within(lang, line)),
                     _ => {}
                 }
             }
@@ -769,35 +714,20 @@ mod tests {
     fn only_the_escaped_part_is_owned() {
         let line = r#"<http://e/s> <http://e/p> "a\tb"^^<http://e/dt> ."#;
         let (s, p, o) = scan_line(line, 1).unwrap().unwrap();
-        let RawTerm::TypedLiteral { lexical, datatype } = &o else {
+        let TermRef::TypedLiteral { lexical, datatype } = &o else {
             panic!("typed literal expected, got {o:?}");
         };
         assert_eq!(lexical, &Cow::<str>::Owned("a\tb".into()));
         assert!(matches!(lexical, Cow::Owned(_)));
         assert!(matches!(datatype, Cow::Borrowed(d) if lies_within(d, line)));
         for term in [&s, &p] {
-            assert!(matches!(term, RawTerm::Iri(Cow::Borrowed(i)) if lies_within(i, line)));
+            assert!(matches!(term, TermRef::Iri(Cow::Borrowed(i)) if lies_within(i, line)));
         }
         // The same goes for an escape inside an IRI.
         let line = r#"<http://e/\u00e9> <http://e/p> "x" ."#;
         let (s, _, o) = scan_line(line, 1).unwrap().unwrap();
-        assert_eq!(s, RawTerm::Iri(Cow::Owned("http://e/é".into())));
-        assert!(matches!(s, RawTerm::Iri(Cow::Owned(_))));
-        assert!(matches!(o, RawTerm::Literal(Cow::Borrowed(_))));
-    }
-
-    #[test]
-    fn raw_and_owned_terms_write_the_same_canonical_key() {
-        let line = r#"_:b <http://e/p> "q\"uote"@en ."#;
-        let typed = r#"<http://e/s> <http://e/\u0070> "1"^^<http://e/dt> ."#;
-        for line in [line, typed] {
-            let (s, p, o) = scan_line(line, 1).unwrap().unwrap();
-            for raw in [s, p, o] {
-                let (mut a, mut b) = (String::new(), String::new());
-                CanonicalKey::write_canonical_key(&raw, &mut a);
-                raw.to_term().write_canonical_key(&mut b);
-                assert_eq!(a, b);
-            }
-        }
+        assert_eq!(s, TermRef::Iri(Cow::Owned("http://e/é".into())));
+        assert!(matches!(s, TermRef::Iri(Cow::Owned(_))));
+        assert!(matches!(o, TermRef::Literal(Cow::Borrowed(_))));
     }
 }

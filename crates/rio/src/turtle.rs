@@ -25,10 +25,12 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
+use parj_dict::TermRef;
+
 use crate::chunk::TurtleChunk;
 use crate::error::{ParseError, ParseErrorKind};
 use crate::load::{LoadReport, OnParseError};
-use crate::parser::{is_name_byte, owned_triple, Cursor, RawTerm, RawTriple, TermTriple};
+use crate::parser::{is_name_byte, owned_triple, Cursor, RawTriple, TermTriple};
 
 /// `xsd` datatype IRIs for Turtle's sugared literal forms.
 const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
@@ -90,8 +92,8 @@ pub(crate) fn name_anonymous(parts: &mut [(Vec<RawTriple<'_>>, usize)]) {
         return;
     }
     let mut prefix = String::from("genid");
-    let clashes = |prefix: &str, t: &RawTerm| match t {
-        RawTerm::BlankNode(label) => !label.contains('#') && label.starts_with(prefix),
+    let clashes = |prefix: &str, t: &TermRef| match t {
+        TermRef::BlankNode(label) => !label.contains('#') && label.starts_with(prefix),
         _ => false,
     };
     while parts
@@ -105,7 +107,7 @@ pub(crate) fn name_anonymous(parts: &mut [(Vec<RawTriple<'_>>, usize)]) {
     for (triples, count) in parts.iter_mut() {
         for (s, _, o) in triples.iter_mut() {
             for t in [s, o] {
-                let RawTerm::BlankNode(label) = t else {
+                let TermRef::BlankNode(label) = t else {
                     continue;
                 };
                 if let Some(n) = label
@@ -121,8 +123,8 @@ pub(crate) fn name_anonymous(parts: &mut [(Vec<RawTriple<'_>>, usize)]) {
 }
 
 /// A typed literal with a fixed datatype.
-fn typed<'a>(lexical: &'a str, datatype: &'static str) -> RawTerm<'a> {
-    RawTerm::TypedLiteral {
+fn typed<'a>(lexical: &'a str, datatype: &'static str) -> TermRef<'a> {
+    TermRef::TypedLiteral {
         lexical: Cow::Borrowed(lexical),
         datatype: Cow::Borrowed(datatype),
     }
@@ -285,7 +287,7 @@ impl<'a> Turtle<'a> {
     }
 
     /// Parses a subject (no literals) or an object.
-    fn term(&mut self, subject: bool) -> Result<RawTerm<'a>, ParseError> {
+    fn term(&mut self, subject: bool) -> Result<TermRef<'a>, ParseError> {
         self.skip_trivia();
         let what = if subject { "subject" } else { "object" };
         if !subject {
@@ -306,7 +308,7 @@ impl<'a> Turtle<'a> {
             Some(b'+' | b'-' | b'0'..=b'9') => self.number(),
             Some(b'[') => {
                 self.c.pos += 1;
-                let node = RawTerm::BlankNode(Cow::Owned(format!("anon#{}", self.next_anon)));
+                let node = TermRef::BlankNode(Cow::Owned(format!("anon#{}", self.next_anon)));
                 self.next_anon += 1;
                 self.skip_trivia();
                 if self.c.peek() == Some(b']') {
@@ -320,25 +322,25 @@ impl<'a> Turtle<'a> {
             Some(b'(') => {
                 Err(self.syntax("RDF collections `( … )` are outside the supported Turtle subset"))
             }
-            Some(b) if starts_prefixed_name(b) => Ok(RawTerm::Iri(self.prefixed_name()?)),
+            Some(b) if starts_prefixed_name(b) => Ok(TermRef::Iri(self.prefixed_name()?)),
             _ => Err(self.c.err(ParseErrorKind::ExpectedTerm(what))),
         }
     }
 
-    fn verb(&mut self) -> Result<RawTerm<'a>, ParseError> {
+    fn verb(&mut self) -> Result<TermRef<'a>, ParseError> {
         self.skip_trivia();
         if self.keyword_ahead("a") {
             self.c.pos += 1;
-            return Ok(RawTerm::Iri(Cow::Borrowed(RDF_TYPE)));
+            return Ok(TermRef::Iri(Cow::Borrowed(RDF_TYPE)));
         }
         match self.c.peek() {
             Some(b'<') => self.c.term("predicate"),
-            Some(b) if starts_prefixed_name(b) => Ok(RawTerm::Iri(self.prefixed_name()?)),
+            Some(b) if starts_prefixed_name(b) => Ok(TermRef::Iri(self.prefixed_name()?)),
             _ => Err(self.c.err(ParseErrorKind::NonIriPredicate)),
         }
     }
 
-    fn predicate_object_list(&mut self, subject: &RawTerm<'a>) -> Result<(), ParseError> {
+    fn predicate_object_list(&mut self, subject: &TermRef<'a>) -> Result<(), ParseError> {
         loop {
             let p = self.verb()?;
             loop {
@@ -363,7 +365,7 @@ impl<'a> Turtle<'a> {
     }
 
     /// A quoted literal, short or long, with its tag or datatype.
-    fn literal(&mut self, quote: u8) -> Result<RawTerm<'a>, ParseError> {
+    fn literal(&mut self, quote: u8) -> Result<TermRef<'a>, ParseError> {
         let long = self.c.peek_at(1) == Some(quote) && self.c.peek_at(2) == Some(quote);
         self.c.pos += if long { 3 } else { 1 };
         let lexical = self.c.string_body(quote, long)?;
@@ -371,7 +373,7 @@ impl<'a> Turtle<'a> {
             Some(b'@') => {
                 self.c.pos += 1;
                 let lang = self.c.lang_tag()?;
-                Ok(RawTerm::LangLiteral { lexical, lang })
+                Ok(TermRef::LangLiteral { lexical, lang })
             }
             Some(b'^') => {
                 self.c.pos += 1;
@@ -385,13 +387,13 @@ impl<'a> Turtle<'a> {
                 } else {
                     self.prefixed_name()?
                 };
-                Ok(RawTerm::TypedLiteral { lexical, datatype })
+                Ok(TermRef::TypedLiteral { lexical, datatype })
             }
-            _ => Ok(RawTerm::Literal(lexical)),
+            _ => Ok(TermRef::Literal(lexical)),
         }
     }
 
-    fn number(&mut self) -> Result<RawTerm<'a>, ParseError> {
+    fn number(&mut self) -> Result<TermRef<'a>, ParseError> {
         let start = self.c.pos;
         if matches!(self.c.peek(), Some(b'+' | b'-')) {
             self.c.pos += 1;
@@ -823,24 +825,19 @@ line2 "quoted" inside""" .
         let (triples, _) = parse_turtle_document(doc, OnParseError::Abort).unwrap();
         let span = doc.as_bytes().as_ptr_range();
         for (s, p, o) in &triples {
-            assert!(matches!(s, RawTerm::Iri(Cow::Borrowed(i)) if span.contains(&i.as_ptr())));
+            assert!(matches!(s, TermRef::Iri(Cow::Borrowed(i)) if span.contains(&i.as_ptr())));
             // Prefix expansion is the one part that owns its bytes.
-            assert!(matches!(p, RawTerm::Iri(Cow::Owned(i)) if i == "http://e/p"));
+            assert!(matches!(p, TermRef::Iri(Cow::Owned(i)) if i == "http://e/p"));
             let lexical = match o {
-                RawTerm::BlankNode(l) => l,
-                RawTerm::LangLiteral { lexical, .. }
-                | RawTerm::Literal(lexical)
-                | RawTerm::TypedLiteral { lexical, .. } => lexical,
-                RawTerm::Iri(_) => panic!("{o:?}"),
+                TermRef::BlankNode(l) => l,
+                TermRef::LangLiteral { lexical, .. }
+                | TermRef::Literal(lexical)
+                | TermRef::TypedLiteral { lexical, .. } => lexical,
+                TermRef::Iri(_) => panic!("{o:?}"),
             };
             let borrowed = matches!(lexical, Cow::Borrowed(l) if span.contains(&l.as_ptr()));
             assert!(borrowed, "{o:?}");
         }
         assert_eq!(triples.len(), 4);
-    }
-
-    #[test]
-    fn raw_term_stays_48_bytes() {
-        assert_eq!(std::mem::size_of::<RawTerm>(), 48);
     }
 }

@@ -5,6 +5,7 @@
 //! the dictionary straight into one body buffer: no term, row or cell
 //! string is allocated on the way to the socket.
 
+use std::borrow::Cow;
 use std::fmt::Write;
 use std::time::Duration;
 
@@ -299,24 +300,25 @@ pub fn to_tsv(outcome: &QueryOutcome) -> String {
 }
 
 fn push_json_term(out: &mut String, term: TermRef<'_>) {
+    const LITERAL: &str = "{\"type\":\"literal\",\"value\":\"";
+    // The parts move out of `term`, so nothing dispatches on the variant
+    // a second time to drop it.
     let (open, value, qualifier) = match term {
         TermRef::Iri(iri) => ("{\"type\":\"uri\",\"value\":\"", iri, None),
         TermRef::BlankNode(label) => ("{\"type\":\"bnode\",\"value\":\"", label, None),
-        TermRef::Literal {
-            lexical,
-            lang,
-            datatype,
-        } => {
-            let qualifier = lang.map(|l| ("\",\"xml:lang\":\"", l));
-            let qualifier = qualifier.or(datatype.map(|d| ("\",\"datatype\":\"", d)));
-            ("{\"type\":\"literal\",\"value\":\"", lexical, qualifier)
+        TermRef::Literal(lexical) => (LITERAL, lexical, None),
+        TermRef::LangLiteral { lexical, lang } => {
+            (LITERAL, lexical, Some(("\",\"xml:lang\":\"", Cow::Borrowed(lang))))
+        }
+        TermRef::TypedLiteral { lexical, datatype } => {
+            (LITERAL, lexical, Some(("\",\"datatype\":\"", datatype)))
         }
     };
     out.push_str(open);
-    push_json_str(out, value);
+    push_json_str(out, &value);
     if let Some((key, value)) = qualifier {
         out.push_str(key);
-        push_json_str(out, value);
+        push_json_str(out, &value);
     }
     out.push_str("\"}");
 }

@@ -9,11 +9,11 @@
 //! 1. **Collect** (parallel per chunk): write every term's canonical
 //!    key into one scratch buffer, hash it, probe the existing
 //!    dictionary and the chunk's own novel terms, and record each
-//!    triple as three [`TermRef`]s — a known id, or an index into the
+//!    triple as three [`Slot`]s — a known id, or an index into the
 //!    chunk's deduplicated novel-term batch. Only a novel key's bytes
-//!    are copied; a repeat costs a hash and a probe. Terms come in any
-//!    representation that can write its key ([`CanonicalKey`]): owned
-//!    [`parj_dict::Term`]s or a parser's borrowed ones.
+//!    are copied; a repeat costs a hash and a probe. Terms arrive as
+//!    [`TermRef`]s, borrowed from parser input or from owned
+//!    [`parj_dict::Term`]s.
 //! 2. **Assign** ([`parj_dict::Namespace::extend_batches`]): the
 //!    sharded two-phase encode appends the novel terms in document
 //!    first-occurrence order, so ids are independent of thread count.
@@ -27,7 +27,7 @@
 use parj_sync::atomic::{AtomicUsize, Ordering};
 use parj_sync::{LockLevel, OrderedMutex};
 
-use parj_dict::{fx_hash_bytes, CanonicalKey, DedupIndex, Id, Namespace, TermBatch};
+use parj_dict::{fx_hash_bytes, DedupIndex, Id, Namespace, TermBatch, TermRef};
 
 use crate::store::StoreBuilder;
 
@@ -39,16 +39,16 @@ const DICT_SHARDS: usize = 32;
 
 /// A term occurrence after the collect phase.
 #[derive(Debug, Clone, Copy)]
-enum TermRef {
+enum Slot {
     /// Already interned before this staging call.
     Known(Id),
     /// Novel: index into the chunk's candidate batch.
     Novel(u32),
 }
 
-type RefTriple = (TermRef, TermRef, TermRef);
+type SlotTriple = (Slot, Slot, Slot);
 
-/// Per-chunk dedup helper: canonical key → `TermRef`, probing the
+/// Per-chunk dedup helper: canonical key → [`Slot`], probing the
 /// shared namespace first and the chunk-local batch second.
 struct Collector<'a> {
     ns: &'a Namespace,
@@ -68,27 +68,27 @@ impl<'a> Collector<'a> {
         }
     }
 
-    fn collect(&mut self, term: &impl CanonicalKey) -> TermRef {
+    fn collect(&mut self, term: &TermRef<'_>) -> Slot {
         self.key.clear();
         term.write_canonical_key(&mut self.key);
         let key = self.key.as_str();
         let hash = fx_hash_bytes(key.as_bytes());
         if let Some(id) = self.ns.get_key_hashed(hash, key) {
-            return TermRef::Known(id);
+            return Slot::Known(id);
         }
         let batch = &mut self.batch;
         let seen = self
             .dedup
             .find_or_register(hash, batch.len() as u32, |i| batch.key(i as usize) == key);
-        TermRef::Novel(seen.unwrap_or_else(|| batch.push(hash, key)))
+        Slot::Novel(seen.unwrap_or_else(|| batch.push(hash, key)))
     }
 }
 
-fn collect_chunk<T: CanonicalKey>(
+fn collect_chunk(
     resources: &Namespace,
     predicates: &Namespace,
-    chunk: &[(T, T, T)],
-) -> (TermBatch, TermBatch, Vec<RefTriple>) {
+    chunk: &[(TermRef<'_>, TermRef<'_>, TermRef<'_>)],
+) -> (TermBatch, TermBatch, Vec<SlotTriple>) {
     let mut res = Collector::new(resources);
     let mut pred = Collector::new(predicates);
     let mut refs = Vec::with_capacity(chunk.len());
@@ -98,10 +98,10 @@ fn collect_chunk<T: CanonicalKey>(
     (res.batch, pred.batch, refs)
 }
 
-fn resolve(r: TermRef, ids: &[Id]) -> Id {
+fn resolve(r: Slot, ids: &[Id]) -> Id {
     match r {
-        TermRef::Known(id) => id,
-        TermRef::Novel(i) => ids[i as usize],
+        Slot::Known(id) => id,
+        Slot::Novel(i) => ids[i as usize],
     }
 }
 
@@ -110,10 +110,10 @@ impl StoreBuilder {
     /// chunks must be consecutive slices of the input in document
     /// order; the resulting dictionary and built store are identical
     /// to serially adding every triple in that order, for any
-    /// `threads`, any chunk boundaries and either term representation.
-    pub fn add_triples_parallel<T: CanonicalKey + Sync>(
+    /// `threads` and any chunk boundaries.
+    pub fn add_triples_parallel(
         &mut self,
-        chunks: Vec<Vec<(T, T, T)>>,
+        chunks: Vec<Vec<(TermRef<'_>, TermRef<'_>, TermRef<'_>)>>,
         threads: usize,
     ) {
         let threads = threads.max(1);
@@ -125,7 +125,7 @@ impl StoreBuilder {
 
         // Phase 1: collect novel terms per chunk against the current
         // dictionary (read-only, embarrassingly parallel).
-        let collected: Vec<(TermBatch, TermBatch, Vec<RefTriple>)> =
+        let collected: Vec<(TermBatch, TermBatch, Vec<SlotTriple>)> =
             if threads <= 1 || n_chunks <= 1 {
                 chunks
                     .iter()
@@ -137,7 +137,7 @@ impl StoreBuilder {
                 let resources = dict.resource_namespace();
                 let predicates = dict.predicate_namespace();
                 let next = AtomicUsize::new(0);
-                let mut slots: Vec<Option<(TermBatch, TermBatch, Vec<RefTriple>)>> = Vec::new();
+                let mut slots: Vec<Option<(TermBatch, TermBatch, Vec<SlotTriple>)>> = Vec::new();
                 slots.resize_with(n_chunks, || None);
                 let slot_ptrs: Vec<OrderedMutex<&mut Option<_>>> = slots
                     .iter_mut()
@@ -234,6 +234,15 @@ mod tests {
     use super::*;
     use parj_dict::Term;
 
+    /// The chunk as the staging input: each owned term viewed through
+    /// [`TermRef::from`].
+    fn views(chunk: &[(Term, Term, Term)]) -> Vec<(TermRef<'_>, TermRef<'_>, TermRef<'_>)> {
+        chunk
+            .iter()
+            .map(|(s, p, o)| (TermRef::from(s), TermRef::from(p), TermRef::from(o)))
+            .collect()
+    }
+
     fn triples(n: usize) -> Vec<(Term, Term, Term)> {
         (0..n)
             .map(|i| {
@@ -272,7 +281,7 @@ mod tests {
         for threads in [1, 2, 4, 9] {
             for n_chunks in [1, 3, 8] {
                 let per = data.len().div_ceil(n_chunks);
-                let chunks: Vec<Vec<_>> = data.chunks(per).map(<[_]>::to_vec).collect();
+                let chunks: Vec<Vec<_>> = data.chunks(per).map(views).collect();
                 let mut b = StoreBuilder::new();
                 b.add_triples_parallel(chunks, threads);
                 let mut dict_bytes = Vec::new();
@@ -296,7 +305,7 @@ mod tests {
         for (s, p, o) in first {
             b.add_term_triple(s, p, o);
         }
-        b.add_triples_parallel(vec![second[..20].to_vec(), second[20..].to_vec()], 4);
+        b.add_triples_parallel(vec![views(&second[..20]), views(&second[20..])], 4);
         let mut dict_bytes = Vec::new();
         b.dict().encode_into(&mut dict_bytes);
         assert_eq!(dict_bytes, serial_dict);
@@ -306,8 +315,8 @@ mod tests {
     #[test]
     fn empty_chunks_are_harmless() {
         let mut b = StoreBuilder::new();
-        b.add_triples_parallel(Vec::<Vec<(Term, Term, Term)>>::new(), 4);
-        b.add_triples_parallel(vec![Vec::<(Term, Term, Term)>::new(), Vec::new()], 4);
+        b.add_triples_parallel(Vec::new(), 4);
+        b.add_triples_parallel(vec![Vec::new(), Vec::new()], 4);
         assert!(b.is_empty());
     }
 
@@ -342,7 +351,7 @@ mod tests {
                     .iter()
                     .map(|c| {
                         at += c.len();
-                        owned[at - c.len()..at].to_vec()
+                        views(&owned[at - c.len()..at])
                     })
                     .collect();
                 let mut from_raw = StoreBuilder::new();
@@ -392,8 +401,8 @@ mod tests {
         ];
         let serial = serial_build(&data);
         for chunks in [
-            vec![data.clone()],
-            vec![data[..1].to_vec(), data[1..].to_vec()],
+            vec![views(&data)],
+            vec![views(&data[..1]), views(&data[1..])],
         ] {
             let mut builder = StoreBuilder::new();
             builder.add_triples_parallel(chunks, 2);

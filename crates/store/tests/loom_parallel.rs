@@ -8,7 +8,7 @@
 //! against a serial oracle on every one.
 #![cfg(loom)]
 
-use parj_dict::Term;
+use parj_dict::{Term, TermRef};
 use parj_store::{StoreBuilder, StoreOptions};
 
 fn triples(n: usize) -> Vec<(Term, Term, Term)> {
@@ -36,7 +36,14 @@ fn loom_parallel_staging_matches_serial_bytes() {
     let serial_store = serial.build().to_snapshot_bytes();
 
     loom::model(|| {
-        let chunks: Vec<Vec<_>> = data.chunks(7).map(<[_]>::to_vec).collect();
+        let chunks: Vec<Vec<_>> = data
+            .chunks(7)
+            .map(|c| {
+                c.iter()
+                    .map(|(s, p, o)| (TermRef::from(s), TermRef::from(p), TermRef::from(o)))
+                    .collect()
+            })
+            .collect();
         let mut b = StoreBuilder::new();
         b.add_triples_parallel(chunks, 3);
         let mut dict_bytes = Vec::new();
