@@ -1,4 +1,4 @@
-//! # parj-cache — plan & result caching with generation-safe invalidation
+//! # parj-cache — plan & result caching with stamp-checked entries
 //!
 //! The serving tier of the engine: once a query has been parsed,
 //! translated, and canonicalized (`parj-core`), its **fingerprint**
@@ -15,36 +15,18 @@
 //! [`SharedParj`](https://docs.rs/parj-core) rarely contend on the same
 //! lock.
 //!
-//! ## Generation-safe invalidation
+//! ## Stamped entries
 //!
-//! Full store rebuilds reduce cache coherence to one monotonic counter:
-//! the [`GenerationCounter`] is bumped (release) every time the engine
-//! publishes a rebuilt store, every entry is stamped with the
-//! generation it was computed under, and [`ShardedLru::lookup`] refuses
-//! (and lazily removes) entries whose stamp differs from the generation
-//! the caller read (acquire) at the start of its request. A stale entry
-//! is therefore *never* served: a reader either sees the new generation
-//! number (and misses) or the old store (and the old entry is still the
-//! right answer). The `loom_cache` model in this crate's test suite
-//! checks that protocol under exhaustive schedule injection.
-//!
-//! ## Per-predicate epochs (incremental mutations)
-//!
-//! Delta-store mutations do not rebuild the store, so bumping the
-//! generation for every write batch would throw away *every* cached
-//! answer even when the batch touched a single predicate. Instead the
-//! [`QueryCache`] keeps a monotonic **epoch per predicate id**: a write
-//! batch calls [`QueryCache::bump_predicates`] with exactly the
-//! predicates it touched, and every entry is additionally stamped with
-//! the **epoch sum** over the predicates its query reads (computed by
-//! the engine via [`QueryCache::epoch_sum`]). Because epochs only grow,
-//! any write to any predicate a cached query depends on changes that
-//! query's epoch sum, so the entry stops matching and is lazily
-//! removed — while entries whose predicate set is disjoint from the
-//! write keep serving hits. Sums (rather than e.g. hashes of epoch
-//! vectors) are safe for the same reason the generation counter is:
-//! they are monotone in every coordinate, so distinct states a single
-//! query can observe never collide.
+//! Every entry carries two stamps supplied by the caller — a
+//! *generation* and an *epoch sum* — and [`ShardedLru::lookup`] serves
+//! only an entry whose stamps equal the probe's. An entry stamped older
+//! on either axis is removed (it can never be served again); one
+//! stamped newer is kept, because the probe is the stale party. The
+//! cache has no clock of its own: `parj-core` keeps the stamps in each
+//! published engine version, and a request probes and inserts with the
+//! stamps of the version it pinned. The `loom_cache` model checks that
+//! a lookup serves only equal stamps while inserts of older and newer
+//! stamps race it.
 //!
 //! This crate is deliberately engine-agnostic: it knows nothing about
 //! metrics, SPARQL, or the dictionary. `parj-core` computes
@@ -56,7 +38,6 @@
 
 use std::collections::HashMap;
 
-use parj_sync::atomic::{AtomicU64, Ordering};
 use parj_sync::{LockLevel, OrderedMutex};
 
 pub use parj_join::{PhysicalPlan, RowBatch};
@@ -66,53 +47,13 @@ pub use parj_join::{PhysicalPlan, RowBatch};
 /// enough that the per-shard byte budget stays meaningful.
 pub const CACHE_SHARDS: usize = 8;
 
-/// The engine's store generation: a monotonic counter bumped every
-/// time a rebuilt store is published (finalize after staging, snapshot
-/// adoption). Cache entries are stamped with the generation they were
-/// computed under; lookups carry the generation their request started
-/// under.
-#[derive(Debug)]
-pub struct GenerationCounter(AtomicU64);
-
-impl Default for GenerationCounter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl GenerationCounter {
-    /// A counter starting at generation zero.
-    pub const fn new() -> Self {
-        GenerationCounter(AtomicU64::new(0))
-    }
-
-    /// The current store generation.
-    pub fn store_generation(&self) -> u64 {
-        // ordering: Acquire — pairs with the Release bump in `bump()`;
-        // a reader that observes generation g also observes every store
-        // write published before that bump, so an entry stamped g is
-        // consistent with the store the reader queries.
-        self.0.load(Ordering::Acquire)
-    }
-
-    /// Bumps the generation after a new store has been published and
-    /// returns the new value.
-    pub fn bump(&self) -> u64 {
-        // ordering: AcqRel — Release publishes the store writes that
-        // precede the bump to any reader that Acquire-loads the new
-        // value; Acquire keeps consecutive bumps totally ordered.
-        self.0.fetch_add(1, Ordering::AcqRel) + 1
-    }
-}
-
 /// One cached value plus its bookkeeping.
 #[derive(Debug)]
 struct Entry<V> {
     value: V,
-    /// Store generation the value was computed under.
+    /// The caller's generation stamp at insert.
     generation: u64,
-    /// Sum of the per-predicate epochs (over the predicates the cached
-    /// query reads) at the time the value was computed.
+    /// The caller's epoch-sum stamp at insert.
     epoch_sum: u64,
     /// Charged size in bytes (key + payload estimate).
     cost: usize,
@@ -174,8 +115,8 @@ fn shard_index(key: &[u8]) -> usize {
     (h as usize) % CACHE_SHARDS
 }
 
-/// A byte-budgeted, generation-checked, sharded LRU map from opaque
-/// byte keys to clonable values.
+/// A byte-budgeted, stamp-checked, sharded LRU map from opaque byte
+/// keys to clonable values.
 #[derive(Debug)]
 pub struct ShardedLru<V> {
     shards: Vec<OrderedMutex<Shard<V>>>,
@@ -200,14 +141,12 @@ impl<V: Clone> ShardedLru<V> {
     }
 
     /// Looks up `key`, serving only values stamped with exactly
-    /// `generation` *and* exactly `epoch_sum` (the caller's sum of
-    /// per-predicate epochs over the query's predicate set). A
-    /// present-but-stale entry (older on either axis) is removed and
-    /// reported as a miss — stale answers are never returned. An entry
-    /// stamped *newer* on either axis is kept but not served: a probe
-    /// carrying an old stamp (impossible in the engine, whose borrow
-    /// rules pin a request's generation and epochs for its whole run,
-    /// but reachable in adversarial models) must not evict fresh work.
+    /// `generation` *and* exactly `epoch_sum`. A present-but-stale
+    /// entry (older on either axis) is removed and reported as a miss —
+    /// stale answers are never returned. An entry stamped *newer* on
+    /// either axis is kept but not served: a probe carrying old stamps
+    /// (a request still running on a version a writer has since
+    /// replaced) must not evict fresh work.
     pub fn lookup(&self, key: &[u8], generation: u64, epoch_sum: u64) -> Option<V> {
         let mut shard = self.shard_for(key).lock();
         shard.clock += 1;
@@ -344,15 +283,9 @@ impl ResultEntry {
     }
 }
 
-/// The engine-facing bundle: one generation counter and one
-/// per-predicate epoch table governing a plan cache and a result cache.
+/// The engine-facing bundle: a plan cache and a result cache.
 #[derive(Debug)]
 pub struct QueryCache {
-    generation: GenerationCounter,
-    /// Monotonic epoch per predicate id, bumped by delta-store write
-    /// batches for exactly the predicates they touch. Sparse: a
-    /// predicate absent from the map has epoch 0.
-    pred_epochs: OrderedMutex<HashMap<u32, u64>>,
     /// Plans are tiny; give them a slice of the budget with a floor so
     /// a small result budget cannot starve plan reuse.
     plan: ShardedLru<PlanEntry>,
@@ -364,70 +297,9 @@ impl QueryCache {
     pub fn new(result_budget_bytes: usize) -> Self {
         let plan_budget = (result_budget_bytes / 16).max(1 << 20);
         QueryCache {
-            generation: GenerationCounter::new(),
-            pred_epochs: OrderedMutex::new(
-                LockLevel::CacheEpoch,
-                "cache.pred_epochs",
-                HashMap::new(),
-            ),
             plan: ShardedLru::new(plan_budget),
             result: ShardedLru::new(result_budget_bytes),
         }
-    }
-
-    /// The current store generation (acquire).
-    pub fn store_generation(&self) -> u64 {
-        self.generation.store_generation()
-    }
-
-    /// Bumps the store generation after a rebuilt store is published.
-    /// Existing entries become unservable immediately (checked on
-    /// lookup) and are reclaimed lazily. Also clears the per-predicate
-    /// epoch table: a rebuild invalidates everything, so fresh entries
-    /// may start again from epoch-sum zero.
-    pub fn bump_generation(&self) -> u64 {
-        // Order matters for correctness under concurrent readers: the
-        // generation bump must land *after* the epoch clear, so a
-        // reader that still observes the old generation also observes
-        // the old (non-cleared) epochs via the mutex, and a reader
-        // that observes the new generation can only hit entries
-        // stamped with it — which were inserted after this point.
-        let mut epochs = self.pred_epochs.lock();
-        epochs.clear();
-        let g = self.generation.bump();
-        drop(epochs);
-        g
-    }
-
-    /// Sum of the current epochs of `preds` (predicate ids; callers
-    /// pass the deduplicated set of concrete predicates a query
-    /// reads). Monotone in every coordinate, so two states a query can
-    /// distinguish never share a sum.
-    pub fn epoch_sum(&self, preds: &[u32]) -> u64 {
-        let epochs = self.pred_epochs.lock();
-        preds
-            .iter()
-            .map(|p| epochs.get(p).copied().unwrap_or(0))
-            .sum()
-    }
-
-    /// Bumps the epoch of every predicate in `preds` (deduplicated
-    /// defensively: a repeated id is bumped once). Returns the number
-    /// of distinct predicates bumped — the per-batch invalidation
-    /// count the observability layer reports.
-    pub fn bump_predicates(&self, preds: &[u32]) -> u64 {
-        let mut epochs = self.pred_epochs.lock();
-        let mut bumped = 0u64;
-        let mut seen: Vec<u32> = Vec::with_capacity(preds.len());
-        for &p in preds {
-            if seen.contains(&p) {
-                continue;
-            }
-            seen.push(p);
-            *epochs.entry(p).or_insert(0) += 1;
-            bumped += 1;
-        }
-        bumped
     }
 
     /// The plan cache.
@@ -531,15 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_counter_bumps_monotonically() {
-        let g = GenerationCounter::new();
-        assert_eq!(g.store_generation(), 0);
-        assert_eq!(g.bump(), 1);
-        assert_eq!(g.bump(), 2);
-        assert_eq!(g.store_generation(), 2);
-    }
-
-    #[test]
     fn stale_epoch_sum_never_served() {
         let lru: ShardedLru<u32> = ShardedLru::new(1 << 20);
         lru.insert(b"k".to_vec(), 9, 64, 0, 3);
@@ -558,55 +421,8 @@ mod tests {
     }
 
     #[test]
-    fn predicate_epochs_bump_and_sum() {
-        let qc = QueryCache::new(1 << 20);
-        assert_eq!(qc.epoch_sum(&[1, 2, 3]), 0);
-        // Duplicates in a batch count once.
-        assert_eq!(qc.bump_predicates(&[1, 2, 2]), 2);
-        assert_eq!(qc.epoch_sum(&[1]), 1);
-        assert_eq!(qc.epoch_sum(&[1, 2]), 2);
-        // A disjoint predicate set is untouched.
-        assert_eq!(qc.epoch_sum(&[3, 4]), 0);
-        assert_eq!(qc.bump_predicates(&[1]), 1);
-        assert_eq!(qc.epoch_sum(&[1, 2, 3]), 3);
-    }
-
-    #[test]
-    fn per_predicate_invalidation_spares_disjoint_entries() {
-        let qc = QueryCache::new(1 << 20);
-        let e = |n| ResultEntry { value: CachedResult::Count(n), exec_micros: 1 };
-        let gen_now = qc.store_generation();
-        // Query A reads predicate 1; query B reads predicate 7.
-        let sum_a = qc.epoch_sum(&[1]);
-        let sum_b = qc.epoch_sum(&[7]);
-        qc.results().insert(b"qa".to_vec(), e(1), 96, gen_now, sum_a);
-        qc.results().insert(b"qb".to_vec(), e(2), 96, gen_now, sum_b);
-        // A write batch touching predicate 1 only.
-        qc.bump_predicates(&[1]);
-        // Query A's stamp no longer matches; query B still hits.
-        assert!(qc
-            .results()
-            .lookup(b"qa", gen_now, qc.epoch_sum(&[1]))
-            .is_none());
-        assert!(qc
-            .results()
-            .lookup(b"qb", gen_now, qc.epoch_sum(&[7]))
-            .is_some());
-    }
-
-    #[test]
-    fn generation_bump_resets_predicate_epochs() {
-        let qc = QueryCache::new(1 << 20);
-        qc.bump_predicates(&[1, 2]);
-        assert_eq!(qc.epoch_sum(&[1, 2]), 2);
-        qc.bump_generation();
-        assert_eq!(qc.epoch_sum(&[1, 2]), 0);
-    }
-
-    #[test]
     fn query_cache_bundle_wires_both_tiers() {
         let qc = QueryCache::new(1 << 20);
-        assert_eq!(qc.store_generation(), 0);
         let entry = ResultEntry { value: CachedResult::Count(42), exec_micros: 10 };
         let cost = entry.cost();
         qc.results().insert(b"f".to_vec(), entry, cost, 0, 0);
@@ -614,7 +430,7 @@ mod tests {
             Some(ResultEntry { value: CachedResult::Count(42), .. }) => {}
             other => panic!("unexpected {other:?}"),
         }
-        qc.bump_generation();
         assert!(qc.results().lookup(b"f", 1, 0).is_none());
+        assert!(qc.plans().is_empty());
     }
 }

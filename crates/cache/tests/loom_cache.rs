@@ -1,151 +1,63 @@
-//! Loom model of the cache's generation-safe invalidation protocol.
+//! Loom model of the cache's stamp rule.
 //!
-//! Compiled only under `RUSTFLAGS="--cfg loom"`. The engine's safety
-//! argument is: a request reads the store generation once, probes with
-//! it, and inserts with it; `finalize()` bumps the counter *after*
-//! publishing the rebuilt store. The property checked here is the
-//! cache-side half of that contract, under every interleaving loom can
-//! produce:
-//!
-//! * a lookup stamped with generation `g` only ever returns a value
-//!   that was inserted under `g` — never one from before or after a
-//!   concurrent bump;
-//! * the generation counter itself is monotone for concurrent readers.
+//! Compiled only under `RUSTFLAGS="--cfg loom"`. The engine keeps the
+//! stamps (generation, epoch sum) in each published version, and a
+//! request probes and inserts with the stamps of the version it pinned,
+//! so requests on older and newer versions insert under the same key
+//! concurrently. The property checked here, under every interleaving
+//! loom can produce: a lookup serves only an entry whose stamps equal
+//! the probe's — never one inserted under older or newer stamps.
 
 #![cfg(loom)]
 
-use parj_cache::{GenerationCounter, ShardedLru};
+use parj_cache::ShardedLru;
 use parj_sync::thread;
 use parj_sync::Arc;
 
-/// A writer republishes the store (insert under g0, bump, insert under
-/// g1) while a reader races a generation read + lookup. Whatever the
-/// schedule, the value served must match the generation the reader
-/// stamped its probe with — a g0 probe must never see the g1 value and
-/// vice versa.
+/// Each value names the stamps it was inserted under.
+fn value(generation: u64, epoch_sum: u64) -> u64 {
+    generation * 100 + epoch_sum
+}
+
 #[test]
-fn loom_lookup_never_crosses_a_generation_bump() {
+fn loom_lookup_serves_only_equal_stamps() {
+    const STAMPS: [(u64, u64); 4] = [(1, 1), (0, 5), (1, 2), (2, 0)];
     loom::model(|| {
         let lru: Arc<ShardedLru<u64>> = Arc::new(ShardedLru::new(1 << 16));
-        let gen: Arc<GenerationCounter> = Arc::new(GenerationCounter::default());
-        let g0 = gen.store_generation();
+        lru.insert(b"q".to_vec(), value(1, 1), 64, 1, 1);
 
-        lru.insert(b"q".to_vec(), 100, 64, g0, 0);
-
-        let writer = {
-            let lru = Arc::clone(&lru);
-            let gen = Arc::clone(&gen);
-            thread::spawn(move || {
-                let g1 = gen.bump();
-                lru.insert(b"q".to_vec(), 200, 64, g1, 0);
+        // Inserts of an older generation and of newer stamps on each
+        // axis race one reader probing with every stamp in play.
+        let writers: Vec<_> = STAMPS[1..]
+            .iter()
+            .map(|&(g, e)| {
+                let lru = Arc::clone(&lru);
+                thread::spawn(move || {
+                    lru.insert(b"q".to_vec(), value(g, e), 64, g, e);
+                })
             })
-        };
-
+            .collect();
         let reader = {
             let lru = Arc::clone(&lru);
-            let gen = Arc::clone(&gen);
             thread::spawn(move || {
-                // The engine's request path: one generation read, then
-                // a probe stamped with it.
-                let g = gen.store_generation();
-                if let Some(v) = lru.lookup(b"q", g, 0) {
-                    if g == g0 {
-                        assert_eq!(v, 100, "stale-generation value served");
-                    } else {
-                        assert_eq!(v, 200, "value from a mismatched generation");
+                for (g, e) in STAMPS {
+                    if let Some(v) = lru.lookup(b"q", g, e) {
+                        assert_eq!(v, value(g, e), "served an entry stamped otherwise");
                     }
                 }
             })
         };
-
-        writer.join().unwrap();
+        for w in writers {
+            w.join().unwrap();
+        }
         reader.join().unwrap();
 
-        // After the bump has fully published, a current-generation
-        // probe sees exactly the new value and a stale probe nothing.
-        let g1 = gen.store_generation();
-        assert_eq!(lru.lookup(b"q", g1, 0), Some(200));
-        assert_eq!(lru.lookup(b"q", g0, 0), None);
-    });
-}
-
-/// The per-predicate epoch half of the protocol: a write batch bumps
-/// the epochs of the predicates it touched *after* publishing its
-/// delta; a reader sums the epochs of its query's predicates once and
-/// probes with the sum. Under every interleaving, a probe stamped with
-/// the pre-bump sum must never serve a value inserted under the
-/// post-bump sum and vice versa.
-#[test]
-fn loom_lookup_never_crosses_a_predicate_epoch_bump() {
-    use parj_cache::{CachedResult, QueryCache, ResultEntry};
-
-    fn count(v: u64) -> ResultEntry {
-        ResultEntry { value: CachedResult::Count(v), exec_micros: 0 }
-    }
-
-    loom::model(|| {
-        let qc: Arc<QueryCache> = Arc::new(QueryCache::new(1 << 16));
-        let e0 = qc.epoch_sum(&[1]);
-        qc.results().insert(b"q".to_vec(), count(100), 96, 0, e0);
-
-        let writer = {
-            let qc = Arc::clone(&qc);
-            thread::spawn(move || {
-                let e1 = e0 + qc.bump_predicates(&[1]);
-                qc.results().insert(b"q".to_vec(), count(200), 96, 0, e1);
-            })
-        };
-
-        let reader = {
-            let qc = Arc::clone(&qc);
-            thread::spawn(move || {
-                let e = qc.epoch_sum(&[1]);
-                if let Some(entry) = qc.results().lookup(b"q", 0, e) {
-                    let CachedResult::Count(v) = entry.value else {
-                        panic!("unexpected cached shape");
-                    };
-                    let want = if e == e0 { 100 } else { 200 };
-                    assert_eq!(v, want, "value from a mismatched epoch");
-                }
-            })
-        };
-
-        writer.join().unwrap();
-        reader.join().unwrap();
-
-        let e1 = qc.epoch_sum(&[1]);
-        assert!(qc.results().lookup(b"q", 0, e1).is_some());
-        assert!(qc.results().lookup(b"q", 0, e0).is_none());
-    });
-}
-
-/// Concurrent bumps are atomic: two finalizes advance the counter by
-/// exactly two, and a racing reader observes a monotone sequence.
-#[test]
-fn loom_generation_counter_is_monotone() {
-    loom::model(|| {
-        let gen: Arc<GenerationCounter> = Arc::new(GenerationCounter::default());
-        let start = gen.store_generation();
-        let bumpers: Vec<_> = (0..2)
-            .map(|_| {
-                let gen = Arc::clone(&gen);
-                thread::spawn(move || gen.bump())
-            })
-            .collect();
-        let reader = {
-            let gen = Arc::clone(&gen);
-            thread::spawn(move || {
-                let a = gen.store_generation();
-                let b = gen.store_generation();
-                assert!(b >= a, "generation went backwards: {a} -> {b}");
-            })
-        };
-        let returns: Vec<u64> = bumpers.into_iter().map(|h| h.join().unwrap()).collect();
-        reader.join().unwrap();
-        assert_eq!(gen.store_generation(), start + 2);
-        // `bump` returns the post-increment value: the two returns are
-        // distinct and both above the start.
-        assert!(returns.iter().all(|&r| r > start));
-        assert_ne!(returns[0], returns[1]);
+        // Whatever the schedule left resident is served exactly to its
+        // own stamps.
+        for (g, e) in STAMPS {
+            if let Some(v) = lru.lookup(b"q", g, e) {
+                assert_eq!(v, value(g, e));
+            }
+        }
     });
 }

@@ -5,6 +5,9 @@
 use std::path::Path;
 use std::time::Instant;
 
+use parj_sync::Arc;
+
+use parj_cache::QueryCache;
 use parj_join::CalibrationResult;
 use parj_optimizer::Stats;
 use parj_rio::{LoadReport, NTriplesParser, OnParseError};
@@ -164,19 +167,28 @@ impl Parj {
     /// [`Parj::from_store`].
     fn install(&mut self, store: TripleStore) {
         self.staged = None;
-        self.ready = Some(Ready::new(&self.config, store));
-        // The store was (re)built: advance the cache generation so every
-        // entry stamped before this point is stale and can never be
-        // served again.
-        self.cache.bump_generation();
-        self.publish_store_gauges();
+        let ready = Ready::new(&self.config, store);
+        // The store was (re)built: no cached entry answers for it. With
+        // `&mut self` no request is running, so a fresh cache is all it
+        // takes, and the new version's stamps start over.
+        self.cache = QueryCache::new(self.config.cache_bytes);
+        self.publish_store_gauges(&ready);
         // A rebuild folds (or predates) any delta: zero its gauges.
-        self.publish_delta_gauges();
+        self.publish_delta_gauges(&ready);
+        *self.published.get_mut() = Some(Arc::new(ready));
     }
 
     /// True once finalized (and not re-opened by later loads).
     pub fn is_finalized(&self) -> bool {
-        self.staged.is_none() && self.ready.is_some()
+        self.staged.is_none()
+    }
+
+    /// Pins the published version. Every path that reads it has
+    /// finalized first ([`Parj::request`], [`Parj::mutate`] and
+    /// [`crate::SharedParj::new`] do), so one is always there.
+    pub(crate) fn snapshot(&self) -> Arc<Ready> {
+        let published = self.published.lock();
+        Arc::clone(published.as_ref().expect("finalized before any read"))
     }
 
     /// Moves a finalized store back into staging for further loads,
@@ -190,7 +202,7 @@ impl Parj {
         if self.staged.is_some() {
             return;
         }
-        let ready = self.ready.take().expect("either staged or ready");
+        let ready = self.published.get_mut().take().expect("either staged or ready");
         let mut builder = StoreBuilder::new();
         let mut dict = ready.store.dict().clone();
         ready.delta.dict().fold_into(&mut dict);
@@ -207,19 +219,9 @@ impl Parj {
         self.staged = Some(builder);
     }
 
-    /// Folds a non-clean mutation delta into a full store rebuild
-    /// (stats, thresholds, hierarchy and cache generation included).
-    /// No-op when the delta is clean or the engine is staged.
-    fn fold_delta(&mut self) {
-        if self.ready.as_ref().is_some_and(|r| !r.delta.is_clean()) {
-            self.unfinalize();
-            self.finalize();
-        }
-    }
-
     fn ensure_ready(&mut self) -> &Ready {
         self.finalize();
-        self.ready.as_ref().expect("finalize sets ready")
+        self.published.get_mut().as_ref().expect("finalize publishes a version")
     }
 
     /// The underlying store (finalizing first if needed).
@@ -243,13 +245,6 @@ impl Parj {
         self.ensure_ready().visible_triples()
     }
 
-    /// [`Parj::num_triples`] without finalizing: `&self`, so
-    /// [`crate::SharedParj`] (always finalized) answers it under its
-    /// read lock while queries run.
-    pub(crate) fn num_triples_ref(&self) -> usize {
-        self.ready.as_ref().expect("finalized").visible_triples()
-    }
-
     /// Runs the deep structural audit over the finalized store:
     /// CSR/index invariants, replica-pair multiset equality, dictionary
     /// bijectivity, and snapshot round-trip stability
@@ -258,20 +253,7 @@ impl Parj {
     /// Loading already performs the linear structural checks; this adds
     /// the `O(n log n)` cross-structure checks that loads skip.
     pub fn audit(&mut self) -> parj_audit::AuditReport {
-        self.finalize();
-        self.audit_ref()
-    }
-
-    /// [`Parj::audit`] without finalizing: `&self`, so
-    /// [`crate::SharedParj`] (always finalized) audits under its read
-    /// lock.
-    pub(crate) fn audit_ref(&self) -> parj_audit::AuditReport {
-        let ready = self.ready.as_ref().expect("finalized");
-        let mut report = parj_audit::audit_all(&ready.store);
-        if !ready.delta.is_clean() {
-            report.merge(parj_audit::audit_delta(&ready.store, &ready.delta));
-        }
-        report
+        self.ensure_ready().audit()
     }
 
     /// Like [`Parj::audit`], but folds a dirty report into
@@ -285,22 +267,14 @@ impl Parj {
         }
     }
 
-    /// Borrows the finalized state or reports [`ParjError::NotFinalized`].
-    pub(super) fn ready_or_err(&self) -> Result<&Ready, ParjError> {
-        if self.staged.is_some() {
-            return Err(ParjError::NotFinalized);
-        }
-        self.ready.as_ref().ok_or(ParjError::NotFinalized)
-    }
-
     /// Saves a snapshot of the finalized store. A pending mutation
     /// delta is folded into a full rebuild first, so the snapshot
     /// captures exactly the triples queries were seeing.
     pub fn save_snapshot(&mut self, path: impl AsRef<Path>) -> Result<(), ParjError> {
-        self.fold_delta();
-        self.finalize();
-        let ready = self.ready.as_ref().expect("finalized");
-        ready.store.save_snapshot(path)?;
+        if !self.ensure_ready().delta.is_clean() {
+            self.unfinalize();
+        }
+        self.ensure_ready().store.save_snapshot(path)?;
         Ok(())
     }
 

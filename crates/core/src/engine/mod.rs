@@ -6,7 +6,7 @@ mod run;
 
 use std::time::Duration;
 
-use parj_sync::Arc;
+use parj_sync::{Arc, LockLevel, OrderedMutex};
 
 use parj_cache::QueryCache;
 use parj_dict::DictView;
@@ -89,8 +89,9 @@ pub struct EngineConfig {
     /// registry is lock-light — atomic counters only).
     pub record_metrics: bool,
     /// Serve repeated queries from the plan/result cache. Entries are
-    /// stamped with the store generation and never served after a
-    /// reload, so cached answers are always identical to cold runs.
+    /// stamped with the engine version they were computed on and never
+    /// served to a request on another one, so cached answers are always
+    /// identical to cold runs.
     /// Default: `false` — with caching off the request path is
     /// byte-for-byte the uncached one.
     pub cache: bool,
@@ -279,11 +280,12 @@ impl EngineConfig {
     /// a [`Parj`] is constructed.
     pub fn build(self) -> Parj {
         Parj {
-            cache: Arc::new(QueryCache::new(self.cache_bytes)),
+            cache: QueryCache::new(self.cache_bytes),
             pool: (self.use_pool && self.threads > 1).then(|| WorkerPool::new(self.threads - 1)),
             config: self,
             staged: Some(StoreBuilder::new()),
-            ready: None,
+            published: OrderedMutex::new(LockLevel::EngineSnapshot, "engine.snapshot", None),
+            writer: OrderedMutex::new(LockLevel::Engine, "engine.writer", ()),
             metrics: Arc::new(EngineMetrics::new()),
         }
     }
@@ -323,22 +325,33 @@ impl RunOverrides {
     }
 }
 
-/// Finalized query-ready state. Store, delta and thresholds live
-/// behind `Arc`s so multi-morsel runs can hand `'static` clones to the
-/// pool's workers; inline runs only borrow them.
+/// One published, immutable version of the query-ready state: a
+/// request reads the one current when it was built; a mutation batch
+/// clones it (every field is an `Arc` or small) and publishes the
+/// changed clone. Store, delta and thresholds stay behind their own
+/// `Arc`s so multi-morsel runs hand `'static` clones to pool workers.
+#[derive(Clone)]
 pub(crate) struct Ready {
     pub(crate) store: Arc<TripleStore>,
     /// Pending mutations since the last full rebuild: per-predicate
     /// sorted add/delete runs plus a dictionary extension, consulted by
     /// probes alongside the CSR replicas. Clean (empty) on every
-    /// finalize; mutated via `Arc::make_mut` under `&mut Parj` (or the
-    /// [`crate::SharedParj`] write lock), cheaply cloned into pooled
-    /// execution jobs.
+    /// finalize; a batch changes its own copy via `Arc::make_mut`.
     pub(crate) delta: Arc<DeltaOverlay>,
-    stats: Stats,
+    stats: Arc<Stats>,
     thresholds: Arc<ThresholdTable>,
     calibration: CalibrationResult,
     pub(crate) hierarchy: Option<Hierarchy>,
+    /// Cache stamp: bumped by a batch that changes the RDFS hierarchy,
+    /// which can change the answer of any query. Entries stamped with
+    /// another generation are never served.
+    pub(crate) generation: u64,
+    /// Cache stamp per predicate id (absent = 0): a batch bumps exactly
+    /// the predicates it changed, so a query's stamp — the sum over the
+    /// predicates it reads — moves only when its answer may have. Epochs
+    /// only grow, so two versions a query can tell apart never share a
+    /// sum.
+    pub(crate) epochs: Vec<u64>,
 }
 
 impl Ready {
@@ -364,7 +377,17 @@ impl Ready {
         let hierarchy = config.reasoning.then(|| Hierarchy::extract(&store));
         let store = Arc::new(store);
         let delta = Arc::new(DeltaOverlay::new(&store));
-        Ready { store, delta, stats, thresholds, calibration, hierarchy }
+        let stats = Arc::new(stats);
+        Ready {
+            store,
+            delta,
+            stats,
+            thresholds,
+            calibration,
+            hierarchy,
+            generation: 0,
+            epochs: Vec::new(),
+        }
     }
 
     /// The dictionary lookup/decode surface: base plus delta terms.
@@ -386,19 +409,40 @@ impl Ready {
     pub(crate) fn visible_triples(&self) -> usize {
         self.delta.visible_triples(&self.store)
     }
+
+    /// The deep structural audit of this version: CSR/index invariants,
+    /// replica-pair multiset equality, dictionary bijectivity, snapshot
+    /// round-trip stability, and — with a pending delta — the merged
+    /// view against a from-scratch rebuild.
+    pub(crate) fn audit(&self) -> parj_audit::AuditReport {
+        let mut report = parj_audit::audit_all(&self.store);
+        if !self.delta.is_clean() {
+            report.merge(parj_audit::audit_delta(&self.store, &self.delta));
+        }
+        report
+    }
 }
 
 /// The PARJ engine. See the crate docs for the lifecycle.
 pub struct Parj {
     pub(crate) config: EngineConfig,
+    /// Loaded triples awaiting [`Parj::finalize`]; `None` exactly when
+    /// a version is published.
     staged: Option<StoreBuilder>,
-    pub(crate) ready: Option<Ready>,
+    /// The published version, behind a leaf lock held only to clone or
+    /// swap the `Arc`: requests run on a clone with no engine lock, and
+    /// a mutation batch swaps in its successor.
+    pub(crate) published: OrderedMutex<Option<Arc<Ready>>>,
+    /// Serializes mutation batches (held for a whole batch; the snapshot
+    /// cell, cache, pool and metrics sit beneath it). Readers never
+    /// take it.
+    pub(crate) writer: OrderedMutex<()>,
     pub(crate) metrics: Arc<EngineMetrics>,
     /// Plan/result cache. Always present (cheap when unused); probed
-    /// only when [`EngineConfig::cache`] is on. Its store generation is
-    /// bumped by every [`Parj::finalize`] that rebuilds the store, which
-    /// invalidates all earlier entries without touching them.
-    pub(crate) cache: Arc<QueryCache>,
+    /// only when [`EngineConfig::cache`] is on, with the stamps of the
+    /// version a request pinned. Every [`Parj::finalize`] that rebuilds
+    /// the store starts a fresh one.
+    pub(crate) cache: QueryCache,
     /// Persistent worker pool for morsel dispatch, created once per
     /// engine when [`EngineConfig::use_pool`] is on and more than one
     /// thread is configured. Workers park between queries and are
@@ -416,10 +460,10 @@ impl std::fmt::Debug for Parj {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Parj")
             .field("config", &self.config)
-            .field("finalized", &self.ready.is_some())
+            .field("finalized", &self.is_finalized())
             .field(
                 "triples",
-                &self.ready.as_ref().map(Ready::visible_triples),
+                &self.published.lock().as_deref().map(Ready::visible_triples),
             )
             .finish()
     }

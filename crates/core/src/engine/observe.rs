@@ -10,7 +10,7 @@ use parj_join::{PhysicalPlan, SearchStats};
 use parj_obs::{EngineMetrics, MetricsSnapshot, QueryOutcomeClass, SearchTotals};
 use parj_rio::LoadReport;
 
-use super::Parj;
+use super::{Parj, Ready};
 use crate::error::ParjError;
 
 #[cfg(doc)]
@@ -30,15 +30,13 @@ impl Parj {
         );
     }
 
-    /// Refreshes the memory-footprint gauges from the finalized store
-    /// (store size, per-predicate replica bytes, dictionary sections).
-    pub(super) fn publish_store_gauges(&self) {
+    /// Refreshes the memory-footprint gauges from a freshly built
+    /// version's store (store size, per-predicate replica bytes,
+    /// dictionary sections).
+    pub(super) fn publish_store_gauges(&self, ready: &Ready) {
         if !self.config.record_metrics {
             return;
         }
-        let Some(ready) = self.ready.as_ref() else {
-            return;
-        };
         let store = &ready.store;
         let dict = store.dict();
         let per_predicate = store.partitions().iter().map(|p| {
@@ -92,14 +90,11 @@ impl Parj {
     }
 
     /// Refreshes the mutation-delta residency gauges (uncompacted pairs
-    /// and overlay heap bytes).
-    pub(crate) fn publish_delta_gauges(&self) {
+    /// and overlay heap bytes) from `ready`'s delta.
+    pub(crate) fn publish_delta_gauges(&self, ready: &Ready) {
         if !self.config.record_metrics {
             return;
         }
-        let Some(ready) = self.ready.as_ref() else {
-            return;
-        };
         self.metrics.set_delta_resident(
             ready.delta.resident_pairs() as u64,
             if ready.delta.is_clean() { 0 } else { ready.delta.memory_bytes() as u64 },

@@ -185,10 +185,9 @@ impl Parj {
         Ok(plans)
     }
 
-    /// Sorted, deduplicated concrete predicate ids a translated query
-    /// touches — the coordinates its cache entries are stamped with for
-    /// per-predicate invalidation.
-    fn touched_predicates(tq: &crate::translate::TranslatedQuery) -> Vec<Id> {
+    /// The per-predicate cache stamp of a translated query on `ready`:
+    /// the epoch sum over the distinct concrete predicates it touches.
+    fn epoch_stamp(ready: &Ready, tq: &crate::translate::TranslatedQuery) -> u64 {
         let mut preds: Vec<Id> = tq
             .pattern_sets
             .iter()
@@ -196,14 +195,16 @@ impl Parj {
             .collect();
         preds.sort_unstable();
         preds.dedup();
-        preds
+        preds.iter().map(|&p| ready.epochs.get(p as usize).copied().unwrap_or(0)).sum()
     }
 
-    /// Unified execution path behind [`Parj::request`]: records
-    /// lifecycle metrics around the inner run regardless of how it
-    /// ends.
+    /// Unified execution path behind [`Parj::request`] and
+    /// [`crate::SharedParj::request`]: runs on the version `ready` the
+    /// request pinned, recording lifecycle metrics around the inner run
+    /// regardless of how it ends.
     pub(crate) fn run_request(
         &self,
+        ready: &Ready,
         query: &str,
         spec: &RunSpec,
     ) -> Result<QueryOutcome, ParjError> {
@@ -222,7 +223,7 @@ impl Parj {
         }
         let _inflight = Inflight(metrics);
         let t0 = Instant::now();
-        let result = self.run_request_inner(query, spec);
+        let result = self.run_request_inner(ready, query, spec);
         if let Some(m) = metrics {
             let total_micros = t0.elapsed().as_micros() as u64;
             let (class, stats) = match &result {
@@ -252,10 +253,10 @@ impl Parj {
 
     fn run_request_inner(
         &self,
+        ready: &Ready,
         query: &str,
         spec: &RunSpec,
     ) -> Result<QueryOutcome, ParjError> {
-        let ready = self.ready_or_err()?;
         let over = &spec.over;
         // One recorder per run: fed by every plan's executor exit, both
         // into the metrics registry and (under `explain`) a profile
@@ -296,10 +297,10 @@ impl Parj {
         // its complete result from a prior unbudgeted run — so budgeted
         // runs stay out of the cache entirely to keep cache-on ≡
         // cache-off. EXPLAIN runs (which must execute for real) and
-        // explicit bypasses also skip it. Reads of the store generation
-        // here cannot race an update: updates require `&mut self` (or
-        // the [`crate::SharedParj`] write lock), and this run holds
-        // `&self` for its whole duration.
+        // explicit bypasses also skip it. Probes and inserts carry the
+        // stamps of the pinned version, so an answer computed on it is
+        // served only to requests that pinned a version with the same
+        // stamps, however many batches publish meanwhile.
         let metrics = self.config.record_metrics.then_some(&*self.metrics);
         let budgeted = over.max_rows.or(self.config.max_result_rows).is_some();
         let use_cache = self.config.cache && !(spec.no_cache || spec.explain || budgeted);
@@ -308,7 +309,7 @@ impl Parj {
         } else {
             CacheStatus::Off
         };
-        let generation = self.cache.store_generation();
+        let generation = ready.generation;
 
         let mut phases = PhaseTimings::default();
         let tq = match Self::prepare(ready, query, use_cache, &mut phases)? {
@@ -343,8 +344,8 @@ impl Parj {
         // `Some` exactly when this run participates in the cache.
         let mut fingerprint: Option<Vec<u8>> = None;
         let mut cached_plans: Option<Arc<Vec<PhysicalPlan>>> = None;
-        // Per-predicate epoch stamp: the sum of the cache's epoch
-        // counters over the predicates this query touches. A mutation
+        // Per-predicate epoch stamp: the sum of the pinned version's
+        // epochs over the predicates this query touches. A mutation
         // batch bumps the epochs of exactly the predicates it changed,
         // so entries of disjoint queries keep serving while any entry
         // referencing a mutated predicate goes stale (the sum moved).
@@ -355,7 +356,7 @@ impl Parj {
             // only does so with caching on, keeping the cache-off path
             // untouched.
             let t = Instant::now();
-            epoch_sum = self.cache.epoch_sum(&Self::touched_predicates(&tq));
+            epoch_sum = Self::epoch_stamp(ready, &tq);
             let fp = query_fingerprint(&tq);
             let result_key = Self::result_key(&fp, silent, tq.limit, tq.offset);
             let hit = self.cache.results().lookup(&result_key, generation, epoch_sum);
@@ -694,7 +695,7 @@ impl Parj {
         let Some(plans) = self.plans(query)? else {
             return Ok(Vec::new());
         };
-        let ready = self.ready_or_err()?;
+        let ready = self.snapshot();
         plans
             .iter()
             .map(|plan| {
@@ -717,11 +718,11 @@ impl Parj {
     /// data and nothing would run.
     fn plans(&mut self, query: &str) -> Result<Option<Vec<PhysicalPlan>>, ParjError> {
         self.finalize();
-        let ready = self.ready_or_err()?;
+        let ready = self.snapshot();
         let mut phases = PhaseTimings::default();
-        match Self::prepare(ready, query, self.config.cache, &mut phases)? {
+        match Self::prepare(&ready, query, self.config.cache, &mut phases)? {
             Translation::Empty { .. } => Ok(None),
-            Translation::Run(tq) => Self::optimize_sets(ready, &tq).map(Some),
+            Translation::Run(tq) => Self::optimize_sets(&ready, &tq).map(Some),
         }
     }
 }
@@ -1400,7 +1401,7 @@ mod tests {
             .request("SELECT ?x WHERE { ?x <http://e/teaches> ?z }")
             .run()
             .unwrap();
-        let ready = e.ready.as_ref().expect("finalized");
+        let ready = e.snapshot();
         out.answer = Some(Answer {
             rows: Arc::new(RowBatch::from_parts(1, vec![Id::MAX - 1])),
             store: Arc::clone(&ready.store),

@@ -22,9 +22,6 @@ pub enum ParjError {
     Io(std::io::Error),
     /// Query uses a feature the engine rejects, with an explanation.
     Unsupported(String),
-    /// A `&self` query path was used on an engine that has staged,
-    /// un-finalized data; call [`crate::Parj::finalize`] first.
-    NotFinalized,
     /// Execution options were invalid — e.g. a per-run thread override
     /// of zero. Raised at option construction instead of silently
     /// clamping.
@@ -89,9 +86,6 @@ impl fmt::Display for ParjError {
             ParjError::Snapshot(e) => write!(f, "{e}"),
             ParjError::Io(e) => write!(f, "I/O error: {e}"),
             ParjError::Unsupported(m) => write!(f, "unsupported query: {m}"),
-            ParjError::NotFinalized => {
-                write!(f, "engine not finalized; call finalize() before &self queries")
-            }
             ParjError::InvalidOptions(m) => write!(f, "invalid execution options: {m}"),
             ParjError::Cancelled { partial } => {
                 write!(f, "query cancelled after {} rows", partial.rows)
@@ -138,7 +132,6 @@ impl std::error::Error for ParjError {
             ParjError::Snapshot(e) => Some(e),
             ParjError::Io(e) => Some(e),
             ParjError::Unsupported(_)
-            | ParjError::NotFinalized
             | ParjError::InvalidOptions(_)
             | ParjError::CorruptStore { .. }
             | ParjError::Cancelled { .. }

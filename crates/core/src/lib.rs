@@ -27,7 +27,10 @@
 //!    (held by reference, read as ids or terms),
 //!    [`QueryRequest::count_only`] for the paper's "silent mode" —
 //!    with per-run deadline / row-budget / cancellation / thread
-//!    knobs on the same builder.
+//!    knobs on the same builder;
+//! 5. change data with [`Parj::mutate`]. To serve many threads, wrap
+//!    the engine in a [`SharedParj`]: a request runs on the version
+//!    published when it was built, and a batch publishes the next.
 //!
 //! ```
 //! use parj_core::Parj;

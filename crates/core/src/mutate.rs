@@ -2,18 +2,20 @@
 //! [`Parj::request`] for writes.
 //!
 //! A [`MutationRequest`] batches inserts and deletes and applies them
-//! atomically with respect to queries: no query observes a partially
-//! applied batch ([`Parj::mutate`] holds `&mut self`;
-//! [`SharedParj::mutate`] holds the write lock). The batch lands in the
-//! engine's per-predicate **delta overlay** — sorted insert runs plus
-//! tombstone delete runs consulted by probes alongside the base CSR
-//! replicas — so applying costs `O(batch + resident delta)` in the
-//! touched predicates, never a store rebuild. Predicates whose resident
-//! delta crosses [`crate::EngineConfig::delta_compaction_threshold`]
-//! are compacted inline (a linear two-run merge into a replacement
-//! partition), and cached entries referencing a touched predicate are
-//! invalidated per predicate — queries over untouched predicates keep
-//! serving hits.
+//! atomically with respect to queries: batches serialize on the
+//! engine's writer lock, and each builds the next engine version
+//! copy-on-write beside the published one, then publishes it with one
+//! pointer swap. A query reads the version it pinned, so it sees a
+//! batch whole or not at all, and neither side waits for the other.
+//! The batch lands in the version's per-predicate **delta overlay** —
+//! sorted insert runs plus tombstone delete runs consulted by probes
+//! alongside the base CSR replicas — so applying costs
+//! `O(batch + resident delta)` in the touched predicates, never a store
+//! rebuild. Predicates whose resident delta crosses
+//! [`crate::EngineConfig::delta_compaction_threshold`] are compacted
+//! inline (a linear two-run merge into a replacement partition), and
+//! the cache stamps of a touched predicate move — queries over
+//! untouched predicates keep serving hits.
 //!
 //! ```
 //! use parj_core::{Parj, Term};
@@ -54,25 +56,17 @@ pub(crate) enum MutationOp {
     Delete(Term, Term, Term),
 }
 
-/// What a mutation request may borrow while it runs.
-enum MutTarget<'e> {
-    /// Exclusive engine access.
-    Mut(&'e mut Parj),
-    /// A [`SharedParj`] handle: applies under its write lock.
-    Shared(&'e SharedParj),
-}
-
 /// A configured mutation batch, ready to [`run`](MutationRequest::run).
 /// Built by [`Parj::mutate`] or [`SharedParj::mutate`].
 pub struct MutationRequest<'e> {
-    target: MutTarget<'e>,
+    engine: &'e Parj,
     ops: Vec<MutationOp>,
 }
 
 impl<'e> MutationRequest<'e> {
-    fn new(target: MutTarget<'e>) -> Self {
+    fn new(engine: &'e Parj) -> Self {
         MutationRequest {
-            target,
+            engine,
             ops: Vec::new(),
         }
     }
@@ -121,13 +115,10 @@ impl<'e> MutationRequest<'e> {
 
     /// Applies the batch. Later operations on the same triple win
     /// (insert-then-delete deletes; delete-then-insert inserts); the
-    /// batch is visible to the next query as a whole or, on error, not
-    /// at all.
+    /// batch is visible as a whole to every query built after `run`
+    /// returns, and to none built before.
     pub fn run(self) -> Result<MutationOutcome, ParjError> {
-        match self.target {
-            MutTarget::Mut(engine) => engine.apply_mutation(&self.ops),
-            MutTarget::Shared(shared) => shared.with_write(|engine| engine.apply_mutation(&self.ops)),
-        }
+        Ok(self.engine.apply_mutation(&self.ops))
     }
 }
 
@@ -178,10 +169,9 @@ pub struct MutationOutcome {
     pub predicates_touched: usize,
     /// Predicates compacted inline by this batch.
     pub compactions: u64,
-    /// Per-predicate cache epoch bumps performed (0 when the engine has
-    /// no cache entries to protect, or when the batch changed a
-    /// reasoning engine's RDFS hierarchy, which invalidates every entry
-    /// by generation instead).
+    /// Per-predicate cache epoch bumps performed (0 when the batch
+    /// changed a reasoning engine's RDFS hierarchy, which invalidates
+    /// every entry by generation instead).
     pub cache_invalidations: u64,
     /// Uncompacted add/delete pairs resident in the delta after the
     /// batch.
@@ -195,33 +185,30 @@ pub struct MutationOutcome {
 }
 
 impl Parj {
-    /// Starts a mutation batch with exclusive engine access — the write
-    /// counterpart of [`Parj::request`]. Staged (never-finalized) data
-    /// is finalized first when the batch runs.
+    /// Starts a mutation batch — the write counterpart of
+    /// [`Parj::request`]. Staged (never-finalized) data is finalized
+    /// first.
     pub fn mutate(&mut self) -> MutationRequest<'_> {
-        MutationRequest::new(MutTarget::Mut(self))
+        self.finalize();
+        MutationRequest::new(self)
     }
 
     /// Applies one mutation batch (ordered insert/delete operations, in
-    /// call order so later operations on the same triple win) against
-    /// the delta overlay — the execution path behind [`Parj::mutate`].
+    /// call order so later operations on the same triple win) to a copy
+    /// of the published version, and publishes the result — the
+    /// execution path behind [`Parj::mutate`] and
+    /// [`SharedParj::mutate`].
     ///
     /// Cost is `O(batch + resident delta)` in the touched predicates
-    /// only; the base store is never rebuilt. The one exception is a
-    /// staged engine: staged triples finalize first, a build that was
-    /// owed anyway. Reasoning engines also re-extract the RDFS
-    /// hierarchy from the merged view, so it stays consistent with the
-    /// data.
-    pub(crate) fn apply_mutation(
-        &mut self,
-        ops: &[crate::mutate::MutationOp],
-    ) -> Result<crate::mutate::MutationOutcome, ParjError> {
-        use crate::mutate::{MutationOutcome, MutationPhases};
+    /// only; the base store is never rebuilt, and the copy shares every
+    /// untouched partition and dictionary run with the published
+    /// version. Reasoning engines also re-extract the RDFS hierarchy
+    /// from the merged view, so it stays consistent with the data.
+    pub(crate) fn apply_mutation(&self, ops: &[MutationOp]) -> MutationOutcome {
         use std::collections::BTreeMap;
 
-        // Staged triples fold into the base first so the batch lands on
-        // a finalized engine.
-        self.finalize();
+        let _writer = self.writer.lock();
+        let mut next = crate::engine::Ready::clone(&self.snapshot());
         let mut phases = MutationPhases::default();
         let mut outcome = MutationOutcome::default();
 
@@ -230,20 +217,33 @@ impl Parj {
         // order wins (`true` = insert). BTreeMaps keep predicate and
         // pair iteration sorted, which `apply_pred` requires.
         let t = Instant::now();
-        let ready = self.ready.as_mut().expect("finalize sets ready");
-        let base = Arc::clone(&ready.store);
-        let delta = Arc::make_mut(&mut ready.delta);
+        let base = Arc::clone(&next.store);
+        let delta = Arc::make_mut(&mut next.delta);
         let mut by_pred: BTreeMap<Id, BTreeMap<(Id, Id), bool>> = BTreeMap::new();
         for op in ops {
             match op {
-                crate::mutate::MutationOp::Insert(s, p, o) => {
-                    let dict = delta.dict_mut();
-                    let sid = dict.encode_resource(base.dict(), s);
-                    let pid = dict.encode_predicate(base.dict(), p);
-                    let oid = dict.encode_resource(base.dict(), o);
+                MutationOp::Insert(s, p, o) => {
+                    // Resolve read-only and intern only on a miss: a
+                    // batch of known terms leaves the dictionary it
+                    // shares with the published version and with live
+                    // answers untouched.
+                    let dict = delta.dict();
+                    let (sid, pid, oid) = match (
+                        dict.resource_id(base.dict(), s),
+                        dict.predicate_id(base.dict(), p),
+                        dict.resource_id(base.dict(), o),
+                    ) {
+                        (Some(sid), Some(pid), Some(oid)) => (sid, pid, oid),
+                        _ => {
+                            let dict = delta.dict_mut();
+                            let sid = dict.encode_resource(base.dict(), s);
+                            let pid = dict.encode_predicate(base.dict(), p);
+                            (sid, pid, dict.encode_resource(base.dict(), o))
+                        }
+                    };
                     by_pred.entry(pid).or_default().insert((sid, oid), true);
                 }
-                crate::mutate::MutationOp::Delete(s, p, o) => {
+                MutationOp::Delete(s, p, o) => {
                     // Non-inserting resolve: a triple with an unknown
                     // term cannot be stored, so the delete is a no-op
                     // (set semantics, like deleting an absent triple).
@@ -293,23 +293,30 @@ impl Parj {
         outcome.delta_bytes = delta.memory_bytes();
         outcome.visible_triples = delta.visible_triples(&base);
 
-        // -- invalidate: per-predicate cache epochs --------------------
+        // -- invalidate: the next version's cache stamps ---------------
         // On a reasoning engine the batch may change the RDFS hierarchy,
         // and with it the answers for predicates the batch never
         // touched: re-extract the hierarchy from the merged view, and if
-        // it changed, bump the cache generation (every entry goes
-        // stale, so no per-predicate bumps are needed).
+        // it changed, move the generation (every entry goes stale, so no
+        // per-predicate bumps are needed).
         let t = Instant::now();
         let hierarchy_changed = self.config.reasoning && !touched.is_empty() && {
             let fresh = Hierarchy::extract_merged(&base, delta);
-            let changed = ready.hierarchy.as_ref() != Some(&fresh);
-            ready.hierarchy = Some(fresh);
+            let changed = next.hierarchy.as_ref() != Some(&fresh);
+            next.hierarchy = Some(fresh);
             changed
         };
         if hierarchy_changed {
-            self.cache.bump_generation();
-        } else if !touched.is_empty() {
-            outcome.cache_invalidations = self.cache.bump_predicates(&touched);
+            next.generation += 1;
+        } else {
+            for &pid in &touched {
+                let p = pid as usize;
+                if p >= next.epochs.len() {
+                    next.epochs.resize(p + 1, 0);
+                }
+                next.epochs[p] += 1;
+            }
+            outcome.cache_invalidations = touched.len() as u64;
         }
         phases.invalidate_micros = t.elapsed().as_micros() as u64;
         outcome.phases = phases;
@@ -317,19 +324,23 @@ impl Parj {
         if self.config.record_metrics {
             self.metrics.record_compaction(outcome.compactions, outcome.phases.compact_micros);
             self.metrics.record_cache_invalidations(outcome.cache_invalidations);
-            self.publish_delta_gauges();
+            self.publish_delta_gauges(&next);
         }
-        Ok(outcome)
+        // Publish: requests built from here on read `next`; running ones
+        // keep theirs. The old version is freed, when this was its last
+        // pin, outside the cell's lock.
+        let old = self.published.lock().replace(Arc::new(next));
+        drop(old);
+        outcome
     }
 }
 
 impl SharedParj {
-    /// Starts a mutation batch that applies under this handle's write
-    /// lock: queries drain first, the batch applies atomically, and
-    /// readers resume against the updated delta — no store rebuild, so
-    /// the write lock is held for `O(batch + resident delta)` only.
+    /// Starts a mutation batch on this handle. Batches serialize among
+    /// themselves; queries keep running on the version they pinned, and
+    /// those built after [`MutationRequest::run`] returns see the batch.
     pub fn mutate(&self) -> MutationRequest<'_> {
-        MutationRequest::new(MutTarget::Shared(self))
+        MutationRequest::new(&self.engine)
     }
 }
 
@@ -631,7 +642,21 @@ mod tests {
     }
 
     #[test]
-    fn shared_mutate_applies_under_the_write_lock() {
+    fn term_free_batch_leaves_a_live_answers_dictionary_shared() {
+        let mut e = engine();
+        // Delta terms for the answer to hold.
+        e.mutate().insert(iri("n1"), iri("p"), iri("n2")).run().unwrap();
+        let out = e.request("SELECT ?s ?o WHERE { ?s <http://e/p> ?o } LIMIT 10").run().unwrap();
+        let held = &out.answer().expect("rows were requested").delta;
+        // Every term already exists: the batch interns nothing.
+        let batch = e.mutate().insert(iri("n2"), iri("p"), iri("a")).run().unwrap();
+        assert_eq!(batch.inserted, 1);
+        assert!(Arc::ptr_eq(held, e.snapshot().delta.shared_dict()));
+        assert_eq!(out.term_rows().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn shared_mutate_publishes_a_new_version() {
         let shared = SharedParj::new(engine());
         let q = "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }";
         assert_eq!(shared.request(q).count_only().run().unwrap().count, 2);

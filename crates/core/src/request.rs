@@ -1,6 +1,11 @@
 //! The query API: one builder, the only way to run a query on
 //! [`Parj`] or [`SharedParj`].
 //!
+//! A request pins the engine version published when it is built and
+//! runs on it, taking no engine lock: a [`SharedParj::mutate`] batch
+//! that publishes meanwhile neither waits for it nor changes its
+//! answer.
+//!
 //! Every axis of a run is a builder knob:
 //!
 //! * **result shape** — the answer's rows (default; held by reference
@@ -37,13 +42,15 @@ use std::time::Duration;
 use parj_dict::{Id, Term, TermRef};
 use parj_join::{CancelToken, ProbeStrategy};
 
-use crate::engine::{Parj, RunOverrides};
+use parj_sync::Arc;
+
+use crate::engine::{Parj, Ready, RunOverrides};
 use crate::error::ParjError;
 use crate::result::{Answer, QueryRunStats};
 use crate::shared::SharedParj;
 
 /// Everything the engine needs to run one request (the builder's
-/// resolved state, minus the target borrow).
+/// resolved state, minus the engine and the pinned version).
 pub(crate) struct RunSpec {
     pub(crate) over: RunOverrides,
     /// Silent mode: count only (no materialization unless forced by
@@ -53,26 +60,21 @@ pub(crate) struct RunSpec {
     pub(crate) no_cache: bool,
 }
 
-/// What a query request may borrow while it runs.
-enum Target<'e> {
-    /// Exclusive engine access: finalizes lazily before running.
-    Mut(&'e mut Parj),
-    /// A [`SharedParj`] handle: runs under its read lock.
-    Shared(&'e SharedParj),
-}
-
 /// A configured query, ready to [`run`](QueryRequest::run). Built by
 /// [`Parj::request`] or [`SharedParj::request`].
 pub struct QueryRequest<'e> {
-    target: Target<'e>,
+    engine: &'e Parj,
+    /// The version this request reads, pinned when it was built.
+    ready: Arc<Ready>,
     query: String,
     spec: RunSpec,
 }
 
 impl<'e> QueryRequest<'e> {
-    fn new(target: Target<'e>, query: &str) -> Self {
+    fn new(engine: &'e Parj, query: &str) -> Self {
         QueryRequest {
-            target,
+            engine,
+            ready: engine.snapshot(),
             query: query.to_string(),
             spec: RunSpec {
                 over: RunOverrides::default(),
@@ -162,17 +164,9 @@ impl<'e> QueryRequest<'e> {
         self
     }
 
-    /// Executes the request.
+    /// Executes the request on the version it pinned.
     pub fn run(self) -> Result<QueryOutcome, ParjError> {
-        match self.target {
-            Target::Mut(engine) => {
-                engine.finalize();
-                engine.run_request(&self.query, &self.spec)
-            }
-            Target::Shared(shared) => {
-                shared.with_read(|engine| engine.run_request(&self.query, &self.spec))
-            }
-        }
+        self.engine.run_request(&self.ready, &self.query, &self.spec)
     }
 }
 
@@ -257,17 +251,17 @@ impl QueryOutcome {
 }
 
 impl Parj {
-    /// Starts a query request with exclusive engine access; staged data
-    /// is finalized when the request runs.
-    pub fn request<'e>(&'e mut self, query: &str) -> QueryRequest<'e> {
-        QueryRequest::new(Target::Mut(self), query)
+    /// Starts a query request, finalizing staged data first.
+    pub fn request(&mut self, query: &str) -> QueryRequest<'_> {
+        self.finalize();
+        QueryRequest::new(self, query)
     }
 }
 
 impl SharedParj {
-    /// Starts a query request that runs under this handle's read lock —
-    /// any number of callers run concurrently.
-    pub fn request<'e>(&'e self, query: &str) -> QueryRequest<'e> {
-        QueryRequest::new(Target::Shared(self), query)
+    /// Starts a query request on the version published now — any
+    /// number of callers run concurrently, and none waits for a writer.
+    pub fn request(&self, query: &str) -> QueryRequest<'_> {
+        QueryRequest::new(&self.engine, query)
     }
 }

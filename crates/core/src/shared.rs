@@ -1,20 +1,20 @@
 //! A thread-safe engine handle for serving workloads.
 //!
 //! [`Parj::request`] takes `&mut self` because engines finalize lazily
-//! (and rebuild after updates). A server embedding the engine wants the
-//! opposite shape: many reader threads issuing queries concurrently,
-//! occasional writers loading data. [`SharedParj`] wraps a finalized
-//! engine in a `parj_sync::RwLock` with a [`SharedParj::request`]
-//! path that runs under a read lock — multiple queries proceed truly in
-//! parallel (the store itself is immutable and PARJ's workers need no
-//! synchronization; the lock only fences out rebuilds).
+//! (and rebuild after bulk loads). A server embedding the engine wants
+//! the opposite shape: many reader threads issuing queries
+//! concurrently, occasional writers applying batches. [`SharedParj`]
+//! is a finalized engine behind `&self`. Each request pins the version
+//! published when it is built and runs on it with no engine lock — the
+//! store is immutable and PARJ's workers need no synchronization. A
+//! [`SharedParj::mutate`] batch builds the next version copy-on-write
+//! beside the published one and swaps it in, so writers never wait for
+//! readers and readers never wait for writers.
 //!
 //! Concurrent requests all submit to the engine's one persistent
 //! [`parj_join::WorkerPool`]: each query's calling thread drives its
 //! own job while idle pool workers pull morsels as helpers, so a
 //! serving process creates no threads under load.
-
-use parj_sync::{LockLevel, OrderedRwLock};
 
 use parj_obs::MetricsSnapshot;
 
@@ -24,57 +24,38 @@ use crate::engine::Parj;
 /// (`&SharedParj` is `Send + Sync`); clone an `Arc<SharedParj>` to share
 /// across ownership boundaries.
 pub struct SharedParj {
-    inner: OrderedRwLock<Parj>,
+    pub(crate) engine: Parj,
 }
 
 impl SharedParj {
-    /// Wraps an engine, finalizing it first so reads never need the
-    /// write lock. Nothing un-finalizes it afterwards: writes go through
-    /// [`SharedParj::mutate`], which never does.
+    /// Wraps an engine, finalizing it first. Nothing un-finalizes it
+    /// afterwards: writes go through [`SharedParj::mutate`], which
+    /// publishes new versions of the finalized state.
     pub fn new(mut engine: Parj) -> Self {
         engine.finalize();
-        SharedParj {
-            // Engine level: held for a whole query (read) or mutation
-            // batch (write); every pool/cache/staging lock sits below.
-            inner: OrderedRwLock::new(LockLevel::Engine, "engine.shared", engine),
-        }
-    }
-
-    /// Runs `f` against the engine under the read lock (the request
-    /// API's shared execution path).
-    pub(crate) fn with_read<R>(&self, f: impl FnOnce(&Parj) -> R) -> R {
-        f(&self.inner.read())
-    }
-
-    /// Runs `f` against the engine under the write lock (the mutation
-    /// API's shared execution path). Mutation batches never un-finalize
-    /// the engine, so readers never observe it un-finalized.
-    pub(crate) fn with_write<R>(&self, f: impl FnOnce(&mut Parj) -> R) -> R {
-        f(&mut self.inner.write())
+        SharedParj { engine }
     }
 
     /// A point-in-time snapshot of the wrapped engine's metrics
-    /// registry (read lock; concurrent with queries).
+    /// registry.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.inner.read().metrics_snapshot()
+        self.engine.metrics_snapshot()
     }
 
-    /// Number of triples visible to queries. Read lock: the handle's
-    /// engine is always finalized, so counting runs concurrently with
-    /// queries.
+    /// Number of triples visible to queries in the published version.
     pub fn num_triples(&self) -> usize {
-        self.inner.read().num_triples_ref()
+        self.engine.snapshot().visible_triples()
     }
 
-    /// Runs the deep structural audit ([`Parj::audit`]) under the read
-    /// lock, concurrently with queries.
+    /// Runs the deep structural audit ([`Parj::audit`]) over the
+    /// published version, concurrently with queries and writes.
     pub fn audit(&self) -> parj_audit::AuditReport {
-        self.inner.read().audit_ref()
+        self.engine.snapshot().audit()
     }
 
     /// Unwraps the inner engine.
     pub fn into_inner(self) -> Parj {
-        self.inner.into_inner()
+        self.engine
     }
 }
 
@@ -146,7 +127,8 @@ mod tests {
                 nt.push_str(&format!("<http://e/s{s}> <http://e/p> <http://e/v{v}> .\n"));
             }
         }
-        let mut e = Parj::builder().threads(1).build();
+        // Threshold 1: the write below compacts the 8000-pair partition.
+        let mut e = Parj::builder().threads(1).delta_compaction_threshold(1).build();
         e.load_ntriples_str(&nt).unwrap();
         let shared = Arc::new(SharedParj::new(e));
         let runner = {
@@ -162,13 +144,41 @@ mod tests {
                     .run()
             })
         };
-        // Let the query take its read lock.
+        // Let the query start.
         std::thread::sleep(Duration::from_millis(200));
         let t = Instant::now();
         assert_eq!(shared.num_triples(), 8000);
         assert!(shared.audit().is_clean());
         let waited = t.elapsed();
         assert!(waited < Duration::from_secs(1), "waited {waited:?} behind a query");
+        // A compacting write does not wait for the running query...
+        let writer = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let t = Instant::now();
+                let out = shared
+                    .mutate()
+                    .insert(
+                        Term::iri("http://e/s0"),
+                        Term::iri("http://e/p"),
+                        Term::iri("http://e/new"),
+                    )
+                    .run()
+                    .unwrap();
+                (out.compactions, t.elapsed())
+            })
+        };
+        // ...and a short query issued meanwhile waits for neither.
+        let t = Instant::now();
+        assert_eq!(count(&shared, "SELECT ?x WHERE { ?x <http://e/p> <http://e/v0> }"), 8);
+        let waited = t.elapsed();
+        assert!(waited < Duration::from_secs(1), "short query waited {waited:?}");
+        let (compactions, wrote) = writer.join().unwrap();
+        assert_eq!(compactions, 1);
+        assert!(wrote < Duration::from_secs(1), "write waited {wrote:?} behind a query");
+        // A query started after the write returned sees the batch.
+        assert_eq!(count(&shared, "SELECT ?x WHERE { ?x <http://e/p> <http://e/new> }"), 1);
+        assert!(!runner.is_finished(), "the long query outlived every check");
         assert!(matches!(
             runner.join().unwrap(),
             Err(ParjError::DeadlineExceeded { .. })

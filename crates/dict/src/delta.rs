@@ -3,10 +3,10 @@
 //! The base [`Dictionary`] is immutable once a store is finalized —
 //! query workers share it read-only with no synchronization. Mutation
 //! batches can still introduce *new* terms, so the engine keeps a small
-//! [`DictDelta`] beside the base dictionary: two extra [`Namespace`]s
-//! whose ids **continue the base dense id spaces** (a delta resource
-//! with delta-index `i` has the global id `base.num_resources() + i`,
-//! and likewise for predicates).
+//! [`DictDelta`] beside the base dictionary: two extra namespaces whose
+//! ids **continue the base dense id spaces** (a delta resource with
+//! delta-index `i` has the global id `base.num_resources() + i`, and
+//! likewise for predicates).
 //!
 //! Continuing the dense spaces is load-bearing twice over:
 //!
@@ -17,20 +17,102 @@
 //!   in first-seen order), which is what lets the audit layer compare a
 //!   delta-overlaid store against a from-scratch rebuild byte for byte.
 //!
+//! Each namespace is a list of immutable runs behind [`Arc`]s, so a
+//! published engine version, a query answer and the version a writer
+//! builds next share every run but the newest: cloning a `DictDelta`
+//! copies O(log n) pointers, never the terms.
+//!
 //! Reads go through [`DictView`], a borrowed (base, delta) pair with
 //! the same lookup surface as [`Dictionary`]; every decode consults the
 //! base first and falls through to the delta by offset.
 
+use parj_sync::Arc;
+
 use crate::dict::{Dictionary, Namespace};
+use crate::hash::fx_hash_bytes;
 use crate::term::{Term, TermParseError, TermRef};
 use crate::Id;
+
+/// One namespace of the extension: immutable runs of keys, oldest
+/// first, each paired with the delta index of its first key.
+///
+/// The newest run grows in place while no other version holds it; once
+/// a clone shares it, the next key opens a new run. Runs merge
+/// geometrically — while the newest holds at least half as many keys
+/// as the one before it, the two become one — so a namespace of `n`
+/// keys has O(log n) runs, a lookup probes each once, and a key is
+/// copied O(log n) times over its life.
+#[derive(Debug, Clone, Default)]
+struct Runs(Vec<(Id, Arc<Namespace>)>);
+
+impl Runs {
+    fn len(&self) -> usize {
+        self.0.last().map_or(0, |(first, run)| *first as usize + run.len())
+    }
+
+    fn get_key(&self, key: &str) -> Option<Id> {
+        let hash = fx_hash_bytes(key.as_bytes());
+        self.0
+            .iter()
+            .find_map(|(first, run)| run.get_key_hashed(hash, key).map(|i| first + i))
+    }
+
+    fn key(&self, i: Id) -> Option<&str> {
+        let r = self.0.partition_point(|&(first, _)| first <= i).checked_sub(1)?;
+        let (first, run) = &self.0[r];
+        run.key(i - first)
+    }
+
+    fn keys(&self) -> impl Iterator<Item = &str> {
+        self.0
+            .iter()
+            .flat_map(|(_, run)| (0..run.len() as Id).filter_map(|i| run.key(i)))
+    }
+
+    fn encode_key(&mut self, key: &str) -> Id {
+        if let Some(i) = self.get_key(key) {
+            return i;
+        }
+        let next = self.len() as Id;
+        let open = self.0.last_mut().and_then(|(first, run)| Some((*first, Arc::get_mut(run)?)));
+        let i = match open {
+            Some((first, run)) => first + run.encode_key(key),
+            None => {
+                let mut run = Namespace::new();
+                run.encode_key(key);
+                self.0.push((next, Arc::new(run)));
+                next
+            }
+        };
+        while let [.., (_, older), (_, newer)] = self.0.as_slice() {
+            if newer.len() * 2 < older.len() {
+                break;
+            }
+            let (Some((_, newer)), Some((first, older))) = (self.0.pop(), self.0.pop()) else {
+                break;
+            };
+            let mut merged = Arc::try_unwrap(older).unwrap_or_else(|run| Namespace::clone(&run));
+            for i in 0..newer.len() as Id {
+                if let Some(k) = newer.key(i) {
+                    merged.encode_key(k);
+                }
+            }
+            self.0.push((first, Arc::new(merged)));
+        }
+        i
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.0.iter().map(|(_, run)| run.memory_bytes()).sum()
+    }
+}
 
 /// New terms introduced by mutations since the last finalize, with ids
 /// continuing the base dictionary's dense spaces.
 #[derive(Debug, Clone, Default)]
 pub struct DictDelta {
-    resources: Namespace,
-    predicates: Namespace,
+    resources: Runs,
+    predicates: Runs,
     base_resources: usize,
     base_predicates: usize,
 }
@@ -40,8 +122,8 @@ impl DictDelta {
     /// id spaces.
     pub fn new(base: &Dictionary) -> Self {
         DictDelta {
-            resources: Namespace::new(),
-            predicates: Namespace::new(),
+            resources: Runs::default(),
+            predicates: Runs::default(),
             base_resources: base.num_resources(),
             base_predicates: base.num_predicates(),
         }
@@ -49,7 +131,7 @@ impl DictDelta {
 
     /// True if no new term has been added.
     pub fn is_empty(&self) -> bool {
-        self.resources.is_empty() && self.predicates.is_empty()
+        self.num_new_terms() == 0
     }
 
     /// Number of new resource terms.
@@ -166,19 +248,11 @@ impl DictDelta {
     /// encoded against the overlay stay valid against the folded
     /// dictionary.
     pub fn fold_into(&self, dict: &mut Dictionary) {
-        for i in 0..self.resources.len() {
-            let key = self
-                .resources
-                .key(i as Id)
-                .expect("delta resource ids are dense");
+        for (i, key) in self.resources.keys().enumerate() {
             let id = dict.resources_ns_mut().encode_key(key);
             debug_assert_eq!(id as usize, self.base_resources + i);
         }
-        for i in 0..self.predicates.len() {
-            let key = self
-                .predicates
-                .key(i as Id)
-                .expect("delta predicate ids are dense");
+        for (i, key) in self.predicates.keys().enumerate() {
             let id = dict.predicates_ns_mut().encode_key(key);
             debug_assert_eq!(id as usize, self.base_predicates + i);
         }
@@ -341,6 +415,44 @@ mod tests {
             assert_eq!(folded.resource_id(&Term::iri(term)), Some(id));
         }
         assert_eq!(folded.predicate_id(&Term::iri("q")), Some(q));
+        assert_eq!(folded.num_resources(), delta.num_resources());
+    }
+
+    #[test]
+    fn runs_stay_logarithmic_and_pinned_versions_keep_their_terms() {
+        let base = base_dict();
+        let mut delta = DictDelta::new(&base);
+        let mut pinned = Vec::new();
+        for batch in 0..300usize {
+            // A published version holds every run the next batch starts from.
+            pinned.push(delta.clone());
+            for t in 0..7 {
+                let id = delta.encode_resource(&base, &Term::iri(format!("t{batch}-{t}")));
+                assert_eq!(id as usize, base.num_resources() + batch * 7 + t);
+            }
+            let n = delta.num_new_resources();
+            assert!(delta.resources.0.len() <= (usize::BITS - n.leading_zeros()) as usize);
+        }
+        // Re-encoding a known term copies nothing.
+        let mut again = delta.clone();
+        again.encode_resource(&base, &Term::iri("t5-3"));
+        let shared = |a: &DictDelta, b: &DictDelta| {
+            a.resources.0.len() == b.resources.0.len()
+                && a.resources.0.iter().zip(&b.resources.0).all(|(x, y)| Arc::ptr_eq(&x.1, &y.1))
+        };
+        assert!(shared(&again, &delta));
+        // Every pinned version still resolves exactly its own terms.
+        let old = &pinned[100];
+        assert_eq!(old.num_new_resources(), 700);
+        let view = DictView::with_delta(&base, old);
+        let last = base.num_resources() as Id + 699;
+        assert_eq!(view.decode_resource(last).unwrap(), Term::iri("t99-6"));
+        assert_eq!(view.resource_id(&Term::iri("t100-0")), None);
+        // Folding reproduces the ids in insertion order.
+        let mut folded = base.clone();
+        delta.fold_into(&mut folded);
+        let newest = Term::iri("t299-6");
+        assert_eq!(folded.resource_id(&newest), delta.resource_id(&base, &newest));
         assert_eq!(folded.num_resources(), delta.num_resources());
     }
 

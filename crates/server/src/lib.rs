@@ -467,7 +467,7 @@ fn route(
 }
 
 /// Readiness: not draining. The shared engine is always finalized, and
-/// counting its triples takes only the read lock.
+/// counting its triples reads the published version.
 fn readyz(state: &ServerState) -> Response {
     if state.shutting_down() {
         return Response::text(503, "draining");

@@ -180,7 +180,7 @@ pub fn status_for(err: &ParjError) -> u16 {
         // The run exceeded its deadline.
         ParjError::DeadlineExceeded { .. } => 504,
         // The store cannot serve correct answers right now.
-        ParjError::NotFinalized | ParjError::CorruptStore { .. } => 503,
+        ParjError::CorruptStore { .. } => 503,
         // Cancelled server-side (disconnect or drain); the client has
         // usually gone, but a drain-cancelled client sees 503.
         ParjError::Cancelled { .. } => 503,
@@ -448,7 +448,6 @@ mod tests {
     fn status_table_is_deterministic() {
         assert_eq!(status_for(&ParjError::Unsupported("x".into())), 400);
         assert_eq!(status_for(&ParjError::InvalidOptions("x".into())), 400);
-        assert_eq!(status_for(&ParjError::NotFinalized), 503);
         assert_eq!(status_for(&ParjError::Internal("x".into())), 500);
         assert_eq!(
             status_for(&ParjError::BudgetExceeded {

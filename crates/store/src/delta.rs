@@ -145,9 +145,10 @@ impl DeltaOverlay {
         &self.dict
     }
 
-    /// Mutable access to the dictionary extension (the engine encodes
-    /// batch terms through this before applying pairs). Copies it first
-    /// while a [`DeltaOverlay::shared_dict`] snapshot is alive.
+    /// Mutable access to the dictionary extension (the engine interns
+    /// a batch's new terms through this before applying pairs). While a
+    /// [`DeltaOverlay::shared_dict`] snapshot is alive this first
+    /// clones the extension: its run pointers, not its terms.
     #[inline]
     pub fn dict_mut(&mut self) -> &mut DictDelta {
         Arc::make_mut(&mut self.dict)

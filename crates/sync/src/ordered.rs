@@ -61,12 +61,12 @@ pub enum LockLevel {
     AdmissionQuota = 85,
     /// Retry-After latency moving window (`admission.latency_window`).
     AdmissionWindow = 80,
-    /// The `SharedParj` engine `RwLock` (`engine.shared`) — held for a
-    /// whole query (read) or mutation batch (write); everything the
-    /// engine touches sits beneath it.
+    /// The engine's writer lock (`engine.writer`) — held for a whole
+    /// mutation batch; queries never take it.
     Engine = 70,
-    /// The cache's per-predicate epoch table (`cache.pred_epochs`).
-    CacheEpoch = 60,
+    /// The engine's published-version cell (`engine.snapshot`) — held
+    /// only to clone or swap one `Arc`.
+    EngineSnapshot = 60,
     /// One LRU shard of the plan/result cache (`cache.shard`).
     CacheShard = 55,
     /// The worker pool's queue + shutdown state (`pool.state`, with the
@@ -97,7 +97,7 @@ impl LockLevel {
         LockLevel::AdmissionQuota,
         LockLevel::AdmissionWindow,
         LockLevel::Engine,
-        LockLevel::CacheEpoch,
+        LockLevel::EngineSnapshot,
         LockLevel::CacheShard,
         LockLevel::PoolState,
         LockLevel::PoolJob,
@@ -115,7 +115,7 @@ impl LockLevel {
             LockLevel::AdmissionQuota => "admission_quota",
             LockLevel::AdmissionWindow => "admission_window",
             LockLevel::Engine => "engine",
-            LockLevel::CacheEpoch => "cache_epoch",
+            LockLevel::EngineSnapshot => "engine_snapshot",
             LockLevel::CacheShard => "cache_shard",
             LockLevel::PoolState => "pool_state",
             LockLevel::PoolJob => "pool_job",
@@ -135,7 +135,7 @@ impl LockLevel {
             LockLevel::AdmissionQuota => 2,
             LockLevel::AdmissionWindow => 3,
             LockLevel::Engine => 4,
-            LockLevel::CacheEpoch => 5,
+            LockLevel::EngineSnapshot => 5,
             LockLevel::CacheShard => 6,
             LockLevel::PoolState => 7,
             LockLevel::PoolJob => 8,

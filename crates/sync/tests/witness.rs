@@ -151,7 +151,7 @@ fn condvar_wait_timeout_roundtrips_the_guard() {
 
 #[test]
 fn acquisition_graph_records_nesting_edges_and_stays_acyclic() {
-    let outer = OrderedMutex::new(LockLevel::CacheEpoch, "witness.graph_outer", ());
+    let outer = OrderedMutex::new(LockLevel::EngineSnapshot, "witness.graph_outer", ());
     let inner = OrderedMutex::new(LockLevel::CacheShard, "witness.graph_inner", ());
     {
         let _o = outer.lock();

@@ -19,12 +19,7 @@
 //!    failures flow through `ExecFailure`.
 //! 4. `dead-code-reason` — `#[allow(dead_code)]` requires an adjacent
 //!    comment saying why.
-//! 5. `generation-boundary` — the cache's store-generation protocol
-//!    (`store_generation` / `bump_generation`) is only touched by
-//!    `crates/cache` and `crates/core`; any other crate reading or
-//!    bumping it could serve stale answers past the invalidation
-//!    boundary.
-//! 6. `no-unsafe` — no `unsafe` and no `std::arch` anywhere under
+//! 5. `no-unsafe` — no `unsafe` and no `std::arch` anywhere under
 //!    `crates/`. Every crate is `forbid(unsafe_code)`; this rule keeps
 //!    an `allow` from quietly reopening the exception the SIMD codec
 //!    once held.
@@ -428,43 +423,6 @@ pub fn check_dead_code_reason(rel: &Path, s: &Stripped, out: &mut Vec<Violation>
     }
 }
 
-/// The store-generation protocol surface: reading the counter and
-/// bumping it on store rebuilds.
-const GENERATION_TOKENS: [&str; 2] = ["store_generation", "bump_generation"];
-
-/// Crates allowed to touch the generation protocol: the cache that
-/// defines it, and the engine that drives it from `finalize()`.
-const GENERATION_CRATES: [&str; 2] = ["crates/cache", "crates/core"];
-
-/// Rule 5: the cache-invalidation generation counter is read and bumped
-/// only inside `crates/cache` / `crates/core`. Any other crate touching
-/// it sits outside the engine's `&self`-borrow reasoning and could
-/// serve or stamp answers across a store rebuild.
-pub fn check_generation_boundary(rel: &Path, s: &Stripped, out: &mut Vec<Violation>) {
-    if GENERATION_CRATES.iter().any(|c| rel.starts_with(c)) {
-        return;
-    }
-    // The linter itself names the tokens it bans.
-    if rel.starts_with("crates/xtask") {
-        return;
-    }
-    for (ln, line) in s.code.iter().enumerate() {
-        for needle in GENERATION_TOKENS {
-            if line.contains(needle) {
-                out.push(Violation {
-                    file: rel.to_path_buf(),
-                    line: ln + 1,
-                    rule: "generation-boundary",
-                    msg: format!(
-                        "`{needle}` outside crates/cache and crates/core; the store-generation \
-                         protocol is owned by the cache and driven only by the engine"
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// True when `line` contains `unsafe` as a standalone keyword (not as a
 /// fragment of an identifier like `unsafe_code`).
 fn has_unsafe_keyword(line: &str) -> bool {
@@ -484,7 +442,7 @@ fn has_unsafe_keyword(line: &str) -> bool {
     false
 }
 
-/// Rule 6: no `unsafe` and no `std::arch` in non-test code.
+/// Rule 5: no `unsafe` and no `std::arch` in non-test code.
 pub fn check_no_unsafe(rel: &Path, s: &Stripped, out: &mut Vec<Violation>) {
     // The linter names the tokens it bans.
     if rel.starts_with("crates/xtask") {
@@ -518,7 +476,6 @@ pub fn check_file(rel: &Path, src: &str) -> Vec<Violation> {
     check_no_raw_sync(rel, &s, &mut out);
     check_hot_path_no_panic(rel, &s, &mut out);
     check_dead_code_reason(rel, &s, &mut out);
-    check_generation_boundary(rel, &s, &mut out);
     check_no_unsafe(rel, &s, &mut out);
     out
 }
@@ -653,7 +610,7 @@ mod tests {
     #[test]
     fn raw_sync_in_shimmed_crate_is_flagged() {
         let bad = check_file(
-            Path::new("crates/core/src/engine.rs"),
+            Path::new("crates/core/src/engine/run.rs"),
             "use std::sync::Arc;\nfn f() { std::thread::spawn(|| {}); }",
         );
         assert_eq!(bad.len(), 2, "{bad:?}");
@@ -661,7 +618,7 @@ mod tests {
 
         // Same code inside #[cfg(test)] is fine.
         let good = check_file(
-            Path::new("crates/core/src/engine.rs"),
+            Path::new("crates/core/src/engine/run.rs"),
             "#[cfg(test)]\nmod tests {\n    use std::sync::Arc;\n}",
         );
         assert!(good.is_empty(), "{good:?}");
@@ -744,38 +701,6 @@ mod tests {
             "// kept for the next PR's public API\n#[allow(dead_code)]\nfn f() {}",
         );
         assert!(good.is_empty(), "{good:?}");
-    }
-
-    #[test]
-    fn generation_tokens_are_fenced_to_cache_and_core() {
-        let bad = check_file(
-            Path::new("crates/cli/src/main.rs"),
-            "fn f(c: &QueryCache) -> u64 { c.store_generation() }",
-        );
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert_eq!(bad[0].rule, "generation-boundary");
-
-        let bump = check_file(
-            Path::new("crates/bench/src/lib.rs"),
-            "fn f(c: &QueryCache) { c.bump_generation(); }",
-        );
-        assert_eq!(bump.len(), 1, "{bump:?}");
-
-        // The owning crates may touch the protocol freely.
-        for ok_path in ["crates/cache/src/lib.rs", "crates/core/src/engine.rs"] {
-            let good = check_file(
-                Path::new(ok_path),
-                "fn f(c: &QueryCache) -> u64 { c.bump_generation(); c.store_generation() }",
-            );
-            assert!(good.is_empty(), "{good:?}");
-        }
-
-        // Mentions in comments and strings don't count.
-        let comment = check_file(
-            Path::new("crates/join/src/plan.rs"),
-            "// store_generation is owned by parj-cache\nfn f() {}",
-        );
-        assert!(comment.is_empty(), "{comment:?}");
     }
 
     #[test]

@@ -403,13 +403,13 @@ mod tests {
         );
         assert!(cli.is_empty(), "{cli:?}");
         let test_code = check_file(
-            Path::new("crates/core/src/engine.rs"),
+            Path::new("crates/core/src/engine/run.rs"),
             "#[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n    static M: Mutex<u32> = Mutex::new(0);\n}",
             &levels(),
         );
         assert!(test_code.is_empty(), "{test_code:?}");
         let integration = check_file(
-            Path::new("crates/core/tests/shim_equivalence.rs"),
+            Path::new("crates/core/tests/parallel_load.rs"),
             "static M: std::sync::Mutex<u32> = std::sync::Mutex::new(0);",
             &levels(),
         );

@@ -4,11 +4,16 @@
 //! a cache-enabled engine returns byte-identical counts and rows to a
 //! cache-disabled engine fed the same operations — and across a long
 //! deterministic update/query interleaving, no run is ever served a
-//! stale answer.
+//! stale answer. Requests on a `SharedParj` pin the version published
+//! when they are built: an answer computed on a replaced version is
+//! never served to a request on a newer one, and concurrent readers
+//! see a version between their start and their end.
+
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use parj::{CacheStatus, Parj, QueryOutcome, Term};
+use parj::{CacheStatus, Parj, QueryOutcome, SharedParj, Term};
 
 const RESOURCES: u32 = 16;
 const PREDICATES: u32 = 3;
@@ -310,4 +315,113 @@ fn writes_leave_untouched_predicate_entries_hot() {
     assert_eq!(after.stats.cache, CacheStatus::Miss);
     assert_eq!(after.count, 1);
     assert_eq!(engine.request(&q1).run().unwrap().stats.cache, CacheStatus::ResultHit);
+}
+
+/// A request built before a write and run after it computes its answer
+/// on the version it pinned, and inserts it with that version's stamps.
+/// The next request, on the new version, must not be served that entry.
+#[test]
+fn answer_from_a_replaced_version_is_never_served() {
+    let mut engine = Parj::builder().threads(1).cache(true).build();
+    load(&mut engine, &[(0, 0, 1), (1, 0, 2), (1, 1, 3)]);
+    let shared = SharedParj::new(engine);
+    let q = format!("SELECT * WHERE {{ ?s <{}> ?o }}", pred_iri(0));
+
+    let pinned = shared.request(&q);
+    let (s, p, o) = triple(2, 0, 3);
+    let out = shared.mutate().insert(s, p, o).run().unwrap();
+    assert_eq!(out.cache_invalidations, 1);
+    let old = pinned.run().unwrap();
+    assert_eq!(old.count, 2, "the pinned version predates the write");
+    assert_eq!(old.stats.cache, CacheStatus::Miss, "computed, then inserted");
+
+    let fresh = shared.request(&q).run().unwrap();
+    assert_eq!(fresh.stats.cache, CacheStatus::Miss);
+    assert_eq!(fresh.count, 3);
+    assert_eq!(sorted_rows(&fresh).len(), 3);
+    let again = shared.request(&q).run().unwrap();
+    assert_eq!((again.stats.cache, again.count), (CacheStatus::ResultHit, 3));
+}
+
+/// One insert-only writer and four readers on a cached `SharedParj`.
+/// A read's count must be that of some version from the last batch that
+/// returned before the read started to the last one that started before
+/// it ended, checked against counts precomputed on a cold engine.
+#[test]
+fn concurrent_reads_see_a_version_between_their_start_and_end() {
+    const BATCHES: u32 = 200;
+    let base: Vec<(u32, u32, u32)> = (0..8).map(|i| (i, i % PREDICATES, (i + 1) % 8)).collect();
+    // Every other batch adds a term; the rest reuse known ones.
+    let batch = |i: u32| {
+        let o = if i.is_multiple_of(2) { RESOURCES + i } else { i % RESOURCES };
+        triple(i % 8, i % PREDICATES, o)
+    };
+    let queries: Vec<String> = (0..PREDICATES)
+        .map(|p| format!("SELECT * WHERE {{ ?s <{}> ?o }}", pred_iri(p)))
+        .chain(std::iter::once(format!(
+            "SELECT * WHERE {{ ?a <{}> ?b . ?b <{}> ?c }}",
+            pred_iri(0),
+            pred_iri(1)
+        )))
+        .collect();
+
+    // counts[v][q]: query q's count after v batches, on a cold engine.
+    let mut cold = Parj::builder().threads(1).build();
+    load(&mut cold, &base);
+    let mut counts = Vec::new();
+    for v in 0..=BATCHES {
+        if v > 0 {
+            let (s, p, o) = batch(v - 1);
+            cold.mutate().insert(s, p, o).run().unwrap();
+        }
+        let row: Vec<u64> =
+            queries.iter().map(|q| cold.request(q).count_only().run().unwrap().count).collect();
+        counts.push(row);
+    }
+
+    let mut engine = Parj::builder().threads(2).cache(true).build();
+    load(&mut engine, &base);
+    let shared = SharedParj::new(engine);
+    let started = AtomicUsize::new(0);
+    let returned = AtomicUsize::new(0);
+    let done = AtomicBool::new(false);
+    let reads = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for reader in 0..4usize {
+            let (shared, queries, counts) = (&shared, &queries, &counts);
+            let (started, returned, done, reads) = (&started, &returned, &done, &reads);
+            scope.spawn(move || {
+                let mut i = reader;
+                while !done.load(Ordering::SeqCst) {
+                    let q = i % queries.len();
+                    let lo = returned.load(Ordering::SeqCst);
+                    let req = shared.request(&queries[q]);
+                    let out = if i.is_multiple_of(2) { req.count_only().run() } else { req.run() };
+                    let count = out.unwrap().count;
+                    let hi = started.load(Ordering::SeqCst);
+                    assert!(
+                        (lo..=hi).any(|v| counts[v][q] == count),
+                        "{}: count {count} is no version in {lo}..={hi}",
+                        queries[q]
+                    );
+                    reads.fetch_add(1, Ordering::SeqCst);
+                    i += 1;
+                }
+            });
+        }
+        for i in 0..BATCHES {
+            started.fetch_add(1, Ordering::SeqCst);
+            let (s, p, o) = batch(i);
+            shared.mutate().insert(s, p, o).run().unwrap();
+            returned.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_micros(500));
+        }
+        done.store(true, Ordering::SeqCst);
+    });
+    assert!(reads.load(Ordering::SeqCst) >= 4, "the readers ran");
+    for (q, text) in queries.iter().enumerate() {
+        let last = shared.request(text).run().unwrap();
+        assert_eq!(last.count, counts[BATCHES as usize][q], "{text}");
+    }
+    assert!(shared.audit().is_clean());
 }
