@@ -64,9 +64,7 @@ impl Runs {
     }
 
     fn keys(&self) -> impl Iterator<Item = &str> {
-        self.0
-            .iter()
-            .flat_map(|(_, run)| (0..run.len() as Id).filter_map(|i| run.key(i)))
+        self.0.iter().flat_map(|(_, run)| run.keys())
     }
 
     fn encode_key(&mut self, key: &str) -> Id {
@@ -78,8 +76,7 @@ impl Runs {
         let i = match open {
             Some((first, run)) => first + run.encode_key(key),
             None => {
-                let mut run = Namespace::new();
-                run.encode_key(key);
+                let run = Namespace::from_keys([key].into_iter()).expect("one key");
                 self.0.push((next, Arc::new(run)));
                 next
             }
@@ -91,13 +88,8 @@ impl Runs {
             let (Some((_, newer)), Some((first, older))) = (self.0.pop(), self.0.pop()) else {
                 break;
             };
-            let mut merged = Arc::try_unwrap(older).unwrap_or_else(|run| Namespace::clone(&run));
-            for i in 0..newer.len() as Id {
-                if let Some(k) = newer.key(i) {
-                    merged.encode_key(k);
-                }
-            }
-            self.0.push((first, Arc::new(merged)));
+            let merged = Namespace::from_keys(older.keys().chain(newer.keys()));
+            self.0.push((first, Arc::new(merged.expect("runs hold distinct keys"))));
         }
         i
     }
@@ -166,40 +158,30 @@ impl DictDelta {
     pub fn encode_resource(&mut self, base: &Dictionary, term: &Term) -> Id {
         debug_assert_eq!(base.num_resources(), self.base_resources);
         let key = term.canonical_key();
-        if let Some(id) = base.resources_ns().get_key(&key) {
-            return id;
-        }
-        self.base_resources as Id + self.resources.encode_key(&key)
+        let delta = |runs: &mut Runs| self.base_resources as Id + runs.encode_key(&key);
+        base.resources.get_key(&key).unwrap_or_else(|| delta(&mut self.resources))
     }
 
     /// Encodes a predicate term, continuing the base predicate space.
     pub fn encode_predicate(&mut self, base: &Dictionary, term: &Term) -> Id {
         debug_assert_eq!(base.num_predicates(), self.base_predicates);
         let key = term.canonical_key();
-        if let Some(id) = base.predicates_ns().get_key(&key) {
-            return id;
-        }
-        self.base_predicates as Id + self.predicates.encode_key(&key)
+        let delta = |runs: &mut Runs| self.base_predicates as Id + runs.encode_key(&key);
+        base.predicates.get_key(&key).unwrap_or_else(|| delta(&mut self.predicates))
     }
 
     /// Looks up a resource term without inserting.
     pub fn resource_id(&self, base: &Dictionary, term: &Term) -> Option<Id> {
         let key = term.canonical_key();
-        base.resources_ns().get_key(&key).or_else(|| {
-            self.resources
-                .get_key(&key)
-                .map(|i| self.base_resources as Id + i)
-        })
+        let delta = || Some(self.base_resources as Id + self.resources.get_key(&key)?);
+        base.resources.get_key(&key).or_else(delta)
     }
 
     /// Looks up a predicate term without inserting.
     pub fn predicate_id(&self, base: &Dictionary, term: &Term) -> Option<Id> {
         let key = term.canonical_key();
-        base.predicates_ns().get_key(&key).or_else(|| {
-            self.predicates
-                .get_key(&key)
-                .map(|i| self.base_predicates as Id + i)
-        })
+        let delta = || Some(self.base_predicates as Id + self.predicates.get_key(&key)?);
+        base.predicates.get_key(&key).or_else(delta)
     }
 
     /// Decodes a resource id, falling through to the delta extension;
@@ -249,11 +231,11 @@ impl DictDelta {
     /// dictionary.
     pub fn fold_into(&self, dict: &mut Dictionary) {
         for (i, key) in self.resources.keys().enumerate() {
-            let id = dict.resources_ns_mut().encode_key(key);
+            let id = dict.resources.encode_key(key);
             debug_assert_eq!(id as usize, self.base_resources + i);
         }
         for (i, key) in self.predicates.keys().enumerate() {
-            let id = dict.predicates_ns_mut().encode_key(key);
+            let id = dict.predicates.encode_key(key);
             debug_assert_eq!(id as usize, self.base_predicates + i);
         }
     }
@@ -454,6 +436,22 @@ mod tests {
         let newest = Term::iri("t299-6");
         assert_eq!(folded.resource_id(&newest), delta.resource_id(&base, &newest));
         assert_eq!(folded.num_resources(), delta.num_resources());
+    }
+
+    #[test]
+    fn merged_runs_are_exactly_sized() {
+        let base = base_dict();
+        let mut delta = DictDelta::new(&base);
+        let mut pinned = Vec::new();
+        for i in 0..2_000 {
+            // Every published version pins the runs, so each term opens
+            // a run and runs grow only by merging.
+            pinned.push(delta.clone());
+            delta.encode_resource(&base, &crate::dict::tests::lubm_like(i));
+        }
+        let merged = delta.resources.0.iter().filter(|(_, run)| run.len() >= 64);
+        assert!(merged.clone().count() >= 2);
+        merged.for_each(|(_, run)| crate::dict::tests::assert_exactly_sized(run));
     }
 
     #[test]

@@ -27,14 +27,14 @@
 use parj_sync::atomic::{AtomicUsize, Ordering};
 use parj_sync::{LockLevel, OrderedMutex};
 
-use parj_dict::{fx_hash_bytes, DedupIndex, Id, Namespace, TermBatch, TermRef};
+use parj_dict::{fx_hash_bytes, Id, IdTable, Namespace, TermBatch, TermRef};
 
 use crate::store::StoreBuilder;
 
 /// Shard count for the two-phase dictionary encode. Power of two
 /// (required for mask routing), comfortably above typical core counts
 /// so every worker finds a free shard, small enough that the per-shard
-/// hash maps stay cheap on tiny loads.
+/// id tables stay cheap on tiny loads.
 const DICT_SHARDS: usize = 32;
 
 /// A term occurrence after the collect phase.
@@ -53,17 +53,18 @@ type SlotTriple = (Slot, Slot, Slot);
 struct Collector<'a> {
     ns: &'a Namespace,
     batch: TermBatch,
-    dedup: DedupIndex,
+    dedup: IdTable,
     /// The key of the term being collected.
     key: String,
 }
 
 impl<'a> Collector<'a> {
-    fn new(ns: &'a Namespace) -> Self {
+    /// A collector for a chunk that may hold up to `terms` novel terms.
+    fn new(ns: &'a Namespace, terms: usize) -> Self {
         Self {
             ns,
             batch: TermBatch::new(),
-            dedup: DedupIndex::default(),
+            dedup: IdTable::with_capacity(terms),
             key: String::new(),
         }
     }
@@ -77,9 +78,11 @@ impl<'a> Collector<'a> {
             return Slot::Known(id);
         }
         let batch = &mut self.batch;
-        let seen = self
-            .dedup
-            .find_or_register(hash, batch.len() as u32, |i| batch.key(i as usize) == key);
+        let seen = self.dedup.find_or_insert(
+            hash,
+            |i| batch.key(i as usize) == key,
+            || (0..batch.len()).map(|i| batch.hash(i)),
+        );
         Slot::Novel(seen.unwrap_or_else(|| batch.push(hash, key)))
     }
 }
@@ -89,8 +92,8 @@ fn collect_chunk(
     predicates: &Namespace,
     chunk: &[(TermRef<'_>, TermRef<'_>, TermRef<'_>)],
 ) -> (TermBatch, TermBatch, Vec<SlotTriple>) {
-    let mut res = Collector::new(resources);
-    let mut pred = Collector::new(predicates);
+    let mut res = Collector::new(resources, 2 * chunk.len());
+    let mut pred = Collector::new(predicates, chunk.len().min(64));
     let mut refs = Vec::with_capacity(chunk.len());
     for (s, p, o) in chunk {
         refs.push((res.collect(s), pred.collect(p), res.collect(o)));

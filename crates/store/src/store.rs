@@ -204,8 +204,10 @@ impl StoreBuilder {
         };
 
         let num_triples = partitions.iter().map(Partition::num_triples).sum();
+        let mut dict = self.dict;
+        dict.shrink_to_fit();
         TripleStore {
-            dict: self.dict,
+            dict,
             partitions,
             num_triples,
             options,
