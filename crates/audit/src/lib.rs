@@ -16,9 +16,6 @@
 //!   encode/decode byte stability;
 //! * [`audit_snapshot_roundtrip`] — serialize → load → re-serialize
 //!   byte equality;
-//! * [`audit_plan`] — plan-shape validation against a store (the
-//!   [`PhysicalPlan`] fields are public, so a plan mutated after
-//!   construction can drift out of shape);
 //! * [`audit_delta`] — delta-overlay invariants plus merged-view
 //!   equivalence: the incremental `(CSR ∪ delta) − tombstones` view
 //!   must equal, as a triple multiset, a store rebuilt from scratch
@@ -34,7 +31,6 @@
 #![warn(missing_docs)]
 
 use parj_dict::{Dictionary, Id};
-use parj_join::{Atom, PhysicalPlan};
 use parj_store::{DeltaOverlay, Replica, SortOrder, StoreBuilder, TripleStore};
 
 /// Where in the physical layout a violation was found.
@@ -540,101 +536,6 @@ pub fn audit_snapshot_roundtrip(store: &TripleStore) -> AuditReport {
     report
 }
 
-/// Audits a physical plan's shape against a store. [`PhysicalPlan`]
-/// validates on construction, but its fields are public — a plan
-/// assembled or mutated by hand can reference missing predicates,
-/// out-of-range variables, or probe keys no earlier step binds.
-pub fn audit_plan(plan: &PhysicalPlan, store: &TripleStore) -> AuditReport {
-    let mut report = AuditReport::default();
-    report.tick();
-    if plan.steps.is_empty() {
-        report.fail(
-            "plan.nonempty",
-            Coordinates::default(),
-            "plan has no steps".to_string(),
-        );
-        return report;
-    }
-    let universe = store.dict().num_resources();
-    let mut bound = vec![false; plan.num_vars];
-    for (i, step) in plan.steps.iter().enumerate() {
-        report.tick();
-        if store.partition(step.predicate).is_none() {
-            report.fail(
-                "plan.predicate_exists",
-                Coordinates {
-                    predicate: Some(step.predicate),
-                    order: Some(step.order),
-                    position: Some(i),
-                },
-                format!("step {i} names predicate {} with no partition", step.predicate),
-            );
-        }
-        for (which, atom) in [("key", step.key), ("value", step.value)] {
-            report.tick();
-            match atom {
-                Atom::Var(v) => {
-                    if v as usize >= plan.num_vars {
-                        report.fail(
-                            "plan.var_range",
-                            Coordinates {
-                                predicate: Some(step.predicate),
-                                order: Some(step.order),
-                                position: Some(i),
-                            },
-                            format!("step {i} {which} ?{v} >= num_vars {}", plan.num_vars),
-                        );
-                    } else if which == "key" && i > 0 && !bound[v as usize] {
-                        report.fail(
-                            "plan.key_bound",
-                            Coordinates {
-                                predicate: Some(step.predicate),
-                                order: Some(step.order),
-                                position: Some(i),
-                            },
-                            format!("step {i} probes unbound ?{v}"),
-                        );
-                    }
-                }
-                Atom::Const(c) => {
-                    if c as usize >= universe {
-                        report.fail(
-                            "plan.const_range",
-                            Coordinates {
-                                predicate: Some(step.predicate),
-                                order: Some(step.order),
-                                position: Some(i),
-                            },
-                            format!("step {i} {which} constant {c} outside universe {universe}"),
-                        );
-                    }
-                }
-            }
-        }
-        for atom in [step.key, step.value] {
-            if let Atom::Var(v) = atom {
-                if (v as usize) < plan.num_vars {
-                    bound[v as usize] = true;
-                }
-            }
-        }
-    }
-    for &v in &plan.projection {
-        report.tick();
-        if v as usize >= plan.num_vars || !bound[v as usize] {
-            report.fail(
-                "plan.projection_bound",
-                Coordinates {
-                    position: Some(v as usize),
-                    ..Coordinates::default()
-                },
-                format!("projection ?{v} is out of range or never bound"),
-            );
-        }
-    }
-    report
-}
-
 /// Audits a delta overlay against its base store.
 ///
 /// Two layers of checks:
@@ -769,7 +670,6 @@ pub fn audit_all(store: &TripleStore) -> AuditReport {
 mod tests {
     use super::*;
     use parj_dict::Term;
-    use parj_join::PlanStep;
     use parj_store::StoreBuilder;
 
     fn store() -> TripleStore {
@@ -862,36 +762,6 @@ mod tests {
         let report = audit_dictionary(s.dict());
         assert!(report.is_clean(), "{report}");
         assert!(report.checks_run >= 5);
-    }
-
-    #[test]
-    fn plan_audit_flags_drifted_plans() {
-        let s = store();
-        let mut plan = PhysicalPlan::new(
-            vec![PlanStep {
-                predicate: 0,
-                order: SortOrder::SO,
-                key: Atom::Var(0),
-                value: Atom::Var(1),
-            }],
-            2,
-            vec![0, 1],
-        )
-        .unwrap();
-        assert!(audit_plan(&plan, &s).is_clean());
-
-        // Drift the public fields out of shape.
-        plan.steps.push(PlanStep {
-            predicate: 999,
-            order: SortOrder::OS,
-            key: Atom::Var(7),
-            value: Atom::Const(1_000_000),
-        });
-        let report = audit_plan(&plan, &s);
-        let checks: Vec<&str> = report.violations.iter().map(|v| v.check).collect();
-        assert!(checks.contains(&"plan.predicate_exists"), "{report}");
-        assert!(checks.contains(&"plan.var_range"), "{report}");
-        assert!(checks.contains(&"plan.const_range"), "{report}");
     }
 
     #[test]

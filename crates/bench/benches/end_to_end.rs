@@ -29,7 +29,7 @@ fn watdiv_engine() -> Parj {
 }
 
 fn bench_lubm_queries(c: &mut Criterion) {
-    let mut engine = lubm_engine();
+    let engine = lubm_engine();
     let queries = lubm::queries();
     let mut group = c.benchmark_group("lubm_silent");
     for name in ["LUBM2", "LUBM4", "LUBM9"] {
@@ -59,7 +59,7 @@ fn bench_lubm_queries(c: &mut Criterion) {
 }
 
 fn bench_watdiv_queries(c: &mut Criterion) {
-    let mut engine = watdiv_engine();
+    let engine = watdiv_engine();
     let mut group = c.benchmark_group("watdiv_silent");
     let picks: Vec<_> = watdiv::all_queries()
         .into_iter()
@@ -84,7 +84,7 @@ fn bench_watdiv_queries(c: &mut Criterion) {
 }
 
 fn bench_prepare_only(c: &mut Criterion) {
-    let mut engine = watdiv_engine();
+    let engine = watdiv_engine();
     let s1 = watdiv::basic_workload()
         .into_iter()
         .find(|q| q.name == "S1")

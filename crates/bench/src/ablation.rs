@@ -174,7 +174,7 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
         let lubm9 = &queries[8];
         let mut rows = Vec::new();
         for morsel_size in [1_024usize, 4_096, 16_384, 65_536] {
-            let mut engine = Parj::from_store(
+            let engine = Parj::from_store(
                 lubm::generate_store(&cfg),
                 parj_core::EngineConfig {
                     morsel_size,
@@ -223,7 +223,7 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
         );
         let mut rows = Vec::new();
         for buckets in [2usize, 8, 64, 256] {
-            let mut engine = Parj::from_store(
+            let engine = Parj::from_store(
                 lubm::generate_store(&cfg),
                 parj_core::EngineConfig {
                     histogram_buckets: buckets,

@@ -6,7 +6,7 @@
 //! paper-vs-measured analysis of each artifact.
 
 use parj_baseline::{BaselineEngine, HashJoinEngine, MergeJoinEngine};
-use parj_core::{Parj, ProbeStrategy, RunOverrides, Term};
+use parj_core::{LoadSource, OnParseError, Parj, ProbeStrategy, RdfFormat, RunOverrides, Term};
 use parj_datagen::{lubm, watdiv, NamedQuery};
 use serde_json::json;
 
@@ -265,7 +265,7 @@ pub fn table5(args: &Args) -> (Vec<Table>, serde_json::Value) {
     let labels: Vec<&str> = strategies.iter().map(|s| s.label()).collect();
     let mut json_rows = Vec::new();
 
-    let mut engine = lubm_engine(args.scale, args.engine_config());
+    let engine = lubm_engine(args.scale, args.engine_config());
     let mut table = Table::new(
         format!(
             "Table 5 — impact of adaptive processing, 1 thread (LUBM universities={}, WatDiv scale={}): ms",
@@ -299,7 +299,7 @@ pub fn table5(args: &Args) -> (Vec<Table>, serde_json::Value) {
 
     // WatDiv: the paper reports only avg + geomean over the full query
     // mix.
-    let mut wengine = watdiv_engine(args.scale, args.engine_config());
+    let wengine = watdiv_engine(args.scale, args.engine_config());
     let mut watdiv_cols: Vec<Vec<f64>> = vec![Vec::new(); 4];
     for q in watdiv::all_queries() {
         for (i, s) in strategies.iter().enumerate() {
@@ -340,7 +340,7 @@ pub fn table5(args: &Args) -> (Vec<Table>, serde_json::Value) {
 /// memory-work counters comparing whole-array binary search with the
 /// ID-to-Position index.
 pub fn table6(args: &Args) -> (Vec<Table>, serde_json::Value) {
-    let mut engine = lubm_engine(args.scale, args.engine_config());
+    let engine = lubm_engine(args.scale, args.engine_config());
     let mut table = Table::new(
         format!(
             "Table 6 — searches chosen by the adaptive method and memory-work \
@@ -358,7 +358,7 @@ pub fn table6(args: &Args) -> (Vec<Table>, serde_json::Value) {
     );
     let mut json_rows = Vec::new();
     for q in lubm::queries() {
-        let mut run = |s| {
+        let run = |s| {
             engine
                 .request(&q.sparql)
                 .threads(1)
@@ -404,7 +404,7 @@ pub fn table6(args: &Args) -> (Vec<Table>, serde_json::Value) {
     // exercises the binary arm of the adaptive switch far more (chain
     // hops land on uncorrelated ids), so both decision outcomes are
     // visible.
-    let mut wengine = watdiv_engine(args.scale, args.engine_config());
+    let wengine = watdiv_engine(args.scale, args.engine_config());
     let mut wtable = Table::new(
         format!(
             "Table 6b (extension) — adaptive decisions on the WatDiv mix \
@@ -415,7 +415,7 @@ pub fn table6(args: &Args) -> (Vec<Table>, serde_json::Value) {
     );
     let mut wjson = Vec::new();
     for q in watdiv::basic_workload() {
-        let mut run = |s| {
+        let run = |s| {
             wengine
                 .request(&q.sparql)
                 .threads(1)
@@ -706,10 +706,10 @@ pub fn cache_effect(args: &Args) -> (Vec<Table>, serde_json::Value) {
 /// through the merged (base ∪ delta) view against the same scan after
 /// folding.
 pub fn delta(args: &Args) -> (Vec<Table>, serde_json::Value) {
-    let mut delta_engine = lubm_engine(args.scale, args.engine_config());
-    let mut rebuild_engine = lubm_engine(args.scale, args.engine_config());
+    let delta_engine = lubm_engine(args.scale, args.engine_config());
+    let mut rebuild_engine = Some(lubm_engine(args.scale, args.engine_config()));
     let base_triples = delta_engine.num_triples();
-    assert_eq!(rebuild_engine.num_triples(), base_triples);
+    assert_eq!(rebuild_engine.as_ref().map(Parj::num_triples), Some(base_triples));
     let pred = format!("{}emailAddress", lubm::NS);
 
     // Fresh-subject insert batches; `tag` keeps the two engines' key
@@ -771,10 +771,9 @@ pub fn delta(args: &Args) -> (Vec<Table>, serde_json::Value) {
         let mut rebuilt_triples = 0;
         let m_rebuild = measure_ms(rebuild_runs, || {
             let nt = batch_nt("r", rebuild_batches, batch_size);
-            rebuild_engine
-                .load_ntriples_str(&nt)
-                .expect("batch parses");
-            rebuilt_triples = rebuild_engine.num_triples(); // forces the full rebuild
+            let rebuilt = reload(rebuild_engine.take().expect("engine"), &nt);
+            rebuilt_triples = rebuilt.num_triples();
+            rebuild_engine = Some(rebuilt);
             rebuild_batches += 1;
         });
 
@@ -821,9 +820,7 @@ pub fn delta(args: &Args) -> (Vec<Table>, serde_json::Value) {
             .expect("scan runs")
             .count;
     });
-    delta_engine
-        .load_ntriples_str("")
-        .expect("empty stage folds the delta");
+    let delta_engine = reload(delta_engine, "");
     let mut folded_count = 0;
     let m_folded = measure_ms(args.runs, || {
         folded_count = delta_engine
@@ -859,4 +856,14 @@ pub fn delta(args: &Args) -> (Vec<Table>, serde_json::Value) {
             },
         }),
     )
+}
+
+/// `engine` rebuilt with the N-Triples `nt` added: its staging re-opened
+/// (any delta folded in), the batch loaded, the store built again.
+fn reload(engine: Parj, nt: &str) -> Parj {
+    let mut loader = engine.into_loader();
+    loader
+        .load(LoadSource::Text(nt), RdfFormat::NTriples, OnParseError::Abort)
+        .expect("batch parses");
+    loader.finish()
 }

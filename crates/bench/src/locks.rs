@@ -130,7 +130,7 @@ pub fn locks(args: &Args) -> (Vec<Table>, serde_json::Value) {
     // Small morsels keep the selective queries genuinely
     // multi-worker, i.e. actually contending on the pool locks.
     cfg.morsel_size = 64;
-    let mut engine = lubm_engine(args.scale, cfg);
+    let engine = lubm_engine(args.scale, cfg);
 
     let queries: Vec<_> = lubm::queries()
         .into_iter()

@@ -17,7 +17,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parj_core::SharedParj;
 use parj_datagen::lubm;
 use parj_server::{ParjServer, ServerConfig};
 use serde_json::json;
@@ -152,7 +151,7 @@ pub fn serve(args: &Args) -> (Vec<Table>, serde_json::Value) {
         let mut cfg = args.engine_config();
         cfg.threads = 1;
         cfg.cache = cache;
-        let engine = Arc::new(SharedParj::new(lubm_engine(args.scale, cfg)));
+        let engine = Arc::new(lubm_engine(args.scale, cfg));
 
         for clients in CLIENT_LADDER {
             let mut server = ParjServer::spawn(
@@ -198,7 +197,7 @@ pub fn serve(args: &Args) -> (Vec<Table>, serde_json::Value) {
     let mut cfg = args.engine_config();
     cfg.threads = 1;
     cfg.cache = false;
-    let engine = Arc::new(SharedParj::new(lubm_engine(args.scale, cfg)));
+    let engine = Arc::new(lubm_engine(args.scale, cfg));
     let mut server = ParjServer::spawn(
         Arc::clone(&engine),
         ServerConfig {

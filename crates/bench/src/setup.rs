@@ -123,12 +123,12 @@ mod tests {
 
     #[test]
     fn engines_build_and_answer() {
-        let mut e = lubm_engine(1, EngineConfig::default());
+        let e = lubm_engine(1, EngineConfig::default());
         assert!(e.num_triples() > 1000);
         let q = &lubm::queries()[4]; // LUBM5, selective
         assert!(e.request(&q.sparql).count_only().run().unwrap().count > 0);
 
-        let mut w = watdiv_engine(1, EngineConfig::default());
+        let w = watdiv_engine(1, EngineConfig::default());
         assert!(w.num_triples() > 1000);
     }
 

@@ -11,9 +11,8 @@
 //!
 //! Both sit behind a [`ShardedLru`]: keys are hashed to one of a fixed
 //! number of shards, each shard is an independent mutex-protected LRU
-//! with `budget / shards` bytes of capacity, so concurrent readers of a
-//! [`SharedParj`](https://docs.rs/parj-core) rarely contend on the same
-//! lock.
+//! with `budget / shards` bytes of capacity, so concurrent readers of
+//! one shared engine rarely contend on the same lock.
 //!
 //! ## Stamped entries
 //!
@@ -243,12 +242,12 @@ impl PlanEntry {
     pub fn cost(&self) -> usize {
         // Steps dominate: a PlanStep plus its compiled form is a few
         // machine words; 96 bytes per step is a safe overestimate.
-        let steps: usize = self.plans.iter().map(|p| p.steps.len()).sum();
+        let steps: usize = self.plans.iter().map(|p| p.steps().len()).sum();
         128 + steps * 96
             + self
                 .plans
                 .iter()
-                .map(|p| p.projection.len() * 8)
+                .map(|p| p.projection().len() * 8)
                 .sum::<usize>()
     }
 }

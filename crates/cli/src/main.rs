@@ -28,7 +28,9 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use parj_core::{EngineConfig, OnParseError, Parj, ParjError, ProbeStrategy};
+use parj_core::{
+    EngineConfig, LoadSource, OnParseError, Parj, ParjError, ProbeStrategy, RdfFormat,
+};
 
 /// Process exit codes per failure class (documented in `USAGE`).
 mod exit_codes {
@@ -338,23 +340,22 @@ impl Cli {
         if path.ends_with(".parj") {
             return Parj::load_snapshot(path, self.engine_config());
         }
-        let mut e = self.engine_config().build();
-        self.load(&mut e, path)?;
-        e.finalize();
-        Ok(e)
+        Ok(self.load(path)?.0)
     }
 
-    /// Loads a text input into `e`: `.ttl` parses as Turtle, anything
-    /// else as N-Triples, honoring the `--lossy` flags. Returns the
-    /// statements read.
-    fn load(&self, e: &mut Parj, path: &str) -> Result<usize, ParjError> {
-        let report = if path.ends_with(".ttl") || path.ends_with(".turtle") {
-            e.load_turtle_path_with(path, self.on_parse_error())?
+    /// Loads a text input: `.ttl` parses as Turtle, anything else as
+    /// N-Triples, honoring the `--lossy` flags. Returns the engine and
+    /// the statements read.
+    fn load(&self, path: &str) -> Result<(Parj, usize), ParjError> {
+        let format = if path.ends_with(".ttl") || path.ends_with(".turtle") {
+            RdfFormat::Turtle
         } else {
-            e.load_ntriples_path_with(path, self.on_parse_error())?
+            RdfFormat::NTriples
         };
+        let mut loader = self.engine_config().loader();
+        let report = loader.load(LoadSource::Path(path.as_ref()), format, self.on_parse_error())?;
         report_skips(&report);
-        Ok(report.loaded)
+        Ok((loader.finish(), report.loaded))
     }
 
     /// Resolves a query argument: literal SPARQL, or `@file`.
@@ -392,8 +393,7 @@ fn run() -> Result<(), Failure> {
                 return Err(usage("usage: parj load <data.nt> -o <store.parj>"));
             };
             let out = cli.output.clone().ok_or_else(|| usage("load needs -o <store.parj>"))?;
-            let mut e = cli.engine_config().build();
-            let loaded = cli.load(&mut e, input).map_err(fail)?;
+            let (e, loaded) = cli.load(input).map_err(fail)?;
             e.save_snapshot(&out).map_err(fail)?;
             eprintln!(
                 "loaded {loaded} statements ({} distinct triples) -> {out}",
@@ -406,7 +406,7 @@ fn run() -> Result<(), Failure> {
                 return Err(usage(format!("usage: parj {command} <store> <sparql | @file>")));
             };
             let query = cli.query_text(query_arg).map_err(|e| usage(e.to_string()))?;
-            let mut engine = cli.open(store_path).map_err(fail)?;
+            let engine = cli.open(store_path).map_err(fail)?;
             match command.as_str() {
                 "explain" => {
                     println!("{}", engine.explain(&query).map_err(fail)?);
@@ -511,7 +511,7 @@ fn run() -> Result<(), Failure> {
             let [_, store_path] = &cli.positional[..] else {
                 return Err(usage("usage: parj audit <store>"));
             };
-            let mut engine = cli.open(store_path).map_err(fail)?;
+            let engine = cli.open(store_path).map_err(fail)?;
             let start = std::time::Instant::now();
             let report = engine.audit();
             eprintln!(
@@ -567,8 +567,7 @@ fn run() -> Result<(), Failure> {
             let [_, store_path] = &cli.positional[..] else {
                 return Err(usage("usage: parj serve <store> [--addr HOST:PORT] [flags]"));
             };
-            let engine = cli.open(store_path).map_err(fail)?;
-            let shared = std::sync::Arc::new(parj_core::SharedParj::new(engine));
+            let shared = std::sync::Arc::new(cli.open(store_path).map_err(fail)?);
             let mut config = parj_server::ServerConfig {
                 addr: cli.addr.clone().unwrap_or_else(|| "127.0.0.1:7878".to_string()),
                 quota: cli.quota,

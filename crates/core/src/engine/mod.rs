@@ -19,10 +19,11 @@ use parj_optimizer::Stats;
 use parj_store::{DeltaOverlay, StoreBuilder, StoreOptions, TripleStore};
 
 use crate::hierarchy::Hierarchy;
+use crate::loader::Loader;
 
-/// Engine configuration, fixed when [`EngineConfig::build`] makes the
-/// engine. Set fields directly, or chain the setters from
-/// [`Parj::builder`]:
+/// Engine configuration, fixed when [`EngineConfig::loader`] (or
+/// [`EngineConfig::build`], for an empty engine) starts one. Set fields
+/// directly, or chain the setters from [`Parj::builder`]:
 ///
 /// ```
 /// let engine = parj_core::Parj::builder().threads(2).cache(true).build();
@@ -60,9 +61,9 @@ pub struct EngineConfig {
     pub strategy: ProbeStrategy,
     /// Store build options (ID-to-Position index on/off + interval).
     pub store: StoreOptions,
-    /// Run Algorithm 2's timed calibration at finalize. When `false`
-    /// the paper's published windows (200 binary / 20 index) are used —
-    /// deterministic and good on commodity hardware.
+    /// Run Algorithm 2's timed calibration when the engine is built.
+    /// When `false` the paper's published windows (200 binary / 20
+    /// index) are used — deterministic and good on commodity hardware.
     pub calibrate: bool,
     /// Calibration tuning (used when `calibrate` is true).
     pub calibration: CalibrationConfig,
@@ -195,7 +196,7 @@ impl EngineConfig {
         self
     }
 
-    /// Run the timed calibration of Algorithm 2 at finalize.
+    /// Run the timed calibration of Algorithm 2 when the engine is built.
     pub fn calibrate(mut self, on: bool) -> Self {
         self.calibrate = on;
         self
@@ -276,18 +277,21 @@ impl EngineConfig {
         self
     }
 
-    /// Builds an empty engine under this configuration — the one place
-    /// a [`Parj`] is constructed.
+    /// Starts a [`Loader`] under this configuration: load triples into
+    /// it, then [`Loader::finish`] builds the engine.
+    pub fn loader(self) -> Loader {
+        Loader::new(self, StoreBuilder::new(), Arc::new(EngineMetrics::new()))
+    }
+
+    /// Builds an empty, ready engine under this configuration.
     pub fn build(self) -> Parj {
-        Parj {
-            cache: QueryCache::new(self.cache_bytes),
-            pool: (self.use_pool && self.threads > 1).then(|| WorkerPool::new(self.threads - 1)),
-            config: self,
-            staged: Some(StoreBuilder::new()),
-            published: OrderedMutex::new(LockLevel::EngineSnapshot, "engine.snapshot", None),
-            writer: OrderedMutex::new(LockLevel::Engine, "engine.writer", ()),
-            metrics: Arc::new(EngineMetrics::new()),
-        }
+        self.loader().finish()
+    }
+
+    /// The persistent worker pool an engine under this configuration
+    /// owns, if any.
+    pub(crate) fn worker_pool(&self) -> Option<WorkerPool> {
+        (self.use_pool && self.threads > 1).then(|| WorkerPool::new(self.threads - 1))
     }
 }
 
@@ -335,8 +339,8 @@ pub(crate) struct Ready {
     pub(crate) store: Arc<TripleStore>,
     /// Pending mutations since the last full rebuild: per-predicate
     /// sorted add/delete runs plus a dictionary extension, consulted by
-    /// probes alongside the CSR replicas. Clean (empty) on every
-    /// finalize; a batch changes its own copy via `Arc::make_mut`.
+    /// probes alongside the CSR replicas. Clean (empty) in every built
+    /// engine; a batch changes its own copy via `Arc::make_mut`.
     pub(crate) delta: Arc<DeltaOverlay>,
     stats: Arc<Stats>,
     thresholds: Arc<ThresholdTable>,
@@ -421,18 +425,42 @@ impl Ready {
         }
         report
     }
+
+    /// Stages this version's visible triples for a rebuild, folding any
+    /// pending mutation delta in: the staged dictionary is the base plus
+    /// the delta's new terms (re-encoded in insertion order, which
+    /// reproduces identical dense ids), and the staged triples are the
+    /// merged visible view (base minus tombstones plus inserts). A
+    /// rebuild from this staging is therefore byte-identical to the
+    /// store the delta-overlaid probes answered from.
+    pub(crate) fn fold(&self) -> StoreBuilder {
+        let mut builder = StoreBuilder::new();
+        let mut dict = self.store.dict().clone();
+        self.delta.dict().fold_into(&mut dict);
+        *builder.dict_mut() = dict;
+        if self.delta.is_clean() {
+            for t in self.store.iter_triples() {
+                builder.add_encoded(t);
+            }
+        } else {
+            for t in self.delta.iter_merged_triples(&self.store) {
+                builder.add_encoded(t);
+            }
+        }
+        builder
+    }
 }
 
-/// The PARJ engine. See the crate docs for the lifecycle.
+/// The PARJ engine: always ready to serve. A [`Loader`] builds it;
+/// every method takes `&self` (bar the [`Parj::store`] borrow), so an
+/// `Arc<Parj>` is the one handle that many threads query and mutate.
+/// See the crate docs for the lifecycle.
 pub struct Parj {
     pub(crate) config: EngineConfig,
-    /// Loaded triples awaiting [`Parj::finalize`]; `None` exactly when
-    /// a version is published.
-    staged: Option<StoreBuilder>,
     /// The published version, behind a leaf lock held only to clone or
     /// swap the `Arc`: requests run on a clone with no engine lock, and
     /// a mutation batch swaps in its successor.
-    pub(crate) published: OrderedMutex<Option<Arc<Ready>>>,
+    pub(crate) published: OrderedMutex<Arc<Ready>>,
     /// Serializes mutation batches (held for a whole batch; the snapshot
     /// cell, cache, pool and metrics sit beneath it). Readers never
     /// take it.
@@ -440,8 +468,7 @@ pub struct Parj {
     pub(crate) metrics: Arc<EngineMetrics>,
     /// Plan/result cache. Always present (cheap when unused); probed
     /// only when [`EngineConfig::cache`] is on, with the stamps of the
-    /// version a request pinned. Every [`Parj::finalize`] that rebuilds
-    /// the store starts a fresh one.
+    /// version a request pinned.
     pub(crate) cache: QueryCache,
     /// Persistent worker pool for morsel dispatch, created once per
     /// engine when [`EngineConfig::use_pool`] is on and more than one
@@ -450,9 +477,49 @@ pub struct Parj {
     pool: Option<WorkerPool>,
 }
 
+// One engine, shared as `Arc<Parj>` by every serving thread.
+const _: fn() = || {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<Parj>();
+};
+
+impl Parj {
+    /// The one constructor: `store` becomes the first published
+    /// version, under `config`, feeding `metrics` and running on `pool`.
+    pub(crate) fn assemble(
+        config: EngineConfig,
+        metrics: Arc<EngineMetrics>,
+        pool: Option<WorkerPool>,
+        store: TripleStore,
+    ) -> Parj {
+        let ready = Arc::new(Ready::new(&config, store));
+        let engine = Parj {
+            cache: QueryCache::new(config.cache_bytes),
+            pool,
+            config,
+            published: OrderedMutex::new(
+                LockLevel::EngineSnapshot,
+                "engine.snapshot",
+                Arc::clone(&ready),
+            ),
+            writer: OrderedMutex::new(LockLevel::Engine, "engine.writer", ()),
+            metrics,
+        };
+        engine.publish_store_gauges(&ready);
+        // A rebuild folds (or predates) any delta: zero its gauges.
+        engine.publish_delta_gauges(&ready);
+        engine
+    }
+
+    /// Pins the published version.
+    pub(crate) fn snapshot(&self) -> Arc<Ready> {
+        Arc::clone(&self.published.lock())
+    }
+}
+
 impl Default for Parj {
     fn default() -> Self {
-        Self::new()
+        EngineConfig::default().build()
     }
 }
 
@@ -460,21 +527,20 @@ impl std::fmt::Debug for Parj {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Parj")
             .field("config", &self.config)
-            .field("finalized", &self.is_finalized())
-            .field(
-                "triples",
-                &self.published.lock().as_deref().map(Ready::visible_triples),
-            )
+            .field("triples", &self.snapshot().visible_triples())
             .finish()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::error::ParjError;
+    use crate::loader::{LoadSource, RdfFormat};
     use crate::result::QueryRunStats;
     use parj_dict::Term;
+    use parj_rio::OnParseError;
+    use std::time::{Duration, Instant};
 
     pub(super) const DATA: &str = r#"
 <http://e/ProfA> <http://e/teaches> <http://e/Math> .
@@ -487,10 +553,27 @@ mod tests {
 <http://e/ProfA> <http://e/name> "Alice" .
 "#;
 
+    /// An engine under `config` holding the N-Triples `text`.
+    pub(crate) fn load(config: EngineConfig, text: &str) -> Parj {
+        let mut loader = config.loader();
+        loader
+            .load(LoadSource::Text(text), RdfFormat::NTriples, OnParseError::Abort)
+            .unwrap();
+        loader.finish()
+    }
+
+    /// `e` rebuilt with the N-Triples `text` added.
+    pub(crate) fn reload(e: Parj, text: &str) -> Parj {
+        let mut loader = e.into_loader();
+        loader
+            .load(LoadSource::Text(text), RdfFormat::NTriples, OnParseError::Abort)
+            .unwrap();
+        loader.finish()
+    }
+
     pub(super) fn engine() -> Parj {
-        let mut e = Parj::builder().threads(2).build();
-        assert_eq!(e.load_ntriples_str(DATA).unwrap(), 8);
-        e.finalize();
+        let e = load(Parj::builder().threads(2), DATA);
+        assert_eq!(e.num_triples(), 8);
         e
     }
 
@@ -500,7 +583,7 @@ mod tests {
         pub(super) rows: Vec<Vec<Term>>,
     }
 
-    pub(super) fn run_query(e: &mut Parj, q: &str) -> Result<Decoded, ParjError> {
+    pub(super) fn run_query(e: &Parj, q: &str) -> Result<Decoded, ParjError> {
         let out = e.request(q).run()?;
         Ok(Decoded {
             rows: out.term_rows()?,
@@ -508,14 +591,142 @@ mod tests {
         })
     }
 
-    pub(super) fn run_count(e: &mut Parj, q: &str) -> Result<(u64, QueryRunStats), ParjError> {
+    pub(super) fn run_count(e: &Parj, q: &str) -> Result<(u64, QueryRunStats), ParjError> {
         e.request(q).count_only().run().map(|o| (o.count, o.stats))
     }
 
     pub(super) fn cached_engine() -> Parj {
-        let mut e = Parj::builder().threads(2).cache(true).build();
-        assert_eq!(e.load_ntriples_str(DATA).unwrap(), 8);
-        e.finalize();
-        e
+        load(Parj::builder().threads(2).cache(true), DATA)
+    }
+
+    fn chain() -> Parj {
+        load(
+            Parj::builder().threads(1),
+            "<http://e/a> <http://e/p> <http://e/b> .\n\
+             <http://e/b> <http://e/p> <http://e/c> .\n",
+        )
+    }
+
+    fn count(e: &Parj, q: &str) -> u64 {
+        e.request(q).count_only().run().unwrap().count
+    }
+
+    #[test]
+    fn concurrent_queries() {
+        let shared = Arc::new(chain());
+        let q = "SELECT ?x ?z WHERE { ?x <http://e/p> ?y . ?y <http://e/p> ?z }";
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let s = Arc::clone(&shared);
+                let q = q.to_string();
+                std::thread::spawn(move || s.request(&q).count_only().run().unwrap().count)
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.join().unwrap(), 1);
+        }
+    }
+
+    #[test]
+    fn interleaved_updates_and_queries() {
+        let shared = chain();
+        let q = "SELECT ?x WHERE { ?x <http://e/p> ?y }";
+        assert_eq!(count(&shared, q), 2);
+        shared
+            .mutate()
+            .insert(
+                Term::iri("http://e/c"),
+                Term::iri("http://e/p"),
+                Term::iri("http://e/a"),
+            )
+            .run()
+            .unwrap();
+        assert_eq!(count(&shared, q), 3);
+        assert_eq!(shared.num_triples(), 3);
+    }
+
+    #[test]
+    fn counting_and_auditing_do_not_wait_for_queries() {
+        // A three-way star over 8 subjects × 1000 values: 8 · 10⁹ rows,
+        // far more than the 3 s deadline that ends the query lets run.
+        let mut nt = String::new();
+        for s in 0..8 {
+            for v in 0..1000 {
+                nt.push_str(&format!("<http://e/s{s}> <http://e/p> <http://e/v{v}> .\n"));
+            }
+        }
+        // Threshold 1: the write below compacts the 8000-pair partition.
+        let shared = Arc::new(load(
+            Parj::builder().threads(1).delta_compaction_threshold(1),
+            &nt,
+        ));
+        let runner = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                shared
+                    .request(
+                        "SELECT ?a ?b ?c WHERE { ?x <http://e/p> ?a . \
+                         ?x <http://e/p> ?b . ?x <http://e/p> ?c }",
+                    )
+                    .timeout(Duration::from_secs(3))
+                    .count_only()
+                    .run()
+            })
+        };
+        // Let the query start.
+        std::thread::sleep(Duration::from_millis(200));
+        let t = Instant::now();
+        assert_eq!(shared.num_triples(), 8000);
+        assert!(shared.audit().is_clean());
+        let waited = t.elapsed();
+        assert!(waited < Duration::from_secs(1), "waited {waited:?} behind a query");
+        // A compacting write does not wait for the running query...
+        let writer = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let t = Instant::now();
+                let out = shared
+                    .mutate()
+                    .insert(
+                        Term::iri("http://e/s0"),
+                        Term::iri("http://e/p"),
+                        Term::iri("http://e/new"),
+                    )
+                    .run()
+                    .unwrap();
+                (out.compactions, t.elapsed())
+            })
+        };
+        // ...and a short query issued meanwhile waits for neither.
+        let t = Instant::now();
+        assert_eq!(count(&shared, "SELECT ?x WHERE { ?x <http://e/p> <http://e/v0> }"), 8);
+        let waited = t.elapsed();
+        assert!(waited < Duration::from_secs(1), "short query waited {waited:?}");
+        let (compactions, wrote) = writer.join().unwrap();
+        assert_eq!(compactions, 1);
+        assert!(wrote < Duration::from_secs(1), "write waited {wrote:?} behind a query");
+        // A query started after the write returned sees the batch.
+        assert_eq!(count(&shared, "SELECT ?x WHERE { ?x <http://e/p> <http://e/new> }"), 1);
+        // Saving the version with the write's delta resident waits for
+        // no reader either, and captures exactly what queries see.
+        assert!(!shared.snapshot().delta.is_clean());
+        let dir = std::env::temp_dir().join(format!("parj-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("live.parj");
+        let t = Instant::now();
+        shared.save_snapshot(&path).unwrap();
+        let saved = t.elapsed();
+        assert!(saved < Duration::from_secs(1), "save waited {saved:?} behind a query");
+        let back = Parj::load_snapshot(&path, EngineConfig::default().threads(1)).unwrap();
+        assert_eq!(back.num_triples(), shared.num_triples());
+        assert_eq!(back.num_triples(), 8001);
+        assert!(back.audit().is_clean());
+        assert!(shared.audit().is_clean());
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(!runner.is_finished(), "the long query outlived every check");
+        assert!(matches!(
+            runner.join().unwrap(),
+            Err(ParjError::DeadlineExceeded { .. })
+        ));
     }
 }

@@ -2,13 +2,10 @@
 //! metrics publication (store and delta gauges, query outcomes) and
 //! registry snapshots.
 
-use std::time::Instant;
-
 use parj_sync::Arc;
 
 use parj_join::{PhysicalPlan, SearchStats};
 use parj_obs::{EngineMetrics, MetricsSnapshot, QueryOutcomeClass, SearchTotals};
-use parj_rio::LoadReport;
 
 use super::{Parj, Ready};
 use crate::error::ParjError;
@@ -17,19 +14,6 @@ use crate::error::ParjError;
 use parj_join::WorkerPool;
 
 impl Parj {
-    /// Feeds one successful load into the metrics registry.
-    pub(super) fn record_load(&self, report: &LoadReport, started: Instant, bytes: usize) {
-        if !self.config.record_metrics {
-            return;
-        }
-        self.metrics.record_load(
-            report.loaded as u64,
-            report.skipped as u64,
-            started.elapsed().as_micros() as u64,
-            bytes as u64,
-        );
-    }
-
     /// Refreshes the memory-footprint gauges from a freshly built
     /// version's store (store size, per-predicate replica bytes,
     /// dictionary sections).
@@ -230,11 +214,11 @@ impl parj_join::Recorder for RunRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::tests::{cached_engine, engine, run_count, DATA};
+    use crate::engine::tests::{cached_engine, engine, load, run_count, DATA};
 
     #[test]
     fn request_explain_attaches_annotated_plan() {
-        let mut e = engine();
+        let e = engine();
         let out = e
             .request("SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> <http://e/U2> }")
             .explain(true)
@@ -272,7 +256,7 @@ mod tests {
 
     #[test]
     fn request_records_phase_timings() {
-        let mut e = engine();
+        let e = engine();
         let out = e
             .request("SELECT ?x ?y WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> ?y }")
             .run()
@@ -287,7 +271,7 @@ mod tests {
 
     #[test]
     fn metrics_populated_after_queries() {
-        let mut e = engine();
+        let e = engine();
         let q = "SELECT ?x WHERE { ?x <http://e/teaches> ?z }";
         assert_eq!(e.request(q).count_only().run().unwrap().count, 4);
         assert!(matches!(
@@ -323,10 +307,8 @@ mod tests {
 
     #[test]
     fn record_metrics_off_leaves_registry_zeroed() {
-        let mut e = Parj::builder().threads(1).record_metrics(false).build();
-        e.load_ntriples_str(DATA).unwrap();
-        e.finalize();
-        let (count, _) = run_count(&mut e, "SELECT ?x WHERE { ?x <http://e/teaches> ?z }").unwrap();
+        let e = load(Parj::builder().threads(1).record_metrics(false), DATA);
+        let (count, _) = run_count(&e, "SELECT ?x WHERE { ?x <http://e/teaches> ?z }").unwrap();
         assert_eq!(count, 4);
         let snap = e.metrics_snapshot();
         assert_eq!(snap.value("parj_queries_total", &[("outcome", "ok")]), Some(0));
@@ -339,7 +321,7 @@ mod tests {
 
     #[test]
     fn cache_metrics_feed_the_registry() {
-        let mut e = cached_engine();
+        let e = cached_engine();
         let q = "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z }";
         e.request(q).run().unwrap();
         e.request(q).run().unwrap();

@@ -136,7 +136,7 @@ impl Parj {
         }
     }
 
-    /// Parses and translates `query` against finalized state — the one
+    /// Parses and translates `query` against one version — the one
     /// prepare path, behind [`Parj::request`], [`Parj::explain`] and
     /// [`Parj::morsel_loads`].
     ///
@@ -198,13 +198,12 @@ impl Parj {
         preds.iter().map(|&p| ready.epochs.get(p as usize).copied().unwrap_or(0)).sum()
     }
 
-    /// Unified execution path behind [`Parj::request`] and
-    /// [`crate::SharedParj::request`]: runs on the version `ready` the
-    /// request pinned, recording lifecycle metrics around the inner run
-    /// regardless of how it ends.
+    /// The execution path behind [`Parj::request`]: runs on the version
+    /// `ready` the request pinned, recording lifecycle metrics around
+    /// the inner run regardless of how it ends.
     pub(crate) fn run_request(
         &self,
-        ready: &Ready,
+        ready: &Arc<Ready>,
         query: &str,
         spec: &RunSpec,
     ) -> Result<QueryOutcome, ParjError> {
@@ -253,7 +252,7 @@ impl Parj {
 
     fn run_request_inner(
         &self,
-        ready: &Ready,
+        ready: &Arc<Ready>,
         query: &str,
         spec: &RunSpec,
     ) -> Result<QueryOutcome, ParjError> {
@@ -534,7 +533,7 @@ impl Parj {
     /// Builds the outcome of a result-cache hit: nothing executes and
     /// nothing is decoded; the outcome shares the cached rows.
     fn serve_cached(
-        ready: &Ready,
+        ready: &Arc<Ready>,
         count_only: bool,
         tq: &crate::translate::TranslatedQuery,
         entry: ResultEntry,
@@ -561,16 +560,19 @@ impl Parj {
 
     /// The caller-facing shape of an answer: the count, plus — unless
     /// the request was count-only — the id rows by reference together
-    /// with the store and delta dictionary they decode against.
-    fn answer(ready: &Ready, count_only: bool, value: &CachedResult) -> (u64, Option<Answer>) {
+    /// with the version they decode against.
+    fn answer(
+        ready: &Arc<Ready>,
+        count_only: bool,
+        value: &CachedResult,
+    ) -> (u64, Option<Answer>) {
         match value {
             CachedResult::Count(n) => (*n, None),
             CachedResult::Rows(rows) => (
                 rows.len() as u64,
                 (!count_only).then(|| Answer {
                     rows: Arc::clone(rows),
-                    store: Arc::clone(&ready.store),
-                    delta: Arc::clone(ready.delta.shared_dict()),
+                    ready: Arc::clone(ready),
                 }),
             ),
         }
@@ -687,15 +689,15 @@ impl Parj {
     /// the scalability of the morsel distribution is measurable even on
     /// hosts with fewer cores than worker threads.
     pub fn morsel_loads(
-        &mut self,
+        &self,
         query: &str,
         over: &RunOverrides,
     ) -> Result<Vec<Vec<u64>>, ParjError> {
         let opts = Self::exec_options(&self.config, over, None)?;
-        let Some(plans) = self.plans(query)? else {
+        let ready = self.snapshot();
+        let Some(plans) = self.plans(&ready, query)? else {
             return Ok(Vec::new());
         };
-        let ready = self.snapshot();
         plans
             .iter()
             .map(|plan| {
@@ -706,23 +708,21 @@ impl Parj {
     }
 
     /// Renders the optimized plan(s) for a query without executing it.
-    pub fn explain(&mut self, query: &str) -> Result<String, ParjError> {
-        Ok(match self.plans(query)? {
+    pub fn explain(&self, query: &str) -> Result<String, ParjError> {
+        Ok(match self.plans(&self.snapshot(), query)? {
             None => EMPTY_PLAN.to_string(),
             Some(plans) => Self::plan_text(&plans),
         })
     }
 
-    /// The plans a request for `query` would run on this engine
-    /// (finalizing first), or `None` when a constant is absent from the
-    /// data and nothing would run.
-    fn plans(&mut self, query: &str) -> Result<Option<Vec<PhysicalPlan>>, ParjError> {
-        self.finalize();
-        let ready = self.snapshot();
+    /// The plans a request for `query` would run on version `ready`,
+    /// or `None` when a constant is absent from the data and nothing
+    /// would run.
+    fn plans(&self, ready: &Ready, query: &str) -> Result<Option<Vec<PhysicalPlan>>, ParjError> {
         let mut phases = PhaseTimings::default();
-        match Self::prepare(&ready, query, self.config.cache, &mut phases)? {
+        match Self::prepare(ready, query, self.config.cache, &mut phases)? {
             Translation::Empty { .. } => Ok(None),
-            Translation::Run(tq) => Self::optimize_sets(&ready, &tq).map(Some),
+            Translation::Run(tq) => Self::optimize_sets(ready, &tq).map(Some),
         }
     }
 }
@@ -730,16 +730,16 @@ impl Parj {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::tests::{cached_engine, engine, run_count, run_query, DATA};
+    use crate::engine::tests::{cached_engine, engine, load, reload, run_count, run_query, DATA};
     use parj_dict::Term;
     use parj_join::{CancelToken, ProbeStrategy};
     use std::time::Duration;
 
     #[test]
     fn end_to_end_example_31() {
-        let mut e = engine();
+        let e = engine();
         let res = run_query(
-            &mut e,
+            &e,
             "SELECT ?x ?z ?y WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> ?y }",
         )
         .unwrap();
@@ -753,9 +753,9 @@ mod tests {
 
     #[test]
     fn end_to_end_example_32_filter() {
-        let mut e = engine();
+        let e = engine();
         let (count, stats) = run_count(
-            &mut e,
+            &e,
             "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> <http://e/U2> }",
         )
         .unwrap();
@@ -765,37 +765,37 @@ mod tests {
 
     #[test]
     fn silent_vs_full_agree() {
-        let mut e = engine();
+        let e = engine();
         let q = "SELECT ?x ?y WHERE { ?x <http://e/worksFor> ?y }";
-        let (count, _) = run_count(&mut e, q).unwrap();
-        let full = run_query(&mut e, q).unwrap();
+        let (count, _) = run_count(&e, q).unwrap();
+        let full = run_query(&e, q).unwrap();
         assert_eq!(count, full.rows.len() as u64);
     }
 
     #[test]
     fn missing_constant_empty() {
-        let mut e = engine();
+        let e = engine();
         let (count, stats) =
-            run_count(&mut e, "SELECT ?x WHERE { ?x <http://e/teaches> <http://e/Nope> }").unwrap();
+            run_count(&e, "SELECT ?x WHERE { ?x <http://e/teaches> <http://e/Nope> }").unwrap();
         assert_eq!(count, 0);
         assert!(stats.plan.contains("empty"));
-        let res = run_query(&mut e, "SELECT ?x WHERE { ?x <http://e/nopred> ?y }").unwrap();
+        let res = run_query(&e, "SELECT ?x WHERE { ?x <http://e/nopred> ?y }").unwrap();
         assert!(res.rows.is_empty());
         assert_eq!(res.vars, vec!["x"]);
     }
 
     #[test]
     fn distinct_and_limit() {
-        let mut e = engine();
+        let e = engine();
         // Professors teaching anything: 3 distinct, 4 rows raw.
         let q = "SELECT ?x WHERE { ?x <http://e/teaches> ?z }";
-        let (raw, _) = run_count(&mut e, q).unwrap();
+        let (raw, _) = run_count(&e, q).unwrap();
         assert_eq!(raw, 4);
         let q = "SELECT DISTINCT ?x WHERE { ?x <http://e/teaches> ?z }";
-        let (distinct, _) = run_count(&mut e, q).unwrap();
+        let (distinct, _) = run_count(&e, q).unwrap();
         assert_eq!(distinct, 3);
         let q = "SELECT ?x WHERE { ?x <http://e/teaches> ?z } LIMIT 2";
-        let (limited, _) = run_count(&mut e, q).unwrap();
+        let (limited, _) = run_count(&e, q).unwrap();
         assert_eq!(limited, 2);
         let rows = e.request(q).run().unwrap().id_rows();
         assert_eq!(rows.len(), 2);
@@ -803,40 +803,40 @@ mod tests {
 
     #[test]
     fn ask_query() {
-        let mut e = engine();
+        let e = engine();
         let (yes, _) =
-            run_count(&mut e, "ASK { <http://e/ProfA> <http://e/worksFor> <http://e/U1> }").unwrap();
+            run_count(&e, "ASK { <http://e/ProfA> <http://e/worksFor> <http://e/U1> }").unwrap();
         assert_eq!(yes, 1);
         let (no, _) =
-            run_count(&mut e, "ASK { <http://e/ProfA> <http://e/worksFor> <http://e/U2> }").unwrap();
+            run_count(&e, "ASK { <http://e/ProfA> <http://e/worksFor> <http://e/U2> }").unwrap();
         assert_eq!(no, 0);
     }
 
     #[test]
     fn predicate_variable_union() {
-        let mut e = engine();
+        let e = engine();
         // Everything about ProfA over any predicate: 2 teaches +
         // 1 worksFor + 1 name = 4 triples.
-        let (count, _) = run_count(&mut e, "SELECT ?o WHERE { <http://e/ProfA> ?p ?o }").unwrap();
+        let (count, _) = run_count(&e, "SELECT ?o WHERE { <http://e/ProfA> ?p ?o }").unwrap();
         assert_eq!(count, 4);
     }
 
     #[test]
     fn literals_in_queries() {
-        let mut e = engine();
+        let e = engine();
         let (count, _) =
-            run_count(&mut e, r#"SELECT ?x WHERE { ?x <http://e/name> "Alice" }"#).unwrap();
+            run_count(&e, r#"SELECT ?x WHERE { ?x <http://e/name> "Alice" }"#).unwrap();
         assert_eq!(count, 1);
         let (count, _) =
-            run_count(&mut e, r#"SELECT ?x WHERE { ?x <http://e/name> "Bob" }"#).unwrap();
+            run_count(&e, r#"SELECT ?x WHERE { ?x <http://e/name> "Bob" }"#).unwrap();
         assert_eq!(count, 0);
     }
 
     #[test]
     fn overrides_thread_and_strategy() {
-        let mut e = engine();
+        let e = engine();
         let q = "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> ?y }";
-        let base = run_count(&mut e, q).unwrap().0;
+        let base = run_count(&e, q).unwrap().0;
         for strategy in ProbeStrategy::TABLE5 {
             for threads in [1, 3, 8] {
                 let got = e
@@ -854,7 +854,7 @@ mod tests {
 
     #[test]
     fn request_builder_zero_threads_rejected() {
-        let mut e = engine();
+        let e = engine();
         let q = "SELECT ?x WHERE { ?x <http://e/teaches> ?z }";
         // A constant absent from the data never reaches the executor:
         // the options are checked before the query is parsed.
@@ -877,12 +877,12 @@ mod tests {
             }
         }
         // The engine is unharmed afterwards.
-        assert_eq!(run_count(&mut e, q).unwrap().0, 4);
+        assert_eq!(run_count(&e, q).unwrap().0, 4);
     }
 
     #[test]
     fn explain_without_execution() {
-        let mut e = engine();
+        let e = engine();
         let text = e
             .explain("SELECT ?x WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> <http://e/U2> }")
             .unwrap();
@@ -905,24 +905,21 @@ mod tests {
 "#;
 
     fn reasoning_engine(on: bool) -> Parj {
-        let mut e = Parj::builder().threads(2).rdfs_reasoning(on).build();
-        e.load_ntriples_str(ONTOLOGY).unwrap();
-        e.finalize();
-        e
+        load(Parj::builder().threads(2).rdfs_reasoning(on), ONTOLOGY)
     }
 
     #[test]
     fn reasoning_subclass_union() {
         let q = "SELECT ?x WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Person> }";
         // Without reasoning only the direct assertion matches.
-        let mut plain = reasoning_engine(false);
-        assert_eq!(run_count(&mut plain, q).unwrap().0, 1); // carol
+        let plain = reasoning_engine(false);
+        assert_eq!(run_count(&plain, q).unwrap().0, 1); // carol
         // With reasoning: alice (GradStudent ⊑ Student ⊑ Person), bob
         // (Prof ⊑ Person), carol — and alice only ONCE although she is
         // typed under two subclasses (entailment dedup).
-        let mut smart = reasoning_engine(true);
-        assert_eq!(run_count(&mut smart, q).unwrap().0, 3);
-        let res = run_query(&mut smart, q).unwrap();
+        let smart = reasoning_engine(true);
+        assert_eq!(run_count(&smart, q).unwrap().0, 3);
+        let res = run_query(&smart, q).unwrap();
         let mut names: Vec<String> = res.rows.iter().map(|r| r[0].to_string()).collect();
         names.sort();
         assert_eq!(
@@ -934,11 +931,11 @@ mod tests {
     #[test]
     fn reasoning_subproperty_union() {
         let q = "SELECT ?a ?b WHERE { ?a <http://e/knows> ?b }";
-        let mut plain = reasoning_engine(false);
-        assert_eq!(run_count(&mut plain, q).unwrap().0, 1); // bob knows carol
-        let mut smart = reasoning_engine(true);
+        let plain = reasoning_engine(false);
+        assert_eq!(run_count(&plain, q).unwrap().0, 1); // bob knows carol
+        let smart = reasoning_engine(true);
         // advisor ⊑ knows adds alice→bob.
-        assert_eq!(run_count(&mut smart, q).unwrap().0, 2);
+        assert_eq!(run_count(&smart, q).unwrap().0, 2);
     }
 
     #[test]
@@ -946,8 +943,7 @@ mod tests {
         // Forward-chain the closure by hand, load it into a plain
         // engine, and compare DISTINCT results with the reasoning
         // engine on the original data.
-        let mut materialized = Parj::builder().threads(1).build();
-        materialized.load_ntriples_str(ONTOLOGY).unwrap();
+        let materialized = load(Parj::builder().threads(1), ONTOLOGY);
         // Manual closure for this ontology:
         let closure = [
             ("alice", "Student"), // from GradStudent (already asserted too)
@@ -972,24 +968,24 @@ mod tests {
             )
             .run()
             .unwrap();
-        let mut smart = reasoning_engine(true);
+        let smart = reasoning_engine(true);
         for q in [
             "SELECT ?x WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Person> }",
             "SELECT ?x WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Student> }",
             "SELECT ?a ?b WHERE { ?a <http://e/knows> ?b }",
             "SELECT ?a ?c WHERE { ?a <http://e/knows> ?b . ?b <http://e/knows> ?c }",
         ] {
-            let (expect, _) = run_count(&mut materialized, q).unwrap();
-            let (got, _) = run_count(&mut smart, q).unwrap();
+            let (expect, _) = run_count(&materialized, q).unwrap();
+            let (got, _) = run_count(&smart, q).unwrap();
             assert_eq!(got, expect, "{q}");
         }
     }
 
     #[test]
     fn reasoning_preserves_limit_and_threads() {
-        let mut smart = reasoning_engine(true);
+        let smart = reasoning_engine(true);
         let q = "SELECT ?x WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Person> } LIMIT 2";
-        assert_eq!(run_count(&mut smart, q).unwrap().0, 2);
+        assert_eq!(run_count(&smart, q).unwrap().0, 2);
         for threads in [1, 4] {
             let q = "SELECT ?x WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Person> }";
             assert_eq!(
@@ -1001,45 +997,45 @@ mod tests {
 
     #[test]
     fn union_queries() {
-        let mut e = engine();
+        let e = engine();
         // teaches ∪ worksFor: 4 + 3 rows, multiset semantics.
         let q = "SELECT ?x ?y WHERE { \
                  { ?x <http://e/teaches> ?y } UNION { ?x <http://e/worksFor> ?y } }";
-        let (count, _) = run_count(&mut e, q).unwrap();
+        let (count, _) = run_count(&e, q).unwrap();
         assert_eq!(count, 7);
-        let res = run_query(&mut e, q).unwrap();
+        let res = run_query(&e, q).unwrap();
         assert_eq!(res.rows.len(), 7);
 
         // Overlapping branches keep duplicates (multiset union)…
         let q = "SELECT ?x WHERE { \
                  { ?x <http://e/teaches> ?z } UNION { ?x <http://e/teaches> ?z } }";
-        assert_eq!(run_count(&mut e, q).unwrap().0, 8);
+        assert_eq!(run_count(&e, q).unwrap().0, 8);
         // …unless DISTINCT.
         let q = "SELECT DISTINCT ?x WHERE { \
                  { ?x <http://e/teaches> ?z } UNION { ?x <http://e/teaches> ?z } }";
-        assert_eq!(run_count(&mut e, q).unwrap().0, 3);
+        assert_eq!(run_count(&e, q).unwrap().0, 3);
 
         // A branch with a missing constant contributes nothing; the
         // other still answers.
         let q = "SELECT ?x WHERE { \
                  { ?x <http://e/teaches> <http://e/Nope> } UNION { ?x <http://e/worksFor> <http://e/U2> } }";
-        assert_eq!(run_count(&mut e, q).unwrap().0, 2);
+        assert_eq!(run_count(&e, q).unwrap().0, 2);
 
         // A projected variable unbound in one branch is rejected.
         let q = "SELECT ?y WHERE { \
                  { ?x <http://e/teaches> ?y } UNION { ?x <http://e/worksFor> ?z } }";
-        assert!(matches!(run_query(&mut e, q), Err(ParjError::Unsupported(_))));
+        assert!(matches!(run_query(&e, q), Err(ParjError::Unsupported(_))));
 
         // Joins inside branches work.
         let q = "SELECT ?x ?c WHERE { \
                  { ?x <http://e/teaches> ?c . ?x <http://e/worksFor> <http://e/U1> } \
                  UNION { ?x <http://e/teaches> ?c . ?x <http://e/worksFor> <http://e/U2> } }";
-        assert_eq!(run_count(&mut e, q).unwrap().0, 4);
+        assert_eq!(run_count(&e, q).unwrap().0, 4);
     }
 
     #[test]
     fn union_with_reasoning_dedups_per_branch() {
-        let mut smart = reasoning_engine(true);
+        let smart = reasoning_engine(true);
         // Within one branch alice's double typing (GradStudent+Student)
         // dedups; the identical second branch re-contributes every
         // solution (multiset union).
@@ -1047,14 +1043,14 @@ mod tests {
             { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Person> } \
             UNION \
             { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Person> } }";
-        assert_eq!(run_count(&mut smart, person).unwrap().0, 6); // 3 + 3
+        assert_eq!(run_count(&smart, person).unwrap().0, 6); // 3 + 3
     }
 
     #[test]
     fn order_by_and_offset() {
-        let mut e = engine();
+        let e = engine();
         // Professors ordered by IRI ascending.
-        let res = run_query(&mut e, "SELECT ?x WHERE { ?x <http://e/worksFor> ?u } ORDER BY ?x")
+        let res = run_query(&e, "SELECT ?x WHERE { ?x <http://e/worksFor> ?u } ORDER BY ?x")
             .unwrap();
         let names: Vec<String> = res.rows.iter().map(|r| r[0].to_string()).collect();
         let mut sorted = names.clone();
@@ -1064,7 +1060,7 @@ mod tests {
 
         // DESC reverses.
         let res = run_query(
-            &mut e,
+            &e,
             "SELECT ?x WHERE { ?x <http://e/worksFor> ?u } ORDER BY DESC(?x)",
         )
         .unwrap();
@@ -1073,7 +1069,7 @@ mod tests {
 
         // ORDER BY a non-projected variable forces full-width rows.
         let res = run_query(
-            &mut e,
+            &e,
             "SELECT ?x WHERE { ?x <http://e/worksFor> ?u } ORDER BY ?u ?x",
         )
         .unwrap();
@@ -1082,12 +1078,12 @@ mod tests {
 
         // OFFSET slices after ordering; pagination covers everything.
         let page1 = run_query(
-            &mut e,
+            &e,
             "SELECT ?x WHERE { ?x <http://e/worksFor> ?u } ORDER BY ?x LIMIT 2",
         )
         .unwrap();
         let page2 = run_query(
-            &mut e,
+            &e,
             "SELECT ?x WHERE { ?x <http://e/worksFor> ?u } ORDER BY ?x OFFSET 2 LIMIT 2",
         )
         .unwrap();
@@ -1105,12 +1101,12 @@ mod tests {
 
         // Silent-mode count honors OFFSET without materializing.
         let (count, _) =
-            run_count(&mut e, "SELECT ?x WHERE { ?x <http://e/teaches> ?z } OFFSET 3").unwrap();
+            run_count(&e, "SELECT ?x WHERE { ?x <http://e/teaches> ?z } OFFSET 3").unwrap();
         assert_eq!(count, 1); // 4 teaching rows - 3
 
         // DISTINCT preserves requested order.
         let res = run_query(
-            &mut e,
+            &e,
             "SELECT DISTINCT ?x WHERE { ?x <http://e/teaches> ?z } ORDER BY DESC(?x)",
         )
         .unwrap();
@@ -1124,7 +1120,7 @@ mod tests {
 
     #[test]
     fn budget_exceeded_surfaces_with_partial_stats() {
-        let mut e = engine();
+        let e = engine();
         let q = "SELECT ?x WHERE { ?x <http://e/teaches> ?z }"; // 4 rows
         match e.request(q).max_rows(2).count_only().run() {
             Err(ParjError::BudgetExceeded { rows, partial }) => {
@@ -1148,11 +1144,10 @@ mod tests {
 
     #[test]
     fn engine_wide_budget_from_config() {
-        let mut e = Parj::builder().threads(2).max_result_rows(1).build();
-        e.load_ntriples_str(DATA).unwrap();
+        let e = load(Parj::builder().threads(2).max_result_rows(1), DATA);
         let q = "SELECT ?x WHERE { ?x <http://e/teaches> ?z }";
         assert!(matches!(
-            run_count(&mut e, q),
+            run_count(&e, q),
             Err(ParjError::BudgetExceeded { .. })
         ));
         // A per-run override lifts the engine-wide cap.
@@ -1162,7 +1157,7 @@ mod tests {
 
     #[test]
     fn cancelled_token_stops_query_and_resets() {
-        let mut e = engine();
+        let e = engine();
         let q = "SELECT ?x WHERE { ?x <http://e/teaches> ?z }";
         let token = CancelToken::new();
         token.cancel();
@@ -1180,7 +1175,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_stops_query() {
-        let mut e = engine();
+        let e = engine();
         let q = "SELECT ?x ?z ?y WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> ?y }";
         match e.request(q).timeout(Duration::ZERO).run() {
             Err(ParjError::DeadlineExceeded { elapsed, .. }) => {
@@ -1195,7 +1190,7 @@ mod tests {
 
     #[test]
     fn guard_spans_union_branches() {
-        let mut e = engine();
+        let e = engine();
         // Each branch alone produces 4 rows; the shared budget of 5
         // must trip on the second branch because rows accumulate
         // across branches of one run.
@@ -1210,13 +1205,13 @@ mod tests {
 
     #[test]
     fn sparql_errors_surface() {
-        let mut e = engine();
+        let e = engine();
         assert!(matches!(
-            run_query(&mut e, "SELECT ?x WHERE { OPTIONAL { ?x ?p ?o } }"),
+            run_query(&e, "SELECT ?x WHERE { OPTIONAL { ?x ?p ?o } }"),
             Err(ParjError::Sparql(_))
         ));
         assert!(matches!(
-            run_query(&mut e, "SELECT ?p WHERE { ?x ?p ?o }"),
+            run_query(&e, "SELECT ?p WHERE { ?x ?p ?o }"),
             Err(ParjError::Unsupported(_))
         ));
     }
@@ -1227,7 +1222,7 @@ mod tests {
     /// bodies.
     #[test]
     fn count_only_matches_materialized_len() {
-        let mut e = engine();
+        let e = engine();
         let bodies = [
             "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z }",
             "SELECT DISTINCT ?x WHERE { ?x <http://e/teaches> ?z }",
@@ -1261,7 +1256,7 @@ mod tests {
 
     #[test]
     fn zero_arity_rows_report_match_count() {
-        let mut e = engine();
+        let e = engine();
         // ASK carries an implicit LIMIT 1; a match is one empty row.
         let out = e.request("ASK { ?x <http://e/teaches> ?z }").run().unwrap();
         assert_eq!(out.count, 1);
@@ -1283,7 +1278,7 @@ mod tests {
 
     #[test]
     fn cache_off_reports_off_and_stays_cold() {
-        let mut e = engine();
+        let e = engine();
         let q = "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z }";
         for _ in 0..2 {
             let out = e.request(q).run().unwrap();
@@ -1294,8 +1289,8 @@ mod tests {
 
     #[test]
     fn result_cache_serves_identical_answers() {
-        let mut cold = engine();
-        let mut e = cached_engine();
+        let cold = engine();
+        let e = cached_engine();
         let q = "SELECT ?x ?z ?y WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> ?y }";
         let first = e.request(q).run().unwrap();
         assert_eq!(first.stats.cache, crate::CacheStatus::Miss);
@@ -1314,7 +1309,7 @@ mod tests {
 
     #[test]
     fn renamed_query_hits_the_same_entry() {
-        let mut e = cached_engine();
+        let e = cached_engine();
         let a = "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z }";
         let b = "SELECT ?s ?c WHERE { ?s <http://e/teaches> ?c }";
         assert_eq!(e.request(a).run().unwrap().stats.cache, crate::CacheStatus::Miss);
@@ -1326,7 +1321,7 @@ mod tests {
 
     #[test]
     fn plan_cache_shares_across_limit_windows() {
-        let mut e = cached_engine();
+        let e = cached_engine();
         let base = "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z }";
         assert_eq!(
             e.request(base).run().unwrap().stats.cache,
@@ -1341,7 +1336,7 @@ mod tests {
 
     #[test]
     fn count_and_rows_modes_key_separate_entries() {
-        let mut e = cached_engine();
+        let e = cached_engine();
         let q = "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z }";
         let counted = e.request(q).count_only().run().unwrap();
         assert_eq!(counted.stats.cache, crate::CacheStatus::Miss);
@@ -1363,7 +1358,7 @@ mod tests {
 
     #[test]
     fn answers_resolve_against_their_own_snapshot() {
-        let mut e = engine();
+        let e = engine();
         let q = "SELECT ?x ?n WHERE { ?x <http://e/name> ?n }";
         let out = e.request(q).run().unwrap();
         let before = out.term_rows().unwrap();
@@ -1386,9 +1381,7 @@ mod tests {
             .insert_all([name("http://e/ProfY", "Yan")])
             .run()
             .unwrap();
-        e.load_ntriples_str("<http://e/Q> <http://e/name> \"Quinn\" .")
-            .unwrap();
-        e.finalize();
+        let e = reload(e, "<http://e/Q> <http://e/name> \"Quinn\" .");
         assert_eq!(out.term_rows().unwrap(), before);
         assert_eq!(mid.term_rows().unwrap(), mid_rows);
         assert_eq!(e.request(q).run().unwrap().count, 4);
@@ -1396,7 +1389,7 @@ mod tests {
 
     #[test]
     fn undecodable_ids_are_internal_errors_not_panics() {
-        let mut e = engine();
+        let e = engine();
         let mut out = e
             .request("SELECT ?x WHERE { ?x <http://e/teaches> ?z }")
             .run()
@@ -1404,8 +1397,7 @@ mod tests {
         let ready = e.snapshot();
         out.answer = Some(Answer {
             rows: Arc::new(RowBatch::from_parts(1, vec![Id::MAX - 1])),
-            store: Arc::clone(&ready.store),
-            delta: Arc::clone(ready.delta.shared_dict()),
+            ready,
         });
         assert!(matches!(out.term_rows(), Err(ParjError::Internal(_))));
         let answer = out.answer().expect("rows were requested");
@@ -1418,7 +1410,7 @@ mod tests {
 
     #[test]
     fn updates_invalidate_cached_results() {
-        let mut e = cached_engine();
+        let e = cached_engine();
         let q = "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z }";
         assert_eq!(e.request(q).run().unwrap().count, 4);
         assert_eq!(e.request(q).run().unwrap().stats.cache, crate::CacheStatus::ResultHit);
@@ -1442,7 +1434,7 @@ mod tests {
 
     #[test]
     fn bypass_budget_and_explain_skip_the_cache() {
-        let mut e = cached_engine();
+        let e = cached_engine();
         let q = "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z }";
         // Explicit bypass: nothing inserted...
         let out = e.request(q).bypass_cache().run().unwrap();
@@ -1467,7 +1459,7 @@ mod tests {
 
     #[test]
     fn deadline_and_cancel_guarded_runs_use_the_cache() {
-        let mut e = cached_engine();
+        let e = cached_engine();
         let q = "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z }";
         // A deadline-guarded run both populates and is served from the
         // cache: guards abort with an error before any insert, so a
@@ -1492,7 +1484,7 @@ mod tests {
 
     #[test]
     fn cached_report_names_the_hit() {
-        let mut e = cached_engine();
+        let e = cached_engine();
         let q = "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z }";
         assert!(e.request(q).run().unwrap().report().contains("cache: miss"));
         assert!(e

@@ -6,7 +6,7 @@
 //! > provide complete answering with respect to hierarchies, without
 //! > the need to materialize the implications."
 //!
-//! At finalize, and after every mutation batch, the engine extracts
+//! When the engine is built, and after every mutation batch, it extracts
 //! `rdfs:subClassOf` / `rdfs:subPropertyOf` statements from the data
 //! and computes their transitive closures. At query time (when
 //! [`crate::EngineConfig::reasoning`] is on):

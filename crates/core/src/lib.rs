@@ -15,37 +15,48 @@
 //!
 //! ## Lifecycle
 //!
-//! 1. build an engine: [`Parj::builder`] returns the default
+//! 1. configure: [`Parj::builder`] returns the default
 //!    [`EngineConfig`], whose chainable setters (thread count, probe
-//!    strategy, index options, …) end in [`EngineConfig::build`];
-//! 2. load data ([`Parj::load_ntriples_str`], [`Parj::load_turtle_str`],
-//!    or a snapshot);
-//! 3. [`Parj::finalize`] — builds partitions, statistics, and runs the
-//!    calibration of Algorithm 2 (or adopts the paper's default
-//!    windows);
+//!    strategy, index options, …) end in [`EngineConfig::loader`];
+//! 2. load data into the [`Loader`] with [`Loader::load`] — text, a
+//!    file or a reader, as N-Triples or Turtle — or start from a
+//!    snapshot ([`Parj::load_snapshot`]);
+//! 3. [`Loader::finish`] builds partitions and statistics once and runs
+//!    the calibration of Algorithm 2 (or adopts the paper's default
+//!    windows), returning a ready [`Parj`];
 //! 4. query through [`Parj::request`]: the answer's rows by default
 //!    (held by reference, read as ids or terms),
 //!    [`QueryRequest::count_only`] for the paper's "silent mode" —
 //!    with per-run deadline / row-budget / cancellation / thread
 //!    knobs on the same builder;
-//! 5. change data with [`Parj::mutate`]. To serve many threads, wrap
-//!    the engine in a [`SharedParj`]: a request runs on the version
-//!    published when it was built, and a batch publishes the next.
+//! 5. change data with [`Parj::mutate`].
+//!
+//! Every method of a ready engine takes `&self`, so one `Arc<Parj>`
+//! serves many threads: a request runs on the version published when it
+//! was built, and a mutation batch publishes the next. Neither waits
+//! for the other.
 //!
 //! ```
-//! use parj_core::Parj;
+//! use parj_core::{LoadSource, OnParseError, Parj, RdfFormat};
+//! use std::sync::Arc;
 //!
-//! let mut engine = Parj::builder().threads(2).build();
-//! engine.load_ntriples_str(r#"
+//! let mut loader = Parj::builder().threads(2).loader();
+//! loader.load(LoadSource::Text(r#"
 //!     <http://e/ProfA> <http://e/teaches> <http://e/Math> .
 //!     <http://e/ProfA> <http://e/worksFor> <http://e/U1> .
 //!     <http://e/ProfB> <http://e/teaches> <http://e/Chem> .
 //!     <http://e/ProfB> <http://e/worksFor> <http://e/U2> .
-//! "#).unwrap();
-//! engine.finalize();
-//! let outcome = engine.request(
-//!     "SELECT ?x ?y WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> ?y . }"
-//! ).run().unwrap();
+//! "#), RdfFormat::NTriples, OnParseError::Abort).unwrap();
+//! let engine = Arc::new(loader.finish());
+//! let reader = {
+//!     let engine = Arc::clone(&engine);
+//!     std::thread::spawn(move || {
+//!         engine.request(
+//!             "SELECT ?x ?y WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> ?y . }"
+//!         ).run().unwrap()
+//!     })
+//! };
+//! let outcome = reader.join().unwrap();
 //! assert_eq!(outcome.count, 2);
 //! assert_eq!(outcome.term_rows().unwrap().len(), 2);
 //! ```
@@ -71,22 +82,26 @@ mod loader;
 mod mutate;
 mod request;
 mod result;
-mod shared;
 mod translate;
 
 pub use engine::{EngineConfig, Parj, RunOverrides};
 pub use error::ParjError;
 pub use fingerprint::{canonicalize_query, query_fingerprint};
 pub use hierarchy::{Hierarchy, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, RDF_TYPE};
+pub use loader::{LoadSource, Loader, RdfFormat};
 pub use mutate::{MutationOutcome, MutationPhases, MutationRequest};
 pub use request::{QueryOutcome, QueryRequest};
 pub use result::{Answer, CacheStatus, PhaseTimings, QueryRunStats};
-pub use shared::SharedParj;
 pub use translate::{TranslatedQuery, Translation};
+
+/// The engine, under the name the benchmark harness still uses for
+/// its shared handle.
+#[doc(hidden)]
+pub type SharedParj = Parj;
 
 // Deep structural auditing (the `parj-audit` substrate).
 pub use parj_audit::{
-    audit_all, audit_delta, audit_dictionary, audit_plan, audit_snapshot_roundtrip, audit_store,
+    audit_all, audit_delta, audit_dictionary, audit_snapshot_roundtrip, audit_store,
     AuditReport, Coordinates, Violation,
 };
 

@@ -18,11 +18,16 @@
 //! untouched predicates keep serving hits.
 //!
 //! ```
-//! use parj_core::{Parj, Term};
+//! use parj_core::{LoadSource, OnParseError, Parj, RdfFormat, Term};
+//! use std::sync::Arc;
 //!
-//! let mut engine = Parj::new();
-//! engine.load_ntriples_str("<http://e/a> <http://e/p> <http://e/b> .").unwrap();
-//! engine.finalize();
+//! let mut loader = Parj::builder().loader();
+//! loader.load(
+//!     LoadSource::Text("<http://e/a> <http://e/p> <http://e/b> ."),
+//!     RdfFormat::NTriples,
+//!     OnParseError::Abort,
+//! ).unwrap();
+//! let engine: Arc<Parj> = Arc::new(loader.finish());
 //! let outcome = engine
 //!     .mutate()
 //!     .insert(Term::iri("http://e/b"), Term::iri("http://e/p"), Term::iri("http://e/c"))
@@ -43,7 +48,6 @@ use parj_dict::{Id, Term};
 use crate::engine::Parj;
 use crate::error::ParjError;
 use crate::hierarchy::Hierarchy;
-use crate::shared::SharedParj;
 
 /// One operation of a mutation batch, in call order (later operations
 /// on the same triple win).
@@ -57,7 +61,7 @@ pub(crate) enum MutationOp {
 }
 
 /// A configured mutation batch, ready to [`run`](MutationRequest::run).
-/// Built by [`Parj::mutate`] or [`SharedParj::mutate`].
+/// Built by [`Parj::mutate`].
 pub struct MutationRequest<'e> {
     engine: &'e Parj,
     ops: Vec<MutationOp>,
@@ -186,18 +190,17 @@ pub struct MutationOutcome {
 
 impl Parj {
     /// Starts a mutation batch — the write counterpart of
-    /// [`Parj::request`]. Staged (never-finalized) data is finalized
-    /// first.
-    pub fn mutate(&mut self) -> MutationRequest<'_> {
-        self.finalize();
+    /// [`Parj::request`]. Batches serialize among themselves; queries
+    /// keep running on the version they pinned, and those built after
+    /// [`MutationRequest::run`] returns see the batch.
+    pub fn mutate(&self) -> MutationRequest<'_> {
         MutationRequest::new(self)
     }
 
     /// Applies one mutation batch (ordered insert/delete operations, in
     /// call order so later operations on the same triple win) to a copy
     /// of the published version, and publishes the result — the
-    /// execution path behind [`Parj::mutate`] and
-    /// [`SharedParj::mutate`].
+    /// execution path behind [`Parj::mutate`].
     ///
     /// Cost is `O(batch + resident delta)` in the touched predicates
     /// only; the base store is never rebuilt, and the copy shares every
@@ -329,24 +332,16 @@ impl Parj {
         // Publish: requests built from here on read `next`; running ones
         // keep theirs. The old version is freed, when this was its last
         // pin, outside the cell's lock.
-        let old = self.published.lock().replace(Arc::new(next));
+        let old = std::mem::replace(&mut *self.published.lock(), Arc::new(next));
         drop(old);
         outcome
-    }
-}
-
-impl SharedParj {
-    /// Starts a mutation batch on this handle. Batches serialize among
-    /// themselves; queries keep running on the version they pinned, and
-    /// those built after [`MutationRequest::run`] returns see the batch.
-    pub fn mutate(&self) -> MutationRequest<'_> {
-        MutationRequest::new(&self.engine)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::{load, reload};
     use crate::result::CacheStatus;
     use parj_dict::Term;
 
@@ -356,23 +351,20 @@ mod tests {
 <http://e/a> <http://e/q> <http://e/c> .\n";
 
     fn engine() -> Parj {
-        let mut e = Parj::builder().threads(2).build();
-        e.load_ntriples_str(DATA).unwrap();
-        e.finalize();
-        e
+        load(Parj::builder().threads(2), DATA)
     }
 
     fn iri(s: &str) -> Term {
         Term::iri(format!("http://e/{s}"))
     }
 
-    fn count(e: &mut Parj, q: &str) -> u64 {
+    fn count(e: &Parj, q: &str) -> u64 {
         e.request(q).count_only().run().unwrap().count
     }
 
     #[test]
     fn insert_and_delete_change_visibility() {
-        let mut e = engine();
+        let e = engine();
         let out = e
             .mutate()
             .insert(iri("c"), iri("p"), iri("d"))
@@ -383,13 +375,13 @@ mod tests {
         assert_eq!(out.deleted, 1);
         assert_eq!(out.predicates_touched, 1);
         assert_eq!(out.visible_triples, 3);
-        assert_eq!(count(&mut e, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 2);
+        assert_eq!(count(&e, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 2);
         assert_eq!(e.num_triples(), 3);
     }
 
     #[test]
     fn duplicate_insert_and_absent_delete_are_noops() {
-        let mut e = engine();
+        let e = engine();
         let out = e
             .mutate()
             .insert(iri("a"), iri("p"), iri("b")) // already stored
@@ -406,7 +398,7 @@ mod tests {
 
     #[test]
     fn later_ops_on_the_same_triple_win() {
-        let mut e = engine();
+        let e = engine();
         // insert-then-delete: net nothing.
         let out = e
             .mutate()
@@ -424,12 +416,12 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!((out.inserted, out.deleted), (0, 0));
-        assert_eq!(count(&mut e, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 2);
+        assert_eq!(count(&e, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 2);
     }
 
     #[test]
     fn new_terms_and_predicates_are_queryable() {
-        let mut e = engine();
+        let e = engine();
         let out = e
             .mutate()
             .insert(iri("fresh"), iri("brandnew"), iri("alsofresh"))
@@ -437,7 +429,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.inserted, 1);
         assert_eq!(
-            count(&mut e, "SELECT ?o WHERE { <http://e/fresh> <http://e/brandnew> ?o }"),
+            count(&e, "SELECT ?o WHERE { <http://e/fresh> <http://e/brandnew> ?o }"),
             1
         );
         // The new terms decode in materialized rows.
@@ -452,18 +444,18 @@ mod tests {
 
     #[test]
     fn delete_then_reinsert_across_batches() {
-        let mut e = engine();
+        let e = engine();
         e.mutate().delete(iri("a"), iri("p"), iri("b")).run().unwrap();
-        assert_eq!(count(&mut e, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 1);
+        assert_eq!(count(&e, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 1);
         let out = e.mutate().insert(iri("a"), iri("p"), iri("b")).run().unwrap();
         assert_eq!(out.inserted, 1, "un-tombstoning counts as an insert");
-        assert_eq!(count(&mut e, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 2);
+        assert_eq!(count(&e, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 2);
         assert_eq!(e.num_triples(), 3);
     }
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let mut e = engine();
+        let e = engine();
         let out = e.mutate().run().unwrap();
         assert_eq!(out.inserted + out.deleted, 0);
         assert_eq!(out.predicates_touched, 0);
@@ -471,21 +463,8 @@ mod tests {
     }
 
     #[test]
-    fn mutate_on_staged_engine_finalizes_first() {
-        let mut e = Parj::builder().threads(1).build();
-        e.load_ntriples_str(DATA).unwrap();
-        // Never finalized: mutate() folds the staged triples first.
-        let out = e.mutate().insert(iri("c"), iri("p"), iri("d")).run().unwrap();
-        assert_eq!(out.inserted, 1);
-        assert_eq!(out.visible_triples, 4);
-        assert!(e.is_finalized());
-    }
-
-    #[test]
     fn batch_compaction_threshold_triggers_inline_compaction() {
-        let mut e = Parj::builder().threads(1).delta_compaction_threshold(8).build();
-        e.load_ntriples_str(DATA).unwrap();
-        e.finalize();
+        let e = load(Parj::builder().threads(1).delta_compaction_threshold(8), DATA);
         let batch: Vec<(Term, Term, Term)> =
             (0..20).map(|i| (iri(&format!("s{i}")), iri("p"), iri("o"))).collect();
         let out = e.mutate().insert_all(batch).run().unwrap();
@@ -493,29 +472,27 @@ mod tests {
         assert_eq!(out.compactions, 1, "20 resident pairs >= threshold 8");
         assert_eq!(out.delta_resident_pairs, 0, "compaction emptied the runs");
         assert!(out.delta_bytes > 0, "compacted partition stays in the overlay");
-        assert_eq!(count(&mut e, "SELECT ?s WHERE { ?s <http://e/p> <http://e/o> }"), 20);
+        assert_eq!(count(&e, "SELECT ?s WHERE { ?s <http://e/p> <http://e/o> }"), 20);
         // A second batch probes against the compacted partition.
         let out = e.mutate().delete(iri("s3"), iri("p"), iri("o")).run().unwrap();
         assert_eq!(out.deleted, 1);
-        assert_eq!(count(&mut e, "SELECT ?s WHERE { ?s <http://e/p> <http://e/o> }"), 19);
+        assert_eq!(count(&e, "SELECT ?s WHERE { ?s <http://e/p> <http://e/o> }"), 19);
     }
 
     #[test]
     fn zero_threshold_disables_compaction() {
-        let mut e = Parj::builder().threads(1).delta_compaction_threshold(0).build();
-        e.load_ntriples_str(DATA).unwrap();
-        e.finalize();
+        let e = load(Parj::builder().threads(1).delta_compaction_threshold(0), DATA);
         let batch: Vec<(Term, Term, Term)> =
             (0..50).map(|i| (iri(&format!("s{i}")), iri("p"), iri("o"))).collect();
         let out = e.mutate().insert_all(batch).run().unwrap();
         assert_eq!(out.compactions, 0);
         assert_eq!(out.delta_resident_pairs, 50);
-        assert_eq!(count(&mut e, "SELECT ?s WHERE { ?s <http://e/p> <http://e/o> }"), 50);
+        assert_eq!(count(&e, "SELECT ?s WHERE { ?s <http://e/p> <http://e/o> }"), 50);
     }
 
     #[test]
     fn outcome_reports_phase_timings() {
-        let mut e = engine();
+        let e = engine();
         let out = e.mutate().insert(iri("x"), iri("p"), iri("y")).run().unwrap();
         assert_eq!(
             out.phases.total(),
@@ -528,25 +505,25 @@ mod tests {
 
     #[test]
     fn mutations_then_unrelated_load_rebuilds_consistently() {
-        let mut e = engine();
+        let e = engine();
         e.mutate()
             .insert(iri("c"), iri("p"), iri("d"))
             .delete(iri("a"), iri("q"), iri("c"))
             .run()
             .unwrap();
-        // A bulk load folds the delta into staging; the rebuilt store
-        // must carry exactly the merged view plus the new data.
-        e.load_ntriples_str("<http://e/z> <http://e/p> <http://e/z2> .\n").unwrap();
+        // Re-opened staging folds the delta in; the rebuilt store must
+        // carry exactly the merged view plus the new data.
+        let e = reload(e, "<http://e/z> <http://e/p> <http://e/z2> .\n");
         assert_eq!(e.num_triples(), 4);
-        assert_eq!(count(&mut e, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 4);
-        assert_eq!(count(&mut e, "SELECT ?s WHERE { ?s <http://e/q> ?o }"), 0);
+        assert_eq!(count(&e, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 4);
+        assert_eq!(count(&e, "SELECT ?s WHERE { ?s <http://e/q> ?o }"), 0);
         let report = e.audit();
         assert!(report.is_clean(), "{report:?}");
     }
 
     #[test]
     fn snapshot_after_mutations_captures_merged_view() {
-        let mut e = engine();
+        let e = engine();
         e.mutate()
             .insert(iri("c"), iri("p"), iri("d"))
             .delete(iri("a"), iri("p"), iri("b"))
@@ -556,11 +533,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mutated.parj");
         e.save_snapshot(&path).unwrap();
-        let mut back = Parj::load_snapshot(&path, crate::EngineConfig::default()).unwrap();
+        let back = Parj::load_snapshot(&path, crate::EngineConfig::default()).unwrap();
         assert_eq!(back.num_triples(), 3);
-        assert_eq!(count(&mut back, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 2);
+        assert_eq!(count(&back, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 2);
         assert_eq!(
-            count(&mut back, "SELECT ?o WHERE { <http://e/c> <http://e/p> ?o }"),
+            count(&back, "SELECT ?o WHERE { <http://e/c> <http://e/p> ?o }"),
             1
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -578,18 +555,17 @@ mod tests {
 
     fn refresh_the_hierarchy(threshold: usize) {
         use crate::hierarchy::{RDFS_SUBCLASSOF as SUBCLASS, RDF_TYPE};
-        let mut e = Parj::builder()
-            .threads(1)
-            .rdfs_reasoning(true)
-            .cache(true)
-            .delta_compaction_threshold(threshold)
-            .build();
-        e.load_ntriples_str(&format!(
-            "{DATA}<http://e/D> <{SUBCLASS}> <http://e/C> .\n<http://e/y> <{RDF_TYPE}> <http://e/D> .\n"
-        ))
-        .unwrap();
-        e.finalize();
-        let rows = |e: &mut Parj, q: &str| {
+        let e = load(
+            Parj::builder()
+                .threads(1)
+                .rdfs_reasoning(true)
+                .cache(true)
+                .delta_compaction_threshold(threshold),
+            &format!(
+                "{DATA}<http://e/D> <{SUBCLASS}> <http://e/C> .\n<http://e/y> <{RDF_TYPE}> <http://e/D> .\n"
+            ),
+        );
+        let rows = |e: &Parj, q: &str| {
             let out = e.request(q).run().unwrap();
             let mut rows = out.term_rows().unwrap();
             rows.sort();
@@ -600,54 +576,54 @@ mod tests {
         // predicates it touched: a cached query on another one is still
         // a hit, and the batch rides the delta.
         let on_q = "SELECT ?s ?o WHERE { ?s <http://e/q> ?o }";
-        rows(&mut e, on_q);
+        rows(&e, on_q);
         let out = e.mutate().insert(iri("x"), iri("p"), iri("y")).run().unwrap();
         assert_eq!(out.cache_invalidations, 1);
         assert_eq!(out.compactions, compacts);
         assert_eq!(out.delta_resident_pairs, usize::from(threshold == 0), "no rebuild folded it");
-        assert_eq!(rows(&mut e, on_q).1, CacheStatus::ResultHit);
+        assert_eq!(rows(&e, on_q).1, CacheStatus::ResultHit);
         // One batch that adds a subclass and an instance of it.
         let of_c = format!("SELECT ?x WHERE {{ ?x <{RDF_TYPE}> <http://e/C> }}");
-        assert_eq!(rows(&mut e, &of_c).0, vec![vec![iri("y")]]);
+        assert_eq!(rows(&e, &of_c).0, vec![vec![iri("y")]]);
         e.mutate()
             .insert(iri("S"), Term::iri(SUBCLASS), iri("C"))
             .insert(iri("x"), Term::iri(RDF_TYPE), iri("S"))
             .run()
             .unwrap();
-        assert_eq!(rows(&mut e, &of_c).0, vec![vec![iri("x")], vec![iri("y")]]);
+        assert_eq!(rows(&e, &of_c).0, vec![vec![iri("x")], vec![iri("y")]]);
         // A batch that touches only `subClassOf` still changes the
         // answers over `rdf:type`: the hierarchy changed, so every
         // cached entry goes stale.
         e.mutate().insert(iri("z"), Term::iri(RDF_TYPE), iri("T")).run().unwrap();
-        rows(&mut e, &of_c);
+        rows(&e, &of_c);
         let out = e.mutate().insert(iri("T"), Term::iri(SUBCLASS), iri("S")).run().unwrap();
         assert_eq!(out.cache_invalidations, 0, "invalidated by generation instead");
-        let (got, status) = rows(&mut e, &of_c);
+        let (got, status) = rows(&e, &of_c);
         assert_eq!(status, CacheStatus::Miss);
         assert_eq!(got, vec![vec![iri("x")], vec![iri("y")], vec![iri("z")]]);
         // Deleting an edge shrinks the hierarchy: `:x` and `:z` reached
         // `:C` only through `:S`, and the cached answer goes stale.
-        assert_eq!(rows(&mut e, &of_c).1, CacheStatus::ResultHit);
+        assert_eq!(rows(&e, &of_c).1, CacheStatus::ResultHit);
         let out = e.mutate().delete(iri("S"), Term::iri(SUBCLASS), iri("C")).run().unwrap();
         assert_eq!(out.deleted, 1);
         assert_eq!(out.cache_invalidations, 0, "invalidated by generation instead");
-        let (got, status) = rows(&mut e, &of_c);
+        let (got, status) = rows(&e, &of_c);
         assert_eq!(status, CacheStatus::Miss);
         assert_eq!(got, vec![vec![iri("y")]]);
         // The edge left in the base store goes the same way.
         let out = e.mutate().delete(iri("D"), Term::iri(SUBCLASS), iri("C")).run().unwrap();
         assert_eq!(out.deleted, 1);
-        assert_eq!(rows(&mut e, &of_c), (vec![], CacheStatus::Miss));
+        assert_eq!(rows(&e, &of_c), (vec![], CacheStatus::Miss));
         assert!(e.audit().is_clean());
     }
 
     #[test]
     fn term_free_batch_leaves_a_live_answers_dictionary_shared() {
-        let mut e = engine();
+        let e = engine();
         // Delta terms for the answer to hold.
         e.mutate().insert(iri("n1"), iri("p"), iri("n2")).run().unwrap();
         let out = e.request("SELECT ?s ?o WHERE { ?s <http://e/p> ?o } LIMIT 10").run().unwrap();
-        let held = &out.answer().expect("rows were requested").delta;
+        let held = out.answer().expect("rows were requested").ready.delta.shared_dict();
         // Every term already exists: the batch interns nothing.
         let batch = e.mutate().insert(iri("n2"), iri("p"), iri("a")).run().unwrap();
         assert_eq!(batch.inserted, 1);
@@ -656,25 +632,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_mutate_publishes_a_new_version() {
-        let shared = SharedParj::new(engine());
-        let q = "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }";
-        assert_eq!(shared.request(q).count_only().run().unwrap().count, 2);
-        let out = shared
-            .mutate()
-            .insert(iri("c"), iri("p"), iri("d"))
-            .run()
-            .unwrap();
-        assert_eq!(out.inserted, 1);
-        assert_eq!(shared.request(q).count_only().run().unwrap().count, 3);
-        assert_eq!(shared.num_triples(), 4);
-    }
-
-    #[test]
     fn delta_metrics_feed_the_registry() {
-        let mut e = Parj::builder().threads(1).delta_compaction_threshold(4).build();
-        e.load_ntriples_str(DATA).unwrap();
-        e.finalize();
+        let e = load(Parj::builder().threads(1).delta_compaction_threshold(4), DATA);
         let batch: Vec<(Term, Term, Term)> =
             (0..6).map(|i| (iri(&format!("s{i}")), iri("p"), iri("o"))).collect();
         e.mutate().insert_all(batch).run().unwrap();
@@ -687,8 +646,7 @@ mod tests {
         let snap = e.metrics_snapshot();
         assert_eq!(snap.value("parj_delta_resident_triples", &[]), Some(1));
         // A full rebuild zeroes the residency gauges.
-        e.load_ntriples_str("<http://e/w> <http://e/p> <http://e/w2> .\n").unwrap();
-        e.finalize();
+        let e = reload(e, "<http://e/w> <http://e/p> <http://e/w2> .\n");
         let snap = e.metrics_snapshot();
         assert_eq!(snap.value("parj_delta_resident_triples", &[]), Some(0));
         assert_eq!(snap.value("parj_delta_resident_bytes", &[]), Some(0));

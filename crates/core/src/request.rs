@@ -1,10 +1,9 @@
 //! The query API: one builder, the only way to run a query on
-//! [`Parj`] or [`SharedParj`].
+//! [`Parj`].
 //!
 //! A request pins the engine version published when it is built and
-//! runs on it, taking no engine lock: a [`SharedParj::mutate`] batch
-//! that publishes meanwhile neither waits for it nor changes its
-//! answer.
+//! runs on it, taking no engine lock: a [`Parj::mutate`] batch that
+//! publishes meanwhile neither waits for it nor changes its answer.
 //!
 //! Every axis of a run is a builder knob:
 //!
@@ -21,13 +20,17 @@
 //!   run to the outcome.
 //!
 //! ```
-//! use parj_core::Parj;
+//! use parj_core::{LoadSource, OnParseError, Parj, RdfFormat};
+//! use std::sync::Arc;
 //! use std::time::Duration;
 //!
-//! let mut engine = Parj::new();
-//! engine.load_ntriples_str(
-//!     "<http://e/a> <http://e/p> <http://e/b> .",
+//! let mut loader = Parj::builder().loader();
+//! loader.load(
+//!     LoadSource::Text("<http://e/a> <http://e/p> <http://e/b> ."),
+//!     RdfFormat::NTriples,
+//!     OnParseError::Abort,
 //! ).unwrap();
+//! let engine: Arc<Parj> = Arc::new(loader.finish());
 //! let outcome = engine
 //!     .request("SELECT ?x ?y WHERE { ?x <http://e/p> ?y }")
 //!     .timeout(Duration::from_secs(5))
@@ -47,7 +50,6 @@ use parj_sync::Arc;
 use crate::engine::{Parj, Ready, RunOverrides};
 use crate::error::ParjError;
 use crate::result::{Answer, QueryRunStats};
-use crate::shared::SharedParj;
 
 /// Everything the engine needs to run one request (the builder's
 /// resolved state, minus the engine and the pinned version).
@@ -61,7 +63,7 @@ pub(crate) struct RunSpec {
 }
 
 /// A configured query, ready to [`run`](QueryRequest::run). Built by
-/// [`Parj::request`] or [`SharedParj::request`].
+/// [`Parj::request`].
 pub struct QueryRequest<'e> {
     engine: &'e Parj,
     /// The version this request reads, pinned when it was built.
@@ -251,17 +253,9 @@ impl QueryOutcome {
 }
 
 impl Parj {
-    /// Starts a query request, finalizing staged data first.
-    pub fn request(&mut self, query: &str) -> QueryRequest<'_> {
-        self.finalize();
-        QueryRequest::new(self, query)
-    }
-}
-
-impl SharedParj {
     /// Starts a query request on the version published now — any
     /// number of callers run concurrently, and none waits for a writer.
     pub fn request(&self, query: &str) -> QueryRequest<'_> {
-        QueryRequest::new(&self.engine, query)
+        QueryRequest::new(self, query)
     }
 }

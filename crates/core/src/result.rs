@@ -2,10 +2,10 @@
 
 use parj_sync::Arc;
 
-use parj_dict::{DictDelta, DictView, Id, TermRef};
+use parj_dict::{Id, TermRef};
 use parj_join::{RowBatch, SearchStats};
-use parj_store::TripleStore;
 
+use crate::engine::Ready;
 use crate::error::ParjError;
 
 /// Per-phase breakdown of the prepare pipeline (the component the
@@ -134,14 +134,13 @@ impl QueryRunStats {
 }
 
 /// A materialized answer, held by reference: the id rows the executor
-/// (or the result cache) produced, plus the base store and delta
-/// dictionary they belong to, so ids resolve to the same terms after the
-/// engine lock is released and later writes have moved the engine on.
+/// (or the result cache) produced, plus the version they were computed
+/// on, so ids resolve to the same terms after later writes have moved
+/// the engine on.
 #[derive(Clone)]
 pub struct Answer {
     pub(crate) rows: Arc<RowBatch>,
-    pub(crate) store: Arc<TripleStore>,
-    pub(crate) delta: Arc<DictDelta>,
+    pub(crate) ready: Arc<Ready>,
 }
 
 impl Answer {
@@ -154,7 +153,8 @@ impl Answer {
     /// snapshot's dictionary. An id that does not decode means store and
     /// dictionary disagree: [`ParjError::Internal`], never a panic.
     pub fn term(&self, id: Id) -> Result<TermRef<'_>, ParjError> {
-        DictView::with_delta(self.store.dict(), &self.delta)
+        self.ready
+            .dict_view()
             .decode_resource_ref(id)
             .map_err(|e| ParjError::Internal(format!("result id {id} failed to decode: {e}")))
     }

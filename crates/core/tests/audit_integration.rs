@@ -1,25 +1,32 @@
 //! Engine-level audit integration: `Parj::audit`, `audit_strict`'s
-//! [`ParjError::CorruptStore`] mapping, and `SharedParj::audit`.
+//! [`ParjError::CorruptStore`] mapping, and auditing a shared engine.
 
 #![cfg(not(loom))]
 
-use parj_core::{Parj, ParjError, SharedParj};
+use std::sync::Arc;
+
+use parj_core::{LoadSource, OnParseError, Parj, ParjError, RdfFormat};
 
 fn engine() -> Parj {
-    let mut e = Parj::builder().threads(1).build();
-    e.load_ntriples_str(
-        "<http://e/a> <http://e/p> <http://e/b> .\n\
-         <http://e/b> <http://e/q> <http://e/c> .\n\
-         <http://e/c> <http://e/p> <http://e/a> .\n",
-    )
-    .unwrap();
-    e
+    let mut loader = Parj::builder().threads(1).loader();
+    loader
+        .load(
+            LoadSource::Text(
+                "<http://e/a> <http://e/p> <http://e/b> .\n\
+                 <http://e/b> <http://e/q> <http://e/c> .\n\
+                 <http://e/c> <http://e/p> <http://e/a> .\n",
+            ),
+            RdfFormat::NTriples,
+            OnParseError::Abort,
+        )
+        .unwrap();
+    loader.finish()
 }
 
 #[test]
 fn fresh_engine_audits_clean() {
-    let mut e = engine();
-    let report = e.audit(); // finalizes implicitly
+    let e = engine();
+    let report = e.audit();
     assert!(report.is_clean(), "{report}");
     assert!(report.checks_run > 0);
     assert!(e.audit_strict().is_ok());
@@ -28,12 +35,11 @@ fn fresh_engine_audits_clean() {
 #[test]
 fn corrupt_store_maps_to_parj_error() {
     let mut e = engine();
-    e.finalize();
     let mut bytes = e.store().to_snapshot_bytes();
     let n = bytes.len();
     bytes[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
     let store = parj_core::TripleStore::from_snapshot_bytes(&bytes).expect("loads structurally");
-    let mut bad = Parj::from_store(store, Default::default());
+    let bad = Parj::from_store(store, Default::default());
     let err = bad.audit_strict().unwrap_err();
     match &err {
         ParjError::CorruptStore { report } => {
@@ -46,7 +52,7 @@ fn corrupt_store_maps_to_parj_error() {
 
 #[test]
 fn shared_engine_audit_coexists_with_queries() {
-    let shared = SharedParj::new(engine());
+    let shared = Arc::new(engine());
     assert!(shared.audit().is_clean());
     let count = shared
         .request("SELECT ?x WHERE { ?x <http://e/p> ?y }")

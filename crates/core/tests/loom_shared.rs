@@ -1,4 +1,4 @@
-//! Loom model of `SharedParj`'s publish protocol.
+//! Loom model of the engine's publish protocol, on a shared `Arc<Parj>`.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"`. A request pins the
 //! version published when it is built; a `mutate()` batch builds the
@@ -8,7 +8,7 @@
 //! none is lost; and a read built after `mutate()` returned sees it.
 #![cfg(loom)]
 
-use parj_core::{Parj, SharedParj, Term};
+use parj_core::{LoadSource, OnParseError, Parj, RdfFormat, Term};
 use parj_sync::atomic::{AtomicUsize, Ordering};
 use parj_sync::thread;
 use parj_sync::Arc;
@@ -16,13 +16,18 @@ use parj_sync::Arc;
 const Q: &str = "SELECT ?x ?y WHERE { ?x <http://e/p> ?y }";
 
 fn engine() -> Parj {
-    let mut e = Parj::builder().threads(1).build();
-    e.load_ntriples_str(
-        "<http://e/a> <http://e/p> <http://e/b> .\n\
-         <http://e/b> <http://e/p> <http://e/c> .\n",
-    )
-    .unwrap();
-    e
+    let mut loader = Parj::builder().threads(1).loader();
+    loader
+        .load(
+            LoadSource::Text(
+                "<http://e/a> <http://e/p> <http://e/b> .\n\
+                 <http://e/b> <http://e/p> <http://e/c> .\n",
+            ),
+            RdfFormat::NTriples,
+            OnParseError::Abort,
+        )
+        .unwrap();
+    loader.finish()
 }
 
 fn iri(s: &str) -> Term {
@@ -30,7 +35,7 @@ fn iri(s: &str) -> Term {
 }
 
 /// The visible `p` edges, as sorted `(subject, object)` local names.
-fn edges(shared: &SharedParj) -> Vec<(String, String)> {
+fn edges(shared: &Parj) -> Vec<(String, String)> {
     let out = shared.request(Q).run().expect("reader must never fail");
     let name = |t: &Term| {
         let text = t.to_string();
@@ -53,7 +58,7 @@ fn pairs(list: &[(&str, &str)]) -> Vec<(String, String)> {
 #[test]
 fn loom_readers_see_whole_batches() {
     loom::model(|| {
-        let shared = Arc::new(SharedParj::new(engine()));
+        let shared = Arc::new(engine());
         let before = pairs(&[("a", "b"), ("b", "c")]);
         let after = pairs(&[("b", "c"), ("c", "a")]);
         thread::scope(|s| {
@@ -80,7 +85,7 @@ fn loom_readers_see_whole_batches() {
 #[test]
 fn loom_batches_serialize_and_later_reads_see_them() {
     loom::model(|| {
-        let shared = Arc::new(SharedParj::new(engine()));
+        let shared = Arc::new(engine());
         // Batches that have returned, published for the reader.
         let returned = Arc::new(AtomicUsize::new(0));
         thread::scope(|s| {

@@ -6,23 +6,35 @@
 
 use proptest::prelude::*;
 
-use parj_core::{LoadReport, OnParseError, Parj, ParjError};
+use parj_core::{LoadReport, LoadSource, OnParseError, Parj, ParjError, RdfFormat};
 
 const THREADS: [usize; 4] = [1, 2, 4, 9];
 
+/// One load on a fresh loader with `threads` load threads: its outcome,
+/// and the engine built from whatever it staged (on an abort, the
+/// prefix it kept).
+fn load_once(
+    input: LoadSource<'_>,
+    format: RdfFormat,
+    policy: OnParseError,
+    threads: usize,
+) -> (Result<LoadReport, ParjError>, Parj) {
+    let mut loader = Parj::builder().load_threads(threads).loader();
+    let outcome = loader.load(input, format, policy);
+    (outcome, loader.finish())
+}
+
 /// Loads `text` under `policy` at the given thread count and returns
-/// the load outcome plus the finalized store's snapshot bytes (which
-/// embed the dictionary, so one comparison covers both).
+/// the load outcome plus the built store's snapshot bytes (which embed
+/// the dictionary, so one comparison covers both).
 fn load_nt(
     text: &str,
     policy: OnParseError,
     threads: usize,
 ) -> (Result<LoadReport, String>, Vec<u8>) {
-    let mut engine = Parj::builder().load_threads(threads).build();
-    let outcome = engine
-        .load_ntriples_str_with(text, policy)
-        .map_err(|e| e.to_string());
-    (outcome, engine.store().to_snapshot_bytes())
+    let (outcome, mut engine) =
+        load_once(LoadSource::Text(text), RdfFormat::NTriples, policy, threads);
+    (outcome.map_err(|e| e.to_string()), engine.store().to_snapshot_bytes())
 }
 
 fn load_ttl(
@@ -30,15 +42,19 @@ fn load_ttl(
     policy: OnParseError,
     threads: usize,
 ) -> (Result<LoadReport, String>, Vec<u8>) {
-    let mut engine = Parj::builder().load_threads(threads).build();
-    let outcome = engine
-        .load_turtle_str_with(text, policy)
-        .map_err(|e| e.to_string());
-    (outcome, engine.store().to_snapshot_bytes())
+    let (outcome, mut engine) =
+        load_once(LoadSource::Text(text), RdfFormat::Turtle, policy, threads);
+    (outcome.map_err(|e| e.to_string()), engine.store().to_snapshot_bytes())
 }
 
-/// A load outcome: the report (or stringified error) plus the
-/// finalized store's snapshot bytes.
+/// The streaming reader path: N-Triples read line by line from a
+/// `BufRead`, owned terms, no chunks.
+fn load_reader(text: &str, policy: OnParseError) -> (Result<LoadReport, ParjError>, Parj) {
+    load_once(LoadSource::Reader(&mut text.as_bytes()), RdfFormat::NTriples, policy, 1)
+}
+
+/// A load outcome: the report (or stringified error) plus the built
+/// store's snapshot bytes.
 type LoadOutcome = (Result<LoadReport, String>, Vec<u8>);
 
 /// Asserts every thread count reproduces the thread-count-1 outcome
@@ -227,10 +243,13 @@ fn incremental_loads_compose_across_thread_counts() {
         .map(|i| format!("<http://e/s{}> <http://e/q> <http://e/o{}> .\n", i % 17, i % 7))
         .collect();
     let run = |threads: usize| -> Vec<u8> {
-        let mut engine = Parj::builder().load_threads(threads).build();
-        engine.load_ntriples_str(&first).unwrap();
-        engine.load_ntriples_str(&second).unwrap();
-        engine.store().to_snapshot_bytes()
+        let mut loader = Parj::builder().load_threads(threads).loader();
+        for doc in [&first, &second] {
+            loader
+                .load(LoadSource::Text(doc), RdfFormat::NTriples, OnParseError::Abort)
+                .unwrap();
+        }
+        loader.finish().store().to_snapshot_bytes()
     };
     let base = run(1);
     for threads in THREADS {
@@ -255,9 +274,9 @@ fn queries_agree_after_parallel_load() {
         .collect();
     let query = "SELECT ?x ?y WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> ?y . }";
     let run = |threads: usize| -> Result<Vec<Vec<u32>>, ParjError> {
-        let mut engine = Parj::builder().load_threads(threads).build();
-        engine.load_ntriples_str(&doc)?;
-        engine.finalize();
+        let (outcome, engine) =
+            load_once(LoadSource::Text(&doc), RdfFormat::NTriples, OnParseError::Abort, threads);
+        outcome?;
         let mut rows = engine.request(query).run()?.id_rows();
         rows.sort_unstable();
         Ok(rows)
@@ -305,12 +324,11 @@ fn engine_state(
 /// reader path under every policy.
 fn assert_matches_reader_path(doc: &str) {
     for policy in POLICIES {
-        let mut serial = Parj::new();
-        let outcome = serial.load_ntriples_reader_with(doc.as_bytes(), policy);
+        let (outcome, serial) = load_reader(doc, policy);
         let oracle = engine_state(serial, outcome);
         for threads in THREADS {
-            let mut engine = Parj::builder().load_threads(threads).build();
-            let outcome = engine.load_ntriples_str_with(doc, policy);
+            let (outcome, engine) =
+                load_once(LoadSource::Text(doc), RdfFormat::NTriples, policy, threads);
             let got = engine_state(engine, outcome);
             assert_eq!(
                 got.0, oracle.0,
@@ -426,8 +444,8 @@ fn nothing_after_an_abort_point_is_interned() {
     ];
     for (policy, survivors) in cases {
         for threads in THREADS {
-            let mut engine = Parj::builder().load_threads(threads).build();
-            let outcome = engine.load_ntriples_str_with(&doc, policy);
+            let (outcome, mut engine) =
+                load_once(LoadSource::Text(&doc), RdfFormat::NTriples, policy, threads);
             assert!(outcome.is_err(), "{policy:?} must abort: {outcome:?}");
             assert_eq!(engine.num_triples(), 101 * survivors.len());
             let dict = engine.store().dict().clone();
@@ -649,24 +667,27 @@ proptest! {
         let triples = gen_triples(&recipe);
         let nt = nt_spelling(&triples);
         let ttl = ttl_spelling(&triples, style as usize);
-        let mut serial = Parj::new();
-        let outcome = serial.load_ntriples_reader_with(nt.as_bytes(), OnParseError::Abort);
+        let (outcome, serial) = load_reader(&nt, OnParseError::Abort);
         let oracle = engine_state(serial, outcome);
         assert_eq!(oracle.0.as_ref().map(|r| r.loaded), Ok(triples.len()));
         for policy in [OnParseError::Abort, lossy()] {
             for threads in THREADS {
-                for (spelling, doc, turtle) in
-                    [("N-Triples", &nt, false), ("N-Triples as Turtle", &nt, true), ("Turtle", &ttl, true)]
-                {
-                    let mut engine = Parj::builder().load_threads(threads).build();
-                    let outcome = if turtle {
-                        engine.load_turtle_str_with(doc, policy)
-                    } else {
-                        engine.load_ntriples_str_with(doc, policy)
-                    };
+                for (spelling, doc, format) in [
+                    ("N-Triples", &nt, RdfFormat::NTriples),
+                    ("N-Triples as Turtle", &nt, RdfFormat::Turtle),
+                    ("Turtle", &ttl, RdfFormat::Turtle),
+                ] {
+                    let (outcome, engine) =
+                        load_once(LoadSource::Text(doc), format, policy, threads);
                     let got = engine_state(engine, outcome);
                     assert_eq!(got, oracle, "{spelling}, {threads} threads, {policy:?}\n{doc}");
                 }
+                // A Turtle reader is read whole, then loaded as text.
+                let reader = &mut ttl.as_bytes();
+                let (outcome, engine) =
+                    load_once(LoadSource::Reader(reader), RdfFormat::Turtle, policy, threads);
+                let got = engine_state(engine, outcome);
+                assert_eq!(got, oracle, "Turtle reader, {threads} threads, {policy:?}\n{ttl}");
             }
         }
     }

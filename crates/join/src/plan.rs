@@ -143,15 +143,17 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// A validated, compiled left-deep plan.
+/// A validated, compiled left-deep plan. Read-only once built:
+/// [`PhysicalPlan::new`] is the one validation, and the executor relies
+/// on what it checked (binding slots, one compiled step per probe).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalPlan {
     /// The declarative steps (kept for display/explain).
-    pub steps: Vec<PlanStep>,
+    pub(crate) steps: Vec<PlanStep>,
     /// Total number of variable slots.
-    pub num_vars: usize,
+    pub(crate) num_vars: usize,
     /// Variables returned per result row, in output order.
-    pub projection: Vec<VarId>,
+    pub(crate) projection: Vec<VarId>,
     pub(crate) driver: DriverMode,
     pub(crate) compiled: Vec<CompiledStep>,
 }
@@ -259,6 +261,21 @@ impl PhysicalPlan {
             driver,
             compiled,
         })
+    }
+
+    /// The declarative steps: the driver scan, then one probe each.
+    pub fn steps(&self) -> &[PlanStep] {
+        &self.steps
+    }
+
+    /// Total number of variable slots.
+    pub fn num_vars(&self) -> usize {
+        self.num_vars
+    }
+
+    /// Variables returned per result row, in output order.
+    pub fn projection(&self) -> &[VarId] {
+        &self.projection
     }
 
     /// Human-readable plan rendering (one step per line).

@@ -3,8 +3,8 @@
 //! Everything on the query hot path is a plain `AtomicU64` touched with
 //! `Relaxed` ordering: one `fetch_add` per event, no locks, no
 //! allocation. The only lock in the crate guards *label creation* in
-//! [`GaugeVec`], which happens on the (rare, already write-locked)
-//! store-finalize path — never while a query runs.
+//! [`GaugeVec`], which happens on the (rare) store-build path — never
+//! while a query runs.
 
 use parj_sync::atomic::{AtomicU64, Ordering};
 use parj_sync::{LockLevel, OrderedRwLock};
@@ -159,7 +159,7 @@ impl Histogram {
 /// A family of gauges keyed by one label value, grown on demand.
 ///
 /// Insertion takes the write lock; it happens only on the store
-/// finalize path. Reads (exposition) take the read lock.
+/// build path. Reads (exposition) take the read lock.
 #[derive(Debug)]
 pub struct GaugeVec {
     values: OrderedRwLock<std::collections::BTreeMap<String, u64>>,

@@ -6,7 +6,7 @@
 //! recording is a single relaxed `fetch_add` with no hashing and no
 //! locking. Families whose labels depend on the data (per-predicate
 //! replica bytes) use [`GaugeVec`], whose lock is only taken on the
-//! store-finalize path.
+//! store-build path.
 
 use crate::metrics::{Counter, Gauge, GaugeVec, Histogram};
 use crate::snapshot::{
@@ -196,10 +196,8 @@ const ROWS_BOUNDS: [u64; 7] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000];
 const IMBALANCE_BOUNDS: [u64; 7] = [1_000, 1_100, 1_250, 1_500, 2_000, 4_000, 8_000];
 
 /// Every metric family the engine records. One instance is shared
-/// (behind an `Arc`) by an engine, its [`SharedParj`]-style wrappers,
-/// and any exposition endpoint.
-///
-/// [`SharedParj`]: https://docs.rs/parj-core
+/// (behind an `Arc`) by an engine, the loader that built it, and any
+/// exposition endpoint.
 #[derive(Debug)]
 pub struct EngineMetrics {
     // -- query lifecycle --------------------------------------------------

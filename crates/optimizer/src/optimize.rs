@@ -531,10 +531,10 @@ mod tests {
         let plan = optimize(&stats, &patterns, 2, vec![0, 1]).unwrap();
         // Driver must be the selective worksFor pattern on its O-S
         // replica, keyed by the constant.
-        assert_eq!(plan.steps[0].predicate, works);
-        assert_eq!(plan.steps[0].order, SortOrder::OS);
-        assert_eq!(plan.steps[0].key, Atom::Const(uni3));
-        assert_eq!(plan.steps[1].predicate, teaches);
+        assert_eq!(plan.steps()[0].predicate, works);
+        assert_eq!(plan.steps()[0].order, SortOrder::OS);
+        assert_eq!(plan.steps()[0].key, Atom::Const(uni3));
+        assert_eq!(plan.steps()[1].predicate, teaches);
     }
 
     #[test]
@@ -555,11 +555,11 @@ mod tests {
             },
         ];
         let plan = optimize(&stats, &patterns, 3, vec![0, 1, 2]).unwrap();
-        assert_eq!(plan.steps.len(), 2);
+        assert_eq!(plan.steps().len(), 2);
         // Probe step must key on the shared variable ?0 (subject side of
         // either predicate → SO replica).
-        assert_eq!(plan.steps[1].order, SortOrder::SO);
-        assert_eq!(plan.steps[1].key, Atom::Var(0));
+        assert_eq!(plan.steps()[1].order, SortOrder::SO);
+        assert_eq!(plan.steps()[1].key, Atom::Var(0));
     }
 
     #[test]
@@ -615,7 +615,7 @@ mod tests {
             },
         ];
         let plan = optimize(&stats, &patterns, 2, vec![0]).unwrap();
-        assert_eq!(plan.steps.len(), 2);
+        assert_eq!(plan.steps().len(), 2);
     }
 
     #[test]
@@ -633,7 +633,7 @@ mod tests {
             });
         }
         let plan = optimize(&stats, &patterns, 15, vec![0, 14]).unwrap();
-        assert_eq!(plan.steps.len(), 14);
+        assert_eq!(plan.steps().len(), 14);
     }
 
     #[test]
@@ -650,7 +650,7 @@ mod tests {
             o: Atom::Var(0),
         }];
         let plan = optimize(&stats, &patterns, 1, vec![0]).unwrap();
-        assert_eq!(plan.steps.len(), 1);
+        assert_eq!(plan.steps().len(), 1);
     }
 
     #[test]
@@ -670,7 +670,7 @@ mod tests {
             Pattern { s: Atom::Var(1), p: ghost, o: Atom::Var(2) },
         ];
         let plan = optimize(&stats, &patterns, 3, vec![0, 1, 2]).unwrap();
-        assert_eq!(plan.steps.len(), 2);
+        assert_eq!(plan.steps().len(), 2);
     }
 
     #[test]
@@ -689,7 +689,7 @@ mod tests {
             Pattern { s: Atom::Var(2), p: works, o: Atom::Var(1) },
         ];
         let plan = optimize(&stats, &patterns, 3, vec![0, 1, 2]).unwrap();
-        let probe = &plan.steps[1];
+        let probe = &plan.steps()[1];
         assert_eq!(probe.key, Atom::Var(1));
         // Whichever pattern probes second must key on the bound ?1 side.
         match probe.predicate {
@@ -728,7 +728,7 @@ mod tests {
         // executable (each component keyed independently), so this must
         // optimize successfully.
         let plan = optimize(&stats, &patterns, 4, vec![0]).unwrap();
-        assert_eq!(plan.steps.len(), 3);
+        assert_eq!(plan.steps().len(), 3);
         // Connected version: ?2 replaced by ?1.
         let patterns = [
             patterns[0],
@@ -740,6 +740,6 @@ mod tests {
             },
         ];
         let plan = optimize(&stats, &patterns, 4, vec![0, 1, 3]).unwrap();
-        assert_eq!(plan.steps[0].key, Atom::Const(uni3));
+        assert_eq!(plan.steps()[0].key, Atom::Const(uni3));
     }
 }

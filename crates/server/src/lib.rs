@@ -1,7 +1,7 @@
 //! # parj-server — resilient SPARQL-over-HTTP serving for PARJ
 //!
 //! A dependency-free (std `TcpListener`, parked handler threads)
-//! SPARQL Protocol endpoint over [`SharedParj`]. Queries arrive via `GET`
+//! SPARQL Protocol endpoint over a shared [`Parj`]. Queries arrive via `GET`
 //! or `POST /sparql`, run through the engine's [`parj_core::QueryRequest`]
 //! builder — so deadlines, row budgets, cache participation, and
 //! cancellation are the engine's own, not reimplemented — and stream
@@ -53,7 +53,7 @@ use parj_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use parj_sync::thread::JoinHandle;
 use parj_sync::{Arc, LockLevel, OrderedCondvar, OrderedMutex};
 
-use parj_core::{CancelToken, SharedParj};
+use parj_core::{CancelToken, Parj};
 use parj_obs::{MetricsSnapshot, ServerMetrics};
 
 use admission::{InflightGate, LatencyWindow, Quota, QuotaTable};
@@ -128,7 +128,7 @@ impl std::fmt::Display for DrainReport {
 /// Shared state between the acceptor, connection handlers, and the
 /// shutdown path.
 struct ServerState {
-    engine: Arc<SharedParj>,
+    engine: Arc<Parj>,
     config: ServerConfig,
     metrics: Arc<ServerMetrics>,
     gate: Arc<InflightGate>,
@@ -186,7 +186,7 @@ pub struct ParjServer;
 
 impl ParjServer {
     /// Binds `config.addr` and starts serving `engine`.
-    pub fn spawn(engine: Arc<SharedParj>, config: ServerConfig) -> io::Result<ServerHandle> {
+    pub fn spawn(engine: Arc<Parj>, config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(ServerState {
@@ -466,8 +466,8 @@ fn route(
     }
 }
 
-/// Readiness: not draining. The shared engine is always finalized, and
-/// counting its triples reads the published version.
+/// Readiness: not draining. The engine is always ready, and counting
+/// its triples reads the published version.
 fn readyz(state: &ServerState) -> Response {
     if state.shutting_down() {
         return Response::text(503, "draining");

@@ -378,7 +378,7 @@ mod tests {
     /// An outcome with one row per entry of `rows`: row `r` holds the
     /// objects of `<http://e/r{r}>` under `<http://e/c0>`, `<http://e/c1>`, …
     fn outcome(vars: &[&str], rows: Vec<Vec<Term>>) -> QueryOutcome {
-        let mut e = Parj::builder().threads(1).build();
+        let e = Parj::builder().threads(1).build();
         let triples = rows.iter().enumerate().flat_map(|(r, row)| {
             row.iter().enumerate().map(move |(c, t)| {
                 (

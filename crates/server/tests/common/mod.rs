@@ -11,12 +11,12 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parj_core::{Parj, SharedParj, Term};
+use parj_core::{Parj, Term};
 use parj_server::{ParjServer, ServerConfig, ServerHandle};
 
 /// Builds a small engine: a `teaches` star plus a two-hop chain.
-pub fn small_engine() -> Arc<SharedParj> {
-    let mut e = Parj::builder().threads(1).cache(true).build();
+pub fn small_engine() -> Arc<Parj> {
+    let e = Parj::builder().threads(1).cache(true).build();
     let triples = (0..8u32).flat_map(|i| {
         [
             (
@@ -32,13 +32,13 @@ pub fn small_engine() -> Arc<SharedParj> {
         ]
     });
     e.mutate().insert_all(triples).run().expect("seed engine");
-    Arc::new(SharedParj::new(e))
+    Arc::new(e)
 }
 
 /// An engine whose star query (`?x p ?y . ?x p ?z`) produces `n²` rows
 /// — slow enough for overload and disconnect tests to overlap requests.
-pub fn fanout_engine(n: u32) -> Arc<SharedParj> {
-    let mut e = Parj::builder().threads(1).cache(false).build();
+pub fn fanout_engine(n: u32) -> Arc<Parj> {
+    let e = Parj::builder().threads(1).cache(false).build();
     let triples = (0..n).map(|i| {
         (
             Term::iri("http://e/hub"),
@@ -47,7 +47,7 @@ pub fn fanout_engine(n: u32) -> Arc<SharedParj> {
         )
     });
     e.mutate().insert_all(triples).run().expect("seed engine");
-    Arc::new(SharedParj::new(e))
+    Arc::new(e)
 }
 
 /// The `n²`-row query for [`fanout_engine`].
@@ -56,7 +56,7 @@ pub const FANOUT_QUERY: &str =
 
 /// Spawns a server over `engine` with `config` (addr forced to an
 /// ephemeral loopback port).
-pub fn spawn(engine: Arc<SharedParj>, mut config: ServerConfig) -> ServerHandle {
+pub fn spawn(engine: Arc<Parj>, mut config: ServerConfig) -> ServerHandle {
     config.addr = "127.0.0.1:0".to_string();
     ParjServer::spawn(engine, config).expect("bind ephemeral port")
 }

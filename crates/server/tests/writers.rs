@@ -209,7 +209,7 @@ fn engine(base: &[(Term, Term)], delta: &[(Term, Term)]) -> Parj {
         threads: 1,
         ..EngineConfig::default()
     };
-    let mut e = Parj::from_store(builder.build(), config);
+    let e = Parj::from_store(builder.build(), config);
     let inserts = delta
         .iter()
         .map(|(s, o)| (s.clone(), Term::iri(P), o.clone()));
@@ -241,7 +241,7 @@ proptest! {
     ) {
         // With no triple the predicate is unknown and nothing is cached.
         prop_assume!(!base.is_empty() || !delta.is_empty());
-        let mut e = engine(&base, &delta);
+        let e = engine(&base, &delta);
         let expected: BTreeSet<(Term, Term)> = base.iter().chain(&delta).cloned().collect();
         for q in [
             format!("SELECT ?s ?o WHERE {{ ?s <{P}> ?o }}"),

@@ -374,7 +374,7 @@ mod tests {
     #[test]
     fn ordered_wrappers_do_not_trip_the_raw_rule() {
         let good = check_file(
-            Path::new("crates/core/src/shared.rs"),
+            Path::new("crates/core/src/engine/mod.rs"),
             "struct S { m: OrderedMutex<u32>, r: OrderedRwLock<u8>, c: OrderedCondvar }\n\
              fn f(g: OrderedMutexGuard<'_, u32>, h: OrderedRwLockReadGuard<'_, u8>) {}\n\
              fn ctor() -> OrderedMutex<u32> { OrderedMutex::new(LockLevel::Engine, \"x\", 0) }",
@@ -476,7 +476,7 @@ mod tests {
                   | Level | Name | Lock | Crate |\n\
                   |---|---|---|---|\n\
                   | 90 | `Server` | `server.live_tokens` | parj-server |\n\
-                  | 70 | `Engine` | `engine.shared` | parj-core |\n\n\
+                  | 70 | `Engine` | `engine.writer` | parj-core |\n\n\
                   ## §18 Other\n| 1 | `Bogus` |\n";
         let parsed = parse_design_table(md);
         assert_eq!(

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let store = watdiv::generate_store(&cfg);
     println!("  {} triples, {} predicates", store.num_triples(), store.num_predicates());
-    let mut engine = Parj::from_store(store, EngineConfig::default());
+    let engine = Parj::from_store(store, EngineConfig::default());
 
     // The basic workload, grouped like the paper's Table 3.
     println!("\nbasic workload (silent mode):");

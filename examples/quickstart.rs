@@ -4,7 +4,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use parj::{Parj, ProbeStrategy};
+use std::sync::Arc;
+
+use parj::{LoadSource, OnParseError, Parj, ProbeStrategy, RdfFormat};
 
 const DATA: &str = r#"
 # The running example of the paper (Section 3, Table 1).
@@ -19,15 +21,20 @@ const DATA: &str = r#"
 "#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Build an engine: 4 worker threads, the paper's default
+    // 1. Configure an engine: 4 worker threads, the paper's default
     //    adaptive binary/sequential probe strategy.
-    let mut engine = Parj::builder()
+    let mut loader = Parj::builder()
         .threads(4)
         .strategy(ProbeStrategy::AdaptiveBinary)
-        .build();
+        .loader();
 
-    // 2. Load data (N-Triples text; files work via load_ntriples_path).
-    let n = engine.load_ntriples_str(DATA)?;
+    // 2. Load data (N-Triples text here; `LoadSource::Path` reads a
+    //    file, `RdfFormat::Turtle` parses Turtle), then build the
+    //    engine once. It is ready to serve, and `Arc<Parj>` shares it.
+    let n = loader
+        .load(LoadSource::Text(DATA), RdfFormat::NTriples, OnParseError::Abort)?
+        .loaded;
+    let engine = Arc::new(loader.finish());
     println!("loaded {n} triples ({} distinct)", engine.num_triples());
 
     // 3. Example 3.1 of the paper: who teaches what, and where do they
@@ -62,12 +69,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", outcome.report());
 
     // 5. ASK, DISTINCT, LIMIT and literals all work; per-run knobs
-    //    (timeout, max_rows, threads) chain on the same builder.
-    let exists = engine
-        .request("ASK { ?x <http://uni.example/name> \"Alice\"@en }")
-        .count_only()
-        .run()?
-        .count;
+    //    (timeout, max_rows, threads) chain on the same builder. Any
+    //    thread holding the `Arc` can ask.
+    let asker = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || {
+            engine
+                .request("ASK { ?x <http://uni.example/name> \"Alice\"@en }")
+                .count_only()
+                .run()
+                .map(|outcome| outcome.count)
+        })
+    };
+    let exists = asker.join().expect("asker thread")?;
     println!("is anyone named Alice? {}", exists == 1);
 
     // 6. Every run feeds the engine-wide metrics registry.
@@ -81,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 7. Persist and reload.
     let path = std::env::temp_dir().join("parj-quickstart.snapshot");
     engine.save_snapshot(&path)?;
-    let mut restored = Parj::load_snapshot(&path, parj::EngineConfig::default())?;
+    let restored = Parj::load_snapshot(&path, parj::EngineConfig::default())?;
     println!(
         "snapshot at {} restores {} triples",
         path.display(),

@@ -11,7 +11,9 @@
 //! cargo run --example rdfs_reasoning
 //! ```
 
-use parj::{Parj, SharedParj};
+use std::sync::Arc;
+
+use parj::{LoadSource, OnParseError, Parj, RdfFormat};
 
 const DATA: &str = r#"
 # Ontology ---------------------------------------------------------------
@@ -31,21 +33,25 @@ const DATA: &str = r#"
 <http://zoo/tom>    <http://zoo/hasChild> <http://zoo/tomjr> .
 "#;
 
+/// An engine under `config` holding [`DATA`].
+fn load(config: parj::EngineConfig) -> Result<Parj, parj::ParjError> {
+    let mut loader = config.loader();
+    loader.load(LoadSource::Text(DATA), RdfFormat::NTriples, OnParseError::Abort)?;
+    Ok(loader.finish())
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let animals_q = "SELECT ?x WHERE { ?x a <http://zoo/Animal> }";
     let children_q = "SELECT ?p ?c WHERE { ?p <http://zoo/hasChild> ?c }";
 
     // Plain engine: only direct assertions match.
-    let mut plain = Parj::builder().build();
-    plain.load_ntriples_str(DATA)?;
+    let plain = load(Parj::builder())?;
     let direct = plain.request(animals_q).count_only().run()?.count;
     println!("without reasoning: {direct} direct Animal instances");
     assert_eq!(direct, 0); // nothing is typed Animal directly
 
     // Reasoning engine: hierarchy extracted from the same data.
-    let mut smart = Parj::builder().rdfs_reasoning(true).build();
-    smart.load_ntriples_str(DATA)?;
-    smart.finalize();
+    let smart = Arc::new(load(Parj::builder().rdfs_reasoning(true))?);
     println!(
         "store still holds {} triples (nothing materialized)",
         smart.num_triples()
@@ -64,11 +70,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The plan is a union of per-subclass pipelines — inspect it.
     println!("\nreasoning plan for the Animal query:\n{}", smart.explain(animals_q)?);
 
-    // SharedParj serves concurrent readers over the finalized store.
-    let shared = std::sync::Arc::new(SharedParj::new(smart));
+    // The same `Arc<Parj>` serves concurrent readers.
     let handles: Vec<_> = (0..4)
         .map(|_| {
-            let s = std::sync::Arc::clone(&shared);
+            let s = Arc::clone(&smart);
             std::thread::spawn(move || {
                 s.request("SELECT ?x WHERE { ?x a <http://zoo/Mammal> }")
                     .count_only()

@@ -7,7 +7,21 @@
 //! cargo run --example social_graph
 //! ```
 
-use parj::{Parj, Term};
+use std::sync::Arc;
+
+use parj::{LoadSource, OnParseError, Parj, RdfFormat, Term};
+
+/// Who follows whom, in Turtle: some follows are mutual, and one is a
+/// self-loop for the repeated-variable demo.
+const FOLLOWS: &str = r#"
+@prefix s: <http://social.example/> .
+@prefix r: <http://social.example/rel/> .
+s:alice r:follows s:bob .
+s:bob   r:follows s:alice, s:carol .
+s:carol r:follows s:dave .
+s:dave  r:follows s:alice .
+s:erin  r:follows s:erin, s:alice .   # erin follows themself
+"#;
 
 fn person(name: &str) -> Term {
     Term::iri(format!("http://social.example/{name}"))
@@ -18,19 +32,13 @@ fn rel(name: &str) -> Term {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut engine = Parj::builder().threads(2).build();
+    // Bulk-load the follow graph, then build the engine once; one
+    // `Arc<Parj>` is the handle every thread shares.
+    let mut loader = Parj::builder().threads(2).loader();
+    loader.load(LoadSource::Text(FOLLOWS), RdfFormat::Turtle, OnParseError::Abort)?;
+    let engine = Arc::new(loader.finish());
 
-    // Friendships (some mutual, one self-loop for the repeated-variable
-    // demo) and messages.
-    let friendships = [
-        ("alice", "bob"),
-        ("bob", "alice"),
-        ("bob", "carol"),
-        ("carol", "dave"),
-        ("dave", "alice"),
-        ("erin", "erin"), // erin follows themself
-        ("erin", "alice"),
-    ];
+    // Messages arrive later, as a mutation batch on the live engine.
     let posts = [
         ("alice", "hello world"),
         ("carol", "RDF is graphs all the way down"),
@@ -38,11 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     engine
         .mutate()
-        .insert_all(
-            friendships
-                .iter()
-                .map(|&(a, b)| (person(a), rel("follows"), person(b))),
-        )
         .insert_all(
             posts
                 .iter()
@@ -104,17 +107,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .count;
     println!("facts about dave across all predicates: {facts}");
 
-    // Incremental update: frank joins and follows everyone. The batch
-    // lands in the delta overlay — no store rebuild — and the outcome
-    // reports what was applied.
-    let outcome = engine
-        .mutate()
-        .insert_all(
-            ["alice", "bob", "carol", "dave", "erin"]
-                .iter()
-                .map(|&other| (person("frank"), rel("follows"), person(other))),
-        )
-        .run()?;
+    // Incremental update from another thread: frank joins and follows
+    // everyone. The batch lands in the delta overlay — no store rebuild
+    // — and the outcome reports what was applied.
+    let writer = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || {
+            engine
+                .mutate()
+                .insert_all(
+                    ["alice", "bob", "carol", "dave", "erin"]
+                        .iter()
+                        .map(|&other| (person("frank"), rel("follows"), person(other))),
+                )
+                .run()
+        })
+    };
+    let outcome = writer.join().expect("writer thread")?;
     println!(
         "\napplied {} inserts across {} predicate(s) in {}us",
         outcome.inserted,

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         store.partitions_memory_bytes() as f64 / (1 << 20) as f64,
         store.dict().memory_bytes() as f64 / (1 << 20) as f64,
     );
-    let mut engine = Parj::from_store(store, EngineConfig::default());
+    let engine = Parj::from_store(store, EngineConfig::default());
 
     // Run the whole benchmark suite in silent mode.
     println!("\n{:<8} {:>10} {:>10} {:>12} {:>12}", "query", "results", "ms", "#sequential", "#binary");

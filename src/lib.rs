@@ -11,13 +11,20 @@
 //! `examples/quickstart.rs` for a two-minute introduction.
 //!
 //! ```
-//! use parj::Parj;
+//! use parj::{LoadSource, OnParseError, Parj, RdfFormat};
+//! use std::sync::Arc;
 //!
-//! let mut engine = Parj::builder().threads(4).build();
-//! engine.load_ntriples_str(
-//!     "<http://e/a> <http://e/knows> <http://e/b> .\n\
-//!      <http://e/b> <http://e/knows> <http://e/c> .\n",
+//! let mut loader = Parj::builder().threads(4).loader();
+//! loader.load(
+//!     LoadSource::Text(
+//!         "<http://e/a> <http://e/knows> <http://e/b> .\n\
+//!          <http://e/b> <http://e/knows> <http://e/c> .\n",
+//!     ),
+//!     RdfFormat::NTriples,
+//!     OnParseError::Abort,
 //! ).unwrap();
+//! // One shared handle: every method of a ready engine takes `&self`.
+//! let engine = Arc::new(loader.finish());
 //! let outcome = engine
 //!     .request("SELECT ?x ?z WHERE { ?x <http://e/knows> ?y . ?y <http://e/knows> ?z }")
 //!     .count_only()

@@ -4,7 +4,7 @@
 //! a cache-enabled engine returns byte-identical counts and rows to a
 //! cache-disabled engine fed the same operations — and across a long
 //! deterministic update/query interleaving, no run is ever served a
-//! stale answer. Requests on a `SharedParj` pin the version published
+//! stale answer. Requests on a shared engine pin the version published
 //! when they are built: an answer computed on a replaced version is
 //! never served to a request on a newer one, and concurrent readers
 //! see a version between their start and their end.
@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use parj::{CacheStatus, Parj, QueryOutcome, SharedParj, Term};
+use parj::{CacheStatus, Parj, QueryOutcome, Term};
 
 const RESOURCES: u32 = 16;
 const PREDICATES: u32 = 3;
@@ -107,7 +107,7 @@ fn triple(s: u32, p: u32, o: u32) -> (Term, Term, Term) {
     )
 }
 
-fn load(engine: &mut Parj, triples: &[(u32, u32, u32)]) {
+fn load(engine: &Parj, triples: &[(u32, u32, u32)]) {
     engine
         .mutate()
         .insert_all(triples.iter().map(|&(s, p, o)| triple(s, p, o)))
@@ -130,21 +130,21 @@ proptest! {
     /// repeat runs on the cached engine (hit path) agree too.
     #[test]
     fn cached_answers_match_cold_engine(case in arb_case()) {
-        let mut cached = Parj::builder().threads(2).cache(true).build();
-        let mut plain = Parj::builder().threads(2).build();
-        load(&mut cached, &case.triples);
-        load(&mut plain, &case.triples);
+        let cached = Parj::builder().threads(2).cache(true).build();
+        let plain = Parj::builder().threads(2).build();
+        load(&cached, &case.triples);
+        load(&plain, &case.triples);
 
         for op in &case.ops {
             match op {
                 Op::Update(s, p, o) => {
-                    for e in [&mut cached, &mut plain] {
+                    for e in [&cached, &plain] {
                         let (ts, tp, to) = triple(*s, *p, *o);
                         e.mutate().insert(ts, tp, to).run().unwrap();
                     }
                 }
                 Op::Delete(s, p, o) => {
-                    for e in [&mut cached, &mut plain] {
+                    for e in [&cached, &plain] {
                         let (ts, tp, to) = triple(*s, *p, *o);
                         e.mutate().delete(ts, tp, to).run().unwrap();
                     }
@@ -193,9 +193,8 @@ proptest! {
 /// answer fails the loop with its iteration index.
 #[test]
 fn ten_thousand_interleavings_serve_zero_stale() {
-    let mut engine = Parj::builder().threads(1).cache(true).build();
-    load(
-        &mut engine,
+    let engine = Parj::builder().threads(1).cache(true).build();
+    load(&engine,
         &(0..8u32)
             .map(|i| (i, i % PREDICATES, (i + 1) % 8))
             .collect::<Vec<_>>(),
@@ -252,8 +251,8 @@ fn ten_thousand_interleavings_serve_zero_stale() {
 /// across the interleaved writes, never re-executing.
 #[test]
 fn writes_leave_untouched_predicate_entries_hot() {
-    let mut engine = Parj::builder().threads(1).cache(true).build();
-    load(&mut engine, &[(0, 0, 1), (1, 0, 2), (1, 1, 3), (3, 1, 4)]);
+    let engine = Parj::builder().threads(1).cache(true).build();
+    load(&engine, &[(0, 0, 1), (1, 0, 2), (1, 1, 3), (3, 1, 4)]);
 
     let q0 = format!("SELECT * WHERE {{ ?s <{}> ?o }}", pred_iri(0));
     let q1 = format!("SELECT * WHERE {{ ?s <{}> ?o }}", pred_iri(1));
@@ -322,9 +321,9 @@ fn writes_leave_untouched_predicate_entries_hot() {
 /// The next request, on the new version, must not be served that entry.
 #[test]
 fn answer_from_a_replaced_version_is_never_served() {
-    let mut engine = Parj::builder().threads(1).cache(true).build();
-    load(&mut engine, &[(0, 0, 1), (1, 0, 2), (1, 1, 3)]);
-    let shared = SharedParj::new(engine);
+    let engine = Parj::builder().threads(1).cache(true).build();
+    load(&engine, &[(0, 0, 1), (1, 0, 2), (1, 1, 3)]);
+    let shared = engine;
     let q = format!("SELECT * WHERE {{ ?s <{}> ?o }}", pred_iri(0));
 
     let pinned = shared.request(&q);
@@ -343,7 +342,7 @@ fn answer_from_a_replaced_version_is_never_served() {
     assert_eq!((again.stats.cache, again.count), (CacheStatus::ResultHit, 3));
 }
 
-/// One insert-only writer and four readers on a cached `SharedParj`.
+/// One insert-only writer and four readers on one cached engine.
 /// A read's count must be that of some version from the last batch that
 /// returned before the read started to the last one that started before
 /// it ended, checked against counts precomputed on a cold engine.
@@ -366,8 +365,8 @@ fn concurrent_reads_see_a_version_between_their_start_and_end() {
         .collect();
 
     // counts[v][q]: query q's count after v batches, on a cold engine.
-    let mut cold = Parj::builder().threads(1).build();
-    load(&mut cold, &base);
+    let cold = Parj::builder().threads(1).build();
+    load(&cold, &base);
     let mut counts = Vec::new();
     for v in 0..=BATCHES {
         if v > 0 {
@@ -379,9 +378,9 @@ fn concurrent_reads_see_a_version_between_their_start_and_end() {
         counts.push(row);
     }
 
-    let mut engine = Parj::builder().threads(2).cache(true).build();
-    load(&mut engine, &base);
-    let shared = SharedParj::new(engine);
+    let engine = Parj::builder().threads(2).cache(true).build();
+    load(&engine, &base);
+    let shared = engine;
     let started = AtomicUsize::new(0);
     let returned = AtomicUsize::new(0);
     let done = AtomicBool::new(false);

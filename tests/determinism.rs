@@ -202,7 +202,7 @@ fn delta_rows_identical_to_compacted_store_across_combos() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("folded.parj");
     {
-        let mut oracle = Parj::from_store(lubm_store(), config());
+        let oracle = Parj::from_store(lubm_store(), config());
         oracle
             .mutate()
             .insert_all(inserts.iter().cloned())
@@ -211,7 +211,7 @@ fn delta_rows_identical_to_compacted_store_across_combos() {
             .expect("oracle batch");
         oracle.save_snapshot(&path).expect("snapshot");
     }
-    let mut folded = Parj::load_snapshot(&path, config()).expect("reload");
+    let folded = Parj::load_snapshot(&path, config()).expect("reload");
     std::fs::remove_dir_all(&dir).ok();
 
     for q in lubm::queries() {
@@ -247,7 +247,7 @@ fn cache_fingerprint_hits_across_thread_and_morsel_combos() {
     // Because answers are configuration-independent, the cache key
     // must be too: a result computed serially is served verbatim to a
     // 9-thread, 1-key-morsel request and vice versa.
-    let mut engine = Parj::from_store(
+    let engine = Parj::from_store(
         lubm_store(),
         EngineConfig {
             cache: true,
@@ -350,7 +350,7 @@ fn morsel_imbalance_never_exceeds_static_shard_imbalance() {
     // morsels in cursor order onto the least-loaded worker, which is
     // exactly what pulling off a shared cursor does when load is
     // proportional to time.
-    let mut engine = Parj::from_store(watdiv_store(), config());
+    let engine = Parj::from_store(watdiv_store(), config());
     // C2 is the skewed complex shape: a handful of hub keys carry
     // most of the probe work.
     let q = watdiv::basic_workload()

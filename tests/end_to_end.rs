@@ -5,7 +5,7 @@
 
 use parj::baseline::{reference_eval, BaselineEngine, HashJoinEngine, MergeJoinEngine};
 use parj::datagen::{lubm, watdiv};
-use parj::{parse_query, Parj, ProbeStrategy, STerm};
+use parj::{parse_query, LoadSource, OnParseError, Parj, ProbeStrategy, RdfFormat, STerm};
 
 /// Translates a SPARQL query into encoded patterns the baselines and
 /// the oracle understand (no predicate variables, constants must
@@ -136,7 +136,7 @@ fn lubm_selectivity_profile() {
         universities: 2,
         seed: 11,
     });
-    let mut engine = Parj::from_store(store, parj::EngineConfig::default());
+    let engine = Parj::from_store(store, parj::EngineConfig::default());
     let mut counts = std::collections::HashMap::new();
     for q in lubm::queries() {
         let c = engine.request(&q.sparql).count_only().run().unwrap().count;
@@ -228,7 +228,7 @@ fn full_result_handling_agrees_with_silent_mode() {
         universities: 1,
         seed: 3,
     });
-    let mut engine = Parj::from_store(store, parj::EngineConfig::default());
+    let engine = Parj::from_store(store, parj::EngineConfig::default());
     for q in lubm::queries().iter().take(6) {
         let count = engine.request(&q.sparql).count_only().run().unwrap().count;
         let full = engine.request(&q.sparql).run().unwrap();
@@ -244,12 +244,12 @@ fn full_result_handling_agrees_with_silent_mode() {
 #[test]
 fn snapshot_roundtrip_preserves_query_results() {
     let store = watdiv::generate_store(&watdiv::WatDivConfig { scale: 1, seed: 9 });
-    let mut engine = Parj::from_store(store, parj::EngineConfig::default());
+    let engine = Parj::from_store(store, parj::EngineConfig::default());
     let dir = std::env::temp_dir().join(format!("parj-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("watdiv.parj");
     engine.save_snapshot(&path).unwrap();
-    let mut restored = Parj::load_snapshot(&path, parj::EngineConfig::default()).unwrap();
+    let restored = Parj::load_snapshot(&path, parj::EngineConfig::default()).unwrap();
     for q in watdiv::basic_workload() {
         assert_eq!(
             engine.request(&q.sparql).count_only().run().unwrap().count,
@@ -273,9 +273,12 @@ fn ntriples_roundtrip_through_engine() {
     lubm::write_ntriples(&cfg, &mut text).unwrap();
     let text = String::from_utf8(text).unwrap();
 
-    let mut via_text = Parj::new();
-    via_text.load_ntriples_str(&text).unwrap();
-    let mut via_gen = Parj::from_store(lubm::generate_store(&cfg), parj::EngineConfig::default());
+    let mut loader = Parj::builder().loader();
+    loader
+        .load(LoadSource::Text(&text), RdfFormat::NTriples, OnParseError::Abort)
+        .unwrap();
+    let via_text = loader.finish();
+    let via_gen = Parj::from_store(lubm::generate_store(&cfg), parj::EngineConfig::default());
     assert_eq!(via_text.num_triples(), via_gen.num_triples());
     for q in lubm::queries() {
         assert_eq!(

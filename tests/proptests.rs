@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use parj::baseline::{reference_eval, BaselineEngine, HashJoinEngine, MergeJoinEngine};
-use parj::{EngineConfig, Parj, ParjError, ProbeStrategy, Term};
+use parj::{EngineConfig, LoadSource, OnParseError, Parj, ParjError, ProbeStrategy, RdfFormat, Term};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pool helpers seated across every case of `engine_cases` (each case
@@ -69,7 +69,7 @@ fn build(case: &Case) -> (Parj, String, Vec<parj_optimizer::Pattern>, usize) {
     // Built at the sweep's maximum thread count (a request can only
     // lower it), with morsels small enough that these ≤ 20-key driver
     // domains span several — otherwise every case would run inline.
-    let mut engine = Parj::builder().threads(4).morsel_size(2).build();
+    let mut loader = Parj::builder().threads(4).morsel_size(2).loader();
     // Seed dense dictionaries (generation order = id order).
     let mut nt = String::new();
     for r in 0..RESOURCES {
@@ -83,7 +83,10 @@ fn build(case: &Case) -> (Parj, String, Vec<parj_optimizer::Pattern>, usize) {
             iri(*o)
         ));
     }
-    engine.load_ntriples_str(&nt).expect("seed engine");
+    loader
+        .load(LoadSource::Text(&nt), RdfFormat::NTriples, OnParseError::Abort)
+        .expect("seed engine");
+    let engine = loader.finish();
     let body: String = case
         .patterns
         .iter()
@@ -217,12 +220,9 @@ proptest! {
             Ok(out) => out.count,
             Err(_) => return Ok(()),
         };
-        let bytes = {
-            engine.finalize();
-            engine.store().to_snapshot_bytes()
-        };
+        let bytes = engine.store().to_snapshot_bytes();
         let store = parj::TripleStore::from_snapshot_bytes(&bytes).unwrap();
-        let mut restored = Parj::from_store(store, EngineConfig::default());
+        let restored = Parj::from_store(store, EngineConfig::default());
         let restored_count = restored.request(&sparql).count_only().run().unwrap().count;
         prop_assert_eq!(restored_count, count);
     }

@@ -70,7 +70,7 @@ fn ancestors(n: u32, edges: &[(u32, u32)], limit: u32) -> Vec<u32> {
     seen
 }
 
-fn load_base(engine: &mut Parj, case: &Case) {
+fn load_base(engine: &Parj, case: &Case) {
     let base = case
         .subclass
         .iter()
@@ -103,12 +103,12 @@ proptest! {
     #[test]
     fn reasoning_equals_materialization(case in arb_case()) {
         // Reasoning engine over the raw data.
-        let mut smart = Parj::builder().threads(2).rdfs_reasoning(true).build();
-        load_base(&mut smart, &case);
+        let smart = Parj::builder().threads(2).rdfs_reasoning(true).build();
+        load_base(&smart, &case);
 
         // Plain engine over the forward-chained closure.
-        let mut mat = Parj::builder().threads(2).build();
-        load_base(&mut mat, &case);
+        let mat = Parj::builder().threads(2).build();
+        load_base(&mat, &case);
         let mut closure = Vec::new();
         for &(e, c) in &case.types {
             for anc in ancestors(c, &case.subclass, CLASSES) {

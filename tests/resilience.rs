@@ -7,7 +7,7 @@
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use parj::{CancelToken, Parj, ParjError, SharedParj};
+use parj::{CancelToken, LoadSource, OnParseError, Parj, ParjError, RdfFormat};
 
 /// `N` subjects × `K` values per predicate → the two-pattern join below
 /// produces `N × K²` rows (≈216M): seconds of work, so every abort path
@@ -20,10 +20,10 @@ const QUERY: &str = "SELECT ?x ?y ?z WHERE { ?x <http://e/p> ?y . ?x <http://e/q
 /// bound is deliberately generous so slow CI cannot flake it.
 const BOUND: Duration = Duration::from_secs(30);
 
-fn big_engine() -> &'static SharedParj {
-    static ENGINE: OnceLock<SharedParj> = OnceLock::new();
+fn big_engine() -> &'static Parj {
+    static ENGINE: OnceLock<Parj> = OnceLock::new();
     ENGINE.get_or_init(|| {
-        let mut e = Parj::builder().threads(4).build();
+        let mut loader = Parj::builder().threads(4).loader();
         let mut nt = String::with_capacity(N * K * 2 * 64);
         for s in 0..N {
             for v in 0..K {
@@ -33,8 +33,10 @@ fn big_engine() -> &'static SharedParj {
                 ));
             }
         }
-        e.load_ntriples_str(&nt).expect("seed engine");
-        SharedParj::new(e)
+        loader
+            .load(LoadSource::Text(&nt), RdfFormat::NTriples, OnParseError::Abort)
+            .expect("seed engine");
+        loader.finish()
     })
 }
 

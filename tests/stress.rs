@@ -26,7 +26,7 @@ fn lubm_at_scale() {
     // Built at the sweep's thread count: a request can lower an
     // engine's threads but not raise them (single-CPU runners default
     // to 1, which would make the `threads(4)` pass below inline).
-    let mut engine = Parj::from_store(
+    let engine = Parj::from_store(
         store,
         EngineConfig {
             threads: 4,
@@ -67,7 +67,7 @@ fn lubm_at_scale() {
 
     // Snapshot round-trip at size.
     let restored = parj::TripleStore::from_snapshot_bytes(&bytes).expect("snapshot decodes");
-    let mut restored = Parj::from_store(restored, EngineConfig::default());
+    let restored = Parj::from_store(restored, EngineConfig::default());
     for (name, count) in &baseline_counts {
         let q = lubm::queries().into_iter().find(|q| &q.name == name).expect("query");
         let restored_count = restored.request(&q.sparql).count_only().run().unwrap().count;
