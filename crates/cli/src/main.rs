@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use parj_core::{
-    EngineConfig, LoadSource, OnParseError, Parj, ParjError, ProbeStrategy, RdfFormat,
+    EngineConfig, LoadSource, OnParseError, Parj, ParjError, ProbeStrategy, RdfFormat, SortOrder,
 };
 
 /// Process exit codes per failure class (documented in `USAGE`).
@@ -482,9 +482,30 @@ fn run() -> Result<(), Failure> {
             println!("triples:     {}", store.num_triples());
             println!("predicates:  {}", store.num_predicates());
             println!("resources:   {}", store.dict().num_resources());
+            let bytes = store.partitions_memory_bytes();
             println!(
-                "partitions:  {:.2} MiB",
-                store.partitions_memory_bytes() as f64 / (1 << 20) as f64
+                "partitions:  {:.2} MiB ({bytes} B)",
+                bytes as f64 / (1 << 20) as f64
+            );
+            let parts = store.partitions_memory_parts();
+            let per_triple = store.num_triples().max(1) as f64;
+            for (label, n) in [
+                ("keys:", parts.keys),
+                ("group offsets:", parts.offsets),
+                ("values:", parts.values),
+                ("ID-to-Position:", parts.idpos),
+            ] {
+                println!("  {label:<16}{n:>12} B  {:.3} B/triple", n as f64 / per_triple);
+            }
+            let replicas: Vec<_> = store
+                .partitions()
+                .iter()
+                .flat_map(|p| [SortOrder::SO, SortOrder::OS].map(|o| p.replica(o)))
+                .collect();
+            println!(
+                "  one-value replicas: {} of {}",
+                replicas.iter().filter(|r| r.one_value_per_key()).count(),
+                replicas.len()
             );
             println!(
                 "dictionary:  {:.2} MiB",

@@ -34,6 +34,20 @@ fn generate_load_query_roundtrip() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("predicates:  17"), "{text}");
+    // The partitions split sums to the partitions line.
+    let bytes_after = |prefix: &str| -> usize {
+        let line = text.lines().find(|l| l.starts_with(prefix)).expect(prefix);
+        let digits = line[prefix.len()..].trim_start();
+        digits[..digits.find(' ').unwrap()].parse().expect(line)
+    };
+    let total = text.lines().find(|l| l.starts_with("partitions:")).unwrap();
+    let total: usize = total[total.find('(').unwrap() + 1..total.find(" B)").unwrap()]
+        .parse()
+        .unwrap();
+    let parts = ["  keys:", "  group offsets:", "  values:", "  ID-to-Position:"];
+    assert_eq!(parts.iter().map(|p| bytes_after(p)).sum::<usize>(), total, "{text}");
+    assert!(text.contains("  one-value replicas: "), "{text}");
+    assert!(text.contains(" of 34\n"), "{text}");
 
     let out = parj()
         .args(["count"])

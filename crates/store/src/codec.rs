@@ -1,11 +1,13 @@
 //! Block-compressed value storage: position-addressed blocks of
 //! frame-of-reference run starts and bitpacked in-run deltas.
 //!
-//! A [`crate::Replica`] stores each key's sorted value run contiguously;
-//! run `k` occupies value positions `offsets[k]..offsets[k + 1]`. Raw
-//! values cost 4 bytes each. This module splits the same array into two
-//! sequences, and which one a position belongs to is known from the
-//! resident `offsets` table — it is never stored:
+//! A [`crate::Replica`] stores each key's sorted value run contiguously,
+//! at the value positions its group span names: position `k` alone for
+//! run `k` when every run holds one value (no table is kept), else
+//! `offsets[k]..offsets[k + 1]` of the replica's CSR table. Raw values
+//! cost 4 bytes each. This module splits the same array into two
+//! sequences, and which one a position belongs to is known from those
+//! spans — it is never stored:
 //!
 //! * the **starts** — the first value of every run, one per key. Starts
 //!   are arbitrary ids, so they are kept frame-of-reference: start block
@@ -27,11 +29,13 @@
 //!
 //! Locating a run is therefore pure arithmetic: the first value of the
 //! run at key position `pos` is item `pos % 128` of start block
-//! `pos / 128` — no per-run header, no walk, and no dependence on
-//! `offsets` at all — and its deltas begin at delta number
-//! `offsets[pos] − pos`. A probe into a run that spans several delta
-//! blocks picks its block by binary search over their `base` values,
-//! which are values of that run.
+//! `pos / 128` — no per-run header, no walk, and no dependence on the
+//! spans at all — and its deltas begin at delta number `start − pos`,
+//! `start` being the run's first value position. A replica whose runs
+//! all hold one value has no deltas: every run is `{start: pos, len: 1}`
+//! and decodes from the start blocks alone. A probe into a run that
+//! spans several delta blocks picks its block by binary search over
+//! their `base` values, which are values of that run.
 //!
 //! Probes and decodes are fused scalar loops over the bit stream — read
 //! a field, add, compare or emit. There is no SIMD and no `unsafe`
@@ -40,6 +44,8 @@
 //! (measurements in DESIGN.md §18.2).
 
 use parj_dict::Id;
+
+use crate::replica::Spans;
 
 /// Items (starts or deltas) per compressed block.
 pub const BLOCK_LEN: usize = 128;
@@ -69,8 +75,8 @@ impl Block {
 }
 
 /// One replica's value area, block-compressed. Logical run boundaries
-/// are *not* stored here — every accessor takes the CSR `offsets` table
-/// the values were packed from.
+/// are *not* stored here — every accessor takes the group spans the
+/// values were packed with.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PackedValues {
     /// Concatenated block bodies plus [`PAD`] zero bytes.
@@ -84,36 +90,41 @@ pub struct PackedValues {
 }
 
 impl PackedValues {
-    /// Packs the value area of a CSR replica. `offsets` must be the
-    /// replica's offsets table (strictly increasing, first 0, last
-    /// `values.len()`), and every run must be strictly increasing.
+    /// Packs the value area of a replica with the given group spans.
+    /// A CSR table must be strictly increasing, first 0, last
+    /// `values.len()`, and every run must be strictly increasing.
     ///
     /// # Panics
-    /// Panics if `offsets` is not such a table.
-    pub fn pack(offsets: &[u32], values: &[Id]) -> PackedValues {
-        assert!(
-            offsets.first() == Some(&0)
-                && offsets.last().map(|&e| e as usize) == Some(values.len())
-                && offsets.windows(2).all(|w| w[0] < w[1]),
-            "offsets must be a CSR table of nonempty runs over the values"
-        );
-        let num_keys = offsets.len() - 1;
+    /// Panics if `spans` holds a table that is not such a table.
+    pub(crate) fn pack(spans: &Spans, values: &[Id]) -> PackedValues {
+        if let Spans::Csr(offsets) = spans {
+            assert!(
+                offsets.first() == Some(&0)
+                    && offsets.last().map(|&e| e as usize) == Some(values.len())
+                    && offsets.windows(2).all(|w| w[0] < w[1]),
+                "offsets must be a CSR table of nonempty runs over the values"
+            );
+        }
+        let num_keys = spans.num_groups(values.len());
+        let start_of = |k: usize| values[spans.range(k).start];
         let mut bytes = Vec::with_capacity(values.len());
         let mut items: Vec<u32> = Vec::with_capacity(BLOCK_LEN);
 
         let mut starts = Vec::with_capacity(num_keys.div_ceil(BLOCK_LEN));
-        for keys in offsets[..num_keys].chunks(BLOCK_LEN) {
-            let base = keys.iter().map(|&o| values[o as usize]).min().unwrap_or(0);
+        for first in (0..num_keys).step_by(BLOCK_LEN) {
+            let keys = first..num_keys.min(first + BLOCK_LEN);
+            let base = keys.clone().map(start_of).min().unwrap_or(0);
             items.clear();
-            items.extend(keys.iter().map(|&o| values[o as usize] - base));
+            items.extend(keys.map(|k| start_of(k) - base));
             starts.push(write_block(&mut bytes, base, &items));
         }
 
         let mut deltas = Vec::with_capacity((values.len() - num_keys).div_ceil(BLOCK_LEN));
         let mut base = 0;
         items.clear();
-        for run in offsets.windows(2) {
-            for i in run[0] as usize + 1..run[1] as usize {
+        for k in 0..num_keys {
+            let run = spans.range(k);
+            for i in run.start + 1..run.end {
                 debug_assert!(values[i - 1] < values[i], "run not strictly increasing");
                 if items.is_empty() {
                     base = values[i - 1];
@@ -145,27 +156,40 @@ impl PackedValues {
         self.num_values
     }
 
-    /// Bytes used by the packed encoding plus both block side tables.
+    /// Bytes allocated for the packed encoding plus both block side
+    /// tables.
     pub fn memory_bytes(&self) -> usize {
+        self.bytes.capacity()
+            + (self.starts.capacity() + self.deltas.capacity()) * std::mem::size_of::<Block>()
+    }
+
+    /// [`PackedValues::memory_bytes`] were every array allocated exactly.
+    #[cfg(test)]
+    pub(crate) fn exact_bytes(&self) -> usize {
         self.bytes.len() + (self.starts.len() + self.deltas.len()) * std::mem::size_of::<Block>()
     }
 
-    /// Borrows the run at key position `pos`. `offsets` must be the
-    /// same table the values were packed with.
+    /// Borrows the run at key position `pos`. `spans` must be the same
+    /// spans the values were packed with.
+    ///
+    /// # Panics
+    /// Panics if `pos` is not a key position.
     #[inline]
-    pub fn run<'a>(&'a self, pos: usize, offsets: &[u32]) -> PackedRun<'a> {
+    pub(crate) fn run<'a>(&'a self, pos: usize, spans: &Spans) -> PackedRun<'a> {
+        let span = spans.range(pos);
+        assert!(span.end <= self.num_values, "key position {pos} out of range");
         PackedRun {
             packed: self,
             key: pos as u32,
-            start: offsets[pos],
-            len: offsets[pos + 1] - offsets[pos],
+            start: span.start as u32,
+            len: span.len() as u32,
         }
     }
 
     /// Appends every logical value, in order, to `out`.
-    pub fn decode_all(&self, offsets: &[u32], out: &mut Vec<Id>) {
-        for pos in 0..offsets.len().saturating_sub(1) {
-            self.run(pos, offsets).decode_into(out);
+    pub(crate) fn decode_all(&self, spans: &Spans, out: &mut Vec<Id>) {
+        for pos in 0..spans.num_groups(self.num_values) {
+            self.run(pos, spans).decode_into(out);
         }
     }
 }
@@ -396,13 +420,20 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn pack_runs(runs: &[Vec<Id>]) -> (PackedValues, Vec<u32>, Vec<Id>) {
+    /// Packs `runs` under the spans a replica would pick for them: no
+    /// table when every run holds one value.
+    fn pack_runs(runs: &[Vec<Id>]) -> (PackedValues, Spans, Vec<Id>) {
         let mut offsets = vec![0u32];
         for r in runs {
             offsets.push(offsets[offsets.len() - 1] + r.len() as u32);
         }
         let values: Vec<Id> = runs.iter().flatten().copied().collect();
-        (PackedValues::pack(&offsets, &values), offsets, values)
+        let spans = if values.len() == runs.len() {
+            Spans::Singletons
+        } else {
+            Spans::Csr(offsets)
+        };
+        (PackedValues::pack(&spans, &values), spans, values)
     }
 
     /// Strictly increasing run starting at `start` with the given
@@ -420,13 +451,13 @@ mod tests {
     /// Model equivalence: every accessor of the packed form answers
     /// exactly like the raw slices it was packed from.
     fn assert_model(runs: &[Vec<Id>]) {
-        let (packed, offsets, values) = pack_runs(runs);
+        let (packed, spans, values) = pack_runs(runs);
         assert_eq!(packed.num_values(), values.len());
         let mut all = Vec::new();
-        packed.decode_all(&offsets, &mut all);
+        packed.decode_all(&spans, &mut all);
         assert_eq!(all, values);
         for (i, r) in runs.iter().enumerate() {
-            let pr = packed.run(i, &offsets);
+            let pr = packed.run(i, &spans);
             assert_eq!(pr.len(), r.len(), "run {i}");
             assert_eq!(pr.is_empty(), r.is_empty());
             assert_eq!(pr.first(), r.first().copied(), "run {i}");
@@ -503,17 +534,17 @@ mod tests {
 
     #[test]
     fn empty_area_packs_empty() {
-        let (packed, offsets, _) = pack_runs(&[]);
+        let (packed, spans, _) = pack_runs(&[]);
         assert_eq!(packed.num_values(), 0);
         let mut out = Vec::new();
-        packed.decode_all(&offsets, &mut out);
+        packed.decode_all(&spans, &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "nonempty runs")]
     fn empty_runs_are_rejected() {
-        PackedValues::pack(&[0, 1, 1, 2], &[4, 5]);
+        PackedValues::pack(&Spans::Csr(vec![0, 1, 1, 2]), &[4, 5]);
     }
 
     /// One run: a singleton, a short dense run, a long small-gap run

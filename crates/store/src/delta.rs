@@ -890,18 +890,75 @@ mod tests {
         assert!(comp.replica(SortOrder::SO).is_compressed());
     }
 
+    /// `memory_bytes` counts allocated capacity. On every replica a
+    /// store holds — raw, packed, snapshot-loaded, delta runs and
+    /// compacted partitions, with and without an offsets table — it
+    /// equals the length-based sum, so nothing is over-allocated.
+    #[test]
+    fn replicas_are_allocated_exactly() {
+        fn assert_exact(part: &Partition, what: &str) {
+            for order in [SortOrder::SO, SortOrder::OS] {
+                let r = part.replica(order);
+                assert_eq!(r.memory_bytes(), r.exact_bytes(), "{what} {order}");
+            }
+        }
+        let iri = |s: &str| Term::iri(s);
+        for compress in [None, Some(8)] {
+            let mut b = StoreBuilder::new();
+            for i in 0..3000u32 {
+                // p0: one object per subject; p1: 75 subjects of 40 objects.
+                let (s0, o0) = (format!("s{i}"), format!("o{}", i % 700));
+                b.add_term_triple(&iri(&s0), &iri("p0"), &iri(&o0));
+                let (s1, o1) = (format!("s{}", i % 75), format!("o{i}"));
+                b.add_term_triple(&iri(&s1), &iri("p1"), &iri(&o1));
+            }
+            let base = b.build_with(crate::StoreOptions {
+                compress_min_values: compress,
+                ..crate::StoreOptions::default()
+            });
+            let so = |pred| base.replica(pred, SortOrder::SO).unwrap();
+            assert!(so(0).one_value_per_key() && !so(1).one_value_per_key());
+            assert_eq!(so(1).is_compressed(), compress.is_some());
+            let loaded = TripleStore::from_snapshot_bytes(&base.to_snapshot_bytes()).unwrap();
+            for (store, what) in [(&base, "base"), (&loaded, "loaded")] {
+                for part in store.partitions() {
+                    assert_exact(part, what);
+                }
+            }
+            let mut ov = DeltaOverlay::new(&base);
+            let s = |i: u32| rid(&base, &format!("s{i}"));
+            let o = |i: u32| rid(&base, &format!("o{i}"));
+            let mut inserts = [
+                (0..50).map(|i| (s(i), o((i + 1) % 700))).collect::<Vec<_>>(),
+                (1..40).map(|j| (s(0), o(j))).collect(),
+            ];
+            for (pred, ins) in inserts.iter_mut().enumerate() {
+                let pred = pred as Id;
+                ins.sort_unstable();
+                let del: Vec<(Id, Id)> =
+                    base.partition(pred).unwrap().iter_so().step_by(7).collect();
+                ov.apply_pred(&base, pred, ins, &del);
+                let d = ov.pred(pred).unwrap();
+                assert_exact(d.add().unwrap(), "add run");
+                assert_exact(d.del().unwrap(), "del run");
+                ov.compact_pred(&base, pred);
+                assert_exact(ov.pred(pred).unwrap().compacted().unwrap(), "compacted");
+            }
+        }
+    }
+
     #[test]
     fn merge_group_matches_merge_values() {
         let base: Vec<Id> = (0..500).map(|i| i * 3).collect();
         let add = vec![1, 4, 2000];
         let del = vec![0, 300, 1497];
-        let offsets = vec![0, base.len() as u32];
-        let packed = crate::codec::PackedValues::pack(&offsets, &base);
+        let spans = crate::replica::Spans::Csr(vec![0, base.len() as u32]);
+        let packed = crate::codec::PackedValues::pack(&spans, &base);
         let mut a = Vec::new();
         let mut b = Vec::new();
         merge_values_into(&base, &add, &del, &mut a);
         merge_group_into(
-            crate::Group::Packed(packed.run(0, &offsets)),
+            crate::Group::Packed(packed.run(0, &spans)),
             &add,
             &del,
             &mut b,

@@ -119,6 +119,12 @@ impl IdPosIndex {
     /// Memory used by the bitmap and anchors in bytes — the `N/8 +
     /// (N/A)*M` of §4.2.
     pub fn memory_bytes(&self) -> usize {
+        self.bits.capacity() * 8 + self.anchors.capacity() * 4
+    }
+
+    /// [`IdPosIndex::memory_bytes`] were both arrays allocated exactly.
+    #[cfg(test)]
+    pub(crate) fn exact_bytes(&self) -> usize {
         self.bits.len() * 8 + self.anchors.len() * 4
     }
 }

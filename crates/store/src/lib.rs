@@ -15,13 +15,16 @@
 //!
 //! corresponding to the PSO and POS indexes of Hexastore. A [`Replica`]
 //! stores the *distinct* first-column values in one sorted `keys` array;
-//! the second column lives in a single contiguous `values` array with an
-//! `offsets` table mapping each key position to its sorted group of
-//! values — the paper's Figure 1, with the optimization it describes of
-//! "allocating the different object arrays to a continuous memory area"
-//! and keeping offsets instead of per-position pointers. This is a CSR
-//! adjacency layout: compact, cache-friendly, and reconstruction of a
-//! tuple is `(keys[i], values[j])` for `offsets[i] <= j < offsets[i+1]`.
+//! the second column lives in a single contiguous `values` array, each
+//! key position owning one sorted group of values — the paper's Figure
+//! 1, with the optimization it describes of "allocating the different
+//! object arrays to a continuous memory area". Where a group sits is
+//! implied by its position when every key has exactly one value (group
+//! `i` is `values[i]`, and no table is stored); otherwise an `offsets`
+//! table replaces the paper's per-key pointers, and group `i` is
+//! `values[offsets[i]..offsets[i+1]]`. This is a CSR adjacency layout:
+//! compact, cache-friendly, and reconstruction of a tuple is
+//! `(keys[i], values[j])` for every `j` in group `i`.
 //!
 //! ## ID-to-Position index (§4.2)
 //!
@@ -66,6 +69,6 @@ pub use delta::{
 };
 pub use idpos::IdPosIndex;
 pub use partition::Partition;
-pub use replica::{Group, GroupIter, Replica, ReplicaBuilder};
+pub use replica::{Group, GroupIter, Replica, ReplicaBuilder, ReplicaBytes};
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use store::{SortOrder, StoreBuilder, StoreOptions, TripleStore};

@@ -1,6 +1,10 @@
 //! One sort-order replica of a property's two-column table (Figure 1 of
-//! the paper): distinct sorted keys, a CSR offsets table, and one
-//! contiguous sorted-per-group values area.
+//! the paper): distinct sorted keys, the span of each key's group, and
+//! one contiguous sorted-per-group values area.
+//!
+//! Group spans have two shapes, chosen by the data: when every key has
+//! exactly one value, group `pos` is value position `pos` and nothing is
+//! stored; otherwise a CSR offsets table holds them.
 //!
 //! The values area has two physical representations: raw `u32` arrays,
 //! and the block-compressed encoding of [`crate::codec`] (selected by
@@ -10,11 +14,48 @@
 //! representation-transparent through [`Group`].
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use parj_dict::Id;
 
 use crate::codec::{PackedRun, PackedRunIter, PackedValues};
 use crate::idpos::IdPosIndex;
+
+/// Where each key's group sits in the values area.
+///
+/// The shape follows from the data, never from configuration: a
+/// replica with as many values as keys is `Singletons`, any other is
+/// `Csr`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) enum Spans {
+    /// Every group holds one value: group `pos` is value position `pos`.
+    #[default]
+    Singletons,
+    /// CSR table of `num_keys + 1` entries: group `pos` is value
+    /// positions `offsets[pos]..offsets[pos + 1]`.
+    Csr(Vec<u32>),
+}
+
+impl Spans {
+    /// Value positions of group `pos`. `Singletons` does not bound
+    /// `pos`: callers index an array of `num_keys` entries with it.
+    #[inline]
+    pub(crate) fn range(&self, pos: usize) -> Range<usize> {
+        match self {
+            Spans::Singletons => pos..pos + 1,
+            Spans::Csr(offsets) => offsets[pos] as usize..offsets[pos + 1] as usize,
+        }
+    }
+
+    /// Number of groups over a values area of `num_values` values.
+    #[inline]
+    pub(crate) fn num_groups(&self, num_values: usize) -> usize {
+        match self {
+            Spans::Singletons => num_values,
+            Spans::Csr(offsets) => offsets.len() - 1,
+        }
+    }
+}
 
 /// Physical storage of a replica's values area.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,18 +199,20 @@ impl ExactSizeIterator for GroupIter<'_> {}
 /// join layer):
 ///
 /// 1. `keys` is strictly increasing (distinct, sorted).
-/// 2. `offsets.len() == keys.len() + 1`, `offsets[0] == 0`,
-///    `offsets` is strictly increasing (every key has ≥ 1 value), and
-///    `offsets[keys.len()] == values.len()`.
-/// 3. Each group `values[offsets[i]..offsets[i+1]]` is strictly
-///    increasing (values are distinct within a key: RDF graphs are sets).
+/// 2. Group spans: when `keys.len() == values.len()`, group `i` is value
+///    position `i` and no table is stored. Otherwise `offsets.len() ==
+///    keys.len() + 1`, `offsets[0] == 0`, `offsets` is strictly
+///    increasing (every key has ≥ 1 value), `offsets[keys.len()] ==
+///    values.len()`, and group `i` is `values[offsets[i]..offsets[i+1]]`.
+/// 3. Each group is strictly increasing (values are distinct within a
+///    key: RDF graphs are sets).
 ///
-/// Equality compares the *logical* content (keys, offsets, decoded
+/// Equality compares the *logical* content (keys, group spans, decoded
 /// values, index) — a compressed replica equals its raw original.
 #[derive(Debug, Clone, Default)]
 pub struct Replica {
     keys: Vec<Id>,
-    offsets: Vec<u32>,
+    spans: Spans,
     values: ValuesRepr,
     idpos: Option<IdPosIndex>,
 }
@@ -177,7 +220,7 @@ pub struct Replica {
 impl PartialEq for Replica {
     fn eq(&self, other: &Self) -> bool {
         self.keys == other.keys
-            && self.offsets == other.offsets
+            && self.spans == other.spans
             && self.idpos == other.idpos
             && match (&self.values, &other.values) {
                 (ValuesRepr::Raw(a), ValuesRepr::Raw(b)) => a == b,
@@ -231,12 +274,8 @@ impl Replica {
     #[inline]
     pub fn group_at(&self, pos: usize) -> Group<'_> {
         match &self.values {
-            ValuesRepr::Raw(v) => {
-                let start = self.offsets[pos] as usize;
-                let end = self.offsets[pos + 1] as usize;
-                Group::Raw(&v[start..end])
-            }
-            ValuesRepr::Packed(p) => Group::Packed(p.run(pos, &self.offsets)),
+            ValuesRepr::Raw(v) => Group::Raw(&v[self.spans.range(pos)]),
+            ValuesRepr::Packed(p) => Group::Packed(p.run(pos, &self.spans)),
         }
     }
 
@@ -248,9 +287,7 @@ impl Replica {
     /// Panics if `pos >= num_keys()` or if the replica is compressed.
     #[inline]
     pub fn values_at(&self, pos: usize) -> &[Id] {
-        let start = self.offsets[pos] as usize;
-        let end = self.offsets[pos + 1] as usize;
-        &self.raw_values()[start..end]
+        &self.raw_values()[self.spans.range(pos)]
     }
 
     /// The key at position `pos`.
@@ -260,15 +297,30 @@ impl Replica {
     }
 
     /// Group size for the key at `pos` without touching the values array.
+    ///
+    /// # Panics
+    /// Panics if `pos >= num_keys()`.
     #[inline]
     pub fn group_len(&self, pos: usize) -> usize {
-        (self.offsets[pos + 1] - self.offsets[pos]) as usize
+        assert!(pos < self.keys.len(), "key position {pos} out of range");
+        self.spans.range(pos).len()
     }
 
-    /// The raw CSR offsets table (`num_keys() + 1` entries).
+    /// True when every key has exactly one value, so the replica stores
+    /// no offsets table (also true of the empty replica).
     #[inline]
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
+    pub fn one_value_per_key(&self) -> bool {
+        matches!(self.spans, Spans::Singletons)
+    }
+
+    /// The CSR offsets table (`num_keys() + 1` entries). Borrowed when
+    /// the replica stores one; built as the identity table when every
+    /// key has one value.
+    pub fn offsets(&self) -> Cow<'_, [u32]> {
+        match &self.spans {
+            Spans::Singletons => Cow::Owned((0..=self.keys.len() as u32).collect()),
+            Spans::Csr(offsets) => Cow::Borrowed(offsets),
+        }
     }
 
     /// The contiguous values area of an uncompressed replica.
@@ -298,7 +350,7 @@ impl Replica {
             ValuesRepr::Raw(v) => Cow::Borrowed(v),
             ValuesRepr::Packed(p) => {
                 let mut out = Vec::with_capacity(p.num_values());
-                p.decode_all(&self.offsets, &mut out);
+                p.decode_all(&self.spans, &mut out);
                 Cow::Owned(out)
             }
         }
@@ -369,7 +421,7 @@ impl Replica {
         if v.len() < min_values.max(1) {
             return false;
         }
-        let packed = PackedValues::pack(&self.offsets, v);
+        let packed = PackedValues::pack(&self.spans, v);
         if packed.memory_bytes() >= v.len() * std::mem::size_of::<Id>() {
             return false;
         }
@@ -402,25 +454,31 @@ impl Replica {
         })
     }
 
-    /// Bytes used by the arrays (excluding the optional index); the
-    /// values contribution reflects the physical representation, so
-    /// compressing shrinks this number.
+    /// Bytes allocated for the arrays, including the ID-to-Position
+    /// index when built; the values contribution reflects the physical
+    /// representation, so compressing shrinks this number.
     pub fn memory_bytes(&self) -> usize {
-        let values = match &self.values {
-            ValuesRepr::Raw(v) => v.len() * std::mem::size_of::<Id>(),
-            ValuesRepr::Packed(p) => p.memory_bytes(),
-        };
-        self.keys.len() * std::mem::size_of::<Id>()
-            + self.offsets.len() * 4
-            + values
-            + self.idpos.as_ref().map_or(0, |i| i.memory_bytes())
+        self.memory_parts().total()
     }
 
-    /// Bytes used by the values area alone (the part compression
+    /// [`Replica::memory_bytes`] split by array.
+    pub fn memory_parts(&self) -> ReplicaBytes {
+        ReplicaBytes {
+            keys: self.keys.capacity() * std::mem::size_of::<Id>(),
+            offsets: match &self.spans {
+                Spans::Singletons => 0,
+                Spans::Csr(offsets) => offsets.capacity() * std::mem::size_of::<u32>(),
+            },
+            values: self.value_bytes(),
+            idpos: self.idpos.as_ref().map_or(0, IdPosIndex::memory_bytes),
+        }
+    }
+
+    /// Bytes allocated for the values area alone (the part compression
     /// targets), in its physical representation.
     pub fn value_bytes(&self) -> usize {
         match &self.values {
-            ValuesRepr::Raw(v) => v.len() * std::mem::size_of::<Id>(),
+            ValuesRepr::Raw(v) => v.capacity() * std::mem::size_of::<Id>(),
             ValuesRepr::Packed(p) => p.memory_bytes(),
         }
     }
@@ -430,27 +488,23 @@ impl Replica {
     /// compressed replica this decodes and checks every group, so it
     /// also proves the codec round-trips this replica.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.offsets.len() != self.keys.len() + 1 {
-            return Err(format!(
-                "offsets len {} != keys len {} + 1",
-                self.offsets.len(),
-                self.keys.len()
-            ));
-        }
-        if self.offsets.first() != Some(&0) {
-            return Err("offsets[0] != 0".into());
-        }
-        if *self.offsets.last().expect("non-empty offsets") as usize != self.num_triples() {
-            return Err("offsets tail != values len".into());
+        match &self.spans {
+            Spans::Singletons if self.keys.len() != self.num_triples() => {
+                return Err(format!(
+                    "no offsets table, yet {} keys over {} values",
+                    self.keys.len(),
+                    self.num_triples()
+                ));
+            }
+            Spans::Singletons => {}
+            Spans::Csr(_) if self.keys.len() == self.num_triples() => {
+                return Err("offsets table stored over one value per key".into());
+            }
+            Spans::Csr(offsets) => check_offsets(offsets, self.keys.len(), self.num_triples())?,
         }
         for w in self.keys.windows(2) {
             if w[0] >= w[1] {
                 return Err(format!("keys not strictly increasing at {}..{}", w[0], w[1]));
-            }
-        }
-        for w in self.offsets.windows(2) {
-            if w[0] >= w[1] {
-                return Err("empty value group (offsets not strictly increasing)".into());
             }
         }
         for i in 0..self.num_keys() {
@@ -471,7 +525,7 @@ impl Replica {
             }
             if n != self.group_len(i) {
                 return Err(format!(
-                    "group {i} decodes {n} values, offsets promise {}",
+                    "group {i} decodes {n} values, its span promises {}",
                     self.group_len(i)
                 ));
             }
@@ -486,27 +540,101 @@ impl Replica {
         Ok(())
     }
 
-    /// Raw parts for snapshot encoding: keys, offsets, and the decoded
-    /// values area (snapshots always store the raw representation, so
+    /// Raw parts for snapshot encoding: keys, the offsets table, and the
+    /// decoded values area (snapshots always store the raw CSR form, so
     /// their bytes are independent of the in-memory one).
-    pub(crate) fn raw_parts(&self) -> (&[Id], &[u32], Cow<'_, [Id]>) {
-        (&self.keys, &self.offsets, self.decoded_values())
+    pub(crate) fn raw_parts(&self) -> (&[Id], Cow<'_, [u32]>, Cow<'_, [Id]>) {
+        (&self.keys, self.offsets(), self.decoded_values())
     }
 
-    /// Rebuilds from raw parts, validating invariants.
+    /// Rebuilds from raw parts, validating invariants. An offsets table
+    /// over one value per key is dropped once it is known to be the
+    /// identity.
     pub(crate) fn from_raw_parts(
         keys: Vec<Id>,
         offsets: Vec<u32>,
         values: Vec<Id>,
     ) -> Result<Self, String> {
+        let spans = if keys.len() == values.len() {
+            check_offsets(&offsets, keys.len(), values.len())?;
+            Spans::Singletons
+        } else {
+            Spans::Csr(offsets)
+        };
         let r = Replica {
             keys,
-            offsets,
+            spans,
             values: ValuesRepr::Raw(values),
             idpos: None,
         };
         r.check_invariants()?;
         Ok(r)
+    }
+
+    /// Bytes the arrays would take if allocated exactly: the figure
+    /// [`Replica::memory_bytes`] must equal when nothing is
+    /// over-allocated.
+    #[cfg(test)]
+    pub(crate) fn exact_bytes(&self) -> usize {
+        let offsets = match &self.spans {
+            Spans::Singletons => 0,
+            Spans::Csr(offsets) => offsets.len(),
+        };
+        let values = match &self.values {
+            ValuesRepr::Raw(v) => v.len() * 4,
+            ValuesRepr::Packed(p) => p.exact_bytes(),
+        };
+        let idpos = self.idpos.as_ref().map_or(0, IdPosIndex::exact_bytes);
+        (self.keys.len() + offsets) * 4 + values + idpos
+    }
+}
+
+/// Checks that `offsets` is a CSR table of `num_keys` nonempty groups
+/// over `num_values` values.
+fn check_offsets(offsets: &[u32], num_keys: usize, num_values: usize) -> Result<(), String> {
+    if offsets.len() != num_keys + 1 {
+        return Err(format!("offsets len {} != keys len {num_keys} + 1", offsets.len()));
+    }
+    if offsets[0] != 0 {
+        return Err("offsets[0] != 0".into());
+    }
+    if offsets[num_keys] as usize != num_values {
+        return Err("offsets tail != values len".into());
+    }
+    if offsets.windows(2).any(|w| w[0] >= w[1]) {
+        return Err("empty value group (offsets not strictly increasing)".into());
+    }
+    Ok(())
+}
+
+/// Allocated bytes of a replica's arrays, by array.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplicaBytes {
+    /// The sorted keys.
+    pub keys: usize,
+    /// The CSR offsets table; zero when every key has one value.
+    pub offsets: usize,
+    /// The values area, raw or block-compressed.
+    pub values: usize,
+    /// The ID-to-Position index, when built.
+    pub idpos: usize,
+}
+
+impl ReplicaBytes {
+    /// Sum of the parts.
+    pub fn total(&self) -> usize {
+        self.keys + self.offsets + self.values + self.idpos
+    }
+}
+
+impl std::iter::Sum for ReplicaBytes {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(ReplicaBytes::default(), |a, b| ReplicaBytes {
+            keys: a.keys + b.keys,
+            offsets: a.offsets + b.offsets,
+            values: a.values + b.values,
+            idpos: a.idpos + b.idpos,
+        })
     }
 }
 
@@ -556,7 +684,7 @@ impl ReplicaBuilder {
     }
 
     /// Builds directly from pairs already sorted and deduplicated
-    /// (debug-asserted).
+    /// (debug-asserted). Every array is allocated at its exact size.
     pub fn from_sorted_unique(pairs: Vec<(Id, Id)>) -> Replica {
         debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "pairs not sorted+unique");
         assert!(
@@ -564,26 +692,28 @@ impl ReplicaBuilder {
             "replica exceeds u32 offset range ({} pairs)",
             pairs.len()
         );
-        let mut keys: Vec<Id> = Vec::new();
-        let mut offsets: Vec<u32> = vec![0];
+        let num_keys = pairs.len().min(1) + pairs.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        let mut keys: Vec<Id> = Vec::with_capacity(num_keys);
         let mut values: Vec<Id> = Vec::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            if keys.last() != Some(&k) {
-                if !keys.is_empty() {
+        let spans = if num_keys == pairs.len() {
+            keys.extend(pairs.iter().map(|&(k, _)| k));
+            values.extend(pairs.iter().map(|&(_, v)| v));
+            Spans::Singletons
+        } else {
+            let mut offsets: Vec<u32> = Vec::with_capacity(num_keys + 1);
+            for (k, v) in pairs {
+                if keys.last() != Some(&k) {
                     offsets.push(values.len() as u32);
+                    keys.push(k);
                 }
-                keys.push(k);
+                values.push(v);
             }
-            values.push(v);
-        }
-        offsets.push(values.len() as u32);
-        if keys.is_empty() {
-            // Canonical empty replica: offsets = [0].
-            offsets = vec![0];
-        }
+            offsets.push(values.len() as u32);
+            Spans::Csr(offsets)
+        };
         let r = Replica {
             keys,
-            offsets,
+            spans,
             values: ValuesRepr::Raw(values),
             idpos: None,
         };
@@ -710,6 +840,20 @@ mod tests {
         let mut bad_vals = v.to_vec();
         bad_vals.swap(5, 6); // inside the 24-group
         assert!(Replica::from_raw_parts(k.to_vec(), o.to_vec(), bad_vals).is_err());
+    }
+
+    /// A snapshot's identity table is checked before it is dropped.
+    #[test]
+    fn from_raw_checks_the_table_it_drops() {
+        let r = ReplicaBuilder::from_sorted_unique(vec![(1, 5), (2, 3), (4, 4)]);
+        assert!(r.one_value_per_key());
+        assert_eq!(r.memory_parts().offsets, 0);
+        let (k, o, v) = r.raw_parts();
+        assert_eq!(*o, [0, 1, 2, 3]);
+        assert_eq!(Replica::from_raw_parts(k.to_vec(), o.to_vec(), v.to_vec()), Ok(r.clone()));
+        for bad in [vec![0, 1, 2], vec![0, 2, 1, 3], vec![1, 1, 2, 3], vec![0, 1, 2, 4]] {
+            assert!(Replica::from_raw_parts(k.to_vec(), bad, v.to_vec()).is_err());
+        }
     }
 
     /// A replica big enough to clear any sensible compression threshold,

@@ -103,10 +103,11 @@ impl TripleStore {
             for order in [SortOrder::SO, SortOrder::OS] {
                 let (keys, offsets, values) = part.replica(order).raw_parts();
                 put_ids(&mut out, keys);
-                put_u32s(&mut out, offsets);
-                // `values` is Cow: borrowed when raw, decoded when the
+                // Both are Cow: `offsets` is the identity table when the
+                // replica stores none, `values` is decoded when the
                 // replica is block-compressed — snapshot bytes stay
                 // representation-independent (format v1 unchanged).
+                put_u32s(&mut out, &offsets);
                 put_ids(&mut out, &values);
             }
         }

@@ -3,7 +3,7 @@
 use parj_dict::{Dictionary, EncodedTriple, Id, Term};
 
 use crate::partition::Partition;
-use crate::replica::Replica;
+use crate::replica::{Replica, ReplicaBytes};
 
 /// Which replica of a partition: S-O (sorted subject-then-object, the
 /// paper's `prop_i`) or O-S (`prop_i'`).
@@ -292,6 +292,14 @@ impl TripleStore {
     /// for LUBM 10240 excluding dictionary).
     pub fn partitions_memory_bytes(&self) -> usize {
         self.partitions.iter().map(Partition::memory_bytes).sum()
+    }
+
+    /// [`TripleStore::partitions_memory_bytes`] split by array.
+    pub fn partitions_memory_parts(&self) -> ReplicaBytes {
+        self.partitions
+            .iter()
+            .flat_map(|p| [SortOrder::SO, SortOrder::OS].map(|o| p.replica(o).memory_parts()))
+            .sum()
     }
 
     /// Total bytes including the dictionary (paper: 50 GB with
