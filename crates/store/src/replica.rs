@@ -271,7 +271,10 @@ impl Replica {
     ///
     /// # Panics
     /// Panics if `pos >= num_keys()`.
-    #[inline]
+    // Always inlined: every join probe opens its group here, and the
+    // span-shape match made the body large enough that `#[inline]`
+    // left it an out-of-line call in the executor's descent.
+    #[inline(always)]
     pub fn group_at(&self, pos: usize) -> Group<'_> {
         match &self.values {
             ValuesRepr::Raw(v) => Group::Raw(&v[self.spans.range(pos)]),
@@ -384,6 +387,7 @@ impl Replica {
 
     /// The values group for `key` across either representation, empty
     /// if absent.
+    #[inline]
     pub fn group_for_key(&self, key: Id) -> Group<'_> {
         match self.position_of(key) {
             Some(p) => self.group_at(p),
