@@ -507,6 +507,14 @@ fn run() -> Result<(), Failure> {
                 replicas.iter().filter(|r| r.one_value_per_key()).count(),
                 replicas.len()
             );
+            let unshared: usize = replicas.iter().map(|r| r.memory_bytes()).sum();
+            let saved = unshared - bytes;
+            println!(
+                "  key arrays: {} distinct of {}, sharing saves {saved} B  {:.3} B/triple",
+                store.distinct_key_arrays(),
+                replicas.len(),
+                saved as f64 / per_triple
+            );
             println!(
                 "dictionary:  {:.2} MiB",
                 store.dict().memory_bytes() as f64 / (1 << 20) as f64

@@ -48,6 +48,18 @@ fn generate_load_query_roundtrip() {
     assert_eq!(parts.iter().map(|p| bytes_after(p)).sum::<usize>(), total, "{text}");
     assert!(text.contains("  one-value replicas: "), "{text}");
     assert!(text.contains(" of 34\n"), "{text}");
+    // Replicas with equal keys share one array: LUBM's classes give
+    // several predicates one subject set.
+    let sharing = text
+        .lines()
+        .find_map(|l| l.strip_prefix("  key arrays: "))
+        .expect(&text);
+    let distinct: usize = sharing.split(' ').next().unwrap().parse().unwrap();
+    assert!(distinct < 34, "{text}");
+    assert!(
+        sharing.contains(" distinct of 34, sharing saves "),
+        "{text}"
+    );
 
     let out = parj()
         .args(["count"])

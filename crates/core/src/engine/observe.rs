@@ -81,7 +81,7 @@ impl Parj {
         }
         self.metrics.set_delta_resident(
             ready.delta.resident_pairs() as u64,
-            if ready.delta.is_clean() { 0 } else { ready.delta.memory_bytes() as u64 },
+            if ready.delta.is_clean() { 0 } else { ready.delta.memory_bytes(&ready.store) as u64 },
         );
     }
 

@@ -293,7 +293,7 @@ impl Parj {
         }
         phases.compact_micros = t.elapsed().as_micros() as u64;
         outcome.delta_resident_pairs = delta.resident_pairs();
-        outcome.delta_bytes = delta.memory_bytes();
+        outcome.delta_bytes = delta.memory_bytes(&base);
         outcome.visible_triples = delta.visible_triples(&base);
 
         // -- invalidate: the next version's cache stamps ---------------

@@ -83,11 +83,13 @@ impl PredDelta {
             + self.del.as_ref().map_or(0, |p| p.num_triples())
     }
 
-    /// Overlay bytes for this predicate (runs + compacted partition).
-    pub fn memory_bytes(&self) -> usize {
-        self.compacted.as_ref().map_or(0, |p| p.memory_bytes())
-            + self.add.as_ref().map_or(0, |p| p.memory_bytes())
-            + self.del.as_ref().map_or(0, |p| p.memory_bytes())
+    /// The partitions this predicate's overlay holds: compacted
+    /// replacement, add run, del run.
+    fn partitions(&self) -> impl Iterator<Item = &Partition> + '_ {
+        [&self.compacted, &self.add, &self.del]
+            .into_iter()
+            .flatten()
+            .map(|p| &**p)
     }
 }
 
@@ -198,10 +200,15 @@ impl DeltaOverlay {
     }
 
     /// Overlay heap bytes: runs, compacted partitions, and the
-    /// dictionary extension.
-    pub fn memory_bytes(&self) -> usize {
-        self.preds.iter().map(PredDelta::memory_bytes).sum::<usize>()
-            + self.dict.memory_bytes()
+    /// dictionary extension. A keys array or index shared by several
+    /// replicas counts once, and not at all when `base` holds it (a
+    /// compacted replica whose keys did not change shares them).
+    pub fn memory_bytes(&self, base: &TripleStore) -> usize {
+        let mut tally = base.tally();
+        let in_base = tally.bytes.total();
+        let parts = self.preds.iter().flat_map(PredDelta::partitions);
+        parts.flat_map(Partition::replicas).for_each(|r| tally.add(r));
+        tally.bytes.total() - in_base + self.dict.memory_bytes()
     }
 
     /// The effective base partition for `predicate`: the compacted
@@ -325,6 +332,12 @@ impl DeltaOverlay {
     /// partition (two sorted runs — a linear merge) that replaces the
     /// effective base, then clears the runs. Other predicates and the
     /// base store are untouched.
+    ///
+    /// A replica whose merged keys equal keys already held — the
+    /// effective base's, in the common case of a write under existing
+    /// keys, or any other replica's of the base or a compacted
+    /// partition — shares that array and its index instead of
+    /// allocating and indexing a copy.
     pub fn compact_pred(&mut self, base: &TripleStore, predicate: Id) {
         let idx = predicate as usize;
         if self.pred(predicate).is_none_or(|p| p.resident_pairs() == 0) {
@@ -333,11 +346,28 @@ impl DeltaOverlay {
         let merged = self.merged_so_pairs(base, predicate);
         let mut part = Partition::build(predicate, &merged);
         let options = base.options();
-        if options.build_idpos {
-            let universe = self.dict.num_resources().max(base.dict().num_resources());
-            for order in [SortOrder::SO, SortOrder::OS] {
-                part.replica_mut(order)
-                    .build_idpos(universe, options.idpos_interval);
+        let universe = self.dict.num_resources().max(base.dict().num_resources());
+        for order in [SortOrder::SO, SortOrder::OS] {
+            // Equal held arrays are one allocation, so the first match
+            // is the one. The new S-O replica is a candidate for its O-S
+            // twin.
+            let compacted = self.preds.iter().filter_map(PredDelta::compacted);
+            let twin = (order == SortOrder::OS).then(|| part.replica(SortOrder::SO));
+            let keys = part.replica(order).keys();
+            let found = base
+                .replicas()
+                .chain(compacted.flat_map(Partition::replicas))
+                .chain(twin)
+                .find(|h| h.keys() == keys)
+                .map(|h| {
+                    let (keys, index) = h.shared();
+                    (Arc::clone(keys), index.cloned())
+                });
+            let r = part.replica_mut(order);
+            match found {
+                Some((keys, index)) => r.share(&keys, index.as_ref()),
+                None if options.build_idpos => r.build_idpos(universe, options.idpos_interval),
+                None => {}
             }
         }
         // Replacement partitions inherit the base store's compression
@@ -687,6 +717,7 @@ pub fn merge_group_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::share::tests::distinct_bytes;
     use crate::store::StoreBuilder;
     use parj_dict::Term;
 
@@ -893,7 +924,9 @@ mod tests {
     /// `memory_bytes` counts allocated capacity. On every replica a
     /// store holds — raw, packed, snapshot-loaded, delta runs and
     /// compacted partitions, with and without an offsets table — it
-    /// equals the length-based sum, so nothing is over-allocated.
+    /// equals the length-based sum, so nothing is over-allocated. Store
+    /// and overlay totals count each shared keys array and index once,
+    /// and the overlay leaves out the ones the base holds.
     #[test]
     fn replicas_are_allocated_exactly() {
         fn assert_exact(part: &Partition, what: &str) {
@@ -902,15 +935,21 @@ mod tests {
                 assert_eq!(r.memory_bytes(), r.exact_bytes(), "{what} {order}");
             }
         }
+        fn so_of(store: &TripleStore, pred: Id) -> &Replica {
+            store.replica(pred, SortOrder::SO).unwrap()
+        }
         let iri = |s: &str| Term::iri(s);
         for compress in [None, Some(8)] {
             let mut b = StoreBuilder::new();
             for i in 0..3000u32 {
-                // p0: one object per subject; p1: 75 subjects of 40 objects.
+                // p0: one object per subject; p1: 75 subjects of 40
+                // objects; p2: p0's subjects, so their S-O keys are one
+                // shared array.
                 let (s0, o0) = (format!("s{i}"), format!("o{}", i % 700));
                 b.add_term_triple(&iri(&s0), &iri("p0"), &iri(&o0));
                 let (s1, o1) = (format!("s{}", i % 75), format!("o{i}"));
                 b.add_term_triple(&iri(&s1), &iri("p1"), &iri(&o1));
+                b.add_term_triple(&iri(&s0), &iri("p2"), &iri(&format!("o{}", i % 3)));
             }
             let base = b.build_with(crate::StoreOptions {
                 compress_min_values: compress,
@@ -924,6 +963,19 @@ mod tests {
                 for part in store.partitions() {
                     assert_exact(part, what);
                 }
+                let (p0, p2) = (so_of(store, 0), so_of(store, 2));
+                assert!(Arc::ptr_eq(p0.shared().0, p2.shared().0), "{what}");
+                assert!(
+                    Arc::ptr_eq(p0.shared().1.unwrap(), p2.shared().1.unwrap()),
+                    "{what}"
+                );
+                let replicas: Vec<&Replica> = store.replicas().collect();
+                assert_eq!(
+                    store.partitions_memory_bytes(),
+                    distinct_bytes(&replicas, &[]),
+                    "{what}"
+                );
+                assert_eq!(store.distinct_key_arrays(), 5, "{what}");
             }
             let mut ov = DeltaOverlay::new(&base);
             let s = |i: u32| rid(&base, &format!("s{i}"));
@@ -942,8 +994,26 @@ mod tests {
                 assert_exact(d.add().unwrap(), "add run");
                 assert_exact(d.del().unwrap(), "del run");
                 ov.compact_pred(&base, pred);
-                assert_exact(ov.pred(pred).unwrap().compacted().unwrap(), "compacted");
+                let compacted = ov.pred(pred).unwrap().compacted().unwrap();
+                assert_exact(compacted, "compacted");
             }
+            // p1's S-O keys survive its writes, so its compacted replica
+            // shares the base's array and index.
+            let part = ov.pred(1).unwrap().compacted().unwrap();
+            let (keys, index) = part.replica(SortOrder::SO).shared();
+            assert!(Arc::ptr_eq(keys, so(1).shared().0));
+            assert!(Arc::ptr_eq(index.unwrap(), so(1).shared().1.unwrap()));
+            let held: Vec<&Replica> = base.replicas().collect();
+            let compacted: Vec<&Replica> = (0..2)
+                .flat_map(|pred| {
+                    let part = ov.pred(pred).unwrap().compacted().unwrap();
+                    [part.replica(SortOrder::SO), part.replica(SortOrder::OS)]
+                })
+                .collect();
+            assert_eq!(
+                ov.memory_bytes(&base) - ov.dict().memory_bytes(),
+                distinct_bytes(&compacted, &held)
+            );
         }
     }
 

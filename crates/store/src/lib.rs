@@ -26,6 +26,11 @@
 //! compact, cache-friendly, and reconstruction of a tuple is
 //! `(keys[i], values[j])` for every `j` in group `i`.
 //!
+//! Predicates of one class share a subject set, so many replicas have
+//! equal `keys`. A store holds each distinct keys array, and its
+//! ID-to-Position index, once: replicas with equal keys share one
+//! immutable allocation, and memory totals count it once.
+//!
 //! ## ID-to-Position index (§4.2)
 //!
 //! [`IdPosIndex`] maps a dictionary id directly to its position in a
@@ -59,6 +64,7 @@ mod idpos;
 mod parallel;
 mod partition;
 mod replica;
+mod share;
 mod snapshot;
 mod store;
 

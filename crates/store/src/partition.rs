@@ -46,6 +46,12 @@ impl Partition {
         }
     }
 
+    /// Both replicas, S-O first.
+    #[inline]
+    pub(crate) fn replicas(&self) -> [&Replica; 2] {
+        [&self.so, &self.os]
+    }
+
     /// Mutable replica access (index building).
     #[inline]
     pub fn replica_mut(&mut self, order: SortOrder) -> &mut Replica {
@@ -92,7 +98,8 @@ impl Partition {
         self.so.iter_pairs()
     }
 
-    /// Combined memory of both replicas.
+    /// Combined memory of both replicas, each shared keys array and
+    /// index in full (store totals count them once).
     pub fn memory_bytes(&self) -> usize {
         self.so.memory_bytes() + self.os.memory_bytes()
     }

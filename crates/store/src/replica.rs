@@ -12,11 +12,16 @@
 //! Keys and offsets always stay raw — the join layer's adaptive key
 //! search runs on them unchanged — and every logical accessor is
 //! representation-transparent through [`Group`].
+//!
+//! Keys may be shared. The keys array and its ID-to-Position index are
+//! immutable `Arc` allocations, and in a store every replica whose keys
+//! equal another's holds the same array and index (`crate::share`).
 
 use std::borrow::Cow;
 use std::ops::Range;
 
 use parj_dict::Id;
+use parj_sync::Arc;
 
 use crate::codec::{PackedRun, PackedRunIter, PackedValues};
 use crate::idpos::IdPosIndex;
@@ -208,13 +213,14 @@ impl ExactSizeIterator for GroupIter<'_> {}
 ///    key: RDF graphs are sets).
 ///
 /// Equality compares the *logical* content (keys, group spans, decoded
-/// values, index) — a compressed replica equals its raw original.
+/// values, index) — a compressed replica equals its raw original, and
+/// a shared keys array equals an unshared copy.
 #[derive(Debug, Clone, Default)]
 pub struct Replica {
-    keys: Vec<Id>,
+    keys: Arc<[Id]>,
     spans: Spans,
     values: ValuesRepr,
-    idpos: Option<IdPosIndex>,
+    idpos: Option<Arc<IdPosIndex>>,
 }
 
 impl PartialEq for Replica {
@@ -398,13 +404,34 @@ impl Replica {
     /// The ID-to-Position index, if built.
     #[inline]
     pub fn idpos(&self) -> Option<&IdPosIndex> {
-        self.idpos.as_ref()
+        self.idpos.as_deref()
     }
 
     /// Builds (or rebuilds) the ID-to-Position index over `universe`
-    /// dictionary ids with the given block interval.
+    /// dictionary ids with the given block interval. The new index is
+    /// this replica's own, shared with no other.
     pub fn build_idpos(&mut self, universe: usize, interval: usize) {
-        self.idpos = Some(IdPosIndex::build(&self.keys, universe, interval));
+        self.idpos = Some(Arc::new(IdPosIndex::build(&self.keys, universe, interval)));
+    }
+
+    /// The shared keys allocation and index.
+    pub(crate) fn shared(&self) -> (&Arc<[Id]>, Option<&Arc<IdPosIndex>>) {
+        (&self.keys, self.idpos.as_ref())
+    }
+
+    /// Takes `keys` and `idpos` as this replica's keys array and index,
+    /// sharing both allocations.
+    ///
+    /// # Panics
+    /// Panics if `keys` differs from the replica's keys: sharing never
+    /// changes content.
+    pub(crate) fn share(&mut self, keys: &Arc<[Id]>, idpos: Option<&Arc<IdPosIndex>>) {
+        assert!(
+            Arc::ptr_eq(keys, &self.keys) || keys[..] == self.keys[..],
+            "a shared keys array must equal the replica's own"
+        );
+        self.keys = Arc::clone(keys);
+        self.idpos = idpos.cloned();
     }
 
     /// Drops the ID-to-Position index (the paper notes the index is
@@ -460,7 +487,9 @@ impl Replica {
 
     /// Bytes allocated for the arrays, including the ID-to-Position
     /// index when built; the values contribution reflects the physical
-    /// representation, so compressing shrinks this number.
+    /// representation, so compressing shrinks this number. A shared
+    /// keys array or index counts in full here: store-wide totals count
+    /// each once.
     pub fn memory_bytes(&self) -> usize {
         self.memory_parts().total()
     }
@@ -468,13 +497,13 @@ impl Replica {
     /// [`Replica::memory_bytes`] split by array.
     pub fn memory_parts(&self) -> ReplicaBytes {
         ReplicaBytes {
-            keys: self.keys.capacity() * std::mem::size_of::<Id>(),
+            keys: self.keys.len() * std::mem::size_of::<Id>(),
             offsets: match &self.spans {
                 Spans::Singletons => 0,
                 Spans::Csr(offsets) => offsets.capacity() * std::mem::size_of::<u32>(),
             },
             values: self.value_bytes(),
-            idpos: self.idpos.as_ref().map_or(0, IdPosIndex::memory_bytes),
+            idpos: self.idpos.as_deref().map_or(0, IdPosIndex::memory_bytes),
         }
     }
 
@@ -548,7 +577,7 @@ impl Replica {
     /// decoded values area (snapshots always store the raw CSR form, so
     /// their bytes are independent of the in-memory one).
     pub(crate) fn raw_parts(&self) -> (&[Id], Cow<'_, [u32]>, Cow<'_, [Id]>) {
-        (&self.keys, self.offsets(), self.decoded_values())
+        (self.keys(), self.offsets(), self.decoded_values())
     }
 
     /// Rebuilds from raw parts, validating invariants. An offsets table
@@ -566,7 +595,7 @@ impl Replica {
             Spans::Csr(offsets)
         };
         let r = Replica {
-            keys,
+            keys: keys.into(),
             spans,
             values: ValuesRepr::Raw(values),
             idpos: None,
@@ -588,7 +617,7 @@ impl Replica {
             ValuesRepr::Raw(v) => v.len() * 4,
             ValuesRepr::Packed(p) => p.exact_bytes(),
         };
-        let idpos = self.idpos.as_ref().map_or(0, IdPosIndex::exact_bytes);
+        let idpos = self.idpos.as_deref().map_or(0, IdPosIndex::exact_bytes);
         (self.keys.len() + offsets) * 4 + values + idpos
     }
 }
@@ -628,17 +657,6 @@ impl ReplicaBytes {
     /// Sum of the parts.
     pub fn total(&self) -> usize {
         self.keys + self.offsets + self.values + self.idpos
-    }
-}
-
-impl std::iter::Sum for ReplicaBytes {
-    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-        iter.fold(ReplicaBytes::default(), |a, b| ReplicaBytes {
-            keys: a.keys + b.keys,
-            offsets: a.offsets + b.offsets,
-            values: a.values + b.values,
-            idpos: a.idpos + b.idpos,
-        })
     }
 }
 
@@ -697,24 +715,25 @@ impl ReplicaBuilder {
             pairs.len()
         );
         let num_keys = pairs.len().min(1) + pairs.windows(2).filter(|w| w[0].0 != w[1].0).count();
-        let mut keys: Vec<Id> = Vec::with_capacity(num_keys);
-        let mut values: Vec<Id> = Vec::with_capacity(pairs.len());
-        let spans = if num_keys == pairs.len() {
-            keys.extend(pairs.iter().map(|&(k, _)| k));
-            values.extend(pairs.iter().map(|&(_, v)| v));
-            Spans::Singletons
+        // Keys are collected from exact-size iterators, so each lands in
+        // its shared allocation without an intermediate vector.
+        let (keys, spans): (Arc<[Id]>, Spans) = if num_keys == pairs.len() {
+            (pairs.iter().map(|&(k, _)| k).collect(), Spans::Singletons)
         } else {
+            // A group starts wherever the key changes.
+            let starts = pairs
+                .windows(2)
+                .enumerate()
+                .filter(|(_, w)| w[0].0 != w[1].0)
+                .map(|(i, _)| i as u32 + 1);
             let mut offsets: Vec<u32> = Vec::with_capacity(num_keys + 1);
-            for (k, v) in pairs {
-                if keys.last() != Some(&k) {
-                    offsets.push(values.len() as u32);
-                    keys.push(k);
-                }
-                values.push(v);
-            }
-            offsets.push(values.len() as u32);
-            Spans::Csr(offsets)
+            offsets.push(0);
+            offsets.extend(starts);
+            offsets.push(pairs.len() as u32);
+            let keys = offsets[..num_keys].iter().map(|&o| pairs[o as usize].0).collect();
+            (keys, Spans::Csr(offsets))
         };
+        let values: Vec<Id> = pairs.iter().map(|&(_, v)| v).collect();
         let r = Replica {
             keys,
             spans,

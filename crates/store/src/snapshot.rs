@@ -169,12 +169,12 @@ impl TripleStore {
                 let keys = get_u32s(buf)?;
                 let offsets = get_u32s(buf)?;
                 let values = get_u32s(buf)?;
-                let mut r = Replica::from_raw_parts(keys, offsets, values)
+                let r = Replica::from_raw_parts(keys, offsets, values)
                     .map_err(|e| SnapshotError::Corrupt(format!("pred {predicate} {order}: {e}")))?;
                 if build_idpos {
                     // Out-of-universe keys would assert inside
-                    // `IdPosIndex::build`; keys are sorted, so checking
-                    // the last one suffices.
+                    // `IdPosIndex::build` (in `TripleStore::from_parts`);
+                    // keys are sorted, so checking the last one suffices.
                     if let Some(&k) = r.keys().last() {
                         if k as usize >= universe {
                             return Err(SnapshotError::Corrupt(format!(
@@ -182,7 +182,6 @@ impl TripleStore {
                             )));
                         }
                     }
-                    r.build_idpos(universe, idpos_interval);
                 }
                 replicas.push(r);
             }

@@ -4,6 +4,7 @@ use parj_dict::{Dictionary, EncodedTriple, Id, Term};
 
 use crate::partition::Partition;
 use crate::replica::{Replica, ReplicaBytes};
+use crate::share::{share_keys, Tally};
 
 /// Which replica of a partition: S-O (sorted subject-then-object, the
 /// paper's `prop_i`) or O-S (`prop_i'`).
@@ -133,24 +134,18 @@ impl StoreBuilder {
         self.build_with(StoreOptions::default())
     }
 
-    /// Builds the store. Partition construction (sort + CSR + optional
-    /// ID-to-Position index, per predicate) runs on
-    /// [`StoreOptions::build_threads`] workers; the result is identical
-    /// at any thread count.
+    /// Builds the store. Partition construction (sort + CSR, per
+    /// predicate) runs on [`StoreOptions::build_threads`] workers; the
+    /// result is identical at any thread count. Equal key arrays are
+    /// then shared, and each distinct one gets its ID-to-Position index
+    /// ([`TripleStore::from_parts`]).
     pub fn build_with(self, options: StoreOptions) -> TripleStore {
-        let universe = self.dict.num_resources();
         let n_preds = self.dict.num_predicates();
         let mut by_pred = self.by_pred;
         by_pred.resize_with(n_preds, Vec::new);
 
         let build_one = |pred: usize, pairs: &[(Id, Id)]| -> Partition {
             let mut part = Partition::build(pred as Id, pairs);
-            if options.build_idpos {
-                for order in [SortOrder::SO, SortOrder::OS] {
-                    part.replica_mut(order)
-                        .build_idpos(universe, options.idpos_interval);
-                }
-            }
             if let Some(min) = options.compress_min_values {
                 part.compress_values(min);
             }
@@ -203,15 +198,9 @@ impl StoreBuilder {
                 .collect()
         };
 
-        let num_triples = partitions.iter().map(Partition::num_triples).sum();
         let mut dict = self.dict;
         dict.shrink_to_fit();
-        TripleStore {
-            dict,
-            partitions,
-            num_triples,
-            options,
-        }
+        TripleStore::from_parts(dict, partitions, options)
     }
 }
 
@@ -288,18 +277,33 @@ impl TripleStore {
         })
     }
 
+    /// Every replica, predicate-major, S-O before O-S.
+    pub(crate) fn replicas(&self) -> impl Iterator<Item = &Replica> + '_ {
+        self.partitions.iter().flat_map(Partition::replicas)
+    }
+
+    /// The store's replicas tallied, each shared allocation once.
+    pub(crate) fn tally(&self) -> Tally {
+        let mut tally = Tally::default();
+        self.replicas().for_each(|r| tally.add(r));
+        tally
+    }
+
     /// Total bytes of the partition arrays (the paper reports e.g. 22 GB
-    /// for LUBM 10240 excluding dictionary).
+    /// for LUBM 10240 excluding dictionary), counting each shared keys
+    /// array and index once.
     pub fn partitions_memory_bytes(&self) -> usize {
-        self.partitions.iter().map(Partition::memory_bytes).sum()
+        self.partitions_memory_parts().total()
     }
 
     /// [`TripleStore::partitions_memory_bytes`] split by array.
     pub fn partitions_memory_parts(&self) -> ReplicaBytes {
-        self.partitions
-            .iter()
-            .flat_map(|p| [SortOrder::SO, SortOrder::OS].map(|o| p.replica(o).memory_parts()))
-            .sum()
+        self.tally().bytes
+    }
+
+    /// Distinct keys arrays: replicas with equal keys share one.
+    pub fn distinct_key_arrays(&self) -> usize {
+        self.tally().arrays
     }
 
     /// Total bytes including the dictionary (paper: 50 GB with
@@ -343,12 +347,24 @@ impl TripleStore {
         Ok(())
     }
 
-    /// Reassembles a store from parts (snapshot loading).
+    /// Assembles a store from built partitions: the one place a store's
+    /// replicas are made to share equal key arrays, and where each
+    /// distinct array gets its ID-to-Position index when
+    /// [`StoreOptions::build_idpos`] asks for one. Both the builder and
+    /// the snapshot loader come through here.
+    ///
+    /// # Panics
+    /// With `build_idpos`, panics if a key is outside the dictionary's
+    /// resource ids (the snapshot loader rejects such keys first).
     pub(crate) fn from_parts(
         dict: Dictionary,
-        partitions: Vec<Partition>,
+        mut partitions: Vec<Partition>,
         options: StoreOptions,
     ) -> Self {
+        let idpos = options
+            .build_idpos
+            .then(|| (dict.num_resources(), options.idpos_interval));
+        share_keys(&mut partitions, idpos);
         let num_triples = partitions.iter().map(Partition::num_triples).sum();
         TripleStore {
             dict,
