@@ -9,6 +9,7 @@ use parj_join::CalibrationResult;
 use parj_obs::EngineMetrics;
 use parj_optimizer::Stats;
 use parj_rio::OnParseError;
+use parj_store::audit::AuditReport;
 use parj_store::TripleStore;
 
 use super::{EngineConfig, Parj};
@@ -92,13 +93,13 @@ impl Parj {
     /// Runs the deep structural audit over the published version:
     /// CSR/index invariants, replica-pair multiset equality, dictionary
     /// bijectivity, snapshot round-trip stability
-    /// ([`parj_audit::audit_all`]) and, with a pending delta, the merged
+    /// ([`parj_store::audit::audit_all`]) and, with a pending delta, the merged
     /// view against a from-scratch rebuild. Runs concurrently with
     /// queries and writes.
     ///
     /// Loading already performs the linear structural checks; this adds
     /// the `O(n log n)` cross-structure checks that loads skip.
-    pub fn audit(&self) -> parj_audit::AuditReport {
+    pub fn audit(&self) -> AuditReport {
         self.snapshot().audit()
     }
 

@@ -16,6 +16,7 @@ use parj_join::{
 };
 use parj_obs::EngineMetrics;
 use parj_optimizer::Stats;
+use parj_store::audit::{self, AuditReport};
 use parj_store::{DeltaOverlay, StoreBuilder, StoreOptions, TripleStore};
 
 use crate::hierarchy::Hierarchy;
@@ -418,10 +419,10 @@ impl Ready {
     /// replica-pair multiset equality, dictionary bijectivity, snapshot
     /// round-trip stability, and — with a pending delta — the merged
     /// view against a from-scratch rebuild.
-    pub(crate) fn audit(&self) -> parj_audit::AuditReport {
-        let mut report = parj_audit::audit_all(&self.store);
+    pub(crate) fn audit(&self) -> AuditReport {
+        let mut report = audit::audit_all(&self.store);
         if !self.delta.is_clean() {
-            report.merge(parj_audit::audit_delta(&self.store, &self.delta));
+            report.merge(audit::audit_delta(&self.store, &self.delta));
         }
         report
     }

@@ -3,6 +3,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use parj_store::audit::AuditReport;
+
 use crate::result::QueryRunStats;
 
 /// Anything that can go wrong between a query string and its results.
@@ -59,7 +61,7 @@ pub enum ParjError {
     CorruptStore {
         /// Full report with per-violation predicate/replica/row
         /// coordinates.
-        report: parj_audit::AuditReport,
+        report: AuditReport,
     },
     /// A worker thread panicked mid-query. The panic was contained,
     /// sibling workers were cancelled, and the engine remains usable.

@@ -99,11 +99,8 @@ pub use translate::{TranslatedQuery, Translation};
 #[doc(hidden)]
 pub type SharedParj = Parj;
 
-// Deep structural auditing (the `parj-audit` substrate).
-pub use parj_audit::{
-    audit_all, audit_delta, audit_dictionary, audit_snapshot_roundtrip, audit_store,
-    AuditReport, Coordinates, Violation,
-};
+// Deep structural auditing (the store's `audit` module).
+pub use parj_store::audit::{AuditReport, Coordinates, Violation};
 
 // Observability vocabulary (the `parj-obs` substrate).
 pub use parj_obs::{

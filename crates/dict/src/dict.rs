@@ -1,6 +1,5 @@
 //! The two-namespace dictionary (resources + predicates).
 
-use bytes::BufMut;
 
 use crate::arena::StringArena;
 use crate::hash::fx_hash_bytes;
@@ -302,13 +301,13 @@ impl Dictionary {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         for ns in [&self.resources, &self.predicates] {
             let bytes: usize = ns.keys().map(str::len).sum();
-            out.put_u64_le(bytes as u64);
-            ns.keys().for_each(|key| out.put_slice(key.as_bytes()));
-            out.put_u64_le(ns.len() as u64 + 1);
+            out.extend_from_slice(&(bytes as u64).to_le_bytes());
+            ns.keys().for_each(|key| out.extend_from_slice(key.as_bytes()));
+            out.extend_from_slice(&(ns.len() as u64 + 1).to_le_bytes());
             let mut end = 0;
             for len in std::iter::once(0).chain(ns.keys().map(str::len)) {
                 end += len as u64;
-                out.put_u64_le(end);
+                out.extend_from_slice(&end.to_le_bytes());
             }
         }
     }
@@ -518,10 +517,10 @@ pub(crate) mod tests {
         // an empty predicate namespace.
         let decode = |data: &str, offsets: &[u64]| {
             let mut buf = Vec::new();
-            buf.put_u64_le(data.len() as u64);
-            buf.put_slice(data.as_bytes());
-            buf.put_u64_le(offsets.len() as u64);
-            offsets.iter().for_each(|&o| buf.put_u64_le(o));
+            buf.extend_from_slice(&(data.len() as u64).to_le_bytes());
+            buf.extend_from_slice(data.as_bytes());
+            buf.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
+            offsets.iter().for_each(|&o| buf.extend_from_slice(&o.to_le_bytes()));
             buf.extend([0, 1, 0].map(u64::to_le_bytes).concat());
             Dictionary::decode_from(&mut buf.as_slice())
         };

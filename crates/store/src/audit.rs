@@ -1,17 +1,18 @@
-//! # parj-audit — deep structural invariant auditing
+//! Deep structural auditing: the store's own invariant checks, plus the
+//! checks that need the dictionary or another structure to compare with.
 //!
 //! The engine's hot paths *assume* the physical data structures are
-//! well-formed: replicas are CSR arrays with strictly increasing keys
-//! and per-group values, the S-O and O-S replicas of a partition hold
-//! the same triple multiset, every stored id decodes through the
-//! dictionary, and snapshots round-trip byte-for-byte. Loading a
-//! snapshot validates each replica *structurally* (linear cost — enough
-//! to keep every later array access in bounds); the cross-structure
-//! checks cost `O(n log n)` and live here, run on demand:
+//! well-formed. Each structure checks itself: [`Replica::check_invariants`]
+//! (CSR frame, sorted keys and groups, the codec's decoders agreeing,
+//! ID-to-Position lookups), [`crate::Partition::check_invariants`] (the
+//! S-O and O-S replicas hold the same triples) and
+//! [`DeltaOverlay::check_invariants`]. Loading a snapshot runs the replica
+//! check (enough to keep every later array access in bounds); the
+//! `O(n log n)` cross-structure checks run here, on demand:
 //!
-//! * [`audit_store`] — CSR shape, ID-to-Position lookup consistency,
-//!   replica-pair triple-multiset equality, id ranges against the
-//!   dictionary universe, partition/predicate alignment;
+//! * [`audit_store`] — every replica's own check, id ranges against the
+//!   dictionary universe, replica-pair triple-multiset equality,
+//!   partition/predicate alignment;
 //! * [`audit_dictionary`] — id↔key bijectivity, term decode validity,
 //!   encode/decode byte stability;
 //! * [`audit_snapshot_roundtrip`] — serialize → load → re-serialize
@@ -27,17 +28,15 @@
 //! replica order, position) so a corrupt store can be localized without
 //! a debugger. The CLI surfaces this as `parj audit <snapshot>`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use parj_dict::{Dictionary, Id};
-use parj_store::{DeltaOverlay, Replica, SortOrder, StoreBuilder, TripleStore};
+
+use crate::{DeltaOverlay, Replica, SortOrder, StoreBuilder, TripleStore};
 
 /// Where in the physical layout a violation was found.
 ///
 /// Fields are filled from the outside in: a dictionary violation has
-/// only `position`, a replica violation has `predicate`, `order` and
-/// usually `position`.
+/// only `position`, a replica violation has `predicate`, `order` and,
+/// when the check names one, `position`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Coordinates {
     /// Predicate id of the offending partition.
@@ -80,7 +79,7 @@ impl std::fmt::Display for Coordinates {
 /// One failed invariant, with coordinates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable machine-readable check name (e.g. `csr.keys_sorted`).
+    /// Stable machine-readable check name (e.g. `pair.multiset`).
     pub check: &'static str,
     /// Where the violation sits.
     pub at: Coordinates,
@@ -151,8 +150,8 @@ fn coords(predicate: Id, order: SortOrder, position: usize) -> Coordinates {
     }
 }
 
-/// Audits one replica: CSR shape, group sortedness, id ranges against
-/// the dictionary universe, and ID-to-Position lookup consistency.
+/// Audits one replica: its own invariants ([`Replica::check_invariants`])
+/// and its ids against the dictionary universe.
 fn audit_replica(
     report: &mut AuditReport,
     predicate: Id,
@@ -160,152 +159,41 @@ fn audit_replica(
     r: &Replica,
     universe: usize,
 ) {
-    let keys = r.keys();
-    let offsets = r.offsets();
-    // Decodes when the replica is block-compressed (borrow when raw), so
-    // every CSR check below audits the *logical* content either way.
-    let decoded = r.decoded_values();
-    let values: &[Id] = &decoded;
-
+    let at = Coordinates {
+        predicate: Some(predicate),
+        order: Some(order),
+        position: None,
+    };
     report.tick();
-    if offsets.len() != keys.len() + 1 && !(keys.is_empty() && offsets.len() == 1) {
-        report.fail(
-            "csr.offsets_len",
-            coords(predicate, order, offsets.len()),
-            format!("offsets len {} != keys len {} + 1", offsets.len(), keys.len()),
-        );
-        // The CSR frame is broken; positional checks below would index
-        // out of bounds, so stop at this replica.
+    if let Err(e) = r.check_invariants() {
+        report.fail("replica.invariants", at, e);
+        // A replica that fails its own check may not even be walkable.
         return;
-    }
-    report.tick();
-    if offsets.first() != Some(&0) {
-        report.fail(
-            "csr.offsets_head",
-            coords(predicate, order, 0),
-            format!("offsets[0] = {:?}, expected 0", offsets.first()),
-        );
-    }
-    report.tick();
-    if let Some(&tail) = offsets.last() {
-        if tail as usize != values.len() {
-            report.fail(
-                "csr.offsets_tail",
-                coords(predicate, order, offsets.len() - 1),
-                format!("offsets tail {tail} != values len {}", values.len()),
-            );
-            return;
-        }
-    }
-    report.tick();
-    for (i, w) in keys.windows(2).enumerate() {
-        if w[0] >= w[1] {
-            report.fail(
-                "csr.keys_sorted",
-                coords(predicate, order, i + 1),
-                format!("keys[{}]={} !< keys[{}]={}", i, w[0], i + 1, w[1]),
-            );
-            break;
-        }
-    }
-    report.tick();
-    for (i, w) in offsets.windows(2).enumerate() {
-        if w[0] >= w[1] {
-            report.fail(
-                "csr.offsets_monotone",
-                coords(predicate, order, i + 1),
-                format!("offsets[{}]={} !< offsets[{}]={} (empty group)", i, w[0], i + 1, w[1]),
-            );
-            return;
-        }
-    }
-    report.tick();
-    'groups: for g in 0..r.num_keys() {
-        let group = &values[offsets[g] as usize..offsets[g + 1] as usize];
-        for (j, w) in group.windows(2).enumerate() {
-            if w[0] >= w[1] {
-                report.fail(
-                    "csr.group_sorted",
-                    coords(predicate, order, g),
-                    format!("group {g} values[{}]={} !< values[{}]={}", j, w[0], j + 1, w[1]),
-                );
-                break 'groups;
-            }
-        }
-    }
-
-    // Block codec integrity: on a compressed replica, every packed
-    // group must decode to exactly the raw group and answer membership
-    // probes for its own boundary values (first, last, block edges).
-    if r.is_compressed() {
-        report.tick();
-        'packed: for g in 0..r.num_keys() {
-            let expect = &values[offsets[g] as usize..offsets[g + 1] as usize];
-            let group = r.group_at(g);
-            if group.len() != expect.len()
-                || group.iter().zip(expect.iter()).any(|(a, &b)| a != b)
-            {
-                report.fail(
-                    "codec.block_roundtrip",
-                    coords(predicate, order, g),
-                    format!("compressed group {g} decodes differently from raw"),
-                );
-                break 'packed;
-            }
-            let m = expect.len();
-            for &probe_at in &[0, m / 2, m.saturating_sub(1), parj_store::BLOCK_LEN.min(m) - 1] {
-                let v = expect[probe_at];
-                if !group.contains(v) {
-                    report.fail(
-                        "codec.block_probe",
-                        coords(predicate, order, g),
-                        format!("compressed group {g} misses its own value {v}"),
-                    );
-                    break 'packed;
-                }
-            }
-        }
     }
 
     // Id ranges: keys are sorted so the last bounds them all; values
     // need a full scan (group sortedness only bounds within a group).
     report.tick();
-    if let Some(&k) = keys.last() {
+    if let Some(&k) = r.keys().last() {
         if k as usize >= universe {
             report.fail(
                 "ids.key_range",
-                coords(predicate, order, keys.len() - 1),
+                coords(predicate, order, r.num_keys() - 1),
                 format!("key {k} outside dictionary universe {universe}"),
             );
         }
     }
     report.tick();
-    if let Some((row, &v)) = values
-        .iter()
+    if let Some((row, (_, v))) = r
+        .iter_pairs()
         .enumerate()
-        .find(|&(_, &v)| v as usize >= universe)
+        .find(|&(_, (_, v))| v as usize >= universe)
     {
         report.fail(
             "ids.value_range",
             coords(predicate, order, row),
             format!("value {v} at row {row} outside dictionary universe {universe}"),
         );
-    }
-
-    // ID-to-Position: every key must look up to its own position, and
-    // a sample of absent ids must miss.
-    if let Some(idx) = r.idpos() {
-        report.tick();
-        for (pos, &k) in keys.iter().enumerate() {
-            if idx.lookup(k) != Some(pos) {
-                report.fail(
-                    "idpos.lookup",
-                    coords(predicate, order, pos),
-                    format!("idpos lookup({k}) = {:?}, expected Some({pos})", idx.lookup(k)),
-                );
-                break;
-            }
-        }
     }
 }
 
@@ -345,43 +233,32 @@ pub fn audit_store(store: &TripleStore) -> AuditReport {
             );
         }
         let pred = part.predicate();
-        let so = part.replica(SortOrder::SO);
-        let os = part.replica(SortOrder::OS);
-        audit_replica(&mut report, pred, SortOrder::SO, so, universe);
-        audit_replica(&mut report, pred, SortOrder::OS, os, universe);
+        for order in [SortOrder::SO, SortOrder::OS] {
+            audit_replica(&mut report, pred, order, part.replica(order), universe);
+        }
 
         // Replica-pair agreement: same cardinality, same triple multiset.
         report.tick();
-        if so.num_triples() != os.num_triples() {
+        if let Some((row, in_so, in_os)) = part.first_disagreement() {
+            let (so, os) = (part.replica(SortOrder::SO), part.replica(SortOrder::OS));
+            let (check, position) = if so.num_triples() != os.num_triples() {
+                ("pair.cardinality", None)
+            } else {
+                ("pair.multiset", Some(row))
+            };
             report.fail(
-                "pair.cardinality",
+                check,
                 Coordinates {
                     predicate: Some(pred),
                     order: None,
-                    position: None,
+                    position,
                 },
-                format!("SO has {} triples, OS has {}", so.num_triples(), os.num_triples()),
+                format!(
+                    "SO has {} triples, OS has {}; at sorted row {row} SO has {in_so:?}, OS has {in_os:?}",
+                    so.num_triples(),
+                    os.num_triples()
+                ),
             );
-        } else {
-            report.tick();
-            let mut from_so: Vec<(Id, Id)> = so.iter_pairs().collect();
-            let mut from_os: Vec<(Id, Id)> = os.iter_pairs().map(|(o, s)| (s, o)).collect();
-            from_so.sort_unstable();
-            from_os.sort_unstable();
-            if let Some(row) = (0..from_so.len()).find(|&i| from_so[i] != from_os[i]) {
-                report.fail(
-                    "pair.multiset",
-                    Coordinates {
-                        predicate: Some(pred),
-                        order: None,
-                        position: Some(row),
-                    },
-                    format!(
-                        "replicas disagree at sorted row {row}: SO has {:?}, OS has {:?}",
-                        from_so[row], from_os[row]
-                    ),
-                );
-            }
         }
         counted += part.num_triples();
     }
@@ -670,7 +547,6 @@ pub fn audit_all(store: &TripleStore) -> AuditReport {
 mod tests {
     use super::*;
     use parj_dict::Term;
-    use parj_store::StoreBuilder;
 
     fn store() -> TripleStore {
         let mut b = StoreBuilder::new();
@@ -699,6 +575,23 @@ mod tests {
         assert!(audit_all(&s).is_clean());
     }
 
+    /// Corrupts the values of one replica of `store` in place, then
+    /// checks that the replica's own check fails and that the audit
+    /// reports it at the replica's coordinates.
+    fn assert_corruption_flagged(mut store: TripleStore, pred: Id, order: SortOrder) {
+        let r = store.partitions_mut()[pred as usize].replica_mut(order);
+        r.corrupt_values();
+        assert!(r.check_invariants().is_err());
+        let report = audit_store(&store);
+        let v = report
+            .violations
+            .iter()
+            .find(|v| v.check == "replica.invariants")
+            .unwrap_or_else(|| panic!("{report}"));
+        assert_eq!(v.at.predicate, Some(pred));
+        assert_eq!(v.at.order, Some(order));
+    }
+
     #[test]
     fn compressed_store_audits_clean_and_checks_codec() {
         let mut b = StoreBuilder::new();
@@ -714,20 +607,17 @@ mod tests {
         let report = audit_all(&s);
         assert!(report.is_clean(), "{report}");
 
-        // Corrupt one byte inside a packed block tail via a forged
-        // snapshot round-trip… snapshots decode first, so instead prove
-        // the codec check runs by counting: a compressed store audits
-        // strictly more checks than the same store raw.
-        let mut b = StoreBuilder::new();
-        for i in 0..3000u32 {
-            b.add_term_triple(
-                &Term::iri(format!("http://e/s{}", i % 4)),
-                &Term::iri("http://e/p"),
-                &Term::iri(format!("http://e/o{i}")),
-            );
-        }
-        let raw = b.build();
-        assert!(audit_store(&s).checks_run > audit_store(&raw).checks_run);
+        // A flipped bit in a packed block decodes wrongly: the S-O
+        // replica's four runs of 750 values each span several blocks.
+        assert!(s.replica(0, SortOrder::SO).unwrap().is_compressed());
+        assert_corruption_flagged(s, 0, SortOrder::SO);
+    }
+
+    #[test]
+    fn unsorted_raw_group_is_flagged() {
+        let s = store();
+        assert!(!s.replica(1, SortOrder::OS).unwrap().is_compressed());
+        assert_corruption_flagged(s, 1, SortOrder::OS);
     }
 
     #[test]

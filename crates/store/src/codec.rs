@@ -169,6 +169,15 @@ impl PackedValues {
         self.bytes.len() + (self.starts.len() + self.deltas.len()) * std::mem::size_of::<Block>()
     }
 
+    /// Flips the lowest bit of the first delta, for tests that corrupt
+    /// a replica in place.
+    #[cfg(test)]
+    pub(crate) fn corrupt_first_delta(&mut self) {
+        let first = self.deltas.first().expect("a run of two or more values");
+        assert!(first.width > 0, "the first delta block stores bits");
+        self.bytes[first.byte_off as usize] ^= 1;
+    }
+
     /// Borrows the run at key position `pos`. `spans` must be the same
     /// spans the values were packed with.
     ///

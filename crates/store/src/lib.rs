@@ -58,6 +58,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod audit;
 pub mod codec;
 mod delta;
 mod idpos;
@@ -68,7 +69,7 @@ mod share;
 mod snapshot;
 mod store;
 
-pub use codec::{simd_active, PackedValues, BLOCK_LEN};
+pub use codec::{simd_active, PackedValues};
 pub use delta::{
     merge_group_into, merge_values_into, sorted_contains, DeltaOverlay, PredApply,
     PredDelta, ReplicaView, StoreView,

@@ -5,6 +5,10 @@ use parj_dict::Id;
 use crate::replica::{Replica, ReplicaBuilder};
 use crate::store::SortOrder;
 
+/// A row in sorted `(subject, object)` order and the triple each of a
+/// partition's S-O and O-S replicas holds there (`None` past its end).
+pub(crate) type PairDisagreement = (usize, Option<(Id, Id)>, Option<(Id, Id)>);
+
 /// The vertical partition for one predicate: an S-O replica (`prop_i` in
 /// the paper's notation) and an O-S replica (`prop_i'`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -105,25 +109,30 @@ impl Partition {
     }
 
     /// Checks both replicas' invariants plus their mutual consistency
-    /// (same multiset of triples, equal cardinalities).
+    /// (the same triples).
     pub fn check_invariants(&self) -> Result<(), String> {
         self.so.check_invariants().map_err(|e| format!("SO: {e}"))?;
         self.os.check_invariants().map_err(|e| format!("OS: {e}"))?;
-        if self.so.num_triples() != self.os.num_triples() {
-            return Err(format!(
-                "replica cardinality mismatch: SO={} OS={}",
+        match self.first_disagreement() {
+            Some((row, so, os)) => Err(format!(
+                "SO ({} triples) and OS ({}) disagree at sorted row {row}: {so:?} vs {os:?}",
                 self.so.num_triples(),
                 self.os.num_triples()
-            ));
+            )),
+            None => Ok(()),
         }
+    }
+
+    /// The first row where the S-O and O-S replicas hold different
+    /// triples; `None` when they hold the same triples.
+    pub(crate) fn first_disagreement(&self) -> Option<PairDisagreement> {
         let mut from_so: Vec<(Id, Id)> = self.so.iter_pairs().collect();
         let mut from_os: Vec<(Id, Id)> = self.os.iter_pairs().map(|(o, s)| (s, o)).collect();
         from_so.sort_unstable();
         from_os.sort_unstable();
-        if from_so != from_os {
-            return Err("SO and OS replicas disagree on triple set".into());
-        }
-        Ok(())
+        (0..from_so.len().max(from_os.len()))
+            .map(|row| (row, from_so.get(row).copied(), from_os.get(row).copied()))
+            .find(|(_, so, os)| so != os)
     }
 
     /// Rebuilds a partition from already-validated replicas (snapshot

@@ -517,9 +517,10 @@ impl Replica {
     }
 
     /// Verifies all structural invariants; returns a description of the
-    /// first violation. Used by tests and the snapshot loader. On a
-    /// compressed replica this decodes and checks every group, so it
-    /// also proves the codec round-trips this replica.
+    /// first violation. Used by tests, the snapshot loader and the
+    /// audit. On a compressed replica every group's cursor decode must
+    /// equal its slice of [`Replica::decoded_values`] and answer a probe
+    /// for each of its values, so the codec's three decoders agree.
     pub fn check_invariants(&self) -> Result<(), String> {
         match &self.spans {
             Spans::Singletons if self.keys.len() != self.num_triples() => {
@@ -540,14 +541,21 @@ impl Replica {
                 return Err(format!("keys not strictly increasing at {}..{}", w[0], w[1]));
             }
         }
+        let decoded = self.is_compressed().then(|| self.decoded_values());
         for i in 0..self.num_keys() {
             let g = self.group_at(i);
+            let start = self.spans.range(i).start;
             let mut n = 0usize;
             let mut prev: Option<Id> = None;
             for v in g.iter() {
                 if let Some(p) = prev {
                     if p >= v {
                         return Err(format!("group {i} not strictly increasing"));
+                    }
+                }
+                if let Some(d) = &decoded {
+                    if d.get(start + n) != Some(&v) {
+                        return Err(format!("group {i} value {n}: cursor and decode_all differ"));
                     }
                 }
                 if !g.contains(v) {
@@ -602,6 +610,24 @@ impl Replica {
         };
         r.check_invariants()?;
         Ok(r)
+    }
+
+    /// Corrupts the values area in place, for tests of the invariant
+    /// checks: a raw replica's first group of two or more values is
+    /// reversed, a packed replica's first delta is changed (so every
+    /// later value of its run decodes off).
+    #[cfg(test)]
+    pub(crate) fn corrupt_values(&mut self) {
+        match &mut self.values {
+            ValuesRepr::Raw(v) => {
+                let run = (0..self.keys.len())
+                    .map(|pos| self.spans.range(pos))
+                    .find(|run| run.len() > 1)
+                    .expect("a group of two or more values");
+                v[run].reverse();
+            }
+            ValuesRepr::Packed(p) => p.corrupt_first_delta(),
+        }
     }
 
     /// Bytes the arrays would take if allocated exactly: the figure

@@ -10,8 +10,7 @@
 use std::io::{Read, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut};
-use parj_dict::{Dictionary, Id};
+use parj_dict::Dictionary;
 
 use crate::partition::Partition;
 use crate::replica::Replica;
@@ -57,33 +56,29 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-fn put_ids(out: &mut Vec<u8>, ids: &[Id]) {
-    out.put_u64_le(ids.len() as u64);
-    for &i in ids {
-        out.put_u32_le(i);
+fn put_u32s(out: &mut Vec<u8>, xs: &[u32]) {
+    out.extend_from_slice(&(xs.len() as u64).to_le_bytes());
+    for &x in xs {
+        out.extend_from_slice(&x.to_le_bytes());
     }
 }
 
-fn put_u32s(out: &mut Vec<u8>, xs: &[u32]) {
-    out.put_u64_le(xs.len() as u64);
-    for &x in xs {
-        out.put_u32_le(x);
-    }
+/// Splits the first `n` bytes off `buf`.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], SnapshotError> {
+    let (head, rest) = buf.split_at_checked(n).ok_or(SnapshotError::Truncated)?;
+    *buf = rest;
+    Ok(head)
+}
+
+/// The little-endian `u32` at byte `at` of `bytes`.
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
 }
 
 fn get_u32s(buf: &mut &[u8]) -> Result<Vec<u32>, SnapshotError> {
-    if buf.remaining() < 8 {
-        return Err(SnapshotError::Truncated);
-    }
-    let n = buf.get_u64_le() as usize;
-    if buf.remaining() < n.saturating_mul(4) {
-        return Err(SnapshotError::Truncated);
-    }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(buf.get_u32_le());
-    }
-    Ok(v)
+    let n = u64::from_le_bytes(take(buf, 8)?.try_into().expect("8 bytes")) as usize;
+    let xs = take(buf, n.saturating_mul(4))?;
+    Ok((0..n).map(|i| u32_at(xs, 4 * i)).collect())
 }
 
 impl TripleStore {
@@ -91,24 +86,24 @@ impl TripleStore {
     /// byte vector.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.partitions_memory_bytes());
-        out.put_slice(SNAPSHOT_MAGIC);
-        out.put_u32_le(SNAPSHOT_VERSION);
+        out.extend_from_slice(SNAPSHOT_MAGIC);
+        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         self.dict().encode_into(&mut out);
         let opts = self.options();
-        out.put_u8(opts.build_idpos as u8);
-        out.put_u64_le(opts.idpos_interval as u64);
-        out.put_u32_le(self.partitions().len() as u32);
+        out.push(opts.build_idpos as u8);
+        out.extend_from_slice(&(opts.idpos_interval as u64).to_le_bytes());
+        out.extend_from_slice(&(self.partitions().len() as u32).to_le_bytes());
         for part in self.partitions() {
-            out.put_u32_le(part.predicate());
+            out.extend_from_slice(&part.predicate().to_le_bytes());
             for order in [SortOrder::SO, SortOrder::OS] {
                 let (keys, offsets, values) = part.replica(order).raw_parts();
-                put_ids(&mut out, keys);
+                put_u32s(&mut out, keys);
                 // Both are Cow: `offsets` is the identity table when the
                 // replica stores none, `values` is decoded when the
                 // replica is block-compressed — snapshot bytes stay
                 // representation-independent (format v1 unchanged).
                 put_u32s(&mut out, &offsets);
-                put_ids(&mut out, &values);
+                put_u32s(&mut out, &values);
             }
         }
         out
@@ -119,25 +114,19 @@ impl TripleStore {
     /// request them.
     pub fn from_snapshot_bytes(mut buf: &[u8]) -> Result<Self, SnapshotError> {
         let buf = &mut buf;
-        if buf.remaining() < 12 {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut magic = [0u8; 8];
-        buf.copy_to_slice(&mut magic);
-        if &magic != SNAPSHOT_MAGIC {
+        let header = take(buf, 12)?;
+        if header[..8] != SNAPSHOT_MAGIC[..] {
             return Err(SnapshotError::BadMagic);
         }
-        let version = buf.get_u32_le();
+        let version = u32_at(header, 8);
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::BadVersion(version));
         }
         let dict = Dictionary::decode_from(buf)
             .map_err(|e| SnapshotError::Corrupt(format!("dictionary: {e}")))?;
-        if buf.remaining() < 1 + 8 + 4 {
-            return Err(SnapshotError::Truncated);
-        }
-        let build_idpos = buf.get_u8() != 0;
-        let idpos_interval = buf.get_u64_le() as usize;
+        let opts = take(buf, 1 + 8 + 4)?;
+        let build_idpos = opts[0] != 0;
+        let idpos_interval = u64::from_le_bytes(opts[1..9].try_into().expect("8 bytes")) as usize;
         // A corrupt interval would assert inside `IdPosIndex::build`;
         // reject it here so hostile bytes surface as `Err`, not a panic.
         if build_idpos && (idpos_interval == 0 || !idpos_interval.is_multiple_of(64)) {
@@ -145,7 +134,7 @@ impl TripleStore {
                 "idpos interval {idpos_interval} is not a positive multiple of 64"
             )));
         }
-        let n_parts = buf.get_u32_le() as usize;
+        let n_parts = u32_at(opts, 9) as usize;
         if n_parts != dict.num_predicates() {
             return Err(SnapshotError::Corrupt(format!(
                 "{n_parts} partitions but {} predicates",
@@ -155,10 +144,7 @@ impl TripleStore {
         let universe = dict.num_resources();
         let mut partitions = Vec::with_capacity(n_parts);
         for idx in 0..n_parts {
-            if buf.remaining() < 4 {
-                return Err(SnapshotError::Truncated);
-            }
-            let predicate = buf.get_u32_le();
+            let predicate = u32_at(take(buf, 4)?, 0);
             if predicate as usize != idx {
                 return Err(SnapshotError::Corrupt(format!(
                     "partition {idx} stores predicate {predicate}"
@@ -187,12 +173,12 @@ impl TripleStore {
             }
             let os = replicas.pop().expect("two replicas");
             let so = replicas.pop().expect("two replicas");
-            // Loading validates each replica structurally (linear cost,
-            // and required so nothing downstream can panic) plus this
-            // cardinality agreement. The deep cross-replica checks —
-            // SO/OS triple-multiset equality, id ranges against the
-            // dictionary — cost O(n log n) and live in `parj-audit`
-            // (`parj audit` on the CLI) instead of taxing every load.
+            // Loading runs each replica's own check (required so
+            // nothing downstream can panic) plus this cardinality
+            // agreement. The cross-replica checks — SO/OS triple-multiset
+            // equality, id ranges against the dictionary — cost
+            // O(n log n) and live in `crate::audit` (`parj audit` on the
+            // CLI) instead of taxing every load.
             if so.num_triples() != os.num_triples() {
                 return Err(SnapshotError::Corrupt(format!(
                     "pred {predicate}: replica cardinality mismatch: SO={} OS={}",

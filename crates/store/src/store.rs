@@ -138,7 +138,7 @@ impl StoreBuilder {
     /// predicate) runs on [`StoreOptions::build_threads`] workers; the
     /// result is identical at any thread count. Equal key arrays are
     /// then shared, and each distinct one gets its ID-to-Position index
-    /// ([`TripleStore::from_parts`]).
+    /// (`TripleStore::from_parts`).
     pub fn build_with(self, options: StoreOptions) -> TripleStore {
         let n_preds = self.dict.num_predicates();
         let mut by_pred = self.by_pred;
@@ -255,6 +255,12 @@ impl TripleStore {
     #[inline]
     pub fn partitions(&self) -> &[Partition] {
         &self.partitions
+    }
+
+    /// Mutable partitions, for tests that corrupt a store in place.
+    #[cfg(test)]
+    pub(crate) fn partitions_mut(&mut self) -> &mut [Partition] {
+        &mut self.partitions
     }
 
     /// Build options that produced this store.

@@ -4,7 +4,7 @@
 //! Loading promises structural soundness (nothing downstream indexes
 //! out of bounds), not semantic integrity — a mutation can produce a
 //! *different but well-formed* store, which loads `Ok` and is caught by
-//! the deep `parj-audit` checks instead. So the properties are:
+//! the deep audit (`parj_store::audit`) instead. So the properties are:
 //! decode returns (`Ok` or `Err`) without panicking; whatever loads can
 //! be re-serialized and invariant-checked without panicking; and every
 //! truncation is an error.

@@ -60,7 +60,7 @@ fn snapshot_and_dictionary_end() -> (Vec<u8>, usize) {
 /// Loads `bytes`; whatever loads must pass every deep audit.
 fn loads_clean_or_fails(bytes: &[u8]) -> Result<(), TestCaseError> {
     if let Ok(store) = TripleStore::from_snapshot_bytes(bytes) {
-        let report = parj_audit::audit_all(&store);
+        let report = parj_store::audit::audit_all(&store);
         prop_assert!(report.is_clean(), "{}", report);
     }
     Ok(())
