@@ -20,8 +20,7 @@ const GAP: u32 = 4;
 
 fn setup() -> (Vec<u32>, IdPosIndex) {
     let keys: Vec<u32> = (0..ARRAY_LEN).map(|i| i * GAP).collect();
-    let universe = (ARRAY_LEN * GAP) as usize;
-    let idx = IdPosIndex::build(&keys, universe, 512);
+    let idx = IdPosIndex::build(&keys, 512);
     (keys, idx)
 }
 

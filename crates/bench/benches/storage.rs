@@ -46,7 +46,7 @@ fn bench_idpos_build(c: &mut Criterion) {
         let keys: Vec<u32> = (0..universe as u32).step_by(4).collect();
         group.throughput(Throughput::Elements(universe as u64));
         group.bench_function(format!("universe_{universe}"), |b| {
-            b.iter(|| black_box(IdPosIndex::build(&keys, universe, 512)));
+            b.iter(|| black_box(IdPosIndex::build(&keys, 512)));
         });
     }
     group.finish();

@@ -11,9 +11,9 @@
 //! parj serve <store.parj|data.nt>                  SPARQL Protocol endpoint over HTTP
 //! ```
 //!
-//! Common flags: `--threads N`, `--strategy binary|adbinary|index|adindex`,
-//! `--reasoning`, `--calibrate`, `--timeout SECS`, `--max-rows N`,
-//! `--lossy` / `--max-parse-errors N`. `--stats` prints an
+//! Common flags: `--threads N`, `--strategy binary|adbinary|index|adindex`
+//! (default `adindex`), `--reasoning`, `--calibrate`, `--timeout SECS`,
+//! `--max-rows N`, `--lossy` / `--max-parse-errors N`. `--stats` prints an
 //! `EXPLAIN ANALYZE`-style per-query report to stderr; `parj stats
 //! --prometheus|--json` exposes the engine metrics registry.
 //!
@@ -89,7 +89,7 @@ FLAGS:
   --json           (stats) expose the metrics registry as JSON
   --load-threads N worker threads for bulk loading (default: all cores;
                    loaded store is byte-identical at any value)
-  --strategy S     binary | adbinary (default) | index | adindex
+  --strategy S     binary | adbinary | index | adindex (default)
   --reasoning      answer w.r.t. rdfs:subClassOf/subPropertyOf in the data
   --calibrate      run Algorithm 2's timed calibration after load
   --timeout SECS   abort a query after this wall-clock budget (exit code 4)
@@ -514,6 +514,12 @@ fn run() -> Result<(), Failure> {
                 store.distinct_key_arrays(),
                 replicas.len(),
                 saved as f64 / per_triple
+            );
+            println!(
+                "  ID-to-Position: {} of {} key arrays indexed, {} bytes",
+                store.indexed_key_arrays(),
+                store.distinct_key_arrays(),
+                parts.idpos
             );
             println!(
                 "dictionary:  {:.2} MiB",

@@ -60,6 +60,23 @@ fn generate_load_query_roundtrip() {
         sharing.contains(" distinct of 34, sharing saves "),
         "{text}"
     );
+    // Only some distinct arrays get an index: the ones it is no larger
+    // than.
+    let indexed = text
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("  ID-to-Position: ")?
+                .split_once(" key arrays indexed, ")
+        })
+        .expect(&text);
+    let (n, d) = indexed.0.split_once(" of ").expect(&text);
+    let (n, d): (usize, usize) = (n.parse().unwrap(), d.parse().unwrap());
+    assert!(0 < n && n < d && d == distinct, "{text}");
+    assert_eq!(
+        indexed.1,
+        format!("{} bytes", bytes_after("  ID-to-Position:")),
+        "{text}"
+    );
 
     let out = parj()
         .args(["count"])

@@ -57,8 +57,10 @@ pub struct EngineConfig {
     /// on the calling thread, whatever `threads` says. Results are
     /// identical either way. Default: `true`.
     pub use_pool: bool,
-    /// Probe strategy; PARJ's default is the adaptive binary/sequential
-    /// switch of Algorithm 1.
+    /// Probe strategy; PARJ's default is Algorithm 1 switching between
+    /// sequential search from the cursor and the ID-to-Position index,
+    /// galloping where a replica has no index
+    /// ([`ProbeStrategy::AdaptiveIndex`]).
     pub strategy: ProbeStrategy,
     /// Store build options (ID-to-Position index on/off + interval).
     pub store: StoreOptions,
@@ -127,7 +129,7 @@ impl Default for EngineConfig {
             load_threads: parj_sync::thread::available_parallelism().map_or(1, |n| n.get()),
             morsel_size: DEFAULT_MORSEL_SIZE,
             use_pool: true,
-            strategy: ProbeStrategy::AdaptiveBinary,
+            strategy: ProbeStrategy::default(),
             store: StoreOptions::default(),
             calibrate: false,
             calibration: CalibrationConfig::default(),

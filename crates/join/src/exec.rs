@@ -163,7 +163,7 @@ impl Default for ExecOptions {
         Self {
             threads: 1,
             morsel_size: DEFAULT_MORSEL_SIZE,
-            strategy: ProbeStrategy::AdaptiveBinary,
+            strategy: ProbeStrategy::default(),
             guard: None,
             recorder: None,
         }

@@ -1,5 +1,5 @@
 //! The search primitives and Algorithm 1, the adaptive switch between
-//! binary and sequential search.
+//! sequential search from the cursor and a random-access method.
 
 use parj_dict::Id;
 use parj_store::IdPosIndex;
@@ -16,14 +16,16 @@ pub enum ProbeStrategy {
     /// Always whole-array binary search (Table 5 column "Binary").
     AlwaysBinary,
     /// Algorithm 1 switching between binary and sequential search
-    /// (column "AdBinary"). This is PARJ's default.
-    #[default]
+    /// (column "AdBinary").
     AdaptiveBinary,
     /// Always the ID-to-Position index (column "Index"); falls back to
     /// binary search on replicas without an index.
     AlwaysIndex,
     /// Algorithm 1 switching between the ID-to-Position index and
-    /// sequential search (column "AdIndex").
+    /// sequential search (column "AdIndex"); on replicas without an
+    /// index every probe is sequential, which gallops once a scan runs
+    /// long. This is PARJ's default.
+    #[default]
     AdaptiveIndex,
     /// Always sequential search from the cursor (test-only control; not
     /// in the paper's tables).
@@ -291,8 +293,9 @@ fn index_search(
 /// `threshold` is in **value space**: the calibration's position window
 /// multiplied by the replica's average inter-key gap (§4.1's uniform
 /// distribution assumption). `index` supplies the ID-to-Position index
-/// for the index-based strategies; absent indexes fall back to binary
-/// search.
+/// for the index-based strategies. Without one, `AdaptiveIndex` probes
+/// sequentially at any distance (the scan gallops, so a far probe costs
+/// O(log gap)) and `AlwaysIndex` falls back to binary search.
 #[inline]
 pub fn adaptive_search(
     arr: &[Id],
@@ -320,13 +323,13 @@ pub fn adaptive_search(
             let distance = arr[at] as i64 - value as i64;
             if distance.abs() <= threshold {
                 sequential_search(arr, value, cursor, stats)
-            } else if strategy == ProbeStrategy::AdaptiveIndex {
+            } else if strategy == ProbeStrategy::AdaptiveBinary {
+                binary_search_cursor(arr, value, cursor, stats)
+            } else {
                 match index {
                     Some(idx) => index_search(idx, arr, value, cursor, stats),
-                    None => binary_search_cursor(arr, value, cursor, stats),
+                    None => sequential_search(arr, value, cursor, stats),
                 }
-            } else {
-                binary_search_cursor(arr, value, cursor, stats)
             }
         }
     }
@@ -397,7 +400,7 @@ mod tests {
     #[test]
     fn adaptive_decision_follows_threshold() {
         let a: Vec<Id> = (0..1000).map(|i| i * 10).collect();
-        let idx = IdPosIndex::build(&a, 10_000, 64);
+        let idx = IdPosIndex::build(&a, 64);
 
         // Close probe (distance 10 <= threshold 50): sequential.
         let mut stats = SearchStats::new();
@@ -436,7 +439,7 @@ mod tests {
     #[test]
     fn all_strategies_agree_with_oracle() {
         let a: Vec<Id> = vec![2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377];
-        let idx = IdPosIndex::build(&a, 400, 64);
+        let idx = IdPosIndex::build(&a, 64);
         let strategies = [
             ProbeStrategy::AlwaysBinary,
             ProbeStrategy::AdaptiveBinary,
@@ -576,6 +579,22 @@ mod tests {
         assert_eq!(r, Some(7));
         assert_eq!(stats.binary_searches, 1);
         assert_eq!(stats.index_lookups, 0);
+        // The adaptive arm gallops instead, however far the probe.
+        let mut stats = SearchStats::new();
+        let mut cursor = 0;
+        let r = adaptive_search(
+            &a, 45, &mut cursor, 0,
+            ProbeStrategy::AdaptiveIndex, None, &mut stats,
+        );
+        assert_eq!(r, Some(7));
+        assert_eq!(cursor, 7);
+        assert_eq!(stats.sequential_searches, 1);
+        assert_eq!(stats.binary_searches + stats.index_lookups, 0);
+    }
+
+    #[test]
+    fn default_is_adaptive_index() {
+        assert_eq!(ProbeStrategy::default(), ProbeStrategy::AdaptiveIndex);
     }
 
     #[test]

@@ -25,8 +25,9 @@ fn sorted_unique(mut xs: Vec<Id>) -> Vec<Id> {
 }
 
 proptest! {
-    /// Every strategy, from any cursor position, with any threshold,
-    /// returns exactly what `slice::binary_search` returns.
+    /// Every strategy, from any cursor position, with any threshold and
+    /// with or without an ID-to-Position index, returns exactly what
+    /// `slice::binary_search` returns.
     #[test]
     fn search_agrees_with_std(
         keys in proptest::collection::vec(0u32..10_000, 0..300).prop_map(sorted_unique),
@@ -34,15 +35,15 @@ proptest! {
         start_cursor in 0usize..300,
         threshold in -1i64..5_000,
     ) {
-        let universe = keys.last().map_or(1, |&m| m as usize + 1);
-        let idx = IdPosIndex::build(&keys, universe, 64);
-        for strategy in [
+        let idx = IdPosIndex::build(&keys, 64);
+        let strategies = [
             ProbeStrategy::AlwaysBinary,
             ProbeStrategy::AdaptiveBinary,
             ProbeStrategy::AlwaysIndex,
             ProbeStrategy::AdaptiveIndex,
             ProbeStrategy::AlwaysSequential,
-        ] {
+        ];
+        for (strategy, index) in strategies.into_iter().flat_map(|s| [(s, Some(&idx)), (s, None)]) {
             let mut stats = SearchStats::default();
             // Cursors always originate inside the array in real use; an
             // index miss deliberately leaves the cursor untouched, so an
@@ -50,7 +51,7 @@ proptest! {
             let mut cursor = start_cursor.min(keys.len().saturating_sub(1));
             for &p in &probes {
                 let got = adaptive_search(
-                    &keys, p, &mut cursor, threshold, strategy, Some(&idx), &mut stats,
+                    &keys, p, &mut cursor, threshold, strategy, index, &mut stats,
                 );
                 prop_assert_eq!(got, keys.binary_search(&p).ok(),
                     "{} probe {} cursor {}", strategy, p, cursor);

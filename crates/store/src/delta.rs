@@ -34,6 +34,7 @@ use parj_sync::Arc;
 
 use crate::partition::Partition;
 use crate::replica::Replica;
+use crate::share::index_for;
 use crate::store::{SortOrder, TripleStore};
 
 /// Per-predicate mutation state: optional compacted replacement of the
@@ -337,7 +338,8 @@ impl DeltaOverlay {
     /// effective base's, in the common case of a write under existing
     /// keys, or any other replica's of the base or a compacted
     /// partition — shares that array and its index instead of
-    /// allocating and indexing a copy.
+    /// allocating and indexing a copy. A new array gets an
+    /// ID-to-Position index where one pays, as in a built store.
     pub fn compact_pred(&mut self, base: &TripleStore, predicate: Id) {
         let idx = predicate as usize;
         if self.pred(predicate).is_none_or(|p| p.resident_pairs() == 0) {
@@ -346,7 +348,6 @@ impl DeltaOverlay {
         let merged = self.merged_so_pairs(base, predicate);
         let mut part = Partition::build(predicate, &merged);
         let options = base.options();
-        let universe = self.dict.num_resources().max(base.dict().num_resources());
         for order in [SortOrder::SO, SortOrder::OS] {
             // Equal held arrays are one allocation, so the first match
             // is the one. The new S-O replica is a candidate for its O-S
@@ -364,11 +365,11 @@ impl DeltaOverlay {
                     (Arc::clone(keys), index.cloned())
                 });
             let r = part.replica_mut(order);
-            match found {
-                Some((keys, index)) => r.share(&keys, index.as_ref()),
-                None if options.build_idpos => r.build_idpos(universe, options.idpos_interval),
-                None => {}
-            }
+            let (keys, index) = found.unwrap_or_else(|| {
+                let interval = options.build_idpos.then_some(options.idpos_interval);
+                (Arc::clone(r.shared().0), index_for(r.keys(), interval))
+            });
+            r.share(&keys, index.as_ref());
         }
         // Replacement partitions inherit the base store's compression
         // policy, so a compressed store stays compressed across
@@ -717,6 +718,7 @@ pub fn merge_group_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::idpos::IdPosIndex;
     use crate::share::tests::distinct_bytes;
     use crate::store::StoreBuilder;
     use parj_dict::Term;
@@ -808,10 +810,14 @@ mod tests {
         assert_eq!(ov.compactions(), 1);
         assert!(!ov.has_resident_runs());
         assert_eq!(ov.merged_so_pairs(&base, 0), before);
-        // The compacted partition carries ID-to-Position like the base.
+        // The compacted partition carries ID-to-Position where it pays,
+        // like the base.
         let view = StoreView::with_delta(&base, &ov);
         match view.replica(0, SortOrder::SO).unwrap() {
-            ReplicaView::Clean(rep) => assert!(rep.idpos().is_some()),
+            ReplicaView::Clean(rep) => assert_eq!(
+                rep.idpos().is_some(),
+                IdPosIndex::pays(rep.keys(), base.options().idpos_interval)
+            ),
             ReplicaView::Dirty { .. } => panic!("compacted pred must be clean"),
         }
         assert_eq!(ov.check_invariants(&base), Ok(()));

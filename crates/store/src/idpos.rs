@@ -9,10 +9,22 @@
 //! With interval `A` and `M`-byte integers the space is
 //! `N/8 + (N/A)*M` bytes (§4.2); at the paper's LUBM-10240 scale this is
 //! ~44.8 MB per replica versus 45.7 GB for a plain position array.
+//!
+//! Here `N` is the span of a replica's keys (last − first + 1), not the
+//! dictionary's size, and an index exists only where those bytes are at
+//! most the keys array's own ([`IdPosIndex::pays`]). The paper notes
+//! that the system "can operate without all or some of these indexes";
+//! replicas without one are searched by galloping from the cursor.
 
 use parj_dict::Id;
 
-/// Rank-based id → keys-position index.
+/// Rank-based id → keys-position index over the span of its keys.
+///
+/// The bitmap and anchors cover only the ids `first..=last` of the keys
+/// they map, not the whole dictionary: bit `i` stands for id `first +
+/// i`, and ids outside the span miss without touching the bitmap. Stores
+/// build an index only where it is no larger than the keys array
+/// ([`IdPosIndex::pays`]).
 ///
 /// `interval` must be a multiple of 64 so blocks align to `u64` bitmap
 /// words. The default used by the store is 512 (8 words + one `u32`
@@ -20,52 +32,79 @@ use parj_dict::Id;
 /// interval of 480).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdPosIndex {
-    /// Number of ids covered (the dictionary's resource count).
-    universe: usize,
+    /// The smallest key (0 when there are none).
+    first: Id,
+    /// Ids covered, `last - first + 1` (0 when there are no keys).
+    span: usize,
     /// Ids per block; multiple of 64.
     interval: usize,
-    /// `anchors[b]` = number of present ids with id < b*interval.
+    /// `anchors[b]` = number of keys below `first + b*interval`.
     anchors: Vec<u32>,
-    /// Presence bitmap, `universe.div_ceil(64)` words, padded with zeros.
+    /// Presence bitmap, `span.div_ceil(64)` words, padded with zeros.
     bits: Vec<u64>,
 }
 
+/// Panics unless `interval` is a positive multiple of 64.
+fn check_interval(interval: usize) {
+    assert!(
+        interval > 0 && interval.is_multiple_of(64),
+        "interval must be a positive multiple of 64"
+    );
+}
+
+/// Ids from the first to the last of the sorted `keys`, inclusive.
+fn span_of(keys: &[Id]) -> usize {
+    match (keys.first(), keys.last()) {
+        (Some(&first), Some(&last)) => (last - first) as usize + 1,
+        _ => 0,
+    }
+}
+
 impl IdPosIndex {
-    /// Builds the index for the sorted distinct `keys` of a replica over
-    /// a dictionary of `universe` ids.
+    /// Bytes an index over the sorted `keys` takes at `interval`: the
+    /// `N/8 + (N/A)*4` of §4.2, with `N` the keys' span.
+    fn bytes_for(keys: &[Id], interval: usize) -> usize {
+        check_interval(interval);
+        let span = span_of(keys);
+        span.div_ceil(64) * 8 + span.div_ceil(interval) * 4
+    }
+
+    /// True when an index over `keys` is no larger than the keys array
+    /// itself. Stores build an index exactly where this holds: a larger
+    /// one would cost more memory than the array it saves searching.
     ///
     /// # Panics
-    /// Panics if `interval` is zero or not a multiple of 64, or if any
-    /// key is `>= universe`.
-    pub fn build(keys: &[Id], universe: usize, interval: usize) -> Self {
-        assert!(
-            interval > 0 && interval.is_multiple_of(64),
-            "interval must be a positive multiple of 64"
-        );
-        if let Some(&max) = keys.last() {
-            assert!((max as usize) < universe, "key {max} outside universe {universe}");
-        }
-        let n_words = universe.div_ceil(64);
-        let n_blocks = universe.div_ceil(interval);
+    /// Panics if `interval` is zero or not a multiple of 64.
+    pub fn pays(keys: &[Id], interval: usize) -> bool {
+        Self::bytes_for(keys, interval) <= std::mem::size_of_val(keys)
+    }
+
+    /// Builds the index for the sorted distinct `keys` of a replica.
+    ///
+    /// # Panics
+    /// Panics if `interval` is zero or not a multiple of 64.
+    pub fn build(keys: &[Id], interval: usize) -> Self {
+        check_interval(interval);
+        let first = keys.first().copied().unwrap_or(0);
+        let span = span_of(keys);
+        let n_words = span.div_ceil(64);
+        let n_blocks = span.div_ceil(interval);
         let mut bits = vec![0u64; n_words];
         for &k in keys {
-            let k = k as usize;
+            let k = (k - first) as usize;
             bits[k / 64] |= 1u64 << (k % 64);
         }
         let words_per_block = interval / 64;
         let mut anchors = Vec::with_capacity(n_blocks);
         let mut running: u32 = 0;
-        for b in 0..n_blocks {
+        for block in bits.chunks(words_per_block) {
             anchors.push(running);
-            let start = b * words_per_block;
-            let end = ((b + 1) * words_per_block).min(n_words);
-            for &w in &bits[start..end] {
-                running += w.count_ones();
-            }
+            running += block.iter().map(|w| w.count_ones()).sum::<u32>();
         }
         debug_assert_eq!(running as usize, keys.len());
         IdPosIndex {
-            universe,
+            first,
+            span,
             interval,
             anchors,
             bits,
@@ -73,20 +112,21 @@ impl IdPosIndex {
     }
 
     /// Returns the position of `id` in the replica's keys array, or
-    /// `None` if the id is absent (or outside the universe).
+    /// `None` if the id is absent (or outside the keys' span).
     #[inline]
     pub fn lookup(&self, id: Id) -> Option<usize> {
-        let id = id as usize;
-        if id >= self.universe {
+        // Ids below `first` wrap to offsets of at least `span`.
+        let off = id.wrapping_sub(self.first) as usize;
+        if off >= self.span {
             return None;
         }
-        let word_idx = id / 64;
-        let bit = id % 64;
+        let word_idx = off / 64;
+        let bit = off % 64;
         let word = self.bits[word_idx];
         if word & (1u64 << bit) == 0 {
             return None;
         }
-        let block = id / self.interval;
+        let block = off / self.interval;
         let mut rank = self.anchors[block] as usize;
         // Whole words between the block start and the id's word.
         for &w in &self.bits[block * (self.interval / 64)..word_idx] {
@@ -100,14 +140,8 @@ impl IdPosIndex {
     /// True if `id` is present.
     #[inline]
     pub fn contains(&self, id: Id) -> bool {
-        let id = id as usize;
-        id < self.universe && self.bits[id / 64] & (1u64 << (id % 64)) != 0
-    }
-
-    /// Number of ids covered.
-    #[inline]
-    pub fn universe(&self) -> usize {
-        self.universe
+        let off = id.wrapping_sub(self.first) as usize;
+        off < self.span && self.bits[off / 64] & (1u64 << (off % 64)) != 0
     }
 
     /// Block interval in ids.
@@ -117,7 +151,7 @@ impl IdPosIndex {
     }
 
     /// Memory used by the bitmap and anchors in bytes — the `N/8 +
-    /// (N/A)*M` of §4.2.
+    /// (N/A)*M` of §4.2 over the keys' span.
     pub fn memory_bytes(&self) -> usize {
         self.bits.capacity() * 8 + self.anchors.capacity() * 4
     }
@@ -131,20 +165,22 @@ impl IdPosIndex {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
     fn paper_section42_example() {
         // §4.2 walks through the Figure 1 property (keys 5,7,13,18,24,
-        // 29,33,45, dictionary max id 45): position of 5 is 0, of 7 is 1,
-        // of 13 is 2, "and so on for positions 18,24,29,33 and 45".
+        // 29,33,45): position of 5 is 0, of 7 is 1, of 13 is 2, "and so
+        // on for positions 18,24,29,33 and 45".
         let keys = [5, 7, 13, 18, 24, 29, 33, 45];
-        let idx = IdPosIndex::build(&keys, 46, 64);
+        let idx = IdPosIndex::build(&keys, 64);
         for (pos, &k) in keys.iter().enumerate() {
             assert_eq!(idx.lookup(k), Some(pos), "key {k}");
         }
         // "If bit is not set, then value is not present".
-        for absent in [0, 1, 4, 6, 8, 12, 14, 30, 44] {
+        for absent in [0, 1, 4, 6, 8, 12, 14, 30, 44, 46] {
             assert_eq!(idx.lookup(absent), None, "id {absent}");
         }
     }
@@ -153,7 +189,7 @@ mod tests {
     fn multi_block() {
         // Keys spread over several 64-id blocks, including block borders.
         let keys: Vec<Id> = vec![0, 63, 64, 127, 128, 200, 300, 449];
-        let idx = IdPosIndex::build(&keys, 450, 64);
+        let idx = IdPosIndex::build(&keys, 64);
         for (pos, &k) in keys.iter().enumerate() {
             assert_eq!(idx.lookup(k), Some(pos));
         }
@@ -163,17 +199,20 @@ mod tests {
     }
 
     #[test]
-    fn out_of_universe_is_none() {
-        let idx = IdPosIndex::build(&[1, 2], 10, 64);
-        assert_eq!(idx.lookup(10), None);
-        assert_eq!(idx.lookup(Id::MAX), None);
-        assert!(!idx.contains(10));
+    fn outside_span_is_none() {
+        let idx = IdPosIndex::build(&[100, 102], 64);
+        for id in [0, 99, 103, 164, Id::MAX] {
+            assert_eq!(idx.lookup(id), None, "id {id}");
+            assert!(!idx.contains(id), "id {id}");
+        }
+        assert_eq!(idx.lookup(102), Some(1));
     }
 
     #[test]
     fn empty_keys() {
-        let idx = IdPosIndex::build(&[], 100, 64);
-        for id in 0..100 {
+        let idx = IdPosIndex::build(&[], 64);
+        assert_eq!(idx.memory_bytes(), 0);
+        for id in [0, 1, 100, Id::MAX] {
             assert_eq!(idx.lookup(id), None);
         }
     }
@@ -181,58 +220,97 @@ mod tests {
     #[test]
     fn dense_keys_every_position() {
         let keys: Vec<Id> = (0..1000).collect();
-        let idx = IdPosIndex::build(&keys, 1000, 128);
+        let idx = IdPosIndex::build(&keys, 128);
         for k in 0..1000u32 {
             assert_eq!(idx.lookup(k), Some(k as usize));
         }
     }
 
     #[test]
-    fn agrees_with_binary_search_on_random_sets() {
-        // Deterministic pseudo-random key sets; oracle = binary search.
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..20 {
-            let universe = 1 + (next() % 5000) as usize;
-            let mut keys: Vec<Id> = (0..(next() % 400))
-                .map(|_| (next() % universe as u64) as Id)
-                .collect();
-            keys.sort_unstable();
-            keys.dedup();
-            let interval = [64usize, 128, 512][trial % 3];
-            let idx = IdPosIndex::build(&keys, universe, interval);
-            for probe in 0..universe as Id {
-                assert_eq!(
-                    idx.lookup(probe),
-                    keys.binary_search(&probe).ok(),
-                    "trial {trial} probe {probe}"
-                );
-            }
-        }
+    fn memory_formula() {
+        // §4.2: N/8 bytes of bits + (N/A)*4 bytes of anchors, with N the
+        // span of the keys, not the dictionary.
+        let keys = [1000, 1511, 52199];
+        let span: usize = 52199 - 1000 + 1;
+        let idx = IdPosIndex::build(&keys, 512);
+        let want = span.div_ceil(64) * 8 + span.div_ceil(512) * 4;
+        assert_eq!(idx.memory_bytes(), want);
+        assert_eq!(IdPosIndex::bytes_for(&keys, 512), want);
     }
 
     #[test]
-    fn memory_formula() {
-        // §4.2: N/8 bytes of bits + (N/A)*4 bytes of anchors.
-        let universe = 512 * 100;
-        let idx = IdPosIndex::build(&[0, 511, 51199], universe, 512);
-        assert_eq!(idx.memory_bytes(), universe / 8 + (universe / 512) * 4);
+    fn pays_only_when_no_larger_than_keys() {
+        // One key: 8 bytes of bitmap + 4 of anchor against 4 of keys.
+        assert!(!IdPosIndex::pays(&[7], 512));
+        // 64 consecutive keys: 8 + 4 bytes against 256.
+        let dense: Vec<Id> = (1000..1064).collect();
+        assert!(IdPosIndex::pays(&dense, 512));
+        // Two keys a million ids apart: ~128 KB against 8 bytes.
+        assert!(!IdPosIndex::pays(&[0, 1_000_000], 512));
+        // No keys, no bytes either way.
+        assert!(IdPosIndex::pays(&[], 512));
     }
 
     #[test]
     #[should_panic(expected = "multiple of 64")]
     fn rejects_unaligned_interval() {
-        IdPosIndex::build(&[], 100, 100);
+        IdPosIndex::build(&[], 100);
     }
 
     #[test]
-    #[should_panic(expected = "outside universe")]
-    fn rejects_key_outside_universe() {
-        IdPosIndex::build(&[10], 10, 64);
+    #[should_panic(expected = "multiple of 64")]
+    fn rule_rejects_unaligned_interval() {
+        IdPosIndex::pays(&[1, 2], 0);
+    }
+
+    /// Sorted distinct keys: offsets under 5 000 added to a base near
+    /// 0, near `u32::MAX` (saturating, so `u32::MAX` itself is often a
+    /// key) or anywhere; zero, one or many of them.
+    fn arb_keys() -> impl Strategy<Value = Vec<Id>> {
+        let base = prop_oneof![0..1_000u32, (u32::MAX - 6_000)..=u32::MAX, any::<u32>()];
+        let offsets = prop_oneof![
+            Just(Vec::new()),
+            prop::collection::vec(0..5_000u32, 1..2),
+            prop::collection::vec(0..5_000u32, 0..400),
+        ];
+        (base, offsets).prop_map(|(base, offsets)| {
+            let mut keys: Vec<Id> = offsets
+                .into_iter()
+                .map(|o| base.saturating_add(o))
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys
+        })
+    }
+
+    proptest! {
+        /// The span index answers like binary search on the keys, for
+        /// every id in and around the span and at both ends of the id
+        /// range; ids below the first key or above the last miss.
+        #[test]
+        fn span_index_equals_binary_search(
+            keys in arb_keys(),
+            interval in (0u32..4).prop_map(|p| 64usize << p),
+            extra in prop::collection::vec(any::<u32>(), 0..32),
+        ) {
+            let idx = IdPosIndex::build(&keys, interval);
+            prop_assert_eq!(idx.memory_bytes(), IdPosIndex::bytes_for(&keys, interval));
+            let (lo, hi) = match (keys.first(), keys.last()) {
+                (Some(&f), Some(&l)) => (f.saturating_sub(130), l.saturating_add(130)),
+                _ => (0, 130),
+            };
+            let probes = (lo..=hi).chain([0, 1, u32::MAX - 1, u32::MAX]).chain(extra);
+            for id in probes {
+                let want = keys.binary_search(&id).ok();
+                prop_assert_eq!(idx.lookup(id), want, "id {}", id);
+                prop_assert_eq!(idx.contains(id), want.is_some(), "id {}", id);
+                let outside = keys.first().is_none_or(|&f| id < f)
+                    || keys.last().is_some_and(|&l| id > l);
+                if outside {
+                    prop_assert_eq!(idx.lookup(id), None);
+                }
+            }
+        }
     }
 }

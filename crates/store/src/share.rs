@@ -5,10 +5,11 @@
 //! replica, each with its own sorted keys. Predicates of one class share
 //! a subject set, so many of those arrays are equal: 9 of 34 on LUBM-60,
 //! 14 of 40 on WatDiv-40. A store interns them. Replicas with equal keys
-//! hold one immutable `Arc<[Id]>`, and each distinct array has one
-//! ID-to-Position index (§4.2), built once. Sharing never changes what a
-//! replica answers; it changes only what is allocated, and the store's
-//! memory totals ([`Tally`]) count each allocation once.
+//! hold one immutable `Arc<[Id]>`, and each distinct array has at most
+//! one ID-to-Position index (§4.2), built once, and only where it is no
+//! larger than the array ([`IdPosIndex::pays`]). Sharing never changes
+//! what a replica answers; it changes only what is allocated, and the
+//! store's memory totals ([`Tally`]) count each allocation once.
 
 use std::collections::{HashMap, HashSet};
 
@@ -20,12 +21,20 @@ use crate::partition::Partition;
 use crate::replica::{Replica, ReplicaBytes};
 use crate::store::SortOrder;
 
+/// The ID-to-Position index a store gives `keys`: built at `interval`
+/// when the store builds indexes (`Some`) and the index
+/// [pays](IdPosIndex::pays), otherwise none.
+pub(crate) fn index_for(keys: &[Id], interval: Option<usize>) -> Option<Arc<IdPosIndex>> {
+    let interval = interval.filter(|&i| IdPosIndex::pays(keys, i))?;
+    Some(Arc::new(IdPosIndex::build(keys, interval)))
+}
+
 /// Makes every set of equal key arrays among `partitions` one
-/// allocation, and gives each distinct array one ID-to-Position index
-/// over `idpos = Some((universe, interval))`, or none. Arrays are
-/// matched by length and content hash, then compared in full; the first
-/// replica in predicate order (S-O before O-S) keeps its allocation.
-pub(crate) fn share_keys(partitions: &mut [Partition], idpos: Option<(usize, usize)>) {
+/// allocation, and gives each distinct array the index
+/// [`index_for`] gives it at `interval`. Arrays are matched by length
+/// and content hash, then compared in full; the first replica in
+/// predicate order (S-O before O-S) keeps its allocation.
+pub(crate) fn share_keys(partitions: &mut [Partition], interval: Option<usize>) {
     type Held = (Arc<[Id]>, Option<Arc<IdPosIndex>>);
     let mut held: HashMap<(usize, u64), Vec<Held>> = HashMap::new();
     for part in partitions {
@@ -36,9 +45,7 @@ pub(crate) fn share_keys(partitions: &mut [Partition], idpos: Option<(usize, usi
                 Some((keys, index)) => r.share(keys, index.as_ref()),
                 None => {
                     let keys = Arc::clone(r.shared().0);
-                    let index = idpos.map(|(universe, interval)| {
-                        Arc::new(IdPosIndex::build(&keys, universe, interval))
-                    });
+                    let index = index_for(&keys, interval);
                     r.share(&keys, index.as_ref());
                     class.push((keys, index));
                 }
@@ -61,6 +68,8 @@ pub(crate) struct Tally {
     seen: HashSet<*const ()>,
     /// Distinct keys arrays counted so far.
     pub(crate) arrays: usize,
+    /// Distinct ID-to-Position indexes counted so far.
+    pub(crate) indexes: usize,
     /// Bytes counted so far, by array.
     pub(crate) bytes: ReplicaBytes,
 }
@@ -79,6 +88,7 @@ impl Tally {
         }
         if let Some(index) = index {
             if self.seen.insert(Arc::as_ptr(index).cast()) {
+                self.indexes += 1;
                 self.bytes.idpos += own.idpos;
             }
         }
@@ -128,9 +138,21 @@ pub(crate) mod tests {
         })
     }
 
+    /// Ids below `IDS / 2` as they are, the rest 97 apart: an array of
+    /// three or more low ids is dense enough for an ID-to-Position
+    /// index, an array holding a high id is not.
+    fn spread(graph: Vec<Vec<(Id, Id)>>) -> Vec<Vec<(Id, Id)>> {
+        let id = |i: Id| if i < IDS / 2 { i } else { i * 97 };
+        graph
+            .into_iter()
+            .map(|pairs| pairs.into_iter().map(|(s, o)| (id(s), id(o))).collect())
+            .collect()
+    }
+
     fn store_of(graph: &[Vec<(Id, Id)>], compress: bool) -> TripleStore {
+        let ids = graph.iter().flatten().map(|&(s, o)| s.max(o) + 1).max();
         let mut b = StoreBuilder::new();
-        for i in 0..IDS {
+        for i in 0..ids.unwrap_or(0).max(IDS) {
             b.dict_mut().encode_resource(&Term::iri(format!("r{i}")));
         }
         for (p, pairs) in graph.iter().enumerate() {
@@ -172,16 +194,20 @@ pub(crate) mod tests {
         Ok(())
     }
 
-    /// Two replicas share a keys array, and its index, if and only if
-    /// their keys are equal.
+    /// Every replica has an ID-to-Position index if and only if one
+    /// pays on its keys, and two replicas share a keys array, and an
+    /// index, if and only if their keys are equal.
     fn check_shared_iff_equal(replicas: &[&Replica]) -> Result<(), TestCaseError> {
+        let interval = StoreOptions::default().idpos_interval;
         for (i, a) in replicas.iter().enumerate() {
+            prop_assert_eq!(a.idpos().is_some(), IdPosIndex::pays(a.keys(), interval));
             for b in &replicas[..i] {
                 let ((ka, ia), (kb, ib)) = (a.shared(), b.shared());
                 let equal = a.keys() == b.keys();
                 prop_assert_eq!(Arc::ptr_eq(ka, kb), equal);
-                let (ia, ib) = (ia.expect("index built"), ib.expect("index built"));
-                prop_assert_eq!(Arc::ptr_eq(ia, ib), equal);
+                if let (Some(ia), Some(ib)) = (ia, ib) {
+                    prop_assert_eq!(Arc::ptr_eq(ia, ib), equal);
+                }
             }
         }
         Ok(())
@@ -198,15 +224,14 @@ pub(crate) mod tests {
             .chain(replicas.iter().map(|r| (r, true)));
         for (r, count) in all {
             let (keys, index) = r.shared();
-            let index = index.expect("index built");
             let own = r.memory_parts();
             if count {
                 total += own.offsets + own.values;
             }
-            let arrays: [(*const (), usize); 2] = [
-                (Arc::as_ptr(keys).cast(), keys.len() * 4),
-                (Arc::as_ptr(index).cast(), index.exact_bytes()),
-            ];
+            let index = index.map(|i| (Arc::as_ptr(i).cast(), i.exact_bytes()));
+            let arrays = [(Arc::as_ptr(keys).cast(), keys.len() * 4)]
+                .into_iter()
+                .chain(index);
             for (ptr, bytes) in arrays {
                 if count && !seen.contains(&ptr) {
                     total += bytes;
@@ -221,75 +246,115 @@ pub(crate) mod tests {
         store.replicas().collect()
     }
 
+    /// Builds `graph`'s store, then checks that replicas share a keys
+    /// array and index exactly when their keys are equal, that each has
+    /// an index exactly where one pays, that they answer like
+    /// `BTreeMap` models, and that the memory totals count each
+    /// allocation once — after the build, after a snapshot round trip,
+    /// and after compactions of predicate `pick` that keep its keys and
+    /// that change them.
+    fn check_sharing(
+        graph: Vec<Vec<(Id, Id)>>,
+        compress: bool,
+        pick: usize,
+    ) -> Result<(), TestCaseError> {
+        let base = store_of(&graph, compress);
+        let loaded = TripleStore::from_snapshot_bytes(&base.to_snapshot_bytes()).unwrap();
+        prop_assert_eq!(loaded.to_snapshot_bytes(), base.to_snapshot_bytes());
+        let mut graph = graph;
+        let mut models: Vec<[Model; 2]> = graph.iter().map(|p| models_of(p)).collect();
+        for store in [&base, &loaded] {
+            let all = replicas_of(store);
+            check_models(
+                &all.iter()
+                    .copied()
+                    .zip(models.iter().flatten())
+                    .collect::<Vec<_>>(),
+            )?;
+            check_shared_iff_equal(&all)?;
+            prop_assert_eq!(store.partitions_memory_bytes(), distinct_bytes(&all, &[]));
+            prop_assert!(store.distinct_key_arrays() <= all.len());
+        }
+
+        let mut ov = DeltaOverlay::new(&base);
+        let p = pick % graph.len();
+        let [so, os] = models[p].clone();
+        // Unchanged keys: an absent pair between an existing subject
+        // and an existing object of `p`.
+        let kept = so
+            .keys()
+            .flat_map(|&s| os.keys().map(move |&o| (s, o)))
+            .find(|&(s, o)| !so[&s].contains(&o));
+        // New keys: a subject `p` does not have yet.
+        let fresh = (0..IDS).find(|s| !so.contains_key(s)).map(|s| (s, s / 2));
+        for (pair, keeps_keys) in [(kept, true), (fresh, false)] {
+            let Some(pair) = pair else { continue };
+            ov.apply_pred(&base, p as Id, &[pair], &[]);
+            ov.compact_pred(&base, p as Id);
+            graph[p].push(pair);
+            models[p] = models_of(&graph[p]);
+            let compacted = ov
+                .pred(p as Id)
+                .and_then(|d| d.compacted())
+                .expect("compacted");
+            if keeps_keys {
+                for order in [SortOrder::SO, SortOrder::OS] {
+                    let was = base.replica(p as Id, order).unwrap();
+                    prop_assert!(Arc::ptr_eq(
+                        compacted.replica(order).shared().0,
+                        was.shared().0
+                    ));
+                }
+            }
+            let effective: Vec<&Replica> = (0..graph.len() as Id)
+                .flat_map(|q| {
+                    let part = ov.effective_base(&base, q).unwrap();
+                    [part.replica(SortOrder::SO), part.replica(SortOrder::OS)]
+                })
+                .collect();
+            check_models(
+                &effective
+                    .into_iter()
+                    .zip(models.iter().flatten())
+                    .collect::<Vec<_>>(),
+            )?;
+            // Every replica held, the base's and the compacted ones.
+            let compacted: Vec<&Replica> = (0..graph.len() as Id)
+                .filter_map(|q| ov.pred(q).and_then(|d| d.compacted()))
+                .flat_map(|c| [c.replica(SortOrder::SO), c.replica(SortOrder::OS)])
+                .collect();
+            let base_replicas = replicas_of(&base);
+            check_shared_iff_equal(&[&base_replicas[..], &compacted[..]].concat())?;
+            prop_assert_eq!(
+                ov.memory_bytes(&base) - ov.dict().memory_bytes(),
+                distinct_bytes(&compacted, &base_replicas)
+            );
+            prop_assert_eq!(ov.check_invariants(&base), Ok(()));
+        }
+        Ok(())
+    }
+
     proptest! {
-        /// Replicas share a keys array and index exactly when their keys
-        /// are equal, answer like `BTreeMap` models, and the memory
-        /// totals count each allocation once — after a build, after a
-        /// snapshot round trip, and after compactions that keep the keys
-        /// and that change them.
+        /// [`check_sharing`] on graphs over 48 dense ids, where many
+        /// arrays are equal.
         #[test]
         fn key_arrays_shared_iff_equal(
             graph in arb_graph(),
             compress in any::<bool>(),
             pick in 0usize..8,
         ) {
-            let base = store_of(&graph, compress);
-            let loaded = TripleStore::from_snapshot_bytes(&base.to_snapshot_bytes()).unwrap();
-            prop_assert_eq!(loaded.to_snapshot_bytes(), base.to_snapshot_bytes());
-            let mut graph = graph;
-            let mut models: Vec<[Model; 2]> = graph.iter().map(|p| models_of(p)).collect();
-            for store in [&base, &loaded] {
-                let all = replicas_of(store);
-                check_models(&all.iter().copied().zip(models.iter().flatten()).collect::<Vec<_>>())?;
-                check_shared_iff_equal(&all)?;
-                prop_assert_eq!(store.partitions_memory_bytes(), distinct_bytes(&all, &[]));
-                prop_assert!(store.distinct_key_arrays() <= all.len());
-            }
+            check_sharing(graph, compress, pick)?;
+        }
 
-            let mut ov = DeltaOverlay::new(&base);
-            let p = pick % graph.len();
-            let [so, os] = models[p].clone();
-            // Unchanged keys: an absent pair between an existing subject
-            // and an existing object of `p`.
-            let kept = so
-                .keys()
-                .flat_map(|&s| os.keys().map(move |&o| (s, o)))
-                .find(|&(s, o)| !so[&s].contains(&o));
-            // New keys: a subject `p` does not have yet.
-            let fresh = (0..IDS).find(|s| !so.contains_key(s)).map(|s| (s, s / 2));
-            for (pair, keeps_keys) in [(kept, true), (fresh, false)] {
-                let Some(pair) = pair else { continue };
-                ov.apply_pred(&base, p as Id, &[pair], &[]);
-                ov.compact_pred(&base, p as Id);
-                graph[p].push(pair);
-                models[p] = models_of(&graph[p]);
-                let compacted = ov.pred(p as Id).and_then(|d| d.compacted()).expect("compacted");
-                if keeps_keys {
-                    for order in [SortOrder::SO, SortOrder::OS] {
-                        let was = base.replica(p as Id, order).unwrap();
-                        prop_assert!(Arc::ptr_eq(compacted.replica(order).shared().0, was.shared().0));
-                    }
-                }
-                let effective: Vec<&Replica> = (0..graph.len() as Id)
-                    .flat_map(|q| {
-                        let part = ov.effective_base(&base, q).unwrap();
-                        [part.replica(SortOrder::SO), part.replica(SortOrder::OS)]
-                    })
-                    .collect();
-                check_models(&effective.into_iter().zip(models.iter().flatten()).collect::<Vec<_>>())?;
-                // Every replica held, the base's and the compacted ones.
-                let compacted: Vec<&Replica> = (0..graph.len() as Id)
-                    .filter_map(|q| ov.pred(q).and_then(|d| d.compacted()))
-                    .flat_map(|c| [c.replica(SortOrder::SO), c.replica(SortOrder::OS)])
-                    .collect();
-                let base_replicas = replicas_of(&base);
-                check_shared_iff_equal(&[&base_replicas[..], &compacted[..]].concat())?;
-                prop_assert_eq!(
-                    ov.memory_bytes(&base) - ov.dict().memory_bytes(),
-                    distinct_bytes(&compacted, &base_replicas)
-                );
-                prop_assert_eq!(ov.check_invariants(&base), Ok(()));
-            }
+        /// [`check_sharing`] on graphs whose arrays are dense (indexed)
+        /// or hold an id far from the rest (not indexed).
+        #[test]
+        fn index_built_iff_it_pays(
+            graph in arb_graph().prop_map(spread),
+            compress in any::<bool>(),
+            pick in 0usize..8,
+        ) {
+            check_sharing(graph, compress, pick)?;
         }
     }
 }

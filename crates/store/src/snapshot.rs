@@ -158,9 +158,9 @@ impl TripleStore {
                 let r = Replica::from_raw_parts(keys, offsets, values)
                     .map_err(|e| SnapshotError::Corrupt(format!("pred {predicate} {order}: {e}")))?;
                 if build_idpos {
-                    // Out-of-universe keys would assert inside
-                    // `IdPosIndex::build` (in `TripleStore::from_parts`);
-                    // keys are sorted, so checking the last one suffices.
+                    // A key outside the dictionary's ids names no term,
+                    // so the bytes are corrupt; keys are sorted, so
+                    // checking the last one suffices.
                     if let Some(&k) = r.keys().last() {
                         if k as usize >= universe {
                             return Err(SnapshotError::Corrupt(format!(
@@ -219,6 +219,7 @@ impl TripleStore {
 mod tests {
     use super::*;
     use crate::store::StoreBuilder;
+    use crate::IdPosIndex;
     use parj_dict::Term;
 
     fn sample_store() -> TripleStore {
@@ -254,8 +255,13 @@ mod tests {
             back.dict().decode_resource(0).unwrap(),
             store.dict().decode_resource(0).unwrap()
         );
-        // Indexes rebuilt per options.
-        assert!(back.replica(0, SortOrder::SO).unwrap().idpos().is_some());
+        // Indexes rebuilt per options, where they pay.
+        let interval = back.options().idpos_interval;
+        for r in back.replicas() {
+            assert_eq!(r.idpos().is_some(), IdPosIndex::pays(r.keys(), interval));
+        }
+        assert!(back.indexed_key_arrays() > 0);
+        assert_eq!(back.indexed_key_arrays(), store.indexed_key_arrays());
     }
 
     #[test]

@@ -39,8 +39,11 @@ impl std::fmt::Display for SortOrder {
 /// Build-time options for [`StoreBuilder::build_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct StoreOptions {
-    /// Build ID-to-Position indexes on every replica (§4.2). The paper
-    /// treats them as auxiliary; PARJ runs with or without them.
+    /// Build ID-to-Position indexes (§4.2) on the key arrays where an
+    /// index is no larger than the array
+    /// ([`IdPosIndex::pays`](crate::IdPosIndex::pays)); `false` builds
+    /// none. The paper treats them as auxiliary; PARJ runs with or
+    /// without them.
     pub build_idpos: bool,
     /// Block interval for the ID-to-Position index; must be a multiple
     /// of 64. The paper used 480 with byte-granular counting; we use 512
@@ -138,7 +141,7 @@ impl StoreBuilder {
     /// predicate) runs on [`StoreOptions::build_threads`] workers; the
     /// result is identical at any thread count. Equal key arrays are
     /// then shared, and each distinct one gets its ID-to-Position index
-    /// (`TripleStore::from_parts`).
+    /// where one pays (`TripleStore::from_parts`).
     pub fn build_with(self, options: StoreOptions) -> TripleStore {
         let n_preds = self.dict.num_predicates();
         let mut by_pred = self.by_pred;
@@ -312,6 +315,11 @@ impl TripleStore {
         self.tally().arrays
     }
 
+    /// Distinct keys arrays with an ID-to-Position index.
+    pub fn indexed_key_arrays(&self) -> usize {
+        self.tally().indexes
+    }
+
     /// Total bytes including the dictionary (paper: 50 GB with
     /// dictionary for LUBM 10240).
     pub fn total_memory_bytes(&self) -> usize {
@@ -356,21 +364,17 @@ impl TripleStore {
     /// Assembles a store from built partitions: the one place a store's
     /// replicas are made to share equal key arrays, and where each
     /// distinct array gets its ID-to-Position index when
-    /// [`StoreOptions::build_idpos`] asks for one. Both the builder and
-    /// the snapshot loader come through here.
-    ///
-    /// # Panics
-    /// With `build_idpos`, panics if a key is outside the dictionary's
-    /// resource ids (the snapshot loader rejects such keys first).
+    /// [`StoreOptions::build_idpos`] asks for one and the index is no
+    /// larger than the array
+    /// ([`IdPosIndex::pays`](crate::IdPosIndex::pays)). Both the builder
+    /// and the snapshot loader come through here.
     pub(crate) fn from_parts(
         dict: Dictionary,
         mut partitions: Vec<Partition>,
         options: StoreOptions,
     ) -> Self {
-        let idpos = options
-            .build_idpos
-            .then(|| (dict.num_resources(), options.idpos_interval));
-        share_keys(&mut partitions, idpos);
+        let interval = options.build_idpos.then_some(options.idpos_interval);
+        share_keys(&mut partitions, interval);
         let num_triples = partitions.iter().map(Partition::num_triples).sum();
         TripleStore {
             dict,
@@ -384,6 +388,7 @@ impl TripleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IdPosIndex;
 
     /// Builds the full §3 running example (Table 1 data: teaches +
     /// worksFor).
@@ -451,10 +456,22 @@ mod tests {
         });
         assert!(store.replica(0, SortOrder::SO).unwrap().idpos().is_none());
 
+        // By default an index exists exactly where it pays: on the
+        // dense subjects 0..64, not on the lone object 64.
         let mut b = StoreBuilder::new();
-        b.add_term_triple(&Term::iri("a"), &Term::iri("p"), &Term::iri("b"));
+        for s in 0..64 {
+            let subject = Term::iri(format!("s{s}"));
+            b.add_term_triple(&subject, &Term::iri("p"), &Term::iri("o"));
+        }
         let store = b.build();
+        let interval = store.options().idpos_interval;
+        for order in [SortOrder::SO, SortOrder::OS] {
+            let r = store.replica(0, order).unwrap();
+            assert_eq!(r.idpos().is_some(), IdPosIndex::pays(r.keys(), interval));
+        }
         assert!(store.replica(0, SortOrder::SO).unwrap().idpos().is_some());
+        assert!(store.replica(0, SortOrder::OS).unwrap().idpos().is_none());
+        assert_eq!(store.indexed_key_arrays(), 1);
     }
 
     #[test]

@@ -21,11 +21,12 @@ const DATA: &str = r#"
 "#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Configure an engine: 4 worker threads, the paper's default
-    //    adaptive binary/sequential probe strategy.
+    // 1. Configure an engine: 4 worker threads, and Algorithm 1
+    //    switching between a galloping scan from the cursor and the
+    //    ID-to-Position index (the default probe strategy).
     let mut loader = Parj::builder()
         .threads(4)
-        .strategy(ProbeStrategy::AdaptiveBinary)
+        .strategy(ProbeStrategy::AdaptiveIndex)
         .loader();
 
     // 2. Load data (N-Triples text here; `LoadSource::Path` reads a

@@ -4,7 +4,7 @@
 //! with the brute-force reference evaluator.
 
 use parj::baseline::{reference_eval, BaselineEngine, HashJoinEngine, MergeJoinEngine};
-use parj::datagen::{lubm, watdiv};
+use parj::datagen::{lubm, watdiv, NamedQuery};
 use parj::{parse_query, LoadSource, OnParseError, Parj, ProbeStrategy, RdfFormat, STerm};
 
 /// Translates a SPARQL query into encoded patterns the baselines and
@@ -126,6 +126,79 @@ fn lubm_queries_consistent_and_match_oracle() {
         }
     }
     assert_helpers_joined(&engine);
+}
+
+/// Every probe strategy, the Table 5 four and the sequential control.
+const ALL_STRATEGIES: [ProbeStrategy; 5] = [
+    ProbeStrategy::AlwaysBinary,
+    ProbeStrategy::AdaptiveBinary,
+    ProbeStrategy::AlwaysIndex,
+    ProbeStrategy::AdaptiveIndex,
+    ProbeStrategy::AlwaysSequential,
+];
+
+/// Checks that the plans of `queries` probe some replicas that have an
+/// ID-to-Position index and some that have none, so both arms of the
+/// index strategies run; then that all five strategies return the same
+/// id rows, in the same order, at 1 and 2 threads.
+fn strategies_agree_with_and_without_indexes(store: parj::TripleStore, queries: &[NamedQuery]) {
+    let mut engine = Parj::from_store(store, sweep_config());
+    let stats = engine.stats();
+    let (mut indexed, mut bare) = (0, 0);
+    for q in queries {
+        let Some((patterns, num_vars)) = encode_patterns(&mut engine, &q.sparql) else {
+            continue;
+        };
+        let plan = parj_optimizer::optimize(&stats, &patterns, num_vars, vec![]).unwrap();
+        for step in &plan.steps()[1..] {
+            let replica = engine.store().replica(step.predicate, step.order).unwrap();
+            match replica.idpos() {
+                Some(_) => indexed += 1,
+                None => bare += 1,
+            }
+        }
+    }
+    assert!(
+        indexed > 0 && bare > 0,
+        "probed replicas: {indexed} indexed, {bare} without"
+    );
+    for q in queries {
+        let rows = |strategy, threads| {
+            engine
+                .request(&q.sparql)
+                .threads(threads)
+                .morsel_size(64)
+                .strategy(strategy)
+                .run()
+                .unwrap()
+                .id_rows()
+        };
+        let base = rows(ProbeStrategy::default(), 1);
+        for strategy in ALL_STRATEGIES {
+            for threads in [1, 2] {
+                assert!(
+                    rows(strategy, threads) == base,
+                    "{}: strategy {strategy} threads {threads} differs",
+                    q.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn lubm_strategies_agree_with_and_without_indexes() {
+    let store = lubm::generate_store(&lubm::LubmConfig {
+        universities: 2,
+        seed: 11,
+    });
+    strategies_agree_with_and_without_indexes(store, &lubm::queries());
+}
+
+#[test]
+fn watdiv_strategies_agree_with_and_without_indexes() {
+    let store = watdiv::generate_store(&watdiv::WatDivConfig { scale: 2, seed: 5 });
+    strategies_agree_with_and_without_indexes(store, &watdiv::basic_workload());
 }
 
 #[test]
