@@ -80,7 +80,7 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
             };
             let mut seq = 0u64;
             let mut bin = 0u64;
-            let m = measure_ms(args.runs, || {
+            let ms = measure_ms(args.runs, || {
                 seq = 0;
                 bin = 0;
                 for plan in &plans {
@@ -91,9 +91,9 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
             });
             t.row(
                 format!("window {window}"),
-                vec![fmt_ms(m.avg_ms), seq.to_string(), bin.to_string()],
+                vec![fmt_ms(ms), seq.to_string(), bin.to_string()],
             );
-            rows.push(json!({"window": window, "ms": m.avg_ms, "sequential": seq, "binary": bin}));
+            rows.push(json!({"window": window, "ms": ms, "sequential": seq, "binary": bin}));
         }
         tables.push(t);
         records.insert("window_sweep".into(), json!(rows));
@@ -146,7 +146,7 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
                 strategy: ProbeStrategy::AlwaysIndex,
                 ..ExecOptions::default()
             };
-            let m = measure_ms(args.runs, || {
+            let ms = measure_ms(args.runs, || {
                 for plan in &plans {
                     execute_count(src, plan, &opts, None).expect("runs");
                 }
@@ -154,9 +154,9 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
             let mib = index_bytes as f64 / (1 << 20) as f64;
             t.row(
                 format!("interval {interval}"),
-                vec![fmt_ms(m.avg_ms), format!("{mib:.2}")],
+                vec![fmt_ms(ms), format!("{mib:.2}")],
             );
-            rows.push(json!({"interval": interval, "ms": m.avg_ms, "index_bytes": index_bytes}));
+            rows.push(json!({"interval": interval, "ms": ms, "index_bytes": index_bytes}));
         }
         tables.push(t);
         records.insert("idpos_interval".into(), json!(rows));
@@ -186,7 +186,7 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
                 ..RunOverrides::threads(args.threads)
             };
             let mut count = 0;
-            let m = measure_ms(args.runs, || {
+            let ms = measure_ms(args.runs, || {
                 count = engine
                     .request(&lubm9.sparql)
                     .threads(args.threads)
@@ -204,12 +204,12 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
             t.row(
                 format!("{morsel_size} keys/morsel"),
                 vec![
-                    fmt_ms(m.avg_ms),
+                    fmt_ms(ms),
                     format!("{bound:.2}x"),
                     loads.len().to_string(),
                 ],
             );
-            rows.push(json!({"morsel_size": morsel_size, "ms": m.avg_ms, "bound": bound}));
+            rows.push(json!({"morsel_size": morsel_size, "ms": ms, "bound": bound}));
         }
         tables.push(t);
         records.insert("morsel_size".into(), json!(rows));
@@ -231,13 +231,13 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
                     ..args.engine_config()
                 },
             );
-            let m = measure_ms(args.runs, || {
+            let ms = measure_ms(args.runs, || {
                 for q in &queries {
                     engine.request(&q.sparql).count_only().run().expect("runs");
                 }
             });
-            t.row(format!("{buckets} buckets"), vec![fmt_ms(m.avg_ms)]);
-            rows.push(json!({"buckets": buckets, "ms": m.avg_ms}));
+            t.row(format!("{buckets} buckets"), vec![fmt_ms(ms)]);
+            rows.push(json!({"buckets": buckets, "ms": ms}));
         }
         tables.push(t);
         records.insert("histogram_buckets".into(), json!(rows));

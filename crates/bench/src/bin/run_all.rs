@@ -5,7 +5,7 @@ type Experiment = fn(&parj_bench::Args) -> (Vec<parj_bench::Table>, serde_json::
 
 fn main() {
     let base = parj_bench::Args::parse(0);
-    let experiments: [(&str, Experiment); 13] = [
+    let experiments: [(&str, Experiment); 8] = [
         ("table2", parj_bench::experiments::table2),
         ("table3", parj_bench::experiments::table3),
         ("table4", parj_bench::experiments::table4),
@@ -14,11 +14,6 @@ fn main() {
         ("fig2", parj_bench::experiments::fig2),
         ("fig3", parj_bench::experiments::fig3),
         ("ablation", parj_bench::ablation::ablation),
-        ("metrics_overhead", parj_bench::experiments::metrics_overhead),
-        ("cache_effect", parj_bench::experiments::cache_effect),
-        ("delta", parj_bench::experiments::delta),
-        ("serve", parj_bench::serve::serve),
-        ("locks", parj_bench::locks::locks),
     ];
     for (name, f) in experiments {
         let mut args = base.clone();

@@ -6,7 +6,7 @@
 //! paper-vs-measured analysis of each artifact.
 
 use parj_baseline::{BaselineEngine, HashJoinEngine, MergeJoinEngine};
-use parj_core::{LoadSource, OnParseError, Parj, ProbeStrategy, RdfFormat, RunOverrides, Term};
+use parj_core::{Parj, ProbeStrategy, RunOverrides};
 use parj_datagen::{lubm, watdiv, NamedQuery};
 use serde_json::json;
 
@@ -17,7 +17,7 @@ use crate::timing::{avg, geomean, measure_ms};
 /// Measures PARJ silent-mode execution for one query.
 fn parj_ms(engine: &mut Parj, sparql: &str, threads: usize, runs: usize) -> (f64, u64) {
     let mut count = 0;
-    let m = measure_ms(runs, || {
+    let ms = measure_ms(runs, || {
         count = engine
             .request(sparql)
             .threads(threads)
@@ -26,7 +26,7 @@ fn parj_ms(engine: &mut Parj, sparql: &str, threads: usize, runs: usize) -> (f64
             .expect("benchmark query must run")
             .count;
     });
-    (m.avg_ms, count)
+    (ms, count)
 }
 
 /// Measures a baseline engine on the same query (via encoded patterns).
@@ -40,10 +40,10 @@ fn baseline_ms<E: BaselineEngine>(
     let (patterns, _) = encode_bgp(engine, sparql)?;
     let store = engine.store();
     let mut count = 0;
-    let m = measure_ms(runs, || {
+    let ms = measure_ms(runs, || {
         count = e.run_count(store, &patterns);
     });
-    Some((m.avg_ms, count))
+    Some((ms, count))
 }
 
 fn push_aggregates(table: &mut Table, columns: &[Vec<f64>]) {
@@ -172,7 +172,7 @@ pub fn table2(args: &Args) -> (Vec<Table>, serde_json::Value) {
     let mut full_rows = Vec::new();
     for q in &queries {
         let (t_silent, n) = parj_ms(&mut engine, &q.sparql, args.threads, args.runs);
-        let m = measure_ms(args.runs, || {
+        let ms = measure_ms(args.runs, || {
             engine
                 .request(&q.sparql)
                 .threads(args.threads)
@@ -181,10 +181,10 @@ pub fn table2(args: &Args) -> (Vec<Table>, serde_json::Value) {
         });
         full.row(
             &q.name,
-            vec![fmt_ms(t_silent), fmt_ms(m.avg_ms), n.to_string()],
+            vec![fmt_ms(t_silent), fmt_ms(ms), n.to_string()],
         );
         full_rows.push(json!({
-            "query": q.name, "silent_ms": t_silent, "full_ms": m.avg_ms, "results": n
+            "query": q.name, "silent_ms": t_silent, "full_ms": ms, "results": n
         }));
     }
     (
@@ -279,7 +279,7 @@ pub fn table5(args: &Args) -> (Vec<Table>, serde_json::Value) {
         let mut rec = serde_json::Map::new();
         rec.insert("query".into(), json!(q.name));
         for (i, s) in strategies.iter().enumerate() {
-            let m = measure_ms(args.runs, || {
+            let ms = measure_ms(args.runs, || {
                 engine
                     .request(&q.sparql)
                     .threads(1)
@@ -288,9 +288,9 @@ pub fn table5(args: &Args) -> (Vec<Table>, serde_json::Value) {
                     .run()
                     .expect("benchmark query must run");
             });
-            lubm_cols[i].push(m.avg_ms);
-            cells.push(fmt_ms(m.avg_ms));
-            rec.insert(format!("{}_ms", s.label()), json!(m.avg_ms));
+            lubm_cols[i].push(ms);
+            cells.push(fmt_ms(ms));
+            rec.insert(format!("{}_ms", s.label()), json!(ms));
         }
         table.row(&q.name, cells);
         json_rows.push(serde_json::Value::Object(rec));
@@ -303,7 +303,7 @@ pub fn table5(args: &Args) -> (Vec<Table>, serde_json::Value) {
     let mut watdiv_cols: Vec<Vec<f64>> = vec![Vec::new(); 4];
     for q in watdiv::all_queries() {
         for (i, s) in strategies.iter().enumerate() {
-            let m = measure_ms(args.runs, || {
+            let ms = measure_ms(args.runs, || {
                 wengine
                     .request(&q.sparql)
                     .threads(1)
@@ -312,7 +312,7 @@ pub fn table5(args: &Args) -> (Vec<Table>, serde_json::Value) {
                     .run()
                     .expect("benchmark query must run");
             });
-            watdiv_cols[i].push(m.avg_ms);
+            watdiv_cols[i].push(ms);
         }
     }
     table.row(
@@ -368,7 +368,8 @@ pub fn table6(args: &Args) -> (Vec<Table>, serde_json::Value) {
                 .expect("run")
                 .stats
         };
-        // Decision counts under the paper's default AdBinary strategy.
+        // Decision counts under AdBinary, Algorithm 1's binary/sequential
+        // switch (the engine itself defaults to AdIndex).
         let ad = run(ProbeStrategy::AdaptiveBinary);
         // Memory work under forced binary vs forced index.
         let bin = run(ProbeStrategy::AlwaysBinary);
@@ -571,299 +572,4 @@ pub fn fig3(args: &Args) -> (Vec<Table>, serde_json::Value) {
             "threads": args.threads, "runs": args.runs, "rows": json_rows,
         }),
     )
-}
-
-/// Metrics-recording overhead: the same silent-mode LUBM workload with
-/// the observability registry enabled (the default) and disabled
-/// (`record_metrics: false`), reporting the relative difference. The
-/// registry records with relaxed atomics on the per-query finalize
-/// path, so the target envelope is ≤ 2 % on the workload total.
-pub fn metrics_overhead(args: &Args) -> (Vec<Table>, serde_json::Value) {
-    let mut engine_on = lubm_engine(args.scale, args.engine_config());
-    let mut cfg_off = args.engine_config();
-    cfg_off.record_metrics = false;
-    let mut engine_off = lubm_engine(args.scale, cfg_off);
-
-    let mut table = Table::new(
-        format!(
-            "Metrics-recording overhead — LUBM U={}, {} threads, silent mode",
-            args.scale, args.threads
-        ),
-        &["metrics on (ms)", "metrics off (ms)", "overhead"],
-    );
-    let mut json_rows = Vec::new();
-    let (mut sum_on, mut sum_off) = (0.0f64, 0.0f64);
-    for q in lubm::queries() {
-        let (t_on, n_on) = parj_ms(&mut engine_on, &q.sparql, args.threads, args.runs);
-        let (t_off, n_off) = parj_ms(&mut engine_off, &q.sparql, args.threads, args.runs);
-        assert_eq!(n_on, n_off, "{}: metrics recording changed results", q.name);
-        sum_on += t_on;
-        sum_off += t_off;
-        let pct = if t_off > 0.0 { (t_on / t_off - 1.0) * 100.0 } else { 0.0 };
-        table.row(
-            &q.name,
-            vec![fmt_ms(t_on), fmt_ms(t_off), format!("{pct:+.1}%")],
-        );
-        json_rows.push(json!({
-            "query": q.name, "on_ms": t_on, "off_ms": t_off, "overhead_pct": pct,
-        }));
-    }
-    let agg = if sum_off > 0.0 { (sum_on / sum_off - 1.0) * 100.0 } else { 0.0 };
-    table.row(
-        "**Workload total**",
-        vec![fmt_ms(sum_on), fmt_ms(sum_off), format!("{agg:+.1}%")],
-    );
-    (
-        vec![table],
-        json!({
-            "experiment": "metrics_overhead", "dataset": "lubm",
-            "scale": args.scale, "threads": args.threads, "runs": args.runs,
-            "rows": json_rows, "workload_overhead_pct": agg,
-        }),
-    )
-}
-
-/// Runs a 90 %-repeat mix of one query (`repeats` consecutive runs:
-/// one cold, the rest repeats) and returns total wall-clock ms plus
-/// the (stable) count.
-fn repeat_mix_ms(engine: &mut Parj, sparql: &str, threads: usize, repeats: usize) -> (f64, u64) {
-    let mut count = 0;
-    let t = std::time::Instant::now();
-    for _ in 0..repeats {
-        count = engine
-            .request(sparql)
-            .threads(threads)
-            .count_only()
-            .run()
-            .expect("benchmark query must run")
-            .count;
-    }
-    (t.elapsed().as_secs_f64() * 1e3, count)
-}
-
-/// Result/plan cache effect on a repeat-heavy workload: each LUBM
-/// query runs 10 consecutive times — one cold miss plus nine repeats,
-/// i.e. a 90 %-repeat mix — on a cache-enabled engine and on the stock
-/// cache-off engine. Reported speedup is off/on wall time; counts are
-/// asserted identical so the cache cannot buy speed with wrong
-/// answers. Not a paper artifact: the caching layer is an extension,
-/// measured here so its headline claim stays reproducible.
-pub fn cache_effect(args: &Args) -> (Vec<Table>, serde_json::Value) {
-    let mut cfg_on = args.engine_config();
-    cfg_on.cache = true;
-    let mut engine_on = lubm_engine(args.scale, cfg_on);
-    let mut engine_off = lubm_engine(args.scale, args.engine_config());
-
-    // 1 cold + 9 repeats per query = the 90 %-repeat mix.
-    const REPEATS: usize = 10;
-
-    let mut table = Table::new(
-        format!(
-            "Result-cache effect — LUBM U={}, {} threads, {} runs/query (90 % repeats)",
-            args.scale, args.threads, REPEATS
-        ),
-        &["cache off (ms)", "cache on (ms)", "speedup"],
-    );
-    let mut json_rows = Vec::new();
-    let (mut sum_on, mut sum_off) = (0.0f64, 0.0f64);
-    for q in lubm::queries() {
-        let (t_off, n_off) = repeat_mix_ms(&mut engine_off, &q.sparql, args.threads, REPEATS);
-        let (t_on, n_on) = repeat_mix_ms(&mut engine_on, &q.sparql, args.threads, REPEATS);
-        assert_eq!(n_on, n_off, "{}: caching changed the answer", q.name);
-        sum_on += t_on;
-        sum_off += t_off;
-        let speedup = if t_on > 0.0 { t_off / t_on } else { 0.0 };
-        table.row(
-            &q.name,
-            vec![fmt_ms(t_off), fmt_ms(t_on), format!("{speedup:.1}x")],
-        );
-        json_rows.push(json!({
-            "query": q.name, "off_ms": t_off, "on_ms": t_on,
-            "speedup": speedup, "count": n_on,
-        }));
-    }
-    let workload = if sum_on > 0.0 { sum_off / sum_on } else { 0.0 };
-    table.row(
-        "**Workload total**",
-        vec![fmt_ms(sum_off), fmt_ms(sum_on), format!("{workload:.1}x")],
-    );
-    (
-        vec![table],
-        json!({
-            "experiment": "cache_effect", "dataset": "lubm",
-            "scale": args.scale, "threads": args.threads,
-            "repeats_per_query": REPEATS, "repeat_share": 0.9,
-            "rows": json_rows, "workload_speedup": workload,
-        }),
-    )
-}
-
-/// Write throughput of the delta store: small `mutate()` batches landing
-/// in the per-predicate delta overlay vs the legacy rebuild-per-batch
-/// path (re-stage the whole store, then rebuild CSR replicas and
-/// statistics), both against the same large LUBM base. The second table
-/// measures the read-side cost of a resident delta: a predicate scan
-/// through the merged (base ∪ delta) view against the same scan after
-/// folding.
-pub fn delta(args: &Args) -> (Vec<Table>, serde_json::Value) {
-    let delta_engine = lubm_engine(args.scale, args.engine_config());
-    let mut rebuild_engine = Some(lubm_engine(args.scale, args.engine_config()));
-    let base_triples = delta_engine.num_triples();
-    assert_eq!(rebuild_engine.as_ref().map(Parj::num_triples), Some(base_triples));
-    let pred = format!("{}emailAddress", lubm::NS);
-
-    // Fresh-subject insert batches; `tag` keeps the two engines' key
-    // spaces disjoint so every applied triple is a real insert.
-    let batch_terms = |tag: &str, batch: usize, size: usize| -> Vec<(Term, Term, Term)> {
-        (0..size)
-            .map(|i| {
-                (
-                    Term::iri(format!("http://delta.example/{tag}/b{batch}/s{i}")),
-                    Term::iri(pred.clone()),
-                    Term::literal(format!("addr-{batch}-{i}")),
-                )
-            })
-            .collect()
-    };
-    let batch_nt = |tag: &str, batch: usize, size: usize| -> String {
-        (0..size)
-            .map(|i| {
-                format!(
-                    "<http://delta.example/{tag}/b{batch}/s{i}> <{pred}> \"addr-{batch}-{i}\" .\n"
-                )
-            })
-            .collect()
-    };
-
-    // Full rebuilds are seconds each at this scale; cap their
-    // repetitions so the sweep stays bounded.
-    let rebuild_runs = args.runs.clamp(1, 2);
-
-    let mut write_table = Table::new(
-        format!(
-            "Delta write throughput — mutate() vs rebuild-per-batch (LUBM U={}, {} base triples)",
-            args.scale, base_triples
-        ),
-        &["mutate() ms", "rebuild ms", "speedup", "µs/triple (mutate)"],
-    );
-    let mut json_rows = Vec::new();
-    let mut delta_batches = 0usize;
-    let mut rebuild_batches = 0usize;
-    let mut delta_expected = base_triples;
-    let mut rebuild_expected = base_triples;
-    let mut compactions_total = 0u64;
-    for batch_size in [10usize, 100, 1000] {
-        let mut last_outcome = None;
-        let m_delta = measure_ms(args.runs, || {
-            let out = delta_engine
-                .mutate()
-                .insert_all(batch_terms("d", delta_batches, batch_size))
-                .run()
-                .expect("mutation batch applies");
-            assert_eq!(out.inserted as usize, batch_size, "all fresh subjects insert");
-            delta_batches += 1;
-            compactions_total += out.compactions;
-            last_outcome = Some(out);
-        });
-        let out = last_outcome.expect("at least one batch ran");
-        delta_expected += (args.runs.max(1) + 1) * batch_size; // runs + warm-up
-
-        let mut rebuilt_triples = 0;
-        let m_rebuild = measure_ms(rebuild_runs, || {
-            let nt = batch_nt("r", rebuild_batches, batch_size);
-            let rebuilt = reload(rebuild_engine.take().expect("engine"), &nt);
-            rebuilt_triples = rebuilt.num_triples();
-            rebuild_engine = Some(rebuilt);
-            rebuild_batches += 1;
-        });
-
-        let speedup = m_rebuild.avg_ms / m_delta.avg_ms.max(1e-6);
-        write_table.row(
-            format!("batch of {batch_size}"),
-            vec![
-                fmt_ms(m_delta.avg_ms),
-                fmt_ms(m_rebuild.avg_ms),
-                format!("{speedup:.0}x"),
-                format!("{:.1}", m_delta.avg_ms * 1000.0 / batch_size as f64),
-            ],
-        );
-        json_rows.push(json!({
-            "batch_size": batch_size,
-            "delta_avg_ms": m_delta.avg_ms, "delta_min_ms": m_delta.min_ms,
-            "rebuild_avg_ms": m_rebuild.avg_ms, "rebuild_min_ms": m_rebuild.min_ms,
-            "rebuild_runs": rebuild_runs,
-            "speedup": speedup,
-            "delta_resident_pairs_after": out.delta_resident_pairs,
-            "delta_bytes_after": out.delta_bytes,
-        }));
-        rebuild_expected += (rebuild_runs + 1) * batch_size; // runs + warm-up
-        assert_eq!(
-            rebuilt_triples, rebuild_expected,
-            "rebuild engine sees every staged triple"
-        );
-    }
-    assert_eq!(
-        delta_engine.num_triples(),
-        delta_expected,
-        "merged view sees every mutated triple"
-    );
-
-    // Read-side overhead: the same predicate scan with the delta
-    // resident, then after folding it into a fresh store build.
-    let scan = format!("SELECT ?s ?o WHERE {{ ?s <{pred}> ?o }}");
-    let mut resident_count = 0;
-    let m_resident = measure_ms(args.runs, || {
-        resident_count = delta_engine
-            .request(&scan)
-            .count_only()
-            .run()
-            .expect("scan runs")
-            .count;
-    });
-    let delta_engine = reload(delta_engine, "");
-    let mut folded_count = 0;
-    let m_folded = measure_ms(args.runs, || {
-        folded_count = delta_engine
-            .request(&scan)
-            .count_only()
-            .run()
-            .expect("scan runs")
-            .count;
-    });
-    assert_eq!(resident_count, folded_count, "folding must not change answers");
-
-    let mut read_table = Table::new(
-        format!("Predicate-scan cost with delta resident vs folded ({resident_count} results)"),
-        &["scan ms"],
-    );
-    read_table.row("delta resident", vec![fmt_ms(m_resident.avg_ms)]);
-    read_table.row("folded (compacted)", vec![fmt_ms(m_folded.avg_ms)]);
-
-    (
-        vec![write_table, read_table],
-        json!({
-            "experiment": "delta", "dataset": "lubm",
-            "scale_universities": args.scale, "base_triples": base_triples,
-            "runs": args.runs, "threads": args.threads,
-            "hardware_available_parallelism":
-                std::thread::available_parallelism().map_or(1, |n| n.get()),
-            "rows": json_rows,
-            "compactions_total": compactions_total,
-            "read_overhead": {
-                "scan_results": resident_count,
-                "resident_avg_ms": m_resident.avg_ms,
-                "folded_avg_ms": m_folded.avg_ms,
-            },
-        }),
-    )
-}
-
-/// `engine` rebuilt with the N-Triples `nt` added: its staging re-opened
-/// (any delta folded in), the batch loaded, the store built again.
-fn reload(engine: Parj, nt: &str) -> Parj {
-    let mut loader = engine.into_loader();
-    loader
-        .load(LoadSource::Text(nt), RdfFormat::NTriples, OnParseError::Abort)
-        .expect("batch parses");
-    loader.finish()
 }

@@ -12,10 +12,6 @@
 //! | `table6` | Table 6 — search counts and memory-work counters, binary vs index |
 //! | `fig2`   | Figure 2 — LUBM execution time vs thread count |
 //! | `fig3`   | Figure 3 — execution time vs dataset size |
-//! | `delta` | write throughput: `mutate()` delta batches vs rebuild-per-batch (not a paper artifact) |
-//! | `metrics_overhead` | observability-registry recording cost, on vs off (not a paper artifact) |
-//! | `serve` | closed-loop HTTP serving: qps/p50/p99 vs client count + overload (not a paper artifact) |
-//! | `locks` | ordered-lock wrapper overhead guardrail + per-level lock-wait profile (not a paper artifact) |
 //! | `run_all`| everything above, with outputs under `results/` |
 //!
 //! Every binary accepts `--scale N` (dataset size), `--runs N`
@@ -29,15 +25,13 @@
 
 pub mod ablation;
 pub mod experiments;
-pub mod locks;
 pub mod report;
-pub mod serve;
 pub mod setup;
 pub mod timing;
 
 pub use report::{write_outputs, Table};
 pub use setup::{encode_bgp, lubm_engine, watdiv_engine, Args};
-pub use timing::{avg, geomean, measure_ms, Measurement};
+pub use timing::{avg, geomean, measure_ms};
 
 /// Per-experiment default dataset scale, balancing fidelity against a
 /// few-minute total runtime for `run_all` (override with `--scale`).
@@ -49,19 +43,6 @@ pub fn default_scale(experiment: &str) -> usize {
         "fig2" => 10,
         "fig3" => 16, // ladder 2, 4, 8, 16
         "ablation" => 4,
-        // Write batches against a >1 M-triple base (66 universities ≈
-        // 1.0 M triples); rebuild-per-batch dominates the runtime, so
-        // the sweep caps its repetitions.
-        "delta" => 66,
-        "metrics_overhead" => 6,
-        "cache_effect" => 6,
-        // HTTP closed-loop serving sweep: a small store keeps the
-        // per-request work bounded while clients stack up.
-        "serve" => 4,
-        // Lock-overhead guardrail: the microbench dominates; the
-        // closed-loop phase only needs enough data to exercise the
-        // pool locks.
-        "locks" => 4,
         // WatDiv scales are ~2.5 k-triple units.
         "table3" => 40,
         "table4" => 20,

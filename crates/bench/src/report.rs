@@ -29,12 +29,6 @@ impl Table {
         self.rows.push((label.into(), cells));
     }
 
-    /// Appends a visual separator row.
-    pub fn separator(&mut self) {
-        self.rows
-            .push(("—".into(), vec![String::new(); self.columns.len()]));
-    }
-
     /// Renders GitHub-flavoured Markdown.
     pub fn markdown(&self) -> String {
         use std::fmt::Write;

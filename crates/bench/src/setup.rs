@@ -3,7 +3,7 @@
 
 use std::path::PathBuf;
 
-use parj_core::{EngineConfig, Parj, ProbeStrategy};
+use parj_core::{EngineConfig, Parj};
 use parj_datagen::{lubm, watdiv};
 use parj_join::Atom;
 use parj_optimizer::Pattern;
@@ -58,7 +58,6 @@ impl Args {
         EngineConfig {
             threads: self.threads,
             calibrate: self.calibrate,
-            strategy: ProbeStrategy::AdaptiveBinary,
             ..EngineConfig::default()
         }
     }

@@ -1,46 +1,21 @@
-//! Timing utilities: repeated measurement with average and best, plus
+//! Timing utilities: repeated measurement with an average, plus
 //! the aggregate statistics the paper reports (average and geometric
 //! mean per workload group).
 
 use std::time::Instant;
 
-/// One measured quantity over `runs` repetitions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Measurement {
-    /// Average wall-clock milliseconds (the paper's reported metric:
-    /// "Each query was executed 10 times and the average execution time
-    /// is shown").
-    pub avg_ms: f64,
-    /// Fastest repetition.
-    pub min_ms: f64,
-    /// Slowest repetition.
-    pub max_ms: f64,
-    /// Repetitions measured.
-    pub runs: usize,
-}
-
-/// Runs `f` `runs` times (after one untimed warm-up) and reports
-/// wall-clock statistics.
-pub fn measure_ms<F: FnMut()>(runs: usize, mut f: F) -> Measurement {
+/// Runs `f` `runs` times (after one untimed warm-up) and returns the
+/// average wall-clock milliseconds (the paper's reported metric: "Each
+/// query was executed 10 times and the average execution time is
+/// shown").
+pub fn measure_ms<F: FnMut()>(runs: usize, mut f: F) -> f64 {
     let runs = runs.max(1);
     f(); // warm-up: dictionary/page caches, branch predictors
-    let mut total = 0.0f64;
-    let mut min = f64::INFINITY;
-    let mut max = 0.0f64;
+    let t = Instant::now();
     for _ in 0..runs {
-        let t = Instant::now();
         f();
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        total += ms;
-        min = min.min(ms);
-        max = max.max(ms);
     }
-    Measurement {
-        avg_ms: total / runs as f64,
-        min_ms: min,
-        max_ms: max,
-        runs,
-    }
+    t.elapsed().as_secs_f64() * 1e3 / runs as f64
 }
 
 /// Arithmetic mean.
@@ -69,10 +44,9 @@ mod tests {
     #[test]
     fn measure_counts_runs() {
         let mut calls = 0;
-        let m = measure_ms(5, || calls += 1);
+        let ms = measure_ms(5, || calls += 1);
         assert_eq!(calls, 6); // warm-up + 5
-        assert_eq!(m.runs, 5);
-        assert!(m.min_ms <= m.avg_ms && m.avg_ms <= m.max_ms);
+        assert!(ms >= 0.0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Every concurrent crate in the workspace (`parj-obs`, `parj-dict`,
 //! `parj-store`, `parj-join`, `parj-core`) imports its synchronization
-//! primitives from here instead of `std::sync` / `std::thread` /
-//! `parking_lot` directly. In a normal build the shim is a zero-cost
-//! re-export of those types. Under `RUSTFLAGS="--cfg loom"` the same
+//! primitives from here instead of `std::sync` / `std::thread`
+//! directly. In a normal build the shim re-exports `std` and its own
+//! non-poisoning lock wrappers. Under `RUSTFLAGS="--cfg loom"` the same
 //! names resolve to the `loom` model checker's instrumented types, so
 //! the `loom_*` concurrency models exercise the *production* atomics
 //! and locks, not copies of them.
@@ -14,7 +14,7 @@
 //!
 //! API notes:
 //!
-//! * [`Mutex`] / [`RwLock`] use the non-poisoning `parking_lot`
+//! * [`Mutex`] / [`RwLock`] use `parking_lot`'s non-poisoning
 //!   interface (`lock()` returns the guard directly). Poisoning-based
 //!   recovery is not something the engine uses — worker panics are
 //!   caught per worker and surfaced as errors instead.
@@ -27,8 +27,11 @@
 #![warn(missing_docs)]
 
 #[cfg(not(loom))]
+mod nonpoison;
+
+#[cfg(not(loom))]
 mod imp {
-    pub use parking_lot::{
+    pub use crate::nonpoison::{
         Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
     };
     pub use std::sync::Arc;

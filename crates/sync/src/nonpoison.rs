@@ -1,14 +1,11 @@
-//! Offline vendored subset of `parking_lot`.
+//! Non-poisoning locks over `std::sync` — the normal-build backend.
 //!
-//! The build environment has no network access, so this crate provides
-//! the two primitives the workspace uses — [`RwLock`] and [`Mutex`] —
-//! as thin non-poisoning wrappers over `std::sync`. Like upstream
-//! `parking_lot` (and unlike raw `std`), lock acquisition never returns
-//! a poison error: a panic while holding a guard leaves the data
-//! accessible to later callers. That matters here because the engine
-//! catches worker panics and keeps serving queries afterwards.
-
-#![forbid(unsafe_code)]
+//! [`RwLock`], [`Mutex`] and [`Condvar`] are thin wrappers with
+//! `parking_lot`'s interface: unlike raw `std`, lock acquisition never
+//! returns a poison error, so a panic while holding a guard leaves the
+//! data accessible to later callers. That matters here because the
+//! engine catches worker panics and keeps serving queries afterwards.
+//! Under `--cfg loom` the vendored loom types replace this module.
 
 use std::sync::{self, TryLockError};
 

@@ -759,4 +759,26 @@ mod tests {
         assert_eq!(rw.into_inner(), 6);
         assert_eq!(LockLevel::Engine.to_string(), "engine/70");
     }
+
+    #[test]
+    fn uncontended_acquisitions_record_no_wait() {
+        // No other test in this binary takes `ExecOutput`, so its total
+        // moves only if one of these single-thread acquisitions leaves
+        // the try-lock fast path. 30 000 slow-path timings would add up
+        // to well over a microsecond; Miri runs a short loop.
+        const N: u64 = if cfg!(miri) { 100 } else { 10_000 };
+        let level = LockLevel::ExecOutput;
+        let m = OrderedMutex::new(level, "test.uncontended_mutex", 0u64);
+        let rw = OrderedRwLock::new(level, "test.uncontended_rw", 0u64);
+        for i in 1..=N {
+            *m.lock() += 1;
+            *rw.write() += 1;
+            assert_eq!(*rw.read(), i);
+        }
+        assert_eq!(m.into_inner(), N);
+        let wait = lock_wait_totals()
+            .into_iter()
+            .find(|&(name, _)| name == level.as_str());
+        assert_eq!(wait, Some(("exec_output", 0)), "uncontended locks recorded wait");
+    }
 }

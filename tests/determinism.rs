@@ -73,6 +73,13 @@ fn assert_all_combos_match(
 #[test]
 fn lubm_rows_identical_across_threads_and_morsels() {
     let mut pooled = Parj::from_store(lubm_store(), config());
+    // Metrics recording observes and must never steer: an engine with
+    // it off answers every combination with the recording baseline.
+    let unrecorded_config = EngineConfig {
+        record_metrics: false,
+        ..config()
+    };
+    let mut unrecorded = Parj::from_store(lubm_store(), unrecorded_config);
     for q in lubm::queries() {
         let baseline = pooled
             .request(&q.sparql)
@@ -81,6 +88,8 @@ fn lubm_rows_identical_across_threads_and_morsels() {
             .expect("baseline runs")
             .id_rows();
         assert_all_combos_match(&mut pooled, &q.sparql, &q.name, &baseline);
+        let name = format!("{} (metrics off)", q.name);
+        assert_all_combos_match(&mut unrecorded, &q.sparql, &name, &baseline);
     }
     // Without this the whole ladder could run inline and every
     // comparison above would pass vacuously.
