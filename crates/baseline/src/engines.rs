@@ -175,7 +175,10 @@ fn hash_join_n(left: &Relation, right: &Relation, threads: usize) -> Relation {
     };
     let mut table: HashMap<Vec<Id>, Vec<usize>> = HashMap::new();
     for bi in 0..build.len() {
-        table.entry(key_of(build.row(bi), bcols)).or_default().push(bi);
+        table
+            .entry(key_of(build.row(bi), bcols))
+            .or_default()
+            .push(bi);
     }
     // Emits the output row for a (left-index, right-index) match.
     let emit = |li: usize, ri: usize, data: &mut Vec<Id>| {
@@ -209,7 +212,10 @@ fn hash_join_n(left: &Relation, right: &Relation, threads: usize) -> Relation {
                     scope.spawn(move || probe_chunk(lo..hi))
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("probe worker")).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("probe worker"))
+                .collect()
         });
         for part in parts {
             out.data.extend_from_slice(&part);

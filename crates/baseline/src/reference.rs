@@ -15,11 +15,7 @@ use parj_store::TripleStore;
 /// Evaluates `patterns` by exhaustive search. Returns one row per
 /// solution mapping (SPARQL multiset semantics, all `num_vars` variables
 /// per row; variables never bound stay 0 — callers project as needed).
-pub fn reference_eval(
-    store: &TripleStore,
-    patterns: &[Pattern],
-    num_vars: usize,
-) -> Vec<Vec<Id>> {
+pub fn reference_eval(store: &TripleStore, patterns: &[Pattern], num_vars: usize) -> Vec<Vec<Id>> {
     let triples: Vec<EncodedTriple> = store.iter_triples().collect();
     let mut results = Vec::new();
     let mut bindings: Vec<Option<Id>> = vec![None; num_vars];

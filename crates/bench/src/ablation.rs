@@ -57,7 +57,10 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
             })
             .collect();
         let mut t = Table::new(
-            format!("Ablation A1 — adaptive window sweep (LUBM U={}, AdBinary, 1 thread)", args.scale),
+            format!(
+                "Ablation A1 — adaptive window sweep (LUBM U={}, AdBinary, 1 thread)",
+                args.scale
+            ),
             &["workload ms", "#sequential", "#binary"],
         );
         let mut rows = Vec::new();
@@ -102,7 +105,10 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
     // ---- A2: ID-to-Position interval sweep ----------------------------
     {
         let mut t = Table::new(
-            format!("Ablation A2 — ID-to-Position interval (LUBM U={}, AlwaysIndex, 1 thread)", args.scale),
+            format!(
+                "Ablation A2 — ID-to-Position interval (LUBM U={}, AlwaysIndex, 1 thread)",
+                args.scale
+            ),
             &["workload ms", "index MiB"],
         );
         let mut rows = Vec::new();
@@ -200,14 +206,12 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
             let total: u64 = loads.iter().sum();
             let max_morsel = loads.iter().copied().max().unwrap_or(1);
             let bound = total as f64
-                / (total as f64 / args.threads as f64).max(max_morsel as f64).max(1.0);
+                / (total as f64 / args.threads as f64)
+                    .max(max_morsel as f64)
+                    .max(1.0);
             t.row(
                 format!("{morsel_size} keys/morsel"),
-                vec![
-                    fmt_ms(ms),
-                    format!("{bound:.2}x"),
-                    loads.len().to_string(),
-                ],
+                vec![fmt_ms(ms), format!("{bound:.2}x"), loads.len().to_string()],
             );
             rows.push(json!({"morsel_size": morsel_size, "ms": ms, "bound": bound}));
         }
@@ -218,7 +222,10 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
     // ---- A4: histogram resolution --------------------------------------
     {
         let mut t = Table::new(
-            format!("Ablation A4 — histogram buckets (LUBM U={}, full workload, 1 thread)", args.scale),
+            format!(
+                "Ablation A4 — histogram buckets (LUBM U={}, full workload, 1 thread)",
+                args.scale
+            ),
             &["workload ms"],
         );
         let mut rows = Vec::new();

@@ -47,10 +47,7 @@ fn baseline_ms<E: BaselineEngine>(
 }
 
 fn push_aggregates(table: &mut Table, columns: &[Vec<f64>]) {
-    table.row(
-        "**Avg**",
-        columns.iter().map(|c| fmt_ms(avg(c))).collect(),
-    );
+    table.row("**Avg**", columns.iter().map(|c| fmt_ms(avg(c))).collect());
     table.row(
         "**Geomean**",
         columns.iter().map(|c| fmt_ms(geomean(c))).collect(),
@@ -95,7 +92,11 @@ fn engine_comparison(
         );
         for (m, label) in [(&merge, "merge"), (&hash1, "hash")] {
             if let Some((_, n)) = m {
-                assert_eq!(*n, n_parj, "{}: {label} baseline disagrees on count", q.name);
+                assert_eq!(
+                    *n, n_parj,
+                    "{}: {label} baseline disagrees on count",
+                    q.name
+                );
             }
         }
         let cells = [
@@ -179,10 +180,7 @@ pub fn table2(args: &Args) -> (Vec<Table>, serde_json::Value) {
                 .run()
                 .expect("benchmark query must run");
         });
-        full.row(
-            &q.name,
-            vec![fmt_ms(t_silent), fmt_ms(ms), n.to_string()],
-        );
+        full.row(&q.name, vec![fmt_ms(t_silent), fmt_ms(ms), n.to_string()]);
         full_rows.push(json!({
             "query": q.name, "silent_ms": t_silent, "full_ms": ms, "results": n
         }));
@@ -507,7 +505,11 @@ pub fn fig2(args: &Args) -> (Vec<Table>, serde_json::Value) {
                 total_all += total as f64;
                 makespan += (total as f64 / t as f64).max(max_morsel as f64);
             }
-            let bound = if makespan > 0.0 { total_all / makespan } else { 1.0 };
+            let bound = if makespan > 0.0 {
+                total_all / makespan
+            } else {
+                1.0
+            };
             bounds.push(bound);
             bound_cells.push(format!("{bound:.2}x"));
         }

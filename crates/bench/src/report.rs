@@ -38,7 +38,11 @@ impl Table {
         writeln!(
             out,
             "|---|{}|",
-            self.columns.iter().map(|_| "---:").collect::<Vec<_>>().join("|")
+            self.columns
+                .iter()
+                .map(|_| "---:")
+                .collect::<Vec<_>>()
+                .join("|")
         )
         .expect("write");
         for (label, cells) in &self.rows {
@@ -78,8 +82,12 @@ pub fn write_outputs(out_dir: &Path, name: &str, tables: &[Table], json: serde_j
     let mut f = std::fs::File::create(out_dir.join(format!("{name}.md"))).expect("create md");
     f.write_all(md.as_bytes()).expect("write md");
     let mut f = std::fs::File::create(out_dir.join(format!("{name}.json"))).expect("create json");
-    f.write_all(serde_json::to_string_pretty(&json).expect("serialize").as_bytes())
-        .expect("write json");
+    f.write_all(
+        serde_json::to_string_pretty(&json)
+            .expect("serialize")
+            .as_bytes(),
+    )
+    .expect("write json");
 }
 
 #[cfg(test)]

@@ -72,7 +72,11 @@ struct Shard<V> {
 
 impl<V> Shard<V> {
     fn new() -> Self {
-        Shard { map: HashMap::new(), bytes: 0, clock: 0 }
+        Shard {
+            map: HashMap::new(),
+            bytes: 0,
+            clock: 0,
+        }
     }
 
     /// Evicts least-recently-used entries until `need` extra bytes fit
@@ -156,9 +160,7 @@ impl<V: Clone> ShardedLru<V> {
                 e.tick = tick;
                 return Some(e.value.clone());
             }
-            Some(e) if e.generation > generation || e.epoch_sum > epoch_sum => {
-                return None
-            }
+            Some(e) if e.generation > generation || e.epoch_sum > epoch_sum => return None,
             Some(_) => {}
         }
         // Present but stamped older on some axis: remove it so the
@@ -195,9 +197,16 @@ impl<V: Clone> ShardedLru<V> {
         shard.clock += 1;
         let tick = shard.clock;
         shard.bytes += cost;
-        shard
-            .map
-            .insert(key, Entry { value, generation, epoch_sum, cost, tick });
+        shard.map.insert(
+            key,
+            Entry {
+                value,
+                generation,
+                epoch_sum,
+                cost,
+                tick,
+            },
+        );
         evicted
     }
 
@@ -422,11 +431,17 @@ mod tests {
     #[test]
     fn query_cache_bundle_wires_both_tiers() {
         let qc = QueryCache::new(1 << 20);
-        let entry = ResultEntry { value: CachedResult::Count(42), exec_micros: 10 };
+        let entry = ResultEntry {
+            value: CachedResult::Count(42),
+            exec_micros: 10,
+        };
         let cost = entry.cost();
         qc.results().insert(b"f".to_vec(), entry, cost, 0, 0);
         match qc.results().lookup(b"f", 0, 0) {
-            Some(ResultEntry { value: CachedResult::Count(42), .. }) => {}
+            Some(ResultEntry {
+                value: CachedResult::Count(42),
+                ..
+            }) => {}
             other => panic!("unexpected {other:?}"),
         }
         assert!(qc.results().lookup(b"f", 1, 0).is_none());

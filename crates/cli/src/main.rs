@@ -353,7 +353,11 @@ impl Cli {
             RdfFormat::NTriples
         };
         let mut loader = self.engine_config().loader();
-        let report = loader.load(LoadSource::Path(path.as_ref()), format, self.on_parse_error())?;
+        let report = loader.load(
+            LoadSource::Path(path.as_ref()),
+            format,
+            self.on_parse_error(),
+        )?;
         report_skips(&report);
         Ok((loader.finish(), report.loaded))
     }
@@ -373,7 +377,10 @@ fn report_skips(report: &parj_core::LoadReport) {
     if report.skipped == 0 {
         return;
     }
-    eprintln!("warning: skipped {} malformed statement(s):", report.skipped);
+    eprintln!(
+        "warning: skipped {} malformed statement(s):",
+        report.skipped
+    );
     for e in &report.errors {
         eprintln!("  {e}");
     }
@@ -392,7 +399,10 @@ fn run() -> Result<(), Failure> {
             let [_, input] = &cli.positional[..] else {
                 return Err(usage("usage: parj load <data.nt> -o <store.parj>"));
             };
-            let out = cli.output.clone().ok_or_else(|| usage("load needs -o <store.parj>"))?;
+            let out = cli
+                .output
+                .clone()
+                .ok_or_else(|| usage("load needs -o <store.parj>"))?;
             let (e, loaded) = cli.load(input).map_err(fail)?;
             e.save_snapshot(&out).map_err(fail)?;
             eprintln!(
@@ -403,9 +413,13 @@ fn run() -> Result<(), Failure> {
         }
         "query" | "count" | "explain" | "profile" => {
             let [_, store_path, query_arg] = &cli.positional[..] else {
-                return Err(usage(format!("usage: parj {command} <store> <sparql | @file>")));
+                return Err(usage(format!(
+                    "usage: parj {command} <store> <sparql | @file>"
+                )));
             };
-            let query = cli.query_text(query_arg).map_err(|e| usage(e.to_string()))?;
+            let query = cli
+                .query_text(query_arg)
+                .map_err(|e| usage(e.to_string()))?;
             let engine = cli.open(store_path).map_err(fail)?;
             match command.as_str() {
                 "explain" => {
@@ -495,7 +509,10 @@ fn run() -> Result<(), Failure> {
                 ("values:", parts.values),
                 ("ID-to-Position:", parts.idpos),
             ] {
-                println!("  {label:<16}{n:>12} B  {:.3} B/triple", n as f64 / per_triple);
+                println!(
+                    "  {label:<16}{n:>12} B  {:.3} B/triple",
+                    n as f64 / per_triple
+                );
             }
             let replicas: Vec<_> = store
                 .partitions()
@@ -559,18 +576,23 @@ fn run() -> Result<(), Failure> {
             if report.is_clean() {
                 Ok(())
             } else {
-                Err((exit_codes::CORRUPT, format!(
-                    "{} invariant violation(s)",
-                    report.violations.len()
-                )))
+                Err((
+                    exit_codes::CORRUPT,
+                    format!("{} invariant violation(s)", report.violations.len()),
+                ))
             }
         }
         "generate" => {
             let [_, which, scale] = &cli.positional[..] else {
-                return Err(usage("usage: parj generate <lubm|watdiv> <scale> -o <out.nt>"));
+                return Err(usage(
+                    "usage: parj generate <lubm|watdiv> <scale> -o <out.nt>",
+                ));
             };
             let scale: usize = scale.parse().map_err(|_| usage("scale must be a number"))?;
-            let out = cli.output.clone().ok_or_else(|| usage("generate needs -o <out.nt>"))?;
+            let out = cli
+                .output
+                .clone()
+                .ok_or_else(|| usage("generate needs -o <out.nt>"))?;
             let file = std::fs::File::create(&out).map_err(|e| usage(e.to_string()))?;
             let mut w = std::io::BufWriter::new(file);
             use std::io::Write;
@@ -600,11 +622,16 @@ fn run() -> Result<(), Failure> {
         }
         "serve" => {
             let [_, store_path] = &cli.positional[..] else {
-                return Err(usage("usage: parj serve <store> [--addr HOST:PORT] [flags]"));
+                return Err(usage(
+                    "usage: parj serve <store> [--addr HOST:PORT] [flags]",
+                ));
             };
             let shared = std::sync::Arc::new(cli.open(store_path).map_err(fail)?);
             let mut config = parj_server::ServerConfig {
-                addr: cli.addr.clone().unwrap_or_else(|| "127.0.0.1:7878".to_string()),
+                addr: cli
+                    .addr
+                    .clone()
+                    .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
                 quota: cli.quota,
                 default_query_timeout: cli.timeout,
                 ..parj_server::ServerConfig::default()

@@ -25,10 +25,24 @@ fn generate_load_query_roundtrip() {
         .arg(&nt)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
-    let out = parj().args(["load"]).arg(&nt).arg("-o").arg(&snap).output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = parj()
+        .args(["load"])
+        .arg(&nt)
+        .arg("-o")
+        .arg(&snap)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let out = parj().args(["stats"]).arg(&snap).output().unwrap();
     assert!(out.status.success());
@@ -44,8 +58,17 @@ fn generate_load_query_roundtrip() {
     let total: usize = total[total.find('(').unwrap() + 1..total.find(" B)").unwrap()]
         .parse()
         .unwrap();
-    let parts = ["  keys:", "  group offsets:", "  values:", "  ID-to-Position:"];
-    assert_eq!(parts.iter().map(|p| bytes_after(p)).sum::<usize>(), total, "{text}");
+    let parts = [
+        "  keys:",
+        "  group offsets:",
+        "  values:",
+        "  ID-to-Position:",
+    ];
+    assert_eq!(
+        parts.iter().map(|p| bytes_after(p)).sum::<usize>(),
+        total,
+        "{text}"
+    );
     assert!(text.contains("  one-value replicas: "), "{text}");
     assert!(text.contains(" of 34\n"), "{text}");
     // Replicas with equal keys share one array: LUBM's classes give
@@ -118,7 +141,11 @@ fn turtle_input_and_query_file() {
         .arg(format!("@{}", rq.display()))
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     // Header + 3 rows.
     assert_eq!(text.lines().count(), 4, "{text}");
@@ -175,14 +202,34 @@ fn exit_codes_per_failure_class() {
     let nt = write_small_nt(&dir);
 
     // 2: SPARQL parse error.
-    let out = parj().args(["count"]).arg(&nt).arg("SELECT WHERE {").output().unwrap();
-    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = parj()
+        .args(["count"])
+        .arg(&nt)
+        .arg("SELECT WHERE {")
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // 2: malformed RDF data.
     let bad = dir.join("bad.nt");
     std::fs::write(&bad, "<http://e/unclosed <http://e/p> <http://e/x> .\n").unwrap();
-    let out = parj().args(["count"]).arg(&bad).arg(ALL_PAIRS).output().unwrap();
-    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = parj()
+        .args(["count"])
+        .arg(&bad)
+        .arg(ALL_PAIRS)
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // 3: unsupported query feature (predicate projection).
     let out = parj()
@@ -191,7 +238,12 @@ fn exit_codes_per_failure_class() {
         .arg("SELECT ?p WHERE { ?x ?p ?o }")
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // 4: deadline exceeded (a zero timeout trips before any work).
     let out = parj()
@@ -200,7 +252,12 @@ fn exit_codes_per_failure_class() {
         .arg(ALL_PAIRS)
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(4), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(4),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("deadline"));
 
     // 5: row budget exceeded (3 rows against a budget of 1).
@@ -210,7 +267,12 @@ fn exit_codes_per_failure_class() {
         .arg(ALL_PAIRS)
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(5), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(5),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("budget"));
 
     // 0: the same query passes once the limits are generous.
@@ -220,7 +282,12 @@ fn exit_codes_per_failure_class() {
         .arg(ALL_PAIRS)
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "3");
 
     std::fs::remove_dir_all(&dir).ok();
@@ -241,7 +308,13 @@ fn lossy_load_flags() {
 
     // Strict load refuses the file with a parse-error exit code.
     let snap = dir.join("strict.parj");
-    let out = parj().args(["load"]).arg(&nt).arg("-o").arg(&snap).output().unwrap();
+    let out = parj()
+        .args(["load"])
+        .arg(&nt)
+        .arg("-o")
+        .arg(&snap)
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("line 2"));
 
@@ -254,12 +327,22 @@ fn lossy_load_flags() {
         .arg(&snap)
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let err_text = String::from_utf8_lossy(&out.stderr);
     assert!(err_text.contains("skipped 2 malformed"), "{err_text}");
     assert!(err_text.contains("loaded 2 statements"), "{err_text}");
 
-    let out = parj().args(["count"]).arg(&snap).arg(ALL_PAIRS).output().unwrap();
+    let out = parj()
+        .args(["count"])
+        .arg(&snap)
+        .arg(ALL_PAIRS)
+        .output()
+        .unwrap();
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "2");
 
     // --max-parse-errors bounds the tolerance: 2 bad lines > 1 allowed.
@@ -279,7 +362,12 @@ fn lossy_load_flags() {
         .arg(ALL_PAIRS)
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "2");
 
     std::fs::remove_dir_all(&dir).ok();
@@ -290,12 +378,27 @@ fn audit_passes_clean_store_and_localizes_corruption() {
     let dir = tmpdir("audit");
     let nt = write_small_nt(&dir);
     let snap = dir.join("small.parj");
-    let out = parj().args(["load"]).arg(&nt).arg("-o").arg(&snap).output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = parj()
+        .args(["load"])
+        .arg(&nt)
+        .arg("-o")
+        .arg(&snap)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // A freshly built store audits clean (exit 0).
     let out = parj().args(["audit"]).arg(&snap).output().unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("audit clean"));
 
     // Tamper the last OS value into a huge id: every replica stays
@@ -308,7 +411,12 @@ fn audit_passes_clean_store_and_localizes_corruption() {
     std::fs::write(&bad, &bytes).unwrap();
 
     let out = parj().args(["audit"]).arg(&bad).output().unwrap();
-    assert_eq!(out.status.code(), Some(6), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(6),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("audit FAILED"), "{text}");
     assert!(text.contains("ids.value_range"), "{text}");
@@ -330,13 +438,19 @@ fn bad_usage_fails_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 
-    let out = parj().args(["query", "/nonexistent.nt", "SELECT * WHERE { ?s ?p ?o }"]).output().unwrap();
+    let out = parj()
+        .args(["query", "/nonexistent.nt", "SELECT * WHERE { ?s ?p ?o }"])
+        .output()
+        .unwrap();
     assert!(!out.status.success());
 
     // The retired pool opt-out is a flag like any other unknown one.
     // (Spelled in two pieces so a grep for the old flag stays empty.)
     let retired = concat!("--no", "-pool");
-    let out = parj().args(["count", "/nonexistent.nt", "ASK { ?s ?p ?o }", retired]).output().unwrap();
+    let out = parj()
+        .args(["count", "/nonexistent.nt", "ASK { ?s ?p ?o }", retired])
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
 
@@ -357,7 +471,11 @@ fn text_inputs_load_into_the_configured_engine() {
         .args(["--prometheus", "--load-threads", "2"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         text.lines()

@@ -46,7 +46,11 @@ impl Parj {
     }
 
     fn loader(&self) -> Loader {
-        Loader::new(self.config, self.snapshot().fold(), Arc::clone(&self.metrics))
+        Loader::new(
+            self.config,
+            self.snapshot().fold(),
+            Arc::clone(&self.metrics),
+        )
     }
 
     /// Loads N-Triples text (strict) into a rebuild of this engine,
@@ -55,7 +59,11 @@ impl Parj {
     #[doc(hidden)]
     pub fn load_ntriples_str(&mut self, text: &str) -> Result<usize, ParjError> {
         let mut loader = self.loader();
-        let report = loader.load(LoadSource::Text(text), RdfFormat::NTriples, OnParseError::Abort)?;
+        let report = loader.load(
+            LoadSource::Text(text),
+            RdfFormat::NTriples,
+            OnParseError::Abort,
+        )?;
         // The rebuild keeps this engine's workers: no threads start.
         let pool = self.pool.take();
         *self = loader.finish_on(pool);
@@ -123,7 +131,9 @@ impl Parj {
         if ready.delta.is_clean() {
             ready.store.save_snapshot(path)?;
         } else {
-            let folded = ready.fold().build_with(self.config.effective_store_options());
+            let folded = ready
+                .fold()
+                .build_with(self.config.effective_store_options());
             folded.save_snapshot(path)?;
         }
         Ok(())
@@ -131,10 +141,7 @@ impl Parj {
 
     /// Loads an engine from a snapshot, rebuilding statistics and
     /// thresholds under `config`.
-    pub fn load_snapshot(
-        path: impl AsRef<Path>,
-        config: EngineConfig,
-    ) -> Result<Parj, ParjError> {
+    pub fn load_snapshot(path: impl AsRef<Path>, config: EngineConfig) -> Result<Parj, ParjError> {
         let store = TripleStore::load_snapshot(path)?;
         Ok(Self::from_store(store, config))
     }
@@ -177,9 +184,15 @@ mod tests {
     #[test]
     fn failed_forward_load_keeps_the_published_version() {
         let mut e = engine();
-        assert!(e.load_ntriples_str("<http://e/x> <http://e/p> <http://e/y> .\nbroken\n").is_err());
+        assert!(e
+            .load_ntriples_str("<http://e/x> <http://e/p> <http://e/y> .\nbroken\n")
+            .is_err());
         assert_eq!(e.num_triples(), 8);
-        assert_eq!(e.load_ntriples_str("<http://e/x> <http://e/p> <http://e/y> .").unwrap(), 1);
+        assert_eq!(
+            e.load_ntriples_str("<http://e/x> <http://e/p> <http://e/y> .")
+                .unwrap(),
+            1
+        );
         assert_eq!(e.num_triples(), 9);
     }
 

@@ -154,9 +154,7 @@ impl EngineConfig {
     /// all apply the same policy.
     pub fn effective_store_options(&self) -> StoreOptions {
         StoreOptions {
-            compress_min_values: self
-                .compress_replicas
-                .then_some(self.compress_min_values),
+            compress_min_values: self.compress_replicas.then_some(self.compress_min_values),
             ..self.store
         }
     }
@@ -560,7 +558,11 @@ pub(crate) mod tests {
     pub(crate) fn load(config: EngineConfig, text: &str) -> Parj {
         let mut loader = config.loader();
         loader
-            .load(LoadSource::Text(text), RdfFormat::NTriples, OnParseError::Abort)
+            .load(
+                LoadSource::Text(text),
+                RdfFormat::NTriples,
+                OnParseError::Abort,
+            )
             .unwrap();
         loader.finish()
     }
@@ -569,7 +571,11 @@ pub(crate) mod tests {
     pub(crate) fn reload(e: Parj, text: &str) -> Parj {
         let mut loader = e.into_loader();
         loader
-            .load(LoadSource::Text(text), RdfFormat::NTriples, OnParseError::Abort)
+            .load(
+                LoadSource::Text(text),
+                RdfFormat::NTriples,
+                OnParseError::Abort,
+            )
             .unwrap();
         loader.finish()
     }
@@ -682,7 +688,10 @@ pub(crate) mod tests {
         assert_eq!(shared.num_triples(), 8000);
         assert!(shared.audit().is_clean());
         let waited = t.elapsed();
-        assert!(waited < Duration::from_secs(1), "waited {waited:?} behind a query");
+        assert!(
+            waited < Duration::from_secs(1),
+            "waited {waited:?} behind a query"
+        );
         // A compacting write does not wait for the running query...
         let writer = {
             let shared = Arc::clone(&shared);
@@ -702,14 +711,29 @@ pub(crate) mod tests {
         };
         // ...and a short query issued meanwhile waits for neither.
         let t = Instant::now();
-        assert_eq!(count(&shared, "SELECT ?x WHERE { ?x <http://e/p> <http://e/v0> }"), 8);
+        assert_eq!(
+            count(&shared, "SELECT ?x WHERE { ?x <http://e/p> <http://e/v0> }"),
+            8
+        );
         let waited = t.elapsed();
-        assert!(waited < Duration::from_secs(1), "short query waited {waited:?}");
+        assert!(
+            waited < Duration::from_secs(1),
+            "short query waited {waited:?}"
+        );
         let (compactions, wrote) = writer.join().unwrap();
         assert_eq!(compactions, 1);
-        assert!(wrote < Duration::from_secs(1), "write waited {wrote:?} behind a query");
+        assert!(
+            wrote < Duration::from_secs(1),
+            "write waited {wrote:?} behind a query"
+        );
         // A query started after the write returned sees the batch.
-        assert_eq!(count(&shared, "SELECT ?x WHERE { ?x <http://e/p> <http://e/new> }"), 1);
+        assert_eq!(
+            count(
+                &shared,
+                "SELECT ?x WHERE { ?x <http://e/p> <http://e/new> }"
+            ),
+            1
+        );
         // Saving the version with the write's delta resident waits for
         // no reader either, and captures exactly what queries see.
         assert!(!shared.snapshot().delta.is_clean());
@@ -719,7 +743,10 @@ pub(crate) mod tests {
         let t = Instant::now();
         shared.save_snapshot(&path).unwrap();
         let saved = t.elapsed();
-        assert!(saved < Duration::from_secs(1), "save waited {saved:?} behind a query");
+        assert!(
+            saved < Duration::from_secs(1),
+            "save waited {saved:?} behind a query"
+        );
         let back = Parj::load_snapshot(&path, EngineConfig::default().threads(1)).unwrap();
         assert_eq!(back.num_triples(), shared.num_triples());
         assert_eq!(back.num_triples(), 8001);

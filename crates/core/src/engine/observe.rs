@@ -81,7 +81,11 @@ impl Parj {
         }
         self.metrics.set_delta_resident(
             ready.delta.resident_pairs() as u64,
-            if ready.delta.is_clean() { 0 } else { ready.delta.memory_bytes(&ready.store) as u64 },
+            if ready.delta.is_clean() {
+                0
+            } else {
+                ready.delta.memory_bytes(&ready.store) as u64
+            },
         );
     }
 
@@ -121,7 +125,10 @@ impl Parj {
             }
             let prof = profiles.get(pi).unwrap_or(&fallback);
             for (si, line) in plan.explain().lines().enumerate() {
-                match si.checked_sub(1).and_then(|probe| prof.step_search.get(probe)) {
+                match si
+                    .checked_sub(1)
+                    .and_then(|probe| prof.step_search.get(probe))
+                {
                     None if si == 0 => {
                         // Driver line.
                         let fed = prof.rows.first().copied().unwrap_or(0);
@@ -238,7 +245,10 @@ mod tests {
             .count_only()
             .run()
             .unwrap();
-        let profile = union.profile.as_deref().expect("explain attaches a profile");
+        let profile = union
+            .profile
+            .as_deref()
+            .expect("explain attaches a profile");
         assert!(profile.contains("union branch plan 0"), "{profile}");
         assert!(profile.contains("union branch plan 1"), "{profile}");
         // The full report stitches the annotated plan and the phase
@@ -284,8 +294,14 @@ mod tests {
             "expected >= 12 metric families, got {}",
             snap.families.len()
         );
-        assert_eq!(snap.value("parj_queries_total", &[("outcome", "ok")]), Some(1));
-        assert_eq!(snap.value("parj_queries_total", &[("outcome", "budget")]), Some(1));
+        assert_eq!(
+            snap.value("parj_queries_total", &[("outcome", "ok")]),
+            Some(1)
+        );
+        assert_eq!(
+            snap.value("parj_queries_total", &[("outcome", "budget")]),
+            Some(1)
+        );
         assert_eq!(snap.value("parj_queries_inflight", &[]), Some(0));
         assert_eq!(snap.value("parj_store_triples", &[]), Some(8));
         assert_eq!(
@@ -295,7 +311,10 @@ mod tests {
         assert!(snap.value("parj_result_rows_total", &[]).unwrap() >= 4);
         // Per-predicate memory gauges carry decoded labels.
         assert!(snap
-            .value("parj_store_replica_bytes", &[("predicate", "<http://e/teaches>")])
+            .value(
+                "parj_store_replica_bytes",
+                &[("predicate", "<http://e/teaches>")]
+            )
             .is_some_and(|v| v > 0));
         // Exposition renders both formats.
         let prom = snap.to_prometheus();
@@ -311,7 +330,10 @@ mod tests {
         let (count, _) = run_count(&e, "SELECT ?x WHERE { ?x <http://e/teaches> ?z }").unwrap();
         assert_eq!(count, 4);
         let snap = e.metrics_snapshot();
-        assert_eq!(snap.value("parj_queries_total", &[("outcome", "ok")]), Some(0));
+        assert_eq!(
+            snap.value("parj_queries_total", &[("outcome", "ok")]),
+            Some(0)
+        );
         assert_eq!(snap.value("parj_store_triples", &[]), Some(0));
         assert_eq!(
             snap.value("parj_load_statements_total", &[("result", "loaded")]),

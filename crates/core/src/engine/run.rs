@@ -96,7 +96,9 @@ impl Parj {
                     consume(idx, sinks);
                 }
                 Err(failure) => {
-                    return Err(Self::failure_to_error(*failure, phases, started, search, plans));
+                    return Err(Self::failure_to_error(
+                        *failure, phases, started, search, plans,
+                    ));
                 }
             }
         }
@@ -195,7 +197,10 @@ impl Parj {
             .collect();
         preds.sort_unstable();
         preds.dedup();
-        preds.iter().map(|&p| ready.epochs.get(p as usize).copied().unwrap_or(0)).sum()
+        preds
+            .iter()
+            .map(|&p| ready.epochs.get(p as usize).copied().unwrap_or(0))
+            .sum()
     }
 
     /// The execution path behind [`Parj::request`]: runs on the version
@@ -280,9 +285,7 @@ impl Parj {
         let opts = Self::exec_options(
             &self.config,
             over,
-            recorder
-                .clone()
-                .map(|r| r as Arc<dyn parj_join::Recorder>),
+            recorder.clone().map(|r| r as Arc<dyn parj_join::Recorder>),
         )?;
         // Cache participation for this run. Deadline- and
         // cancellation-guarded runs DO participate: a guard that trips
@@ -313,7 +316,10 @@ impl Parj {
         let mut phases = PhaseTimings::default();
         let tq = match Self::prepare(ready, query, use_cache, &mut phases)? {
             Translation::Run(tq) => tq,
-            Translation::Empty { proj_names, limit: _ } => {
+            Translation::Empty {
+                proj_names,
+                limit: _,
+            } => {
                 // Trivially empty (a constant is absent from the data):
                 // nothing to cache and nothing to run.
                 let stats = QueryRunStats {
@@ -328,9 +334,7 @@ impl Parj {
                     vars: proj_names,
                     count: 0,
                     stats,
-                    profile: spec
-                        .explain
-                        .then(|| EMPTY_PLAN.to_string()),
+                    profile: spec.explain.then(|| EMPTY_PLAN.to_string()),
                     answer: Self::answer(ready, spec.count_only, &empty).1,
                 });
             }
@@ -358,7 +362,10 @@ impl Parj {
             epoch_sum = Self::epoch_stamp(ready, &tq);
             let fp = query_fingerprint(&tq);
             let result_key = Self::result_key(&fp, silent, tq.limit, tq.offset);
-            let hit = self.cache.results().lookup(&result_key, generation, epoch_sum);
+            let hit = self
+                .cache
+                .results()
+                .lookup(&result_key, generation, epoch_sum);
             if let Some(m) = metrics {
                 m.record_cache_lookup(CacheKind::Result, hit.is_some());
             }
@@ -367,7 +374,13 @@ impl Parj {
                 if let Some(m) = metrics {
                     m.record_cache_time_saved(QueryPhase::Execute, entry.exec_micros);
                 }
-                return Ok(Self::serve_cached(ready, spec.count_only, &tq, entry, phases));
+                return Ok(Self::serve_cached(
+                    ready,
+                    spec.count_only,
+                    &tq,
+                    entry,
+                    phases,
+                ));
             }
             let plan_hit = self.cache.plans().lookup(&fp, generation, epoch_sum);
             if let Some(m) = metrics {
@@ -400,7 +413,9 @@ impl Parj {
                     };
                     let cost = entry.cost();
                     let evicted =
-                        self.cache.plans().insert(fp.clone(), entry, cost, generation, epoch_sum);
+                        self.cache
+                            .plans()
+                            .insert(fp.clone(), entry, cost, generation, epoch_sum);
                     if let Some(m) = metrics {
                         m.record_cache_evictions(CacheKind::Plan, evicted);
                         m.set_cache_resident(CacheKind::Plan, self.cache.plans().resident_bytes());
@@ -416,10 +431,16 @@ impl Parj {
         // the answer is read.
         let (value, search, exec_micros, decode_micros) = if silent {
             let mut count = 0u64;
-            let (search, exec_micros) =
-                self.run_plans(ready, &plans, &opts, phases, CountSink::default, |_, sinks| {
+            let (search, exec_micros) = self.run_plans(
+                ready,
+                &plans,
+                &opts,
+                phases,
+                CountSink::default,
+                |_, sinks| {
                     count += sinks.iter().map(|s| s.count).sum::<u64>();
-                })?;
+                },
+            )?;
             // OFFSET/LIMIT arithmetic (ordering does not change a count;
             // this mirrors the materializing path's `drop_front` +
             // `truncate`, so both modes report the same count).
@@ -445,8 +466,13 @@ impl Parj {
             let n_branches = tq.set_branch.iter().copied().max().map_or(1, |m| m + 1);
             let mut branch_rows: Vec<RowBatch> =
                 (0..n_branches).map(|_| RowBatch::new(arity)).collect();
-            let (search, exec_micros) =
-                self.run_plans(ready, &plans, &opts, phases, CollectSink::default, |idx, sinks| {
+            let (search, exec_micros) = self.run_plans(
+                ready,
+                &plans,
+                &opts,
+                phases,
+                CollectSink::default,
+                |idx, sinks| {
                     let rows = &mut branch_rows[tq.set_branch.get(idx).copied().unwrap_or(0)];
                     for sink in &sinks {
                         if arity == 0 {
@@ -459,7 +485,8 @@ impl Parj {
                             rows.extend_flat(&sink.data);
                         }
                     }
-                })?;
+                },
+            )?;
             let t = Instant::now();
             let batch = Self::shape_rows(ready, &tq, branch_rows)?;
             // Shared with the cache entry and the outcome, never copied.
@@ -473,7 +500,10 @@ impl Parj {
             };
             let cost = entry.cost();
             let key = Self::result_key(fp, silent, tq.limit, tq.offset);
-            let evicted = self.cache.results().insert(key, entry, cost, generation, epoch_sum);
+            let evicted = self
+                .cache
+                .results()
+                .insert(key, entry, cost, generation, epoch_sum);
             if let Some(m) = metrics {
                 m.record_cache_evictions(CacheKind::Result, evicted);
                 m.set_cache_resident(CacheKind::Result, self.cache.results().resident_bytes());
@@ -509,12 +539,7 @@ impl Parj {
     /// entry family (silent count vs materialized id rows) and the
     /// `LIMIT`/`OFFSET` window, which the fingerprint deliberately
     /// excludes (so the *plan* cache can share entries across windows).
-    fn result_key(
-        fp: &[u8],
-        silent: bool,
-        limit: Option<usize>,
-        offset: Option<usize>,
-    ) -> Vec<u8> {
+    fn result_key(fp: &[u8], silent: bool, limit: Option<usize>, offset: Option<usize>) -> Vec<u8> {
         let mut key = Vec::with_capacity(fp.len() + 19);
         key.extend_from_slice(fp);
         key.push(u8::from(silent));
@@ -561,11 +586,7 @@ impl Parj {
     /// The caller-facing shape of an answer: the count, plus — unless
     /// the request was count-only — the id rows by reference together
     /// with the version they decode against.
-    fn answer(
-        ready: &Arc<Ready>,
-        count_only: bool,
-        value: &CachedResult,
-    ) -> (u64, Option<Answer>) {
+    fn answer(ready: &Arc<Ready>, count_only: bool, value: &CachedResult) -> (u64, Option<Answer>) {
         match value {
             CachedResult::Count(n) => (*n, None),
             CachedResult::Rows(rows) => (
@@ -635,7 +656,8 @@ impl Parj {
             // views of their dictionary keys (SPARQL operator ordering is
             // out of scope; see ParsedQuery::order_by docs).
             let key_of = |id: Id| {
-                dict.decode_resource_ref(id).expect("every key id pre-validated above")
+                dict.decode_resource_ref(id)
+                    .expect("every key id pre-validated above")
             };
             rows.sort_by(|a, b| {
                 for &(c, desc) in &key_cols {
@@ -775,8 +797,11 @@ mod tests {
     #[test]
     fn missing_constant_empty() {
         let e = engine();
-        let (count, stats) =
-            run_count(&e, "SELECT ?x WHERE { ?x <http://e/teaches> <http://e/Nope> }").unwrap();
+        let (count, stats) = run_count(
+            &e,
+            "SELECT ?x WHERE { ?x <http://e/teaches> <http://e/Nope> }",
+        )
+        .unwrap();
         assert_eq!(count, 0);
         assert!(stats.plan.contains("empty"));
         let res = run_query(&e, "SELECT ?x WHERE { ?x <http://e/nopred> ?y }").unwrap();
@@ -804,11 +829,17 @@ mod tests {
     #[test]
     fn ask_query() {
         let e = engine();
-        let (yes, _) =
-            run_count(&e, "ASK { <http://e/ProfA> <http://e/worksFor> <http://e/U1> }").unwrap();
+        let (yes, _) = run_count(
+            &e,
+            "ASK { <http://e/ProfA> <http://e/worksFor> <http://e/U1> }",
+        )
+        .unwrap();
         assert_eq!(yes, 1);
-        let (no, _) =
-            run_count(&e, "ASK { <http://e/ProfA> <http://e/worksFor> <http://e/U2> }").unwrap();
+        let (no, _) = run_count(
+            &e,
+            "ASK { <http://e/ProfA> <http://e/worksFor> <http://e/U2> }",
+        )
+        .unwrap();
         assert_eq!(no, 0);
     }
 
@@ -827,8 +858,7 @@ mod tests {
         let (count, _) =
             run_count(&e, r#"SELECT ?x WHERE { ?x <http://e/name> "Alice" }"#).unwrap();
         assert_eq!(count, 1);
-        let (count, _) =
-            run_count(&e, r#"SELECT ?x WHERE { ?x <http://e/name> "Bob" }"#).unwrap();
+        let (count, _) = run_count(&e, r#"SELECT ?x WHERE { ?x <http://e/name> "Bob" }"#).unwrap();
         assert_eq!(count, 0);
     }
 
@@ -864,11 +894,24 @@ mod tests {
             ..RunOverrides::default()
         };
         let rejected = [
-            ("thread", e.request(q).threads(0).count_only().run().map(|o| o.count)),
+            (
+                "thread",
+                e.request(q).threads(0).count_only().run().map(|o| o.count),
+            ),
             ("morsel", e.request(q).morsel_size(0).run().map(|o| o.count)),
-            ("thread", e.request(absent).threads(0).run().map(|o| o.count)),
-            ("morsel", e.morsel_loads(q, &zero_morsels).map(|l| l.len() as u64)),
-            ("thread", e.morsel_loads(absent, &RunOverrides::threads(0)).map(|l| l.len() as u64)),
+            (
+                "thread",
+                e.request(absent).threads(0).run().map(|o| o.count),
+            ),
+            (
+                "morsel",
+                e.morsel_loads(q, &zero_morsels).map(|l| l.len() as u64),
+            ),
+            (
+                "thread",
+                e.morsel_loads(absent, &RunOverrides::threads(0))
+                    .map(|l| l.len() as u64),
+            ),
         ];
         for (what, got) in rejected {
             match got {
@@ -914,9 +957,9 @@ mod tests {
         // Without reasoning only the direct assertion matches.
         let plain = reasoning_engine(false);
         assert_eq!(run_count(&plain, q).unwrap().0, 1); // carol
-        // With reasoning: alice (GradStudent ⊑ Student ⊑ Person), bob
-        // (Prof ⊑ Person), carol — and alice only ONCE although she is
-        // typed under two subclasses (entailment dedup).
+                                                        // With reasoning: alice (GradStudent ⊑ Student ⊑ Person), bob
+                                                        // (Prof ⊑ Person), carol — and alice only ONCE although she is
+                                                        // typed under two subclasses (entailment dedup).
         let smart = reasoning_engine(true);
         assert_eq!(run_count(&smart, q).unwrap().0, 3);
         let res = run_query(&smart, q).unwrap();
@@ -989,7 +1032,13 @@ mod tests {
         for threads in [1, 4] {
             let q = "SELECT ?x WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Person> }";
             assert_eq!(
-                smart.request(q).threads(threads).count_only().run().unwrap().count,
+                smart
+                    .request(q)
+                    .threads(threads)
+                    .count_only()
+                    .run()
+                    .unwrap()
+                    .count,
                 3
             );
         }
@@ -1050,8 +1099,11 @@ mod tests {
     fn order_by_and_offset() {
         let e = engine();
         // Professors ordered by IRI ascending.
-        let res = run_query(&e, "SELECT ?x WHERE { ?x <http://e/worksFor> ?u } ORDER BY ?x")
-            .unwrap();
+        let res = run_query(
+            &e,
+            "SELECT ?x WHERE { ?x <http://e/worksFor> ?u } ORDER BY ?x",
+        )
+        .unwrap();
         let names: Vec<String> = res.rows.iter().map(|r| r[0].to_string()).collect();
         let mut sorted = names.clone();
         sorted.sort();
@@ -1196,7 +1248,10 @@ mod tests {
         // across branches of one run.
         let q = "SELECT ?x WHERE { \
                  { ?x <http://e/teaches> ?z } UNION { ?x <http://e/teaches> ?z } }";
-        assert_eq!(e.request(q).max_rows(8).count_only().run().unwrap().count, 8);
+        assert_eq!(
+            e.request(q).max_rows(8).count_only().run().unwrap().count,
+            8
+        );
         match e.request(q).max_rows(5).count_only().run() {
             Err(ParjError::BudgetExceeded { rows, .. }) => assert!(rows > 5),
             other => panic!("expected budget error, got {other:?}"),
@@ -1312,7 +1367,10 @@ mod tests {
         let e = cached_engine();
         let a = "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z }";
         let b = "SELECT ?s ?c WHERE { ?s <http://e/teaches> ?c }";
-        assert_eq!(e.request(a).run().unwrap().stats.cache, crate::CacheStatus::Miss);
+        assert_eq!(
+            e.request(a).run().unwrap().stats.cache,
+            crate::CacheStatus::Miss
+        );
         let out = e.request(b).run().unwrap();
         assert_eq!(out.stats.cache, crate::CacheStatus::ResultHit);
         // Names still come from the *request's* text, not the entry's.
@@ -1413,7 +1471,10 @@ mod tests {
         let e = cached_engine();
         let q = "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z }";
         assert_eq!(e.request(q).run().unwrap().count, 4);
-        assert_eq!(e.request(q).run().unwrap().stats.cache, crate::CacheStatus::ResultHit);
+        assert_eq!(
+            e.request(q).run().unwrap().stats.cache,
+            crate::CacheStatus::ResultHit
+        );
         let out = e
             .mutate()
             .insert(
@@ -1423,7 +1484,10 @@ mod tests {
             )
             .run()
             .unwrap();
-        assert_eq!(out.cache_invalidations, 1, "only the touched predicate bumps");
+        assert_eq!(
+            out.cache_invalidations, 1,
+            "only the touched predicate bumps"
+        );
         // The write bumped the epoch of <teaches>: the old entry is
         // stale and the fresh answer reflects the new triple.
         let out = e.request(q).run().unwrap();
@@ -1440,7 +1504,10 @@ mod tests {
         let out = e.request(q).bypass_cache().run().unwrap();
         assert_eq!(out.stats.cache, crate::CacheStatus::Bypassed);
         // ...so the next cached run is still a miss.
-        assert_eq!(e.request(q).run().unwrap().stats.cache, crate::CacheStatus::Miss);
+        assert_eq!(
+            e.request(q).run().unwrap().stats.cache,
+            crate::CacheStatus::Miss
+        );
         // Row-budgeted runs bypass: a budget changes the answer itself
         // (BudgetExceeded vs a complete cached result), so budgeted runs
         // must neither read nor write the cache.

@@ -87,7 +87,12 @@ pub fn canonicalize_query(tq: &mut TranslatedQuery) {
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, (orig, p))| {
-                    (atom_key(p.s, &assigned), p.p, atom_key(p.o, &assigned), *orig)
+                    (
+                        atom_key(p.s, &assigned),
+                        p.p,
+                        atom_key(p.o, &assigned),
+                        *orig,
+                    )
                 })
                 .map(|(i, _)| i)
                 .unwrap_or(0);
@@ -168,7 +173,9 @@ pub fn query_fingerprint(tq: &TranslatedQuery) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.push(FINGERPRINT_VERSION);
     push_u64(&mut out, tq.num_vars as u64);
-    out.push(u8::from(tq.distinct) | (u8::from(tq.dedup_full) << 1) | (u8::from(tq.full_rows) << 2));
+    out.push(
+        u8::from(tq.distinct) | (u8::from(tq.dedup_full) << 1) | (u8::from(tq.full_rows) << 2),
+    );
     push_u64(&mut out, tq.projection.len() as u64);
     for &v in &tq.projection {
         out.extend_from_slice(&v.to_le_bytes());
@@ -195,7 +202,11 @@ pub fn query_fingerprint(tq: &TranslatedQuery) -> Vec<u8> {
 mod tests {
     use super::*;
 
-    fn tq(pattern_sets: Vec<Vec<Pattern>>, num_vars: usize, projection: Vec<VarId>) -> TranslatedQuery {
+    fn tq(
+        pattern_sets: Vec<Vec<Pattern>>,
+        num_vars: usize,
+        projection: Vec<VarId>,
+    ) -> TranslatedQuery {
         let set_branch = vec![0; pattern_sets.len()];
         TranslatedQuery {
             num_vars,
@@ -214,7 +225,11 @@ mod tests {
     }
 
     fn pat(s: Atom, p: u64, o: Atom) -> Pattern {
-        Pattern { s, p: p as parj_dict::Id, o }
+        Pattern {
+            s,
+            p: p as parj_dict::Id,
+            o,
+        }
     }
 
     #[test]
@@ -260,7 +275,11 @@ mod tests {
         canonicalize_query(&mut a);
         canonicalize_query(&mut b);
         canonicalize_query(&mut c);
-        let (fa, fb, fc) = (query_fingerprint(&a), query_fingerprint(&b), query_fingerprint(&c));
+        let (fa, fb, fc) = (
+            query_fingerprint(&a),
+            query_fingerprint(&b),
+            query_fingerprint(&c),
+        );
         assert_ne!(fa, fb);
         assert_ne!(fa, fc);
         assert_ne!(fb, fc);
@@ -300,9 +319,20 @@ mod tests {
             vec![2],
         );
         canonicalize_query(&mut a);
-        let once = (a.clone().pattern_sets, a.projection.clone(), a.var_names.clone());
+        let once = (
+            a.clone().pattern_sets,
+            a.projection.clone(),
+            a.var_names.clone(),
+        );
         canonicalize_query(&mut a);
-        assert_eq!(once, (a.pattern_sets.clone(), a.projection.clone(), a.var_names.clone()));
+        assert_eq!(
+            once,
+            (
+                a.pattern_sets.clone(),
+                a.projection.clone(),
+                a.var_names.clone()
+            )
+        );
     }
 
     #[test]
@@ -316,7 +346,11 @@ mod tests {
         a.proj_names = vec!["subj".into(), "obj".into()];
         canonicalize_query(&mut a);
         // Slot meanings survive the renumbering.
-        let names: Vec<&str> = a.projection.iter().map(|&v| a.var_names[v as usize].as_str()).collect();
+        let names: Vec<&str> = a
+            .projection
+            .iter()
+            .map(|&v| a.var_names[v as usize].as_str())
+            .collect();
         assert_eq!(names, vec!["subj", "obj"]);
         assert_eq!(a.proj_names, vec!["subj", "obj"]);
     }

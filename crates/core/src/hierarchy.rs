@@ -120,7 +120,9 @@ impl Hierarchy {
             prop_parents.entry(child_res).or_default().push(parent_res);
         }
         let as_pred = |res: Id| -> Option<Id> {
-            dict.decode_resource(res).ok().and_then(|t| dict.predicate_id(&t))
+            dict.decode_resource(res)
+                .ok()
+                .and_then(|t| dict.predicate_id(&t))
         };
         let sub_properties: HashMap<Id, Vec<Id>> = transitive_descendants(&prop_parents)
             .into_iter()
@@ -242,7 +244,11 @@ mod tests {
         // `narrow ⊑ broad` where `broad` never occurs as a predicate:
         // its resource id must still expand to `narrow`'s partition.
         let mut b = StoreBuilder::new();
-        b.add_term_triple(&iri("narrow"), &Term::iri(RDFS_SUBPROPERTYOF), &iri("broad"));
+        b.add_term_triple(
+            &iri("narrow"),
+            &Term::iri(RDFS_SUBPROPERTYOF),
+            &iri("broad"),
+        );
         b.add_term_triple(&iri("x"), &iri("narrow"), &iri("y"));
         let s = b.build();
         let h = Hierarchy::extract(&s);

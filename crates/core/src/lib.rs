@@ -75,9 +75,9 @@
 #![warn(missing_docs)]
 
 mod engine;
+mod error;
 mod fingerprint;
 mod hierarchy;
-mod error;
 mod loader;
 mod mutate;
 mod request;

@@ -127,10 +127,9 @@ impl Loader {
             }
             (LoadSource::Reader(reader), RdfFormat::NTriples) => {
                 let staged = &mut self.staged;
-                let report =
-                    drain_triples(NTriplesParser::new(reader), on_error, |(s, p, o)| {
-                        staged.add_term_triple(&s, &p, &o);
-                    })?;
+                let report = drain_triples(NTriplesParser::new(reader), on_error, |(s, p, o)| {
+                    staged.add_term_triple(&s, &p, &o);
+                })?;
                 // Input size is unknown for a streaming reader; only the
                 // statement counters advance.
                 (report, 0)
@@ -165,14 +164,18 @@ impl Loader {
 
     /// [`Loader::finish`] onto an existing worker pool.
     pub(crate) fn finish_on(self, pool: Option<parj_join::WorkerPool>) -> Parj {
-        let store = self.staged.build_with(self.config.effective_store_options());
+        let store = self
+            .staged
+            .build_with(self.config.effective_store_options());
         Parj::assemble(self.config, self.metrics, pool, store)
     }
 }
 
 impl std::fmt::Debug for Loader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Loader").field("config", &self.config).finish()
+        f.debug_struct("Loader")
+            .field("config", &self.config)
+            .finish()
     }
 }
 
@@ -209,7 +212,10 @@ fn par_map<T: Send, F: Fn(usize) -> T + Sync>(n: usize, threads: usize, f: F) ->
         }
     });
     drop(slot_ptrs);
-    slots.into_iter().map(|s| s.expect("chunk computed")).collect()
+    slots
+        .into_iter()
+        .map(|s| s.expect("chunk computed"))
+        .collect()
 }
 
 /// Scans and stages N-Triples text on `threads` workers under
@@ -286,7 +292,9 @@ mod tests {
         std::fs::write(&path, text).unwrap();
         let staged = |input: LoadSource<'_>| {
             let mut loader = EngineConfig::default().loader();
-            let report = loader.load(input, RdfFormat::NTriples, OnParseError::Abort).unwrap();
+            let report = loader
+                .load(input, RdfFormat::NTriples, OnParseError::Abort)
+                .unwrap();
             assert_eq!(report.loaded, 2);
             loader.finish().store().to_snapshot_bytes()
         };
@@ -295,7 +303,11 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         // A missing file is an I/O error and stages nothing.
         let mut loader = EngineConfig::default().loader();
-        let missing = loader.load(LoadSource::Path(&path), RdfFormat::Turtle, OnParseError::Abort);
+        let missing = loader.load(
+            LoadSource::Path(&path),
+            RdfFormat::Turtle,
+            OnParseError::Abort,
+        );
         assert!(matches!(missing, Err(ParjError::Io(_))), "{missing:?}");
         assert_eq!(loader.finish().num_triples(), 0);
     }

@@ -94,16 +94,22 @@ impl<'e> MutationRequest<'e> {
     /// Adds many insertions (chainable convenience over
     /// [`MutationRequest::insert`]).
     pub fn insert_all(mut self, triples: impl IntoIterator<Item = (Term, Term, Term)>) -> Self {
-        self.ops
-            .extend(triples.into_iter().map(|(s, p, o)| MutationOp::Insert(s, p, o)));
+        self.ops.extend(
+            triples
+                .into_iter()
+                .map(|(s, p, o)| MutationOp::Insert(s, p, o)),
+        );
         self
     }
 
     /// Adds many deletions (chainable convenience over
     /// [`MutationRequest::delete`]).
     pub fn delete_all(mut self, triples: impl IntoIterator<Item = (Term, Term, Term)>) -> Self {
-        self.ops
-            .extend(triples.into_iter().map(|(s, p, o)| MutationOp::Delete(s, p, o)));
+        self.ops.extend(
+            triples
+                .into_iter()
+                .map(|(s, p, o)| MutationOp::Delete(s, p, o)),
+        );
         self
     }
 
@@ -268,10 +274,16 @@ impl Parj {
         let t = Instant::now();
         let mut touched: Vec<Id> = Vec::with_capacity(by_pred.len());
         for (&pid, pairs) in &by_pred {
-            let inserts: Vec<(Id, Id)> =
-                pairs.iter().filter(|&(_, &ins)| ins).map(|(&k, _)| k).collect();
-            let deletes: Vec<(Id, Id)> =
-                pairs.iter().filter(|&(_, &ins)| !ins).map(|(&k, _)| k).collect();
+            let inserts: Vec<(Id, Id)> = pairs
+                .iter()
+                .filter(|&(_, &ins)| ins)
+                .map(|(&k, _)| k)
+                .collect();
+            let deletes: Vec<(Id, Id)> = pairs
+                .iter()
+                .filter(|&(_, &ins)| !ins)
+                .map(|(&k, _)| k)
+                .collect();
             let applied = delta.apply_pred(&base, pid, &inserts, &deletes);
             outcome.inserted += applied.inserted as u64;
             outcome.deleted += applied.deleted as u64;
@@ -325,8 +337,10 @@ impl Parj {
         outcome.phases = phases;
 
         if self.config.record_metrics {
-            self.metrics.record_compaction(outcome.compactions, outcome.phases.compact_micros);
-            self.metrics.record_cache_invalidations(outcome.cache_invalidations);
+            self.metrics
+                .record_compaction(outcome.compactions, outcome.phases.compact_micros);
+            self.metrics
+                .record_cache_invalidations(outcome.cache_invalidations);
             self.publish_delta_gauges(&next);
         }
         // Publish: requests built from here on read `next`; running ones
@@ -429,7 +443,10 @@ mod tests {
             .unwrap();
         assert_eq!(out.inserted, 1);
         assert_eq!(
-            count(&e, "SELECT ?o WHERE { <http://e/fresh> <http://e/brandnew> ?o }"),
+            count(
+                &e,
+                "SELECT ?o WHERE { <http://e/fresh> <http://e/brandnew> ?o }"
+            ),
             1
         );
         // The new terms decode in materialized rows.
@@ -445,9 +462,16 @@ mod tests {
     #[test]
     fn delete_then_reinsert_across_batches() {
         let e = engine();
-        e.mutate().delete(iri("a"), iri("p"), iri("b")).run().unwrap();
+        e.mutate()
+            .delete(iri("a"), iri("p"), iri("b"))
+            .run()
+            .unwrap();
         assert_eq!(count(&e, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 1);
-        let out = e.mutate().insert(iri("a"), iri("p"), iri("b")).run().unwrap();
+        let out = e
+            .mutate()
+            .insert(iri("a"), iri("p"), iri("b"))
+            .run()
+            .unwrap();
         assert_eq!(out.inserted, 1, "un-tombstoning counts as an insert");
         assert_eq!(count(&e, "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }"), 2);
         assert_eq!(e.num_triples(), 3);
@@ -464,36 +488,64 @@ mod tests {
 
     #[test]
     fn batch_compaction_threshold_triggers_inline_compaction() {
-        let e = load(Parj::builder().threads(1).delta_compaction_threshold(8), DATA);
-        let batch: Vec<(Term, Term, Term)> =
-            (0..20).map(|i| (iri(&format!("s{i}")), iri("p"), iri("o"))).collect();
+        let e = load(
+            Parj::builder().threads(1).delta_compaction_threshold(8),
+            DATA,
+        );
+        let batch: Vec<(Term, Term, Term)> = (0..20)
+            .map(|i| (iri(&format!("s{i}")), iri("p"), iri("o")))
+            .collect();
         let out = e.mutate().insert_all(batch).run().unwrap();
         assert_eq!(out.inserted, 20);
         assert_eq!(out.compactions, 1, "20 resident pairs >= threshold 8");
         assert_eq!(out.delta_resident_pairs, 0, "compaction emptied the runs");
-        assert!(out.delta_bytes > 0, "compacted partition stays in the overlay");
-        assert_eq!(count(&e, "SELECT ?s WHERE { ?s <http://e/p> <http://e/o> }"), 20);
+        assert!(
+            out.delta_bytes > 0,
+            "compacted partition stays in the overlay"
+        );
+        assert_eq!(
+            count(&e, "SELECT ?s WHERE { ?s <http://e/p> <http://e/o> }"),
+            20
+        );
         // A second batch probes against the compacted partition.
-        let out = e.mutate().delete(iri("s3"), iri("p"), iri("o")).run().unwrap();
+        let out = e
+            .mutate()
+            .delete(iri("s3"), iri("p"), iri("o"))
+            .run()
+            .unwrap();
         assert_eq!(out.deleted, 1);
-        assert_eq!(count(&e, "SELECT ?s WHERE { ?s <http://e/p> <http://e/o> }"), 19);
+        assert_eq!(
+            count(&e, "SELECT ?s WHERE { ?s <http://e/p> <http://e/o> }"),
+            19
+        );
     }
 
     #[test]
     fn zero_threshold_disables_compaction() {
-        let e = load(Parj::builder().threads(1).delta_compaction_threshold(0), DATA);
-        let batch: Vec<(Term, Term, Term)> =
-            (0..50).map(|i| (iri(&format!("s{i}")), iri("p"), iri("o"))).collect();
+        let e = load(
+            Parj::builder().threads(1).delta_compaction_threshold(0),
+            DATA,
+        );
+        let batch: Vec<(Term, Term, Term)> = (0..50)
+            .map(|i| (iri(&format!("s{i}")), iri("p"), iri("o")))
+            .collect();
         let out = e.mutate().insert_all(batch).run().unwrap();
         assert_eq!(out.compactions, 0);
         assert_eq!(out.delta_resident_pairs, 50);
-        assert_eq!(count(&e, "SELECT ?s WHERE { ?s <http://e/p> <http://e/o> }"), 50);
+        assert_eq!(
+            count(&e, "SELECT ?s WHERE { ?s <http://e/p> <http://e/o> }"),
+            50
+        );
     }
 
     #[test]
     fn outcome_reports_phase_timings() {
         let e = engine();
-        let out = e.mutate().insert(iri("x"), iri("p"), iri("y")).run().unwrap();
+        let out = e
+            .mutate()
+            .insert(iri("x"), iri("p"), iri("y"))
+            .run()
+            .unwrap();
         assert_eq!(
             out.phases.total(),
             out.phases.encode_micros
@@ -577,10 +629,18 @@ mod tests {
         // a hit, and the batch rides the delta.
         let on_q = "SELECT ?s ?o WHERE { ?s <http://e/q> ?o }";
         rows(&e, on_q);
-        let out = e.mutate().insert(iri("x"), iri("p"), iri("y")).run().unwrap();
+        let out = e
+            .mutate()
+            .insert(iri("x"), iri("p"), iri("y"))
+            .run()
+            .unwrap();
         assert_eq!(out.cache_invalidations, 1);
         assert_eq!(out.compactions, compacts);
-        assert_eq!(out.delta_resident_pairs, usize::from(threshold == 0), "no rebuild folded it");
+        assert_eq!(
+            out.delta_resident_pairs,
+            usize::from(threshold == 0),
+            "no rebuild folded it"
+        );
         assert_eq!(rows(&e, on_q).1, CacheStatus::ResultHit);
         // One batch that adds a subclass and an instance of it.
         let of_c = format!("SELECT ?x WHERE {{ ?x <{RDF_TYPE}> <http://e/C> }}");
@@ -594,24 +654,45 @@ mod tests {
         // A batch that touches only `subClassOf` still changes the
         // answers over `rdf:type`: the hierarchy changed, so every
         // cached entry goes stale.
-        e.mutate().insert(iri("z"), Term::iri(RDF_TYPE), iri("T")).run().unwrap();
+        e.mutate()
+            .insert(iri("z"), Term::iri(RDF_TYPE), iri("T"))
+            .run()
+            .unwrap();
         rows(&e, &of_c);
-        let out = e.mutate().insert(iri("T"), Term::iri(SUBCLASS), iri("S")).run().unwrap();
-        assert_eq!(out.cache_invalidations, 0, "invalidated by generation instead");
+        let out = e
+            .mutate()
+            .insert(iri("T"), Term::iri(SUBCLASS), iri("S"))
+            .run()
+            .unwrap();
+        assert_eq!(
+            out.cache_invalidations, 0,
+            "invalidated by generation instead"
+        );
         let (got, status) = rows(&e, &of_c);
         assert_eq!(status, CacheStatus::Miss);
         assert_eq!(got, vec![vec![iri("x")], vec![iri("y")], vec![iri("z")]]);
         // Deleting an edge shrinks the hierarchy: `:x` and `:z` reached
         // `:C` only through `:S`, and the cached answer goes stale.
         assert_eq!(rows(&e, &of_c).1, CacheStatus::ResultHit);
-        let out = e.mutate().delete(iri("S"), Term::iri(SUBCLASS), iri("C")).run().unwrap();
+        let out = e
+            .mutate()
+            .delete(iri("S"), Term::iri(SUBCLASS), iri("C"))
+            .run()
+            .unwrap();
         assert_eq!(out.deleted, 1);
-        assert_eq!(out.cache_invalidations, 0, "invalidated by generation instead");
+        assert_eq!(
+            out.cache_invalidations, 0,
+            "invalidated by generation instead"
+        );
         let (got, status) = rows(&e, &of_c);
         assert_eq!(status, CacheStatus::Miss);
         assert_eq!(got, vec![vec![iri("y")]]);
         // The edge left in the base store goes the same way.
-        let out = e.mutate().delete(iri("D"), Term::iri(SUBCLASS), iri("C")).run().unwrap();
+        let out = e
+            .mutate()
+            .delete(iri("D"), Term::iri(SUBCLASS), iri("C"))
+            .run()
+            .unwrap();
         assert_eq!(out.deleted, 1);
         assert_eq!(rows(&e, &of_c), (vec![], CacheStatus::Miss));
         assert!(e.audit().is_clean());
@@ -621,11 +702,26 @@ mod tests {
     fn term_free_batch_leaves_a_live_answers_dictionary_shared() {
         let e = engine();
         // Delta terms for the answer to hold.
-        e.mutate().insert(iri("n1"), iri("p"), iri("n2")).run().unwrap();
-        let out = e.request("SELECT ?s ?o WHERE { ?s <http://e/p> ?o } LIMIT 10").run().unwrap();
-        let held = out.answer().expect("rows were requested").ready.delta.shared_dict();
+        e.mutate()
+            .insert(iri("n1"), iri("p"), iri("n2"))
+            .run()
+            .unwrap();
+        let out = e
+            .request("SELECT ?s ?o WHERE { ?s <http://e/p> ?o } LIMIT 10")
+            .run()
+            .unwrap();
+        let held = out
+            .answer()
+            .expect("rows were requested")
+            .ready
+            .delta
+            .shared_dict();
         // Every term already exists: the batch interns nothing.
-        let batch = e.mutate().insert(iri("n2"), iri("p"), iri("a")).run().unwrap();
+        let batch = e
+            .mutate()
+            .insert(iri("n2"), iri("p"), iri("a"))
+            .run()
+            .unwrap();
         assert_eq!(batch.inserted, 1);
         assert!(Arc::ptr_eq(held, e.snapshot().delta.shared_dict()));
         assert_eq!(out.term_rows().unwrap().len(), 3);
@@ -633,16 +729,23 @@ mod tests {
 
     #[test]
     fn delta_metrics_feed_the_registry() {
-        let e = load(Parj::builder().threads(1).delta_compaction_threshold(4), DATA);
-        let batch: Vec<(Term, Term, Term)> =
-            (0..6).map(|i| (iri(&format!("s{i}")), iri("p"), iri("o"))).collect();
+        let e = load(
+            Parj::builder().threads(1).delta_compaction_threshold(4),
+            DATA,
+        );
+        let batch: Vec<(Term, Term, Term)> = (0..6)
+            .map(|i| (iri(&format!("s{i}")), iri("p"), iri("o")))
+            .collect();
         e.mutate().insert_all(batch).run().unwrap();
         let snap = e.metrics_snapshot();
         assert_eq!(snap.value("parj_delta_compactions_total", &[]), Some(1));
         assert_eq!(snap.value("parj_delta_resident_triples", &[]), Some(0));
         assert!(snap.value("parj_delta_resident_bytes", &[]).unwrap() > 0);
         // A below-threshold batch leaves resident pairs behind.
-        e.mutate().insert(iri("q1"), iri("p"), iri("q2")).run().unwrap();
+        e.mutate()
+            .insert(iri("q1"), iri("p"), iri("q2"))
+            .run()
+            .unwrap();
         let snap = e.metrics_snapshot();
         assert_eq!(snap.value("parj_delta_resident_triples", &[]), Some(1));
         // A full rebuild zeroes the residency gauges.

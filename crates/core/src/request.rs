@@ -168,7 +168,8 @@ impl<'e> QueryRequest<'e> {
 
     /// Executes the request on the version it pinned.
     pub fn run(self) -> Result<QueryOutcome, ParjError> {
-        self.engine.run_request(&self.ready, &self.query, &self.spec)
+        self.engine
+            .run_request(&self.ready, &self.query, &self.spec)
     }
 }
 
@@ -226,7 +227,10 @@ impl QueryOutcome {
             return Ok(Vec::new());
         };
         let term = |&id: &Id| answer.term(id).map(TermRef::to_term);
-        answer.rows().map(|row| row.iter().map(term).collect()).collect()
+        answer
+            .rows()
+            .map(|row| row.iter().map(term).collect())
+            .collect()
     }
 
     /// Renders a compact tab-separated table — variable names, then one

@@ -199,8 +199,7 @@ pub fn translate(
             continue 'branches;
         }
 
-        let mut alternatives: Vec<Vec<(Atom, PredSlot, Atom)>> =
-            Vec::with_capacity(branch.len());
+        let mut alternatives: Vec<Vec<(Atom, PredSlot, Atom)>> = Vec::with_capacity(branch.len());
         for pat in branch {
             let Some(s) = resolve_atom(&pat.s)? else {
                 continue 'branches;
@@ -242,9 +241,7 @@ pub fn translate(
                         let objects: Vec<Atom> = match (hierarchy, o) {
                             (Some(h), Atom::Const(class)) if h.rdf_type() == Some(pred) => {
                                 match h.subclasses(class) {
-                                    Some(subs) => {
-                                        subs.iter().map(|&c| Atom::Const(c)).collect()
-                                    }
+                                    Some(subs) => subs.iter().map(|&c| Atom::Const(c)).collect(),
                                     None => vec![o],
                                 }
                             }
@@ -342,8 +339,7 @@ pub fn translate(
             }
         }
     }
-    let full_rows =
-        expanded || order_by.iter().any(|(v, _)| !projection.contains(v));
+    let full_rows = expanded || order_by.iter().any(|(v, _)| !projection.contains(v));
 
     Ok(Translation::Run(TranslatedQuery {
         num_vars: var_names.len(),

@@ -39,7 +39,9 @@ fn edges(shared: &Parj) -> Vec<(String, String)> {
     let out = shared.request(Q).run().expect("reader must never fail");
     let name = |t: &Term| {
         let text = t.to_string();
-        text.trim_start_matches("<http://e/").trim_end_matches('>').to_string()
+        text.trim_start_matches("<http://e/")
+            .trim_end_matches('>')
+            .to_string()
     };
     let mut rows: Vec<_> = out
         .term_rows()
@@ -52,7 +54,9 @@ fn edges(shared: &Parj) -> Vec<(String, String)> {
 }
 
 fn pairs(list: &[(&str, &str)]) -> Vec<(String, String)> {
-    list.iter().map(|&(s, o)| (s.to_string(), o.to_string())).collect()
+    list.iter()
+        .map(|&(s, o)| (s.to_string(), o.to_string()))
+        .collect()
 }
 
 #[test]
@@ -95,7 +99,10 @@ fn loom_batches_serialize_and_later_reads_see_them() {
                     let sh = Arc::clone(&shared);
                     let returned = Arc::clone(&returned);
                     s.spawn(move || {
-                        sh.mutate().insert(iri("a"), iri("p"), iri(o)).run().expect("mutation");
+                        sh.mutate()
+                            .insert(iri("a"), iri("p"), iri(o))
+                            .run()
+                            .expect("mutation");
                         // ordering: Release — pairs with the reader's
                         // Acquire load; a reader that counts this batch
                         // as returned builds its request after it.

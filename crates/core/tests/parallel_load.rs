@@ -34,7 +34,10 @@ fn load_nt(
 ) -> (Result<LoadReport, String>, Vec<u8>) {
     let (outcome, mut engine) =
         load_once(LoadSource::Text(text), RdfFormat::NTriples, policy, threads);
-    (outcome.map_err(|e| e.to_string()), engine.store().to_snapshot_bytes())
+    (
+        outcome.map_err(|e| e.to_string()),
+        engine.store().to_snapshot_bytes(),
+    )
 }
 
 fn load_ttl(
@@ -44,13 +47,21 @@ fn load_ttl(
 ) -> (Result<LoadReport, String>, Vec<u8>) {
     let (outcome, mut engine) =
         load_once(LoadSource::Text(text), RdfFormat::Turtle, policy, threads);
-    (outcome.map_err(|e| e.to_string()), engine.store().to_snapshot_bytes())
+    (
+        outcome.map_err(|e| e.to_string()),
+        engine.store().to_snapshot_bytes(),
+    )
 }
 
 /// The streaming reader path: N-Triples read line by line from a
 /// `BufRead`, owned terms, no chunks.
 fn load_reader(text: &str, policy: OnParseError) -> (Result<LoadReport, ParjError>, Parj) {
-    load_once(LoadSource::Reader(&mut text.as_bytes()), RdfFormat::NTriples, policy, 1)
+    load_once(
+        LoadSource::Reader(&mut text.as_bytes()),
+        RdfFormat::NTriples,
+        policy,
+        1,
+    )
 }
 
 /// A load outcome: the report (or stringified error) plus the built
@@ -68,13 +79,21 @@ fn assert_thread_invariant(
     let (base_outcome, base_bytes) = load(text, policy, 1);
     for threads in THREADS {
         let (outcome, bytes) = load(text, policy, threads);
-        assert_eq!(outcome, base_outcome, "outcome diverged at {threads} threads");
-        assert_eq!(bytes, base_bytes, "store bytes diverged at {threads} threads");
+        assert_eq!(
+            outcome, base_outcome,
+            "outcome diverged at {threads} threads"
+        );
+        assert_eq!(
+            bytes, base_bytes,
+            "store bytes diverged at {threads} threads"
+        );
     }
 }
 
 fn lossy() -> OnParseError {
-    OnParseError::Skip { max_errors: usize::MAX }
+    OnParseError::Skip {
+        max_errors: usize::MAX,
+    }
 }
 
 /// Builds an N-Triples document from a recipe: `Ok` entries become
@@ -182,7 +201,10 @@ fn strict_abort_position_is_exact_at_any_thread_count() {
     }
     let (outcome, _) = load_nt(&doc, OnParseError::Abort, 1);
     let msg = outcome.unwrap_err();
-    assert!(msg.contains("201"), "abort error should cite line 201: {msg}");
+    assert!(
+        msg.contains("201"),
+        "abort error should cite line 201: {msg}"
+    );
     assert_thread_invariant(&doc, OnParseError::Abort, load_nt);
 }
 
@@ -226,7 +248,8 @@ fn malformed_turtle_is_thread_invariant() {
     // The splitter hands this to the serial parser (directive the
     // chunked path rejects + a syntax error): strict aborts with the
     // serial error, lossy recovers — identically at every thread count.
-    let doc = "@prefix ex: <http://e/> .\nex:a ex:p ex:b .\nex:a ex:p garbage }\nex:b ex:p ex:c .\n";
+    let doc =
+        "@prefix ex: <http://e/> .\nex:a ex:p ex:b .\nex:a ex:p garbage }\nex:b ex:p ex:c .\n";
     assert_thread_invariant(doc, OnParseError::Abort, load_ttl);
     assert_thread_invariant(doc, lossy(), load_ttl);
 }
@@ -237,23 +260,43 @@ fn incremental_loads_compose_across_thread_counts() {
     // the existing dictionary (the staging collector's `Slot::Known`
     // path) and still be thread-invariant.
     let first: String = (0..80)
-        .map(|i| format!("<http://e/s{}> <http://e/p> <http://e/o{}> .\n", i % 11, i % 13))
+        .map(|i| {
+            format!(
+                "<http://e/s{}> <http://e/p> <http://e/o{}> .\n",
+                i % 11,
+                i % 13
+            )
+        })
         .collect();
     let second: String = (0..80)
-        .map(|i| format!("<http://e/s{}> <http://e/q> <http://e/o{}> .\n", i % 17, i % 7))
+        .map(|i| {
+            format!(
+                "<http://e/s{}> <http://e/q> <http://e/o{}> .\n",
+                i % 17,
+                i % 7
+            )
+        })
         .collect();
     let run = |threads: usize| -> Vec<u8> {
         let mut loader = Parj::builder().load_threads(threads).loader();
         for doc in [&first, &second] {
             loader
-                .load(LoadSource::Text(doc), RdfFormat::NTriples, OnParseError::Abort)
+                .load(
+                    LoadSource::Text(doc),
+                    RdfFormat::NTriples,
+                    OnParseError::Abort,
+                )
                 .unwrap();
         }
         loader.finish().store().to_snapshot_bytes()
     };
     let base = run(1);
     for threads in THREADS {
-        assert_eq!(run(threads), base, "incremental load diverged at {threads} threads");
+        assert_eq!(
+            run(threads),
+            base,
+            "incremental load diverged at {threads} threads"
+        );
     }
 }
 
@@ -274,8 +317,12 @@ fn queries_agree_after_parallel_load() {
         .collect();
     let query = "SELECT ?x ?y WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> ?y . }";
     let run = |threads: usize| -> Result<Vec<Vec<u32>>, ParjError> {
-        let (outcome, engine) =
-            load_once(LoadSource::Text(&doc), RdfFormat::NTriples, OnParseError::Abort, threads);
+        let (outcome, engine) = load_once(
+            LoadSource::Text(&doc),
+            RdfFormat::NTriples,
+            OnParseError::Abort,
+            threads,
+        );
         outcome?;
         let mut rows = engine.request(query).run()?.id_rows();
         rows.sort_unstable();

@@ -185,7 +185,11 @@ pub fn generate<F: FnMut(Term, Term, Term)>(cfg: &LubmConfig, mut emit: F) {
                     if kind != "Lecturer" {
                         // Professors hold three degrees from random
                         // universities.
-                        for degree in ["undergraduateDegreeFrom", "mastersDegreeFrom", "doctoralDegreeFrom"] {
+                        for degree in [
+                            "undergraduateDegreeFrom",
+                            "mastersDegreeFrom",
+                            "doctoralDegreeFrom",
+                        ] {
                             let from = iri(format!("u{}", rng.below(cfg.universities)));
                             emit(person.clone(), pred(degree), from);
                         }
@@ -217,7 +221,11 @@ pub fn generate<F: FnMut(Term, Term, Term)>(cfg: &LubmConfig, mut emit: F) {
             emit(faculty[0].clone(), pred("headOf"), dept.clone());
             // Orphan courses get the head as teacher.
             while next_course < total_courses {
-                emit(faculty[0].clone(), pred("teacherOf"), course_term(next_course));
+                emit(
+                    faculty[0].clone(),
+                    pred("teacherOf"),
+                    course_term(next_course),
+                );
                 teacher_courses[0].push(next_course);
                 next_course += 1;
             }
@@ -256,7 +264,11 @@ pub fn generate<F: FnMut(Term, Term, Term)>(cfg: &LubmConfig, mut emit: F) {
             let n_ugrad = rng.range(50, 70);
             for i in 0..n_ugrad {
                 let stud = iri(format!("u{u}/d{d}/us{i}"));
-                emit(stud.clone(), rdf_type.clone(), class("UndergraduateStudent"));
+                emit(
+                    stud.clone(),
+                    rdf_type.clone(),
+                    class("UndergraduateStudent"),
+                );
                 emit(stud.clone(), pred("memberOf"), dept.clone());
                 emit(
                     stud.clone(),
@@ -275,7 +287,11 @@ pub fn generate<F: FnMut(Term, Term, Term)>(cfg: &LubmConfig, mut emit: F) {
                 );
                 let n_takes = rng.range(2, 4);
                 for _ in 0..n_takes {
-                    emit(stud.clone(), pred("takesCourse"), course(rng.below(n_courses)));
+                    emit(
+                        stud.clone(),
+                        pred("takesCourse"),
+                        course(rng.below(n_courses)),
+                    );
                 }
                 // A fifth of undergraduates have a professor advisor.
                 if rng.below(5) == 0 {

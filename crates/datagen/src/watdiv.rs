@@ -169,11 +169,19 @@ pub fn generate<F: FnMut(Term, Term, Term)>(cfg: &WatDivConfig, mut emit: F) {
         // likes: 2-5 products, skewed.
         let n_likes = rng.range(2, 5);
         for _ in 0..n_likes {
-            emit(u.clone(), pred("likes"), product(skewed(products, &mut rng)));
+            emit(
+                u.clone(),
+                pred("likes"),
+                product(skewed(products, &mut rng)),
+            );
         }
         // purchases: 0-2.
         for _ in 0..rng.below(3) {
-            emit(u.clone(), pred("purchases"), product(skewed(products, &mut rng)));
+            emit(
+                u.clone(),
+                pred("purchases"),
+                product(skewed(products, &mut rng)),
+            );
         }
     }
 
@@ -194,7 +202,11 @@ pub fn generate<F: FnMut(Term, Term, Term)>(cfg: &WatDivConfig, mut emit: F) {
         emit(p.clone(), pred("price"), int_lit(1 + rng.below(1000)));
         let n_genres = rng.range(1, 2);
         for g in 0..n_genres {
-            emit(p.clone(), pred("genre"), genre((rng.below(GENRES) + g) % GENRES));
+            emit(
+                p.clone(),
+                pred("genre"),
+                genre((rng.below(GENRES) + g) % GENRES),
+            );
         }
     }
 
@@ -362,7 +374,11 @@ pub fn incremental_linear(k: u8) -> Vec<NamedQuery> {
     (5..=10)
         .map(|n| {
             let (body, last) = match k {
-                1 => chain(Some("user0".into()), &["follows", "likes", "hasReview", "reviewer"], n),
+                1 => chain(
+                    Some("user0".into()),
+                    &["follows", "likes", "hasReview", "reviewer"],
+                    n,
+                ),
                 2 => chain(Some("user1".into()), &["likes", "hasReview", "reviewer"], n),
                 _ => chain(None, &["friendOf"], n),
             };
@@ -391,7 +407,11 @@ pub fn mixed_linear(k: u8) -> Vec<NamedQuery> {
             } else {
                 &["likes", "hasReview", "reviewer"]
             };
-            let start = if k == 1 { Some("user2".to_string()) } else { None };
+            let start = if k == 1 {
+                Some("user2".to_string())
+            } else {
+                None
+            };
             let (mut body, last) = chain(start, cycle, n);
             // The "mixed" part: constrain the endpoint by an attribute.
             let endpoint = format!("?x{last}");
@@ -452,8 +472,16 @@ mod tests {
     fn query_constants_exist() {
         let store = generate_store(&WatDivConfig { scale: 1, seed: 7 });
         for c in [
-            "user0", "user1", "user2", "retailer0", "retailer1", "genre0", "genre5", "city0",
-            "city4", "country0",
+            "user0",
+            "user1",
+            "user2",
+            "retailer0",
+            "retailer1",
+            "genre0",
+            "genre5",
+            "city0",
+            "city4",
+            "country0",
         ] {
             assert!(
                 store
@@ -497,8 +525,17 @@ mod tests {
     #[test]
     fn chain_end_types() {
         assert_eq!(chain_end_type(&["friendOf"], 7), "user");
-        assert_eq!(chain_end_type(&["likes", "hasReview", "reviewer"], 1), "product");
-        assert_eq!(chain_end_type(&["likes", "hasReview", "reviewer"], 2), "review");
-        assert_eq!(chain_end_type(&["likes", "hasReview", "reviewer"], 3), "user");
+        assert_eq!(
+            chain_end_type(&["likes", "hasReview", "reviewer"], 1),
+            "product"
+        );
+        assert_eq!(
+            chain_end_type(&["likes", "hasReview", "reviewer"], 2),
+            "review"
+        );
+        assert_eq!(
+            chain_end_type(&["likes", "hasReview", "reviewer"], 3),
+            "user"
+        );
     }
 }

@@ -43,7 +43,11 @@ fn byte_sum(x: u128) -> usize {
 /// Bytes written before an `n`-byte string besides its header byte.
 fn prefix_len(n: usize) -> usize {
     let groups = (usize::BITS - (n >> 6).leading_zeros()).div_ceil(6) as usize + 1;
-    if n < usize::from(LONG) { 0 } else { groups }
+    if n < usize::from(LONG) {
+        0
+    } else {
+        groups
+    }
 }
 
 impl StringArena {
@@ -70,7 +74,8 @@ impl StringArena {
         }
         let head = s.len().min(usize::from(LONG)) as u8;
         let at = *self.starts.last().expect("a bucket is open") as usize + slot;
-        self.data.replace_range(at..=at, char::from(head).encode_utf8(&mut [0; 4]));
+        self.data
+            .replace_range(at..=at, char::from(head).encode_utf8(&mut [0; 4]));
         if head == LONG {
             let mut n = s.len();
             while n >= 0x40 {
@@ -92,8 +97,14 @@ impl StringArena {
             return pos..pos + usize::from(head);
         }
         let prefix = &self.data.as_bytes()[pos..];
-        let prefix = &prefix[..=prefix.iter().position(|b| b & 0x40 == 0).expect("last group")];
-        let n = prefix.iter().rev().fold(0, |n, b| n << 6 | usize::from(b & 0x3f));
+        let prefix = &prefix[..=prefix
+            .iter()
+            .position(|b| b & 0x40 == 0)
+            .expect("last group")];
+        let n = prefix
+            .iter()
+            .rev()
+            .fold(0, |n, b| n << 6 | usize::from(b & 0x3f));
         pos + prefix.len()..pos + prefix.len() + n
     }
 
@@ -107,8 +118,8 @@ impl StringArena {
         let head = &self.data.as_bytes()[start..start + BUCKET];
         let slot = index % BUCKET;
         // The header bytes before `slot` as one word, the rest zeroed.
-        let before = u128::from_le_bytes(head.try_into().expect("a full header"))
-            & ((1 << (8 * slot)) - 1);
+        let before =
+            u128::from_le_bytes(head.try_into().expect("a full header")) & ((1 << (8 * slot)) - 1);
         let mut pos = start + BUCKET;
         if (before + ONES) & (ONES << 7) == 0 {
             // No `LONG` byte: skipping is adding up the lengths.
@@ -216,8 +227,16 @@ mod tests {
         for n in lengths {
             a.push(&"x".repeat(n));
         }
-        assert_eq!(a.data.capacity(), exact, "reserve sizes an empty payload exactly");
-        assert_eq!(lengths.map(prefix_len), [0, 0, 0, 2, 2, 3, 4], "six bits per prefix byte");
+        assert_eq!(
+            a.data.capacity(),
+            exact,
+            "reserve sizes an empty payload exactly"
+        );
+        assert_eq!(
+            lengths.map(prefix_len),
+            [0, 0, 0, 2, 2, 3, 4],
+            "six bits per prefix byte"
+        );
         assert!(a.data.bytes().filter(|&b| b != b'x').all(|b| b < 0x80));
         for (i, n) in lengths.into_iter().enumerate() {
             assert_eq!(a.get(i).map(str::len), Some(n));

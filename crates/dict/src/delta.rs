@@ -47,7 +47,9 @@ struct Runs(Vec<(Id, Arc<Namespace>)>);
 
 impl Runs {
     fn len(&self) -> usize {
-        self.0.last().map_or(0, |(first, run)| *first as usize + run.len())
+        self.0
+            .last()
+            .map_or(0, |(first, run)| *first as usize + run.len())
     }
 
     fn get_key(&self, key: &str) -> Option<Id> {
@@ -58,7 +60,10 @@ impl Runs {
     }
 
     fn key(&self, i: Id) -> Option<&str> {
-        let r = self.0.partition_point(|&(first, _)| first <= i).checked_sub(1)?;
+        let r = self
+            .0
+            .partition_point(|&(first, _)| first <= i)
+            .checked_sub(1)?;
         let (first, run) = &self.0[r];
         run.key(i - first)
     }
@@ -72,7 +77,10 @@ impl Runs {
             return i;
         }
         let next = self.len() as Id;
-        let open = self.0.last_mut().and_then(|(first, run)| Some((*first, Arc::get_mut(run)?)));
+        let open = self
+            .0
+            .last_mut()
+            .and_then(|(first, run)| Some((*first, Arc::get_mut(run)?)));
         let i = match open {
             Some((first, run)) => first + run.encode_key(key),
             None => {
@@ -89,7 +97,8 @@ impl Runs {
                 break;
             };
             let merged = Namespace::from_keys(older.keys().chain(newer.keys()));
-            self.0.push((first, Arc::new(merged.expect("runs hold distinct keys"))));
+            self.0
+                .push((first, Arc::new(merged.expect("runs hold distinct keys"))));
         }
         i
     }
@@ -159,7 +168,9 @@ impl DictDelta {
         debug_assert_eq!(base.num_resources(), self.base_resources);
         let key = term.canonical_key();
         let delta = |runs: &mut Runs| self.base_resources as Id + runs.encode_key(&key);
-        base.resources.get_key(&key).unwrap_or_else(|| delta(&mut self.resources))
+        base.resources
+            .get_key(&key)
+            .unwrap_or_else(|| delta(&mut self.resources))
     }
 
     /// Encodes a predicate term, continuing the base predicate space.
@@ -167,7 +178,9 @@ impl DictDelta {
         debug_assert_eq!(base.num_predicates(), self.base_predicates);
         let key = term.canonical_key();
         let delta = |runs: &mut Runs| self.base_predicates as Id + runs.encode_key(&key);
-        base.predicates.get_key(&key).unwrap_or_else(|| delta(&mut self.predicates))
+        base.predicates
+            .get_key(&key)
+            .unwrap_or_else(|| delta(&mut self.predicates))
     }
 
     /// Looks up a resource term without inserting.
@@ -204,11 +217,7 @@ impl DictDelta {
     }
 
     /// Decodes a predicate id, falling through to the delta extension.
-    pub fn decode_predicate(
-        &self,
-        base: &Dictionary,
-        id: Id,
-    ) -> Result<Term, TermParseError> {
+    pub fn decode_predicate(&self, base: &Dictionary, id: Id) -> Result<Term, TermParseError> {
         if (id as usize) < self.base_predicates {
             return base.decode_predicate(id);
         }
@@ -372,7 +381,10 @@ mod tests {
         let mut delta = DictDelta::new(&base);
         let c = delta.encode_resource(&base, &Term::iri("c"));
         let view = DictView::with_delta(&base, &delta);
-        assert_eq!(view.resource_id(&Term::iri("a")), base.resource_id(&Term::iri("a")));
+        assert_eq!(
+            view.resource_id(&Term::iri("a")),
+            base.resource_id(&Term::iri("a"))
+        );
         assert_eq!(view.resource_id(&Term::iri("c")), Some(c));
         assert_eq!(view.resource_id(&Term::iri("zz")), None);
         assert_eq!(view.decode_resource(c).unwrap(), Term::iri("c"));
@@ -420,7 +432,11 @@ mod tests {
         again.encode_resource(&base, &Term::iri("t5-3"));
         let shared = |a: &DictDelta, b: &DictDelta| {
             a.resources.0.len() == b.resources.0.len()
-                && a.resources.0.iter().zip(&b.resources.0).all(|(x, y)| Arc::ptr_eq(&x.1, &y.1))
+                && a.resources
+                    .0
+                    .iter()
+                    .zip(&b.resources.0)
+                    .all(|(x, y)| Arc::ptr_eq(&x.1, &y.1))
         };
         assert!(shared(&again, &delta));
         // Every pinned version still resolves exactly its own terms.
@@ -434,7 +450,10 @@ mod tests {
         let mut folded = base.clone();
         delta.fold_into(&mut folded);
         let newest = Term::iri("t299-6");
-        assert_eq!(folded.resource_id(&newest), delta.resource_id(&base, &newest));
+        assert_eq!(
+            folded.resource_id(&newest),
+            delta.resource_id(&base, &newest)
+        );
         assert_eq!(folded.num_resources(), delta.num_resources());
     }
 

@@ -1,6 +1,5 @@
 //! The two-namespace dictionary (resources + predicates).
 
-
 use crate::arena::StringArena;
 use crate::hash::fx_hash_bytes;
 use crate::table::{slots_for, IdTable};
@@ -36,7 +35,11 @@ impl Namespace {
         ns.reserve(keys.clone().map(str::len));
         for key in keys {
             let same = |id: Id| ns.arena.get(id as usize) == Some(key);
-            if ns.table.find_or_insert(hash_key(key), same, Vec::new).is_some() {
+            if ns
+                .table
+                .find_or_insert(hash_key(key), same, Vec::new)
+                .is_some()
+            {
                 return None;
             }
             ns.arena.push(key);
@@ -85,7 +88,8 @@ impl Namespace {
     #[inline]
     pub fn get_key_hashed(&self, hash: u64, key: &str) -> Option<Id> {
         debug_assert_eq!(hash, hash_key(key));
-        self.table.find(hash, |id| self.arena.get(id as usize) == Some(key))
+        self.table
+            .find(hash, |id| self.arena.get(id as usize) == Some(key))
     }
 
     /// Returns the canonical key for `id`.
@@ -128,7 +132,8 @@ impl Namespace {
         if self.table.slots() != slots_for(n) {
             self.table = IdTable::with_capacity(n);
             for key in self.arena.iter() {
-                self.table.find_or_insert(hash_key(key), |_| false, Vec::new);
+                self.table
+                    .find_or_insert(hash_key(key), |_| false, Vec::new);
             }
         }
     }
@@ -147,7 +152,9 @@ fn take_u64(buf: &mut &[u8]) -> Result<usize, DictDecodeError> {
 
 fn terms(ns: &Namespace) -> impl Iterator<Item = (Id, Term)> + '_ {
     let term = |key| Term::from_canonical_key(key).expect("valid stored key");
-    ns.keys().enumerate().map(move |(id, key)| (id as Id, term(key)))
+    ns.keys()
+        .enumerate()
+        .map(move |(id, key)| (id as Id, term(key)))
 }
 
 /// Decodes one namespace of [`Dictionary::encode_into`]'s output.
@@ -162,7 +169,9 @@ fn decode_namespace(buf: &mut &[u8]) -> Result<Namespace, DictDecodeError> {
         .collect();
     let valid = bounds.first() == Some(&0)
         && bounds.last() == Some(&data_len)
-        && bounds.windows(2).all(|w| w[0] <= w[1] && data.is_char_boundary(w[1]));
+        && bounds
+            .windows(2)
+            .all(|w| w[0] <= w[1] && data.is_char_boundary(w[1]));
     if !valid {
         return Err(DictDecodeError::Corrupt("invalid offset table"));
     }
@@ -302,7 +311,8 @@ impl Dictionary {
         for ns in [&self.resources, &self.predicates] {
             let bytes: usize = ns.keys().map(str::len).sum();
             out.extend_from_slice(&(bytes as u64).to_le_bytes());
-            ns.keys().for_each(|key| out.extend_from_slice(key.as_bytes()));
+            ns.keys()
+                .for_each(|key| out.extend_from_slice(key.as_bytes()));
             out.extend_from_slice(&(ns.len() as u64 + 1).to_le_bytes());
             let mut end = 0;
             for len in std::iter::once(0).chain(ns.keys().map(str::len)) {
@@ -376,7 +386,10 @@ pub(crate) mod tests {
             "University1",
             "University2",
         ];
-        let ids: Vec<Id> = names.iter().map(|n| d.encode_resource(&Term::iri(*n))).collect();
+        let ids: Vec<Id> = names
+            .iter()
+            .map(|n| d.encode_resource(&Term::iri(*n)))
+            .collect();
         let teaches = d.encode_predicate(&Term::iri("teaches"));
         let works_for = d.encode_predicate(&Term::iri("worksFor"));
         assert_eq!(ids, (0..9).collect::<Vec<_>>());
@@ -411,7 +424,13 @@ pub(crate) mod tests {
         let a = d.encode_resource(&Term::literal("x"));
         let b = d.encode_resource(&Term::blank("x"));
         let c = d.encode_resource(&Term::iri("x"));
-        assert_eq!(3, [a, b, c].iter().collect::<std::collections::HashSet<_>>().len());
+        assert_eq!(
+            3,
+            [a, b, c]
+                .iter()
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+        );
         assert_eq!(d.decode_resource(a).unwrap(), Term::literal("x"));
         assert_eq!(d.decode_resource(b).unwrap(), Term::blank("x"));
         assert_eq!(d.decode_resource(c).unwrap(), Term::iri("x"));
@@ -479,10 +498,17 @@ pub(crate) mod tests {
     pub(crate) fn assert_exactly_sized(ns: &Namespace) {
         assert_eq!(ns.memory_bytes(), buffer_bytes(ns));
         let load = ns.len() as f64 / ns.table.slots() as f64;
-        assert!((0.7..=0.8).contains(&load), "load {load} over {} keys", ns.len());
+        assert!(
+            (0.7..=0.8).contains(&load),
+            "load {load} over {} keys",
+            ns.len()
+        );
         let avg_key = ns.keys().map(str::len).sum::<usize>() as f64 / ns.len() as f64;
         let per_term = ns.memory_bytes() as f64 / ns.len() as f64;
-        assert!(per_term <= avg_key + 8.0, "{per_term} B/term, keys average {avg_key}");
+        assert!(
+            per_term <= avg_key + 8.0,
+            "{per_term} B/term, keys average {avg_key}"
+        );
     }
 
     /// LUBM-like resources: IRIs and literals, interleaved.
@@ -520,7 +546,9 @@ pub(crate) mod tests {
             buf.extend_from_slice(&(data.len() as u64).to_le_bytes());
             buf.extend_from_slice(data.as_bytes());
             buf.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
-            offsets.iter().for_each(|&o| buf.extend_from_slice(&o.to_le_bytes()));
+            offsets
+                .iter()
+                .for_each(|&o| buf.extend_from_slice(&o.to_le_bytes()));
             buf.extend([0, 1, 0].map(u64::to_le_bytes).concat());
             Dictionary::decode_from(&mut buf.as_slice())
         };
@@ -539,7 +567,10 @@ pub(crate) mod tests {
         for (data, offsets) in bad {
             let err = decode(data, offsets).err();
             let msg = format!("{data:?} {offsets:?}: {err:?}");
-            assert!(matches!(err, Some(DictDecodeError::Corrupt("invalid offset table"))), "{msg}");
+            assert!(
+                matches!(err, Some(DictDecodeError::Corrupt("invalid offset table"))),
+                "{msg}"
+            );
         }
         assert_eq!(decode("", &[0]).unwrap().num_resources(), 0);
         let d = decode("IabIac", &[0, 3, 6]).unwrap();

@@ -131,7 +131,11 @@ impl Namespace {
                     let hit = index.find_or_insert(
                         hash,
                         |f| key_of(firsts[f as usize]) == key,
-                        || firsts.iter().map(|&(c, i)| batches[c as usize].hash(i as usize)),
+                        || {
+                            firsts
+                                .iter()
+                                .map(|&(c, i)| batches[c as usize].hash(i as usize))
+                        },
                     );
                     match hit {
                         Some(f) => out.dups.push((c as u32, i as u32, f)),
@@ -316,9 +320,10 @@ mod tests {
     #[test]
     fn many_chunks_many_keys() {
         let universe: Vec<String> = (0..500).map(|i| format!("http://e/r{}", i % 170)).collect();
-        let chunks: Vec<Vec<&str>> = universe.chunks(37).map(|c| {
-            c.iter().map(String::as_str).collect()
-        }).collect();
+        let chunks: Vec<Vec<&str>> = universe
+            .chunks(37)
+            .map(|c| c.iter().map(String::as_str).collect())
+            .collect();
         ids_match_serial(&chunks, 32, 4);
     }
 

@@ -152,7 +152,8 @@ mod tests {
         }
 
         fn find(&self, key: &str) -> Option<Id> {
-            self.table.find((self.hash)(key), |id| self.keys[id as usize] == key)
+            self.table
+                .find((self.hash)(key), |id| self.keys[id as usize] == key)
         }
     }
 
@@ -202,7 +203,10 @@ mod tests {
             t.encode(&format!("k{i}"));
         });
         let mut seen = [false; 256];
-        t.table.tags.iter().for_each(|&tag| seen[usize::from(tag)] = true);
+        t.table
+            .tags
+            .iter()
+            .for_each(|&tag| seen[usize::from(tag)] = true);
         assert!(seen[0x80..].iter().filter(|&&s| s).count() > 120);
     }
 

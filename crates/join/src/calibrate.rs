@@ -191,8 +191,8 @@ pub fn calibrate(store: &TripleStore, cfg: &CalibrationConfig) -> CalibrationRes
     // Each method falls back to the paper's published break-even window
     // independently when its measurement is degenerate.
     let defaults = CalibrationResult::paper_defaults();
-    let (window_binary, iterations_binary) = calibrate_method(keys, cfg, binary_search_cursor)
-        .unwrap_or((defaults.window_binary, 0));
+    let (window_binary, iterations_binary) =
+        calibrate_method(keys, cfg, binary_search_cursor).unwrap_or((defaults.window_binary, 0));
     let (window_index, iterations_index) = match idpos {
         Some(idx) => calibrate_method(keys, cfg, |arr, v, cursor, stats| {
             stats.index_lookups += 1;

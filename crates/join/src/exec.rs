@@ -34,16 +34,16 @@
 //! value vector of that key's group (Example 3.2) — which is how highly
 //! selective queries still parallelize.
 
-use std::panic::AssertUnwindSafe;
 use parj_sync::atomic::{AtomicUsize, Ordering};
 use parj_sync::Arc;
+use std::panic::AssertUnwindSafe;
 
 use parj_dict::Id;
 use parj_store::{DeltaOverlay, Group, Replica, ReplicaView, StoreView, TripleStore};
 
 use crate::guard::{GuardTrip, QueryGuard, GUARD_BATCH};
-use crate::pool::WorkerPool;
 use crate::plan::{CompiledStep, DriverMode, DriverValue, KeyMode, PhysicalPlan, ValueMode, VarId};
+use crate::pool::WorkerPool;
 use crate::search::{adaptive_search, ProbeStrategy};
 use crate::stats::SearchStats;
 use crate::threshold::ThresholdTable;
@@ -228,7 +228,9 @@ impl ExecFailureKind {
     fn from_trip(trip: GuardTrip) -> Self {
         match trip {
             GuardTrip::Cancelled => ExecFailureKind::Cancelled,
-            GuardTrip::DeadlineExceeded { elapsed } => ExecFailureKind::DeadlineExceeded { elapsed },
+            GuardTrip::DeadlineExceeded { elapsed } => {
+                ExecFailureKind::DeadlineExceeded { elapsed }
+            }
             GuardTrip::BudgetExceeded { rows } => ExecFailureKind::BudgetExceeded { rows },
         }
     }
@@ -264,7 +266,11 @@ impl std::fmt::Display for ExecFailure {
         match &self.kind {
             ExecFailureKind::Cancelled => write!(f, "query cancelled after {} rows", self.rows),
             ExecFailureKind::DeadlineExceeded { elapsed } => {
-                write!(f, "query deadline exceeded after {elapsed:.2?} ({} rows)", self.rows)
+                write!(
+                    f,
+                    "query deadline exceeded after {elapsed:.2?} ({} rows)",
+                    self.rows
+                )
             }
             ExecFailureKind::BudgetExceeded { rows } => {
                 write!(f, "query result budget exceeded at {rows} rows")
@@ -425,11 +431,7 @@ fn group_probe(group: Group<'_>, value: Id, stats: &mut SearchStats) -> bool {
 /// the lookup as a group probe. Missing run or absent key → empty.
 /// Delta runs are always raw (only base/compacted replicas compress).
 #[inline]
-fn overlay_group<'a>(
-    rep: Option<&'a Replica>,
-    key: Id,
-    stats: &mut SearchStats,
-) -> &'a [Id] {
+fn overlay_group<'a>(rep: Option<&'a Replica>, key: Id, stats: &mut SearchStats) -> &'a [Id] {
     match rep {
         Some(r) => {
             stats.group_probes += 1;
@@ -441,11 +443,7 @@ fn overlay_group<'a>(
 
 /// The base-side group for `key`, across either representation.
 #[inline]
-fn overlay_base_group<'a>(
-    rep: Option<&'a Replica>,
-    key: Id,
-    stats: &mut SearchStats,
-) -> Group<'a> {
+fn overlay_base_group<'a>(rep: Option<&'a Replica>, key: Id, stats: &mut SearchStats) -> Group<'a> {
     match rep {
         Some(r) => {
             stats.group_probes += 1;
@@ -793,8 +791,7 @@ impl<'a, S: Sink> Worker<'a, S> {
                     // Dirty drivers pay one binary search per run and
                     // key (the merged key list has no positions into
                     // any single replica).
-                    let base_group =
-                        overlay_base_group(*base, key, &mut self.step_stats[slot]);
+                    let base_group = overlay_base_group(*base, key, &mut self.step_stats[slot]);
                     let add_group = overlay_group(*add, key, &mut self.step_stats[slot]);
                     let del_group = overlay_group(*del, key, &mut self.step_stats[slot]);
                     match *value {
@@ -1084,7 +1081,10 @@ fn merge_participants<S: Sink>(
     let mut worst: Option<ExecFailureKind> =
         panicked.map(|message| ExecFailureKind::WorkerPanicked { message });
     let note = |kind: ExecFailureKind, worst: &mut Option<ExecFailureKind>| {
-        if worst.as_ref().is_none_or(|w| kind.severity() > w.severity()) {
+        if worst
+            .as_ref()
+            .is_none_or(|w| kind.severity() > w.severity())
+        {
             *worst = Some(kind);
         }
     };
@@ -1714,7 +1714,10 @@ mod tests {
             vec![0, 1, 2],
         )
         .unwrap();
-        for strategy in [ProbeStrategy::AdaptiveIndex, ProbeStrategy::AlwaysSequential] {
+        for strategy in [
+            ProbeStrategy::AdaptiveIndex,
+            ProbeStrategy::AlwaysSequential,
+        ] {
             for threads in [1usize, 4] {
                 for morsel in [1usize, 2, 16_384] {
                     let opts = ExecOptions {
@@ -2056,7 +2059,7 @@ mod tests {
         .unwrap();
         let (count, stats) = run_count(&s, &plan, &ExecOptions::default()).expect("runs");
         assert_eq!(count, 2); // ProfB/Chem, ProfC/Lit
-        // 4 driver tuples → 4 probes of the constant key.
+                              // 4 driver tuples → 4 probes of the constant key.
         assert_eq!(stats.total_searches(), 4);
     }
 
@@ -2194,7 +2197,10 @@ mod tests {
             morsel_size: 0,
             ..ExecOptions::default()
         };
-        assert_eq!(zero_morsels.validate(), Err(ExecOptionsError::ZeroMorselSize));
+        assert_eq!(
+            zero_morsels.validate(),
+            Err(ExecOptionsError::ZeroMorselSize)
+        );
         let opts = ExecOptions {
             threads: 3,
             morsel_size: 2,
@@ -2206,14 +2212,7 @@ mod tests {
 
     /// Owned copy of an [`ExecRecord`]: (result_rows, step_rows,
     /// step_search, total_search, worker_units, morsels).
-    type OwnedRecord = (
-        u64,
-        Vec<u64>,
-        Vec<SearchStats>,
-        SearchStats,
-        Vec<u64>,
-        u64,
-    );
+    type OwnedRecord = (u64, Vec<u64>, Vec<SearchStats>, SearchStats, Vec<u64>, u64);
 
     /// Captures the one record an execution emits, as owned data.
     #[derive(Default)]
@@ -2429,7 +2428,10 @@ mod tests {
             arrived: Arc::clone(&arrived),
         })
         .expect("runs");
-        let gated: Vec<Id> = sinks.iter().flat_map(|g| g.inner.data.iter().copied()).collect();
+        let gated: Vec<Id> = sinks
+            .iter()
+            .flat_map(|g| g.inner.data.iter().copied())
+            .collect();
         assert_eq!(gated, inline, "a run with helpers reorders nothing");
         assert!(
             pool.stats().helper_joins > joins_before,
@@ -2453,7 +2455,9 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(2));
                 g
             }),
-            ("budget", || Arc::new(QueryGuard::with_limits(None, Some(2)))),
+            ("budget", || {
+                Arc::new(QueryGuard::with_limits(None, Some(2)))
+            }),
             ("none", || Arc::new(QueryGuard::unlimited())),
         ];
         for (name, make) in guards {

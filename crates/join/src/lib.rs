@@ -93,9 +93,9 @@ pub use exec::{
     ExecFailureKind, ExecOptions, ExecOptionsError, ExecRecord, ExecResult, ExecSource, Recorder,
     Sink, DEFAULT_MORSEL_SIZE,
 };
-pub use pool::{Participant, PoolStats, WorkerPool};
 pub use guard::{CancelToken, GuardTrip, QueryGuard, GUARD_BATCH};
 pub use plan::{Atom, PhysicalPlan, PlanError, PlanStep, VarId};
+pub use pool::{Participant, PoolStats, WorkerPool};
 pub use rows::RowBatch;
 pub use search::{adaptive_search, binary_search_cursor, sequential_search, ProbeStrategy};
 pub use stats::SearchStats;

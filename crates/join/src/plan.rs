@@ -350,7 +350,8 @@ mod tests {
     #[test]
     fn driver_modes() {
         // Constant key → group scan (Example 3.2).
-        let p = PhysicalPlan::new(vec![step(0, Atom::Const(10), Atom::Var(0))], 1, vec![0]).unwrap();
+        let p =
+            PhysicalPlan::new(vec![step(0, Atom::Const(10), Atom::Var(0))], 1, vec![0]).unwrap();
         assert_eq!(
             p.driver,
             DriverMode::ScanGroup {
@@ -359,7 +360,8 @@ mod tests {
             }
         );
         // Fully constant → existence.
-        let p = PhysicalPlan::new(vec![step(0, Atom::Const(1), Atom::Const(2))], 0, vec![]).unwrap();
+        let p =
+            PhysicalPlan::new(vec![step(0, Atom::Const(1), Atom::Const(2))], 0, vec![]).unwrap();
         assert_eq!(p.driver, DriverMode::Existence { key: 1, value: 2 });
         // Repeated variable.
         let p = PhysicalPlan::new(vec![step(0, Atom::Var(0), Atom::Var(0))], 1, vec![0]).unwrap();
@@ -407,10 +409,12 @@ mod tests {
         .unwrap_err();
         assert_eq!(e, PlanError::UnboundKey { step: 1, var: 2 });
         // Projection var never bound.
-        let e = PhysicalPlan::new(vec![step(0, Atom::Var(0), Atom::Var(1))], 3, vec![2]).unwrap_err();
+        let e =
+            PhysicalPlan::new(vec![step(0, Atom::Var(0), Atom::Var(1))], 3, vec![2]).unwrap_err();
         assert_eq!(e, PlanError::UnboundProjection(2));
         // Var id out of range.
-        let e = PhysicalPlan::new(vec![step(0, Atom::Var(5), Atom::Var(1))], 2, vec![]).unwrap_err();
+        let e =
+            PhysicalPlan::new(vec![step(0, Atom::Var(5), Atom::Var(1))], 2, vec![]).unwrap_err();
         assert_eq!(e, PlanError::VarOutOfRange(5));
     }
 

@@ -34,7 +34,11 @@ pub struct RowBatch {
 impl RowBatch {
     /// An empty batch of the given row arity.
     pub fn new(arity: usize) -> Self {
-        RowBatch { arity, data: Vec::new(), arity0_rows: 0 }
+        RowBatch {
+            arity,
+            data: Vec::new(),
+            arity0_rows: 0,
+        }
     }
 
     /// Wraps an existing flat buffer. `data.len()` must be a multiple
@@ -47,7 +51,11 @@ impl RowBatch {
         } else {
             assert_eq!(data.len() % arity, 0, "flat buffer misaligned with arity");
         }
-        RowBatch { arity, data, arity0_rows: 0 }
+        RowBatch {
+            arity,
+            data,
+            arity0_rows: 0,
+        }
     }
 
     /// Ids per row.
@@ -59,7 +67,10 @@ impl RowBatch {
     pub fn len(&self) -> usize {
         // An arity-0 batch carries no id payload; its logical count
         // lives in `arity0_rows`.
-        self.data.len().checked_div(self.arity).unwrap_or(self.arity0_rows)
+        self.data
+            .len()
+            .checked_div(self.arity)
+            .unwrap_or(self.arity0_rows)
     }
 
     /// True when the batch holds no rows.
@@ -132,7 +143,10 @@ impl RowBatch {
         if self.arity == 0 {
             return vec![Vec::new(); self.arity0_rows];
         }
-        self.data.chunks_exact(self.arity).map(<[Id]>::to_vec).collect()
+        self.data
+            .chunks_exact(self.arity)
+            .map(<[Id]>::to_vec)
+            .collect()
     }
 
     /// Sorts the rows with a caller-supplied comparator by permuting
@@ -247,8 +261,14 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(b.arity(), 2);
         assert_eq!(b.row(1), &[3, 4]);
-        assert_eq!(b.rows().collect::<Vec<_>>(), vec![&[1, 2][..], &[3, 4], &[5, 6]]);
-        assert_eq!(b.clone().into_rows(), vec![vec![1, 2], vec![3, 4], vec![5, 6]]);
+        assert_eq!(
+            b.rows().collect::<Vec<_>>(),
+            vec![&[1, 2][..], &[3, 4], &[5, 6]]
+        );
+        assert_eq!(
+            b.clone().into_rows(),
+            vec![vec![1, 2], vec![3, 4], vec![5, 6]]
+        );
         assert_eq!(b.data(), &[1, 2, 3, 4, 5, 6]);
     }
 
@@ -336,7 +356,10 @@ mod tests {
         // arrival order.
         let mut b = batch(&[[2, 0], [1, 1], [2, 2], [1, 3]]);
         b.sort_by(|x, y| x[0].cmp(&y[0]));
-        assert_eq!(b.into_rows(), vec![vec![1, 1], vec![1, 3], vec![2, 0], vec![2, 2]]);
+        assert_eq!(
+            b.into_rows(),
+            vec![vec![1, 1], vec![1, 3], vec![2, 0], vec![2, 2]]
+        );
     }
 
     #[test]

@@ -406,8 +406,13 @@ mod tests {
         let mut stats = SearchStats::new();
         let mut cursor = 100; // arr[100] = 1000
         let r = adaptive_search(
-            &a, 1010, &mut cursor, 50,
-            ProbeStrategy::AdaptiveBinary, Some(&idx), &mut stats,
+            &a,
+            1010,
+            &mut cursor,
+            50,
+            ProbeStrategy::AdaptiveBinary,
+            Some(&idx),
+            &mut stats,
         );
         assert_eq!(r, Some(101));
         assert_eq!(stats.sequential_searches, 1);
@@ -417,8 +422,13 @@ mod tests {
         let mut stats = SearchStats::new();
         let mut cursor = 100;
         let r = adaptive_search(
-            &a, 9990, &mut cursor, 50,
-            ProbeStrategy::AdaptiveBinary, Some(&idx), &mut stats,
+            &a,
+            9990,
+            &mut cursor,
+            50,
+            ProbeStrategy::AdaptiveBinary,
+            Some(&idx),
+            &mut stats,
         );
         assert_eq!(r, Some(999));
         assert_eq!(stats.binary_searches, 1);
@@ -428,8 +438,13 @@ mod tests {
         let mut stats = SearchStats::new();
         let mut cursor = 100;
         let r = adaptive_search(
-            &a, 9990, &mut cursor, 50,
-            ProbeStrategy::AdaptiveIndex, Some(&idx), &mut stats,
+            &a,
+            9990,
+            &mut cursor,
+            50,
+            ProbeStrategy::AdaptiveIndex,
+            Some(&idx),
+            &mut stats,
         );
         assert_eq!(r, Some(999));
         assert_eq!(stats.index_lookups, 1);
@@ -506,11 +521,11 @@ mod tests {
         // and probes past the last key. Result AND resting cursor must
         // match the plain linear scan for every (start, probe) pair.
         let shapes: Vec<Vec<Id>> = vec![
-            vec![7],                                      // length-1 run
-            vec![3, 9],                                   // length-2
-            (0..40).map(|i| i * 100).collect(),           // wide gaps
-            (0..17).map(|i| i * i).collect(),             // uneven gaps
-            vec![0, 1, 2, 3, 1_000_000, u32::MAX - 1],    // extreme tail
+            vec![7],                                   // length-1 run
+            vec![3, 9],                                // length-2
+            (0..40).map(|i| i * 100).collect(),        // wide gaps
+            (0..17).map(|i| i * i).collect(),          // uneven gaps
+            vec![0, 1, 2, 3, 1_000_000, u32::MAX - 1], // extreme tail
         ];
         for a in &shapes {
             let max = *a.last().unwrap();
@@ -523,14 +538,14 @@ mod tests {
             // stale cursors from a longer previous run must clamp.
             for start in (0..a.len() + 3).chain([usize::MAX]) {
                 for &probe in &probes {
-                    let (want, want_cursor) =
-                        linear_oracle(a, probe, start.min(a.len() - 1));
+                    let (want, want_cursor) = linear_oracle(a, probe, start.min(a.len() - 1));
                     let mut stats = SearchStats::new();
                     let mut cursor = start;
                     let got = sequential_search(a, probe, &mut cursor, &mut stats);
                     assert_eq!(got, want, "len {} probe {probe} from {start}", a.len());
                     assert_eq!(
-                        cursor, want_cursor,
+                        cursor,
+                        want_cursor,
                         "cursor parity: len {} probe {probe} from {start}",
                         a.len()
                     );
@@ -573,8 +588,13 @@ mod tests {
         let mut stats = SearchStats::new();
         let mut cursor = 0;
         let r = adaptive_search(
-            &a, 45, &mut cursor, 0,
-            ProbeStrategy::AlwaysIndex, None, &mut stats,
+            &a,
+            45,
+            &mut cursor,
+            0,
+            ProbeStrategy::AlwaysIndex,
+            None,
+            &mut stats,
         );
         assert_eq!(r, Some(7));
         assert_eq!(stats.binary_searches, 1);
@@ -583,8 +603,13 @@ mod tests {
         let mut stats = SearchStats::new();
         let mut cursor = 0;
         let r = adaptive_search(
-            &a, 45, &mut cursor, 0,
-            ProbeStrategy::AdaptiveIndex, None, &mut stats,
+            &a,
+            45,
+            &mut cursor,
+            0,
+            ProbeStrategy::AdaptiveIndex,
+            None,
+            &mut stats,
         );
         assert_eq!(r, Some(7));
         assert_eq!(cursor, 7);
@@ -600,7 +625,9 @@ mod tests {
     #[test]
     fn labels() {
         assert_eq!(ProbeStrategy::AdaptiveBinary.label(), "AdBinary");
-        assert_eq!(ProbeStrategy::TABLE5.map(|s| s.label()),
-                   ["Binary", "AdBinary", "Index", "AdIndex"]);
+        assert_eq!(
+            ProbeStrategy::TABLE5.map(|s| s.label()),
+            ["Binary", "AdBinary", "Index", "AdIndex"]
+        );
     }
 }

@@ -34,7 +34,10 @@ pub struct ReplicaThresholds {
 impl ReplicaThresholds {
     /// Thresholds that force the adaptive strategies to always choose
     /// the random-access method (used to disable adaptivity).
-    pub const NEVER_SEQUENTIAL: ReplicaThresholds = ReplicaThresholds { binary: -1, index: -1 };
+    pub const NEVER_SEQUENTIAL: ReplicaThresholds = ReplicaThresholds {
+        binary: -1,
+        index: -1,
+    };
 }
 
 /// Per-replica thresholds for a whole store, indexed by `(predicate,
@@ -95,7 +98,10 @@ impl ThresholdTable {
         self.per
             .get(predicate as usize)
             .map(|pair| pair[idx])
-            .unwrap_or(ReplicaThresholds { binary: 0, index: 0 })
+            .unwrap_or(ReplicaThresholds {
+                binary: 0,
+                index: 0,
+            })
     }
 
     /// Number of predicates covered.
@@ -146,7 +152,12 @@ mod tests {
         let sparse = store.dict().predicate_id(&Term::iri("p-sparse")).unwrap();
         let td = t.get(dense, SortOrder::SO);
         let ts = t.get(sparse, SortOrder::SO);
-        assert!(ts.binary > td.binary, "sparse {} dense {}", ts.binary, td.binary);
+        assert!(
+            ts.binary > td.binary,
+            "sparse {} dense {}",
+            ts.binary,
+            td.binary
+        );
         // Index threshold is the smaller of the two everywhere.
         assert!(td.index < td.binary);
         assert!(ts.index < ts.binary);
@@ -154,7 +165,13 @@ mod tests {
 
     #[test]
     fn out_of_range_predicate_gets_zero() {
-        let t = ThresholdTable::uniform(1, ReplicaThresholds { binary: 5, index: 2 });
+        let t = ThresholdTable::uniform(
+            1,
+            ReplicaThresholds {
+                binary: 5,
+                index: 2,
+            },
+        );
         assert_eq!(t.get(0, SortOrder::SO).binary, 5);
         assert_eq!(t.get(9, SortOrder::OS).binary, 0);
     }

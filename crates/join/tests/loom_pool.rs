@@ -44,8 +44,7 @@ fn loom_every_morsel_runs_exactly_once() {
     loom::model(|| {
         let pool = WorkerPool::new(1);
         let cursor = Arc::new(AtomicUsize::new(0));
-        let hits: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..3).map(|_| AtomicUsize::new(0)).collect());
+        let hits: Arc<Vec<AtomicUsize>> = Arc::new((0..3).map(|_| AtomicUsize::new(0)).collect());
         pool.run(1, cursor_participant(&cursor, &hits));
         for (m, slot) in hits.iter().enumerate() {
             // ordering: Relaxed read is fine post-rendezvous; run()'s
@@ -93,8 +92,7 @@ fn loom_shutdown_wakes_parked_workers() {
     loom::model(|| {
         let pool = WorkerPool::new(2);
         let cursor = Arc::new(AtomicUsize::new(0));
-        let hits: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..1).map(|_| AtomicUsize::new(0)).collect());
+        let hits: Arc<Vec<AtomicUsize>> = Arc::new((0..1).map(|_| AtomicUsize::new(0)).collect());
         pool.run(2, cursor_participant(&cursor, &hits));
         // ordering: post-rendezvous read, see above.
         assert_eq!(hits[0].load(Ordering::Relaxed), 1);

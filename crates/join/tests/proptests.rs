@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use parj_dict::{Id, Term};
 use parj_join::{
     adaptive_search, binary_search_cursor, execute_collect, sequential_search, Atom,
-    CalibrationResult, ExecOptions, ExecSource, PhysicalPlan, PlanStep, ProbeStrategy,
-    SearchStats, ThresholdTable, WorkerPool,
+    CalibrationResult, ExecOptions, ExecSource, PhysicalPlan, PlanStep, ProbeStrategy, SearchStats,
+    ThresholdTable, WorkerPool,
 };
 use parj_store::{IdPosIndex, SortOrder, StoreBuilder};
 use std::sync::{Arc, OnceLock};

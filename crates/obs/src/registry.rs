@@ -132,8 +132,11 @@ pub enum SearchKind {
 
 impl SearchKind {
     /// All kinds, in exposition order.
-    pub const ALL: [SearchKind; 3] =
-        [SearchKind::Sequential, SearchKind::Binary, SearchKind::Index];
+    pub const ALL: [SearchKind; 3] = [
+        SearchKind::Sequential,
+        SearchKind::Binary,
+        SearchKind::Index,
+    ];
 
     /// The label value rendered for this kind.
     pub fn as_str(self) -> &'static str {
@@ -188,7 +191,9 @@ pub struct PoolTotals {
 }
 
 /// Histogram bounds for query durations, in microseconds.
-const DURATION_BOUNDS: [u64; 7] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 60_000_000];
+const DURATION_BOUNDS: [u64; 7] = [
+    100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 60_000_000,
+];
 /// Histogram bounds for result rows per query.
 const ROWS_BOUNDS: [u64; 7] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000];
 /// Histogram bounds for the shard-load imbalance factor ×1000
@@ -544,7 +549,9 @@ impl EngineMetrics {
                     "Wall time spent per query phase, microseconds.",
                     QueryPhase::ALL
                         .iter()
-                        .map(|&p| labelled("phase", p.as_str(), self.phase_micros[p as usize].get()))
+                        .map(|&p| {
+                            labelled("phase", p.as_str(), self.phase_micros[p as usize].get())
+                        })
                         .collect(),
                 ),
                 hist_fam(
@@ -575,7 +582,9 @@ impl EngineMetrics {
                     "Cache probes that missed (including stale-generation removals), by tier.",
                     CacheKind::ALL
                         .iter()
-                        .map(|&k| labelled("cache", k.as_str(), self.cache_misses[k as usize].get()))
+                        .map(|&k| {
+                            labelled("cache", k.as_str(), self.cache_misses[k as usize].get())
+                        })
                         .collect(),
                 ),
                 counter_fam(
@@ -617,7 +626,9 @@ impl EngineMetrics {
                     "Probe searches by kind (the adaptive mix of Algorithm 1).",
                     SearchKind::ALL
                         .iter()
-                        .map(|&k| labelled("kind", k.as_str(), self.searches_total[k as usize].get()))
+                        .map(|&k| {
+                            labelled("kind", k.as_str(), self.searches_total[k as usize].get())
+                        })
                         .collect(),
                 ),
                 counter_fam(
@@ -626,7 +637,11 @@ impl EngineMetrics {
                     SearchKind::ALL
                         .iter()
                         .map(|&k| {
-                            labelled("kind", k.as_str(), self.search_words_total[k as usize].get())
+                            labelled(
+                                "kind",
+                                k.as_str(),
+                                self.search_words_total[k as usize].get(),
+                            )
                         })
                         .collect(),
                 ),
@@ -803,13 +818,19 @@ mod tests {
             },
         );
         let snap = m.snapshot();
-        assert_eq!(snap.value("parj_queries_total", &[("outcome", "ok")]), Some(1));
+        assert_eq!(
+            snap.value("parj_queries_total", &[("outcome", "ok")]),
+            Some(1)
+        );
         assert_eq!(
             snap.value("parj_query_phase_micros_total", &[("phase", "execute")]),
             Some(200)
         );
         assert_eq!(snap.value("parj_result_rows_total", &[]), Some(42));
-        assert_eq!(snap.value("parj_searches_total", &[("kind", "sequential")]), Some(5));
+        assert_eq!(
+            snap.value("parj_searches_total", &[("kind", "sequential")]),
+            Some(5)
+        );
     }
 
     #[test]
@@ -823,20 +844,38 @@ mod tests {
         m.record_cache_time_saved(QueryPhase::Execute, 500);
         m.record_cache_time_saved(QueryPhase::Optimize, 40);
         let snap = m.snapshot();
-        assert_eq!(snap.value("parj_cache_hits_total", &[("cache", "plan")]), Some(1));
-        assert_eq!(snap.value("parj_cache_hits_total", &[("cache", "result")]), Some(1));
-        assert_eq!(snap.value("parj_cache_misses_total", &[("cache", "plan")]), Some(1));
-        assert_eq!(snap.value("parj_cache_evictions_total", &[("cache", "result")]), Some(3));
+        assert_eq!(
+            snap.value("parj_cache_hits_total", &[("cache", "plan")]),
+            Some(1)
+        );
+        assert_eq!(
+            snap.value("parj_cache_hits_total", &[("cache", "result")]),
+            Some(1)
+        );
+        assert_eq!(
+            snap.value("parj_cache_misses_total", &[("cache", "plan")]),
+            Some(1)
+        );
+        assert_eq!(
+            snap.value("parj_cache_evictions_total", &[("cache", "result")]),
+            Some(3)
+        );
         assert_eq!(
             snap.value("parj_cache_resident_bytes", &[("cache", "result")]),
             Some(4096)
         );
         assert_eq!(
-            snap.value("parj_cache_time_saved_micros_total", &[("phase", "execute")]),
+            snap.value(
+                "parj_cache_time_saved_micros_total",
+                &[("phase", "execute")]
+            ),
             Some(500)
         );
         assert_eq!(
-            snap.value("parj_cache_time_saved_micros_total", &[("phase", "cache_lookup")]),
+            snap.value(
+                "parj_cache_time_saved_micros_total",
+                &[("phase", "cache_lookup")]
+            ),
             Some(0)
         );
     }
@@ -912,7 +951,10 @@ mod tests {
         m.set_store_memory(10, 800, [("p1".to_string(), 500)], 300, 40);
         m.set_store_memory(12, 900, [("p2".to_string(), 600)], 310, 41);
         let snap = m.snapshot();
-        assert_eq!(snap.value("parj_store_replica_bytes", &[("predicate", "p1")]), None);
+        assert_eq!(
+            snap.value("parj_store_replica_bytes", &[("predicate", "p1")]),
+            None
+        );
         assert_eq!(
             snap.value("parj_store_replica_bytes", &[("predicate", "p2")]),
             Some(600)

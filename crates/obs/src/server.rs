@@ -111,7 +111,9 @@ impl HttpStatusClass {
 
 /// Request-latency histogram bounds, microseconds (same scale as the
 /// engine's query-duration histogram so the two are comparable).
-const REQUEST_BOUNDS: [u64; 7] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 60_000_000];
+const REQUEST_BOUNDS: [u64; 7] = [
+    100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 60_000_000,
+];
 
 /// Every metric family the serving layer records.
 #[derive(Debug)]

@@ -84,7 +84,11 @@ fn render_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&
     }
     out.push('{');
     let mut first = true;
-    for (k, v) in labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).chain(extra) {
+    for (k, v) in labels
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .chain(extra)
+    {
         if !first {
             out.push(',');
         }
@@ -96,7 +100,9 @@ fn render_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&
 
 /// Escapes a label value per the Prometheus text format.
 fn prometheus_escape(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// Escapes a string for embedding in a JSON document.

@@ -123,7 +123,10 @@ fn prometheus_exposition_is_pinned() {
         "parj_dict_bytes{section=\"resources\"} 30000",
         "parj_dict_bytes{section=\"predicates\"} 2000",
     ] {
-        assert!(text.lines().any(|l| l == line), "missing line {line:?} in:\n{text}");
+        assert!(
+            text.lines().any(|l| l == line),
+            "missing line {line:?} in:\n{text}"
+        );
     }
 }
 

@@ -148,7 +148,11 @@ mod tests {
         let h = EquiDepthHistogram::build(groups, 10);
         assert_eq!(h.total_triples(), 3000);
         assert_eq!(h.total_distinct(), 1000);
-        assert!(h.num_buckets() >= 9 && h.num_buckets() <= 11, "{}", h.num_buckets());
+        assert!(
+            h.num_buckets() >= 9 && h.num_buckets() <= 11,
+            "{}",
+            h.num_buckets()
+        );
         // Every key estimates its true frequency exactly under uniformity.
         for k in [0, 99, 500, 999] {
             assert!((h.estimate_freq(k) - 3.0).abs() < 1e-9);

@@ -147,12 +147,7 @@ impl Est<'_> {
 
     /// Estimates output rows per input tuple when probing pattern `j`
     /// keyed on `key`, given the bound-variable sources.
-    fn probe_est(
-        &self,
-        pat: &Pattern,
-        key: KeySide,
-        sources: &[Option<VarSource>],
-    ) -> Option<f64> {
+    fn probe_est(&self, pat: &Pattern, key: KeySide, sources: &[Option<VarSource>]) -> Option<f64> {
         let triples = self.pred_triples(pat.p);
         if triples == 0.0 {
             return Some(0.0);
@@ -435,10 +430,7 @@ fn sources_for(
 
 /// Greedy fallback for very large BGPs: cheapest driver, then repeatedly
 /// the cheapest probeable pattern.
-fn greedy(
-    est: &Est<'_>,
-    num_vars: usize,
-) -> Result<(Vec<usize>, Vec<KeySide>), OptimizeError> {
+fn greedy(est: &Est<'_>, num_vars: usize) -> Result<(Vec<usize>, Vec<KeySide>), OptimizeError> {
     let n = est.patterns.len();
     let mut remaining: Vec<usize> = (0..n).collect();
     // Driver: smallest estimated cardinality.
@@ -666,8 +658,16 @@ mod tests {
         let ghost = s.dict().predicate_id(&Term::iri("ghost")).unwrap();
         let real = s.dict().predicate_id(&Term::iri("real")).unwrap();
         let patterns = [
-            Pattern { s: Atom::Var(0), p: real, o: Atom::Var(1) },
-            Pattern { s: Atom::Var(1), p: ghost, o: Atom::Var(2) },
+            Pattern {
+                s: Atom::Var(0),
+                p: real,
+                o: Atom::Var(1),
+            },
+            Pattern {
+                s: Atom::Var(1),
+                p: ghost,
+                o: Atom::Var(2),
+            },
         ];
         let plan = optimize(&stats, &patterns, 3, vec![0, 1, 2]).unwrap();
         assert_eq!(plan.steps().len(), 2);
@@ -685,8 +685,16 @@ mod tests {
         // pattern 2? Construct: ?a teaches ?x (binds ?x as object), then
         // ?b worksFor ?x probes worksFor keyed on its object.
         let patterns = [
-            Pattern { s: Atom::Var(0), p: teaches, o: Atom::Var(1) },
-            Pattern { s: Atom::Var(2), p: works, o: Atom::Var(1) },
+            Pattern {
+                s: Atom::Var(0),
+                p: teaches,
+                o: Atom::Var(1),
+            },
+            Pattern {
+                s: Atom::Var(2),
+                p: works,
+                o: Atom::Var(1),
+            },
         ];
         let plan = optimize(&stats, &patterns, 3, vec![0, 1, 2]).unwrap();
         let probe = &plan.steps()[1];

@@ -83,7 +83,11 @@ impl ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}, column {}: {}", self.line, self.column, self.kind)
+        write!(
+            f,
+            "line {}, column {}: {}",
+            self.line, self.column, self.kind
+        )
     }
 }
 

@@ -44,8 +44,8 @@ mod turtle;
 mod writer;
 
 pub use chunk::{
-    finish_turtle_chunks, parse_ntriples_chunk, parse_turtle_chunk, split_ntriples,
-    split_turtle, Interleave, NtChunk, ParsedChunk, TurtleChunk,
+    finish_turtle_chunks, parse_ntriples_chunk, parse_turtle_chunk, split_ntriples, split_turtle,
+    Interleave, NtChunk, ParsedChunk, TurtleChunk,
 };
 pub use error::{ParseError, ParseErrorKind};
 pub use load::{drain_triples, parse_ntriples_str_lossy, LoadReport, OnParseError};

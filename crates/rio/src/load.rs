@@ -95,9 +95,10 @@ pub fn parse_ntriples_str_lossy(
     policy: OnParseError,
 ) -> Result<(Vec<TermTriple>, LoadReport), ParseError> {
     let mut out = Vec::new();
-    let src = input.lines().enumerate().filter_map(|(idx, line)| {
-        crate::parser::parse_line(line, idx + 1).transpose()
-    });
+    let src = input
+        .lines()
+        .enumerate()
+        .filter_map(|(idx, line)| crate::parser::parse_line(line, idx + 1).transpose());
     let report = drain_triples(src, policy, |t| out.push(t))?;
     Ok((out, report))
 }
@@ -174,8 +175,14 @@ mod tests {
             }
         }
         let parser = crate::NTriplesParser::new(std::io::BufReader::new(BrokenReader));
-        let err = drain_triples(parser, OnParseError::Skip { max_errors: usize::MAX }, |_| {})
-            .unwrap_err();
+        let err = drain_triples(
+            parser,
+            OnParseError::Skip {
+                max_errors: usize::MAX,
+            },
+            |_| {},
+        )
+        .unwrap_err();
         assert!(matches!(err.kind, ParseErrorKind::Io(_)));
     }
 
@@ -186,9 +193,13 @@ mod tests {
             doc.push_str("garbage line\n");
         }
         doc.push_str("<http://e/a> <http://e/p> <http://e/b> .\n");
-        let (triples, report) =
-            parse_ntriples_str_lossy(&doc, OnParseError::Skip { max_errors: usize::MAX })
-                .unwrap();
+        let (triples, report) = parse_ntriples_str_lossy(
+            &doc,
+            OnParseError::Skip {
+                max_errors: usize::MAX,
+            },
+        )
+        .unwrap();
         assert_eq!(triples.len(), 1);
         assert_eq!(report.skipped, LoadReport::MAX_RECORDED_ERRORS + 20);
         assert_eq!(report.errors.len(), LoadReport::MAX_RECORDED_ERRORS);

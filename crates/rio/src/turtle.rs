@@ -620,19 +620,18 @@ line2 "quoted" inside""" .
     fn generated_labels_avoid_document_labels() {
         // A document that already uses `genid…` labels pushes the
         // generated prefix further.
-        let t = parse(
-            "@prefix e: <http://e/> .\n_:genid0 e:p [ e:q e:o ] .",
-        );
+        let t = parse("@prefix e: <http://e/> .\n_:genid0 e:p [ e:q e:o ] .");
         assert_eq!(t[1].0, Term::blank("genid0"));
         let gen = &t[0].0;
-        assert!(matches!(gen, Term::BlankNode(l) if l.starts_with("genidx")), "{gen:?}");
+        assert!(
+            matches!(gen, Term::BlankNode(l) if l.starts_with("genidx")),
+            "{gen:?}"
+        );
     }
 
     #[test]
     fn comments_everywhere() {
-        let t = parse(
-            "# header\n@prefix e: <http://e/> . # trailing\ne:s e:p # mid\n e:o .",
-        );
+        let t = parse("# header\n@prefix e: <http://e/> . # trailing\ne:s e:p # mid\n e:o .");
         assert_eq!(t.len(), 1);
     }
 
@@ -655,11 +654,8 @@ line2 "quoted" inside""" .
         let src = "@prefix e: <http://e/> .\n\
                    e:s e:p @bogus ] .\n\
                    e:a e:b e:c .";
-        let (t, report) = parse_turtle_str_lossy(
-            src,
-            crate::OnParseError::Skip { max_errors: 10 },
-        )
-        .expect("lossy parse succeeds");
+        let (t, report) = parse_turtle_str_lossy(src, crate::OnParseError::Skip { max_errors: 10 })
+            .expect("lossy parse succeeds");
         assert_eq!(t.len(), 1, "the well-formed trailing statement survives");
         assert_eq!(report.skipped, 2, "statement error + bracket underflow");
         assert!(
@@ -679,7 +675,10 @@ line2 "quoted" inside""" .
         let src = "e:s e:p @bogus ] .\n<http://e/a> <http://e/b> <http://e/c> .";
         let err = parse_turtle_str_lossy(src, crate::OnParseError::Skip { max_errors: 1 })
             .expect_err("underflow exhausts the error budget");
-        assert!(matches!(err.kind, ParseErrorKind::UnbalancedBracket(']')), "{err:?}");
+        assert!(
+            matches!(err.kind, ParseErrorKind::UnbalancedBracket(']')),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -689,11 +688,8 @@ line2 "quoted" inside""" .
         let src = "@prefix e: <http://e/> .\n\
                    e:s e:p @bogus [ e:q e:r ] .\n\
                    e:a e:b e:c .";
-        let (t, report) = parse_turtle_str_lossy(
-            src,
-            crate::OnParseError::Skip { max_errors: 10 },
-        )
-        .expect("lossy parse succeeds");
+        let (t, report) = parse_turtle_str_lossy(src, crate::OnParseError::Skip { max_errors: 10 })
+            .expect("lossy parse succeeds");
         assert_eq!(t.len(), 1);
         assert_eq!(report.skipped, 1, "no underflow to report");
     }
@@ -702,9 +698,7 @@ line2 "quoted" inside""" .
     fn roundtrip_with_ntriples_writer() {
         // Everything Turtle parses, the N-Triples writer + parser must
         // round-trip.
-        let triples = parse(
-            "@prefix e: <http://e/> .\n e:s e:p \"x\\ty\" , 42 , e:o ; a e:C .",
-        );
+        let triples = parse("@prefix e: <http://e/> .\n e:s e:p \"x\\ty\" , 42 , e:o ; a e:C .");
         let mut buf = Vec::new();
         crate::writer::write_ntriples(&mut buf, &triples).unwrap();
         let back = crate::parser::parse_ntriples_str(&String::from_utf8(buf).unwrap()).unwrap();
@@ -720,8 +714,16 @@ line2 "quoted" inside""" .
         let table: [(&str, usize, usize); 28] = [
             ("<http://e/s>\n  <http://e/p> @ .", 2, 16),
             ("<http://e/é> <http://e/p> @ .", 1, 27),
-            ("@prefix e: <http://e/> .\ne:s e:p \"\"\"multi\nline é\nstring\"\"\" ; e:q @ .", 4, 17),
-            ("@prefix e: <http://e/> .\ne:s e:p \"\"\"a\nb\"\"\" .\nzz:x e:p e:o .", 4, 5),
+            (
+                "@prefix e: <http://e/> .\ne:s e:p \"\"\"multi\nline é\nstring\"\"\" ; e:q @ .",
+                4,
+                17,
+            ),
+            (
+                "@prefix e: <http://e/> .\ne:s e:p \"\"\"a\nb\"\"\" .\nzz:x e:p e:o .",
+                4,
+                5,
+            ),
             ("ex:undeclared <http://e/p> <http://e/o> .", 1, 14),
             ("<http://e/s> <http://e/p> <http://e/o>", 1, 39),
             ("\"literal\" <http://e/p> <http://e/o> .", 1, 1),
@@ -783,7 +785,10 @@ line2 "quoted" inside""" .
         let doc = "_:a..b <http://e/p> _:c.d .";
         let t = parse(doc);
         assert_eq!(t, crate::parser::parse_ntriples_str(doc).unwrap());
-        assert_eq!((&t[0].0, &t[0].2), (&Term::blank("a..b"), &Term::blank("c.d")));
+        assert_eq!(
+            (&t[0].0, &t[0].2),
+            (&Term::blank("a..b"), &Term::blank("c.d"))
+        );
     }
 
     #[test]
@@ -794,7 +799,10 @@ line2 "quoted" inside""" .
             assert!(parse_turtle_str(&doc).is_err(), "{doc:?}");
         }
         // The W3C set still separates: space, tab, CR, LF.
-        assert_eq!(parse("<http://e/s>\t<http://e/p>\r\n<http://e/o> .").len(), 1);
+        assert_eq!(
+            parse("<http://e/s>\t<http://e/p>\r\n<http://e/o> .").len(),
+            1
+        );
     }
 
     #[test]

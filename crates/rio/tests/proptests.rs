@@ -33,7 +33,10 @@ fn arb_object() -> impl Strategy<Value = Term> {
             .unwrap()
             .prop_map(Term::blank),
         arb_lexical().prop_map(Term::literal),
-        (arb_lexical(), proptest::string::string_regex("[a-z]{2,3}(-[A-Z]{2})?").unwrap())
+        (
+            arb_lexical(),
+            proptest::string::string_regex("[a-z]{2,3}(-[A-Z]{2})?").unwrap()
+        )
             .prop_map(|(l, g)| Term::lang_literal(l, g)),
         (arb_lexical(), arb_iri()).prop_map(|(l, d)| Term::typed_literal(l, d)),
     ]

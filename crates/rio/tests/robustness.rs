@@ -29,10 +29,7 @@ fn lossy_ntriples_interleaved_diagnostics() {
         "total garbage",
     ];
     // Interleave: good, bad, good, bad, good, bad, bad.
-    let doc = [
-        good[0], bad[0], good[1], bad[1], good[2], bad[2], bad[3],
-    ]
-    .join("\n");
+    let doc = [good[0], bad[0], good[1], bad[1], good[2], bad[2], bad[3]].join("\n");
     let (triples, report) = parse_ntriples_str_lossy(&doc, SKIP_ALL).unwrap();
     assert_eq!(triples.len(), 3);
     assert_eq!(report.loaded, 3);
@@ -54,7 +51,7 @@ fn lossy_ntriples_max_errors_overflow() {
     }
     let err = parse_ntriples_str_lossy(&doc, OnParseError::Skip { max_errors: 3 }).unwrap_err();
     assert_eq!(err.line, 8); // 4th bad line crosses the budget of 3
-    // With exactly enough budget the whole document loads.
+                             // With exactly enough budget the whole document loads.
     let (triples, report) =
         parse_ntriples_str_lossy(&doc, OnParseError::Skip { max_errors: 10 }).unwrap();
     assert_eq!(triples.len(), 10);

@@ -153,7 +153,9 @@ impl QuotaTable {
             tokens: burst,
             refreshed: now,
         });
-        let elapsed = now.saturating_duration_since(bucket.refreshed).as_secs_f64();
+        let elapsed = now
+            .saturating_duration_since(bucket.refreshed)
+            .as_secs_f64();
         bucket.tokens = (bucket.tokens + elapsed * self.quota.per_sec).min(burst);
         bucket.refreshed = now;
         if bucket.tokens >= 1.0 {
@@ -268,7 +270,10 @@ mod tests {
 
     #[test]
     fn token_bucket_limits_bursts_and_refills() {
-        let table = QuotaTable::new(Quota { burst: 2, per_sec: 1.0 });
+        let table = QuotaTable::new(Quota {
+            burst: 2,
+            per_sec: 1.0,
+        });
         let ip: IpAddr = "10.0.0.1".parse().unwrap();
         let t0 = Instant::now();
         assert!(table.try_take(ip, t0));

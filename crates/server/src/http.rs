@@ -118,7 +118,10 @@ pub struct Limits {
 
 /// True when an I/O error is a read-timeout expiry.
 fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// Reads and parses one request from `stream` under `limits`.
@@ -175,11 +178,15 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
             .split_once(':')
             .ok_or_else(|| HttpError::BadRequest(format!("malformed header line: {line:?}")))?;
         if name.is_empty() || name.contains(|c: char| c.is_control() || c == ' ') {
-            return Err(HttpError::BadRequest(format!("malformed header name: {name:?}")));
+            return Err(HttpError::BadRequest(format!(
+                "malformed header name: {name:?}"
+            )));
         }
         let value = value.trim();
         if value.contains(|c: char| c.is_control()) {
-            return Err(HttpError::BadRequest("control character in header value".into()));
+            return Err(HttpError::BadRequest(
+                "control character in header value".into(),
+            ));
         }
         headers.push((name.to_ascii_lowercase(), value.to_string()));
     }
@@ -202,7 +209,9 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
                 return Err(HttpError::PayloadTooLarge);
             }
             if body.len() > len {
-                return Err(HttpError::BadRequest("body longer than content-length".into()));
+                return Err(HttpError::BadRequest(
+                    "body longer than content-length".into(),
+                ));
             }
             while body.len() < len {
                 let remaining = deadline.saturating_duration_since(Instant::now());
@@ -220,7 +229,9 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
                 }
             }
             if body.len() > len {
-                return Err(HttpError::BadRequest("body longer than content-length".into()));
+                return Err(HttpError::BadRequest(
+                    "body longer than content-length".into(),
+                ));
             }
         }
         (_, _) => {
@@ -251,10 +262,16 @@ fn parse_request_line(line: &str) -> Result<(Method, String, Params), HttpError>
     let mut parts = line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
-        _ => return Err(HttpError::BadRequest(format!("malformed request line: {line:?}"))),
+        _ => {
+            return Err(HttpError::BadRequest(format!(
+                "malformed request line: {line:?}"
+            )))
+        }
     };
     if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::BadRequest(format!("unsupported version: {version:?}")));
+        return Err(HttpError::BadRequest(format!(
+            "unsupported version: {version:?}"
+        )));
     }
     let method = match method {
         "GET" => Method::Get,
@@ -262,7 +279,9 @@ fn parse_request_line(line: &str) -> Result<(Method, String, Params), HttpError>
         "HEAD" => Method::Head,
         other => {
             if !other.chars().all(|c| c.is_ascii_uppercase()) {
-                return Err(HttpError::BadRequest(format!("malformed method: {other:?}")));
+                return Err(HttpError::BadRequest(format!(
+                    "malformed method: {other:?}"
+                )));
             }
             Method::Other(other.to_string())
         }
@@ -525,7 +544,10 @@ mod tests {
             " /x HTTP/1.1",
             "G3T /x HTTP/1.1",
         ] {
-            assert!(parse_request_line(bad).is_err(), "{bad:?} should be rejected");
+            assert!(
+                parse_request_line(bad).is_err(),
+                "{bad:?} should be rejected"
+            );
         }
     }
 }

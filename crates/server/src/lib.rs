@@ -195,11 +195,7 @@ impl ParjServer {
             quotas: config.quota.map(QuotaTable::new),
             latency: LatencyWindow::new(),
             shutting_down: AtomicBool::new(false),
-            live_tokens: OrderedMutex::new(
-                LockLevel::Server,
-                "server.live_tokens",
-                HashMap::new(),
-            ),
+            live_tokens: OrderedMutex::new(LockLevel::Server, "server.live_tokens", HashMap::new()),
             next_request_id: AtomicU64::new(0),
             active_connections: AtomicUsize::new(0),
             handoff: OrderedMutex::new(
@@ -544,7 +540,10 @@ fn run_admitted(
     if socket.as_ref().is_some_and(peer_gone) {
         token.cancel();
     }
-    state.live_tokens.lock().insert(request_id, (token.clone(), socket));
+    state
+        .live_tokens
+        .lock()
+        .insert(request_id, (token.clone(), socket));
 
     let t0 = Instant::now();
     let timeout = parsed.timeout.or(state.config.default_query_timeout);
@@ -586,7 +585,10 @@ fn run_admitted(
         Err(panic) => {
             state.metrics.record_panic();
             let msg = panic_message(&panic);
-            Response::text(500, format!("internal error: request handler panicked: {msg}"))
+            Response::text(
+                500,
+                format!("internal error: request handler panicked: {msg}"),
+            )
         }
     }
 }
@@ -618,7 +620,10 @@ fn sweep_loop(state: &ServerState) {
 fn peer_gone(socket: &TcpStream) -> bool {
     match socket.peek(&mut [0u8; 1]) {
         Ok(n) => n == 0,
-        Err(e) => !matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted),
+        Err(e) => !matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+        ),
     }
 }
 

@@ -61,16 +61,21 @@ pub fn extract(req: &Request) -> Result<SparqlRequest, Response> {
         Method::Post => {
             let content_type = req
                 .header("content-type")
-                .map(|v| v.split(';').next().unwrap_or("").trim().to_ascii_lowercase())
+                .map(|v| {
+                    v.split(';')
+                        .next()
+                        .unwrap_or("")
+                        .trim()
+                        .to_ascii_lowercase()
+                })
                 .unwrap_or_default();
             match content_type.as_str() {
                 "application/x-www-form-urlencoded" | "" => {
-                    let body_params = crate::http::parse_urlencoded(&req.body).map_err(|e| {
-                        match e {
+                    let body_params =
+                        crate::http::parse_urlencoded(&req.body).map_err(|e| match e {
                             HttpError::BadRequest(m) => bad(format!("bad request: {m}")),
                             other => bad(format!("bad request: {}", other.message())),
-                        }
-                    })?;
+                        })?;
                     params.extend(body_params);
                 }
                 "application/sparql-query" => {
@@ -79,7 +84,9 @@ pub fn extract(req: &Request) -> Result<SparqlRequest, Response> {
                     params.push(("query".to_string(), text));
                 }
                 other => {
-                    return Err(bad(format!("bad request: unsupported content type {other:?}")))
+                    return Err(bad(format!(
+                        "bad request: unsupported content type {other:?}"
+                    )))
                 }
             }
         }
@@ -138,10 +145,7 @@ pub fn extract(req: &Request) -> Result<SparqlRequest, Response> {
 
 /// Picks the serialization: an explicit `format` parameter wins, then
 /// the `Accept` header; JSON is the default.
-fn negotiate_format(
-    param: Option<&str>,
-    accept: Option<&str>,
-) -> Result<Format, String> {
+fn negotiate_format(param: Option<&str>, accept: Option<&str>) -> Result<Format, String> {
     if let Some(p) = param {
         return match p {
             "json" => Ok(Format::Json),
@@ -307,9 +311,11 @@ fn push_json_term(out: &mut String, term: TermRef<'_>) {
         TermRef::Iri(iri) => ("{\"type\":\"uri\",\"value\":\"", iri, None),
         TermRef::BlankNode(label) => ("{\"type\":\"bnode\",\"value\":\"", label, None),
         TermRef::Literal(lexical) => (LITERAL, lexical, None),
-        TermRef::LangLiteral { lexical, lang } => {
-            (LITERAL, lexical, Some(("\",\"xml:lang\":\"", Cow::Borrowed(lang))))
-        }
+        TermRef::LangLiteral { lexical, lang } => (
+            LITERAL,
+            lexical,
+            Some(("\",\"xml:lang\":\"", Cow::Borrowed(lang))),
+        ),
         TermRef::TypedLiteral { lexical, datatype } => {
             (LITERAL, lexical, Some(("\",\"datatype\":\"", datatype)))
         }
@@ -420,7 +426,10 @@ mod tests {
         let typed = outcome(
             &["x"],
             vec![
-                vec![Term::typed_literal("5", "http://www.w3.org/2001/XMLSchema#integer")],
+                vec![Term::typed_literal(
+                    "5",
+                    "http://www.w3.org/2001/XMLSchema#integer",
+                )],
                 vec![Term::blank("b0")],
             ],
         );

@@ -118,7 +118,11 @@ fn bad_percent_encoding_and_non_utf8_params_answer_400() {
         assert_eq!(resp.status, 400, "for target {target:?}");
     }
     // Valid escapes decoding to invalid UTF-8.
-    let resp = send_raw(addr, b"GET /sparql?query=%FF%FE HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let resp = send_raw(
+        addr,
+        b"GET /sparql?query=%FF%FE HTTP/1.1\r\nHost: t\r\n\r\n",
+    )
+    .unwrap();
     assert_eq!(resp.status, 400);
     // Same smuggled through a POST form body.
     let body = b"query=%FF%FE";
@@ -222,7 +226,10 @@ fn duplicate_query_parameters_answer_400() {
 /// with zero contained panics recorded.
 fn assert_server_alive(server: &parj_server::ServerHandle) {
     let resp = sparql_get(server.addr(), TEACHES, "");
-    assert_eq!(resp.status, 200, "server must keep serving after hostile input");
+    assert_eq!(
+        resp.status, 200,
+        "server must keep serving after hostile input"
+    );
     assert_eq!(
         metric_value(server.addr(), "parj_server_panics_total", ""),
         Some(0),

@@ -97,9 +97,11 @@ fn saturation_sheds_cleanly_and_drains_to_zero() {
     let shed_metric = metric_value(addr, "parj_server_shed_total", "").unwrap();
     assert!(shed_metric >= sheds, "every client-visible shed is counted");
     // `>=` because every /metrics scrape above also records a 200.
-    let ok_metric =
-        metric_value(addr, "parj_server_responses_total", "{status=\"200\"}").unwrap();
-    assert!(ok_metric >= oks, "ok responses counted: {ok_metric} < {oks}");
+    let ok_metric = metric_value(addr, "parj_server_responses_total", "{status=\"200\"}").unwrap();
+    assert!(
+        ok_metric >= oks,
+        "ok responses counted: {ok_metric} < {oks}"
+    );
 
     let report = server.shutdown();
     assert_eq!(report.leaked, 0, "drain must leak nothing: {report}");
@@ -162,8 +164,8 @@ fn disconnecting_client_cancels_its_query() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut cancelled = 0;
     while Instant::now() < deadline {
-        cancelled = metric_value(addr, "parj_queries_total", "{outcome=\"cancelled\"}")
-            .unwrap_or(0);
+        cancelled =
+            metric_value(addr, "parj_queries_total", "{outcome=\"cancelled\"}").unwrap_or(0);
         if cancelled >= 1 {
             break;
         }

@@ -157,7 +157,11 @@ fn operational_endpoints() {
     assert_eq!(get(addr, "/healthz").status, 200);
     let ready = get(addr, "/readyz");
     assert_eq!(ready.status, 200);
-    assert!(ready.body_str().contains("16 triples"), "{}", ready.body_str());
+    assert!(
+        ready.body_str().contains("16 triples"),
+        "{}",
+        ready.body_str()
+    );
 
     // HEAD answers the same headers with no body.
     let head = send_raw(addr, b"HEAD /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
@@ -169,11 +173,15 @@ fn operational_endpoints() {
     let metrics = get(addr, "/metrics");
     assert_eq!(metrics.status, 200);
     let text = metrics.body_str();
-    assert!(text.contains("# TYPE parj_queries_total counter"), "engine family present");
-    assert!(text.contains("# TYPE parj_server_responses_total counter"), "server family present");
     assert!(
-        metric_value(addr, "parj_server_responses_total", "{status=\"200\"}").unwrap() >= 1
+        text.contains("# TYPE parj_queries_total counter"),
+        "engine family present"
     );
+    assert!(
+        text.contains("# TYPE parj_server_responses_total counter"),
+        "server family present"
+    );
+    assert!(metric_value(addr, "parj_server_responses_total", "{status=\"200\"}").unwrap() >= 1);
     assert_eq!(server.shutdown().leaked, 0);
 }
 

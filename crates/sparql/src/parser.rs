@@ -114,7 +114,9 @@ impl Parser {
                 };
                 Ok(STerm::Term(term))
             }
-            TokenKind::Integer(n) => Ok(STerm::Term(Term::typed_literal(n.to_string(), XSD_INTEGER))),
+            TokenKind::Integer(n) => {
+                Ok(STerm::Term(Term::typed_literal(n.to_string(), XSD_INTEGER)))
+            }
             TokenKind::Decimal(d) => Ok(STerm::Term(Term::typed_literal(d, XSD_DECIMAL))),
             other => Err(self.err_at(&t, format!("expected term, found {other}"))),
         }
@@ -133,10 +135,7 @@ impl Parser {
             }
             _ => {
                 let t = self.peek().clone();
-                Err(self.err_at(
-                    &t,
-                    "only FILTER (?var = <constant>) equality is supported",
-                ))
+                Err(self.err_at(&t, "only FILTER (?var = <constant>) equality is supported"))
             }
         }
     }
@@ -191,13 +190,14 @@ impl Parser {
                 }
                 continue;
             }
-            for kw in ["OPTIONAL", "UNION", "GRAPH", "MINUS", "SERVICE", "BIND", "VALUES"] {
+            for kw in [
+                "OPTIONAL", "UNION", "GRAPH", "MINUS", "SERVICE", "BIND", "VALUES",
+            ] {
                 if self.is_keyword(kw) {
                     let t = self.peek().clone();
-                    return Err(self.err_at(
-                        &t,
-                        format!("{kw} is outside the supported BGP subset"),
-                    ));
+                    return Err(
+                        self.err_at(&t, format!("{kw} is outside the supported BGP subset"))
+                    );
                 }
             }
             // subject (predicate object (, object)*) (; predicate ...)* .
@@ -453,10 +453,9 @@ mod tests {
 
     #[test]
     fn prefixes_expand() {
-        let q = parse_query(
-            "PREFIX ub: <http://univ#>\nSELECT ?x WHERE { ?x ub:worksFor ub:U1 . }",
-        )
-        .unwrap();
+        let q =
+            parse_query("PREFIX ub: <http://univ#>\nSELECT ?x WHERE { ?x ub:worksFor ub:U1 . }")
+                .unwrap();
         assert_eq!(
             q.patterns[0].p,
             STerm::Term(Term::iri("http://univ#worksFor"))
@@ -524,7 +523,10 @@ mod tests {
             "PREFIX e: <http://e/> SELECT ?x ?z WHERE { ?x e:teaches ?z . ?x e:worksFor ?y . FILTER (?y = e:University1) }",
         )
         .unwrap();
-        assert_eq!(q.patterns[1].o, STerm::Term(Term::iri("http://e/University1")));
+        assert_eq!(
+            q.patterns[1].o,
+            STerm::Term(Term::iri("http://e/University1"))
+        );
     }
 
     #[test]
@@ -553,15 +555,15 @@ mod tests {
         // Trailing garbage.
         assert!(parse_query("SELECT * WHERE { ?s ?p ?o } garbage").is_err());
         // Filter over unknown var.
-        assert!(parse_query(
-            "SELECT ?x WHERE { ?x <http://e/p> ?y . FILTER(?zz = <http://e/a>) }"
-        )
-        .is_err());
+        assert!(
+            parse_query("SELECT ?x WHERE { ?x <http://e/p> ?y . FILTER(?zz = <http://e/a>) }")
+                .is_err()
+        );
         // Projected var fixed by filter.
-        assert!(parse_query(
-            "SELECT ?y WHERE { ?x <http://e/p> ?y . FILTER(?y = <http://e/a>) }"
-        )
-        .is_err());
+        assert!(
+            parse_query("SELECT ?y WHERE { ?x <http://e/p> ?y . FILTER(?y = <http://e/a>) }")
+                .is_err()
+        );
     }
 
     #[test]

@@ -98,7 +98,11 @@ pub struct SparqlError {
 
 impl fmt::Display for SparqlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SPARQL error at {}:{}: {}", self.line, self.column, self.message)
+        write!(
+            f,
+            "SPARQL error at {}:{}: {}",
+            self.line, self.column, self.message
+        )
     }
 }
 
@@ -168,7 +172,9 @@ impl<'a> Lexer<'a> {
     fn name(&mut self, allow_dot_inside: bool) -> String {
         let mut out = String::new();
         while let Some(c) = self.peek() {
-            let ok = c.is_alphanumeric() || c == '_' || c == '-'
+            let ok = c.is_alphanumeric()
+                || c == '_'
+                || c == '-'
                 || (allow_dot_inside && c == '.' && {
                     // A dot only stays in the name if followed by a name char
                     // (otherwise it terminates the triple).
@@ -317,9 +323,8 @@ impl<'a> Lexer<'a> {
                                 }
                             }
                             other => {
-                                return Err(self.err(format!(
-                                    "expected datatype IRI after ^^, found {other}"
-                                )))
+                                return Err(self
+                                    .err(format!("expected datatype IRI after ^^, found {other}")))
                             }
                         }
                     }

@@ -268,7 +268,10 @@ pub fn audit_store(store: &TripleStore) -> AuditReport {
         report.fail(
             "store.triple_count",
             Coordinates::default(),
-            format!("store reports {} triples, partitions hold {counted}", store.num_triples()),
+            format!(
+                "store reports {} triples, partitions hold {counted}",
+                store.num_triples()
+            ),
         );
     }
     report
@@ -306,7 +309,10 @@ pub fn audit_dictionary(dict: &Dictionary) -> AuditReport {
                 position: Some(id as usize),
                 ..Coordinates::default()
             },
-            format!("resource id {id} fails to decode: {:?}", dict.decode_resource(id).err()),
+            format!(
+                "resource id {id} fails to decode: {:?}",
+                dict.decode_resource(id).err()
+            ),
         );
     }
 
@@ -329,7 +335,8 @@ pub fn audit_dictionary(dict: &Dictionary) -> AuditReport {
         }
     }
     report.tick();
-    if let Some(id) = (0..dict.num_predicates() as Id).find(|&id| dict.decode_predicate(id).is_err())
+    if let Some(id) =
+        (0..dict.num_predicates() as Id).find(|&id| dict.decode_predicate(id).is_err())
     {
         report.fail(
             "dict.predicate_decodes",
@@ -337,7 +344,10 @@ pub fn audit_dictionary(dict: &Dictionary) -> AuditReport {
                 position: Some(id as usize),
                 ..Coordinates::default()
             },
-            format!("predicate id {id} fails to decode: {:?}", dict.decode_predicate(id).err()),
+            format!(
+                "predicate id {id} fails to decode: {:?}",
+                dict.decode_predicate(id).err()
+            ),
         );
     }
 
@@ -710,7 +720,10 @@ mod tests {
         let report = audit_delta(&other, &ov);
         assert!(!report.is_clean());
         assert_eq!(report.violations[0].check, "delta.invariants");
-        assert!(report.violations[0].message.contains("tombstone"), "{report}");
+        assert!(
+            report.violations[0].message.contains("tombstone"),
+            "{report}"
+        );
     }
 
     #[test]

@@ -186,7 +186,10 @@ impl PackedValues {
     #[inline]
     pub(crate) fn run<'a>(&'a self, pos: usize, spans: &Spans) -> PackedRun<'a> {
         let span = spans.range(pos);
-        assert!(span.end <= self.num_values, "key position {pos} out of range");
+        assert!(
+            span.end <= self.num_values,
+            "key position {pos} out of range"
+        );
         PackedRun {
             packed: self,
             key: pos as u32,

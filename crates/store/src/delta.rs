@@ -208,7 +208,9 @@ impl DeltaOverlay {
         let mut tally = base.tally();
         let in_base = tally.bytes.total();
         let parts = self.preds.iter().flat_map(PredDelta::partitions);
-        parts.flat_map(Partition::replicas).for_each(|r| tally.add(r));
+        parts
+            .flat_map(Partition::replicas)
+            .for_each(|r| tally.add(r));
         tally.bytes.total() - in_base + self.dict.memory_bytes()
     }
 
@@ -256,10 +258,14 @@ impl DeltaOverlay {
         };
 
         let entry = &self.preds[idx];
-        let add_pairs: Vec<(Id, Id)> =
-            entry.add().map(|p| p.iter_so().collect()).unwrap_or_default();
-        let del_pairs: Vec<(Id, Id)> =
-            entry.del().map(|p| p.iter_so().collect()).unwrap_or_default();
+        let add_pairs: Vec<(Id, Id)> = entry
+            .add()
+            .map(|p| p.iter_so().collect())
+            .unwrap_or_default();
+        let del_pairs: Vec<(Id, Id)> = entry
+            .del()
+            .map(|p| p.iter_so().collect())
+            .unwrap_or_default();
         let has = |v: &[(Id, Id)], pair: (Id, Id)| v.binary_search(&pair).is_ok();
 
         // Partition the batch into run edits. `*_grow` and `*_shrink`
@@ -297,8 +303,7 @@ impl DeltaOverlay {
                        grow: &[(Id, Id)]|
          -> Option<Arc<Partition>> {
             if shrink.is_empty() && grow.is_empty() {
-                return (!old.is_empty())
-                    .then(|| Arc::new(Partition::build(predicate, &old)));
+                return (!old.is_empty()).then(|| Arc::new(Partition::build(predicate, &old)));
             }
             let mut pairs: Vec<(Id, Id)> = old
                 .into_iter()
@@ -391,20 +396,11 @@ impl DeltaOverlay {
         let add = entry.and_then(PredDelta::add);
         let del = entry.and_then(PredDelta::del);
 
-        let visible = base_part.map_or(0, |p| p.num_triples())
-            + add.map_or(0, |p| p.num_triples())
+        let visible = base_part.map_or(0, |p| p.num_triples()) + add.map_or(0, |p| p.num_triples())
             - del.map_or(0, |p| p.num_triples());
         let mut out = Vec::with_capacity(visible);
-        let mut del_it = del
-            .map(|p| p.iter_so())
-            .into_iter()
-            .flatten()
-            .peekable();
-        let mut add_it = add
-            .map(|p| p.iter_so())
-            .into_iter()
-            .flatten()
-            .peekable();
+        let mut del_it = del.map(|p| p.iter_so()).into_iter().flatten().peekable();
+        let mut add_it = add.map(|p| p.iter_so()).into_iter().flatten().peekable();
         let base_it = base_part.map(|p| p.iter_so()).into_iter().flatten();
         for pair in base_it {
             if del_it.peek() == Some(&pair) {
@@ -460,9 +456,7 @@ impl DeltaOverlay {
             if let Some(add) = entry.add() {
                 for (s, o) in add.iter_so() {
                     if base_has(s, o) {
-                        return Err(format!(
-                            "pred {pred}: add pair ({s},{o}) already in base"
-                        ));
+                        return Err(format!("pred {pred}: add pair ({s},{o}) already in base"));
                     }
                 }
                 net += add.num_triples() as i64;
@@ -470,16 +464,13 @@ impl DeltaOverlay {
             if let Some(del) = entry.del() {
                 for (s, o) in del.iter_so() {
                     if !base_has(s, o) {
-                        return Err(format!(
-                            "pred {pred}: tombstone ({s},{o}) not in base"
-                        ));
+                        return Err(format!("pred {pred}: tombstone ({s},{o}) not in base"));
                     }
                 }
                 net -= del.num_triples() as i64;
             }
             if let Some(comp) = entry.compacted() {
-                let base_n =
-                    base.partition(pred).map_or(0, |p| p.num_triples()) as i64;
+                let base_n = base.partition(pred).map_or(0, |p| p.num_triples()) as i64;
                 net += comp.num_triples() as i64 - base_n;
             }
         }
@@ -598,8 +589,7 @@ impl<'a> ReplicaView<'a> {
         match self {
             ReplicaView::Clean(rep) => rep.group_for_key(key).contains(value),
             ReplicaView::Dirty { base, add, del } => {
-                let in_del =
-                    del.is_some_and(|d| d.group_for_key(key).contains(value));
+                let in_del = del.is_some_and(|d| d.group_for_key(key).contains(value));
                 if in_del {
                     return false;
                 }
@@ -690,12 +680,7 @@ pub fn merge_values_into(base: &[Id], add: &[Id], del: &[Id], out: &mut Vec<Id>)
 
 /// [`merge_values_into`] with a [`crate::Group`] base, so the same
 /// two-pointer merge runs over raw and block-compressed base groups.
-pub fn merge_group_into(
-    base: crate::Group<'_>,
-    add: &[Id],
-    del: &[Id],
-    out: &mut Vec<Id>,
-) {
+pub fn merge_group_into(base: crate::Group<'_>, add: &[Id], del: &[Id], out: &mut Vec<Id>) {
     if let Some(slice) = base.as_raw() {
         return merge_values_into(slice, add, del, out);
     }
@@ -748,10 +733,22 @@ mod tests {
         let (s1, o9) = (rid(&base, "s1"), rid(&base, "o1"));
         // Deleting a base pair then re-inserting it must cancel out.
         let del = ov.apply_pred(&base, 0, &[], &[(s1, o9)]);
-        assert_eq!(del, PredApply { inserted: 0, deleted: 1 });
+        assert_eq!(
+            del,
+            PredApply {
+                inserted: 0,
+                deleted: 1
+            }
+        );
         assert_eq!(ov.visible_triples(&base), 3);
         let ins = ov.apply_pred(&base, 0, &[(s1, o9)], &[]);
-        assert_eq!(ins, PredApply { inserted: 1, deleted: 0 });
+        assert_eq!(
+            ins,
+            PredApply {
+                inserted: 1,
+                deleted: 0
+            }
+        );
         assert_eq!(ov.visible_triples(&base), 4);
         assert!(!ov.has_resident_runs());
         assert_eq!(ov.check_invariants(&base), Ok(()));
@@ -897,12 +894,7 @@ mod tests {
             .map(|j| (s0, rid(&raw, &format!("o{j}"))))
             .collect();
         batch_ins.sort_unstable();
-        let batch_del: Vec<(Id, Id)> = raw
-            .partition(0)
-            .unwrap()
-            .iter_so()
-            .step_by(13)
-            .collect();
+        let batch_del: Vec<(Id, Id)> = raw.partition(0).unwrap().iter_so().step_by(13).collect();
         let run = |base: &TripleStore| {
             let mut ov = DeltaOverlay::new(base);
             ov.apply_pred(base, 0, &batch_ins, &[]);
@@ -987,7 +979,9 @@ mod tests {
             let s = |i: u32| rid(&base, &format!("s{i}"));
             let o = |i: u32| rid(&base, &format!("o{i}"));
             let mut inserts = [
-                (0..50).map(|i| (s(i), o((i + 1) % 700))).collect::<Vec<_>>(),
+                (0..50)
+                    .map(|i| (s(i), o((i + 1) % 700)))
+                    .collect::<Vec<_>>(),
                 (1..40).map(|j| (s(0), o(j))).collect(),
             ];
             for (pred, ins) in inserts.iter_mut().enumerate() {

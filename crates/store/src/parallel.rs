@@ -128,46 +128,45 @@ impl StoreBuilder {
 
         // Phase 1: collect novel terms per chunk against the current
         // dictionary (read-only, embarrassingly parallel).
-        let collected: Vec<(TermBatch, TermBatch, Vec<SlotTriple>)> =
-            if threads <= 1 || n_chunks <= 1 {
-                chunks
-                    .iter()
-                    .map(|c| {
-                        collect_chunk(dict.resource_namespace(), dict.predicate_namespace(), c)
-                    })
-                    .collect()
-            } else {
-                let resources = dict.resource_namespace();
-                let predicates = dict.predicate_namespace();
-                let next = AtomicUsize::new(0);
-                let mut slots: Vec<Option<(TermBatch, TermBatch, Vec<SlotTriple>)>> = Vec::new();
-                slots.resize_with(n_chunks, || None);
-                let slot_ptrs: Vec<OrderedMutex<&mut Option<_>>> = slots
-                    .iter_mut()
-                    .map(|s| OrderedMutex::new(LockLevel::Staging, "staging.store_slot", s))
-                    .collect();
-                parj_sync::thread::scope(|scope| {
-                    for _ in 0..threads.min(n_chunks) {
-                        scope.spawn(|| loop {
-                            // ordering: Relaxed — chunk ticket only;
-                            // results are published through slot
-                            // Mutexes and the scope join edge
-                            // (loom_parallel model).
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            let out = collect_chunk(resources, predicates, &chunks[c]);
-                            **slot_ptrs[c].lock() = Some(out);
-                        });
-                    }
-                });
-                drop(slot_ptrs);
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every chunk collected"))
-                    .collect()
-            };
+        let collected: Vec<(TermBatch, TermBatch, Vec<SlotTriple>)> = if threads <= 1
+            || n_chunks <= 1
+        {
+            chunks
+                .iter()
+                .map(|c| collect_chunk(dict.resource_namespace(), dict.predicate_namespace(), c))
+                .collect()
+        } else {
+            let resources = dict.resource_namespace();
+            let predicates = dict.predicate_namespace();
+            let next = AtomicUsize::new(0);
+            let mut slots: Vec<Option<(TermBatch, TermBatch, Vec<SlotTriple>)>> = Vec::new();
+            slots.resize_with(n_chunks, || None);
+            let slot_ptrs: Vec<OrderedMutex<&mut Option<_>>> = slots
+                .iter_mut()
+                .map(|s| OrderedMutex::new(LockLevel::Staging, "staging.store_slot", s))
+                .collect();
+            parj_sync::thread::scope(|scope| {
+                for _ in 0..threads.min(n_chunks) {
+                    scope.spawn(|| loop {
+                        // ordering: Relaxed — chunk ticket only;
+                        // results are published through slot
+                        // Mutexes and the scope join edge
+                        // (loom_parallel model).
+                        let c = next.fetch_add(1, Ordering::Relaxed);
+                        if c >= n_chunks {
+                            break;
+                        }
+                        let out = collect_chunk(resources, predicates, &chunks[c]);
+                        **slot_ptrs[c].lock() = Some(out);
+                    });
+                }
+            });
+            drop(slot_ptrs);
+            slots
+                .into_iter()
+                .map(|s| s.expect("every chunk collected"))
+                .collect()
+        };
         drop(chunks);
         let mut res_batches = Vec::with_capacity(n_chunks);
         let mut pred_batches = Vec::with_capacity(n_chunks);
@@ -191,8 +190,7 @@ impl StoreBuilder {
             for (c, refs) in ref_triples.iter().enumerate() {
                 for &(s, p, o) in refs {
                     let p = resolve(p, &pred_ids[c]);
-                    by_pred[p as usize]
-                        .push((resolve(s, &res_ids[c]), resolve(o, &res_ids[c])));
+                    by_pred[p as usize].push((resolve(s, &res_ids[c]), resolve(o, &res_ids[c])));
                 }
             }
         } else {

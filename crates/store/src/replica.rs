@@ -346,9 +346,9 @@ impl Replica {
     fn raw_values(&self) -> &[Id] {
         match &self.values {
             ValuesRepr::Raw(v) => v,
-            ValuesRepr::Packed(_) =>
-
-                panic!("replica is block-compressed; use group_at()/decoded_values()"),
+            ValuesRepr::Packed(_) => {
+                panic!("replica is block-compressed; use group_at()/decoded_values()")
+            }
         }
     }
 
@@ -539,7 +539,10 @@ impl Replica {
         }
         for w in self.keys.windows(2) {
             if w[0] >= w[1] {
-                return Err(format!("keys not strictly increasing at {}..{}", w[0], w[1]));
+                return Err(format!(
+                    "keys not strictly increasing at {}..{}",
+                    w[0], w[1]
+                ));
             }
         }
         let decoded = self.is_compressed().then(|| self.decoded_values());
@@ -656,7 +659,10 @@ impl Replica {
 /// over `num_values` values.
 fn check_offsets(offsets: &[u32], num_keys: usize, num_values: usize) -> Result<(), String> {
     if offsets.len() != num_keys + 1 {
-        return Err(format!("offsets len {} != keys len {num_keys} + 1", offsets.len()));
+        return Err(format!(
+            "offsets len {} != keys len {num_keys} + 1",
+            offsets.len()
+        ));
     }
     if offsets[0] != 0 {
         return Err("offsets[0] != 0".into());
@@ -738,7 +744,10 @@ impl ReplicaBuilder {
     /// Builds directly from pairs already sorted and deduplicated
     /// (debug-asserted). Every array is allocated at its exact size.
     pub fn from_sorted_unique(pairs: Vec<(Id, Id)>) -> Replica {
-        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "pairs not sorted+unique");
+        debug_assert!(
+            pairs.windows(2).all(|w| w[0] < w[1]),
+            "pairs not sorted+unique"
+        );
         assert!(
             pairs.len() <= u32::MAX as usize,
             "replica exceeds u32 offset range ({} pairs)",
@@ -760,7 +769,10 @@ impl ReplicaBuilder {
             offsets.push(0);
             offsets.extend(starts);
             offsets.push(pairs.len() as u32);
-            let keys = offsets[..num_keys].iter().map(|&o| pairs[o as usize].0).collect();
+            let keys = offsets[..num_keys]
+                .iter()
+                .map(|&o| pairs[o as usize].0)
+                .collect();
             (keys, Spans::Csr(offsets))
         };
         let values: Vec<Id> = pairs.iter().map(|&(_, v)| v).collect();
@@ -903,8 +915,16 @@ mod tests {
         assert_eq!(r.memory_parts().offsets, 0);
         let (k, o, v) = r.raw_parts();
         assert_eq!(*o, [0, 1, 2, 3]);
-        assert_eq!(Replica::from_raw_parts(k.to_vec(), o.to_vec(), v.to_vec()), Ok(r.clone()));
-        for bad in [vec![0, 1, 2], vec![0, 2, 1, 3], vec![1, 1, 2, 3], vec![0, 1, 2, 4]] {
+        assert_eq!(
+            Replica::from_raw_parts(k.to_vec(), o.to_vec(), v.to_vec()),
+            Ok(r.clone())
+        );
+        for bad in [
+            vec![0, 1, 2],
+            vec![0, 2, 1, 3],
+            vec![1, 1, 2, 3],
+            vec![0, 1, 2, 4],
+        ] {
             assert!(Replica::from_raw_parts(k.to_vec(), bad, v.to_vec()).is_err());
         }
     }
@@ -944,7 +964,12 @@ mod tests {
             assert!(!zip.group_at(pos).contains(1_000_000));
         }
         // Compression must actually shrink the values area.
-        assert!(zip.value_bytes() < raw.value_bytes(), "{} vs {}", zip.value_bytes(), raw.value_bytes());
+        assert!(
+            zip.value_bytes() < raw.value_bytes(),
+            "{} vs {}",
+            zip.value_bytes(),
+            raw.value_bytes()
+        );
         // Snapshot parts stay byte-identical to the raw replica's.
         assert_eq!(zip.raw_parts().2, raw.raw_parts().2);
         // And decompression restores the original representation.
@@ -961,7 +986,10 @@ mod tests {
         let mut big = large();
         assert!(big.compress(1));
         assert!(big.compress(1), "compress is idempotent");
-        assert!(big.compress(usize::MAX), "already-compressed stays compressed");
+        assert!(
+            big.compress(usize::MAX),
+            "already-compressed stays compressed"
+        );
     }
 
     #[test]
@@ -1007,7 +1035,10 @@ mod tests {
             let mut r = shaped(100_000, mixed);
             assert!(r.compress(1));
             let per_value = r.value_bytes() as f64 / r.num_triples() as f64;
-            assert!(per_value <= ceiling, "mixed={mixed}: {per_value:.3} bytes/value");
+            assert!(
+                per_value <= ceiling,
+                "mixed={mixed}: {per_value:.3} bytes/value"
+            );
         }
     }
 

@@ -155,8 +155,9 @@ impl TripleStore {
                 let keys = get_u32s(buf)?;
                 let offsets = get_u32s(buf)?;
                 let values = get_u32s(buf)?;
-                let r = Replica::from_raw_parts(keys, offsets, values)
-                    .map_err(|e| SnapshotError::Corrupt(format!("pred {predicate} {order}: {e}")))?;
+                let r = Replica::from_raw_parts(keys, offsets, values).map_err(|e| {
+                    SnapshotError::Corrupt(format!("pred {predicate} {order}: {e}"))
+                })?;
                 if build_idpos {
                     // A key outside the dictionary's ids names no term,
                     // so the bytes are corrupt; keys are sorted, so

@@ -184,8 +184,7 @@ impl StoreBuilder {
                         // ordering: Relaxed — predicate ticket only;
                         // partitions are published through slot Mutexes
                         // and the scope join edge (loom_parallel model).
-                        let pred = next
-                            .fetch_add(1, parj_sync::atomic::Ordering::Relaxed);
+                        let pred = next.fetch_add(1, parj_sync::atomic::Ordering::Relaxed);
                         if pred >= n_preds {
                             break;
                         }

@@ -48,7 +48,10 @@ fn loom_parallel_staging_matches_serial_bytes() {
         b.add_triples_parallel(chunks, 3);
         let mut dict_bytes = Vec::new();
         b.dict().encode_into(&mut dict_bytes);
-        assert_eq!(dict_bytes, serial_dict, "dictionary diverged on this schedule");
+        assert_eq!(
+            dict_bytes, serial_dict,
+            "dictionary diverged on this schedule"
+        );
         let store = b.build_with(StoreOptions {
             build_threads: 2,
             ..StoreOptions::default()

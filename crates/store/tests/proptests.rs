@@ -41,7 +41,11 @@ fn model_from(specs: impl IntoIterator<Item = GroupSpec>) -> Model {
 
 /// A group of `len` values.
 fn arb_group(len: std::ops::Range<usize>) -> impl Strategy<Value = GroupSpec> {
-    (0u32..4, 0u32..1000, proptest::collection::vec(0u32..3, len.start - 1..len.end - 1))
+    (
+        0u32..4,
+        0u32..1000,
+        proptest::collection::vec(0u32..3, len.start - 1..len.end - 1),
+    )
 }
 
 /// Replica shapes: the ones that decide whether an offsets table is
@@ -60,7 +64,10 @@ fn arb_model() -> impl Strategy<Value = Model> {
         )
             .prop_map(|(lead, huge, tail)| model_from(lead.into_iter().chain([huge]).chain(tail))),
         // A group whose start and deltas straddle a block edge.
-        (proptest::collection::vec(arb_group(1..2), 120..137), arb_group(120..260))
+        (
+            proptest::collection::vec(arb_group(1..2), 120..137),
+            arb_group(120..260)
+        )
             .prop_map(|(lead, edge)| model_from(lead.into_iter().chain([edge, (0, 7, vec![])]))),
         Just(Model::new()),
     ]
@@ -89,7 +96,10 @@ fn assert_matches_model(r: &Replica, model: &Model) -> Result<(), TestCaseError>
     prop_assert_eq!(r.memory_parts().offsets == 0, one_value);
     prop_assert_eq!(r.keys(), model.keys().copied().collect::<Vec<_>>());
     prop_assert_eq!(&r.iter_pairs().collect::<Vec<_>>(), &pairs);
-    prop_assert_eq!(&*r.decoded_values(), pairs.iter().map(|p| p.1).collect::<Vec<_>>());
+    prop_assert_eq!(
+        &*r.decoded_values(),
+        pairs.iter().map(|p| p.1).collect::<Vec<_>>()
+    );
     let mut offsets = vec![0u32];
     offsets.extend(model.values().scan(0, |end, vs| {
         *end += vs.len() as u32;

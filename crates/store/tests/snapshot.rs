@@ -30,7 +30,11 @@ fn fixture() -> TripleStore {
             4 => Term::literal(format!("{long}{i}")),
             _ => Term::literal(format!("{longer}{}", i % 2)),
         };
-        b.add_term_triple(&s, &Term::iri(format!("http://example.org/p{}", i % 19)), &o);
+        b.add_term_triple(
+            &s,
+            &Term::iri(format!("http://example.org/p{}", i % 19)),
+            &o,
+        );
     }
     b.build()
 }

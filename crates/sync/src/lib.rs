@@ -81,7 +81,8 @@ pub mod ordered;
 
 pub use ordered::{
     assert_acquisition_graph_acyclic, lock_wait_totals, recorded_edges, LockLevel, OrderedCondvar,
-    OrderedMutex, OrderedMutexGuard, OrderedRwLock, OrderedRwLockReadGuard, OrderedRwLockWriteGuard,
+    OrderedMutex, OrderedMutexGuard, OrderedRwLock, OrderedRwLockReadGuard,
+    OrderedRwLockWriteGuard,
 };
 
 #[cfg(debug_assertions)]

@@ -180,7 +180,12 @@ mod waits {
     pub(super) fn totals() -> Vec<(&'static str, u64)> {
         LockLevel::ALL
             .iter()
-            .map(|&l| (l.as_str(), WAIT_NANOS[l.index()].load(Ordering::Relaxed) / 1_000))
+            .map(|&l| {
+                (
+                    l.as_str(),
+                    WAIT_NANOS[l.index()].load(Ordering::Relaxed) / 1_000,
+                )
+            })
             .collect()
     }
 }
@@ -779,6 +784,10 @@ mod tests {
         let wait = lock_wait_totals()
             .into_iter()
             .find(|&(name, _)| name == level.as_str());
-        assert_eq!(wait, Some(("exec_output", 0)), "uncontended locks recorded wait");
+        assert_eq!(
+            wait,
+            Some(("exec_output", 0)),
+            "uncontended locks recorded wait"
+        );
     }
 }

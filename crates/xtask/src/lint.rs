@@ -53,7 +53,14 @@ pub struct Violation {
 
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}:{}: [{}] {}", self.file.display(), self.line, self.rule, self.msg)
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.file.display(),
+            self.line,
+            self.rule,
+            self.msg
+        )
     }
 }
 
@@ -103,9 +110,9 @@ pub fn strip(src: &str) -> Stripped {
                 // Raw / byte string openers: r" r#" br" b" — only when
                 // the prefix is not the tail of an identifier.
                 if (c == 'r' || c == 'b')
-                    && !i.checked_sub(1).is_some_and(|p| {
-                        chars[p].is_alphanumeric() || chars[p] == '_'
-                    })
+                    && !i
+                        .checked_sub(1)
+                        .is_some_and(|p| chars[p].is_alphanumeric() || chars[p] == '_')
                 {
                     let mut j = i;
                     let mut saw_r = false;
@@ -127,7 +134,10 @@ pub fn strip(src: &str) -> Stripped {
                             state = State::RawStr(hashes);
                             i = j + 1;
                             continue;
-                        } else if hashes == 0 && chars.get(i) == Some(&'b') && chars.get(i + 1) == Some(&'"') {
+                        } else if hashes == 0
+                            && chars.get(i) == Some(&'b')
+                            && chars.get(i + 1) == Some(&'"')
+                        {
                             code.push('"');
                             state = State::Str;
                             i += 2;
@@ -455,7 +465,9 @@ pub fn check_no_unsafe(rel: &Path, s: &Stripped, out: &mut Vec<Violation>) {
         let found = if has_unsafe_keyword(line) {
             Some("unsafe")
         } else {
-            ["std::arch", "core::arch"].into_iter().find(|n| line.contains(n))
+            ["std::arch", "core::arch"]
+                .into_iter()
+                .find(|n| line.contains(n))
         };
         if let Some(needle) = found {
             out.push(Violation {
@@ -692,7 +704,10 @@ mod tests {
 
     #[test]
     fn dead_code_allow_needs_a_reason() {
-        let bad = check_file(Path::new("crates/core/src/x.rs"), "#[allow(dead_code)]\nfn f() {}");
+        let bad = check_file(
+            Path::new("crates/core/src/x.rs"),
+            "#[allow(dead_code)]\nfn f() {}",
+        );
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert_eq!(bad[0].rule, "dead-code-reason");
 
@@ -709,7 +724,10 @@ mod tests {
         // must not trip the rule. The codec, once the audited
         // exception, is held to it like any other file.
         for file in ["crates/join/src/exec.rs", "crates/store/src/codec.rs"] {
-            let bad = check_file(Path::new(file), "fn f(p: *const u32) -> u32 { unsafe { *p } }");
+            let bad = check_file(
+                Path::new(file),
+                "fn f(p: *const u32) -> u32 { unsafe { *p } }",
+            );
             assert!(bad.iter().any(|v| v.rule == "no-unsafe"), "{bad:?}");
         }
 

@@ -97,7 +97,10 @@ pub fn check_raw_lock_types(rel: &Path, s: &Stripped, out: &mut Vec<Violation>) 
                          lock-order witness covers it",
                         base = raw
                             .strip_suffix("Guard")
-                            .map(|g| g.strip_suffix("Read").or(g.strip_suffix("Write")).unwrap_or(g))
+                            .map(|g| g
+                                .strip_suffix("Read")
+                                .or(g.strip_suffix("Write"))
+                                .unwrap_or(g))
                             .unwrap_or(raw),
                     ),
                 });
@@ -122,10 +125,7 @@ pub fn check_level_declared(
         }
         let hi = (ln + LEVEL_LOOKAHEAD).min(s.code.len() - 1);
         let window: Vec<&String> = s.code[ln..=hi].iter().collect();
-        let named: Vec<String> = window
-            .iter()
-            .flat_map(|l| level_refs(l))
-            .collect();
+        let named: Vec<String> = window.iter().flat_map(|l| level_refs(l)).collect();
         if named.is_empty() {
             out.push(Violation {
                 file: rel.to_path_buf(),
@@ -164,7 +164,9 @@ fn level_refs(line: &str) -> Vec<String> {
                 .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
                 .collect();
             // Associated items (`ALL`, `as_str`...) are not variants.
-            if !name.is_empty() && name.chars().next().is_some_and(char::is_uppercase) && name != "ALL"
+            if !name.is_empty()
+                && name.chars().next().is_some_and(char::is_uppercase)
+                && name != "ALL"
             {
                 out.push(name);
             }
@@ -289,9 +291,7 @@ pub fn check_design_matches(
                 file: PathBuf::from("DESIGN.md"),
                 line: 0,
                 rule: "locks-hierarchy",
-                msg: format!(
-                    "level `{name}` is {v} in code but {dv} in the DESIGN.md §17 table"
-                ),
+                msg: format!("level `{name}` is {v} in code but {dv} in the DESIGN.md §17 table"),
             }),
             Some(_) => {}
         }
@@ -461,10 +461,7 @@ mod tests {
     #[test]
     fn duplicate_level_values_are_a_cycle() {
         let mut out = Vec::new();
-        check_hierarchy_acyclic(
-            &[("A".to_string(), 10), ("B".to_string(), 10)],
-            &mut out,
-        );
+        check_hierarchy_acyclic(&[("A".to_string(), 10), ("B".to_string(), 10)], &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].rule, "locks-hierarchy");
         assert!(out[0].msg.contains("cyclic"), "{}", out[0].msg);

@@ -11,7 +11,12 @@ fn xtask() -> Command {
 
 /// A minimal fixture tree: a `LockLevel` enum, a DESIGN.md §17 table
 /// matching it, and one product-crate source file.
-fn seed_tree(tag: &str, enum_body: &str, table_rows: &str, product_src: &str) -> std::path::PathBuf {
+fn seed_tree(
+    tag: &str,
+    enum_body: &str,
+    table_rows: &str,
+    product_src: &str,
+) -> std::path::PathBuf {
     let root = std::env::temp_dir().join(format!("parj-locks-test-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     for dir in ["crates/sync/src", "crates/server/src", "crates/xtask"] {
@@ -37,7 +42,10 @@ fn run_locks(root: &std::path::Path) -> (bool, String) {
         .env("CARGO_MANIFEST_DIR", root.join("crates/xtask"))
         .output()
         .unwrap();
-    (out.status.success(), String::from_utf8_lossy(&out.stdout).into_owned())
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
 }
 
 #[test]

@@ -28,7 +28,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.retailers()
     );
     let store = watdiv::generate_store(&cfg);
-    println!("  {} triples, {} predicates", store.num_triples(), store.num_predicates());
+    println!(
+        "  {} triples, {} predicates",
+        store.num_triples(),
+        store.num_predicates()
+    );
     let engine = Parj::from_store(store, EngineConfig::default());
 
     // The basic workload, grouped like the paper's Table 3.
@@ -52,7 +56,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Anchored vs unanchored chains: the IL contrast.
     println!("\nchain queries — anchored (IL-1) vs unanchored (IL-3):");
-    println!("{:<9} {:>12} | {:<9} {:>12}", "query", "results", "query", "results");
+    println!(
+        "{:<9} {:>12} | {:<9} {:>12}",
+        "query", "results", "query", "results"
+    );
     for (a, b) in watdiv::incremental_linear(1)
         .iter()
         .zip(watdiv::incremental_linear(3).iter())

@@ -33,7 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    file, `RdfFormat::Turtle` parses Turtle), then build the
     //    engine once. It is ready to serve, and `Arc<Parj>` shares it.
     let n = loader
-        .load(LoadSource::Text(DATA), RdfFormat::NTriples, OnParseError::Abort)?
+        .load(
+            LoadSource::Text(DATA),
+            RdfFormat::NTriples,
+            OnParseError::Abort,
+        )?
         .loaded;
     let engine = Arc::new(loader.finish());
     println!("loaded {n} triples ({} distinct)", engine.num_triples());

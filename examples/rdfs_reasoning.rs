@@ -36,7 +36,11 @@ const DATA: &str = r#"
 /// An engine under `config` holding [`DATA`].
 fn load(config: parj::EngineConfig) -> Result<Parj, parj::ParjError> {
     let mut loader = config.loader();
-    loader.load(LoadSource::Text(DATA), RdfFormat::NTriples, OnParseError::Abort)?;
+    loader.load(
+        LoadSource::Text(DATA),
+        RdfFormat::NTriples,
+        OnParseError::Abort,
+    )?;
     Ok(loader.finish())
 }
 
@@ -68,7 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The plan is a union of per-subclass pipelines — inspect it.
-    println!("\nreasoning plan for the Animal query:\n{}", smart.explain(animals_q)?);
+    println!(
+        "\nreasoning plan for the Animal query:\n{}",
+        smart.explain(animals_q)?
+    );
 
     // The same `Arc<Parj>` serves concurrent readers.
     let handles: Vec<_> = (0..4)

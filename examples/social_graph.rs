@@ -35,7 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Bulk-load the follow graph, then build the engine once; one
     // `Arc<Parj>` is the handle every thread shares.
     let mut loader = Parj::builder().threads(2).loader();
-    loader.load(LoadSource::Text(FOLLOWS), RdfFormat::Turtle, OnParseError::Abort)?;
+    loader.load(
+        LoadSource::Text(FOLLOWS),
+        RdfFormat::Turtle,
+        OnParseError::Abort,
+    )?;
     let engine = Arc::new(loader.finish());
 
     // Messages arrive later, as a mutation batch on the live engine.

@@ -34,7 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = Parj::from_store(store, EngineConfig::default());
 
     // Run the whole benchmark suite in silent mode.
-    println!("\n{:<8} {:>10} {:>10} {:>12} {:>12}", "query", "results", "ms", "#sequential", "#binary");
+    println!(
+        "\n{:<8} {:>10} {:>10} {:>12} {:>12}",
+        "query", "results", "ms", "#sequential", "#binary"
+    );
     for q in lubm::queries() {
         let out = engine.request(&q.sparql).count_only().run()?;
         let (count, stats) = (out.count, out.stats);
@@ -76,7 +79,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let total: u64 = loads.iter().sum();
         let max_morsel = loads.iter().copied().max().unwrap_or(1);
         let bound = total as f64 / (total as f64 / threads as f64).max(max_morsel as f64);
-        println!("  {threads:>2} threads: {bound:.2}x over {} morsels", loads.len());
+        println!(
+            "  {threads:>2} threads: {bound:.2}x over {} morsels",
+            loads.len()
+        );
     }
 
     // Full result handling: decode the selective star query's rows.

@@ -51,7 +51,14 @@ fn slot_sparql(s: Slot) -> String {
 fn query_text(patterns: &[(Slot, u32, Slot)]) -> String {
     let body: String = patterns
         .iter()
-        .map(|(s, p, o)| format!("{} <{}> {} . ", slot_sparql(*s), pred_iri(*p), slot_sparql(*o)))
+        .map(|(s, p, o)| {
+            format!(
+                "{} <{}> {} . ",
+                slot_sparql(*s),
+                pred_iri(*p),
+                slot_sparql(*o)
+            )
+        })
         .collect();
     format!("SELECT * WHERE {{ {body}}}")
 }
@@ -80,8 +87,7 @@ struct Case {
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
-    let triples =
-        proptest::collection::vec((0..RESOURCES, 0..PREDICATES, 0..RESOURCES), 1..60);
+    let triples = proptest::collection::vec((0..RESOURCES, 0..PREDICATES, 0..RESOURCES), 1..60);
     let queries = proptest::collection::vec(
         proptest::collection::vec((arb_slot(), 0..PREDICATES, arb_slot()), 1..3),
         1..4,
@@ -96,15 +102,15 @@ fn arb_case() -> impl Strategy<Value = Case> {
         ],
         1..16,
     );
-    (triples, queries, ops).prop_map(|(triples, queries, ops)| Case { triples, queries, ops })
+    (triples, queries, ops).prop_map(|(triples, queries, ops)| Case {
+        triples,
+        queries,
+        ops,
+    })
 }
 
 fn triple(s: u32, p: u32, o: u32) -> (Term, Term, Term) {
-    (
-        Term::iri(iri(s)),
-        Term::iri(pred_iri(p)),
-        Term::iri(iri(o)),
-    )
+    (Term::iri(iri(s)), Term::iri(pred_iri(p)), Term::iri(iri(o)))
 }
 
 fn load(engine: &Parj, triples: &[(u32, u32, u32)]) {
@@ -194,7 +200,8 @@ proptest! {
 #[test]
 fn ten_thousand_interleavings_serve_zero_stale() {
     let engine = Parj::builder().threads(1).cache(true).build();
-    load(&engine,
+    load(
+        &engine,
         &(0..8u32)
             .map(|i| (i, i % PREDICATES, (i + 1) % 8))
             .collect::<Vec<_>>(),
@@ -212,7 +219,9 @@ fn ten_thousand_interleavings_serve_zero_stale() {
     // randomness source.
     let mut state = 0x2545_f491_4f6c_dd1du64;
     let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         (state >> 33) as u32
     };
 
@@ -264,23 +273,44 @@ fn writes_leave_untouched_predicate_entries_hot() {
 
     // Warm all three entries.
     for q in [&q0, &q1, &join] {
-        assert_eq!(engine.request(q).run().unwrap().stats.cache, CacheStatus::Miss);
-        assert_eq!(engine.request(q).run().unwrap().stats.cache, CacheStatus::ResultHit);
+        assert_eq!(
+            engine.request(q).run().unwrap().stats.cache,
+            CacheStatus::Miss
+        );
+        assert_eq!(
+            engine.request(q).run().unwrap().stats.cache,
+            CacheStatus::ResultHit
+        );
     }
 
     // Ten writes, all confined to p1.
     for i in 0..10u32 {
         let out = engine
             .mutate()
-            .insert(Term::iri(iri(5 + i % 3)), Term::iri(pred_iri(1)), Term::iri(iri(i % 5)))
-            .delete(Term::iri(iri(5 + i % 3)), Term::iri(pred_iri(1)), Term::iri(iri(i % 5)))
+            .insert(
+                Term::iri(iri(5 + i % 3)),
+                Term::iri(pred_iri(1)),
+                Term::iri(iri(i % 5)),
+            )
+            .delete(
+                Term::iri(iri(5 + i % 3)),
+                Term::iri(pred_iri(1)),
+                Term::iri(iri(i % 5)),
+            )
             .run()
             .unwrap();
-        assert_eq!(out.predicates_touched, 0, "insert+delete of the same triple nets out");
+        assert_eq!(
+            out.predicates_touched, 0,
+            "insert+delete of the same triple nets out"
+        );
 
         let out = engine
             .mutate()
-            .insert(Term::iri(iri(5)), Term::iri(pred_iri(1)), Term::iri(iri(6 + i % 2)))
+            .insert(
+                Term::iri(iri(5)),
+                Term::iri(pred_iri(1)),
+                Term::iri(iri(6 + i % 2)),
+            )
             .run()
             .unwrap();
         assert!(out.predicates_touched <= 1);
@@ -303,7 +333,10 @@ fn writes_leave_untouched_predicate_entries_hot() {
 
     // A delete on p0 now invalidates the p0 entry (and the join), but
     // leaves the freshly re-cached p1 entry alone.
-    assert_eq!(engine.request(&q1).run().unwrap().stats.cache, CacheStatus::ResultHit);
+    assert_eq!(
+        engine.request(&q1).run().unwrap().stats.cache,
+        CacheStatus::ResultHit
+    );
     let out = engine
         .mutate()
         .delete(Term::iri(iri(0)), Term::iri(pred_iri(0)), Term::iri(iri(1)))
@@ -313,7 +346,10 @@ fn writes_leave_untouched_predicate_entries_hot() {
     let after = engine.request(&q0).run().unwrap();
     assert_eq!(after.stats.cache, CacheStatus::Miss);
     assert_eq!(after.count, 1);
-    assert_eq!(engine.request(&q1).run().unwrap().stats.cache, CacheStatus::ResultHit);
+    assert_eq!(
+        engine.request(&q1).run().unwrap().stats.cache,
+        CacheStatus::ResultHit
+    );
 }
 
 /// A request built before a write and run after it computes its answer
@@ -332,14 +368,21 @@ fn answer_from_a_replaced_version_is_never_served() {
     assert_eq!(out.cache_invalidations, 1);
     let old = pinned.run().unwrap();
     assert_eq!(old.count, 2, "the pinned version predates the write");
-    assert_eq!(old.stats.cache, CacheStatus::Miss, "computed, then inserted");
+    assert_eq!(
+        old.stats.cache,
+        CacheStatus::Miss,
+        "computed, then inserted"
+    );
 
     let fresh = shared.request(&q).run().unwrap();
     assert_eq!(fresh.stats.cache, CacheStatus::Miss);
     assert_eq!(fresh.count, 3);
     assert_eq!(sorted_rows(&fresh).len(), 3);
     let again = shared.request(&q).run().unwrap();
-    assert_eq!((again.stats.cache, again.count), (CacheStatus::ResultHit, 3));
+    assert_eq!(
+        (again.stats.cache, again.count),
+        (CacheStatus::ResultHit, 3)
+    );
 }
 
 /// One insert-only writer and four readers on one cached engine.
@@ -352,7 +395,11 @@ fn concurrent_reads_see_a_version_between_their_start_and_end() {
     let base: Vec<(u32, u32, u32)> = (0..8).map(|i| (i, i % PREDICATES, (i + 1) % 8)).collect();
     // Every other batch adds a term; the rest reuse known ones.
     let batch = |i: u32| {
-        let o = if i.is_multiple_of(2) { RESOURCES + i } else { i % RESOURCES };
+        let o = if i.is_multiple_of(2) {
+            RESOURCES + i
+        } else {
+            i % RESOURCES
+        };
         triple(i % 8, i % PREDICATES, o)
     };
     let queries: Vec<String> = (0..PREDICATES)
@@ -373,8 +420,10 @@ fn concurrent_reads_see_a_version_between_their_start_and_end() {
             let (s, p, o) = batch(v - 1);
             cold.mutate().insert(s, p, o).run().unwrap();
         }
-        let row: Vec<u64> =
-            queries.iter().map(|q| cold.request(q).count_only().run().unwrap().count).collect();
+        let row: Vec<u64> = queries
+            .iter()
+            .map(|q| cold.request(q).count_only().run().unwrap().count)
+            .collect();
         counts.push(row);
     }
 
@@ -395,7 +444,11 @@ fn concurrent_reads_see_a_version_between_their_start_and_end() {
                     let q = i % queries.len();
                     let lo = returned.load(Ordering::SeqCst);
                     let req = shared.request(&queries[q]);
-                    let out = if i.is_multiple_of(2) { req.count_only().run() } else { req.run() };
+                    let out = if i.is_multiple_of(2) {
+                        req.count_only().run()
+                    } else {
+                        req.run()
+                    };
                     let count = out.unwrap().count;
                     let hi = started.load(Ordering::SeqCst);
                     assert!(

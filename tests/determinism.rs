@@ -12,9 +12,7 @@
 //! never distributes work worse than the old static per-thread shards.
 
 use parj::datagen::{lubm, watdiv};
-use parj::{
-    CacheStatus, CancelToken, EngineConfig, Parj, ParjError, RunOverrides,
-};
+use parj::{CacheStatus, CancelToken, EngineConfig, Parj, ParjError, RunOverrides};
 use std::time::Duration;
 
 /// Thread ladder: serial, even splits, and more workers than cores.
@@ -32,7 +30,10 @@ fn lubm_store() -> parj::TripleStore {
 }
 
 fn watdiv_store() -> parj::TripleStore {
-    watdiv::generate_store(&watdiv::WatDivConfig { scale: 10, seed: 11 })
+    watdiv::generate_store(&watdiv::WatDivConfig {
+        scale: 10,
+        seed: 11,
+    })
 }
 
 /// Base config for the suite: enough configured threads that the
@@ -200,8 +201,15 @@ fn delta_rows_identical_to_compacted_store_across_combos() {
             .value("parj_delta_resident_triples", &[])
             .expect("gauge exported")
     };
-    assert!(resident_pairs(&resident) > 0, "threshold 0 must keep runs resident");
-    assert_eq!(resident_pairs(&compacted), 0, "threshold 1 must compact every batch");
+    assert!(
+        resident_pairs(&resident) > 0,
+        "threshold 0 must keep runs resident"
+    );
+    assert_eq!(
+        resident_pairs(&compacted),
+        0,
+        "threshold 1 must compact every batch"
+    );
 
     // Rebuilt-from-scratch oracle: a fourth engine given the same
     // batch, snapshotted (which folds its delta into a full rebuild)
@@ -312,7 +320,10 @@ fn early_exit_paths_agree_across_combos() {
                 threads: usize,
                 morsel: usize,
             ) -> parj::QueryRequest<'e> {
-                e.request(q).threads(threads).morsel_size(morsel).count_only()
+                e.request(q)
+                    .threads(threads)
+                    .morsel_size(morsel)
+                    .count_only()
             }
 
             let token = CancelToken::new();
@@ -335,14 +346,19 @@ fn early_exit_paths_agree_across_combos() {
                 "t={threads} m={morsel}: {err}"
             );
 
-            let err = base(&mut engine, q, threads, morsel).max_rows(1).run().unwrap_err();
+            let err = base(&mut engine, q, threads, morsel)
+                .max_rows(1)
+                .run()
+                .unwrap_err();
             assert!(
                 matches!(err, ParjError::BudgetExceeded { .. }),
                 "t={threads} m={morsel}: {err}"
             );
 
             // And the same request unguarded still answers.
-            let ok = base(&mut engine, q, threads, morsel).run().expect("unguarded runs");
+            let ok = base(&mut engine, q, threads, morsel)
+                .run()
+                .expect("unguarded runs");
             assert!(ok.count > 1, "budget test needs multiple rows");
         }
     }
@@ -393,10 +409,7 @@ fn morsel_imbalance_never_exceeds_static_shard_imbalance() {
             // Dynamic pull: next free worker takes the next morsel.
             let mut workers = vec![0u64; threads];
             for &l in loads {
-                let min = workers
-                    .iter_mut()
-                    .min()
-                    .expect("at least one worker");
+                let min = workers.iter_mut().min().expect("at least one worker");
                 *min += l;
             }
             let dyn_max = workers.into_iter().max().unwrap_or(0);
@@ -426,7 +439,9 @@ fn value_bytes(store: &parj::TripleStore) -> usize {
     store
         .partitions()
         .iter()
-        .flat_map(|p| [parj::SortOrder::SO, parj::SortOrder::OS].map(|o| p.replica(o).value_bytes()))
+        .flat_map(|p| {
+            [parj::SortOrder::SO, parj::SortOrder::OS].map(|o| p.replica(o).value_bytes())
+        })
         .sum()
 }
 
@@ -505,7 +520,11 @@ fn compressed_delta_rows_identical_to_uncompressed_across_combos() {
             ..config()
         },
     );
-    for engine in [&mut raw_resident, &mut packed_resident, &mut packed_compacted] {
+    for engine in [
+        &mut raw_resident,
+        &mut packed_resident,
+        &mut packed_compacted,
+    ] {
         let out = engine
             .mutate()
             .insert_all(inserts.iter().cloned())

@@ -250,8 +250,7 @@ fn watdiv_queries_consistent_and_match_oracle() {
 fn watdiv_workload_selectivity_classes() {
     let store = watdiv::generate_store(&watdiv::WatDivConfig { scale: 2, seed: 5 });
     let mut engine = Parj::from_store(store, parj::EngineConfig::default());
-    let count =
-        |e: &mut Parj, sparql: &str| e.request(sparql).count_only().run().unwrap().count;
+    let count = |e: &mut Parj, sparql: &str| e.request(sparql).count_only().run().unwrap().count;
 
     // IL-3 (unanchored friendOf chains) must dwarf IL-1/IL-2 (anchored)
     // and grow with length — that contrast is Table 4's entire point.
@@ -326,7 +325,12 @@ fn snapshot_roundtrip_preserves_query_results() {
     for q in watdiv::basic_workload() {
         assert_eq!(
             engine.request(&q.sparql).count_only().run().unwrap().count,
-            restored.request(&q.sparql).count_only().run().unwrap().count,
+            restored
+                .request(&q.sparql)
+                .count_only()
+                .run()
+                .unwrap()
+                .count,
             "{} after snapshot",
             q.name
         );
@@ -348,14 +352,23 @@ fn ntriples_roundtrip_through_engine() {
 
     let mut loader = Parj::builder().loader();
     loader
-        .load(LoadSource::Text(&text), RdfFormat::NTriples, OnParseError::Abort)
+        .load(
+            LoadSource::Text(&text),
+            RdfFormat::NTriples,
+            OnParseError::Abort,
+        )
         .unwrap();
     let via_text = loader.finish();
     let via_gen = Parj::from_store(lubm::generate_store(&cfg), parj::EngineConfig::default());
     assert_eq!(via_text.num_triples(), via_gen.num_triples());
     for q in lubm::queries() {
         assert_eq!(
-            via_text.request(&q.sparql).count_only().run().unwrap().count,
+            via_text
+                .request(&q.sparql)
+                .count_only()
+                .run()
+                .unwrap()
+                .count,
             via_gen.request(&q.sparql).count_only().run().unwrap().count,
             "{}",
             q.name

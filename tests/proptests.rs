@@ -7,7 +7,9 @@
 use proptest::prelude::*;
 
 use parj::baseline::{reference_eval, BaselineEngine, HashJoinEngine, MergeJoinEngine};
-use parj::{EngineConfig, LoadSource, OnParseError, Parj, ParjError, ProbeStrategy, RdfFormat, Term};
+use parj::{
+    EngineConfig, LoadSource, OnParseError, Parj, ParjError, ProbeStrategy, RdfFormat, Term,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pool helpers seated across every case of `engine_cases` (each case
@@ -39,10 +41,7 @@ struct Case {
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
-    let triples = proptest::collection::vec(
-        (0..RESOURCES, 0..PREDICATES, 0..RESOURCES),
-        1..120,
-    );
+    let triples = proptest::collection::vec((0..RESOURCES, 0..PREDICATES, 0..RESOURCES), 1..120);
     let patterns = proptest::collection::vec((arb_slot(), 0..PREDICATES, arb_slot()), 1..4);
     (triples, patterns).prop_map(|(triples, patterns)| Case { triples, patterns })
 }
@@ -84,7 +83,11 @@ fn build(case: &Case) -> (Parj, String, Vec<parj_optimizer::Pattern>, usize) {
         ));
     }
     loader
-        .load(LoadSource::Text(&nt), RdfFormat::NTriples, OnParseError::Abort)
+        .load(
+            LoadSource::Text(&nt),
+            RdfFormat::NTriples,
+            OnParseError::Abort,
+        )
         .expect("seed engine");
     let engine = loader.finish();
     let body: String = case

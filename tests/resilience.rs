@@ -34,7 +34,11 @@ fn big_engine() -> &'static Parj {
             }
         }
         loader
-            .load(LoadSource::Text(&nt), RdfFormat::NTriples, OnParseError::Abort)
+            .load(
+                LoadSource::Text(&nt),
+                RdfFormat::NTriples,
+                OnParseError::Abort,
+            )
             .expect("seed engine");
         loader.finish()
     })
@@ -52,7 +56,11 @@ fn cancel_from_another_thread_within_bounded_time() {
         })
     };
     let t0 = Instant::now();
-    let res = engine.request(QUERY).cancel(token.clone()).count_only().run();
+    let res = engine
+        .request(QUERY)
+        .cancel(token.clone())
+        .count_only()
+        .run();
     let elapsed = t0.elapsed();
     canceller.join().unwrap();
     match res {

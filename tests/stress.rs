@@ -37,8 +37,16 @@ fn lubm_at_scale() {
     // Strategy-invariance of every query at scale.
     let mut baseline_counts = Vec::new();
     for q in lubm::queries() {
-        let out = engine.request(&q.sparql).count_only().run().expect("query runs");
-        assert!(out.stats.exec_micros < 60_000_000, "{} took too long", q.name);
+        let out = engine
+            .request(&q.sparql)
+            .count_only()
+            .run()
+            .expect("query runs");
+        assert!(
+            out.stats.exec_micros < 60_000_000,
+            "{} took too long",
+            q.name
+        );
         baseline_counts.push((q.name.clone(), out.count));
     }
     for strategy in ProbeStrategy::TABLE5 {
@@ -69,8 +77,16 @@ fn lubm_at_scale() {
     let restored = parj::TripleStore::from_snapshot_bytes(&bytes).expect("snapshot decodes");
     let restored = Parj::from_store(restored, EngineConfig::default());
     for (name, count) in &baseline_counts {
-        let q = lubm::queries().into_iter().find(|q| &q.name == name).expect("query");
-        let restored_count = restored.request(&q.sparql).count_only().run().unwrap().count;
+        let q = lubm::queries()
+            .into_iter()
+            .find(|q| &q.name == name)
+            .expect("query");
+        let restored_count = restored
+            .request(&q.sparql)
+            .count_only()
+            .run()
+            .unwrap()
+            .count;
         assert_eq!(restored_count, *count, "{name} after snapshot");
     }
 }
