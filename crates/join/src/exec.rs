@@ -1799,6 +1799,201 @@ mod tests {
         }
     }
 
+    /// Pins rows and every search counter of clean and dirty runs, for
+    /// each driver kind (key scan, group scan, existence) and every
+    /// value mode, on a block-compressed base whose touched predicates
+    /// hold both add and del runs. The clean run is the base alone; the
+    /// dirty run adds the overlay. Each plan has six cases, clean then
+    /// dirty under `AdaptiveIndex`, `AlwaysBinary` and `AlwaysIndex`;
+    /// each case is `[rows, row digest, binary, sequential, index,
+    /// binary steps, sequential steps, index words, group probes]`.
+    #[test]
+    fn clean_and_dirty_counters_are_pinned() {
+        let mut b = StoreBuilder::new();
+        let iri = |s: String| Term::iri(s);
+        for i in 0..3000u32 {
+            let (s, m) = (format!("s{}", i % 6), format!("m{}", i % 500));
+            b.add_term_triple(&iri(s), &iri("p0".into()), &iri(m.clone()));
+            let t = format!("t{}", (i * 7) % 90);
+            b.add_term_triple(&iri(m), &iri("p1".into()), &iri(t));
+        }
+        // p2: `m_j p2 m_j` when 3 divides j, `m_j p2 m_{j+1}` when j ≡ 1.
+        for j in (0..500u32).filter(|j| j % 3 < 2) {
+            let (m, next) = (format!("m{j}"), format!("m{}", j + j % 3));
+            b.add_term_triple(&iri(m), &iri("p2".into()), &iri(next));
+        }
+        let base = Arc::new(b.build_with(parj_store::StoreOptions {
+            compress_min_values: Some(8),
+            ..Default::default()
+        }));
+        let (p0, p1, p2) = (pid(&base, "p0"), pid(&base, "p1"), pid(&base, "p2"));
+        for p in [p0, p1] {
+            for order in [SortOrder::SO, SortOrder::OS] {
+                assert!(base.replica(p, order).unwrap().is_compressed());
+            }
+        }
+        let r = |name: &str| rid(&base, name);
+        let mut ov = DeltaOverlay::new(&base);
+        let mut edit = |p: Id, mut ins: Vec<(Id, Id)>, step: usize| {
+            ins.sort_unstable();
+            let del: Vec<(Id, Id)> = base.partition(p).unwrap().iter_so().step_by(step).collect();
+            ov.apply_pred(&base, p, &ins, &del);
+        };
+        // Inserts under existing keys and under keys new to the
+        // predicate; deletes spread over every predicate (p2's include
+        // whole groups).
+        edit(
+            p0,
+            vec![
+                (r("s0"), r("m1")),
+                (r("s0"), r("m3")),
+                (r("s5"), r("m0")),
+                (r("t1"), r("m5")),
+            ],
+            37,
+        );
+        edit(
+            p1,
+            vec![
+                (r("m0"), r("t1")),
+                (r("m499"), r("t89")),
+                (r("s2"), r("t3")),
+            ],
+            13,
+        );
+        edit(p2, vec![(r("m1"), r("m1")), (r("m7"), r("m7"))], 3);
+        for p in [p0, p1, p2] {
+            let d = ov.pred(p).unwrap();
+            assert!(d.add().is_some() && d.del().is_some(), "pred {p}");
+        }
+        let ov = Arc::new(ov);
+
+        let (x, y, z) = (Atom::Var(0), Atom::Var(1), Atom::Var(2));
+        let step = |predicate, order, key, value| PlanStep {
+            predicate,
+            order,
+            key,
+            value,
+        };
+        let (so, os) = (SortOrder::SO, SortOrder::OS);
+        let plans = [
+            // Key scan binding the value; probes bind and check a var.
+            (
+                vec![step(p0, so, x, y), step(p1, so, y, z), step(p0, os, y, x)],
+                vec![0, 1, 2],
+            ),
+            // Key scan checking a constant; probes bind and check `?y p2 ?y`.
+            (
+                vec![
+                    step(p1, so, y, Atom::Const(r("t3"))),
+                    step(p0, os, y, x),
+                    step(p2, so, y, y),
+                ],
+                vec![0, 1],
+            ),
+            // Key scan checking `?y p2 ?y`; probes check a constant.
+            (
+                vec![step(p2, so, y, y), step(p1, so, y, Atom::Const(r("t7")))],
+                vec![1],
+            ),
+            // Group scan, then bind and check.
+            (
+                vec![
+                    step(p1, os, Atom::Const(r("t3")), y),
+                    step(p0, os, y, x),
+                    step(p1, so, y, z),
+                ],
+                vec![0, 1, 2],
+            ),
+            // Existence, then a constant-key probe and a check.
+            (
+                vec![
+                    step(p0, so, Atom::Const(r("s0")), Atom::Const(r("m4"))),
+                    step(p1, so, Atom::Const(r("m4")), z),
+                    step(p1, os, z, Atom::Const(r("m4"))),
+                ],
+                vec![2],
+            ),
+        ];
+        let thresholds = thresholds(&base);
+        let mut got = Vec::new();
+        for (steps, projection) in plans {
+            let plan = PhysicalPlan::new(steps, 3, projection).unwrap();
+            for strategy in [
+                ProbeStrategy::AdaptiveIndex,
+                ProbeStrategy::AlwaysBinary,
+                ProbeStrategy::AlwaysIndex,
+            ] {
+                for delta in [None, Some(&ov)] {
+                    let src = ExecSource {
+                        store: &base,
+                        delta,
+                        thresholds: &thresholds,
+                    };
+                    let opts = ExecOptions {
+                        strategy,
+                        ..Default::default()
+                    };
+                    let (sinks, s) =
+                        execute(src, &plan, &opts, None, CollectSink::default).expect("runs");
+                    let rows: u64 = sinks.iter().map(|k| k.rows).sum();
+                    let digest = sinks.iter().flat_map(|k| &k.data).fold(0u64, |h, &v| {
+                        (h ^ u64::from(v)).wrapping_mul(0x0100_0000_01b3)
+                    });
+                    got.push([
+                        rows,
+                        digest,
+                        s.binary_searches,
+                        s.sequential_searches,
+                        s.index_lookups,
+                        s.binary_steps,
+                        s.sequential_steps,
+                        s.index_words,
+                        s.group_probes,
+                    ]);
+                }
+            }
+        }
+        let want: &[[u64; 9]] = &[
+            // key scan, bind.
+            [9000, 7796797804226087340, 0, 10490, 10, 0, 16466, 20, 9000],
+            [8109, 518127101142247629, 0, 9560, 12, 0, 15534, 24, 27760],
+            [9000, 7796797804226087340, 10500, 0, 0, 83958, 0, 0, 9000],
+            [8109, 518127101142247629, 9572, 0, 0, 76537, 0, 0, 27760],
+            [9000, 7796797804226087340, 0, 0, 10500, 0, 0, 21000, 9000],
+            [8109, 518127101142247629, 0, 0, 9572, 0, 0, 19144, 27760],
+            // key scan, constant.
+            [33, 10394745742222265042, 0, 115, 17, 0, 626, 34, 566],
+            [29, 2821297231521026570, 0, 94, 23, 0, 513, 46, 2527],
+            [33, 10394745742222265042, 132, 0, 0, 1001, 0, 0, 566],
+            [29, 2821297231521026570, 117, 0, 0, 886, 0, 0, 2527],
+            [33, 10394745742222265042, 0, 0, 132, 0, 0, 264, 566],
+            [29, 2821297231521026570, 0, 0, 117, 0, 0, 234, 2527],
+            // key scan, ?y p2 ?y.
+            [11, 13928212849434718261, 0, 167, 0, 0, 665, 0, 501],
+            [7, 13519468943826743865, 0, 113, 0, 0, 611, 0, 1785],
+            [11, 13928212849434718261, 167, 0, 0, 1340, 0, 0, 501],
+            [7, 13519468943826743865, 113, 0, 0, 897, 0, 0, 1785],
+            [11, 13928212849434718261, 0, 0, 167, 0, 0, 334, 501],
+            [7, 13519468943826743865, 0, 0, 113, 0, 0, 226, 1785],
+            // group scan.
+            [594, 7077327904410190658, 0, 118, 14, 0, 722, 28, 0],
+            [481, 12256677220545973, 0, 101, 16, 0, 619, 32, 234],
+            [594, 7077327904410190658, 132, 0, 0, 1004, 0, 0, 0],
+            [481, 12256677220545973, 117, 0, 0, 896, 0, 0, 234],
+            [594, 7077327904410190658, 0, 0, 132, 0, 0, 264, 0],
+            [481, 12256677220545973, 0, 0, 117, 0, 0, 234, 234],
+            // existence.
+            [6, 12839672859864312615, 0, 6, 1, 0, 58, 2, 6],
+            [5, 4882626933753831314, 0, 5, 1, 0, 46, 2, 21],
+            [6, 12839672859864312615, 7, 0, 0, 42, 0, 0, 6],
+            [5, 4882626933753831314, 6, 0, 0, 36, 0, 0, 21],
+            [6, 12839672859864312615, 0, 0, 7, 0, 0, 14, 6],
+            [5, 4882626933753831314, 0, 0, 6, 0, 0, 12, 21],
+        ];
+        assert_eq!(got, want, "{got:#?}");
+    }
+
     #[test]
     fn example_32_constant_driver_group_scan() {
         // ?x worksFor U2 . ?x teaches ?z — driver is the U2 group of the
