@@ -36,10 +36,14 @@
 
 use parj_sync::atomic::{AtomicUsize, Ordering};
 use parj_sync::Arc;
+use std::borrow::Cow;
 use std::panic::AssertUnwindSafe;
 
 use parj_dict::Id;
-use parj_store::{DeltaOverlay, Group, Replica, ReplicaView, StoreView, TripleStore};
+use parj_store::{
+    DeltaOverlay, Group, GroupIter, MergedGroup, MergedIter, Replica, ReplicaView, StoreView,
+    TripleStore,
+};
 
 use crate::guard::{GuardTrip, QueryGuard, GUARD_BATCH};
 use crate::plan::{CompiledStep, DriverMode, DriverValue, KeyMode, PhysicalPlan, ValueMode, VarId};
@@ -352,48 +356,26 @@ struct StepCtx<'a> {
     mode: CompiledStep,
 }
 
-/// Driver-domain storage: borrowed straight from a clean replica, or
-/// materialized once per run when a delta overlay dirties the driver
-/// predicate.
-enum GroupRef<'a> {
-    Borrowed(&'a [Id]),
-    Owned(Vec<Id>),
-}
-
-impl GroupRef<'_> {
-    #[inline]
-    fn as_slice(&self) -> &[Id] {
-        match self {
-            GroupRef::Borrowed(s) => s,
-            GroupRef::Owned(v) => v,
-        }
-    }
-}
-
 /// The resolved driver of step 0.
 enum ResolvedDriver<'a> {
-    Keys {
-        replica: &'a Replica,
-        bind_key: VarId,
-        value: DriverValue,
-    },
-    /// Key scan over a delta-dirtied predicate: the distinct key union
-    /// of base and add runs, materialized when the plan is resolved
+    /// Key scan over `source`'s key domain: its keys array when clean;
+    /// over a delta-dirtied predicate, the distinct key union of base
+    /// and add runs, materialized when the plan is resolved
     /// (deterministically, so every participant derives the identical
-    /// morsel grid).
-    /// Keys whose whole group was tombstoned still appear — their
-    /// merged group is empty, so they emit nothing and only pad the
-    /// scan domain.
-    DirtyKeys {
-        keys: Vec<Id>,
-        base: Option<&'a Replica>,
-        add: Option<&'a Replica>,
-        del: Option<&'a Replica>,
+    /// morsel grid). Keys whose whole group was tombstoned still appear
+    /// — their merged group is empty, so they emit nothing and only pad
+    /// the scan domain.
+    Keys {
+        source: ReplicaView<'a>,
+        keys: Cow<'a, [Id]>,
         bind_key: VarId,
         value: DriverValue,
     },
+    /// Group scan. Morsel sharding slices the domain by range, so a
+    /// block-compressed or merged group is materialized once per run;
+    /// a clean raw group stays borrowed.
     Group {
-        group: GroupRef<'a>,
+        group: Cow<'a, [Id]>,
         bind_value: VarId,
     },
     Exist {
@@ -404,71 +386,67 @@ enum ResolvedDriver<'a> {
 impl ResolvedDriver<'_> {
     fn domain(&self) -> usize {
         match self {
-            ResolvedDriver::Keys { replica, .. } => replica.num_keys(),
-            ResolvedDriver::DirtyKeys { keys, .. } => keys.len(),
-            ResolvedDriver::Group { group, .. } => group.as_slice().len(),
+            ResolvedDriver::Keys { keys, .. } => keys.len(),
+            ResolvedDriver::Group { group, .. } => group.len(),
             ResolvedDriver::Exist { .. } => 1,
         }
     }
 }
 
-#[inline]
-fn group_contains(group: &[Id], value: Id, stats: &mut SearchStats) -> bool {
-    stats.group_probes += 1;
-    group.binary_search(&value).is_ok()
+/// One key's value group at a probe target: a clean replica's own
+/// [`Group`], or the [`MergedGroup`] of base and resident runs. The
+/// probe step and the key-driver loop are written once over this trait
+/// and instantiated for both, so the clean instance carries no delta
+/// branch.
+trait ValueGroup<'a>: Copy {
+    type Values: Iterator<Item = Id>;
+    /// True when the key has no base and no added values.
+    fn absent(&self) -> bool;
+    /// The values in increasing order.
+    fn values(self) -> Self::Values;
+    /// Membership of `v`, counting each run searched as a group probe.
+    fn probe(&self, v: Id, stats: &mut SearchStats) -> bool;
 }
 
-/// [`group_contains`] over either value representation: binary search
-/// on raw groups, start compare plus early-exit delta prefix sum on
-/// block-compressed ones.
-#[inline]
-fn group_probe(group: Group<'_>, value: Id, stats: &mut SearchStats) -> bool {
-    stats.group_probes += 1;
-    group.contains(value)
-}
+impl<'a> ValueGroup<'a> for Group<'a> {
+    type Values = GroupIter<'a>;
 
-/// The sorted value group for `key` in an optional delta run, counting
-/// the lookup as a group probe. Missing run or absent key → empty.
-/// Delta runs are always raw (only base/compacted replicas compress).
-#[inline]
-fn overlay_group<'a>(rep: Option<&'a Replica>, key: Id, stats: &mut SearchStats) -> &'a [Id] {
-    match rep {
-        Some(r) => {
-            stats.group_probes += 1;
-            r.values_for_key(key)
-        }
-        None => &[],
+    #[inline]
+    fn absent(&self) -> bool {
+        self.is_empty()
+    }
+
+    #[inline]
+    fn values(self) -> GroupIter<'a> {
+        self.iter()
+    }
+
+    /// Binary search on raw groups, start compare plus early-exit
+    /// delta prefix sum on block-compressed ones.
+    #[inline]
+    fn probe(&self, v: Id, stats: &mut SearchStats) -> bool {
+        stats.group_probes += 1;
+        self.contains(v)
     }
 }
 
-/// The base-side group for `key`, across either representation.
-#[inline]
-fn overlay_base_group<'a>(rep: Option<&'a Replica>, key: Id, stats: &mut SearchStats) -> Group<'a> {
-    match rep {
-        Some(r) => {
-            stats.group_probes += 1;
-            r.group_for_key(key)
-        }
-        None => Group::Raw(&[]),
-    }
-}
+impl<'a> ValueGroup<'a> for MergedGroup<'a> {
+    type Values = MergedIter<'a>;
 
-/// Membership in the merged view `(base ∪ add) \ del` of one key's
-/// groups. Runs are sorted and obey the overlay invariants (`add`
-/// disjoint from `base`, `del` ⊆ `base`).
-#[inline]
-fn merged_group_contains(
-    base_group: Group<'_>,
-    add_group: &[Id],
-    del_group: &[Id],
-    value: Id,
-    stats: &mut SearchStats,
-) -> bool {
-    if !del_group.is_empty() && group_contains(del_group, value, stats) {
-        return false;
+    #[inline]
+    fn absent(&self) -> bool {
+        self.base.is_empty() && self.add.is_empty()
     }
-    group_probe(base_group, value, stats)
-        || (!add_group.is_empty() && group_contains(add_group, value, stats))
+
+    #[inline]
+    fn values(self) -> MergedIter<'a> {
+        self.iter()
+    }
+
+    #[inline]
+    fn probe(&self, v: Id, stats: &mut SearchStats) -> bool {
+        self.contains_counted(v, &mut stats.group_probes)
+    }
 }
 
 /// Worker-local execution state; one per thread. The only shared
@@ -592,146 +570,104 @@ impl<'a, S: Sink> Worker<'a, S> {
             return;
         }
         let ctx = &self.ctxs[depth];
-        let source = ctx.source;
-        let threshold = ctx.threshold;
-        let mode = ctx.mode;
-        let key_id = match mode.key {
+        let key = match ctx.mode.key {
             KeyMode::Const(c) => c,
             KeyMode::Var(v) => self.bindings[v as usize],
         };
-        let (replica, add, del) = match source {
-            ReplicaView::Clean(replica) => (Some(replica), None, None),
-            ReplicaView::Dirty { base, add, del } => (base, add, del),
-        };
-        let base_group: Group<'a> = match replica {
-            Some(replica) => match adaptive_search(
-                replica.keys(),
-                key_id,
-                &mut self.cursors[depth],
-                threshold,
-                self.strategy,
-                replica.idpos(),
-                &mut self.step_stats[depth],
-            ) {
-                Some(pos) => replica.group_at(pos),
-                None => Group::Raw(&[]),
-            },
-            None => Group::Raw(&[]),
-        };
-        if add.is_none() && del.is_none() {
-            // Clean path: the group is exactly the replica's, and an
-            // absent key short-circuits like it always did.
-            if base_group.is_empty() {
-                return;
+        // The instance is picked here, once per step: a clean replica's
+        // probe never looks at delta runs.
+        match ctx.source {
+            ReplicaView::Clean(replica) => {
+                let group = self.search(depth, replica, key);
+                self.probe(depth, key, group);
             }
-            match mode.value {
-                ValueMode::Bind(v) => {
-                    // The iterator borrows from the replica ('a), not
-                    // from `self`, so recursion is free to re-borrow.
-                    for val in base_group.iter() {
-                        self.bindings[v as usize] = val;
-                        self.descend(depth + 1);
-                    }
-                }
-                ValueMode::CheckVar(v) => {
-                    if group_probe(
-                        base_group,
-                        self.bindings[v as usize],
-                        &mut self.step_stats[depth],
-                    ) {
-                        self.descend(depth + 1);
-                    }
-                }
-                ValueMode::CheckConst(c) => {
-                    if group_probe(base_group, c, &mut self.step_stats[depth]) {
-                        self.descend(depth + 1);
-                    }
-                }
-                ValueMode::CheckEqKey => {
-                    if group_probe(base_group, key_id, &mut self.step_stats[depth]) {
-                        self.descend(depth + 1);
-                    }
-                }
-            }
-            return;
-        }
-        // Dirty path: merge the delta runs into the probe on the fly.
-        let add_group = overlay_group(add, key_id, &mut self.step_stats[depth]);
-        let del_group = overlay_group(del, key_id, &mut self.step_stats[depth]);
-        if base_group.is_empty() && add_group.is_empty() {
-            return;
-        }
-        match mode.value {
-            ValueMode::Bind(v) => {
-                self.bind_merged(depth + 1, v, base_group, add_group, del_group);
-            }
-            ValueMode::CheckVar(v) => {
-                if merged_group_contains(
-                    base_group,
-                    add_group,
-                    del_group,
-                    self.bindings[v as usize],
-                    &mut self.step_stats[depth],
-                ) {
-                    self.descend(depth + 1);
-                }
-            }
-            ValueMode::CheckConst(c) => {
-                if merged_group_contains(
-                    base_group,
-                    add_group,
-                    del_group,
-                    c,
-                    &mut self.step_stats[depth],
-                ) {
-                    self.descend(depth + 1);
-                }
-            }
-            ValueMode::CheckEqKey => {
-                if merged_group_contains(
-                    base_group,
-                    add_group,
-                    del_group,
-                    key_id,
-                    &mut self.step_stats[depth],
-                ) {
-                    self.descend(depth + 1);
-                }
+            ReplicaView::Dirty { base, add, del } => {
+                let base = base.map_or(Group::Raw(&[]), |r| self.search(depth, r, key));
+                // Each resident run looked up counts as a group probe.
+                let lookups = u64::from(add.is_some()) + u64::from(del.is_some());
+                self.step_stats[depth].group_probes += lookups;
+                self.probe(depth, key, ctx.source.group_with_base(key, base));
             }
         }
     }
 
-    /// Binds `var` to each value of the merged view `(base ∪ add) \ del`
-    /// **in sorted order** — the order a compacted replica would yield —
-    /// and descends into `next_depth` for each. Sorted-run two-pointer
-    /// merge; no allocation.
-    fn bind_merged(
-        &mut self,
-        next_depth: usize,
-        var: VarId,
-        base_group: Group<'a>,
-        add_group: &'a [Id],
-        del_group: &'a [Id],
-    ) {
-        let mut ai = 0;
-        let mut di = 0;
-        for val in base_group.iter() {
-            if di < del_group.len() && del_group[di] == val {
-                di += 1;
-                continue;
-            }
-            while ai < add_group.len() && add_group[ai] < val {
-                self.bindings[var as usize] = add_group[ai];
-                ai += 1;
-                self.descend(next_depth);
-            }
-            self.bindings[var as usize] = val;
-            self.descend(next_depth);
+    /// `key`'s group in `replica`, found by the adaptive search from
+    /// step `depth`'s cursor; empty if absent.
+    #[inline]
+    fn search(&mut self, depth: usize, replica: &'a Replica, key: Id) -> Group<'a> {
+        match adaptive_search(
+            replica.keys(),
+            key,
+            &mut self.cursors[depth],
+            self.ctxs[depth].threshold,
+            self.strategy,
+            replica.idpos(),
+            &mut self.step_stats[depth],
+        ) {
+            Some(pos) => replica.group_at(pos),
+            None => Group::Raw(&[]),
         }
-        while ai < add_group.len() {
-            self.bindings[var as usize] = add_group[ai];
-            ai += 1;
-            self.descend(next_depth);
+    }
+
+    /// Probe step `depth` over `group`, the group of `key`: binds each
+    /// value, or checks one, and descends.
+    #[inline]
+    fn probe<G: ValueGroup<'a>>(&mut self, depth: usize, key: Id, group: G) {
+        if group.absent() {
+            return;
+        }
+        let value = match self.ctxs[depth].mode.value {
+            ValueMode::Bind(v) => {
+                // The iterator borrows from the replica ('a), not from
+                // `self`, so recursion is free to re-borrow.
+                for val in group.values() {
+                    self.bindings[v as usize] = val;
+                    self.descend(depth + 1);
+                }
+                return;
+            }
+            ValueMode::CheckVar(v) => self.bindings[v as usize],
+            ValueMode::CheckConst(c) => c,
+            ValueMode::CheckEqKey => key,
+        };
+        if group.probe(value, &mut self.step_stats[depth]) {
+            self.descend(depth + 1);
+        }
+    }
+
+    /// Scans positions `range` of a key driver: `open` gives each
+    /// position's key and group, whose values are bound or checked.
+    #[inline]
+    fn scan_keys<G: ValueGroup<'a>>(
+        &mut self,
+        range: std::ops::Range<usize>,
+        bind_key: VarId,
+        value: DriverValue,
+        open: impl Fn(usize, &mut SearchStats) -> (Id, G),
+    ) {
+        // Driver-side group checks count in the trailing stats slot.
+        let slot = self.ctxs.len() + 1;
+        for pos in range {
+            if self.stop {
+                break;
+            }
+            self.tick();
+            let (key, group) = open(pos, &mut self.step_stats[slot]);
+            self.bindings[bind_key as usize] = key;
+            let check = match value {
+                DriverValue::Bind(v) => {
+                    for val in group.values() {
+                        self.bindings[v as usize] = val;
+                        self.descend(0);
+                    }
+                    continue;
+                }
+                DriverValue::CheckConst(c) => c,
+                DriverValue::CheckEqKey => key,
+            };
+            if group.probe(check, &mut self.step_stats[slot]) {
+                self.descend(0);
+            }
         }
     }
 
@@ -739,92 +675,29 @@ impl<'a, S: Sink> Worker<'a, S> {
     fn run_range(&mut self, driver: &ResolvedDriver<'a>, lo: usize, hi: usize) {
         match driver {
             ResolvedDriver::Keys {
-                replica,
-                bind_key,
-                value,
-            } => {
-                for pos in lo..hi {
-                    if self.stop {
-                        break;
-                    }
-                    self.tick();
-                    let key = replica.key_at(pos);
-                    self.bindings[*bind_key as usize] = key;
-                    let group = replica.group_at(pos);
-                    match *value {
-                        DriverValue::Bind(v) => {
-                            for val in group.iter() {
-                                self.bindings[v as usize] = val;
-                                self.descend(0);
-                            }
-                        }
-                        DriverValue::CheckConst(c) => {
-                            let slot = self.ctxs.len() + 1;
-                            if group_probe(group, c, &mut self.step_stats[slot]) {
-                                self.descend(0);
-                            }
-                        }
-                        DriverValue::CheckEqKey => {
-                            let slot = self.ctxs.len() + 1;
-                            if group_probe(group, key, &mut self.step_stats[slot]) {
-                                self.descend(0);
-                            }
-                        }
-                    }
-                }
-            }
-            ResolvedDriver::DirtyKeys {
+                source,
                 keys,
-                base,
-                add,
-                del,
                 bind_key,
                 value,
-            } => {
-                let slot = self.ctxs.len() + 1;
-                for &key in &keys[lo..hi] {
-                    if self.stop {
-                        break;
-                    }
-                    self.tick();
-                    self.bindings[*bind_key as usize] = key;
-                    // Dirty drivers pay one binary search per run and
-                    // key (the merged key list has no positions into
-                    // any single replica).
-                    let base_group = overlay_base_group(*base, key, &mut self.step_stats[slot]);
-                    let add_group = overlay_group(*add, key, &mut self.step_stats[slot]);
-                    let del_group = overlay_group(*del, key, &mut self.step_stats[slot]);
-                    match *value {
-                        DriverValue::Bind(v) => {
-                            self.bind_merged(0, v, base_group, add_group, del_group);
-                        }
-                        DriverValue::CheckConst(c) => {
-                            if merged_group_contains(
-                                base_group,
-                                add_group,
-                                del_group,
-                                c,
-                                &mut self.step_stats[slot],
-                            ) {
-                                self.descend(0);
-                            }
-                        }
-                        DriverValue::CheckEqKey => {
-                            if merged_group_contains(
-                                base_group,
-                                add_group,
-                                del_group,
-                                key,
-                                &mut self.step_stats[slot],
-                            ) {
-                                self.descend(0);
-                            }
-                        }
-                    }
+            } => match *source {
+                ReplicaView::Clean(replica) => {
+                    self.scan_keys(lo..hi, *bind_key, *value, |pos, _| {
+                        (replica.key_at(pos), replica.group_at(pos))
+                    })
                 }
-            }
+                // Dirty drivers pay one lookup per run and key (the
+                // merged key list has no positions into any single
+                // replica), each counted as a group probe.
+                ReplicaView::Dirty { base, add, del } => {
+                    let lookups = [base, add, del].iter().flatten().count() as u64;
+                    self.scan_keys(lo..hi, *bind_key, *value, |pos, stats| {
+                        stats.group_probes += lookups;
+                        (keys[pos], source.group(keys[pos]))
+                    })
+                }
+            },
             ResolvedDriver::Group { group, bind_value } => {
-                for &val in &group.as_slice()[lo..hi] {
+                for &val in &group[lo..hi] {
                     if self.stop {
                         break;
                     }
@@ -891,42 +764,20 @@ fn prepare_exec<'a>(
     let step0 = &plan.steps[0];
     let driver_source = view.replica(step0.predicate, step0.order)?;
     let driver = match plan.driver {
-        DriverMode::ScanKeys { bind_key, value } => match driver_source {
-            ReplicaView::Clean(replica) => ResolvedDriver::Keys {
-                replica,
-                bind_key,
-                value,
-            },
-            ReplicaView::Dirty { base, add, del } => ResolvedDriver::DirtyKeys {
-                keys: driver_source.merged_keys(),
-                base,
-                add,
-                del,
-                bind_key,
-                value,
-            },
+        DriverMode::ScanKeys { bind_key, value } => ResolvedDriver::Keys {
+            source: driver_source,
+            keys: driver_source.merged_keys(),
+            bind_key,
+            value,
         },
-        DriverMode::ScanGroup { key, bind_value } => match driver_source {
-            ReplicaView::Clean(replica) => {
-                // Morsel sharding slices the driver domain by range, so
-                // a block-compressed group is materialized once per
-                // resolution (raw groups stay borrowed).
-                let g = replica.group_for_key(key);
-                let group = match g.as_raw() {
-                    Some(s) => GroupRef::Borrowed(s),
-                    None => GroupRef::Owned(g.to_vec()),
-                };
-                ResolvedDriver::Group { group, bind_value }
-            }
-            ReplicaView::Dirty { .. } => {
-                let mut owned = Vec::new();
-                driver_source.merged_values_into(key, &mut owned);
-                ResolvedDriver::Group {
-                    group: GroupRef::Owned(owned),
-                    bind_value,
-                }
-            }
-        },
+        DriverMode::ScanGroup { key, bind_value } => {
+            let g = driver_source.group(key);
+            let group = match g.base.as_raw() {
+                Some(raw) if g.add.is_empty() && g.del.is_empty() => Cow::Borrowed(raw),
+                _ => Cow::Owned(g.iter().collect()),
+            };
+            ResolvedDriver::Group { group, bind_value }
+        }
         DriverMode::Existence { key, value } => ResolvedDriver::Exist {
             present: driver_source.contains_pair(key, value),
         },

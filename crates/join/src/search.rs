@@ -261,7 +261,6 @@ pub fn binary_search_cursor(
 #[inline]
 fn index_search(
     idx: &IdPosIndex,
-    arr: &[Id],
     value: Id,
     cursor: &mut usize,
     stats: &mut SearchStats,
@@ -272,18 +271,11 @@ fn index_search(
     // as 2 words (bit word + anchor) — partial-block popcounts stay in
     // the same cache line for interval ≤ 512.
     stats.index_words += 2;
-    match idx.lookup(value) {
-        Some(pos) => {
-            *cursor = pos;
-            Some(pos)
-        }
-        None => {
-            // Miss: the bitmap answers without touching `arr`; leave the
-            // cursor where it was (no better information).
-            let _ = arr;
-            None
-        }
-    }
+    // A miss is answered by the bitmap alone and leaves the cursor
+    // where it was (no better information).
+    let pos = idx.lookup(value)?;
+    *cursor = pos;
+    Some(pos)
 }
 
 /// Algorithm 1 of the paper: adaptively switch between sequential search
@@ -313,7 +305,7 @@ pub fn adaptive_search(
         ProbeStrategy::AlwaysSequential => sequential_search(arr, value, cursor, stats),
         ProbeStrategy::AlwaysBinary => binary_search_cursor(arr, value, cursor, stats),
         ProbeStrategy::AlwaysIndex => match index {
-            Some(idx) => index_search(idx, arr, value, cursor, stats),
+            Some(idx) => index_search(idx, value, cursor, stats),
             None => binary_search_cursor(arr, value, cursor, stats),
         },
         ProbeStrategy::AdaptiveBinary | ProbeStrategy::AdaptiveIndex => {
@@ -327,7 +319,7 @@ pub fn adaptive_search(
                 binary_search_cursor(arr, value, cursor, stats)
             } else {
                 match index {
-                    Some(idx) => index_search(idx, arr, value, cursor, stats),
+                    Some(idx) => index_search(idx, value, cursor, stats),
                     None => sequential_search(arr, value, cursor, stats),
                 }
             }

@@ -29,11 +29,13 @@
 //! New terms introduced by mutations live in a [`DictDelta`] held here,
 //! so one overlay value carries everything that differs from the base.
 
+use std::borrow::Cow;
+
 use parj_dict::{DictDelta, EncodedTriple, Id};
 use parj_sync::Arc;
 
 use crate::partition::Partition;
-use crate::replica::Replica;
+use crate::replica::{Group, GroupIter, Replica};
 use crate::share::index_for;
 use crate::store::{SortOrder, TripleStore};
 
@@ -250,12 +252,8 @@ impl DeltaOverlay {
         if self.preds.len() <= idx {
             self.preds.resize_with(idx + 1, PredDelta::default);
         }
-        let in_base = |s: Id, o: Id| -> bool {
-            match self.preds[idx].compacted() {
-                Some(part) => part.contains(s, o),
-                None => base.partition(predicate).is_some_and(|p| p.contains(s, o)),
-            }
-        };
+        let effective = self.effective_base(base, predicate);
+        let in_base = |s: Id, o: Id| effective.is_some_and(|p| p.contains(s, o));
 
         let entry = &self.preds[idx];
         let add_pairs: Vec<(Id, Id)> = entry
@@ -391,30 +389,12 @@ impl DeltaOverlay {
     /// The visible `(s, o)` pairs for `predicate` in S-O order — the
     /// exact sequence a from-scratch rebuild would store.
     pub fn merged_so_pairs(&self, base: &TripleStore, predicate: Id) -> Vec<(Id, Id)> {
-        let entry = self.pred(predicate);
-        let base_part = self.effective_base(base, predicate);
-        let add = entry.and_then(PredDelta::add);
-        let del = entry.and_then(PredDelta::del);
-
-        let visible = base_part.map_or(0, |p| p.num_triples()) + add.map_or(0, |p| p.num_triples())
-            - del.map_or(0, |p| p.num_triples());
-        let mut out = Vec::with_capacity(visible);
-        let mut del_it = del.map(|p| p.iter_so()).into_iter().flatten().peekable();
-        let mut add_it = add.map(|p| p.iter_so()).into_iter().flatten().peekable();
-        let base_it = base_part.map(|p| p.iter_so()).into_iter().flatten();
-        for pair in base_it {
-            if del_it.peek() == Some(&pair) {
-                del_it.next();
-                continue;
-            }
-            while let Some(a) = add_it.next_if(|a| *a < pair) {
-                out.push(a);
-            }
-            out.push(pair);
-        }
-        out.extend(add_it);
-        debug_assert!(del_it.peek().is_none(), "tombstones must subset the base");
-        out
+        let view = StoreView {
+            base,
+            delta: Some(self),
+        };
+        view.replica(predicate, SortOrder::SO)
+            .map_or_else(Vec::new, |r| r.merged_pairs())
     }
 
     /// Iterates every visible triple, predicate-major in `(s, o)`
@@ -449,10 +429,8 @@ impl DeltaOverlay {
                         .map_err(|e| format!("pred {pred} {name} run: {e}"))?;
                 }
             }
-            let base_has = |s: Id, o: Id| match entry.compacted() {
-                Some(part) => part.contains(s, o),
-                None => base.partition(pred).is_some_and(|p| p.contains(s, o)),
-            };
+            let effective = self.effective_base(base, pred);
+            let base_has = |s: Id, o: Id| effective.is_some_and(|p| p.contains(s, o));
             if let Some(add) = entry.add() {
                 for (s, o) in add.iter_so() {
                     if base_has(s, o) {
@@ -508,26 +486,6 @@ impl<'a> StoreView<'a> {
         }
     }
 
-    /// The base store.
-    #[inline]
-    pub fn base(&self) -> &'a TripleStore {
-        self.base
-    }
-
-    /// The overlay, if one is attached.
-    #[inline]
-    pub fn overlay(&self) -> Option<&'a DeltaOverlay> {
-        self.delta
-    }
-
-    /// Visible triple count.
-    pub fn num_triples(&self) -> usize {
-        match self.delta {
-            Some(d) => d.visible_triples(self.base),
-            None => self.base.num_triples(),
-        }
-    }
-
     /// True if the fully-constant triple is visible.
     pub fn contains(&self, t: EncodedTriple) -> bool {
         match self.replica(t.p, SortOrder::SO) {
@@ -544,10 +502,9 @@ impl<'a> StoreView<'a> {
             return self.base.replica(predicate, order).map(ReplicaView::Clean);
         };
         let entry = overlay.pred(predicate);
-        let base_rep = match entry.and_then(PredDelta::compacted) {
-            Some(part) => Some(part.replica(order)),
-            None => self.base.replica(predicate, order),
-        };
+        let base_rep = overlay
+            .effective_base(self.base, predicate)
+            .map(|p| p.replica(order));
         let add = entry.and_then(PredDelta::add).map(|p| p.replica(order));
         let del = entry.and_then(PredDelta::del).map(|p| p.replica(order));
         if add.is_none() && del.is_none() {
@@ -582,122 +539,192 @@ pub enum ReplicaView<'a> {
 }
 
 impl<'a> ReplicaView<'a> {
-    /// True if `(key, value)` is visible. Probes go through
-    /// [`crate::Group`], so base replicas (and compacted replacements)
-    /// may be block-compressed; add/del runs are always raw.
+    /// The base replica and the add and del runs; a clean view has no
+    /// runs.
+    fn runs(&self) -> [Option<&'a Replica>; 3] {
+        match *self {
+            ReplicaView::Clean(rep) => [Some(rep), None, None],
+            ReplicaView::Dirty { base, add, del } => [base, add, del],
+        }
+    }
+
+    /// The visible group of `key`, empty if absent. Base replicas (and
+    /// compacted replacements) may be block-compressed; add and del
+    /// runs are always raw.
+    pub fn group(&self, key: Id) -> MergedGroup<'a> {
+        let base = self.runs()[0].map_or(Group::Raw(&[]), |b| b.group_for_key(key));
+        self.group_with_base(key, base)
+    }
+
+    /// [`ReplicaView::group`] with the base group already found by the
+    /// caller: only the add and del runs are looked up.
+    pub fn group_with_base(&self, key: Id, base: Group<'a>) -> MergedGroup<'a> {
+        let [_, add, del] = self.runs();
+        let run = |r: Option<&'a Replica>| r.map_or(&[][..], |r| r.values_for_key(key));
+        MergedGroup {
+            base,
+            add: run(add),
+            del: run(del),
+        }
+    }
+
+    /// True if `(key, value)` is visible.
     pub fn contains_pair(&self, key: Id, value: Id) -> bool {
-        match self {
-            ReplicaView::Clean(rep) => rep.group_for_key(key).contains(value),
-            ReplicaView::Dirty { base, add, del } => {
-                let in_del = del.is_some_and(|d| d.group_for_key(key).contains(value));
-                if in_del {
-                    return false;
-                }
-                base.is_some_and(|b| b.group_for_key(key).contains(value))
-                    || add.is_some_and(|a| a.group_for_key(key).contains(value))
-            }
-        }
+        self.group(key).contains(value)
     }
 
-    /// The visible sorted value group for `key`, appended to `out`
-    /// (which is cleared first). For a clean raw replica prefer
-    /// borrowing [`Replica::values_for_key`] directly.
-    pub fn merged_values_into(&self, key: Id, out: &mut Vec<Id>) {
-        out.clear();
-        match self {
-            ReplicaView::Clean(rep) => rep.group_for_key(key).decode_into(out),
-            ReplicaView::Dirty { base, add, del } => merge_group_into(
-                base.map_or(crate::Group::Raw(&[]), |b| b.group_for_key(key)),
-                add.map_or(&[][..], |a| a.values_for_key(key)),
-                del.map_or(&[][..], |d| d.values_for_key(key)),
-                out,
-            ),
-        }
-    }
-
-    /// The sorted distinct key domain. For dirty views this is the
-    /// union of base and add keys — a key whose whole group was
-    /// tombstoned still appears (its merged group is empty), which only
-    /// pads the scan domain and never changes emitted rows.
-    pub fn merged_keys(&self) -> Vec<Id> {
-        match self {
-            ReplicaView::Clean(rep) => rep.keys().to_vec(),
+    /// The sorted distinct key domain: borrowed from a clean replica.
+    /// For dirty views this is the union of base and add keys — a key
+    /// whose whole group was tombstoned still appears (its merged group
+    /// is empty), which only pads the scan domain and never changes
+    /// emitted rows.
+    pub fn merged_keys(&self) -> Cow<'a, [Id]> {
+        match *self {
+            ReplicaView::Clean(rep) => Cow::Borrowed(rep.keys()),
             ReplicaView::Dirty { base, add, .. } => {
-                let b = base.map_or(&[][..], |r| r.keys());
-                let a = add.map_or(&[][..], |r| r.keys());
-                let mut out = Vec::with_capacity(b.len() + a.len());
-                let (mut i, mut j) = (0, 0);
-                while i < b.len() && j < a.len() {
-                    match b[i].cmp(&a[j]) {
-                        std::cmp::Ordering::Less => {
-                            out.push(b[i]);
-                            i += 1;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            out.push(a[j]);
-                            j += 1;
-                        }
-                        std::cmp::Ordering::Equal => {
-                            out.push(b[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                out.extend_from_slice(&b[i..]);
-                out.extend_from_slice(&a[j..]);
-                out
+                let [base, add] = [base, add].map(|r| r.map_or(&[][..], Replica::keys));
+                let union = MergedGroup {
+                    base: Group::Raw(base),
+                    add,
+                    del: &[],
+                };
+                Cow::Owned(union.iter().collect())
             }
         }
+    }
+
+    /// Every visible `(key, value)` pair in `(key, value)` order — the
+    /// pairs a compacted replica would hold.
+    pub fn merged_pairs(&self) -> Vec<(Id, Id)> {
+        let [base, add, del] = self.runs().map(|r| r.map_or(0, Replica::num_triples));
+        let mut out = Vec::with_capacity(base + add - del);
+        // The base keys are a subsequence of the merged keys, so a
+        // forward cursor finds the base group of every key; only the
+        // small resident runs are searched.
+        let (base, mut at) = (self.runs()[0], 0);
+        for &key in self.merged_keys().iter() {
+            let group = match base {
+                Some(r) if r.keys().get(at) == Some(&key) => {
+                    at += 1;
+                    r.group_at(at - 1)
+                }
+                _ => Group::Raw(&[]),
+            };
+            out.extend(self.group_with_base(key, group).iter().map(|v| (key, v)));
+        }
+        out
     }
 }
 
-/// Binary search membership in a sorted slice.
-#[inline]
-pub fn sorted_contains(slice: &[Id], value: Id) -> bool {
-    slice.binary_search(&value).is_ok()
+/// One key's visible value group under the delta rule
+/// `(base ∖ del) ∪ add`: the base replica's [`Group`], raw or packed,
+/// plus the key's sorted add and del runs. Every delta merge and
+/// membership test goes through this type.
+///
+/// The runs obey the overlay invariants — `add` disjoint from `base`,
+/// `del` a subset of it — so [`MergedGroup::iter`] yields exactly the
+/// group a compacted replica would hold, in the same order.
+#[derive(Debug, Clone, Copy)]
+pub struct MergedGroup<'a> {
+    /// The base group; empty when the key is new to the predicate.
+    pub base: Group<'a>,
+    /// Insertions, disjoint from `base`.
+    pub add: &'a [Id],
+    /// Tombstones, a subset of `base`.
+    pub del: &'a [Id],
+}
+
+impl<'a> MergedGroup<'a> {
+    /// The visible values in increasing order: a two-pointer merge of
+    /// `base` and `add` that skips `del`. A value in both `base` and
+    /// `add` is yielded once, so with `del` empty this is a set union.
+    pub fn iter(&self) -> MergedIter<'a> {
+        let mut base = self.base.iter();
+        MergedIter {
+            next: base.next(),
+            base,
+            add: self.add,
+            del: self.del,
+        }
+    }
+
+    /// True if `v` is visible.
+    pub fn contains(&self, v: Id) -> bool {
+        self.contains_counted(v, &mut 0)
+    }
+
+    /// [`MergedGroup::contains`], adding one to `probes` per run it
+    /// searches: `del` when non-empty (a hit answers `false`), then
+    /// `base`, then `add` when non-empty and `base` missed.
+    #[inline]
+    pub fn contains_counted(&self, v: Id, probes: &mut u64) -> bool {
+        *probes += u64::from(!self.del.is_empty());
+        if self.del.binary_search(&v).is_ok() {
+            return false;
+        }
+        *probes += 1;
+        if self.base.contains(v) {
+            return true;
+        }
+        *probes += u64::from(!self.add.is_empty());
+        self.add.binary_search(&v).is_ok()
+    }
+}
+
+/// Iterator over a [`MergedGroup`]'s visible values.
+#[derive(Debug, Clone)]
+pub struct MergedIter<'a> {
+    base: GroupIter<'a>,
+    /// The next base value, not yet yielded.
+    next: Option<Id>,
+    add: &'a [Id],
+    del: &'a [Id],
+}
+
+impl Iterator for MergedIter<'_> {
+    type Item = Id;
+
+    #[inline]
+    fn next(&mut self) -> Option<Id> {
+        loop {
+            let Some(b) = self.next else {
+                let (&a, rest) = self.add.split_first()?;
+                self.add = rest;
+                return Some(a);
+            };
+            if let Some((&a, rest)) = self.add.split_first() {
+                if a <= b {
+                    self.add = rest;
+                    if a < b {
+                        return Some(a);
+                    }
+                }
+            }
+            self.next = self.base.next();
+            match self.del.split_first() {
+                Some((&d, rest)) if d == b => self.del = rest,
+                _ => return Some(b),
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let base = self.base.len() + usize::from(self.next.is_some());
+        let low = base.saturating_sub(self.del.len()).max(self.add.len());
+        (low, Some(base + self.add.len()))
+    }
 }
 
 /// Merges `(base \ del) ∪ add` into `out`, preserving sorted order.
 /// `add` must be disjoint from `base` and `del` a subset of `base` —
 /// the overlay invariants.
 pub fn merge_values_into(base: &[Id], add: &[Id], del: &[Id], out: &mut Vec<Id>) {
-    let mut di = 0;
-    let mut ai = 0;
-    for &v in base {
-        if di < del.len() && del[di] == v {
-            di += 1;
-            continue;
-        }
-        while ai < add.len() && add[ai] < v {
-            out.push(add[ai]);
-            ai += 1;
-        }
-        out.push(v);
-    }
-    out.extend_from_slice(&add[ai..]);
-}
-
-/// [`merge_values_into`] with a [`crate::Group`] base, so the same
-/// two-pointer merge runs over raw and block-compressed base groups.
-pub fn merge_group_into(base: crate::Group<'_>, add: &[Id], del: &[Id], out: &mut Vec<Id>) {
-    if let Some(slice) = base.as_raw() {
-        return merge_values_into(slice, add, del, out);
-    }
-    let mut di = 0;
-    let mut ai = 0;
-    for v in base.iter() {
-        if di < del.len() && del[di] == v {
-            di += 1;
-            continue;
-        }
-        while ai < add.len() && add[ai] < v {
-            out.push(add[ai]);
-            ai += 1;
-        }
-        out.push(v);
-    }
-    out.extend_from_slice(&add[ai..]);
+    let group = MergedGroup {
+        base: Group::Raw(base),
+        add,
+        del,
+    };
+    out.extend(group.iter());
 }
 
 #[cfg(test)]
@@ -837,7 +864,7 @@ mod tests {
         assert!(rep.contains_pair(1, 2));
         assert_eq!(rep.merged_keys(), vec![1]);
         assert!(view.contains(EncodedTriple::new(1, new_pred, 2)));
-        assert_eq!(view.num_triples(), 5);
+        assert_eq!(ov.visible_triples(&base), 5);
     }
 
     #[test]
@@ -848,8 +875,7 @@ mod tests {
         ov.apply_pred(&base, 0, &[(s2, o2)], &[]);
         let view = StoreView::with_delta(&base, &ov);
         let so = view.replica(0, SortOrder::SO).unwrap();
-        let mut vals = Vec::new();
-        so.merged_values_into(s2, &mut vals);
+        let vals: Vec<Id> = so.group(s2).iter().collect();
         let o1 = rid(&base, "o1");
         let mut expect = vec![o1, o2];
         expect.sort_unstable();
@@ -903,8 +929,7 @@ mod tests {
             let dirty = ov.merged_so_pairs(base, 0);
             let view = StoreView::with_delta(base, &ov);
             let rep = view.replica(0, SortOrder::SO).unwrap();
-            let mut probe = Vec::new();
-            rep.merged_values_into(1, &mut probe);
+            let probe: Vec<Id> = rep.group(1).iter().collect();
             ov.compact_pred(base, 0);
             assert_eq!(ov.check_invariants(base), Ok(()));
             assert_eq!(ov.merged_so_pairs(base, 0), dirty);
@@ -1017,35 +1042,91 @@ mod tests {
         }
     }
 
-    #[test]
-    fn merge_group_matches_merge_values() {
-        let base: Vec<Id> = (0..500).map(|i| i * 3).collect();
-        let add = vec![1, 4, 2000];
-        let del = vec![0, 300, 1497];
-        let spans = crate::replica::Spans::Csr(vec![0, base.len() as u32]);
-        let packed = crate::codec::PackedValues::pack(&spans, &base);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        merge_values_into(&base, &add, &del, &mut a);
-        merge_group_into(
-            crate::Group::Packed(packed.run(0, &spans)),
-            &add,
-            &del,
-            &mut b,
-        );
-        assert_eq!(a, b);
+    /// Checks every reading of one [`MergedGroup`] against a
+    /// `BTreeSet` model of `(base ∖ del) ∪ add`, over a raw and (when
+    /// non-empty) a packed base: `iter()` and `merge_values_into` equal
+    /// the model, and `contains` agrees with it on every run value, its
+    /// neighbours and both ends of the id space.
+    fn check_merge(base: &[Id], add: &[Id], del: &[Id]) -> Result<(), String> {
+        let model: std::collections::BTreeSet<Id> = base
+            .iter()
+            .chain(add)
+            .filter(|v| !del.contains(v))
+            .copied()
+            .collect();
+        let spans = match base.len() {
+            1 => crate::replica::Spans::Singletons,
+            n => crate::replica::Spans::Csr(vec![0, n as u32]),
+        };
+        let packed = (!base.is_empty()).then(|| crate::codec::PackedValues::pack(&spans, base));
+        let packed = packed.as_ref().map(|p| Group::Packed(p.run(0, &spans)));
+        for group in [Some(Group::Raw(base)), packed].into_iter().flatten() {
+            let merged = MergedGroup {
+                base: group,
+                add,
+                del,
+            };
+            let got: Vec<Id> = merged.iter().collect();
+            if !got.iter().eq(&model) {
+                return Err(format!("iter {got:?} != model {model:?} ({group:?})"));
+            }
+            let near = |&v: &Id| [v.saturating_sub(1), v, v.saturating_add(1)];
+            let probes = base.iter().chain(add).chain(del).flat_map(near);
+            for v in probes.chain([0, Id::MAX]) {
+                if merged.contains(v) != model.contains(&v) {
+                    return Err(format!(
+                        "contains({v}) disagrees with the model ({group:?})"
+                    ));
+                }
+            }
+        }
+        let mut out = vec![7];
+        merge_values_into(base, add, del, &mut out);
+        if out[0] != 7 || !out[1..].iter().eq(&model) {
+            return Err(format!("merge_values_into appended {:?}", &out[1..]));
+        }
+        Ok(())
     }
 
     #[test]
-    fn merge_values_handles_interleaving() {
-        let mut out = Vec::new();
-        merge_values_into(&[2, 4, 6], &[1, 5, 9], &[4], &mut out);
-        assert_eq!(out, vec![1, 2, 5, 6, 9]);
-        out.clear();
-        merge_values_into(&[], &[3], &[], &mut out);
-        assert_eq!(out, vec![3]);
-        out.clear();
-        merge_values_into(&[3], &[], &[3], &mut out);
-        assert!(out.is_empty());
+    fn merge_fixed_cases() {
+        let base: Vec<Id> = (0..500).map(|i| i * 3).collect();
+        let cases: [(&[Id], &[Id], &[Id]); 5] = [
+            (&base, &[1, 4, 2000], &[0, 300, 1497]),
+            (&[2, 4, 6], &[1, 5, 9], &[4]),
+            (&[], &[3], &[]),
+            (&[3], &[], &[3]),
+            (&[Id::MAX - 1], &[0, Id::MAX], &[]),
+        ];
+        for (base, add, del) in cases {
+            assert_eq!(check_merge(base, add, del), Ok(()));
+        }
+    }
+
+    proptest::proptest! {
+        /// Sorted base, `add` disjoint from it, `del` a subset of it:
+        /// each id past `start` is, by its role, base only, tombstoned
+        /// base, added, or in none of the runs.
+        #[test]
+        fn merged_group_matches_model(
+            start in proptest::prop_oneof![proptest::strategy::Just(0u32), 0u32..100, proptest::strategy::Just(Id::MAX - 3000)],
+            cells in proptest::collection::vec((0u32..40, 0u8..4), 0..300),
+        ) {
+            let (mut base, mut add, mut del) = (Vec::new(), Vec::new(), Vec::new());
+            let mut v = start;
+            for (gap, role) in cells {
+                v += gap.min(3) * (gap % 7) + 1;
+                match role {
+                    0 => base.push(v),
+                    1 => {
+                        base.push(v);
+                        del.push(v);
+                    }
+                    2 => add.push(v),
+                    _ => {}
+                }
+            }
+            proptest::prop_assert_eq!(check_merge(&base, &add, &del), Ok(()));
+        }
     }
 }

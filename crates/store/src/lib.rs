@@ -71,8 +71,8 @@ mod store;
 
 pub use codec::{simd_active, PackedValues};
 pub use delta::{
-    merge_group_into, merge_values_into, sorted_contains, DeltaOverlay, PredApply, PredDelta,
-    ReplicaView, StoreView,
+    merge_values_into, DeltaOverlay, MergedGroup, MergedIter, PredApply, PredDelta, ReplicaView,
+    StoreView,
 };
 pub use idpos::IdPosIndex;
 pub use partition::Partition;

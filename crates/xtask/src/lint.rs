@@ -365,8 +365,8 @@ pub fn check_no_raw_sync(rel: &Path, s: &Stripped, out: &mut Vec<Violation>) {
 
 /// Join hot-path files: per-row code where a panic would tear down a
 /// worker instead of producing an `ExecFailure`. The delta store's
-/// merge iterators qualify since PR 8: `_view` executor variants probe
-/// through them on every morsel. The block codec qualifies because
+/// merged groups qualify: every probe of a predicate with resident runs
+/// goes through them. The block codec qualifies because
 /// compression is on by default: every group probe and scan of a
 /// packed replica runs through it.
 const HOT_PATH: [&str; 5] = [
@@ -682,8 +682,8 @@ mod tests {
         );
         assert!(other.is_empty(), "{other:?}");
 
-        // The delta merge iterators are hot path since the executor's
-        // `_view` variants probe through them per morsel.
+        // The delta merge iterators are hot path: the executor's probes
+        // of predicates with resident runs go through them.
         let delta = check_file(
             Path::new("crates/store/src/delta.rs"),
             "fn f(x: Option<u32>) -> u32 { x.expect(\"present\") }",
