@@ -586,7 +586,15 @@ impl<'a, S: Sink> Worker<'a, S> {
                 // Each resident run looked up counts as a group probe.
                 let lookups = u64::from(add.is_some()) + u64::from(del.is_some());
                 self.step_stats[depth].group_probes += lookups;
-                self.probe(depth, key, ctx.source.group_with_base(key, base));
+                // A key with no resident values probes like a clean one.
+                match ctx.source.group_with_base(key, base) {
+                    MergedGroup {
+                        base,
+                        add: [],
+                        del: [],
+                    } => self.probe(depth, key, base),
+                    group => self.probe(depth, key, group),
+                }
             }
         }
     }

@@ -486,14 +486,6 @@ impl<'a> StoreView<'a> {
         }
     }
 
-    /// True if the fully-constant triple is visible.
-    pub fn contains(&self, t: EncodedTriple) -> bool {
-        match self.replica(t.p, SortOrder::SO) {
-            Some(view) => view.contains_pair(t.s, t.o),
-            None => false,
-        }
-    }
-
     /// The probe view for `predicate` in `order`, or `None` if the
     /// predicate is outside both the base and the overlay (which is
     /// only possible for ids no dictionary handed out).
@@ -595,7 +587,7 @@ impl<'a> ReplicaView<'a> {
 
     /// Every visible `(key, value)` pair in `(key, value)` order — the
     /// pairs a compacted replica would hold.
-    pub fn merged_pairs(&self) -> Vec<(Id, Id)> {
+    pub(crate) fn merged_pairs(&self) -> Vec<(Id, Id)> {
         let [base, add, del] = self.runs().map(|r| r.map_or(0, Replica::num_triples));
         let mut out = Vec::with_capacity(base + add - del);
         // The base keys are a subsequence of the merged keys, so a
@@ -863,7 +855,7 @@ mod tests {
         let rep = view.replica(new_pred, SortOrder::SO).unwrap();
         assert!(rep.contains_pair(1, 2));
         assert_eq!(rep.merged_keys(), vec![1]);
-        assert!(view.contains(EncodedTriple::new(1, new_pred, 2)));
+        assert!(!rep.contains_pair(2, 1));
         assert_eq!(ov.visible_triples(&base), 5);
     }
 
