@@ -586,16 +586,22 @@ impl<'a, S: Sink> Worker<'a, S> {
                 // Each resident run looked up counts as a group probe.
                 let lookups = u64::from(add.is_some()) + u64::from(del.is_some());
                 self.step_stats[depth].group_probes += lookups;
-                // A key with no resident values probes like a clean one.
-                match ctx.source.group_with_base(key, base) {
-                    MergedGroup {
-                        base,
-                        add: [],
-                        del: [],
-                    } => self.probe(depth, key, base),
-                    group => self.probe(depth, key, group),
-                }
+                self.probe_merged(depth, key, ctx.source.group_with_base(key, base));
             }
+        }
+    }
+
+    /// [`Worker::probe`] over a merged group; a key with no resident
+    /// values probes like a clean one. Out of line: descend stays small.
+    #[inline(never)]
+    fn probe_merged(&mut self, depth: usize, key: Id, group: MergedGroup<'a>) {
+        match group {
+            MergedGroup {
+                base,
+                add: [],
+                del: [],
+            } => self.probe(depth, key, base),
+            group => self.probe(depth, key, group),
         }
     }
 

@@ -580,7 +580,9 @@ impl<'a> ReplicaView<'a> {
                     add,
                     del: &[],
                 };
-                Cow::Owned(union.iter().collect())
+                let mut keys = Vec::with_capacity(base.len() + add.len());
+                keys.extend(union.iter());
+                Cow::Owned(keys)
             }
         }
     }
@@ -698,12 +700,6 @@ impl Iterator for MergedIter<'_> {
                 _ => return Some(b),
             }
         }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let base = self.base.len() + usize::from(self.next.is_some());
-        let low = base.saturating_sub(self.del.len()).max(self.add.len());
-        (low, Some(base + self.add.len()))
     }
 }
 
