@@ -793,7 +793,7 @@ fn prepare_exec<'a>(
             ResolvedDriver::Group { group, bind_value }
         }
         DriverMode::Existence { key, value } => ResolvedDriver::Exist {
-            present: driver_source.contains_pair(key, value),
+            present: driver_source.group(key).contains(value),
         },
     };
     Some((ctxs, driver))

@@ -560,11 +560,6 @@ impl<'a> ReplicaView<'a> {
         }
     }
 
-    /// True if `(key, value)` is visible.
-    pub fn contains_pair(&self, key: Id, value: Id) -> bool {
-        self.group(key).contains(value)
-    }
-
     /// The sorted distinct key domain: borrowed from a clean replica.
     /// For dirty views this is the union of base and add keys — a key
     /// whose whole group was tombstoned still appears (its merged group
@@ -591,7 +586,8 @@ impl<'a> ReplicaView<'a> {
     /// pairs a compacted replica would hold.
     pub(crate) fn merged_pairs(&self) -> Vec<(Id, Id)> {
         let [base, add, del] = self.runs().map(|r| r.map_or(0, Replica::num_triples));
-        let mut out = Vec::with_capacity(base + add - del);
+        let visible = base + add - del;
+        let mut out = Vec::with_capacity(visible);
         // The base keys are a subsequence of the merged keys, so a
         // forward cursor finds the base group of every key; only the
         // small resident runs are searched.
@@ -606,6 +602,7 @@ impl<'a> ReplicaView<'a> {
             };
             out.extend(self.group_with_base(key, group).iter().map(|v| (key, v)));
         }
+        debug_assert_eq!(out.len(), visible, "tombstones must subset the base");
         out
     }
 }
@@ -849,9 +846,9 @@ mod tests {
         assert_eq!(r.inserted, 1);
         let view = StoreView::with_delta(&base, &ov);
         let rep = view.replica(new_pred, SortOrder::SO).unwrap();
-        assert!(rep.contains_pair(1, 2));
+        assert!(rep.group(1).contains(2));
         assert_eq!(rep.merged_keys(), vec![1]);
-        assert!(!rep.contains_pair(2, 1));
+        assert!(!rep.group(2).contains(1));
         assert_eq!(ov.visible_triples(&base), 5);
     }
 
@@ -870,7 +867,7 @@ mod tests {
         assert_eq!(vals, expect);
         // OS order: o2's subjects now include s2.
         let os = view.replica(0, SortOrder::OS).unwrap();
-        assert!(os.contains_pair(o2, s2));
+        assert!(os.group(o2).contains(s2));
     }
 
     #[test]
