@@ -14,14 +14,14 @@
 //! idle: the next chunk always goes to whichever worker frees up first.
 //!
 //! There is one way in, [`execute`], and one dispatch rule: the
-//! submitting thread resolves the plan once and always participates;
-//! when the caller hands over a [`WorkerPool`](crate::WorkerPool) and
-//! the driver spans more than one morsel, up to
-//! `min(threads − 1, morsels − 1)` idle pool workers join it on the
-//! same cursor. Everything else — no pool, one thread, one morsel —
-//! runs inline on the calling thread with plain borrowed data: no
-//! `Arc` clone, no mutex, no pool touch. No threads are created per
-//! query.
+//! submitting thread resolves the plan once into a shared, read-only
+//! run and always participates; when the caller hands over a
+//! [`WorkerPool`](crate::WorkerPool) and the driver spans more than one
+//! morsel, up to `min(threads − 1, morsels − 1)` idle pool workers join
+//! it on the same cursor, each holding a clone of the run's `Arc`.
+//! Everything else — no pool, one thread, one morsel — runs the same
+//! participant body inline on the calling thread and never touches the
+//! pool. No threads are created per query.
 //!
 //! Results are **deterministic**: each participant keeps one sink per
 //! morsel it ran, and the coordinator concatenates sinks in morsel
@@ -36,7 +36,6 @@
 
 use parj_sync::atomic::{AtomicUsize, Ordering};
 use parj_sync::Arc;
-use std::borrow::Cow;
 use std::panic::AssertUnwindSafe;
 
 use parj_dict::Id;
@@ -346,7 +345,7 @@ impl Sink for CollectSink {
     }
 }
 
-/// Per-step resolved context shared read-only by all workers.
+/// One probe step as a participant sees it, borrowed from the [`Run`].
 struct StepCtx<'a> {
     /// Probe source: the untouched/compacted CSR replica (the
     /// zero-overhead hot path) or the base replica plus resident
@@ -356,41 +355,27 @@ struct StepCtx<'a> {
     mode: CompiledStep,
 }
 
-/// The resolved driver of step 0.
+/// Step 0 as a participant sees it, borrowed from the [`Run`].
 enum ResolvedDriver<'a> {
     /// Key scan over `source`'s key domain: its keys array when clean;
-    /// over a delta-dirtied predicate, the distinct key union of base
-    /// and add runs, materialized when the plan is resolved
-    /// (deterministically, so every participant derives the identical
-    /// morsel grid). Keys whose whole group was tombstoned still appear
-    /// — their merged group is empty, so they emit nothing and only pad
-    /// the scan domain.
+    /// over a delta-dirtied predicate, the run's materialized key union
+    /// of base and add runs. Keys whose whole group was tombstoned
+    /// still appear — their merged group is empty, so they emit nothing
+    /// and only pad the scan domain.
     Keys {
         source: ReplicaView<'a>,
-        keys: Cow<'a, [Id]>,
+        keys: &'a [Id],
         bind_key: VarId,
         value: DriverValue,
     },
-    /// Group scan. Morsel sharding slices the domain by range, so a
-    /// block-compressed or merged group is materialized once per run;
-    /// a clean raw group stays borrowed.
+    /// Group scan over a clean raw group or the run's materialized one.
     Group {
-        group: Cow<'a, [Id]>,
+        group: &'a [Id],
         bind_value: VarId,
     },
     Exist {
         present: bool,
     },
-}
-
-impl ResolvedDriver<'_> {
-    fn domain(&self) -> usize {
-        match self {
-            ResolvedDriver::Keys { keys, .. } => keys.len(),
-            ResolvedDriver::Group { group, .. } => group.len(),
-            ResolvedDriver::Exist { .. } => 1,
-        }
-    }
 }
 
 /// One key's value group at a probe target: a clean replica's own
@@ -484,15 +469,15 @@ struct Worker<'a, S> {
 impl<'a, S: Sink> Worker<'a, S> {
     /// A worker at the start of its run: zeroed bindings, cursors and
     /// counters, a full poll batch ahead of it.
-    fn new(shape: &RunShape<'a>, guard: &'a QueryGuard, sink: S) -> Self {
-        let steps = shape.ctxs.len();
+    fn new(run: &'a Run, ctxs: &'a [StepCtx<'a>], guard: &'a QueryGuard, sink: S) -> Self {
+        let steps = ctxs.len();
         Worker {
-            ctxs: shape.ctxs,
-            strategy: shape.strategy,
-            projection: &shape.plan.projection,
-            bindings: vec![0; shape.plan.num_vars],
+            ctxs,
+            strategy: run.strategy,
+            projection: &run.plan.projection,
+            bindings: vec![0; run.plan.num_vars],
             cursors: vec![0; steps],
-            rowbuf: Vec::with_capacity(shape.plan.projection.len()),
+            rowbuf: Vec::with_capacity(run.plan.projection.len()),
             step_stats: vec![SearchStats::default(); steps + 2],
             step_rows: vec![0; steps + 1],
             sink,
@@ -649,64 +634,70 @@ impl<'a, S: Sink> Worker<'a, S> {
         }
     }
 
-    /// Scans positions `range` of a key driver: `open` gives each
-    /// position's key and group, whose values are bound or checked.
+    /// Scans positions `range` of a key driver, handing each to `body`.
     #[inline]
-    fn scan_keys<G: ValueGroup<'a>>(
-        &mut self,
-        range: std::ops::Range<usize>,
-        bind_key: VarId,
-        value: DriverValue,
-        open: impl Fn(usize, &mut SearchStats) -> (Id, G),
-    ) {
-        // Driver-side group checks count in the trailing stats slot.
-        let slot = self.ctxs.len() + 1;
+    fn scan_keys(&mut self, range: std::ops::Range<usize>, body: impl Fn(&mut Self, usize)) {
         for pos in range {
             if self.stop {
                 break;
             }
             self.tick();
-            let (key, group) = open(pos, &mut self.step_stats[slot]);
-            self.bindings[bind_key as usize] = key;
-            let check = match value {
-                DriverValue::Bind(v) => {
-                    for val in group.values() {
-                        self.bindings[v as usize] = val;
-                        self.descend(0);
-                    }
-                    continue;
+            body(self, pos);
+        }
+    }
+
+    /// One driver key: binds `key`, then binds or checks the values of
+    /// its `group`.
+    #[inline]
+    fn drive_key<G: ValueGroup<'a>>(&mut self, key: Id, group: G, bind: VarId, value: DriverValue) {
+        self.bindings[bind as usize] = key;
+        let check = match value {
+            DriverValue::Bind(v) => {
+                for val in group.values() {
+                    self.bindings[v as usize] = val;
+                    self.descend(0);
                 }
-                DriverValue::CheckConst(c) => c,
-                DriverValue::CheckEqKey => key,
-            };
-            if group.probe(check, &mut self.step_stats[slot]) {
-                self.descend(0);
+                return;
             }
+            DriverValue::CheckConst(c) => c,
+            DriverValue::CheckEqKey => key,
+        };
+        // Driver-side group checks count in the trailing stats slot.
+        let slot = self.ctxs.len() + 1;
+        if group.probe(check, &mut self.step_stats[slot]) {
+            self.descend(0);
         }
     }
 
     /// Processes one shard `[lo, hi)` of the driver domain.
     fn run_range(&mut self, driver: &ResolvedDriver<'a>, lo: usize, hi: usize) {
-        match driver {
+        match *driver {
             ResolvedDriver::Keys {
                 source,
                 keys,
                 bind_key,
                 value,
-            } => match *source {
-                ReplicaView::Clean(replica) => {
-                    self.scan_keys(lo..hi, *bind_key, *value, |pos, _| {
-                        (replica.key_at(pos), replica.group_at(pos))
-                    })
-                }
+            } => match source {
+                ReplicaView::Clean(replica) => self.scan_keys(lo..hi, |w, pos| {
+                    w.drive_key(replica.key_at(pos), replica.group_at(pos), bind_key, value)
+                }),
                 // Dirty drivers pay one lookup per run and key (the
                 // merged key list has no positions into any single
-                // replica), each counted as a group probe.
+                // replica), each counted as a group probe. A key with
+                // no resident values is driven like a clean one.
                 ReplicaView::Dirty { base, add, del } => {
                     let lookups = [base, add, del].iter().flatten().count() as u64;
-                    self.scan_keys(lo..hi, *bind_key, *value, |pos, stats| {
-                        stats.group_probes += lookups;
-                        (keys[pos], source.group(keys[pos]))
+                    let slot = self.ctxs.len() + 1;
+                    self.scan_keys(lo..hi, |w, pos| {
+                        w.step_stats[slot].group_probes += lookups;
+                        match source.group(keys[pos]) {
+                            MergedGroup {
+                                base,
+                                add: [],
+                                del: [],
+                            } => w.drive_key(keys[pos], base, bind_key, value),
+                            group => w.drive_key(keys[pos], group, bind_key, value),
+                        }
                     })
                 }
             },
@@ -715,12 +706,12 @@ impl<'a, S: Sink> Worker<'a, S> {
                     if self.stop {
                         break;
                     }
-                    self.bindings[*bind_value as usize] = val;
+                    self.bindings[bind_value as usize] = val;
                     self.descend(0);
                 }
             }
             ResolvedDriver::Exist { present } => {
-                if *present && lo == 0 {
+                if present && lo == 0 {
                     self.descend(0);
                 }
             }
@@ -731,8 +722,8 @@ impl<'a, S: Sink> Worker<'a, S> {
 /// The read-only data one execution probes: the base store, the
 /// resident mutation delta (`None` when clean — every probe then takes
 /// the zero-overhead CSR path) and the per-replica search thresholds.
-/// Borrowed `Arc`s: an inline run only dereferences them, a pooled run
-/// clones them across the `'static` job boundary.
+/// [`execute`] clones the store and delta `Arc`s into the one run that
+/// every participant of the query shares.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecSource<'a> {
     /// The finalized base store.
@@ -746,85 +737,193 @@ pub struct ExecSource<'a> {
     pub thresholds: &'a Arc<ThresholdTable>,
 }
 
-/// Resolves replicas and the driver; `None` when a referenced predicate
-/// has no partition (empty result).
-fn prepare_exec<'a>(
-    src: ExecSource<'a>,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-) -> Option<(Vec<StepCtx<'a>>, ResolvedDriver<'a>)> {
-    #[cfg(test)]
-    tests::PREPARE_CALLS.with(|c| c.set(c.get() + 1));
-    // Base replicas, overlaid by the delta when one is resident
-    // (`base_only` is the zero-cost clean path).
-    let view = match src.delta {
-        Some(d) => StoreView::with_delta(src.store, d),
-        None => StoreView::base_only(src.store),
-    };
-    let mut ctxs: Vec<StepCtx<'a>> = Vec::with_capacity(plan.compiled.len());
-    for (step, mode) in plan.steps.iter().skip(1).zip(&plan.compiled) {
-        let source = view.replica(step.predicate, step.order)?;
-        let t = src.thresholds.get(step.predicate, step.order);
-        let threshold = match opts.strategy {
-            ProbeStrategy::AdaptiveIndex => t.index,
-            _ => t.binary,
-        };
-        ctxs.push(StepCtx {
-            source,
-            threshold,
-            mode: *mode,
-        });
+/// Base replicas, overlaid by the delta when one is resident
+/// (`base_only` is the zero-cost clean path).
+fn store_view<'a>(store: &'a TripleStore, delta: Option<&'a Arc<DeltaOverlay>>) -> StoreView<'a> {
+    match delta {
+        Some(d) => StoreView::with_delta(store, d),
+        None => StoreView::base_only(store),
     }
-    let step0 = &plan.steps[0];
-    let driver_source = view.replica(step0.predicate, step0.order)?;
-    let driver = match plan.driver {
-        DriverMode::ScanKeys { bind_key, value } => ResolvedDriver::Keys {
-            source: driver_source,
-            keys: driver_source.merged_keys(),
-            bind_key,
-            value,
-        },
-        DriverMode::ScanGroup { key, bind_value } => {
-            let g = driver_source.group(key);
-            let group = match g.base.as_raw() {
-                Some(raw) if g.add.is_empty() && g.del.is_empty() => Cow::Borrowed(raw),
-                _ => Cow::Owned(g.iter().collect()),
-            };
-            ResolvedDriver::Group { group, bind_value }
-        }
-        DriverMode::Existence { key, value } => ResolvedDriver::Exist {
-            present: driver_source.group(key).contains(value),
-        },
-    };
-    Some((ctxs, driver))
 }
 
-/// Immutable per-run shape every participant shares: resolved probe
-/// contexts, the driver, and the morsel grid.
-struct RunShape<'a> {
-    ctxs: &'a [StepCtx<'a>],
-    driver: &'a ResolvedDriver<'a>,
-    plan: &'a PhysicalPlan,
+/// A run's driver domain, resolved once.
+enum Domain {
+    /// Lent by the driver replica (see [`lent_domain`]).
+    Lent,
+    /// Materialized, because morsels slice the domain by position: a
+    /// dirty key union, or a packed or merged group.
+    Owned(Vec<Id>),
+    /// Whether an existence driver's pair is visible.
+    Exist(bool),
+}
+
+/// The domain `source` lends `driver` without a copy: a clean keys
+/// array, or a raw group with no resident values.
+fn lent_domain(source: ReplicaView<'_>, driver: DriverMode) -> Option<&[Id]> {
+    match (source, driver) {
+        (ReplicaView::Clean(replica), DriverMode::ScanKeys { .. }) => Some(replica.keys()),
+        (_, DriverMode::ScanGroup { key, .. }) => match source.group(key) {
+            MergedGroup {
+                base,
+                add: [],
+                del: [],
+            } => base.as_raw(),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// One query's resolved run, built once per [`execute`] call and shared
+/// behind one `Arc` by the submitter and every pool helper. It owns
+/// what participants read — the store and delta `Arc`s, a clone of the
+/// plan, each step's threshold, the morsel grid and the driver domain,
+/// materialized at most once — plus the two words they share, the
+/// guard and the morsel cursor. Owned data is what lets it cross the
+/// pool's `'static` job boundary without `unsafe`.
+struct Run {
+    store: Arc<TripleStore>,
+    delta: Option<Arc<DeltaOverlay>>,
+    plan: PhysicalPlan,
+    /// Adaptive-search threshold of each probe step.
+    thresholds: Vec<i64>,
     strategy: ProbeStrategy,
     morsel_size: usize,
+    /// Driver positions the morsel grid covers.
     domain: usize,
+    driver: Domain,
+    /// The caller's guard, or a private unlimited one so a panicking
+    /// participant still stops its siblings.
+    guard: Arc<QueryGuard>,
+    cursor: AtomicUsize,
 }
 
-impl<'a> RunShape<'a> {
-    fn new(
-        ctxs: &'a [StepCtx<'a>],
-        driver: &'a ResolvedDriver<'a>,
-        plan: &'a PhysicalPlan,
-        opts: &ExecOptions,
-    ) -> Self {
-        RunShape {
-            ctxs,
-            driver,
-            plan,
+impl Run {
+    /// Resolves `plan` over `src`; `None` when a referenced predicate
+    /// has no partition (empty result).
+    fn new(src: ExecSource<'_>, plan: &PhysicalPlan, opts: &ExecOptions) -> Option<Run> {
+        #[cfg(test)]
+        tests::note_resolution(src.store);
+        let view = store_view(src.store, src.delta);
+        let mut thresholds = Vec::with_capacity(plan.compiled.len());
+        for step in plan.steps.iter().skip(1) {
+            view.replica(step.predicate, step.order)?;
+            let t = src.thresholds.get(step.predicate, step.order);
+            thresholds.push(match opts.strategy {
+                ProbeStrategy::AdaptiveIndex => t.index,
+                _ => t.binary,
+            });
+        }
+        let step0 = &plan.steps[0];
+        let source = view.replica(step0.predicate, step0.order)?;
+        let owned = |values: Vec<Id>| (values.len(), Domain::Owned(values));
+        let (domain, driver) = match (lent_domain(source, plan.driver), plan.driver) {
+            (Some(lent), _) => (lent.len(), Domain::Lent),
+            (None, DriverMode::ScanKeys { .. }) => owned(source.merged_keys().into_owned()),
+            (None, DriverMode::ScanGroup { key, .. }) => owned(source.group(key).iter().collect()),
+            (None, DriverMode::Existence { key, value }) => {
+                (1, Domain::Exist(source.group(key).contains(value)))
+            }
+        };
+        Some(Run {
+            store: Arc::clone(src.store),
+            delta: src.delta.map(Arc::clone),
+            plan: plan.clone(),
+            thresholds,
             strategy: opts.strategy,
             morsel_size: opts.morsel_size,
-            domain: driver.domain(),
+            domain,
+            driver,
+            guard: opts.guard.clone().unwrap_or_default(),
+            cursor: AtomicUsize::new(0),
+        })
+    }
+
+    /// A participant's probe contexts and driver, borrowed from the run
+    /// through replica lookups alone. `None` only where [`Run::new`]
+    /// would have found no run.
+    fn resolve(&self) -> Option<(Vec<StepCtx<'_>>, ResolvedDriver<'_>)> {
+        let view = store_view(&self.store, self.delta.as_ref());
+        let steps = self.plan.steps.iter().skip(1);
+        let ctxs = steps
+            .zip(&self.plan.compiled)
+            .zip(&self.thresholds)
+            .map(|((step, &mode), &threshold)| {
+                let source = view.replica(step.predicate, step.order)?;
+                Some(StepCtx {
+                    source,
+                    threshold,
+                    mode,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let step0 = &self.plan.steps[0];
+        let source = view.replica(step0.predicate, step0.order)?;
+        let domain = match &self.driver {
+            Domain::Lent => lent_domain(source, self.plan.driver)?,
+            Domain::Owned(values) => values,
+            Domain::Exist(_) => &[],
+        };
+        let driver = match self.plan.driver {
+            DriverMode::ScanKeys { bind_key, value } => ResolvedDriver::Keys {
+                source,
+                keys: domain,
+                bind_key,
+                value,
+            },
+            DriverMode::ScanGroup { bind_value, .. } => ResolvedDriver::Group {
+                group: domain,
+                bind_value,
+            },
+            DriverMode::Existence { .. } => ResolvedDriver::Exist {
+                present: matches!(self.driver, Domain::Exist(true)),
+            },
+        };
+        Some((ctxs, driver))
+    }
+
+    /// One participant's whole run: pull morsels off the shared cursor
+    /// until it drains (or the guard trips), keeping one sink per
+    /// morsel. Sequential-search cursors persist across the morsels one
+    /// participant runs — which morsels those are varies run to run,
+    /// but cursor state only changes *search cost*, never which rows
+    /// match.
+    fn participate<S: Sink>(&self, factory: &impl Fn() -> S) -> Option<ParticipantOutput<S>> {
+        let (ctxs, driver) = self.resolve()?;
+        let mut w = Worker::new(self, &ctxs, &self.guard, factory());
+        // Check limits once up front so pre-cancelled tokens and
+        // already-expired deadlines stop even queries too small to
+        // reach a poll boundary.
+        w.poll_guard();
+        let mut morsels: Vec<(usize, S)> = Vec::new();
+        while !w.stop {
+            // ordering: Relaxed — the cursor is the only shared word;
+            // morsel *contents* are read-only during execution, so no
+            // publication edge is needed (the same ticket protocol is
+            // modeled by loom_parallel in parj-store and loom_pool here).
+            let m = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(lo) = m.checked_mul(self.morsel_size) else {
+                break;
+            };
+            if lo >= self.domain {
+                break;
+            }
+            let hi = (lo + self.morsel_size).min(self.domain);
+            w.run_range(&driver, lo, hi);
+            // One sink per morsel: the coordinator merges sinks in
+            // morsel order, making results independent of worker
+            // interleaving.
+            let full = std::mem::replace(&mut w.sink, factory());
+            morsels.push((m, full));
         }
+        w.final_check();
+        Some(ParticipantOutput {
+            morsels,
+            stats: w.total_stats(),
+            trip: w.trip,
+            step_stats: w.step_stats,
+            step_rows: w.step_rows,
+        })
     }
 }
 
@@ -850,17 +949,19 @@ pub fn morsel_loads(
     opts: &ExecOptions,
 ) -> Result<Vec<u64>, ExecOptionsError> {
     opts.validate()?;
-    let Some((ctxs, driver)) = prepare_exec(src, plan, opts) else {
+    let Some(run) = Run::new(src, plan, opts) else {
         return Ok(Vec::new());
     };
-    let shape = RunShape::new(&ctxs, &driver, plan, opts);
+    let Some((ctxs, driver)) = run.resolve() else {
+        return Ok(Vec::new());
+    };
     let guard = QueryGuard::unlimited();
-    let mut worker = Worker::new(&shape, &guard, CountSink::default());
+    let mut worker = Worker::new(&run, &ctxs, &guard, CountSink::default());
     let mut loads = Vec::new();
     let mut prev = 0u64;
     let mut lo = 0usize;
-    while lo < shape.domain {
-        let hi = (lo + shape.morsel_size).min(shape.domain);
+    while lo < run.domain {
+        let hi = (lo + run.morsel_size).min(run.domain);
         worker.run_range(&driver, lo, hi);
         let now = worker.sink.count + worker.total_stats().words_touched();
         loads.push(now - prev);
@@ -879,57 +980,6 @@ struct ParticipantOutput<S> {
     trip: Option<GuardTrip>,
     step_stats: Vec<SearchStats>,
     step_rows: Vec<u64>,
-}
-
-/// One participant's whole run: pull morsels off the shared cursor
-/// until it drains (or the guard trips), keeping one sink per morsel.
-/// Sequential-search cursors persist across the morsels one
-/// participant runs — which morsels those are varies run to run, but
-/// cursor state only changes *search cost*, never which rows match.
-fn run_participant<S, F>(
-    shape: &RunShape<'_>,
-    guard: &QueryGuard,
-    cursor: &AtomicUsize,
-    factory: &F,
-) -> ParticipantOutput<S>
-where
-    S: Sink,
-    F: Fn() -> S,
-{
-    let mut w = Worker::new(shape, guard, factory());
-    // Check limits once up front so pre-cancelled tokens and
-    // already-expired deadlines stop even queries too small to reach a
-    // poll boundary.
-    w.poll_guard();
-    let mut morsels: Vec<(usize, S)> = Vec::new();
-    while !w.stop {
-        // ordering: Relaxed — the cursor is the only shared word;
-        // morsel *contents* are read-only during execution, so no
-        // publication edge is needed (the same ticket protocol is
-        // modeled by loom_parallel in parj-store and loom_pool here).
-        let m = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(lo) = m.checked_mul(shape.morsel_size) else {
-            break;
-        };
-        if lo >= shape.domain {
-            break;
-        }
-        let hi = (lo + shape.morsel_size).min(shape.domain);
-        w.run_range(shape.driver, lo, hi);
-        // One sink per morsel: the coordinator merges sinks in morsel
-        // order, making results independent of worker interleaving.
-        let full = std::mem::replace(&mut w.sink, factory());
-        morsels.push((m, full));
-    }
-    w.final_check();
-    let stats = w.total_stats();
-    ParticipantOutput {
-        morsels,
-        stats,
-        trip: w.trip,
-        step_stats: w.step_stats,
-        step_rows: w.step_rows,
-    }
 }
 
 /// Folds participant outputs into the caller-facing result: merged
@@ -1036,31 +1086,23 @@ fn invalid_options(e: ExecOptionsError) -> Box<ExecFailure> {
     })
 }
 
-/// Shared mutable state of one pooled job, behind a mutex: finished
-/// participants push their outputs; the submitter drains it after the
-/// pool rendezvous guarantees no participant is still running.
-struct PooledOutput<S> {
-    parts: Vec<ParticipantOutput<S>>,
-    panicked: Option<String>,
-}
-
 /// Executes `plan` over `src`, creating sinks via `factory`, and
 /// returns the morsel-ordered sinks plus merged search counters.
 /// Concatenating the returned sinks yields rows in driver-domain
 /// order — deterministic across thread counts and morsel sizes.
 ///
-/// The calling thread resolves the plan once and always participates.
-/// With a `pool` and a driver spanning several morsels, up to
-/// `min(threads − 1, morsels − 1)` idle pool workers join it, pulling
-/// morsels off the query's shared cursor; otherwise the run is inline
-/// on borrowed data and never touches the pool. No threads are created
-/// or destroyed per query.
+/// The calling thread resolves the plan once into a shared run and
+/// always participates. With a `pool` and a driver spanning several
+/// morsels, up to `min(threads − 1, morsels − 1)` idle pool workers
+/// join it, pulling morsels off the run's cursor; otherwise the same
+/// participant body runs inline and the pool is never touched. No
+/// threads are created or destroyed per query.
 ///
-/// Pool participants are `'static` jobs, so the execution context
-/// reaches them as `Arc` clones and each re-derives the read-only
-/// probe contexts (cheap replica lookups). A participant panic fails
-/// only this query: it is caught, cancels the query's guard so
-/// siblings stop at their next poll, and surfaces as
+/// Pool participants are `'static` jobs, so each holds a clone of the
+/// run's `Arc` and borrows its probe contexts and driver from it
+/// through replica lookups; nothing is resolved twice. A participant
+/// panic fails only this query: it is caught, cancels the query's
+/// guard so siblings stop at their next poll, and surfaces as
 /// [`ExecFailureKind::WorkerPanicked`]; the store is read-only during
 /// execution and the pool worker returns to service.
 pub fn execute<S, F>(
@@ -1077,110 +1119,47 @@ where
     if let Err(e) = opts.validate() {
         return Err(invalid_options(e));
     }
-    let Some((ctxs, driver)) = prepare_exec(src, plan, opts) else {
+    let Some(run) = Run::new(src, plan, opts) else {
         record_empty(opts);
         return Ok((Vec::new(), SearchStats::default()));
     };
-    let shape = RunShape::new(&ctxs, &driver, plan, opts);
     // Helpers beyond the morsel count would only spin the cursor once
     // and exit; don't seat them. This clamp is also the small-query
     // rule: a driver that fits one morsel runs on the calling thread.
-    let num_morsels = shape.domain.div_ceil(opts.morsel_size).max(1);
+    let num_morsels = run.domain.div_ceil(run.morsel_size).max(1);
     let helpers = pool.map_or(0, |_| opts.threads.saturating_sub(1).min(num_morsels - 1));
-    let Some(pool) = pool.filter(|_| helpers > 0) else {
-        // Every run is guarded: callers without limits get a private
-        // unlimited guard so panic handling is uniform.
-        let own_guard;
-        let guard: &QueryGuard = match &opts.guard {
-            Some(g) => g,
-            None => {
-                own_guard = QueryGuard::unlimited();
-                &own_guard
-            }
-        };
-        let cursor = AtomicUsize::new(0);
-        let (parts, panicked) = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_participant(&shape, guard, &cursor, &factory)
-        })) {
-            Ok(p) => (vec![p], None),
-            Err(payload) => {
-                guard.cancel();
-                (Vec::new(), Some(panic_message(payload.as_ref())))
-            }
-        };
-        return merge_participants(parts, panicked, opts, guard, ctxs.len());
-    };
-    // The submitter resolves again as a participant of its own job;
-    // don't keep a second copy of a merged key domain or materialized
-    // group alive meanwhile.
-    let n_ctxs = ctxs.len();
-    drop((ctxs, driver));
-
-    let guard: Arc<QueryGuard> = match &opts.guard {
-        Some(g) => Arc::clone(g),
-        None => Arc::new(QueryGuard::unlimited()),
-    };
+    let run = Arc::new(run);
+    // What the participants hand back: each pushes its output, or the
+    // first panic's message, as it finishes.
     let output = Arc::new(parj_sync::OrderedMutex::new(
         parj_sync::LockLevel::ExecOutput,
-        "exec.pooled_output",
-        PooledOutput::<S> {
-            parts: Vec::new(),
-            panicked: None,
-        },
+        "exec.output",
+        (Vec::<ParticipantOutput<S>>::new(), None::<String>),
     ));
-    let body: crate::pool::Participant = {
-        let store = Arc::clone(src.store);
-        let delta = src.delta.map(Arc::clone);
-        let thresholds = Arc::clone(src.thresholds);
-        // The plan is tiny (a few steps + projection); cloning it is
-        // what lets pool workers outlive the borrow without unsafe.
-        let plan = plan.clone();
-        let guard = Arc::clone(&guard);
-        let output = Arc::clone(&output);
-        let cursor = AtomicUsize::new(0);
-        // Probe-context resolution depends only on strategy and morsel
-        // size; the guard and recorder stay with the submitter.
-        let probe_opts = ExecOptions {
-            guard: None,
-            recorder: None,
-            ..opts.clone()
-        };
-        Arc::new(move || {
-            // Each participant re-derives the read-only probe contexts
-            // from its own Arcs — nothing borrowed crosses the
-            // 'static job boundary.
-            let src = ExecSource {
-                store: &store,
-                delta: delta.as_ref(),
-                thresholds: &thresholds,
-            };
-            let Some((ctxs, driver)) = prepare_exec(src, &plan, &probe_opts) else {
-                return;
-            };
-            let shape = RunShape::new(&ctxs, &driver, &plan, &probe_opts);
-            match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_participant(&shape, &guard, &cursor, &factory)
-            })) {
-                Ok(p) => output.lock().parts.push(p),
+    let body = {
+        let (run, output) = (Arc::clone(&run), Arc::clone(&output));
+        move || {
+            let part = std::panic::catch_unwind(AssertUnwindSafe(|| run.participate(&factory)));
+            if part.is_err() {
+                run.guard.cancel();
+            }
+            let (parts, panicked) = &mut *output.lock();
+            match part {
+                Ok(part) => parts.extend(part),
                 Err(payload) => {
-                    guard.cancel();
-                    let mut out = output.lock();
-                    if out.panicked.is_none() {
-                        out.panicked = Some(panic_message(payload.as_ref()));
-                    }
+                    panicked.get_or_insert_with(|| panic_message(payload.as_ref()));
                 }
             }
-        })
+        }
     };
-    // The pool's rendezvous returns only after every participant that
-    // joined has finished, so draining `output` afterwards sees the
-    // complete set.
-    pool.run(helpers, body);
-    let mut locked = output.lock();
-    let parts = std::mem::take(&mut locked.parts);
-    let panicked = locked.panicked.take();
-    drop(locked);
-    merge_participants(parts, panicked, opts, &guard, n_ctxs)
+    match pool {
+        // The pool's rendezvous returns only after every participant
+        // that joined has finished, so the drain below sees them all.
+        Some(pool) if helpers > 0 => pool.run(helpers, Arc::new(body)),
+        _ => body(),
+    }
+    let (parts, panicked) = std::mem::take(&mut *output.lock());
+    merge_participants(parts, panicked, opts, &run.guard, run.plan.compiled.len())
 }
 
 /// Silent-mode execution: returns only the result count (and counters).
@@ -1228,11 +1207,30 @@ mod tests {
     use parj_dict::Term;
     use parj_store::{SortOrder, StoreBuilder};
 
-    thread_local! {
-        /// `prepare_exec` calls made on this thread (tests run one per
-        /// thread, so the count is private to the test reading it).
-        pub(super) static PREPARE_CALLS: std::cell::Cell<usize> =
-            const { std::cell::Cell::new(0) };
+    /// Plan resolutions ([`Run::new`] calls) per store, keyed by the
+    /// store's address. Pool helpers run on their own threads and
+    /// tests run in parallel, so a thread-local count would miss
+    /// helpers; a test reads the count of a store it keeps alive, whose
+    /// address no other live store shares.
+    static RESOLUTIONS: std::sync::Mutex<Vec<(usize, usize)>> = std::sync::Mutex::new(Vec::new());
+
+    pub(super) fn note_resolution(store: &Arc<TripleStore>) {
+        let addr = Arc::as_ptr(store) as usize;
+        let mut counts = RESOLUTIONS.lock().unwrap();
+        match counts.iter_mut().find(|(a, _)| *a == addr) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((addr, 1)),
+        }
+    }
+
+    /// Resolutions noted so far for `store`.
+    fn resolutions(store: &Arc<TripleStore>) -> usize {
+        let addr = Arc::as_ptr(store) as usize;
+        let counts = RESOLUTIONS.lock().unwrap();
+        counts
+            .iter()
+            .find(|(a, _)| *a == addr)
+            .map_or(0, |(_, n)| *n)
     }
 
     /// Paper-default thresholds for `store`.
@@ -2570,9 +2568,9 @@ mod tests {
         .unwrap();
         let pool = WorkerPool::new(2);
         let opts = ExecOptions::with_threads(3);
-        let before = PREPARE_CALLS.with(std::cell::Cell::get);
+        let before = resolutions(&base);
         let dirty = collect_flat(&base, Some(&ov), &plan, &opts, Some(&pool)).expect("runs");
-        assert_eq!(PREPARE_CALLS.with(std::cell::Cell::get) - before, 1);
+        assert_eq!(resolutions(&base) - before, 1);
         assert_eq!(pool.stats().jobs, 0, "one morsel: nothing to share");
         let clean = collect_flat(&rebuilt, None, &plan, &opts, None).expect("runs");
         assert_eq!(dirty, clean);
@@ -2585,6 +2583,58 @@ mod tests {
         let dirty = collect_flat(&base, Some(&ov), &plan, &split, Some(&pool)).expect("runs");
         assert_eq!(pool.stats().jobs, 1);
         assert_eq!(dirty, clean);
+    }
+
+    #[test]
+    fn pooled_run_resolves_its_plan_once() {
+        // The submitter and every pool helper share one resolved run:
+        // a multi-morsel run resolves its plan exactly once, inline or
+        // with helpers. The dirty driver makes that one resolution the
+        // expensive kind (merged key domain).
+        let (base, ov, _) = dirty_and_rebuilt();
+        let plan = PhysicalPlan::new(
+            vec![PlanStep {
+                predicate: pid(&base, "teaches"),
+                order: SortOrder::SO,
+                key: Atom::Var(0),
+                value: Atom::Var(1),
+            }],
+            2,
+            vec![0, 1],
+        )
+        .unwrap();
+        let thresholds = thresholds(&base);
+        let src = ExecSource {
+            store: &base,
+            delta: Some(&ov),
+            thresholds: &thresholds,
+        };
+        let pool = WorkerPool::new(2);
+        let inline = ExecOptions {
+            threads: 1,
+            morsel_size: 1,
+            ..ExecOptions::default()
+        };
+        let before = resolutions(&base);
+        execute(src, &plan, &inline, Some(&pool), CollectSink::default).expect("runs");
+        assert_eq!(resolutions(&base) - before, 1, "one thread");
+        assert_eq!(pool.stats().jobs, 0);
+
+        // Three threads over three morsels. The gate holds the first
+        // participant until a second one arrives, so a helper joins.
+        let arrived = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let before = resolutions(&base);
+        let wide = ExecOptions {
+            threads: 3,
+            ..inline
+        };
+        execute(src, &plan, &wide, Some(&pool), move || GatedSink {
+            inner: CollectSink::default(),
+            arrived: Arc::clone(&arrived),
+        })
+        .expect("runs");
+        assert_eq!(resolutions(&base) - before, 1, "three threads");
+        assert!(pool.stats().helper_joins > 0, "a helper must have joined");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use parj_sync::atomic::{AtomicUsize, Ordering};
 use parj_sync::{thread, Arc};
 
 /// A counting participant over `morsels` work units: the loom-visible
-/// skeleton of `exec.rs`'s `run_participant`. Each claimed morsel
+/// skeleton of `exec.rs`'s `Run::participate`. Each claimed morsel
 /// increments its slot in `hits` exactly once.
 fn cursor_participant(
     cursor: &Arc<AtomicUsize>,

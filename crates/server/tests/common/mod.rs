@@ -38,7 +38,16 @@ pub fn small_engine() -> Arc<Parj> {
 /// An engine whose star query (`?x p ?y . ?x p ?z`) produces `n²` rows
 /// — slow enough for overload and disconnect tests to overlap requests.
 pub fn fanout_engine(n: u32) -> Arc<Parj> {
-    let e = Parj::builder().threads(1).cache(false).build();
+    fanout(Parj::builder().threads(1).cache(false).build(), n)
+}
+
+/// A [`fanout_engine`] whose queries stop at `timeout`.
+pub fn timed_fanout_engine(n: u32, timeout: Duration) -> Arc<Parj> {
+    let e = Parj::builder().threads(1).cache(false).timeout(timeout);
+    fanout(e.build(), n)
+}
+
+fn fanout(e: Parj, n: u32) -> Arc<Parj> {
     let triples = (0..n).map(|i| {
         (
             Term::iri("http://e/hub"),
@@ -53,6 +62,14 @@ pub fn fanout_engine(n: u32) -> Arc<Parj> {
 /// The `n²`-row query for [`fanout_engine`].
 pub const FANOUT_QUERY: &str =
     "SELECT ?y ?z WHERE { <http://e/hub> <http://e/p> ?y . <http://e/hub> <http://e/p> ?z }";
+
+/// A query for [`fanout_engine`] that runs `n⁴` bindings and returns
+/// none: its last step probes the group of a leaf, and leaves have no
+/// `p` values. Tests that rely on it check that the plan keeps the
+/// written order.
+pub const ENDLESS_QUERY: &str = "SELECT ?a WHERE { <http://e/hub> <http://e/p> ?a . \
+     <http://e/hub> <http://e/p> ?b . <http://e/hub> <http://e/p> ?c . \
+     <http://e/hub> <http://e/p> ?d . ?d <http://e/p> ?e }";
 
 /// Spawns a server over `engine` with `config` (addr forced to an
 /// ephemeral loopback port).

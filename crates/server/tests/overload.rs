@@ -136,7 +136,15 @@ fn per_client_quotas_reject_with_429() {
 
 #[test]
 fn disconnecting_client_cancels_its_query() {
-    let engine = fanout_engine(700); // ~490k rows: a long-running query
+    // A query that cannot finish within the wait below, so only the
+    // close can end it; the engine's deadline is a backstop that keeps
+    // a broken cancel path from hanging the shutdown.
+    let engine = timed_fanout_engine(700, Duration::from_secs(30));
+    let plan = engine.explain(ENDLESS_QUERY).unwrap();
+    assert!(
+        plan.contains("probe p0 S-O key=?3 value=?4\nproject"),
+        "the empty probe must run last:\n{plan}"
+    );
     let mut server = spawn(
         Arc::clone(&engine),
         ServerConfig {
@@ -146,13 +154,13 @@ fn disconnecting_client_cancels_its_query() {
     );
     let addr = server.addr();
 
-    // Fire the slow query and immediately drop the connection.
+    // Fire the endless query and immediately drop the connection.
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .write_all(
             format!(
                 "GET /sparql?query={} HTTP/1.1\r\nHost: t\r\n\r\n",
-                urlencode(FANOUT_QUERY)
+                urlencode(ENDLESS_QUERY)
             )
             .as_bytes(),
         )

@@ -75,8 +75,8 @@ pub enum LockLevel {
     /// Per-job seat accounting (`pool.job_meta`, with the
     /// `pool.job_done` condvar); acquired under `pool.state`.
     PoolJob = 40,
-    /// The pooled executor's participant output collection
-    /// (`exec.pooled_output`).
+    /// The executor's participant output collection
+    /// (`exec.output`).
     ExecOutput = 35,
     /// EXPLAIN profile capture (`engine.explain_profiles`).
     Profile = 30,
